@@ -8,9 +8,10 @@
 //	go run ./cmd/benchhot [-benchtime 1s] [-count 1] [-out BENCH_hotpath.json]
 //
 // The benchmark set is the same one the CI benchmark-smoke step compiles:
-// GPA batch ingest (rows and columns), remote publish (single-record and
-// batch), the dissemination flush/encode path, and the CPA per-event
-// engines (interpreter vs compiled closures).
+// GPA columnar ingest, remote publish (one-record and 64-record batch
+// frames), the dissemination encoders (row batch, plain and compressed
+// columnar), and the CPA per-event engines (interpreter vs compiled
+// closures).
 package main
 
 import (
@@ -30,35 +31,11 @@ var hotPathBenchmarks = []struct {
 	pkg     string
 	pattern string
 }{
-	{"./internal/gpa/", "BenchmarkIngestBatch"},
+	{"./internal/gpa/", "BenchmarkIngestColumns"},
 	{"./internal/pubsub/", "BenchmarkPublishRemote|BenchmarkPublishBatchRemote"},
 	{"./internal/dissem/", "BenchmarkFlushEncode|BenchmarkColumnsEncode"},
 	{"./internal/pbio/", "BenchmarkPBIOEncodeReuse"},
 	{"./internal/ecode/", "BenchmarkCPAPerEvent"},
-}
-
-// guardColumnarIngest fails the run when the columnar ingest path
-// measures slower than the row path — the regression the vectorized
-// correlation work must never reintroduce. The snapshot is still
-// written first so a failing run leaves the numbers to inspect.
-func guardColumnarIngest(all []result) error {
-	var rows, cols *result
-	for i := range all {
-		switch all[i].Name {
-		case "BenchmarkIngestBatch/rows":
-			rows = &all[i]
-		case "BenchmarkIngestBatch/columns":
-			cols = &all[i]
-		}
-	}
-	if rows == nil || cols == nil {
-		return fmt.Errorf("ingest guard: rows/columns measurements missing from BenchmarkIngestBatch")
-	}
-	if cols.NsPerOp > rows.NsPerOp {
-		return fmt.Errorf("columnar ingest regressed: columns %.0f ns/op > rows %.0f ns/op",
-			cols.NsPerOp, rows.NsPerOp)
-	}
-	return nil
 }
 
 // guardCPACompiled fails the run when the compiled-closure CPA engine
@@ -97,7 +74,7 @@ type result struct {
 
 // benchLine matches `go test -bench -benchmem` output, e.g.
 //
-//	BenchmarkIngestBatch/rows-8  13884  85962 ns/op  0 B/op  0 allocs/op
+//	BenchmarkIngestColumns-8  20793  56758 ns/op  330 B/op  0 allocs/op
 var benchLine = regexp.MustCompile(
 	`^(Benchmark\S+)\s+(\d+)\s+([\d.]+) ns/op(?:\s+(\d+) B/op\s+(\d+) allocs/op)?`)
 
@@ -176,10 +153,6 @@ func main() {
 		os.Exit(1)
 	}
 	fmt.Printf("wrote %s (%d benchmarks)\n", *out, len(all))
-	if err := guardColumnarIngest(all); err != nil {
-		fmt.Fprintln(os.Stderr, "benchhot:", err)
-		os.Exit(1)
-	}
 	if err := guardCPACompiled(all); err != nil {
 		fmt.Fprintln(os.Stderr, "benchhot:", err)
 		os.Exit(1)

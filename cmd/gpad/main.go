@@ -40,6 +40,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"syscall"
 	"time"
 
@@ -61,7 +62,6 @@ func main() {
 	shard := flag.String("shard", "", "subscribe as flow-hash shard i/N of a federated gpad tier (e.g. 0/4)")
 	frontend := flag.String("frontend", "", "run the federation merge frontend over these comma-separated shard query endpoints")
 	wireCompress := flag.Bool("wire-compress", true, "request per-column compressed frames from the broker (negotiated; either side can veto)")
-	pageCompress := flag.Bool("compress-pages", true, "serve (shard) / request (frontend) gzip-compressed correlated-history pages; peers without the capability fall back transparently")
 	flag.Parse()
 	opts := options{
 		addrs:            strings.Split(*subscribe, ","),
@@ -72,7 +72,6 @@ func main() {
 		maxCorrelatedAge: *maxCorrelatedAge,
 		dumpInterval:     *dumpInterval,
 		wireCompress:     *wireCompress,
-		pageCompress:     *pageCompress,
 	}
 	var err error
 	if opts.shardIndex, opts.shardCount, err = parseShard(*shard); err != nil {
@@ -110,9 +109,6 @@ type options struct {
 	// wireCompress asks the broker for per-column compressed (0x05)
 	// frames on the subscription links; the broker may still veto.
 	wireCompress bool
-	// pageCompress serves (shard) or requests (frontend) gzip-compressed
-	// correlated-history pages over the query protocol.
-	pageCompress bool
 }
 
 // parseShard parses "-shard i/N" ("" = unsharded).
@@ -152,7 +148,6 @@ func runFrontend(endpoints []string, opts options) error {
 	if err != nil {
 		return err
 	}
-	fe.SetCompressedPages(opts.pageCompress)
 	if opts.queryAddr != "" {
 		ql, err := net.Listen("tcp", opts.queryAddr)
 		if err != nil {
@@ -210,7 +205,6 @@ func run(opts options) error {
 		MaxCorrelated:    opts.maxCorrelated,
 		MaxCorrelatedAge: opts.maxCorrelatedAge,
 	}, func() time.Duration { return time.Since(start) })
-	g.SetCompressedPages(opts.pageCompress)
 
 	if opts.queryAddr != "" {
 		ql, err := net.Listen("tcp", opts.queryAddr)
@@ -223,6 +217,7 @@ func run(opts options) error {
 	}
 
 	var wg sync.WaitGroup
+	var unknown unknownFrames
 	stop := make(chan struct{})
 	for _, addr := range opts.addrs {
 		addr = strings.TrimSpace(addr)
@@ -257,16 +252,7 @@ func run(opts options) error {
 					log.Printf("%s: stream ended: %v", addr, err)
 					return
 				}
-				switch w := rec.Value.(type) {
-				case *core.RecordColumns:
-					// Columnar interaction batch: one frame, all rows.
-					g.IngestColumns(w)
-				case *dissem.WireRecord:
-					g.Ingest(dissem.FromWire(w))
-				case *dissem.WireAggregate:
-					node, agg := dissem.AggFromWire(w)
-					g.IngestAggregate(node, agg)
-				}
+				ingestFrame(g, rec, &unknown)
 			}
 		}(addr, sub)
 	}
@@ -284,7 +270,7 @@ func run(opts options) error {
 	for {
 		select {
 		case <-ticker.C:
-			printSummary(g)
+			printSummary(g, &unknown)
 		case <-dumpTick:
 			n, err := dumpTo(g, opts.dumpPath, true)
 			if err != nil {
@@ -293,7 +279,7 @@ func run(opts options) error {
 			log.Printf("dumped and truncated %d correlated interactions to %s", n, opts.dumpPath)
 		case <-sig:
 			close(stop)
-			printSummary(g)
+			printSummary(g, &unknown)
 			if opts.dumpPath != "" {
 				n, err := dumpTo(g, opts.dumpPath, opts.dumpInterval > 0)
 				if err != nil {
@@ -306,10 +292,42 @@ func run(opts options) error {
 	}
 }
 
-func printSummary(g *gpa.GPA) {
+// unknownFrames accounts for frames that decoded to neither of the two
+// shapes the dissemination channels carry — e.g. generic *pbio.Record
+// rows after a format mismatch with the publisher. They are counted, and
+// logged once per decoded type, instead of vanishing.
+type unknownFrames struct {
+	total atomic.Uint64
+	seen  sync.Map // decoded type -> struct{}: log each once
+}
+
+func (u *unknownFrames) note(rec *pbio.Record) {
+	u.total.Add(1)
+	kind := fmt.Sprintf("%T (format %q)", rec.Value, rec.Format)
+	if _, logged := u.seen.LoadOrStore(kind, struct{}{}); !logged {
+		log.Printf("dropping frames decoded as %s: neither a columnar interaction batch nor an aggregate", kind)
+	}
+}
+
+// ingestFrame feeds one received frame to the analyzer: a columnar
+// interaction batch (one frame, all rows) or an aggregate delta.
+// Anything else is accounted in unknown.
+func ingestFrame(g *gpa.GPA, rec *pbio.Record, unknown *unknownFrames) {
+	switch w := rec.Value.(type) {
+	case *core.RecordColumns:
+		g.IngestColumns(w)
+	case *dissem.WireAggregate:
+		node, agg := dissem.AggFromWire(w)
+		g.IngestAggregate(node, agg)
+	default:
+		unknown.note(rec)
+	}
+}
+
+func printSummary(g *gpa.GPA, unknown *unknownFrames) {
 	st := g.StatsSnapshot()
-	fmt.Printf("gpa: ingested=%d correlated=%d pending=%d\n",
-		st.Ingested, st.Correlated, g.PendingCount())
+	fmt.Printf("gpa: ingested=%d correlated=%d pending=%d unknown_frames=%d\n",
+		st.Ingested, st.Correlated, g.PendingCount(), unknown.total.Load())
 	for _, node := range g.Nodes() {
 		l := g.ServerLoad(node)
 		fmt.Printf("  node %d: %d interactions/window, mean residence %v, mean buffer wait %v\n",

@@ -1,0 +1,52 @@
+package main
+
+import (
+	"bytes"
+	"log"
+	"strings"
+	"testing"
+	"time"
+
+	"sysprof/internal/core"
+	"sysprof/internal/dissem"
+	"sysprof/internal/gpa"
+	"sysprof/internal/pbio"
+)
+
+// TestIngestFrameAccountsUnknown pins the receive loop's dispatch: the
+// two shapes the dissemination channels carry are ingested, and a frame
+// that decoded to anything else — here the generic row a publisher with
+// a mismatched interaction format produces — is counted and logged once
+// per type instead of vanishing.
+func TestIngestFrameAccountsUnknown(t *testing.T) {
+	var logged bytes.Buffer
+	defer log.SetOutput(log.Writer())
+	log.SetOutput(&logged)
+
+	g := gpa.New(gpa.Config{}, func() time.Duration { return 0 })
+	var unknown unknownFrames
+
+	cols := core.NewRecordColumns(1)
+	cols.Append(&core.Record{ID: 1, Node: 1, Class: "port:80"})
+	ingestFrame(g, &pbio.Record{Format: "sysprof.interaction", Value: cols}, &unknown)
+	ingestFrame(g, &pbio.Record{Format: "sysprof.aggregate",
+		Value: &dissem.WireAggregate{Node: 2, Class: "db", Count: 3}}, &unknown)
+	if st := g.StatsSnapshot(); st.Ingested != 2 || unknown.total.Load() != 0 {
+		t.Fatalf("known frames: ingested %d, unknown %d; want 2, 0", st.Ingested, unknown.total.Load())
+	}
+
+	generic := &pbio.Record{Format: "sysprof.interaction", Fields: map[string]any{"ID": uint64(9)}}
+	for i := 0; i < 3; i++ {
+		ingestFrame(g, generic, &unknown)
+	}
+	ingestFrame(g, &pbio.Record{Format: "other", Value: &struct{ X int }{1}}, &unknown)
+	if got := unknown.total.Load(); got != 4 {
+		t.Fatalf("unknown frames counted %d, want 4", got)
+	}
+	if st := g.StatsSnapshot(); st.Ingested != 2 {
+		t.Fatalf("unknown frames reached the analyzer: ingested %d", st.Ingested)
+	}
+	if n := strings.Count(logged.String(), "dropping frames decoded as"); n != 2 {
+		t.Fatalf("logged %d times, want once per decoded type (2):\n%s", n, logged.String())
+	}
+}

@@ -215,9 +215,9 @@ func (r EncodingResult) Render() string {
 	return sb.String()
 }
 
-// sampleWire builds a representative interaction record.
-func sampleWire(i int) dissem.WireRecord {
-	rec := core.Record{
+// sampleInteraction builds a representative interaction record.
+func sampleInteraction(i int) core.Record {
+	return core.Record{
 		ID: uint64(i), Node: 2,
 		Flow: simnet.FlowKey{
 			Src: simnet.Addr{Node: 1, Port: uint16(1000 + i%64)},
@@ -231,7 +231,6 @@ func sampleWire(i int) dissem.WireRecord {
 		UserTime: 420 * time.Microsecond, BlockedTime: 80 * time.Microsecond,
 		ServerPID: 11, ServerProc: "httpd", CtxSwitches: 4, DiskOps: 1,
 	}
-	return dissem.ToWire(&rec)
 }
 
 // RunAblationEncoding measures wire-size difference over n records.
@@ -245,11 +244,11 @@ func RunAblationEncoding(n int) (EncodingResult, error) {
 	var jsonBuf bytes.Buffer
 	jenc := json.NewEncoder(&jsonBuf)
 	for i := 0; i < n; i++ {
-		w := sampleWire(i)
-		if err := enc.Encode(w); err != nil {
+		rec := sampleInteraction(i)
+		if err := enc.Encode(&rec); err != nil {
 			return EncodingResult{}, err
 		}
-		if err := jenc.Encode(w); err != nil {
+		if err := jenc.Encode(&rec); err != nil {
 			return EncodingResult{}, err
 		}
 	}
@@ -353,16 +352,15 @@ func RunAblationHierarchy(n, classes int) (HierarchyResult, error) {
 	enc := pbio.NewEncoder(&raw, reg)
 	aggs := make(map[string]*core.Aggregate)
 	for i := 0; i < n; i++ {
-		w := sampleWire(i)
-		w.Class = fmt.Sprintf("class:%d", i%classes)
-		if err := enc.Encode(w); err != nil {
+		rec := sampleInteraction(i)
+		rec.Class = fmt.Sprintf("class:%d", i%classes)
+		if err := enc.Encode(&rec); err != nil {
 			return HierarchyResult{}, err
 		}
-		rec := dissem.FromWire(&w)
-		agg := aggs[w.Class]
+		agg := aggs[rec.Class]
 		if agg == nil {
-			agg = &core.Aggregate{Class: w.Class}
-			aggs[w.Class] = agg
+			agg = &core.Aggregate{Class: rec.Class}
+			aggs[rec.Class] = agg
 		}
 		agg.Add(&rec)
 	}

@@ -16,8 +16,7 @@ import (
 //
 // The Flow column keeps the four-tuple packed as one 8-byte FlowKey per
 // row (the shard-hash sweep wants exactly that); on the wire it expands
-// into the four u16 columns of the flat record format, so columnar and
-// row frames stay byte-compatible field for field.
+// into the four u16 columns Record's flattened format declares.
 type RecordColumns struct {
 	IDs     []uint64
 	Nodes   []simnet.NodeID
@@ -331,25 +330,11 @@ func (c *RecordColumns) CopyRow(dst *Record, i int) {
 	dst.DiskOps = c.DiskOps[i]
 }
 
-// AppendTo materializes every row onto dst and returns the extended
-// slice — the bridge back to row-oriented consumers.
-func (c *RecordColumns) AppendTo(dst []Record) []Record {
-	if n := c.Len(); cap(dst)-len(dst) < n {
-		grown := make([]Record, len(dst), len(dst)+n)
-		copy(grown, dst)
-		dst = grown
-	}
-	for i := 0; i < c.Len(); i++ {
-		dst = append(dst, c.Row(i))
-	}
-	return dst
-}
-
 // --- wire encoding ---
 //
 // The helpers below emit the exact bytes the flat record format puts on
 // the wire (little-endian, strings length-prefixed with u32), so pbio can
-// build columnar and row frames from a RecordColumns without reflection.
+// build columnar frames from a RecordColumns without reflection.
 // Field indices follow Record's flattened declaration order; see
 // RecordWireFields.
 
@@ -448,39 +433,6 @@ func appendIntColumn(buf []byte, col []int) []byte {
 	for _, v := range col {
 		buf = binary.LittleEndian.AppendUint64(buf, uint64(int64(v)))
 	}
-	return buf
-}
-
-// AppendRow appends row i's wire fields in format order — the building
-// block of the row-frame fallback for subscribers that predate columnar
-// frames. The bytes are identical to encoding Row(i) through the cached
-// record plan.
-func (c *RecordColumns) AppendRow(buf []byte, i int) []byte {
-	buf = binary.LittleEndian.AppendUint64(buf, c.IDs[i])
-	buf = binary.LittleEndian.AppendUint16(buf, uint16(c.Nodes[i]))
-	f := &c.Flows[i]
-	buf = binary.LittleEndian.AppendUint16(buf, uint16(f.Src.Node))
-	buf = binary.LittleEndian.AppendUint16(buf, f.Src.Port)
-	buf = binary.LittleEndian.AppendUint16(buf, uint16(f.Dst.Node))
-	buf = binary.LittleEndian.AppendUint16(buf, f.Dst.Port)
-	buf = appendWireString(buf, c.Classes[i])
-	buf = append(buf, c.CPUs[i])
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(c.Starts[i]))
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(c.Ends[i]))
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(int64(c.ReqPackets[i])))
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(int64(c.ReqBytes[i])))
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(int64(c.RespPackets[i])))
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(int64(c.RespBytes[i])))
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(c.ProtoTimes[i]))
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(c.TxTimes[i]))
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(c.BufferWaits[i]))
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(c.SyscallTimes[i]))
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(c.UserTimes[i]))
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(c.BlockedTimes[i]))
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(c.ServerPIDs[i]))
-	buf = appendWireString(buf, c.ServerProcs[i])
-	buf = binary.LittleEndian.AppendUint64(buf, c.CtxSwitches[i])
-	buf = binary.LittleEndian.AppendUint64(buf, c.DiskOps[i])
 	return buf
 }
 

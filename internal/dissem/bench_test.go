@@ -1,58 +1,24 @@
 package dissem
 
 import (
-	"io"
 	"reflect"
-	"sync"
 	"testing"
 
 	"sysprof/internal/core"
 	"sysprof/internal/pbio"
 )
 
-// BenchmarkFlushEncode compares the daemon flush path's two encode
-// strategies for a drained batch of core.Records:
-//
-//   - baseline-towire: the pre-plan path — flatten every record into a
-//     pooled []WireRecord, box it, and run it through Encoder.EncodeSlice
-//     (what publishBatch + the broker's per-connection encoder used to do
-//     per publish).
-//   - direct-plan: the current path — the cached encode plan appends the
-//     batch frame straight from the []core.Record into a reused wire
-//     buffer; the batch is boxed once at subscription setup, mirroring
-//     the broker encoding one shared frame for all subscribers.
-//
-// The acceptance bar for the async fan-out work is ≥25% fewer allocs/op
-// on direct-plan.
+// BenchmarkFlushEncode measures the row batch (0x03) encoder on a drained
+// batch of core.Records: the cached encode plan appends the batch frame
+// straight from the []core.Record into a reused wire buffer, with the
+// batch boxed once, mirroring the broker encoding one shared frame for
+// all subscribers. 0 allocs/op is the bar.
 func BenchmarkFlushEncode(b *testing.B) {
 	const batchSize = 64
 	batch := make([]core.Record, batchSize)
 	for i := range batch {
 		batch[i] = sampleRecord(uint64(i + 1))
 	}
-
-	b.Run("baseline-towire", func(b *testing.B) {
-		reg := pbio.NewRegistry()
-		if err := RegisterFormats(reg); err != nil {
-			b.Fatal(err)
-		}
-		enc := pbio.NewEncoder(io.Discard, reg)
-		pool := sync.Pool{New: func() any { return new([]WireRecord) }}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			wp := pool.Get().(*[]WireRecord)
-			wires := (*wp)[:0]
-			for j := range batch {
-				wires = append(wires, ToWire(&batch[j]))
-			}
-			if err := enc.EncodeSlice(wires); err != nil {
-				b.Fatal(err)
-			}
-			*wp = wires[:0]
-			pool.Put(wp)
-		}
-	})
 
 	b.Run("direct-plan", func(b *testing.B) {
 		reg := pbio.NewRegistry()

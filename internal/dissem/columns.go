@@ -9,8 +9,8 @@ import (
 )
 
 // decodeInteractionColumns rebuilds a *core.RecordColumns from a columnar
-// "sysprof.interaction" frame. Columns arrive in wire-field order (the
-// flat WireRecord layout), so the four flow u16 columns fill successive
+// "sysprof.interaction" frame. Columns arrive in wire-field order
+// (core.Record flattened), so the four flow u16 columns fill successive
 // pieces of the packed FlowKey column. Capacity is reserved up to
 // pbio.MaxColumnReserve rows; a hostile row count beyond that only grows
 // the batch as bytes actually arrive.

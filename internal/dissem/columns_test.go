@@ -1,9 +1,11 @@
 package dissem
 
 import (
-	"encoding/binary"
-	"io"
+	"crypto/sha256"
+	"encoding/hex"
 	"net"
+	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -37,104 +39,64 @@ func testColumnsBatch(n int) *core.RecordColumns {
 	return cols
 }
 
-// TestColumnarLegacyFallback proves the handshake downgrade: a
-// subscriber that never advertised columnar support (a v0 handshake has
-// no capability flags at all) must receive PublishColumns traffic as
-// plain 0x03 record-batch frames its old decoder understands.
-func TestColumnarLegacyFallback(t *testing.T) {
+// TestInteractionFramesGolden pins the interaction wire format byte for
+// byte: the field kinds and order of "sysprof.interaction" and the full
+// 0x04 and 0x05 frames of fixed batches, captured when the format was
+// still declared by a hand-flattened twin struct. Deriving the format
+// from core.Record may rename fields in the once-per-connection
+// definition frame; it must never move a byte of a data frame.
+func TestInteractionFramesGolden(t *testing.T) {
 	reg := pbio.NewRegistry()
 	if err := RegisterFormats(reg); err != nil {
 		t.Fatal(err)
 	}
-	b := pubsub.NewBroker(reg)
-	defer b.Close()
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
+	plan := reg.PlanFor(reflect.TypeOf(core.Record{}))
+	const wantKinds = "uint64 uint16 uint16 uint16 uint16 uint16 string uint8 duration duration " +
+		"int64 int64 int64 int64 duration duration duration duration duration duration " +
+		"int32 string uint64 uint64"
+	var kinds []string
+	for _, f := range plan.Format().Fields {
+		kinds = append(kinds, f.Kind.String())
 	}
-	go b.Serve(l)
-
-	// Hand-rolled v0 handshake: a channel count byte, then each name as
-	// a u32-length-prefixed string. No magic, no flags — the broker must
-	// treat this subscriber as columnar-incapable.
-	conn, err := net.Dial("tcp", l.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	if _, err := conn.Write([]byte{1}); err != nil {
-		t.Fatal(err)
-	}
-	var lenBuf [4]byte
-	binary.LittleEndian.PutUint32(lenBuf[:], uint32(len(ChannelInteractions)))
-	if _, err := conn.Write(lenBuf[:]); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := io.WriteString(conn, ChannelInteractions); err != nil {
-		t.Fatal(err)
+	if got := strings.Join(kinds, " "); got != wantKinds {
+		t.Fatalf("interaction field kinds:\n got %s\nwant %s", got, wantKinds)
 	}
 
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		subs := b.Subscribers()
-		if len(subs) == 1 {
-			if subs[0].Columns {
-				t.Fatal("v0 subscriber registered as columnar-capable")
-			}
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("subscriber never registered")
-		}
-		time.Sleep(time.Millisecond)
+	const (
+		plain2 = "040100000002000000010000000000000002000000000000000100010001000100e803e903020002005000500007000000706f72743a383007000000706f72743a38300001000000000000000040420f000000000040420f000000000080841e00000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000e80300000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000064000000650000000500000068747470640500000068747470640000000000000000000000000000000000000000000000000100000000000000"
+		z2     = "05010000000200000001020202020102020101d00f0202020201a00100030107000000706f72743a383002000201000101010080897a0180897a80897a0100000100000100000100000100000100000100d00f010000010000010000020164016503010500000068747470640200010000010002"
+		// sha256 of the frames of shardLinkBatch(64): every encoding
+		// (delta, RLE, dict, raw) over a realistic batch.
+		plain64 = "66e180a1764631355e6a804ab6a31ecfc8989be50f6e579e893adf412ed916f0"
+		z64     = "559d8bf529b28bd79935421e8107adfe4104baeda3518fce69628f863921906c"
+	)
+	small := testColumnsBatch(2)
+	if got, _, err := plan.AppendColumnsFrame(nil, small); err != nil || hex.EncodeToString(got) != plain2 {
+		t.Fatalf("0x04 frame of the 2-row batch changed (err %v):\n got %x\nwant %s", err, got, plain2)
 	}
-
-	const rows = 5
-	cols := testColumnsBatch(rows)
-	want := cols.AppendTo(nil)
-	if err := b.PublishColumns(ChannelInteractions, cols); err != nil {
-		t.Fatal(err)
+	if got, _, err := plan.AppendCompressedColumnsFrame(nil, small); err != nil || hex.EncodeToString(got) != z2 {
+		t.Fatalf("0x05 frame of the 2-row batch changed (err %v):\n got %x\nwant %s", err, got, z2)
 	}
-
-	// Decode the raw stream with a registry that has the interaction
-	// format bound but no column decoder — exactly what an old binary
-	// ships. The channel header is a u32-length-prefixed string; the
-	// rest is standard PBIO framing.
-	subReg := pbio.NewRegistry()
-	if _, err := subReg.Register("sysprof.interaction", WireRecord{}); err != nil {
-		t.Fatal(err)
-	}
-	conn.SetReadDeadline(time.Now().Add(2 * time.Second))
-	if _, err := io.ReadFull(conn, lenBuf[:]); err != nil {
-		t.Fatal(err)
-	}
-	name := make([]byte, binary.LittleEndian.Uint32(lenBuf[:]))
-	if _, err := io.ReadFull(conn, name); err != nil {
-		t.Fatal(err)
-	}
-	if string(name) != ChannelInteractions {
-		t.Fatalf("channel header %q, want %q", name, ChannelInteractions)
-	}
-	dec := pbio.NewDecoder(conn, subReg)
-	for i := 0; i < rows; i++ {
-		rec, err := dec.Decode()
+	big := shardLinkBatch(64)
+	sum := func(b []byte, _ int, err error) string {
 		if err != nil {
-			t.Fatalf("row %d: %v", i, err)
+			t.Fatal(err)
 		}
-		w, ok := rec.Value.(*WireRecord)
-		if !ok {
-			t.Fatalf("row %d: decoded %T, want *WireRecord", i, rec.Value)
-		}
-		if got := FromWire(w); got != want[i] {
-			t.Fatalf("row %d mismatch:\n got %+v\nwant %+v", i, got, want[i])
-		}
+		h := sha256.Sum256(b)
+		return hex.EncodeToString(h[:])
+	}
+	if got := sum(plan.AppendColumnsFrame(nil, big)); got != plain64 {
+		t.Fatalf("0x04 frame of the 64-row batch hashes to %s, want %s", got, plain64)
+	}
+	if got := sum(plan.AppendCompressedColumnsFrame(nil, big)); got != z64 {
+		t.Fatalf("0x05 frame of the 64-row batch hashes to %s, want %s", got, z64)
 	}
 }
 
-// TestColumnarCapableRoundTrip is the capable-subscriber counterpart: a
-// current Dial advertises columnar support, so the same publish arrives
-// as one 0x04 frame and decodes back into a *core.RecordColumns batch.
-func TestColumnarCapableRoundTrip(t *testing.T) {
+// TestColumnarRoundTrip publishes one columnar batch to a plain Dial:
+// it arrives as one 0x04 frame and decodes back into a
+// *core.RecordColumns batch.
+func TestColumnarRoundTrip(t *testing.T) {
 	reg := pbio.NewRegistry()
 	if err := RegisterFormats(reg); err != nil {
 		t.Fatal(err)
@@ -163,13 +125,10 @@ func TestColumnarCapableRoundTrip(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	if !b.Subscribers()[0].Columns {
-		t.Fatal("current Dial did not advertise columnar support")
-	}
 
 	const rows = 5
 	cols := testColumnsBatch(rows)
-	want := cols.AppendTo(nil)
+	want := rowsOf(cols)
 	if err := b.PublishColumns(ChannelInteractions, cols); err != nil {
 		t.Fatal(err)
 	}

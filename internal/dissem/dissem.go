@@ -1,9 +1,9 @@
 // Package dissem implements the SysProf dissemination daemon. On each
 // node it drains the LPA per-CPU buffers (on "buffer full" notifications),
 // publishes the records on publish-subscribe channels for remote
-// consumers (the GPA) — encoded straight into PBIO wire frames through a
-// cached plan, no flattening copy — and exposes current state through
-// the /proc virtual filesystem.
+// consumers (the GPA) — columnar batches encoded straight into PBIO wire
+// frames through a cached plan — and exposes current state through the
+// /proc virtual filesystem.
 package dissem
 
 import (
@@ -26,72 +26,6 @@ const ChannelInteractions = "sysprof.interactions"
 // class granularity. Aggregates are published as deltas on each daemon
 // flush and reset locally, so subscribers can sum them.
 const ChannelAggregates = "sysprof.aggregates"
-
-// WireRecord is the flat (PBIO-encodable) form of core.Record.
-type WireRecord struct {
-	ID      uint64
-	Node    uint16
-	SrcNode uint16
-	SrcPort uint16
-	DstNode uint16
-	DstPort uint16
-	Class   string
-	CPU     uint8
-
-	Start time.Duration
-	End   time.Duration
-
-	ReqPackets  int64
-	ReqBytes    int64
-	RespPackets int64
-	RespBytes   int64
-
-	ProtoTime   time.Duration
-	TxTime      time.Duration
-	BufferWait  time.Duration
-	SyscallTime time.Duration
-	UserTime    time.Duration
-	BlockedTime time.Duration
-
-	ServerPID   int32
-	ServerProc  string
-	CtxSwitches uint64
-	DiskOps     uint64
-}
-
-// ToWire flattens a record.
-func ToWire(r *core.Record) WireRecord {
-	return WireRecord{
-		ID: r.ID, Node: uint16(r.Node),
-		SrcNode: uint16(r.Flow.Src.Node), SrcPort: r.Flow.Src.Port,
-		DstNode: uint16(r.Flow.Dst.Node), DstPort: r.Flow.Dst.Port,
-		Class: r.Class, CPU: r.CPU, Start: r.Start, End: r.End,
-		ReqPackets: int64(r.ReqPackets), ReqBytes: int64(r.ReqBytes),
-		RespPackets: int64(r.RespPackets), RespBytes: int64(r.RespBytes),
-		ProtoTime: r.ProtoTime, TxTime: r.TxTime, BufferWait: r.BufferWait,
-		SyscallTime: r.SyscallTime, UserTime: r.UserTime, BlockedTime: r.BlockedTime,
-		ServerPID: r.ServerPID, ServerProc: r.ServerProc,
-		CtxSwitches: r.CtxSwitches, DiskOps: r.DiskOps,
-	}
-}
-
-// FromWire reconstructs a record.
-func FromWire(w *WireRecord) core.Record {
-	return core.Record{
-		ID: w.ID, Node: simnet.NodeID(w.Node),
-		Flow: simnet.FlowKey{
-			Src: simnet.Addr{Node: simnet.NodeID(w.SrcNode), Port: w.SrcPort},
-			Dst: simnet.Addr{Node: simnet.NodeID(w.DstNode), Port: w.DstPort},
-		},
-		Class: w.Class, CPU: w.CPU, Start: w.Start, End: w.End,
-		ReqPackets: int(w.ReqPackets), ReqBytes: int(w.ReqBytes),
-		RespPackets: int(w.RespPackets), RespBytes: int(w.RespBytes),
-		ProtoTime: w.ProtoTime, TxTime: w.TxTime, BufferWait: w.BufferWait,
-		SyscallTime: w.SyscallTime, UserTime: w.UserTime, BlockedTime: w.BlockedTime,
-		ServerPID: w.ServerPID, ServerProc: w.ServerProc,
-		CtxSwitches: w.CtxSwitches, DiskOps: w.DiskOps,
-	}
-}
 
 // WireAggregate is the flat (PBIO-encodable) form of a per-class
 // aggregate delta from one node.
@@ -138,17 +72,13 @@ func AggFromWire(w *WireAggregate) (simnet.NodeID, core.Aggregate) {
 }
 
 // RegisterFormats registers the daemon's wire formats with a PBIO
-// registry (both broker and subscriber sides need this). It also binds
-// core.Record to the interaction format: the record's flattened field
-// layout is wire-identical to WireRecord, so the daemon publishes
-// records directly and the broker's cached encode plan writes them
-// straight into the wire buffer — no intermediate WireRecord copy.
-// Decoders still materialize *WireRecord; FromWire converts back.
+// registry (both broker and subscriber sides need this). The interaction
+// format is derived from core.Record itself — pbio flattens the nested
+// flow key into four u16 fields — so the broker encodes columnar batches
+// straight into the wire buffer and subscribers decode them straight
+// back into *core.RecordColumns.
 func RegisterFormats(reg *pbio.Registry) error {
-	if _, err := reg.Register("sysprof.interaction", WireRecord{}); err != nil {
-		return fmt.Errorf("dissem: %w", err)
-	}
-	if _, err := reg.BindType("sysprof.interaction", core.Record{}); err != nil {
+	if _, err := reg.Register("sysprof.interaction", core.Record{}); err != nil {
 		return fmt.Errorf("dissem: %w", err)
 	}
 	if _, err := reg.Register("sysprof.aggregate", WireAggregate{}); err != nil {
@@ -245,8 +175,7 @@ func (d *Daemon) OnFull(cpu int, batch *core.RecordColumns, release func()) {
 // publishColumns publishes one drained columnar batch. Local subscribers
 // receive the *core.RecordColumns itself, valid only during their callback
 // (the LPA buffer is released afterwards); remote subscribers get a
-// columnar (or, for legacy peers, row-batch) wire frame with no
-// intermediate copy.
+// columnar wire frame with no intermediate copy.
 //
 //sysprof:nonblocking
 func (d *Daemon) publishColumns(batch *core.RecordColumns) {

@@ -3,7 +3,6 @@ package dissem
 import (
 	"strings"
 	"testing"
-	"testing/quick"
 	"time"
 
 	"sysprof/internal/core"
@@ -32,45 +31,30 @@ func sampleRecord(id uint64) core.Record {
 	}
 }
 
-func TestWireRoundTrip(t *testing.T) {
-	r := sampleRecord(42)
-	got := FromWire(&WireRecord{})
-	_ = got
-	w := ToWire(&r)
-	back := FromWire(&w)
-	if back != r {
-		t.Fatalf("round trip:\n got %+v\nwant %+v", back, r)
+// rowsOf materializes a columnar batch for row-by-row comparison.
+func rowsOf(cols *core.RecordColumns) []core.Record {
+	out := make([]core.Record, cols.Len())
+	for i := range out {
+		out[i] = cols.Row(i)
 	}
+	return out
 }
 
-func TestWireRoundTripProperty(t *testing.T) {
-	prop := func(id uint64, sp, dp uint16, user, kernel int32, class string) bool {
-		r := core.Record{
-			ID: id,
-			Flow: simnet.FlowKey{
-				Src: simnet.Addr{Node: 1, Port: sp},
-				Dst: simnet.Addr{Node: 2, Port: dp},
-			},
-			Class:    class,
-			UserTime: time.Duration(user), BufferWait: time.Duration(kernel),
-		}
-		w := ToWire(&r)
-		return FromWire(&w) == r
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestWireEncodesWithPBIO(t *testing.T) {
+// TestRecordEncodesWithPBIO round-trips one core.Record through the
+// single-record (0x02) path: the format is derived from the nested
+// struct itself, so the typed decode must land every flattened field
+// back in its nested slot.
+func TestRecordEncodesWithPBIO(t *testing.T) {
 	reg := pbio.NewRegistry()
 	if err := RegisterFormats(reg); err != nil {
 		t.Fatal(err)
 	}
+	if got := len(reg.Lookup("sysprof.interaction").Fields); got != core.RecordWireFields {
+		t.Fatalf("interaction format has %d fields, core.RecordWireFields = %d", got, core.RecordWireFields)
+	}
 	var sb strings.Builder
 	r := sampleRecord(1)
-	w := ToWire(&r)
-	if err := pbio.NewEncoder(&sb, reg).Encode(w); err != nil {
+	if err := pbio.NewEncoder(&sb, reg).Encode(&r); err != nil {
 		t.Fatal(err)
 	}
 	dec := pbio.NewDecoder(strings.NewReader(sb.String()), reg)
@@ -78,11 +62,11 @@ func TestWireEncodesWithPBIO(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, ok := rec.Value.(*WireRecord)
+	got, ok := rec.Value.(*core.Record)
 	if !ok {
 		t.Fatalf("decoded %T", rec.Value)
 	}
-	if FromWire(got) != r {
+	if *got != r {
 		t.Fatalf("pbio round trip mismatch: %+v", got)
 	}
 }
@@ -104,7 +88,7 @@ func TestDaemonPublishesDrainedBatches(t *testing.T) {
 			return
 		}
 		// The batch is only valid during the callback.
-		got = batch.AppendTo(got)
+		got = append(got, rowsOf(batch)...)
 	})
 
 	d := New(eng, broker, nil, Config{CopyDelay: time.Millisecond})

@@ -18,18 +18,20 @@ import (
 //
 //	return rec.class == "port:80" && rec.buffer_wait_ns > 1000000;
 
-// coreRecord adapts a core.Record to the ecode.Record interface. It is
-// the hot-path adapter: since the daemon publishes []core.Record
-// directly, filters evaluate against the original record with no
-// flattening copy.
+// coreRecord adapts a core.Record to the ecode.Record interface. Filters
+// evaluate against the row the broker materializes from the columnar
+// batch, with no flattening copy. Durations are exposed in nanoseconds
+// with a _ns suffix so E-Code's integer arithmetic applies directly.
 type coreRecord struct {
 	r *core.Record
 }
 
-var _ ecode.Record = coreRecord{}
+// FilterRecord exposes r to E-Code exactly as CompileFilter binds it to
+// "rec", so a differential test can run a filter source through the
+// reference interpreter against the same view.
+func FilterRecord(r *core.Record) ecode.Record { return coreRecord{r: r} }
 
-// Field implements ecode.Record with the same field names as the
-// WireRecord adapter, so one filter source works on either shape.
+// Field implements ecode.Record; kept in lockstep with filterSchema.
 func (c coreRecord) Field(name string) (ecode.Value, bool) {
 	r := c.r
 	switch name {
@@ -85,96 +87,57 @@ func (c coreRecord) Field(name string) (ecode.Value, bool) {
 	return nil, false
 }
 
-// recRecord adapts a WireRecord to the ecode.Record interface (kept for
-// consumers that re-filter decoded wire records, e.g. a remote GPA).
-type recRecord struct {
-	w *WireRecord
-}
-
-var _ ecode.Record = recRecord{}
-
-// Field implements ecode.Record. Durations are exposed in nanoseconds
-// with a _ns suffix so E-Code's integer arithmetic applies directly.
-func (r recRecord) Field(name string) (ecode.Value, bool) {
-	w := r.w
-	switch name {
-	case "id":
-		return int64(w.ID), true
-	case "node":
-		return int64(w.Node), true
-	case "class":
-		return w.Class, true
-	case "src_node":
-		return int64(w.SrcNode), true
-	case "src_port":
-		return int64(w.SrcPort), true
-	case "dst_node":
-		return int64(w.DstNode), true
-	case "dst_port":
-		return int64(w.DstPort), true
-	case "start_ns":
-		return int64(w.Start), true
-	case "end_ns":
-		return int64(w.End), true
-	case "residence_ns":
-		return int64(w.End - w.Start), true
-	case "req_packets":
-		return w.ReqPackets, true
-	case "req_bytes":
-		return w.ReqBytes, true
-	case "resp_packets":
-		return w.RespPackets, true
-	case "resp_bytes":
-		return w.RespBytes, true
-	case "proto_ns":
-		return int64(w.ProtoTime), true
-	case "tx_ns":
-		return int64(w.TxTime), true
-	case "buffer_wait_ns":
-		return int64(w.BufferWait), true
-	case "syscall_ns":
-		return int64(w.SyscallTime), true
-	case "user_ns":
-		return int64(w.UserTime), true
-	case "blocked_ns":
-		return int64(w.BlockedTime), true
-	case "server_pid":
-		return int64(w.ServerPID), true
-	case "server_proc":
-		return w.ServerProc, true
-	case "ctx_switches":
-		return int64(w.CtxSwitches), true
-	case "disk_ops":
-		return int64(w.DiskOps), true
+// filterSchema is the filter-visible interaction-record schema: the
+// typed fields of the "rec" record.
+func filterSchema() ecode.RecordSchema {
+	return ecode.RecordSchema{
+		"id": ecode.TInt, "node": ecode.TInt, "class": ecode.TString,
+		"src_node": ecode.TInt, "src_port": ecode.TInt,
+		"dst_node": ecode.TInt, "dst_port": ecode.TInt,
+		"start_ns": ecode.TInt, "end_ns": ecode.TInt, "residence_ns": ecode.TInt,
+		"req_packets": ecode.TInt, "req_bytes": ecode.TInt,
+		"resp_packets": ecode.TInt, "resp_bytes": ecode.TInt,
+		"proto_ns": ecode.TInt, "tx_ns": ecode.TInt, "buffer_wait_ns": ecode.TInt,
+		"syscall_ns": ecode.TInt, "user_ns": ecode.TInt, "blocked_ns": ecode.TInt,
+		"server_pid": ecode.TInt, "server_proc": ecode.TString,
+		"ctx_switches": ecode.TInt, "disk_ops": ecode.TInt,
 	}
-	return nil, false
 }
 
-// CompileFilter compiles an E-Code predicate over interaction records
-// into a pubsub.Filter. Non-record values and program errors fail closed
-// (the record is not delivered), so a broken filter cannot flood a
-// subscriber.
+// CompileFilter verifies an E-Code predicate over interaction records
+// and compiles it into a pubsub.Filter. Like a CPA, a filter runs on the
+// publish path, so it passes the same gate: the verifier rejects unknown
+// fields, unbounded loops, blocking builtins and over-budget programs
+// here, at install time, and the proven-safe program runs as compiled
+// closures with no step counter. At run time, values that are not the
+// *core.Record a columnar publish hands to filters, non-bool results and
+// program errors fail closed (the record is not delivered), so a broken
+// filter cannot flood a subscriber.
 func CompileFilter(src string) (pubsub.Filter, error) {
 	prog, err := ecode.Compile(src)
 	if err != nil {
 		return nil, fmt.Errorf("dissem: filter: %w", err)
 	}
-	inst := prog.NewInstance(ecode.WithStepLimit(10_000))
+	compiled, verdict, err := prog.CompileVerified(ecode.VerifyEnv{
+		Name:    "filter",
+		Records: map[string]ecode.RecordSchema{"rec": filterSchema()},
+	})
+	if err != nil {
+		if verdict != nil && !verdict.OK {
+			return nil, fmt.Errorf("dissem: filter rejected by verifier:\n%s", verdict.Render())
+		}
+		return nil, fmt.Errorf("dissem: filter: %w", err)
+	}
+	inst, err := compiled.NewInstance(nil)
+	if err != nil {
+		return nil, fmt.Errorf("dissem: filter: %w", err)
+	}
 	return func(rec any) bool {
-		var adapted ecode.Record
-		switch v := rec.(type) {
-		case core.Record:
-			adapted = coreRecord{r: &v}
-		case *core.Record:
-			adapted = coreRecord{r: v}
-		case WireRecord:
-			adapted = recRecord{w: &v}
-		case *WireRecord:
-			adapted = recRecord{w: v}
-		default:
+		r, ok := rec.(*core.Record)
+		if !ok {
 			return false
 		}
-		out, err := inst.Run(map[string]ecode.Value{"rec": adapted})
+		out, err := inst.Run(map[string]ecode.Value{"rec": coreRecord{r: r}})
 		if err != nil {
 			return false
 		}

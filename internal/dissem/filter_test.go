@@ -1,6 +1,7 @@
 package dissem
 
 import (
+	"strings"
 	"testing"
 	"time"
 
@@ -20,53 +21,65 @@ func TestCompileFilterSelects(t *testing.T) {
 	other := sampleRecord(3)
 	other.Class = "port:443"
 
-	// The wire shape (remote consumers re-filtering decoded records)...
-	if !f(ToWire(&hot)) {
+	if !f(&hot) {
 		t.Fatal("matching record rejected")
 	}
-	if f(ToWire(&cold)) {
+	if f(&cold) {
 		t.Fatal("low-wait record accepted")
 	}
-	if f(ToWire(&other)) {
+	if f(&other) {
 		t.Fatal("other-class record accepted")
-	}
-	// ...and the core.Record shape the daemon now publishes directly,
-	// by value and by pointer.
-	if !f(hot) || !f(&hot) {
-		t.Fatal("matching core.Record rejected")
-	}
-	if f(cold) || f(&other) {
-		t.Fatal("non-matching core.Record accepted")
 	}
 }
 
 func TestCompileFilterFailsClosed(t *testing.T) {
-	// Non-bool result and unknown field both suppress delivery.
+	// At run time: a non-bool result and a value that is not the
+	// *core.Record a columnar publish delivers both suppress delivery.
 	f, err := CompileFilter(`return 42;`)
 	if err != nil {
 		t.Fatal(err)
 	}
 	r := sampleRecord(1)
-	if f(ToWire(&r)) {
+	if f(&r) {
 		t.Fatal("non-bool filter result delivered")
 	}
-	f2, err := CompileFilter(`return rec.nonexistent > 0;`)
+	pass, err := CompileFilter(`return true;`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if f2(ToWire(&r)) {
-		t.Fatal("erroring filter delivered")
+	if !pass(&r) {
+		t.Fatal("pass-all filter rejected a record")
 	}
-	if f2("not a record") {
-		t.Fatal("non-record value delivered")
+	if pass("not a record") || pass(r) {
+		t.Fatal("non-*core.Record value delivered")
 	}
-	if _, err := CompileFilter("syntax error"); err == nil {
-		t.Fatal("bad source compiled")
+}
+
+// TestCompileFilterVerifierGate pins that filters pass the same gate as
+// CPAs at install time: what the verifier rejects never becomes a
+// pubsub.Filter, so nothing unbounded or ill-typed reaches the publish
+// path.
+func TestCompileFilterVerifierGate(t *testing.T) {
+	for name, tc := range map[string]struct{ src, want string }{
+		"syntax":         {"syntax error", ""},
+		"unbounded-loop": {`while (true) { } return true;`, "termination"},
+		"unknown-field":  {`return rec.nonexistent > 0;`, "typecheck"},
+		"mistyped-field": {`return rec.class > 5;`, "typecheck"},
+		"blocking-call":  {`sleep(1); return true;`, "noblock"},
+	} {
+		f, err := CompileFilter(tc.src)
+		if err == nil || f != nil {
+			t.Fatalf("%s: filter compiled, want a rejection", name)
+		}
+		if !strings.Contains(err.Error(), tc.want) {
+			t.Fatalf("%s: rejection does not name the %s pass:\n%v", name, tc.want, err)
+		}
 	}
 }
 
 func TestFilterFieldSchemaComplete(t *testing.T) {
-	// Every documented field must resolve.
+	// Every documented field must resolve, in the adapter and in the
+	// schema the verifier checks sources against — and nothing else.
 	fields := []string{
 		"id", "node", "class", "src_node", "src_port", "dst_node", "dst_port",
 		"start_ns", "end_ns", "residence_ns", "req_packets", "req_bytes",
@@ -75,12 +88,18 @@ func TestFilterFieldSchemaComplete(t *testing.T) {
 		"ctx_switches", "disk_ops",
 	}
 	r := sampleRecord(1)
-	w := ToWire(&r)
-	rec := recRecord{w: &w}
+	rec := FilterRecord(&r)
+	schema := filterSchema()
 	for _, name := range fields {
 		if _, ok := rec.Field(name); !ok {
-			t.Fatalf("field %q missing", name)
+			t.Fatalf("field %q missing from the adapter", name)
 		}
+		if _, ok := schema[name]; !ok {
+			t.Fatalf("field %q missing from the schema", name)
+		}
+	}
+	if len(schema) != len(fields) {
+		t.Fatalf("schema declares %d fields, want %d", len(schema), len(fields))
 	}
 	if _, ok := rec.Field("bogus"); ok {
 		t.Fatal("unknown field resolved")
@@ -88,6 +107,8 @@ func TestFilterFieldSchemaComplete(t *testing.T) {
 }
 
 func TestFilteredSubscriptionEndToEnd(t *testing.T) {
+	// A compiled filter applies per row inside a published columnar
+	// batch; the subscriber receives the surviving rows as a sub-batch.
 	reg := pbio.NewRegistry()
 	if err := RegisterFormats(reg); err != nil {
 		t.Fatal(err)
@@ -101,48 +122,18 @@ func TestFilteredSubscriptionEndToEnd(t *testing.T) {
 	}
 	var got []uint64
 	broker.Subscribe(ChannelInteractions, func(rec any) {
-		if w, ok := rec.(WireRecord); ok {
-			got = append(got, w.ID)
-		}
+		got = append(got, rec.(*core.RecordColumns).IDs...)
 	}, pubsub.WithFilter(filter))
 
-	slow := sampleRecord(1) // UserTime 200µs
-	fast := sampleRecord(2)
-	fast.UserTime = 10 * time.Microsecond
-	_ = broker.Publish(ChannelInteractions, ToWire(&slow))
-	_ = broker.Publish(ChannelInteractions, ToWire(&fast))
-	if len(got) != 1 || got[0] != 1 {
-		t.Fatalf("delivered = %v, want [1]", got)
-	}
-}
-
-func TestFilteredSubscriptionBatch(t *testing.T) {
-	// A compiled filter applies per element inside a published batch; the
-	// subscriber receives the surviving records as a sub-batch.
-	reg := pbio.NewRegistry()
-	if err := RegisterFormats(reg); err != nil {
-		t.Fatal(err)
-	}
-	broker := pubsub.NewBroker(reg)
-	defer broker.Close()
-
-	filter, err := CompileFilter(`return rec.user_ns > 100000;`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var got []uint64
-	broker.Subscribe(ChannelInteractions, func(rec any) {
-		for _, r := range rec.([]core.Record) {
-			got = append(got, r.ID)
-		}
-	}, pubsub.WithFilter(filter))
-
-	slow1 := sampleRecord(1)
+	slow1 := sampleRecord(1) // UserTime 200µs
 	fast := sampleRecord(2)
 	fast.UserTime = 10 * time.Microsecond
 	slow2 := sampleRecord(3)
-	batch := []core.Record{slow1, fast, slow2}
-	if err := broker.PublishBatch(ChannelInteractions, batch); err != nil {
+	batch := core.NewRecordColumns(3)
+	for _, r := range []core.Record{slow1, fast, slow2} {
+		batch.Append(&r)
+	}
+	if err := broker.PublishColumns(ChannelInteractions, batch); err != nil {
 		t.Fatal(err)
 	}
 	if len(got) != 2 || got[0] != 1 || got[1] != 3 {

@@ -1,62 +1,21 @@
 package dissem
 
-import (
-	"sysprof/internal/core"
-	"sysprof/internal/pubsub"
-	"sysprof/internal/simnet"
-)
+import "sysprof/internal/simnet"
 
-// ShardKey is the pubsub.ShardKeyFunc for SysProf dissemination traffic:
-// it routes every record type the daemon publishes to the federated GPA
-// shard that owns it. Interaction records key on their flow's canonical
-// ShardHash — both endpoints of an interaction hash identically, so the
-// client-side and server-side views always reach the same gpad shard and
-// correlation stays lossless under partitioning. Flow-less aggregate
-// deltas key on the node hash, matching the GPA's shardForNode routing.
+// ShardKey is the pubsub.ShardKeyFunc for SysProf dissemination traffic
+// that travels as rows: flow-less aggregate deltas key on the node hash,
+// matching the GPA's shardForNode routing. (Interaction records never
+// pass through it — they are published as columns, and the broker hashes
+// the Flow column directly with the same simnet.FlowKey.ShardHash.)
 // Unknown types report ok=false and are broadcast by the broker.
 //
 //sysprof:nonblocking
 func ShardKey(rec any) (uint64, bool) {
 	switch v := rec.(type) {
-	case core.Record:
-		return v.Flow.ShardHash(), true
-	case *core.Record:
-		return v.Flow.ShardHash(), true
-	case WireRecord:
-		return wireFlow(&v).ShardHash(), true
-	case *WireRecord:
-		return wireFlow(v).ShardHash(), true
 	case WireAggregate:
 		return simnet.NodeShardHash(simnet.NodeID(v.Node)), true
 	case *WireAggregate:
 		return simnet.NodeShardHash(simnet.NodeID(v.Node)), true
 	}
 	return 0, false
-}
-
-// wireFlow rebuilds the flow key of a flattened record.
-//
-//sysprof:nonblocking
-//sysprof:noalloc
-func wireFlow(w *WireRecord) simnet.FlowKey {
-	return simnet.FlowKey{
-		Src: simnet.Addr{Node: simnet.NodeID(w.SrcNode), Port: w.SrcPort},
-		Dst: simnet.Addr{Node: simnet.NodeID(w.DstNode), Port: w.DstPort},
-	}
-}
-
-// ShardFilter returns a local-subscription filter with the same semantics
-// as a remote shard selector: records whose shard key maps to shard
-// `shard` of `of` pass (keyless records pass everywhere). It lets an
-// in-process federated tier — N GPA instances behind one broker — use the
-// exact routing the TCP path uses.
-func ShardFilter(shard, of int) pubsub.Filter {
-	sel := pubsub.ShardSelector{Index: uint32(shard), Count: uint32(of)}
-	return func(rec any) bool {
-		key, ok := ShardKey(rec)
-		if !ok {
-			return true
-		}
-		return sel.Match(key)
-	}
 }

@@ -87,7 +87,7 @@ func compressedStream(tb testing.TB, cols *core.RecordColumns) []byte {
 func TestCompressedColumnsRoundTrip(t *testing.T) {
 	const rows = 257 // odd size: exercises run tails and dict runs
 	cols := shardLinkBatch(rows)
-	want := cols.AppendTo(nil)
+	want := rowsOf(cols)
 	stream := compressedStream(t, cols)
 
 	// Bound-decoder path: the shard-link subscriber's configuration.
@@ -112,10 +112,10 @@ func TestCompressedColumnsRoundTrip(t *testing.T) {
 		}
 	}
 
-	// Generic path: WireRecord registered, no column decoder — the
+	// Generic path: the format registered, no column decoder — the
 	// ColumnReader's per-kind reads must materialize identical rows.
 	plainReg := pbio.NewRegistry()
-	if _, err := plainReg.Register("sysprof.interaction", WireRecord{}); err != nil {
+	if _, err := plainReg.Register("sysprof.interaction", core.Record{}); err != nil {
 		t.Fatal(err)
 	}
 	dec := pbio.NewDecoder(bytes.NewReader(stream), plainReg)
@@ -124,12 +124,12 @@ func TestCompressedColumnsRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("row %d: %v", i, err)
 		}
-		w, ok := rec.Value.(*WireRecord)
+		got, ok := rec.Value.(*core.Record)
 		if !ok {
-			t.Fatalf("row %d: decoded %T, want *WireRecord", i, rec.Value)
+			t.Fatalf("row %d: decoded %T, want *core.Record", i, rec.Value)
 		}
-		if got := FromWire(w); got != want[i] {
-			t.Fatalf("row %d mismatch:\n got %+v\nwant %+v", i, got, want[i])
+		if *got != want[i] {
+			t.Fatalf("row %d mismatch:\n got %+v\nwant %+v", i, *got, want[i])
 		}
 	}
 }
@@ -256,7 +256,7 @@ func TestCompressedNegotiation(t *testing.T) {
 
 	const rows = 64
 	cols := shardLinkBatch(rows)
-	want := cols.AppendTo(nil)
+	want := rowsOf(cols)
 	recvBatch := func(sub *pubsub.Subscriber) *core.RecordColumns {
 		t.Helper()
 		_, rec, err := sub.Recv()

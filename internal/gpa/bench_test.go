@@ -65,38 +65,28 @@ func benchGPA() *GPA {
 	}, func() time.Duration { return base })
 }
 
-// BenchmarkIngestBatch is the single-goroutine batch ingest hot path: one
+// benchColumns is benchBatch in the columnar form ingest takes.
+func benchColumns(n int) *core.RecordColumns {
+	cols := core.NewRecordColumns(n)
+	for _, r := range benchBatch(n) {
+		cols.Append(&r)
+	}
+	return cols
+}
+
+// BenchmarkIngestColumns is the single-goroutine ingest hot path: one
 // drained dissemination buffer per iteration, every record correlating
-// with its pair. This is the number the columnar ingest path is measured
-// against.
-func BenchmarkIngestBatch(b *testing.B) {
-	const batchSize = 512
-	b.Run("rows", func(b *testing.B) {
-		g := benchGPA()
-		batch := benchBatch(batchSize)
-		g.IngestBatch(batch) // warm caches and reach steady-state capacity
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			g.IngestBatch(batch)
-		}
-		b.StopTimer()
-	})
-	b.Run("columns", func(b *testing.B) {
-		g := benchGPA()
-		cols := core.NewRecordColumns(batchSize)
-		for _, r := range benchBatch(batchSize) {
-			r := r
-			cols.Append(&r)
-		}
-		g.IngestColumns(cols) // warm caches and reach steady-state capacity
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			g.IngestColumns(cols)
-		}
-		b.StopTimer()
-	})
+// with its pair.
+func BenchmarkIngestColumns(b *testing.B) {
+	g := benchGPA()
+	cols := benchColumns(512)
+	g.IngestColumns(cols) // warm caches and reach steady-state capacity
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		g.IngestColumns(cols)
+	}
+	b.StopTimer()
 }
 
 func benchmarkIngestParallel(b *testing.B, shards int) {
@@ -110,7 +100,7 @@ func benchmarkIngestParallel(b *testing.B, shards int) {
 	b.ReportAllocs()
 	b.RunParallel(func(pb *testing.PB) {
 		w := simnet.NodeID(worker.Add(1))
-		batch := make([]core.Record, 2)
+		batch := core.NewRecordColumns(2)
 		i := 0
 		for pb.Next() {
 			flow := simnet.FlowKey{
@@ -118,16 +108,17 @@ func benchmarkIngestParallel(b *testing.B, shards int) {
 				Dst: simnet.Addr{Node: 256 + w%16, Port: 80},
 			}
 			start := base - 10*time.Millisecond
-			batch[0] = core.Record{
+			batch.Reset()
+			batch.Append(&core.Record{
 				ID: uint64(i), Node: flow.Src.Node, Flow: flow, Class: "port:80",
 				Start: start, End: start + 2*time.Millisecond,
-			}
-			batch[1] = core.Record{
+			})
+			batch.Append(&core.Record{
 				ID: uint64(i), Node: flow.Dst.Node, Flow: flow, Class: "port:80",
 				Start: start + time.Millisecond, End: start + 2*time.Millisecond,
 				BufferWait: 100 * time.Microsecond,
-			}
-			g.IngestBatch(batch)
+			})
+			g.IngestColumns(batch)
 			i++
 		}
 	})

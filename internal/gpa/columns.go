@@ -117,7 +117,9 @@ func (g *GPA) IngestColumns(cols *core.RecordColumns) {
 // correlateRunLocked ingests rows [lo,hi) of a columnar batch — one
 // same-shard run whose canonical keys and hashes the caller staged in
 // s.corr — producing exactly the matches, residue, statistics, and
-// sequence order the sequential per-record path would. Correlation state
+// sequence order ingesting the rows one at a time would (that sequential
+// definition is ingestLocked, kept in row_oracle_test.go as the oracle
+// TestColumnarRowEquivalence holds this function to). Correlation state
 // is flow-local, so the run is regrouped by flow and each flow's records
 // are replayed against its own candidates:
 //
@@ -125,14 +127,14 @@ func (g *GPA) IngestColumns(cols *core.RecordColumns) {
 //	B: per flow, load pending residue once and simulate sequential
 //	   matching on compact (node, start) candidate columns.
 //	C: one row-order sweep does bookkeeping and emits matches, so global
-//	   sequence numbers land in the same order as per-record ingest.
+//	   sequence numbers land in the same order as one-at-a-time ingest.
 //	D: per flow, write surviving candidates back to the pending map.
 //
-// Two deliberate deviations from per-record ingest, both invisible to the
-// query surface: the stale sweep runs on run boundaries instead of
+// Two deliberate deviations from the sequential oracle, both invisible to
+// the query surface: the stale sweep runs on run boundaries instead of
 // mid-run (the counter still advances per record), and a flow whose rows
 // all matched within the run never creates an empty pending entry (the
-// sequential path creates one and lets the sweep delete it).
+// oracle creates one and lets the sweep delete it).
 //
 //sysprof:nonblocking
 func (g *GPA) correlateRunLocked(s *shard, cols *core.RecordColumns, lo, hi int) {
@@ -227,7 +229,7 @@ func (g *GPA) correlateRunLocked(s *shard, cols *core.RecordColumns, lo, hi int)
 					continue
 				}
 				c.matchRef[rel] = c.candRef[ci]
-				// Ordered removal, as in the sequential path: later
+				// Ordered removal, as in the sequential oracle: later
 				// records must see the remaining candidates oldest-first.
 				c.candRef = c.candRef[:ci+copy(c.candRef[ci:], c.candRef[ci+1:])]
 				c.candNode = c.candNode[:ci+copy(c.candNode[ci:], c.candNode[ci+1:])]
@@ -238,7 +240,7 @@ func (g *GPA) correlateRunLocked(s *shard, cols *core.RecordColumns, lo, hi int)
 			if !matched {
 				c.matchRef[rel] = noMatch
 				if cnt := len(c.candRef); cnt >= maxPending {
-					// Drop the oldest, exactly as the per-record path
+					// Drop the oldest, exactly as the sequential oracle
 					// evicts at insert time; each eviction counted once.
 					drop := cnt - maxPending + 1
 					c.candRef = c.candRef[:copy(c.candRef, c.candRef[drop:])]
@@ -260,7 +262,7 @@ func (g *GPA) correlateRunLocked(s *shard, cols *core.RecordColumns, lo, hi int)
 	// Phase C: one sweep in row order does the per-record bookkeeping and
 	// emits matches. Emitting here — not in phase B — keeps the global
 	// sequence counter in batch row order of the completing record, which
-	// is the order the sequential path assigns. Per-node map probes are
+	// is the order the sequential oracle assigns. Per-node map probes are
 	// memoized through the shard's node cache; load windows are pruned
 	// once per touched node at end of run (the cutoff is constant within
 	// a run, so the retained suffix is identical).

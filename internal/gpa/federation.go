@@ -29,7 +29,6 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"sysprof/internal/core"
@@ -74,19 +73,7 @@ type Frontend struct {
 
 	mu        sync.Mutex
 	endpoints []string
-
-	// pageCompressOff disables asking shards for gzip'd history pages.
-	// Stored inverted so the zero value means compression is requested.
-	pageCompressOff atomic.Bool
 }
-
-// SetCompressedPages toggles whether the frontend asks shards for
-// gzip-compressed history pages first (on by default). Shards that do
-// not speak the compressed query fall back transparently either way.
-func (f *Frontend) SetCompressedPages(on bool) { f.pageCompressOff.Store(!on) }
-
-// CompressedPages reports whether compressed pages are requested.
-func (f *Frontend) CompressedPages() bool { return !f.pageCompressOff.Load() }
 
 // FrontendOption configures a Frontend.
 type FrontendOption func(*Frontend)

@@ -2,10 +2,10 @@ package gpa
 
 // The federated correlated stream in columnar form. "jcorrelated" ships
 // every interaction as a full JSON object, so a busy shard's history
-// page is dominated by repeated field names; "jcorrelatedcols" serves
-// the same stream as one column-oriented page. The frontend merges
-// shard pages without materializing intermediate rows: each page is
-// permuted into completion order once, then a k-way heap walks the
+// page is dominated by repeated field names; "jcorrelatedcolsz" serves
+// the same stream as one column-oriented, gzip'd page. The frontend
+// merges shard pages without materializing intermediate rows: each page
+// is permuted into completion order once, then a k-way heap walks the
 // cursors emitting globally ordered rows straight into the reply slice.
 
 import (
@@ -17,7 +17,6 @@ import (
 	"io"
 	"sort"
 	"strings"
-	"sync"
 	"time"
 
 	"sysprof/internal/core"
@@ -26,7 +25,7 @@ import (
 
 // E2EColumns is a correlated-stream page in structure-of-arrays form:
 // parallel sequence and flow columns plus the client and server halves
-// as columnar record batches. It is the payload of the jcorrelatedcols
+// as columnar record batches. It is the payload of the jcorrelatedcolsz
 // query — the streamed form federation frontends merge.
 type E2EColumns struct {
 	Seqs   []uint64           `json:"seqs"`
@@ -93,7 +92,7 @@ func checkRecordColumns(c *core.RecordColumns, n int) error {
 }
 
 // CorrelatedColumns returns the correlated history as one columnar
-// page, in per-process completion order — what "jcorrelatedcols"
+// page, in per-process completion order — what "jcorrelatedcolsz"
 // serves to federation frontends.
 func (g *GPA) CorrelatedColumns() *E2EColumns {
 	return e2eColumnsOf(g.CorrelatedSeq())
@@ -220,29 +219,15 @@ func gunzipPage(payload string) ([]byte, error) {
 	return out, nil
 }
 
-// decodeCorrelatedPage parses one shard's correlated-stream payload.
-// The columnar query returns a JSON object; the legacy row query
-// returns a JSON array; the compressed query returns base64'd gzip of
-// the object form — the first byte tells them apart, so the merge has
-// one code path regardless of which form the shard spoke.
+// decodeCorrelatedPage parses one shard's jcorrelatedcolsz payload:
+// base64'd gzip of the columnar page's JSON object.
 func decodeCorrelatedPage(payload string) (*E2EColumns, error) {
-	trimmed := strings.TrimSpace(payload)
-	if trimmed != "" && !strings.HasPrefix(trimmed, "[") && !strings.HasPrefix(trimmed, "{") {
-		raw, err := gunzipPage(trimmed)
-		if err != nil {
-			return nil, fmt.Errorf("gpa: compressed page: %w", err)
-		}
-		trimmed = strings.TrimSpace(string(raw))
-	}
-	if strings.HasPrefix(trimmed, "[") {
-		var recs []SeqEndToEnd
-		if err := json.Unmarshal([]byte(trimmed), &recs); err != nil {
-			return nil, err
-		}
-		return e2eColumnsOf(recs), nil
+	raw, err := gunzipPage(strings.TrimSpace(payload))
+	if err != nil {
+		return nil, fmt.Errorf("gpa: compressed page: %w", err)
 	}
 	page := new(E2EColumns)
-	if err := json.Unmarshal([]byte(trimmed), page); err != nil {
+	if err := json.Unmarshal(raw, page); err != nil {
 		return nil, err
 	}
 	if err := page.validate(); err != nil {
@@ -257,43 +242,13 @@ func decodeCorrelatedPage(payload string) (*E2EColumns, error) {
 // is the interaction's completion time (the later endpoint End), with
 // shard index and per-shard sequence as deterministic tie-breaks.
 //
-// The fan-out asks each shard for the gzip'd columnar page (unless the
-// frontend's compression capability is off), then streams the pages
-// through a k-way heap, materializing rows only as they are emitted
-// into the reply. A shard that rejects a query form — an older binary,
-// or one with compression disabled — is alive, not dead: it is retried
-// down the chain (compressed page, plain page, row stream), so
-// mixed-version federations keep answering, and dead shards degrade to
-// a partial result exactly as before.
+// The fan-out asks each shard for its gzip'd columnar page, then streams
+// the pages through a k-way heap, materializing rows only as they are
+// emitted into the reply. A shard that fails the query — unreachable, or
+// answering with an error — is reported dead and the result degrades to
+// a partial one.
 func (f *Frontend) CorrelatedSeq() ([]SeqEndToEnd, FederationStatus, error) {
-	chain := []string{"jcorrelatedcolsz", "jcorrelatedcols", "jcorrelated"}
-	if !f.CompressedPages() {
-		chain = chain[1:]
-	}
-	endpoints := f.Endpoints()
-	replies := make([]shardReply, len(endpoints))
-	var wg sync.WaitGroup
-	for i, addr := range endpoints {
-		wg.Add(1)
-		go func(i int, addr string) {
-			defer wg.Done()
-			payload, err := f.queryShard(addr, chain[0])
-			for next := 1; next < len(chain) && err != nil &&
-				strings.Contains(err.Error(), "unknown query"); next++ {
-				payload, err = f.queryShard(addr, chain[next])
-			}
-			replies[i] = shardReply{index: i, payload: payload, err: err}
-		}(i, addr)
-	}
-	wg.Wait()
-	st := FederationStatus{Shards: len(endpoints)}
-	for _, r := range replies {
-		if r.err != nil {
-			st.Dead = append(st.Dead, r.index)
-			st.Errors = append(st.Errors, r.err.Error())
-		}
-	}
-	st.Partial = len(st.Dead) > 0
+	replies, st := f.fanOut("jcorrelatedcolsz")
 	if st.allDead() {
 		return nil, st, fmt.Errorf("%w: %s", errAllShardsDead, strings.Join(st.Errors, "; "))
 	}

@@ -182,11 +182,6 @@ type GPA struct {
 	// boundsMu serializes clockBounds writers.
 	boundsMu sync.Mutex
 
-	// pageCompressOff disables the gzip'd columnar page query
-	// (jcorrelatedcolsz). Stored inverted so the zero value means the
-	// capability is on.
-	pageCompressOff atomic.Bool
-
 	// now supplies current time for load-window pruning (virtual time in
 	// simulations; wall-clock-derived in live deployments).
 	now func() time.Duration
@@ -299,15 +294,6 @@ func (g *GPA) SetClockErrorBound(node simnet.NodeID, bound time.Duration) {
 	g.clockBounds.Store(&next)
 }
 
-// SetCompressedPages toggles the capability to serve gzip-compressed
-// columnar history pages (the jcorrelatedcolsz query). On by default.
-// When off the query is rejected exactly like an unknown command, so
-// frontends fall back to the uncompressed page transparently.
-func (g *GPA) SetCompressedPages(on bool) { g.pageCompressOff.Store(!on) }
-
-// CompressedPages reports whether gzip'd columnar pages are served.
-func (g *GPA) CompressedPages() bool { return !g.pageCompressOff.Load() }
-
 // ClockErrorBound reports the bound registered for a node (0 = none).
 func (g *GPA) ClockErrorBound(node simnet.NodeID) time.Duration {
 	if p := g.clockBounds.Load(); p != nil {
@@ -326,137 +312,19 @@ func (g *GPA) shardForNode(node simnet.NodeID) *shard {
 	return &g.shards[simnet.NodeShardHash(node)&g.mask]
 }
 
-// Ingest feeds one interaction record from a node's daemon.
-//
-//sysprof:nonblocking
+// oneRow recycles the single-row batches Ingest wraps records in.
+var oneRow = sync.Pool{New: func() any { return core.NewRecordColumns(1) }}
+
+// Ingest feeds one interaction record: a one-row adapter over
+// IngestColumns for callers that hold rows (offline replay of a dump,
+// tests). Live traffic arrives as columnar batches and calls
+// IngestColumns directly.
 func (g *GPA) Ingest(rec core.Record) {
-	key := rec.Flow.Canonical()
-	s := g.shardFor(key)
-	s.mu.Lock()
-	g.ingestLocked(s, key, rec)
-	s.mu.Unlock()
-}
-
-// IngestBatch feeds a batch of records (one drained LPA buffer delivered
-// through the batched pub-sub path). Consecutive records that hash to the
-// same shard are ingested under one lock acquisition, so a batch from a
-// busy flow costs roughly one lock round trip instead of one per record.
-//
-//sysprof:nonblocking
-func (g *GPA) IngestBatch(recs []core.Record) {
-	for i := 0; i < len(recs); {
-		key := recs[i].Flow.Canonical()
-		s := g.shardFor(key)
-		s.mu.Lock()
-		g.ingestLocked(s, key, recs[i])
-		i++
-		for i < len(recs) {
-			next := recs[i].Flow.Canonical()
-			if g.shardFor(next) != s {
-				break
-			}
-			g.ingestLocked(s, next, recs[i])
-			i++
-		}
-		s.mu.Unlock()
-	}
-}
-
-// ingestLocked is the core ingest step; callers hold s.mu and pass the
-// record's canonical flow key.
-//
-//sysprof:nonblocking
-func (g *GPA) ingestLocked(s *shard, key simnet.FlowKey, rec core.Record) {
-	s.stats.Ingested++
-
-	// Per-node window and per-class aggregates.
-	nw := s.byNode[rec.Node]
-	if nw == nil {
-		nw = &nodeWindow{}
-		s.byNode[rec.Node] = nw
-	}
-	nw.samples = append(nw.samples, loadSample{
-		end: rec.End, res: rec.Residence(), ker: rec.KernelTime(), buf: rec.BufferWait,
-	})
-	g.pruneWindow(nw)
-
-	classes := s.byClass[rec.Node]
-	if classes == nil {
-		classes = make(map[string]*core.Aggregate)
-		s.byClass[rec.Node] = classes
-	}
-	agg := classes[rec.Class]
-	if agg == nil {
-		agg = &core.Aggregate{Class: rec.Class}
-		classes[rec.Class] = agg
-	}
-	agg.Add(&rec)
-
-	if s.sinceSweep++; s.sinceSweep >= staleSweepEvery {
-		s.sinceSweep = 0
-		g.sweepStaleLocked(s)
-	}
-
-	// Correlation: the same interaction observed at the other endpoint
-	// shares the canonical flow and a nearby start timestamp. The window
-	// for each candidate pair is the configured base widened by both
-	// nodes' registered clock-error bounds, so a pair whose residual NTP
-	// offset exceeds the global constant still correlates.
-	var bounds map[simnet.NodeID]time.Duration
-	var recBound time.Duration
-	if bp := g.clockBounds.Load(); bp != nil {
-		bounds = *bp
-		recBound = bounds[rec.Node]
-	}
-	peers := s.pending[key]
-	for i, p := range peers {
-		if p.Node == rec.Node {
-			continue
-		}
-		window := g.cfg.CorrelationWindow
-		if bounds != nil {
-			window += recBound + bounds[p.Node]
-		}
-		if absDur(p.Start-rec.Start) > window {
-			continue
-		}
-		// Matched: the record observed at the flow's destination node is
-		// the server side.
-		e2e := EndToEnd{Flow: rec.Flow}
-		if rec.Node == rec.Flow.Dst.Node {
-			e2e.Server, e2e.Client = rec, p
-		} else {
-			e2e.Server, e2e.Client = p, rec
-		}
-		s.correlated = append(s.correlated, seqE2E{seq: g.seq.Add(1), e2e: e2e})
-		s.stats.Correlated++
-		g.trimCorrelatedLocked(s)
-		kept := append(peers[:i], peers[i+1:]...)
-		peers[len(kept)] = core.Record{} // release the shifted-out tail copy
-		// Keep the entry even when it empties: hot flows alternate between
-		// one pending record and none, and deleting the map entry on every
-		// match would cost a fresh slice allocation and bucket insert on
-		// the very next ingest. The stale sweep deletes entries still empty
-		// when it runs, so quiet flows do not accumulate.
-		s.pending[key] = kept
-		return
-	}
-	if n := len(peers); n >= g.cfg.MaxPending {
-		// Drop the oldest in place: shift-copy within the backing array so
-		// the evicted records' string references are actually released and
-		// the array is reused at its current size. Reslicing with
-		// peers[1:] instead would pin every dropped record in the backing
-		// array until the next growth reallocation and churn per-key
-		// arrays through repeated grow-copy cycles.
-		drop := n - g.cfg.MaxPending + 1
-		m := copy(peers, peers[drop:])
-		for i := m; i < n; i++ {
-			peers[i] = core.Record{}
-		}
-		peers = peers[:m]
-		s.stats.Uncorrelated += uint64(drop) // each eviction counted once
-	}
-	s.pending[key] = append(peers, rec)
+	cols := oneRow.Get().(*core.RecordColumns)
+	cols.Reset()
+	cols.Append(&rec)
+	g.IngestColumns(cols)
+	oneRow.Put(cols)
 }
 
 func absDur(d time.Duration) time.Duration {

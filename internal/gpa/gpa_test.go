@@ -232,46 +232,6 @@ func TestStaleSweepRunsFromIngest(t *testing.T) {
 	}
 }
 
-func TestIngestBatchMatchesIngest(t *testing.T) {
-	mk := func() []core.Record {
-		var recs []core.Record
-		for i := 0; i < 64; i++ {
-			f := simnet.FlowKey{
-				Src: simnet.Addr{Node: simnet.NodeID(1 + i%8), Port: uint16(1000 + i)},
-				Dst: simnet.Addr{Node: simnet.NodeID(100 + i%4), Port: 80},
-			}
-			c := clientRec(uint64(2*i), 0)
-			c.Flow = f
-			c.Node = f.Src.Node
-			s := serverRec(uint64(2*i+1), 0)
-			s.Flow = f
-			s.Node = f.Dst.Node
-			recs = append(recs, c, s)
-		}
-		return recs
-	}
-	one, _ := newGPA(Config{})
-	for _, r := range mk() {
-		one.Ingest(r)
-	}
-	batched, _ := newGPA(Config{})
-	batched.IngestBatch(mk())
-
-	a, b := one.StatsSnapshot(), batched.StatsSnapshot()
-	if a != b {
-		t.Fatalf("stats diverge: Ingest=%+v IngestBatch=%+v", a, b)
-	}
-	if a.Correlated != 64 {
-		t.Fatalf("correlated = %d, want 64", a.Correlated)
-	}
-	if len(one.Correlated()) != len(batched.Correlated()) {
-		t.Fatal("correlated counts diverge")
-	}
-	if len(one.Nodes()) != len(batched.Nodes()) {
-		t.Fatal("node sets diverge")
-	}
-}
-
 func TestCorrelatedOrderAcrossShards(t *testing.T) {
 	// Interactions on many flows land on different shards; Correlated must
 	// still return them in completion order (global sequence).
@@ -324,7 +284,10 @@ func TestConcurrentIngest(t *testing.T) {
 				s := serverRec(uint64(i), 0)
 				s.Flow = f
 				s.Node = f.Dst.Node
-				g.IngestBatch([]core.Record{c, s})
+				pair := core.NewRecordColumns(2)
+				pair.Append(&c)
+				pair.Append(&s)
+				g.IngestColumns(pair)
 			}
 		}(w)
 	}

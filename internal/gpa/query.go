@@ -121,8 +121,8 @@ func (g *GPA) RenderAccounting() string {
 //	jload <node>              Load of a node, as JSON
 //	jclasses                  per-node per-class aggregates, as JSON
 //	jcorrelated [n]           correlated interactions with sequence tags
-//	jcorrelatedcols [n]       the same stream as one columnar page
-//	jcorrelatedcolsz [n]      the columnar page gzip'd (base64-framed)
+//	jcorrelatedcolsz [n]      the same stream as one columnar page,
+//	                          gzip'd and base64-framed
 //
 // Admin commands (federation retention / clock-quality knobs):
 //
@@ -250,18 +250,7 @@ func (g *GPA) Execute(line string) (string, error) {
 			return "", err
 		}
 		return jsonReply(recs)
-	case "jcorrelatedcols":
-		recs, err := g.correlatedTail(fields)
-		if err != nil {
-			return "", err
-		}
-		return jsonReply(e2eColumnsOf(recs))
 	case "jcorrelatedcolsz":
-		if !g.CompressedPages() {
-			// Capability off: answer exactly like a binary that never
-			// learned the query, so frontends fall back transparently.
-			return "", fmt.Errorf("gpa: unknown query %q", fields[0])
-		}
 		recs, err := g.correlatedTail(fields)
 		if err != nil {
 			return "", err

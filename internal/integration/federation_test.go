@@ -124,8 +124,8 @@ func buildFedStack(t *testing.T, nShards int) *fedStack {
 				switch w := rec.Value.(type) {
 				case *core.RecordColumns:
 					g.IngestColumns(w)
-				case *dissem.WireRecord:
-					g.Ingest(dissem.FromWire(w))
+				default:
+					t.Errorf("interactions channel delivered %T (format %q), want *core.RecordColumns", rec.Value, rec.Format)
 				}
 			}
 		}()
@@ -160,6 +160,16 @@ func buildFedStack(t *testing.T, nShards int) *fedStack {
 	st.frontend, err = gpa.NewFrontend(endpoints, gpa.WithQueryTimeout(2*time.Second))
 	if err != nil {
 		t.Fatal(err)
+	}
+	// Every handshake must be registered before traffic flows: a link
+	// that registers late misses the early frames the others received,
+	// and the monolithic and sharded ingest counts never converge.
+	deadline := time.Now().Add(5 * time.Second)
+	for len(broker.Subscribers()) < nShards+1 {
+		if time.Now().After(deadline) {
+			t.Fatalf("only %d of %d subscribers registered", len(broker.Subscribers()), nShards+1)
+		}
+		time.Sleep(time.Millisecond)
 	}
 	return st
 }

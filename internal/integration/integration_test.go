@@ -140,8 +140,8 @@ func TestFullStackOverTCP(t *testing.T) {
 			switch w := rec.Value.(type) {
 			case *core.RecordColumns:
 				g.IngestColumns(w)
-			case *dissem.WireRecord:
-				g.Ingest(dissem.FromWire(w))
+			default:
+				t.Errorf("interactions channel delivered %T (format %q), want *core.RecordColumns", rec.Value, rec.Format)
 			}
 		}
 	}()

@@ -54,31 +54,6 @@ func BenchmarkPBIOEncodeReuse(b *testing.B) {
 	}
 }
 
-// BenchmarkPBIOEncodeSlice measures batch encode cost per record: one
-// frame header and one Write per 64 records.
-func BenchmarkPBIOEncodeSlice(b *testing.B) {
-	reg := NewRegistry()
-	reg.MustRegister("bench", benchRec{})
-	var buf bytes.Buffer
-	enc := NewEncoder(&buf, reg)
-	recs := make([]benchRec, 64)
-	for i := range recs {
-		recs[i] = benchRec{A: int64(i), B: 2, C: "abcdef", D: 3.5, E: time.Millisecond}
-	}
-	if err := enc.EncodeSlice(recs); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		buf.Reset()
-		if err := enc.EncodeSlice(recs); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(recs)), "ns/record")
-}
-
 // BenchmarkDecode measures one-record decode cost (GPA ingest path).
 func BenchmarkDecode(b *testing.B) {
 	reg := NewRegistry()

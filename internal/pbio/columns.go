@@ -11,10 +11,7 @@ import (
 // ColumnAppender is the contract a structure-of-arrays batch implements
 // to encode through a plan without materializing rows. AppendColumn must
 // emit wire field `field`'s value for every row (the exact bytes the
-// format's kind dictates); AppendRow must emit one row's fields in
-// format order, byte-identical to encoding the row through the plan —
-// that is what keeps the 0x03 fallback frames indistinguishable from
-// row-batch encoding.
+// format's kind dictates).
 type ColumnAppender interface {
 	// Rows returns the number of rows in the batch.
 	Rows() int
@@ -22,8 +19,6 @@ type ColumnAppender interface {
 	NumWireFields() int
 	// AppendColumn appends field's value for rows 0..Rows()-1.
 	AppendColumn(buf []byte, field int) []byte
-	// AppendRow appends row's fields in format order.
-	AppendRow(buf []byte, row int) []byte
 }
 
 // Per-column encodings carried by the compressed columnar (0x05) frame.
@@ -103,31 +98,6 @@ func (p *Plan) columnsHeader(buf []byte, cols ColumnAppender, kind byte, what st
 	buf = append(buf, kind)
 	buf = binary.LittleEndian.AppendUint32(buf, p.f.ID)
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(n))
-	return buf, n, nil
-}
-
-// AppendRowsFrame appends a row-oriented batch (0x03) frame built from
-// cols — the wire-compatible fallback for subscribers that predate the
-// columnar frame. The bytes are identical to AppendBatchFrame over the
-// materialized rows.
-func (p *Plan) AppendRowsFrame(buf []byte, cols ColumnAppender) ([]byte, int, error) {
-	n := cols.Rows()
-	if n == 0 {
-		return buf, 0, nil
-	}
-	if n > maxBatchLen {
-		return buf, 0, fmt.Errorf("pbio: rows frame: %d rows exceeds batch limit %d", n, maxBatchLen)
-	}
-	if nf := cols.NumWireFields(); nf != len(p.f.Fields) {
-		return buf, 0, fmt.Errorf("pbio: rows frame: batch has %d wire fields, format %q has %d",
-			nf, p.f.Name, len(p.f.Fields))
-	}
-	buf = append(buf, frameBatch)
-	buf = binary.LittleEndian.AppendUint32(buf, p.f.ID)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(n))
-	for row := 0; row < n; row++ {
-		buf = cols.AppendRow(buf, row)
-	}
 	return buf, n, nil
 }
 
@@ -474,7 +444,7 @@ func (d *Decoder) readColumns(compressed bool) (*Record, error) {
 			}
 			recs[i].Fields[fld.Name] = val
 			if f.goType != nil {
-				setField(rvs[i].Field(f.index[col]), val)
+				setField(rvs[i].FieldByIndex(f.index[col]), val)
 			}
 		}
 	}

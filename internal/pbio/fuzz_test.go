@@ -28,13 +28,10 @@ func fuzzSeeds(tb testing.TB) [][]byte {
 		tb.Fatal(err)
 	}
 	var batch bytes.Buffer
-	enc = NewEncoder(&batch, reg)
-	if err := enc.EncodeSlice([]fuzzRec{
+	writeBatch(tb, reg, &batch, []fuzzRec{
 		{Name: "a", Count: 1},
 		{Name: "b", Count: 2, Data: []byte("payload")},
-	}); err != nil {
-		tb.Fatal(err)
-	}
+	}, true)
 	return [][]byte{single.Bytes(), batch.Bytes()}
 }
 

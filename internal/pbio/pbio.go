@@ -9,7 +9,7 @@
 //
 //	frame   := kind(1) payload
 //	kind    := 0x01 (format definition) | 0x02 (record) | 0x03 (batch) |
-//	           0x04 (columns)
+//	           0x04 (columns) | 0x05 (compressed columns, see columns.go)
 //	formdef := id(u32) name(str) nfields(u16) { fname(str) fkind(u8) }*
 //	record  := id(u32) fields...   (fixed order per format)
 //	batch   := id(u32) count(u32) { fields... }*count
@@ -89,8 +89,9 @@ type Format struct {
 	Fields []Field
 	// goType, when known, lets the decoder materialize typed values.
 	goType reflect.Type
-	// index maps Fields positions to struct field indices.
-	index []int
+	// index maps Fields positions to struct field index chains (longer
+	// than one hop where the Go type nests structs).
+	index [][]int
 }
 
 // Errors returned by the package.
@@ -121,7 +122,10 @@ func NewRegistry() *Registry {
 
 // Register derives a format from sample's struct type and binds it to
 // name. Exported fields of supported kinds are included in declaration
-// order; unsupported field types cause an error.
+// order, flattened depth-first through nested structs (a nested field is
+// named by its dotted path, e.g. "Flow.Src.Port"); unsupported field
+// types cause an error. The field walk is resolved once, here, into the
+// type's encode plan.
 func (r *Registry) Register(name string, sample any) (*Format, error) {
 	t := reflect.TypeOf(sample)
 	for t != nil && t.Kind() == reflect.Pointer {
@@ -134,18 +138,9 @@ func (r *Registry) Register(name string, sample any) (*Format, error) {
 		return nil, fmt.Errorf("pbio: register: format %q already registered", name)
 	}
 	f := &Format{ID: r.nextID, Name: name, goType: t}
-	for i := 0; i < t.NumField(); i++ {
-		sf := t.Field(i)
-		if !sf.IsExported() {
-			continue
-		}
-		k, ok := kindOf(sf.Type)
-		if !ok {
-			return nil, fmt.Errorf("pbio: register %q: field %s has unsupported type %s",
-				name, sf.Name, sf.Type)
-		}
-		f.Fields = append(f.Fields, Field{Name: sf.Name, Kind: k})
-		f.index = append(f.index, i)
+	p := &Plan{f: f, typ: t, ptrType: reflect.PointerTo(t)}
+	if err := p.flatten(t, "", nil, 0); err != nil {
+		return nil, fmt.Errorf("pbio: register %q: %w", name, err)
 	}
 	// Decoders reject zero-field formats (they would make batch frames
 	// free to expand); refuse to produce one.
@@ -154,11 +149,6 @@ func (r *Registry) Register(name string, sample any) (*Format, error) {
 	}
 	r.nextID++
 	r.byName[name] = f
-	p, err := compilePlan(f, t)
-	if err != nil {
-		// Cannot happen: the format was just derived from this type.
-		return nil, err
-	}
 	r.plans[t] = p
 	return f, nil
 }
@@ -175,13 +165,13 @@ func (r *Registry) MustRegister(name string, sample any) *Format {
 // Lookup returns the format registered under name, or nil.
 func (r *Registry) Lookup(name string) *Format { return r.byName[name] }
 
-// Plan is a cached encode plan binding a Go struct type to a format. The
-// type's exported fields — flattened through nested structs in
-// declaration order — must match the format's field kinds positionally.
-// A plan lets a rich in-memory type (e.g. a record with a nested flow
-// key) encode straight into the wire layout of its flat wire twin, with
-// no intermediate conversion struct: the field walk is resolved once at
-// bind time, not per record.
+// Plan is the cached encode plan of a registered struct type: its
+// exported fields — flattened through nested structs in declaration
+// order — each resolved at registration to a byte offset plus a load
+// opcode, so the per-record encode loop is offset arithmetic and copies,
+// no reflection. A rich in-memory type (e.g. a record with a nested flow
+// key) thereby encodes straight into a flat wire layout with no
+// intermediate conversion struct.
 type Plan struct {
 	f       *Format
 	typ     reflect.Type
@@ -189,16 +179,11 @@ type Plan struct {
 	fields  []planField
 }
 
-// planField is one wire field's source: an index chain into (possibly
-// nested) struct fields, and the wire kind it encodes as. The chain is
-// resolved once at compile time into a byte offset plus a load opcode, so
-// the per-record encode loop is offset arithmetic and copies — no
-// reflection.
+// planField is one wire field's source: where it sits in the struct and
+// how to load it.
 type planField struct {
-	index []int
-	kind  Kind
-	off   uintptr
-	op    uint8
+	off uintptr
+	op  uint8
 }
 
 // Load opcodes: how a plan field is read from its struct offset. They are
@@ -260,93 +245,35 @@ func opOf(t reflect.Type) uint8 {
 	return 0
 }
 
-// flattenType appends the type's exported fields depth-first, recursing
-// into nested structs (time.Duration is a leaf).
-func flattenType(t reflect.Type, prefix []int, out []planField) ([]planField, error) {
+// flatten walks t's exported fields depth-first, recursing into nested
+// structs (time.Duration is a leaf). Each leaf appends its wire
+// descriptor and index chain to the plan's format and its load step to
+// the plan; prefix, chain and base carry the enclosing struct's name
+// path, index path and byte offset.
+func (p *Plan) flatten(t reflect.Type, prefix string, chain []int, base uintptr) error {
 	for i := 0; i < t.NumField(); i++ {
 		sf := t.Field(i)
 		if !sf.IsExported() {
 			continue
 		}
-		chain := append(append([]int(nil), prefix...), i)
+		idx := append(append([]int(nil), chain...), i)
 		if k, ok := kindOf(sf.Type); ok {
-			out = append(out, planField{index: chain, kind: k})
+			p.f.Fields = append(p.f.Fields, Field{Name: prefix + sf.Name, Kind: k})
+			p.f.index = append(p.f.index, idx)
+			p.fields = append(p.fields, planField{off: base + sf.Offset, op: opOf(sf.Type)})
 			continue
 		}
-		if sf.Type.Kind() == reflect.Struct {
-			var err error
-			out, err = flattenType(sf.Type, chain, out)
-			if err != nil {
-				return nil, err
-			}
-			continue
+		if sf.Type.Kind() != reflect.Struct {
+			return fmt.Errorf("field %s has unsupported type %s", prefix+sf.Name, sf.Type)
 		}
-		return nil, fmt.Errorf("pbio: field %s has unsupported type %s", sf.Name, sf.Type)
+		if err := p.flatten(sf.Type, prefix+sf.Name+".", idx, base+sf.Offset); err != nil {
+			return err
+		}
 	}
-	return out, nil
+	return nil
 }
 
-// compilePlan flattens t, checks it against f's wire layout, and
-// resolves each field's index chain to a byte offset and load opcode.
-func compilePlan(f *Format, t reflect.Type) (*Plan, error) {
-	fields, err := flattenType(t, nil, nil)
-	if err != nil {
-		return nil, fmt.Errorf("pbio: bind %s to %q: %w", t, f.Name, err)
-	}
-	if len(fields) != len(f.Fields) {
-		return nil, fmt.Errorf("pbio: bind %s to %q: %d flattened fields, format has %d",
-			t, f.Name, len(fields), len(f.Fields))
-	}
-	for i := range fields {
-		if fields[i].kind != f.Fields[i].Kind {
-			return nil, fmt.Errorf("pbio: bind %s to %q: field %d is %s on the wire but %s in the type",
-				t, f.Name, i, f.Fields[i].Kind, fields[i].kind)
-		}
-		ft := t
-		var off uintptr
-		for _, idx := range fields[i].index {
-			sf := ft.Field(idx)
-			off += sf.Offset
-			ft = sf.Type
-		}
-		fields[i].off = off
-		fields[i].op = opOf(ft)
-		if fields[i].op == 0 {
-			return nil, fmt.Errorf("pbio: bind %s to %q: field %d has no load op for %s",
-				t, f.Name, i, ft)
-		}
-	}
-	return &Plan{f: f, typ: t, ptrType: reflect.PointerTo(t), fields: fields}, nil
-}
-
-// BindType compiles an encode plan mapping sample's struct type onto the
-// format registered under name. The type may nest structs; its flattened
-// exported fields must match the format's kinds positionally. After
-// binding, values of the type encode through Encoder.Encode/EncodeSlice
-// and the frame builders exactly as the format's original type would —
-// byte-identical on the wire, so existing decoders are unaffected.
-func (r *Registry) BindType(name string, sample any) (*Plan, error) {
-	t := reflect.TypeOf(sample)
-	for t != nil && t.Kind() == reflect.Pointer {
-		t = t.Elem()
-	}
-	if t == nil || t.Kind() != reflect.Struct {
-		return nil, fmt.Errorf("pbio: bind %q: sample must be a struct, got %T", name, sample)
-	}
-	f := r.byName[name]
-	if f == nil {
-		return nil, fmt.Errorf("%w: %q", ErrUnknownFormat, name)
-	}
-	p, err := compilePlan(f, t)
-	if err != nil {
-		return nil, err
-	}
-	r.plans[t] = p
-	return p, nil
-}
-
-// PlanFor returns the encode plan for a struct type (registered directly
-// or bound with BindType), or nil.
+// PlanFor returns the encode plan of a registered struct type, or nil.
 func (r *Registry) PlanFor(t reflect.Type) *Plan {
 	for t != nil && t.Kind() == reflect.Pointer {
 		t = t.Elem()
@@ -598,8 +525,8 @@ func NewEncoder(w io.Writer, reg *Registry) *Encoder {
 	return &Encoder{w: w, reg: reg, sent: make(map[uint32]bool)}
 }
 
-// Encode writes v (a struct registered or bound in the registry, or a
-// pointer to one), emitting the format descriptor first if this stream
+// Encode writes v (a struct registered in the registry, or a pointer to
+// one), emitting the format descriptor first if this stream
 // has not seen it.
 func (e *Encoder) Encode(v any) error {
 	p := e.reg.PlanFor(reflect.TypeOf(v))
@@ -619,44 +546,6 @@ func (e *Encoder) Encode(v any) error {
 	}
 	if _, err := e.w.Write(e.buf); err != nil {
 		return fmt.Errorf("pbio: encode %s: %w", f.Name, err)
-	}
-	return nil
-}
-
-// EncodeSlice writes every element of vs (a slice of a registered struct
-// type, or of pointers to one) as a single batch frame: one frame header
-// and one Write call for the whole batch. The encoder's scratch buffer is
-// reused across calls, so steady-state batch encoding does not allocate.
-// An empty slice writes nothing.
-func (e *Encoder) EncodeSlice(vs any) error {
-	sv := reflect.ValueOf(vs)
-	if sv.Kind() != reflect.Slice {
-		return fmt.Errorf("pbio: encode slice: want a slice, got %T", vs)
-	}
-	if sv.Len() == 0 {
-		return nil
-	}
-	et := sv.Type().Elem()
-	p := e.reg.PlanFor(et)
-	if p == nil {
-		for et.Kind() == reflect.Pointer {
-			et = et.Elem()
-		}
-		return fmt.Errorf("%w: type %s", ErrUnknownFormat, et)
-	}
-	f := p.f
-	if !e.sent[f.ID] {
-		if err := e.writeFormat(f); err != nil {
-			return err
-		}
-		e.sent[f.ID] = true
-	}
-	var err error
-	if e.buf, _, err = p.AppendBatchFrame(e.buf[:0], vs); err != nil {
-		return err
-	}
-	if _, err := e.w.Write(e.buf); err != nil {
-		return fmt.Errorf("pbio: encode batch %s: %w", f.Name, err)
 	}
 	return nil
 }
@@ -871,7 +760,7 @@ func (d *Decoder) readRecordBody(f *Format) (*Record, error) {
 		}
 		rec.Fields[fld.Name] = val
 		if rv.IsValid() {
-			setField(rv.Field(f.index[i]), val)
+			setField(rv.FieldByIndex(f.index[i]), val)
 		}
 	}
 	if rv.IsValid() {

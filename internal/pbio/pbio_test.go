@@ -39,6 +39,27 @@ func newPair(t *testing.T) (*Registry, *Encoder, *bytes.Buffer) {
 	return reg, NewEncoder(&buf, reg), &buf
 }
 
+// writeBatch appends vs to buf as one 0x03 batch frame, built out of
+// stream the way the pubsub connection writer does: the plan's frame
+// builder, preceded by the format definition when withDef is set (the
+// stream has not carried the format yet).
+func writeBatch(t testing.TB, reg *Registry, buf *bytes.Buffer, vs any, withDef bool) {
+	t.Helper()
+	p := reg.PlanFor(reflect.TypeOf(vs).Elem())
+	if p == nil {
+		t.Fatalf("no plan for %T", vs)
+	}
+	var frame []byte
+	if withDef {
+		frame = p.Format().AppendDef(frame)
+	}
+	frame, _, err := p.AppendBatchFrame(frame, vs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf.Write(frame)
+}
+
 func TestRoundTripTyped(t *testing.T) {
 	reg, enc, buf := newPair(t)
 	in := sample{A: -42, B: 7, C: "hello", D: 3.25, E: true, F: 1500 * time.Millisecond, G: []byte{1, 2, 3}}
@@ -306,15 +327,13 @@ func TestDecoderRobustToCorruption(t *testing.T) {
 }
 
 func TestBatchRoundTrip(t *testing.T) {
-	reg, enc, buf := newPair(t)
+	reg, _, buf := newPair(t)
 	in := []sample{
 		{A: 1, C: "one", F: time.Millisecond, G: []byte{}},
 		{A: 2, C: "two", E: true, G: []byte{4, 5}},
 		{A: 3, C: "three", G: []byte{9}},
 	}
-	if err := enc.EncodeSlice(in); err != nil {
-		t.Fatal(err)
-	}
+	writeBatch(t, reg, buf, in, true)
 	dec := NewDecoder(buf, reg)
 	for i := range in {
 		rec, err := dec.Decode()
@@ -338,11 +357,9 @@ func TestBatchRoundTrip(t *testing.T) {
 }
 
 func TestBatchOfPointers(t *testing.T) {
-	reg, enc, buf := newPair(t)
+	reg, _, buf := newPair(t)
 	in := []*other{{X: 1, Y: "a"}, {X: 2, Y: "b"}}
-	if err := enc.EncodeSlice(in); err != nil {
-		t.Fatal(err)
-	}
+	writeBatch(t, reg, buf, in, true)
 	dec := NewDecoder(buf, reg)
 	for i := range in {
 		rec, err := dec.Decode()
@@ -360,9 +377,7 @@ func TestBatchMixedWithSingles(t *testing.T) {
 	if err := enc.Encode(sample{A: 1}); err != nil {
 		t.Fatal(err)
 	}
-	if err := enc.EncodeSlice([]sample{{A: 2}, {A: 3}}); err != nil {
-		t.Fatal(err)
-	}
+	writeBatch(t, reg, buf, []sample{{A: 2}, {A: 3}}, false) // def sent by the Encode above
 	if err := enc.Encode(other{X: 4}); err != nil {
 		t.Fatal(err)
 	}
@@ -386,28 +401,9 @@ func TestBatchMixedWithSingles(t *testing.T) {
 	}
 }
 
-func TestEncodeSliceEmptyAndErrors(t *testing.T) {
-	_, enc, buf := newPair(t)
-	if err := enc.EncodeSlice([]sample{}); err != nil {
-		t.Fatal(err)
-	}
-	if buf.Len() != 0 {
-		t.Fatalf("empty slice wrote %d bytes", buf.Len())
-	}
-	if err := enc.EncodeSlice(sample{}); err == nil {
-		t.Fatal("non-slice accepted")
-	}
-	type unregistered struct{ Z int64 }
-	if err := enc.EncodeSlice([]unregistered{{Z: 1}}); !errors.Is(err, ErrUnknownFormat) {
-		t.Fatalf("err = %v, want ErrUnknownFormat", err)
-	}
-}
-
 func TestBatchTruncatedStream(t *testing.T) {
-	reg, enc, buf := newPair(t)
-	if err := enc.EncodeSlice([]sample{{A: 1}, {A: 2}}); err != nil {
-		t.Fatal(err)
-	}
+	reg, _, buf := newPair(t)
+	writeBatch(t, reg, buf, []sample{{A: 1}, {A: 2}}, true)
 	full := buf.Bytes()
 	// The whole batch frame is consumed before the first record is
 	// returned, so any truncation inside the frame surfaces immediately —

@@ -7,7 +7,7 @@ import (
 	"time"
 )
 
-// flatRec is the wire-layout twin of nestedRec.
+// flatRec is the hand-flattened wire-layout twin of nestedRec.
 type flatRec struct {
 	ID    uint64
 	SrcN  uint16
@@ -31,73 +31,72 @@ type nestedRec struct {
 	Dur   time.Duration
 }
 
-func TestBindTypeEncodesByteIdentical(t *testing.T) {
-	reg := NewRegistry()
-	reg.MustRegister("rec", flatRec{})
-	if _, err := reg.BindType("rec", nestedRec{}); err != nil {
-		t.Fatal(err)
+// TestRegisterFlattensNested pins that a type nesting structs registers
+// as the flat wire layout of its leaves: record bytes identical to the
+// hand-flattened twin's, fields named by dotted path, and typed decoding
+// back into the nested shape.
+func TestRegisterFlattensNested(t *testing.T) {
+	flatReg, nestedReg := NewRegistry(), NewRegistry()
+	flatReg.MustRegister("rec", flatRec{})
+	f := nestedReg.MustRegister("rec", nestedRec{})
+
+	wantNames := []string{"ID", "Src.N", "Src.P", "Dst.N", "Dst.P", "Class", "Dur"}
+	if len(f.Fields) != len(wantNames) {
+		t.Fatalf("nested format has %d fields, want %d", len(f.Fields), len(wantNames))
+	}
+	for i, fld := range f.Fields {
+		if fld.Name != wantNames[i] || fld.Kind != flatReg.Lookup("rec").Fields[i].Kind {
+			t.Fatalf("field %d = %s %s, want %s %s", i, fld.Name, fld.Kind,
+				wantNames[i], flatReg.Lookup("rec").Fields[i].Kind)
+		}
 	}
 
 	flat := flatRec{ID: 7, SrcN: 1, SrcP: 1000, DstN: 2, DstP: 80, Class: "port:80", Dur: time.Millisecond}
 	nested := nestedRec{ID: 7, Src: endpoint{1, 1000}, Dst: endpoint{2, 80}, Class: "port:80", Dur: time.Millisecond}
-
-	var a, b bytes.Buffer
-	if err := NewEncoder(&a, reg).Encode(flat); err != nil {
-		t.Fatal(err)
-	}
-	if err := NewEncoder(&b, reg).Encode(nested); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(a.Bytes(), b.Bytes()) {
-		t.Fatalf("nested encoding differs from flat:\n flat   %x\n nested %x", a.Bytes(), b.Bytes())
-	}
-
-	// An old decoder (knowing only the flat type) decodes the
-	// nested-encoded stream.
-	dec := NewDecoder(&b, reg)
-	rec, err := dec.Decode()
+	a, err := flatReg.PlanFor(reflect.TypeOf(flat)).AppendRecordFrame(nil, flat)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, ok := rec.Value.(*flatRec)
+	b, err := nestedReg.PlanFor(reflect.TypeOf(nested)).AppendRecordFrame(nil, nested)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(a, b) {
+		t.Fatalf("nested encoding differs from flat:\n flat   %x\n nested %x", a, b)
+	}
+
+	var stream bytes.Buffer
+	if err := NewEncoder(&stream, nestedReg).Encode(&nested); err != nil {
+		t.Fatal(err)
+	}
+	rec, err := NewDecoder(&stream, nestedReg).Decode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, ok := rec.Value.(*nestedRec)
 	if !ok {
 		t.Fatalf("decoded %T", rec.Value)
 	}
-	if *got != flat {
-		t.Fatalf("decoded %+v, want %+v", *got, flat)
+	if *got != nested {
+		t.Fatalf("decoded %+v, want %+v", *got, nested)
 	}
-}
+	if rec.Fields["Dst.P"] != uint16(80) {
+		t.Fatalf("generic field Dst.P = %v", rec.Fields["Dst.P"])
+	}
 
-func TestBindTypeErrors(t *testing.T) {
-	reg := NewRegistry()
-	reg.MustRegister("rec", flatRec{})
-	if _, err := reg.BindType("nope", nestedRec{}); err == nil {
-		t.Fatal("unknown format accepted")
+	type badNested struct {
+		ID  uint64
+		Sub struct{ M map[string]int }
 	}
-	if _, err := reg.BindType("rec", struct{ ID uint64 }{}); err == nil {
-		t.Fatal("field-count mismatch accepted")
-	}
-	if _, err := reg.BindType("rec", struct {
-		ID    int64 // wire kind is uint64
-		Src   endpoint
-		Dst   endpoint
-		Class string
-		Dur   time.Duration
-	}{}); err == nil {
-		t.Fatal("kind mismatch accepted")
-	}
-	if _, err := reg.BindType("rec", 42); err == nil {
-		t.Fatal("non-struct accepted")
+	if _, err := nestedReg.Register("bad", badNested{}); err == nil {
+		t.Fatal("unsupported nested field type accepted")
 	}
 }
 
 func TestPlanFrameBuildersRoundTrip(t *testing.T) {
 	reg := NewRegistry()
-	reg.MustRegister("rec", flatRec{})
-	p, err := reg.BindType("rec", nestedRec{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	reg.MustRegister("rec", nestedRec{})
+	p := reg.PlanFor(reflect.TypeOf(nestedRec{}))
 	if p.Format().Name != "rec" {
 		t.Fatalf("plan format = %q", p.Format().Name)
 	}
@@ -113,7 +112,7 @@ func TestPlanFrameBuildersRoundTrip(t *testing.T) {
 	// by hand the way the pubsub broker does.
 	var stream []byte
 	stream = p.Format().AppendDef(stream)
-	stream, err = p.AppendRecordFrame(stream, &batch[0])
+	stream, err := p.AppendRecordFrame(stream, &batch[0])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +132,7 @@ func TestPlanFrameBuildersRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ids = append(ids, rec.Value.(*flatRec).ID)
+		ids = append(ids, rec.Value.(*nestedRec).ID)
 	}
 	want := []uint64{1, 1, 2}
 	for i := range want {

@@ -1,12 +1,14 @@
 package pubsub
 
 import (
+	"bytes"
+	"encoding/binary"
+	"errors"
 	"net"
+	"os"
 	"sync"
 	"testing"
 	"time"
-
-	"sysprof/internal/pbio"
 )
 
 // stalledSub dials the broker and never reads, so the connection's send
@@ -57,7 +59,7 @@ func TestOverflowDropsCountedBrokerLive(t *testing.T) {
 	const publishes = 5000
 	start := time.Now()
 	for i := 0; i < publishes; i++ {
-		if err := b.Publish("m", metric{Value: int64(i)}); err != nil {
+		if err := publishOne(b, "m", metric{Value: int64(i)}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -102,7 +104,7 @@ func TestSlowSubscriberEvicted(t *testing.T) {
 
 	deadline := time.Now().Add(5 * time.Second)
 	for b.Stats().SlowEvicted == 0 {
-		if err := b.Publish("m", metric{}); err != nil {
+		if err := publishOne(b, "m", metric{}); err != nil {
 			t.Fatal(err)
 		}
 		if time.Now().After(deadline) {
@@ -113,7 +115,7 @@ func TestSlowSubscriberEvicted(t *testing.T) {
 		t.Fatalf("evicted subscriber still registered (%d live)", n)
 	}
 	// The broker stays usable after the eviction.
-	if err := b.Publish("m", metric{}); err != nil {
+	if err := publishOne(b, "m", metric{}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -137,7 +139,7 @@ func TestBlockWithDeadlinePolicy(t *testing.T) {
 
 	deadline := time.Now().Add(5 * time.Second)
 	for b.Stats().RemoteDropped == 0 {
-		if err := b.Publish("m", metric{}); err != nil {
+		if err := publishOne(b, "m", metric{}); err != nil {
 			t.Fatal(err)
 		}
 		if time.Now().After(deadline) {
@@ -175,7 +177,7 @@ func TestConcurrentPublishSubscribeCloseRace(t *testing.T) {
 					return
 				default:
 				}
-				_ = b.Publish("m", metric{Value: int64(id*1000 + j)})
+				_ = publishOne(b, "m", metric{Value: int64(id*1000 + j)})
 				_ = b.PublishBatch("m", []metric{{Value: 1}, {Value: 2}})
 			}
 		}(i)
@@ -201,54 +203,59 @@ func TestConcurrentPublishSubscribeCloseRace(t *testing.T) {
 	wg.Wait()
 
 	// After Close, publishing errors and the broker is quiescent.
-	if err := b.Publish("m", metric{}); err != ErrClosed {
+	if err := publishOne(b, "m", metric{}); err != ErrClosed {
 		t.Fatalf("post-close publish error = %v, want ErrClosed", err)
 	}
 }
 
-// TestHandshakeLegacyCompat sends the pre-versioning handshake by hand:
-// a count byte followed by length-prefixed channel strings. The broker
-// must serve it exactly like a v1 subscriber.
-func TestHandshakeLegacyCompat(t *testing.T) {
-	reg := newReg(t)
-	b := NewBroker(reg)
-	defer b.Close()
-	addr := startBroker(t, b)
-
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
+// TestHandshakeRejected sends, over real TCP, each handshake the broker
+// must refuse: the pre-magic form (a count byte followed by
+// length-prefixed channel names), every version but the current one, and
+// a capability bit the broker does not know. Each peer must be
+// disconnected without ever being registered — a subscriber gets the
+// stream it negotiated or none.
+func TestHandshakeRejected(t *testing.T) {
+	hdr := func(version byte, flags uint16) []byte {
+		h := []byte{handshakeMagic, version}
+		h = binary.LittleEndian.AppendUint16(h, flags)
+		h = binary.LittleEndian.AppendUint16(h, 1) // one channel
+		return appendString(h, "m")
 	}
-	defer conn.Close()
-	if _, err := conn.Write([]byte{1}); err != nil { // v0: one channel
-		t.Fatal(err)
+	cases := map[string][]byte{
+		"v0-count-byte":  appendString([]byte{1}, "m"),
+		"version-0":      hdr(0, 0),
+		"version-older":  hdr(handshakeVersion-1, 0),
+		"version-newer":  hdr(handshakeVersion+1, 0),
+		"unknown-flag":   hdr(handshakeVersion, 1<<2),
+		"unknown-flags":  hdr(handshakeVersion, handshakeFlagColumnsZ|1<<15),
+		"retired-v2-hdr": hdr(2, 1<<0|1<<2), // the last negotiated form: plans+columns bits
 	}
-	if err := writeString(conn, "m"); err != nil {
-		t.Fatal(err)
-	}
-	waitRegistered(t, b, 1)
-	if v := b.Subscribers()[0].Version; v != 0 {
-		t.Fatalf("legacy handshake parsed as version %d, want 0", v)
-	}
-
-	deadline := time.Now().Add(2 * time.Second)
-	for b.Stats().RemoteDeliver == 0 {
-		if err := b.Publish("m", metric{Name: "old", Value: 9}); err != nil {
-			t.Fatal(err)
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("no delivery to legacy subscriber")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	// Read the stream with the standard decoder path.
-	s := &Subscriber{conn: conn, dec: pbio.NewDecoder(conn, reg)}
-	ch, rec, err := s.Recv()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ch != "m" || rec.Value.(*metric).Name != "old" {
-		t.Fatalf("legacy subscriber got %q %+v", ch, rec.Value)
+	for name, wire := range cases {
+		t.Run(name, func(t *testing.T) {
+			if _, err := readHandshake(bytes.NewReader(wire)); err == nil {
+				t.Fatal("readHandshake accepted it")
+			}
+			b := NewBroker(newReg(t))
+			defer b.Close()
+			conn, err := net.Dial("tcp", startBroker(t, b))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer conn.Close()
+			if _, err := conn.Write(wire); err != nil {
+				t.Fatal(err)
+			}
+			// The broker closes its end: the read returns EOF (or a
+			// reset) instead of blocking until the deadline.
+			_ = conn.SetReadDeadline(time.Now().Add(2 * time.Second))
+			var one [1]byte
+			if _, err := conn.Read(one[:]); err == nil || errors.Is(err, os.ErrDeadlineExceeded) {
+				t.Fatalf("connection still open after a rejected handshake (read err = %v)", err)
+			}
+			if n := len(b.Subscribers()); n != 0 {
+				t.Fatalf("%d subscribers registered from a rejected handshake", n)
+			}
+		})
 	}
 }
 

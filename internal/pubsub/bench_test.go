@@ -34,7 +34,7 @@ func drainingSub(b *testing.B, addr string) *Subscriber {
 }
 
 // BenchmarkPublishRemote measures the publish-side cost of remote
-// fan-out. The acceptance claim of the async rewrite is that enqueue
+// fan-out, one one-record frame per publish. The acceptance claim of the async rewrite is that enqueue
 // latency is independent of the slowest subscriber's drain rate:
 // all-fast and one-stalled must report comparable ns/op, because the
 // publisher only ever touches the bounded queue, never the socket.
@@ -71,11 +71,11 @@ func BenchmarkPublishRemote(b *testing.B) {
 			time.Sleep(time.Millisecond)
 		}
 
-		m := metric{Name: "bench", Value: 42, Dur: time.Millisecond}
+		one := any([]metric{{Name: "bench", Value: 42, Dur: time.Millisecond}})
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if err := br.Publish("m", m); err != nil {
+			if err := br.PublishBatch("m", one); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -46,14 +46,13 @@ func (b *Broker) columnsPlan() *pbio.Plan {
 // subscribers receive the *core.RecordColumns itself (valid only for the
 // duration of the callback); filtered locals receive a freshly built
 // sub-batch, with the filter invoked once per row on a transient
-// *core.Record that is reused between rows. Remote subscribers that
-// advertised columnar support receive one 0x04 frame encoded by column
-// sweeps; legacy subscribers receive the byte-identical-to-row-encoding
-// 0x03 batch frame. Shard routing hashes the Flow column directly in a
-// tight loop (the same ShardHash every flow router uses), never
-// materializing rows.
+// *core.Record that is reused between rows. Remote subscribers receive
+// one frame encoded by column sweeps — compressed (0x05) on links that
+// negotiated it, plain (0x04) otherwise. Shard routing hashes the Flow
+// column directly in a tight loop (the same ShardHash every flow router
+// uses), never materializing rows.
 //
-// core.Record must be plan-bound in the broker's registry (dissem's
+// core.Record must be registered in the broker's registry (dissem's
 // RegisterFormats does this).
 func (b *Broker) PublishColumns(channelName string, cols *core.RecordColumns) error {
 	n := cols.Len()
@@ -98,7 +97,7 @@ func (b *Broker) PublishColumns(channelName string, cols *core.RecordColumns) er
 	}
 	plan := b.columnsPlan()
 	if plan == nil {
-		return fmt.Errorf("pubsub: no encode plan for %s (register or bind the type)", coreRecordType)
+		return fmt.Errorf("pubsub: no encode plan for %s (register the type)", coreRecordType)
 	}
 	if !hasSharded(remotes) {
 		return b.fanOutColumns(channelName, plan, cols, remotes)
@@ -106,36 +105,24 @@ func (b *Broker) PublishColumns(channelName string, cols *core.RecordColumns) er
 	return b.publishColumnsSharded(channelName, plan, cols, remotes)
 }
 
-// colFrameMode picks the wire form of one columnar publish for one
-// subscriber subset.
-type colFrameMode int
-
-const (
-	colFrameRows       colFrameMode = iota // 0x03 row-batch fallback
-	colFrameColumns                        // 0x04 plain columnar
-	colFrameCompressed                     // 0x05 per-column compressed
-)
-
-// fanOutColumns encodes at most three shared frames for one subscriber
+// fanOutColumns encodes at most two shared frames for one subscriber
 // set — compressed columnar for links that negotiated wire compression,
-// plain columnar for capable connections, row-batch for legacy ones —
-// and fans each out.
+// plain columnar for the rest — and fans each out.
 func (b *Broker) fanOutColumns(channelName string, plan *pbio.Plan, cols *core.RecordColumns, remotes []*remoteConn) error {
-	compressed, capable, legacy := splitByColumns(remotes, b.wireCompress.Load())
+	compressed, plain := splitByCompression(remotes, b.wireCompress.Load())
 	groups := [...]struct {
-		subset []*remoteConn
-		mode   colFrameMode
+		subset     []*remoteConn
+		compressed bool
 	}{
-		{compressed, colFrameCompressed},
-		{capable, colFrameColumns},
-		{legacy, colFrameRows},
+		{compressed, true},
+		{plain, false},
 	}
 	var firstErr error
 	for _, g := range groups {
 		if len(g.subset) == 0 {
 			continue
 		}
-		f, err := b.encodeColumnsFrame(channelName, plan, cols, g.mode)
+		f, err := b.encodeColumnsFrame(channelName, plan, cols, g.compressed)
 		if err != nil {
 			if firstErr == nil {
 				firstErr = err
@@ -201,66 +188,39 @@ func (b *Broker) publishColumnsSharded(channelName string, plan *pbio.Plan, cols
 	return firstErr
 }
 
-// splitByColumns partitions a fan-out set by columnar capability and
-// negotiated wire compression (compressOK carries the broker knob). The
-// homogeneous cases — every subscriber in the same class — return the
-// input slice untouched.
+// splitByCompression cuts a fan-out set into the links that get
+// compressed frames and the links that get plain ones (compressOK carries
+// the broker knob). No partitioning happens here: insertRemote keeps
+// every remotes slice ordered compressed-first, and sub-slices and
+// order-preserving filters of one (shard groups, dropConn) inherit the
+// order, so the cut is a single index.
 //
 //sysprof:nonblocking
-func splitByColumns(remotes []*remoteConn, compressOK bool) (compressed, capable, legacy []*remoteConn) {
-	nZ, nCap := 0, 0
-	for _, rc := range remotes {
-		switch {
-		case compressOK && rc.columnsZ:
-			nZ++
-		case rc.columns:
-			nCap++
-		}
+//sysprof:noalloc
+func splitByCompression(remotes []*remoteConn, compressOK bool) (compressed, plain []*remoteConn) {
+	if !compressOK {
+		return nil, remotes
 	}
-	switch {
-	case nZ == len(remotes):
-		return remotes, nil, nil
-	case nCap == len(remotes):
-		return nil, remotes, nil
-	case nZ == 0 && nCap == 0:
-		return nil, nil, remotes
+	nZ := 0
+	for nZ < len(remotes) && remotes[nZ].columnsZ {
+		nZ++
 	}
-	// One backing array partitioned three ways: each class appends into
-	// its own full-capacity region, so the appends below never reallocate.
-	//lint:ignore hotalloc mixed-capability fan-out sets only exist mid-upgrade; homogeneous fleets take the no-alloc paths above
-	backing := make([]*remoteConn, 0, len(remotes))
-	compressed = backing[0:0:nZ]
-	capable = backing[nZ : nZ : nZ+nCap]
-	legacy = backing[nZ+nCap : nZ+nCap : len(remotes)]
-	for _, rc := range remotes {
-		switch {
-		case compressOK && rc.columnsZ:
-			compressed = append(compressed, rc)
-		case rc.columns:
-			capable = append(capable, rc)
-		default:
-			legacy = append(legacy, rc)
-		}
-	}
-	return compressed, capable, legacy
+	return remotes[:nZ], remotes[nZ:]
 }
 
 // encodeColumnsFrame builds the shared wire frame for one columnar
-// publish: channel header plus the 0x05 compressed columnar frame, the
-// 0x04 plain columnar frame, or the 0x03 row-batch fallback.
-func (b *Broker) encodeColumnsFrame(channelName string, p *pbio.Plan, cols *core.RecordColumns, mode colFrameMode) (*frame, error) {
+// publish: channel header plus the 0x05 compressed or 0x04 plain
+// columnar frame.
+func (b *Broker) encodeColumnsFrame(channelName string, p *pbio.Plan, cols *core.RecordColumns, compressed bool) (*frame, error) {
 	f := framePool.Get().(*frame)
 	f.buf = appendString(f.buf[:0], channelName)
 	f.hdrLen = len(f.buf)
 	f.channel = channelName
 	var err error
-	switch mode {
-	case colFrameCompressed:
+	if compressed {
 		f.buf, f.recs, err = p.AppendCompressedColumnsFrame(f.buf, cols)
-	case colFrameColumns:
+	} else {
 		f.buf, f.recs, err = p.AppendColumnsFrame(f.buf, cols)
-	default:
-		f.buf, f.recs, err = p.AppendRowsFrame(f.buf, cols)
 	}
 	if err != nil {
 		//lint:ignore atomicmix frame is not yet shared: released by this goroutine before any writer sees it

@@ -7,26 +7,28 @@ import (
 )
 
 // FuzzReadHandshake feeds arbitrary bytes to the subscriber handshake
-// parser (both the versioned and the legacy first-byte-count forms).
-// The parser must never panic, must bound the channel count, and any
-// successfully parsed handshake must round-trip through writeHandshake.
+// parser. The parser must never panic, must bound the channel count, and
+// any successfully parsed handshake must round-trip through
+// writeHandshakeOpts. The retired forms (first-byte-count, older
+// versions) stay in the corpus: they must error, not parse.
 func FuzzReadHandshake(f *testing.F) {
 	// Modern handshake produced by the real writer.
 	var modern bytes.Buffer
-	if err := writeHandshake(&modern, []string{"sysprof.interactions", "sysprof.aggregates"}); err != nil {
+	if err := writeHandshakeOpts(&modern, []string{"sysprof.interactions", "sysprof.aggregates"},
+		ShardSelector{}, false); err != nil {
 		f.Fatal(err)
 	}
 	f.Add(modern.Bytes())
 
-	// Sharded subscription (shard 2 of 8).
+	// Sharded, compressed subscription (shard 2 of 8).
 	var sharded bytes.Buffer
-	if err := writeHandshakeSharded(&sharded, []string{"sysprof.interactions"},
-		ShardSelector{Index: 2, Count: 8}); err != nil {
+	if err := writeHandshakeOpts(&sharded, []string{"sysprof.interactions"},
+		ShardSelector{Index: 2, Count: 8}, true); err != nil {
 		f.Fatal(err)
 	}
 	f.Add(sharded.Bytes())
 
-	// Legacy form: first byte is the channel count, then 4-byte
+	// Retired v0 form: first byte is the channel count, then 4-byte
 	// little-endian length-prefixed names.
 	legacy := []byte{1}
 	legacy = binary.LittleEndian.AppendUint32(legacy, 4)
@@ -34,16 +36,22 @@ func FuzzReadHandshake(f *testing.F) {
 	f.Add(legacy)
 
 	// Edges: huge declared channel count, huge string length, empty.
-	f.Add([]byte{handshakeMagic, 1, 0, 0, 0xFF, 0xFF})
+	f.Add([]byte{handshakeMagic, handshakeVersion, 0, 0, 0xFF, 0xFF})
 	f.Add([]byte{1, 0xFF, 0xFF, 0xFF, 0xFF})
 	f.Add([]byte{})
+
+	// Retired versions and unknown capability bits.
+	f.Add([]byte{handshakeMagic, 1, 0, 0, 0, 0})
+	f.Add([]byte{handshakeMagic, 2, 0x05, 0, 0, 0})
+	f.Add([]byte{handshakeMagic, handshakeVersion, 0x04, 0, 0, 0})
+	f.Add([]byte{handshakeMagic, handshakeVersion, 0, 0x80, 0, 0})
 
 	// Wiretaint-identified boundaries. Channel count around
 	// maxHandshakeChannels (cap-1, cap, cap+1, uint16 max): exactly the
 	// cap must parse, one over must be rejected before the per-channel
 	// loop allocates anything.
 	capHdr := func(count uint16) []byte {
-		b := []byte{handshakeMagic, 1, 0, 0}
+		b := []byte{handshakeMagic, handshakeVersion, 0, 0}
 		return binary.LittleEndian.AppendUint16(b, count)
 	}
 	full := capHdr(maxHandshakeChannels)
@@ -75,15 +83,16 @@ func FuzzReadHandshake(f *testing.F) {
 			t.Fatalf("parsed invalid shard selector %d/%d", hs.sel.Index, hs.sel.Count)
 		}
 		var out bytes.Buffer
-		if err := writeHandshakeSharded(&out, hs.channels, hs.sel); err != nil {
+		if err := writeHandshakeOpts(&out, hs.channels, hs.sel, hs.columnsZ); err != nil {
 			t.Fatalf("re-encode parsed handshake: %v", err)
 		}
 		hs2, err := readHandshake(bytes.NewReader(out.Bytes()))
 		if err != nil {
 			t.Fatalf("re-parse written handshake: %v", err)
 		}
-		if hs2.sel != hs.sel {
-			t.Fatalf("round trip changed shard selector: %v != %v", hs2.sel, hs.sel)
+		if hs2.sel != hs.sel || hs2.columnsZ != hs.columnsZ {
+			t.Fatalf("round trip changed the negotiated options: %v/%v != %v/%v",
+				hs2.sel, hs2.columnsZ, hs.sel, hs.columnsZ)
 		}
 		if len(hs2.channels) != len(hs.channels) {
 			t.Fatalf("round trip changed channel count: %d != %d", len(hs2.channels), len(hs.channels))

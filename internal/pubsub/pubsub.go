@@ -7,9 +7,9 @@
 // filters, so uninterested consumers do not pay network cost.
 //
 // Remote fan-out is asynchronous: each connection owns a bounded send
-// queue drained by a dedicated writer goroutine, so Publish/PublishBatch
-// encode once, enqueue a shared frame per subscriber, and return without
-// ever waiting on a socket. A slow or stalled subscriber overflows only
+// queue drained by a dedicated writer goroutine, so PublishColumns and
+// PublishBatch encode once, enqueue a shared frame per subscriber, and
+// return without ever waiting on a socket. A slow or stalled subscriber overflows only
 // its own queue — shedding frames per the configured OverflowPolicy and
 // eventually being evicted — instead of backing up dissemination for the
 // whole node.
@@ -114,15 +114,10 @@ type remoteConn struct {
 	conn     net.Conn
 	q        *sendQueue
 	channels map[string]bool
-	version  int
 	// sel restricts this subscriber to one shard of the record stream
 	// (zero value = unsharded). Immutable after the handshake, so the
 	// publish path reads it without synchronization.
 	sel ShardSelector
-	// columns records that the subscriber advertised columnar-frame
-	// support in its handshake; without it, columnar publishes are
-	// transposed into row-batch (0x03) frames for this connection.
-	columns bool
 	// columnsZ records that the subscriber asked for per-column
 	// compressed (0x05) columnar frames. Honored per publish only while
 	// the broker's wire-compression knob is on.
@@ -239,9 +234,7 @@ type BrokerStats struct {
 // SubscriberStats is one remote connection's view of the fan-out.
 type SubscriberStats struct {
 	Addr             string
-	Version          int    // handshake version (0 = legacy)
 	Shard            string // shard selector ("i/N", empty = unsharded)
-	Columns          bool   // subscriber decodes columnar (0x04) frames
 	Compressed       bool   // subscriber requested compressed (0x05) frames
 	Channels         []string
 	QueueLen         int
@@ -276,8 +269,8 @@ type Broker struct {
 	// colsPlan caches the encode plan used by PublishColumns.
 	colsPlan columnsPlanCache
 
-	// lastPlan is a single-entry type→plan cache for the Publish and
-	// PublishBatch paths: monitoring traffic publishes one type per
+	// lastPlan is a single-entry type→plan cache for the PublishBatch
+	// path: monitoring traffic publishes one type per
 	// channel, so the registry map lookup (hash of a reflect.Type) is
 	// almost always redundant.
 	lastPlan atomic.Pointer[planCacheEntry]
@@ -434,64 +427,10 @@ func hasSharded(remotes []*remoteConn) bool {
 	return false
 }
 
-// Publish delivers rec to all subscribers of the channel. Local
-// subscribers receive the value directly; remote ones receive a PBIO
-// frame, encoded once and enqueued per subscriber — Publish returns as
-// soon as the frame is queued, without waiting on any socket. rec's type
-// must be registered (or plan-bound) for remote delivery.
-func (b *Broker) Publish(channelName string, rec any) error {
-	if b.closed.Load() {
-		return ErrClosed
-	}
-	b.published.Add(1)
-	subs := b.lookupChannel(channelName)
-	if subs == nil {
-		return nil
-	}
-	for _, s := range subs.locals {
-		if s.filter != nil && !s.filter(rec) {
-			continue
-		}
-		s.fn(rec)
-		b.localDeliver.Add(1)
-	}
-	remotes := subs.remotes
-	if len(remotes) == 0 {
-		return nil
-	}
-	if hasSharded(remotes) {
-		if fn := b.shardKeyFn(); fn != nil {
-			if key, ok := fn(rec); ok {
-				remotes = remotesForKey(remotes, key)
-			}
-		}
-		if len(remotes) == 0 {
-			return nil
-		}
-	}
-	f, err := b.encodeFrame(channelName, rec, false)
-	if err != nil {
-		return err
-	}
-	b.fanOut(remotes, f)
-	return nil
-}
-
-// remotesForKey narrows a fan-out set to the subscribers whose shard
-// selector matches the record's key (unsharded subscribers always match).
-func remotesForKey(remotes []*remoteConn, key uint64) []*remoteConn {
-	out := make([]*remoteConn, 0, len(remotes))
-	for _, rc := range remotes {
-		if rc.sel.Match(key) {
-			out = append(out, rc)
-		}
-	}
-	return out
-}
-
 // PublishBatch delivers a whole slice of records in one operation — the
-// dissemination daemon's buffer-drain path. recs must be a slice of a
-// registered (or plan-bound) struct type, or pointers to one.
+// row path for flow-less schemas (the per-flush aggregates channel);
+// interaction records travel as columns through PublishColumns. recs must
+// be a slice of a registered struct type, or pointers to one.
 //
 // Unfiltered local subscribers receive the slice itself as a single
 // value, so a batch costs one callback and one interface boxing instead
@@ -543,7 +482,7 @@ func (b *Broker) PublishBatch(channelName string, recs any) error {
 		return nil
 	}
 	if !hasSharded(subs.remotes) {
-		f, err := b.encodeFrame(channelName, recs, true)
+		f, err := b.encodeFrame(channelName, recs)
 		if err != nil {
 			return err
 		}
@@ -607,7 +546,7 @@ func (b *Broker) publishBatchSharded(channelName string, rv reflect.Value, remot
 			}
 			slice = kept
 		}
-		f, err := b.encodeFrame(channelName, slice.Interface(), true)
+		f, err := b.encodeFrame(channelName, slice.Interface())
 		if err != nil {
 			if firstErr == nil {
 				firstErr = err
@@ -619,21 +558,18 @@ func (b *Broker) publishBatchSharded(channelName string, rv reflect.Value, remot
 	return firstErr
 }
 
-// encodeFrame builds the shared wire frame for one publish: channel
-// header followed by the PBIO record or batch frame, encoded through the
-// type's cached plan straight into a pooled buffer.
-func (b *Broker) encodeFrame(channelName string, rec any, batch bool) (*frame, error) {
-	t := reflect.TypeOf(rec)
-	if batch {
-		t = t.Elem()
-	}
+// encodeFrame builds the shared wire frame for one batch publish:
+// channel header followed by the PBIO batch frame, encoded through the
+// element type's cached plan straight into a pooled buffer.
+func (b *Broker) encodeFrame(channelName string, recs any) (*frame, error) {
+	t := reflect.TypeOf(recs).Elem()
 	var p *pbio.Plan
 	if e := b.lastPlan.Load(); e != nil && e.t == t {
 		p = e.p
 	} else {
 		p = b.reg.PlanFor(t)
 		if p == nil {
-			return nil, fmt.Errorf("pubsub: no encode plan for %s (register or bind the type)", t)
+			return nil, fmt.Errorf("pubsub: no encode plan for %s (register the type)", t)
 		}
 		b.lastPlan.Store(&planCacheEntry{t: t, p: p})
 	}
@@ -642,13 +578,7 @@ func (b *Broker) encodeFrame(channelName string, rec any, batch bool) (*frame, e
 	f.hdrLen = len(f.buf)
 	f.channel = channelName
 	var err error
-	if batch {
-		f.buf, f.recs, err = p.AppendBatchFrame(f.buf, rec)
-	} else {
-		f.buf, err = p.AppendRecordFrame(f.buf, rec)
-		f.recs = 1
-	}
-	if err != nil {
+	if f.buf, f.recs, err = p.AppendBatchFrame(f.buf, recs); err != nil {
 		//lint:ignore atomicmix frame is not yet shared: released by this goroutine before any writer sees it
 		f.refs = 1
 		f.release()
@@ -792,9 +722,7 @@ func (b *Broker) Subscribers() []SubscriberStats {
 		}
 		out = append(out, SubscriberStats{
 			Addr:             rc.conn.RemoteAddr().String(),
-			Version:          rc.version,
 			Shard:            rc.sel.String(),
-			Columns:          rc.columns,
 			Compressed:       rc.columnsZ,
 			Channels:         chans,
 			QueueLen:         qs.len,
@@ -905,10 +833,8 @@ func (b *Broker) handleConn(conn net.Conn) {
 		conn:        conn,
 		q:           newSendQueue(int(b.queueDepth.Load())),
 		channels:    make(map[string]bool, len(hs.channels)),
-		version:     hs.version,
 		sel:         hs.sel,
-		columns:     hs.columns,
-		columnsZ:    hs.columnsZ && hs.columns,
+		columnsZ:    hs.columnsZ,
 		sentFormats: make(map[*pbio.Format]bool),
 	}
 	b.conns[rc] = true
@@ -918,14 +844,12 @@ func (b *Broker) handleConn(conn net.Conn) {
 				continue
 			}
 			rc.channels[name] = true
-			cur := m[name]
 			next := &subscribers{}
-			if cur != nil {
+			if cur := m[name]; cur != nil {
 				next.locals = cur.locals
-				next.remotes = append(append([]*remoteConn(nil), cur.remotes...), rc)
-			} else {
-				next.remotes = []*remoteConn{rc}
+				next.remotes = cur.remotes
 			}
+			next.remotes = insertRemote(next.remotes, rc)
 			m[name] = next
 		}
 	})
@@ -941,6 +865,18 @@ func (b *Broker) handleConn(conn net.Conn) {
 		}
 	}
 	b.dropConn(rc)
+}
+
+// insertRemote returns a fresh remotes slice with rc added, keeping the
+// connections that negotiated wire compression ahead of the plain ones —
+// the order splitByCompression relies on to cut a fan-out set in two
+// without partitioning it on every publish.
+func insertRemote(cur []*remoteConn, rc *remoteConn) []*remoteConn {
+	next := make([]*remoteConn, 0, len(cur)+1)
+	if rc.columnsZ {
+		return append(append(next, rc), cur...)
+	}
+	return append(append(next, cur...), rc)
 }
 
 // dropConn removes the connection from every channel, closes its socket,
@@ -1038,10 +974,9 @@ type Dialer struct {
 	// unsharded, the full stream).
 	Shard, Of int
 	// Compress asks the broker for per-column compressed columnar
-	// frames. The broker only honors the request when its own
-	// wire-compression knob is on; a legacy broker ignores the flag and
-	// keeps sending uncompressed frames, so setting this never breaks a
-	// link.
+	// frames. The broker only honors the request while its own
+	// wire-compression knob is on and serves plain columnar frames
+	// otherwise, so setting this never breaks a link.
 	Compress bool
 }
 
@@ -1070,8 +1005,9 @@ func dial(addr string, reg *pbio.Registry, sel ShardSelector, compress bool, cha
 }
 
 // Recv blocks for the next record, returning its channel and decoded
-// record. Batches published with PublishBatch are returned one record at
-// a time, transparently. io.EOF indicates the broker closed the
+// record. A columnar publish arrives as one record whose Value is the
+// whole batch; batches published with PublishBatch are returned one
+// record at a time, transparently. io.EOF indicates the broker closed the
 // connection.
 func (s *Subscriber) Recv() (string, *pbio.Record, error) {
 	if s.dec.Pending() > 0 {
@@ -1098,64 +1034,41 @@ func (s *Subscriber) Close() error { return s.conn.Close() }
 
 // --- wire helpers ---
 
-// Handshake wire formats. Legacy (v0) subscribers send a channel count
-// byte followed by the channel strings. Current (v1) subscribers lead
-// with an 0xFF magic byte — impossible as a sane v0 count — then a
-// version byte, a u16 capability-flags field, and a u16 channel count.
-// The broker accepts both, so old decoders keep working against new
-// brokers; the record stream itself is unchanged (plan-encoded frames
-// are byte-identical to the legacy encoder's output).
+// Handshake wire format: an 0xFF magic byte, a version byte, a u16
+// capability-flags field and a u16 channel count, then the optional
+// shard selector and the channel names. There is exactly one accepted
+// form — a subscriber gets the stream it asked for or no stream: any
+// other version, any flag bit outside the two below, and the pre-magic
+// form that led with a channel-count byte are framing errors that close
+// the connection.
 const (
 	handshakeMagic   = 0xFF
-	handshakeVersion = 2
-	// handshakeFlagPlans advertises that the subscriber understands
-	// streams produced by cached encode plans. Informational for now —
-	// the wire bytes are identical either way — but gives future format
-	// changes a negotiation point.
-	handshakeFlagPlans = 1 << 0
+	handshakeVersion = 3
 	// handshakeFlagShard says an 8-byte shard selector (u32 index, u32
 	// count, little-endian) follows the header, before the channel names.
-	// Brokers that predate sharding reject the unknown bytes as a framing
-	// error, so a sharded gpad cannot silently receive a full stream from
-	// an old broker.
-	handshakeFlagShard = 1 << 1
-	// handshakeFlagColumns advertises that the subscriber decodes
-	// columnar (0x04) batch frames. The broker keys on this flag — not
-	// the version byte — so a columnar publish reaches flag-less
-	// subscribers as the row-batch (0x03) frames they already understand.
-	handshakeFlagColumns = 1 << 2
+	handshakeFlagShard = 1 << 0
 	// handshakeFlagColumnsZ asks for per-column compressed (0x05)
 	// columnar frames — the WAN knob for federated shard links. The
-	// broker honors it only when its own wire-compression knob is on and
-	// the subscriber also advertised plain columnar support; either side
-	// can therefore veto compression without breaking the link.
-	handshakeFlagColumnsZ = 1 << 3
+	// broker honors it only while its own wire-compression knob is on, so
+	// either side can veto compression without breaking the link.
+	handshakeFlagColumnsZ = 1 << 1
+
+	handshakeKnownFlags = handshakeFlagShard | handshakeFlagColumnsZ
 
 	maxHandshakeChannels = 1024
 )
 
 type handshake struct {
-	version  int
-	flags    uint16
 	sel      ShardSelector
-	columns  bool
 	columnsZ bool
 	channels []string
-}
-
-func writeHandshake(w io.Writer, channels []string) error {
-	return writeHandshakeSharded(w, channels, ShardSelector{})
-}
-
-func writeHandshakeSharded(w io.Writer, channels []string, sel ShardSelector) error {
-	return writeHandshakeOpts(w, channels, sel, false)
 }
 
 func writeHandshakeOpts(w io.Writer, channels []string, sel ShardSelector, compress bool) error {
 	if len(channels) > maxHandshakeChannels {
 		return fmt.Errorf("pubsub: handshake: %d channels exceeds limit %d", len(channels), maxHandshakeChannels)
 	}
-	flags := uint16(handshakeFlagPlans | handshakeFlagColumns)
+	var flags uint16
 	if compress {
 		flags |= handshakeFlagColumnsZ
 	}
@@ -1190,43 +1103,42 @@ func writeHandshakeOpts(w io.Writer, channels []string, sel ShardSelector, compr
 }
 
 func readHandshake(r io.Reader) (handshake, error) {
-	var first [1]byte
-	if _, err := io.ReadFull(r, first[:]); err != nil {
+	// The magic byte is checked before anything else is read, so a peer
+	// speaking the old count-byte form is refused on its first byte
+	// instead of being waited on for five more.
+	var hdr [6]byte
+	if _, err := io.ReadFull(r, hdr[:1]); err != nil {
 		return handshake{}, err
 	}
-	var hs handshake
-	var count int
-	if first[0] == handshakeMagic {
-		var rest [5]byte
-		if _, err := io.ReadFull(r, rest[:]); err != nil {
+	if hdr[0] != handshakeMagic {
+		return handshake{}, fmt.Errorf("pubsub: handshake: leading byte 0x%02x, want magic 0x%02x", hdr[0], handshakeMagic)
+	}
+	if _, err := io.ReadFull(r, hdr[1:]); err != nil {
+		return handshake{}, err
+	}
+	if hdr[1] != handshakeVersion {
+		return handshake{}, fmt.Errorf("pubsub: handshake: version %d, want %d", hdr[1], handshakeVersion)
+	}
+	flags := binary.LittleEndian.Uint16(hdr[2:4])
+	if unknown := flags &^ handshakeKnownFlags; unknown != 0 {
+		return handshake{}, fmt.Errorf("pubsub: handshake: unknown capability flags 0x%04x", unknown)
+	}
+	count := int(binary.LittleEndian.Uint16(hdr[4:6]))
+	if count > maxHandshakeChannels {
+		return handshake{}, fmt.Errorf("pubsub: handshake: %d channels exceeds limit %d", count, maxHandshakeChannels)
+	}
+	hs := handshake{columnsZ: flags&handshakeFlagColumnsZ != 0}
+	if flags&handshakeFlagShard != 0 {
+		var sb [8]byte
+		if _, err := io.ReadFull(r, sb[:]); err != nil {
 			return handshake{}, err
 		}
-		hs.version = int(rest[0])
-		if hs.version < 1 {
-			return handshake{}, fmt.Errorf("pubsub: handshake: bad version %d", hs.version)
+		hs.sel.Index = binary.LittleEndian.Uint32(sb[0:4])
+		hs.sel.Count = binary.LittleEndian.Uint32(sb[4:8])
+		if !hs.sel.Valid() || hs.sel.Count > maxShardCount {
+			return handshake{}, fmt.Errorf("pubsub: handshake: bad shard selector %d/%d",
+				hs.sel.Index, hs.sel.Count)
 		}
-		hs.flags = binary.LittleEndian.Uint16(rest[1:3])
-		hs.columns = hs.flags&handshakeFlagColumns != 0
-		hs.columnsZ = hs.flags&handshakeFlagColumnsZ != 0
-		count = int(binary.LittleEndian.Uint16(rest[3:5]))
-		if count > maxHandshakeChannels {
-			return handshake{}, fmt.Errorf("pubsub: handshake: %d channels exceeds limit %d", count, maxHandshakeChannels)
-		}
-		if hs.flags&handshakeFlagShard != 0 {
-			var sb [8]byte
-			if _, err := io.ReadFull(r, sb[:]); err != nil {
-				return handshake{}, err
-			}
-			hs.sel.Index = binary.LittleEndian.Uint32(sb[0:4])
-			hs.sel.Count = binary.LittleEndian.Uint32(sb[4:8])
-			if !hs.sel.Valid() || hs.sel.Count > maxShardCount {
-				return handshake{}, fmt.Errorf("pubsub: handshake: bad shard selector %d/%d",
-					hs.sel.Index, hs.sel.Count)
-			}
-		}
-	} else {
-		// Legacy subscriber: the first byte is the channel count.
-		count = int(first[0])
 	}
 	hs.channels = make([]string, 0, count)
 	for i := 0; i < count; i++ {

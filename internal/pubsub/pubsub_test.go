@@ -24,19 +24,23 @@ func newReg(t *testing.T) *pbio.Registry {
 	return reg
 }
 
+// publishOne publishes a one-record batch: the tests below drive the
+// fan-out machinery one record at a time.
+func publishOne(b *Broker, channel string, m metric) error {
+	return b.PublishBatch(channel, []metric{m})
+}
+
 func TestLocalPublishSubscribe(t *testing.T) {
 	b := NewBroker(newReg(t))
 	defer b.Close()
 	var got []metric
 	b.Subscribe("lpa.interactions", func(rec any) {
-		if m, ok := rec.(metric); ok {
-			got = append(got, m)
-		}
+		got = append(got, rec.([]metric)...)
 	})
-	if err := b.Publish("lpa.interactions", metric{Name: "x", Value: 1}); err != nil {
+	if err := publishOne(b, "lpa.interactions", metric{Name: "x", Value: 1}); err != nil {
 		t.Fatal(err)
 	}
-	if err := b.Publish("other.channel", metric{Name: "ignored"}); err != nil {
+	if err := publishOne(b, "other.channel", metric{Name: "ignored"}); err != nil {
 		t.Fatal(err)
 	}
 	if len(got) != 1 || got[0].Name != "x" {
@@ -52,10 +56,10 @@ func TestLocalFilter(t *testing.T) {
 	b := NewBroker(newReg(t))
 	defer b.Close()
 	var got []int64
-	b.Subscribe("m", func(rec any) { got = append(got, rec.(metric).Value) },
+	b.Subscribe("m", func(rec any) { got = append(got, rec.([]metric)[0].Value) },
 		WithFilter(func(rec any) bool { return rec.(metric).Value%2 == 0 }))
 	for i := int64(1); i <= 4; i++ {
-		_ = b.Publish("m", metric{Value: i})
+		_ = publishOne(b, "m", metric{Value: i})
 	}
 	if len(got) != 2 || got[0] != 2 || got[1] != 4 {
 		t.Fatalf("filtered values = %v", got)
@@ -67,10 +71,10 @@ func TestLocalUnsubscribe(t *testing.T) {
 	defer b.Close()
 	n := 0
 	sub := b.Subscribe("m", func(any) { n++ })
-	_ = b.Publish("m", metric{})
+	_ = publishOne(b, "m", metric{})
 	sub.Close()
 	sub.Close() // idempotent
-	_ = b.Publish("m", metric{})
+	_ = publishOne(b, "m", metric{})
 	if n != 1 {
 		t.Fatalf("deliveries = %d, want 1", n)
 	}
@@ -98,7 +102,7 @@ func TestRemoteSubscriberOverTCP(t *testing.T) {
 	// Give the handshake a moment to register server-side.
 	deadline := time.Now().Add(2 * time.Second)
 	for {
-		if err := b.Publish("gpa.feed", metric{Name: "rt", Value: 7, Dur: time.Second}); err != nil {
+		if err := publishOne(b, "gpa.feed", metric{Name: "rt", Value: 7, Dur: time.Second}); err != nil {
 			t.Fatal(err)
 		}
 		if b.Stats().RemoteDeliver > 0 {
@@ -157,8 +161,8 @@ func TestRemoteOnlySubscribedChannels(t *testing.T) {
 
 	deadline := time.Now().Add(2 * time.Second)
 	for b.Stats().RemoteDeliver == 0 {
-		_ = b.Publish("unwanted", metric{Name: "no"})
-		_ = b.Publish("wanted", metric{Name: "yes"})
+		_ = publishOne(b, "unwanted", metric{Name: "no"})
+		_ = publishOne(b, "wanted", metric{Name: "yes"})
 		if time.Now().After(deadline) {
 			t.Fatal("no remote delivery")
 		}
@@ -284,7 +288,7 @@ func TestPublishBatchRemote(t *testing.T) {
 func TestPublishAfterCloseErrors(t *testing.T) {
 	b := NewBroker(newReg(t))
 	b.Close()
-	if err := b.Publish("m", metric{}); !errors.Is(err, ErrClosed) {
+	if err := publishOne(b, "m", metric{}); !errors.Is(err, ErrClosed) {
 		t.Fatalf("err = %v, want ErrClosed", err)
 	}
 	b.Close() // idempotent
@@ -307,7 +311,7 @@ func TestDeadRemoteDroppedOnPublish(t *testing.T) {
 	// Wait for registration, then kill the client abruptly.
 	deadline := time.Now().Add(2 * time.Second)
 	for b.Stats().RemoteDeliver == 0 {
-		_ = b.Publish("m", metric{})
+		_ = publishOne(b, "m", metric{})
 		if time.Now().After(deadline) {
 			t.Fatal("no remote delivery")
 		}
@@ -318,7 +322,7 @@ func TestDeadRemoteDroppedOnPublish(t *testing.T) {
 	// without wedging the broker.
 	deadline = time.Now().Add(5 * time.Second)
 	for {
-		_ = b.Publish("m", metric{})
+		_ = publishOne(b, "m", metric{})
 		if b.Stats().RemoteFailures > 0 {
 			break
 		}
@@ -327,7 +331,7 @@ func TestDeadRemoteDroppedOnPublish(t *testing.T) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	if err := b.Publish("m", metric{}); err != nil {
+	if err := publishOne(b, "m", metric{}); err != nil {
 		// Second publish after the drop should be clean (no remotes left).
 		if b.Stats().RemoteFailures < 1 {
 			t.Fatalf("unexpected error: %v", err)

@@ -66,8 +66,7 @@ func drain(t *testing.T, s *Subscriber, want int) []int64 {
 
 // TestShardedSubscribersPartitionStream checks that shard i/N receives
 // exactly the records whose shard key maps to it while an unsharded
-// subscriber still sees everything, for both single-record and batch
-// publishes.
+// subscriber still sees everything.
 func TestShardedSubscribersPartitionStream(t *testing.T) {
 	b, addr := shardedHarness(t)
 	reg := newReg(t)
@@ -97,10 +96,10 @@ func TestShardedSubscribersPartitionStream(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 
-	// Values 0..5 singly, then 6..11 as one batch: evens to shard 0,
-	// odds to shard 1, everything to the unsharded subscriber.
+	// Values 0..5 as one-record batches, then 6..11 as one batch: evens
+	// to shard 0, odds to shard 1, everything to the unsharded subscriber.
 	for v := int64(0); v < 6; v++ {
-		if err := b.Publish("m", metric{Value: v}); err != nil {
+		if err := publishOne(b, "m", metric{Value: v}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -168,4 +167,57 @@ func TestDialShardedValidation(t *testing.T) {
 			t.Fatalf("DialSharded(%d, %d) accepted a bad selector", tc[0], tc[1])
 		}
 	}
+}
+
+// TestSplitByCompressionCutsOrderedRemotes pins the invariant the
+// columnar fan-out leans on instead of partitioning per publish: however
+// compressed and plain links interleave as they connect, insertRemote
+// keeps the compressed ones first, order-preserving filters (what
+// dropConn and shard grouping do) keep them first, and
+// splitByCompression therefore recovers both classes with one cut.
+func TestSplitByCompressionCutsOrderedRemotes(t *testing.T) {
+	var remotes []*remoteConn
+	wantZ := 0
+	for i, z := range []bool{false, true, false, false, true, true, false} {
+		remotes = insertRemote(remotes, &remoteConn{columnsZ: z, sel: ShardSelector{Index: uint32(i % 2), Count: 2}})
+		if z {
+			wantZ++
+		}
+	}
+	check := func(name string, set []*remoteConn, wantZ int) {
+		t.Helper()
+		compressed, plain := splitByCompression(set, true)
+		if len(compressed) != wantZ || len(compressed)+len(plain) != len(set) {
+			t.Fatalf("%s: cut %d compressed + %d plain out of %d, want %d compressed",
+				name, len(compressed), len(plain), len(set), wantZ)
+		}
+		for _, rc := range compressed {
+			if !rc.columnsZ {
+				t.Fatalf("%s: plain link in the compressed class", name)
+			}
+		}
+		for _, rc := range plain {
+			if rc.columnsZ {
+				t.Fatalf("%s: compressed link in the plain class", name)
+			}
+		}
+		// The broker veto: everything is served plain.
+		if z, p := splitByCompression(set, false); len(z) != 0 || len(p) != len(set) {
+			t.Fatalf("%s: veto left %d compressed, %d plain", name, len(z), len(p))
+		}
+	}
+	check("all", remotes, wantZ)
+
+	var shard0 []*remoteConn // order-preserving filter, as shard grouping and dropConn build
+	z0 := 0
+	for _, rc := range remotes {
+		if rc.sel.Index == 0 {
+			shard0 = append(shard0, rc)
+			if rc.columnsZ {
+				z0++
+			}
+		}
+	}
+	check("shard-0 group", shard0, z0)
+	check("empty", nil, 0)
 }
