@@ -8,10 +8,10 @@
 //	go run ./cmd/benchhot [-benchtime 1s] [-count 1] [-out BENCH_hotpath.json]
 //
 // The benchmark set is the same one the CI benchmark-smoke step compiles:
-// GPA columnar ingest, remote publish (one-record and 64-record batch
-// frames), the dissemination encoders (row batch, plain and compressed
-// columnar), and the CPA per-event engines (interpreter vs compiled
-// closures).
+// GPA columnar ingest and the federated correlated-page round trip,
+// remote publish (one-record and 64-record batch frames), the
+// dissemination encoders (row batch, plain and compressed columnar), and
+// the CPA per-event engines (interpreter vs compiled closures).
 package main
 
 import (
@@ -31,7 +31,7 @@ var hotPathBenchmarks = []struct {
 	pkg     string
 	pattern string
 }{
-	{"./internal/gpa/", "BenchmarkIngestColumns"},
+	{"./internal/gpa/", "BenchmarkIngestColumns|BenchmarkCorrelatedPage"},
 	{"./internal/pubsub/", "BenchmarkPublishRemote|BenchmarkPublishBatchRemote"},
 	{"./internal/dissem/", "BenchmarkFlushEncode|BenchmarkColumnsEncode"},
 	{"./internal/pbio/", "BenchmarkPBIOEncodeReuse"},

@@ -15,6 +15,7 @@ import (
 	"sysprof/internal/pbio"
 	"sysprof/internal/procfs"
 	"sysprof/internal/pubsub"
+	"sysprof/internal/recwire"
 	"sysprof/internal/sim"
 	"sysprof/internal/simnet"
 )
@@ -72,19 +73,15 @@ func AggFromWire(w *WireAggregate) (simnet.NodeID, core.Aggregate) {
 }
 
 // RegisterFormats registers the daemon's wire formats with a PBIO
-// registry (both broker and subscriber sides need this). The interaction
-// format is derived from core.Record itself — pbio flattens the nested
-// flow key into four u16 fields — so the broker encodes columnar batches
-// straight into the wire buffer and subscribers decode them straight
-// back into *core.RecordColumns.
+// registry (both broker and subscriber sides need this): the interaction
+// format and its column decoder (recwire), and the aggregate-delta rows.
 func RegisterFormats(reg *pbio.Registry) error {
-	if _, err := reg.Register("sysprof.interaction", core.Record{}); err != nil {
+	if err := recwire.Register(reg); err != nil {
 		return fmt.Errorf("dissem: %w", err)
 	}
 	if _, err := reg.Register("sysprof.aggregate", WireAggregate{}); err != nil {
 		return fmt.Errorf("dissem: %w", err)
 	}
-	reg.BindColumnDecoder("sysprof.interaction", decodeInteractionColumns)
 	return nil
 }
 

@@ -123,3 +123,31 @@ func benchmarkIngestParallel(b *testing.B, shards int) {
 		}
 	})
 }
+
+// BenchmarkCorrelatedPage is one federated page pull without the socket:
+// a shard renders its 256-interaction history as a "pcorrelated" reply
+// (gather from the stripes, order by completion, encode head and halves)
+// and the frontend decodes and validates it — the step that runs once per
+// shard per correlated query.
+func BenchmarkCorrelatedPage(b *testing.B) {
+	g := benchGPA()
+	g.IngestColumns(benchColumns(512)) // 256 correlating pairs
+	if n := len(g.Correlated()); n != 256 {
+		b.Fatalf("history holds %d interactions, want 256", n)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		reply, err := g.correlatedPage(0, pageFrameRows)
+		if err != nil {
+			b.Fatal(err)
+		}
+		page, err := decodeCorrelatedPage(reply)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if page.Len() != 256 {
+			b.Fatalf("page of %d rows, want 256", page.Len())
+		}
+	}
+}

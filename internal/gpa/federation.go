@@ -10,8 +10,9 @@ package gpa
 // reach the same process and correlation never crosses a process
 // boundary). The Frontend here is the merge component: it fans each
 // query out to the shard processes over their existing query/TCP
-// endpoints and merges the decoded JSON replies — correlated streams in
-// global completion order, class aggregates by Aggregate.Merge, loads by
+// endpoints and merges the decoded replies (JSON documents; the correlated
+// stream as pbio columnar pages) — correlated streams in global
+// completion order, class aggregates by Aggregate.Merge, loads by
 // interaction-weighted means, counters by summation.
 //
 // Failure semantics: a dead shard degrades the answer, it does not
@@ -345,56 +346,6 @@ func (f *Frontend) ClassAggregates(node simnet.NodeID) (map[string]core.Aggregat
 	return m, st, nil
 }
 
-// correlatedSeqRows is the row-path reference merge: fan out the row
-// query, flatten every shard's stream, and sort the whole thing by
-// (completion, shard, sequence). CorrelatedSeq (federation_columns.go)
-// streams columnar pages through a k-way heap on the same key; this
-// materialize-then-sort form is kept as the oracle its equivalence test
-// compares against.
-func (f *Frontend) correlatedSeqRows() ([]SeqEndToEnd, FederationStatus, error) {
-	replies, st := f.fanOut("jcorrelated")
-	if st.allDead() {
-		return nil, st, fmt.Errorf("%w: %s", errAllShardsDead, strings.Join(st.Errors, "; "))
-	}
-	type tagged struct {
-		done  time.Duration
-		shard int
-		seq   uint64
-		e2e   EndToEnd
-	}
-	var all []tagged
-	for _, r := range replies {
-		if r.err != nil {
-			continue
-		}
-		var recs []SeqEndToEnd
-		if err := json.Unmarshal([]byte(r.payload), &recs); err != nil {
-			return nil, st, fmt.Errorf("gpa: shard %d reply: %w", r.index, err)
-		}
-		for _, rec := range recs {
-			done := rec.Client.End
-			if rec.Server.End > done {
-				done = rec.Server.End
-			}
-			all = append(all, tagged{done: done, shard: r.index, seq: rec.Seq, e2e: rec.EndToEnd})
-		}
-	}
-	sort.Slice(all, func(i, j int) bool {
-		if all[i].done != all[j].done {
-			return all[i].done < all[j].done
-		}
-		if all[i].shard != all[j].shard {
-			return all[i].shard < all[j].shard
-		}
-		return all[i].seq < all[j].seq
-	})
-	out := make([]SeqEndToEnd, len(all))
-	for i, t := range all {
-		out[i] = SeqEndToEnd{Seq: uint64(i + 1), EndToEnd: t.e2e}
-	}
-	return out, st, nil
-}
-
 // Correlated returns the merged end-to-end interactions in global
 // completion order.
 func (f *Frontend) Correlated() ([]EndToEnd, FederationStatus, error) {
@@ -532,18 +483,13 @@ func (f *Frontend) Execute(line string) (string, error) {
 		if err != nil {
 			return "", err
 		}
-		recs, st, err := f.Correlated()
+		recs, st, err := f.correlatedTail(n)
 		if err != nil {
 			return "", err
 		}
-		if len(recs) > n {
-			recs = recs[len(recs)-n:]
-		}
 		var sb strings.Builder
-		for _, e := range recs {
-			fmt.Fprintf(&sb, "%s client=%v server=%v network=%v class=%s\n",
-				e.Flow, e.Client.Residence(), e.Server.Residence(),
-				e.NetworkDelay(), e.Server.Class)
+		for i := range recs {
+			writeRecent(&sb, &recs[i].EndToEnd)
 		}
 		return strings.TrimRight(sb.String(), "\n") + st.marker(), nil
 	case "jstats":
@@ -578,20 +524,13 @@ func (f *Frontend) Execute(line string) (string, error) {
 		}
 		return envelope(st, all)
 	case "jcorrelated":
-		recs, st, err := f.CorrelatedSeq()
+		n, err := tailCount(fields)
 		if err != nil {
 			return "", err
 		}
-		if len(fields) == 2 {
-			n, err := parseCount(fields[1])
-			if err != nil {
-				return "", err
-			}
-			if len(recs) > n {
-				recs = recs[len(recs)-n:]
-			}
-		} else if len(fields) > 2 {
-			return "", errors.New("gpa: usage: jcorrelated [n]")
+		recs, st, err := f.correlatedTail(n)
+		if err != nil {
+			return "", err
 		}
 		return envelope(st, recs)
 	case "federation":

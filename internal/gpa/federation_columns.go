@@ -1,21 +1,17 @@
 package gpa
 
 // The federated correlated stream in columnar form. "jcorrelated" ships
-// every interaction as a full JSON object, so a busy shard's history
-// page is dominated by repeated field names; "jcorrelatedcolsz" serves
-// the same stream as one column-oriented, gzip'd page. The frontend
-// merges shard pages without materializing intermediate rows: each page
-// is permuted into completion order once, then a k-way heap walks the
-// cursors emitting globally ordered rows straight into the reply slice.
+// every interaction as a full JSON object for operators; between shards
+// and the frontend the same stream travels as a pbio columnar page
+// (pagewire.go). The frontend merges shard pages without materializing
+// intermediate rows: each page is permuted into completion order once,
+// then a k-way heap walks the cursors emitting globally ordered rows
+// straight into the reply slice.
 
 import (
-	"bytes"
-	"compress/gzip"
-	"encoding/base64"
-	"encoding/json"
+	"cmp"
 	"fmt"
-	"io"
-	"sort"
+	"slices"
 	"strings"
 	"time"
 
@@ -24,36 +20,32 @@ import (
 )
 
 // E2EColumns is a correlated-stream page in structure-of-arrays form:
-// parallel sequence and flow columns plus the client and server halves
-// as columnar record batches. It is the payload of the jcorrelatedcolsz
-// query — the streamed form federation frontends merge.
+// parallel sequence and flow columns plus the client and server halves as
+// columnar record batches — what a shard renders a "pcorrelated" reply
+// from and what the frontend decodes one into.
 type E2EColumns struct {
-	Seqs   []uint64           `json:"seqs"`
-	Flows  []simnet.FlowKey   `json:"flows"`
-	Client core.RecordColumns `json:"client"`
-	Server core.RecordColumns `json:"server"`
+	Seqs   []uint64
+	Flows  []simnet.FlowKey
+	Client core.RecordColumns
+	Server core.RecordColumns
 }
 
 // Len returns the page's row count.
 func (p *E2EColumns) Len() int { return len(p.Seqs) }
 
-// appendE2E adds one tagged interaction to the page.
-func (p *E2EColumns) appendE2E(rec *SeqEndToEnd) {
-	p.Seqs = append(p.Seqs, rec.Seq)
-	p.Flows = append(p.Flows, rec.Flow)
-	p.Client.Append(&rec.Client)
-	p.Server.Append(&rec.Server)
+// reset truncates the page to zero rows, keeping capacity.
+func (p *E2EColumns) reset() {
+	p.Seqs, p.Flows = p.Seqs[:0], p.Flows[:0]
+	p.Client.Reset()
+	p.Server.Reset()
 }
 
-// e2eColumnsOf transposes a row stream into a columnar page.
-func e2eColumnsOf(recs []SeqEndToEnd) *E2EColumns {
-	p := &E2EColumns{}
-	p.Client.Grow(len(recs))
-	p.Server.Grow(len(recs))
-	for i := range recs {
-		p.appendE2E(&recs[i])
-	}
-	return p
+// appendE2E adds one tagged interaction to the page.
+func (p *E2EColumns) appendE2E(seq uint64, e *EndToEnd) {
+	p.Seqs = append(p.Seqs, seq)
+	p.Flows = append(p.Flows, e.Flow)
+	p.Client.Append(&e.Client)
+	p.Server.Append(&e.Server)
 }
 
 // validate rejects pages whose columns disagree on row count — a
@@ -91,20 +83,26 @@ func checkRecordColumns(c *core.RecordColumns, n int) error {
 	return nil
 }
 
-// CorrelatedColumns returns the correlated history as one columnar
-// page, in per-process completion order — what "jcorrelatedcolsz"
-// serves to federation frontends.
-func (g *GPA) CorrelatedColumns() *E2EColumns {
-	return e2eColumnsOf(g.CorrelatedSeq())
+// done is the merge key's primary component: row i's completion time,
+// the later of the two endpoint Ends.
+func (p *E2EColumns) done(i int) time.Duration {
+	return max(p.Client.Ends[i], p.Server.Ends[i])
 }
 
-// pageDone is the merge key's primary component: the interaction's
-// completion time, the later of the two endpoint Ends.
-func pageDone(p *E2EColumns, i int) time.Duration {
-	if d := p.Server.Ends[i]; d > p.Client.Ends[i] {
-		return d
+// completionOrder appends the page's row indices to order, sorted by
+// (completion, seq) — the merge key within one shard. Sequence numbers
+// are unique per shard, which makes the key a total order on the page.
+func (p *E2EColumns) completionOrder(order []int) []int {
+	for i := range p.Seqs {
+		order = append(order, i)
 	}
-	return p.Client.Ends[i]
+	slices.SortFunc(order, func(a, b int) int {
+		if c := cmp.Compare(p.done(a), p.done(b)); c != 0 {
+			return c
+		}
+		return cmp.Compare(p.Seqs[a], p.Seqs[b])
+	})
+	return order
 }
 
 // mergeHead is one shard's cursor in the k-way merge: its page, the
@@ -120,22 +118,9 @@ type mergeHead struct {
 }
 
 func newMergeHead(shard int, page *E2EColumns) *mergeHead {
-	order := make([]int, page.Len())
-	for i := range order {
-		order[i] = i
-	}
-	// Shard servers emit the history in per-process sequence order;
-	// completion order can differ when interactions overlap, so the page
-	// is permuted once up front. Sequence numbers are unique per shard,
-	// which makes the (done, seq) key a total order within the page.
-	sort.Slice(order, func(a, b int) bool {
-		da, db := pageDone(page, order[a]), pageDone(page, order[b])
-		if da != db {
-			return da < db
-		}
-		return page.Seqs[order[a]] < page.Seqs[order[b]]
-	})
-	h := &mergeHead{shard: shard, page: page, order: order}
+	// A well-behaved shard already emits completion order, which makes
+	// this sort a linear scan; the reply is untrusted, so it still runs.
+	h := &mergeHead{shard: shard, page: page, order: page.completionOrder(make([]int, 0, page.Len()))}
 	h.reload()
 	return h
 }
@@ -143,13 +128,13 @@ func newMergeHead(shard int, page *E2EColumns) *mergeHead {
 // reload refreshes the cursor key from the row at pos.
 func (h *mergeHead) reload() {
 	i := h.order[h.pos]
-	h.done = pageDone(h.page, i)
+	h.done = h.page.done(i)
 	h.seq = h.page.Seqs[i]
 }
 
 // less orders cursors by the global merge key (done, shard, seq) — the
-// same key correlatedSeqRows sorts the flattened rows by, which is what
-// makes the two paths byte-identical.
+// same key the row oracle (merge_oracle_test.go) sorts the flattened rows
+// by, which is what makes the two paths byte-identical.
 func (h *mergeHead) less(o *mergeHead) bool {
 	if h.done != o.done {
 		return h.done < o.done
@@ -178,77 +163,31 @@ func siftDown(hs []*mergeHead, i int) {
 	}
 }
 
-// maxPageBytes bounds one decompressed shard page (256 MiB). A
-// malicious or corrupt shard must not be able to balloon the frontend's
-// memory with a tiny gzip bomb.
-const maxPageBytes = 1 << 28
-
-// gzipPage compresses one JSON page and frames it as base64 so the
-// binary stream survives the line-oriented query protocol.
-func gzipPage(payload string) (string, error) {
-	var buf bytes.Buffer
-	zw := gzip.NewWriter(&buf)
-	if _, err := zw.Write([]byte(payload)); err != nil {
-		return "", fmt.Errorf("gpa: compress page: %w", err)
-	}
-	if err := zw.Close(); err != nil {
-		return "", fmt.Errorf("gpa: compress page: %w", err)
-	}
-	return base64.StdEncoding.EncodeToString(buf.Bytes()), nil
-}
-
-// gunzipPage reverses gzipPage, refusing pages that decompress past
-// maxPageBytes.
-func gunzipPage(payload string) ([]byte, error) {
-	raw, err := base64.StdEncoding.DecodeString(payload)
-	if err != nil {
-		return nil, fmt.Errorf("bad base64 framing: %w", err)
-	}
-	zr, err := gzip.NewReader(bytes.NewReader(raw))
-	if err != nil {
-		return nil, fmt.Errorf("bad gzip stream: %w", err)
-	}
-	defer zr.Close()
-	out, err := io.ReadAll(io.LimitReader(zr, maxPageBytes+1))
-	if err != nil {
-		return nil, fmt.Errorf("bad gzip stream: %w", err)
-	}
-	if len(out) > maxPageBytes {
-		return nil, fmt.Errorf("page decompresses past %d bytes", maxPageBytes)
-	}
-	return out, nil
-}
-
-// decodeCorrelatedPage parses one shard's jcorrelatedcolsz payload:
-// base64'd gzip of the columnar page's JSON object.
-func decodeCorrelatedPage(payload string) (*E2EColumns, error) {
-	raw, err := gunzipPage(strings.TrimSpace(payload))
-	if err != nil {
-		return nil, fmt.Errorf("gpa: compressed page: %w", err)
-	}
-	page := new(E2EColumns)
-	if err := json.Unmarshal(raw, page); err != nil {
-		return nil, err
-	}
-	if err := page.validate(); err != nil {
-		return nil, err
-	}
-	return page, nil
-}
-
 // CorrelatedSeq merges the shards' correlated streams into one global
 // completion order and renumbers the sequence tags. Per-process
 // sequence numbers only order each shard's own stream, so the merge key
 // is the interaction's completion time (the later endpoint End), with
 // shard index and per-shard sequence as deterministic tie-breaks.
 //
-// The fan-out asks each shard for its gzip'd columnar page, then streams
-// the pages through a k-way heap, materializing rows only as they are
+// The fan-out asks each shard for its columnar page, then streams the
+// pages through a k-way heap, materializing rows only as they are
 // emitted into the reply. A shard that fails the query — unreachable, or
 // answering with an error — is reported dead and the result degrades to
 // a partial one.
 func (f *Frontend) CorrelatedSeq() ([]SeqEndToEnd, FederationStatus, error) {
-	replies, st := f.fanOut("jcorrelatedcolsz")
+	return f.correlatedTail(0)
+}
+
+// correlatedTail is CorrelatedSeq cut to the last n interactions (0 =
+// all), numbered from 1. The count is pushed down: each shard sends its
+// own last n under the merge key, whose union contains the global last n,
+// and the merge materializes only those.
+func (f *Frontend) correlatedTail(n int) ([]SeqEndToEnd, FederationStatus, error) {
+	cmd := "pcorrelated"
+	if n > 0 {
+		cmd = fmt.Sprintf("pcorrelated %d", n)
+	}
+	replies, st := f.fanOut(cmd)
 	if st.allDead() {
 		return nil, st, fmt.Errorf("%w: %s", errAllShardsDead, strings.Join(st.Errors, "; "))
 	}
@@ -272,18 +211,23 @@ func (f *Frontend) CorrelatedSeq() ([]SeqEndToEnd, FederationStatus, error) {
 	for i := len(heads)/2 - 1; i >= 0; i-- {
 		siftDown(heads, i)
 	}
-	out := make([]SeqEndToEnd, 0, total)
-	for len(heads) > 0 {
+	skip := 0
+	if n > 0 && total > n {
+		skip = total - n
+	}
+	out := make([]SeqEndToEnd, 0, total-skip)
+	for merged := 0; len(heads) > 0; merged++ {
 		h := heads[0]
-		i := h.order[h.pos]
-		out = append(out, SeqEndToEnd{
-			Seq: uint64(len(out) + 1),
-			EndToEnd: EndToEnd{
-				Flow:   h.page.Flows[i],
-				Client: h.page.Client.Row(i),
-				Server: h.page.Server.Row(i),
-			},
-		})
+		if i := h.order[h.pos]; merged >= skip {
+			out = append(out, SeqEndToEnd{
+				Seq: uint64(len(out) + 1),
+				EndToEnd: EndToEnd{
+					Flow:   h.page.Flows[i],
+					Client: h.page.Client.Row(i),
+					Server: h.page.Server.Row(i),
+				},
+			})
+		}
 		h.pos++
 		if h.pos == len(h.order) {
 			heads[0] = heads[len(heads)-1]

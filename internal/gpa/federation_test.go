@@ -17,15 +17,32 @@ import (
 // fedHarness is an in-process federation: N shard analyzers plus a
 // monolithic reference analyzer fed the same records, and a Frontend
 // whose dial function pipes to the shard query servers (endpoint "i" =
-// shard i). dead marks shards whose dial fails.
+// shard i). dead marks shards whose dial fails; a non-zero frameRows makes
+// every shard cut its page's half frames that short, so small histories
+// exercise the multi-frame path.
 type fedHarness struct {
-	shards []*GPA
-	mono   *GPA
-	fe     *Frontend
-	dead   map[int]bool
+	shards    []*GPA
+	mono      *GPA
+	fe        *Frontend
+	dead      map[int]bool
+	frameRows int
 }
 
-func newFedHarness(t *testing.T, n int, cfg Config) *fedHarness {
+// serve answers one query connection for shard g.
+func (h *fedHarness) serve(g *GPA, conn net.Conn) {
+	serveLineProtocol(conn, func(line string) (string, error) {
+		if fields := strings.Fields(line); h.frameRows > 0 && len(fields) > 0 && fields[0] == "pcorrelated" {
+			n, err := tailCount(fields)
+			if err != nil {
+				return "", err
+			}
+			return g.correlatedPage(n, h.frameRows)
+		}
+		return g.Execute(line)
+	})
+}
+
+func newFedHarness(t testing.TB, n int, cfg Config) *fedHarness {
 	t.Helper()
 	h := &fedHarness{mono: New(cfg, func() time.Duration { return 0 }), dead: make(map[int]bool)}
 	endpoints := make([]string, n)
@@ -44,7 +61,7 @@ func newFedHarness(t *testing.T, n int, cfg Config) *fedHarness {
 		c1, c2 := net.Pipe()
 		go func() {
 			defer c2.Close()
-			h.shards[idx].ServeConn(c2)
+			h.serve(h.shards[idx], c2)
 		}()
 		return c1, nil
 	}))
@@ -320,15 +337,8 @@ func TestCorrelatedSeqMergeOrder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	done := func(e EndToEnd) time.Duration {
-		d := e.Client.End
-		if e.Server.End > d {
-			d = e.Server.End
-		}
-		return d
-	}
 	if !sort.SliceIsSorted(recs, func(i, j int) bool {
-		return done(recs[i].EndToEnd) < done(recs[j].EndToEnd)
+		return e2eDone(&recs[i].EndToEnd) < e2eDone(&recs[j].EndToEnd)
 	}) {
 		t.Fatal("merged stream is not in completion order")
 	}

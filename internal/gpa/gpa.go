@@ -494,9 +494,10 @@ func (g *GPA) IngestAggregate(node simnet.NodeID, agg core.Aggregate) {
 	cur.Merge(&agg)
 }
 
-// Correlated returns the end-to-end interactions correlated so far, in
-// completion order (global sequence across shards).
-func (g *GPA) Correlated() []EndToEnd {
+// correlatedSnapshot copies every stripe's history — the one row copy a
+// row-shaped query costs — into completion order (global sequence across
+// shards).
+func (g *GPA) correlatedSnapshot() []seqE2E {
 	var tagged []seqE2E
 	for i := range g.shards {
 		s := &g.shards[i]
@@ -505,6 +506,13 @@ func (g *GPA) Correlated() []EndToEnd {
 		s.mu.Unlock()
 	}
 	sort.Slice(tagged, func(i, j int) bool { return tagged[i].seq < tagged[j].seq })
+	return tagged
+}
+
+// Correlated returns the end-to-end interactions correlated so far, in
+// completion order.
+func (g *GPA) Correlated() []EndToEnd {
+	tagged := g.correlatedSnapshot()
 	out := make([]EndToEnd, len(tagged))
 	for i := range tagged {
 		out[i] = tagged[i].e2e
@@ -513,8 +521,7 @@ func (g *GPA) Correlated() []EndToEnd {
 }
 
 // SeqEndToEnd is an EndToEnd tagged with its completion sequence number —
-// the machine-readable form served to federation frontends, which merge
-// per-shard streams back into one completion order.
+// the machine-readable row form "jcorrelated" serves.
 type SeqEndToEnd struct {
 	Seq uint64 `json:"seq"`
 	EndToEnd
@@ -523,14 +530,7 @@ type SeqEndToEnd struct {
 // CorrelatedSeq returns the correlated interactions with their sequence
 // tags, in completion order.
 func (g *GPA) CorrelatedSeq() []SeqEndToEnd {
-	var tagged []seqE2E
-	for i := range g.shards {
-		s := &g.shards[i]
-		s.mu.Lock()
-		tagged = append(tagged, s.correlated...)
-		s.mu.Unlock()
-	}
-	sort.Slice(tagged, func(i, j int) bool { return tagged[i].seq < tagged[j].seq })
+	tagged := g.correlatedSnapshot()
 	out := make([]SeqEndToEnd, len(tagged))
 	for i := range tagged {
 		out[i] = SeqEndToEnd{Seq: tagged[i].seq, EndToEnd: tagged[i].e2e}

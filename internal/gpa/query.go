@@ -112,17 +112,19 @@ func (g *GPA) RenderAccounting() string {
 //	flow <n:p> <n:p>          correlated interactions on one flow
 //	recent <n>                last n correlated end-to-end interactions
 //
-// Machine-readable commands (one JSON document per reply) serve the
-// federation frontend, which fans queries out to shard gpad processes and
-// merges the decoded results:
+// Machine-readable commands serve the federation frontend, which fans
+// queries out to shard gpad processes and merges the decoded results —
+// one JSON document per reply, except the bulk transfer:
 //
 //	jstats                    Stats plus pending count, as JSON
 //	jnodes                    reporting node ids, as a JSON array
 //	jload <node>              Load of a node, as JSON
 //	jclasses                  per-node per-class aggregates, as JSON
 //	jcorrelated [n]           correlated interactions with sequence tags
-//	jcorrelatedcolsz [n]      the same stream as one columnar page,
-//	                          gzip'd and base64-framed
+//	                          (last n by sequence), as JSON rows
+//	pcorrelated [n]           the same stream (last n by completion) as one
+//	                          columnar page: base64-framed pbio 0x05
+//	                          frames, see pagewire.go
 //
 // Admin commands (federation retention / clock-quality knobs):
 //
@@ -217,15 +219,13 @@ func (g *GPA) Execute(line string) (string, error) {
 		if err != nil {
 			return "", err
 		}
-		recs := g.Correlated()
+		recs := g.correlatedSnapshot()
 		if len(recs) > n {
 			recs = recs[len(recs)-n:]
 		}
 		var sb strings.Builder
-		for _, e := range recs {
-			fmt.Fprintf(&sb, "%s client=%v server=%v network=%v class=%s\n",
-				e.Flow, e.Client.Residence(), e.Server.Residence(),
-				e.NetworkDelay(), e.Server.Class)
+		for i := range recs {
+			writeRecent(&sb, &recs[i].e2e)
 		}
 		return strings.TrimRight(sb.String(), "\n"), nil
 	case "jstats":
@@ -245,21 +245,21 @@ func (g *GPA) Execute(line string) (string, error) {
 	case "jclasses":
 		return jsonReply(g.ClassAggregatesAll())
 	case "jcorrelated":
-		recs, err := g.correlatedTail(fields)
+		n, err := tailCount(fields)
 		if err != nil {
 			return "", err
+		}
+		recs := g.CorrelatedSeq()
+		if n > 0 && len(recs) > n {
+			recs = recs[len(recs)-n:]
 		}
 		return jsonReply(recs)
-	case "jcorrelatedcolsz":
-		recs, err := g.correlatedTail(fields)
+	case "pcorrelated":
+		n, err := tailCount(fields)
 		if err != nil {
 			return "", err
 		}
-		page, err := jsonReply(e2eColumnsOf(recs))
-		if err != nil {
-			return "", err
-		}
-		return gzipPage(page)
+		return g.correlatedPage(n, pageFrameRows)
 	case "retention":
 		if len(fields) != 2 {
 			return "", errors.New("gpa: usage: retention <max-correlated>")
@@ -290,22 +290,23 @@ func (g *GPA) Execute(line string) (string, error) {
 	return "", fmt.Errorf("gpa: unknown query %q", fields[0])
 }
 
-// correlatedTail returns the correlated stream, trimmed to the optional
-// trailing-count argument shared by the jcorrelated* query family.
-func (g *GPA) correlatedTail(fields []string) ([]SeqEndToEnd, error) {
-	recs := g.CorrelatedSeq()
-	if len(fields) == 2 {
-		n, err := parseCount(fields[1])
-		if err != nil {
-			return nil, err
-		}
-		if len(recs) > n {
-			recs = recs[len(recs)-n:]
-		}
-	} else if len(fields) > 2 {
-		return nil, fmt.Errorf("gpa: usage: %s [n]", fields[0])
+// tailCount parses the optional trailing-count argument the correlated
+// query family shares; 0 means the whole history.
+func tailCount(fields []string) (int, error) {
+	switch len(fields) {
+	case 1:
+		return 0, nil
+	case 2:
+		return parseCount(fields[1])
 	}
-	return recs, nil
+	return 0, fmt.Errorf("gpa: usage: %s [n]", fields[0])
+}
+
+// writeRecent renders one line of a "recent" reply.
+func writeRecent(sb *strings.Builder, e *EndToEnd) {
+	fmt.Fprintf(sb, "%s client=%v server=%v network=%v class=%s\n",
+		e.Flow, e.Client.Residence(), e.Server.Residence(),
+		e.NetworkDelay(), e.Server.Class)
 }
 
 // StatsReply is the jstats payload: analyzer counters plus the live
@@ -364,7 +365,7 @@ func parseAddr(s string) (simnet.Addr, error) {
 }
 
 // newLineScanner builds a line scanner sized for query replies: a
-// jcorrelated payload is one JSON line covering a shard's whole retained
+// correlated payload is one line covering a shard's whole retained
 // history, so the token cap is generous (64 MiB) rather than bufio's
 // 64 KiB default.
 func newLineScanner(r io.Reader) *bufio.Scanner {

@@ -634,7 +634,7 @@ func TestMutations(t *testing.T) {
 		// the fuzz campaigns kept finding.
 		mroot := copyRepoSubset(t)
 		mutate(t, mroot, filepath.Join("internal", "pbio", "columns.go"),
-			"\tif n == 0 || n > maxBatchLen {\n\t\treturn nil, fmt.Errorf(\"%w: columns count %d\", ErrBadFrame, n)\n\t}\n",
+			"\tif n == 0 || n > d.maxRows {\n\t\treturn nil, fmt.Errorf(\"%w: columns count %d (limit %d)\", ErrBadFrame, n, d.maxRows)\n\t}\n",
 			"")
 		mutate(t, mroot, filepath.Join("internal", "pbio", "columns.go"),
 			"min(int(n), MaxColumnReserve)", "int(n)")

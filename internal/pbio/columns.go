@@ -409,8 +409,8 @@ func (d *Decoder) readColumns(compressed bool) (*Record, error) {
 	if err != nil {
 		return nil, badEOF(err)
 	}
-	if n == 0 || n > maxBatchLen {
-		return nil, fmt.Errorf("%w: columns count %d", ErrBadFrame, n)
+	if n == 0 || n > d.maxRows {
+		return nil, fmt.Errorf("%w: columns count %d (limit %d)", ErrBadFrame, n, d.maxRows)
 	}
 	cr := &ColumnReader{d: d}
 	if compressed {

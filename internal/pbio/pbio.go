@@ -597,12 +597,23 @@ type Decoder struct {
 	// queue holds records decoded from a batch frame but not yet returned;
 	// Decode drains it before reading the stream again.
 	queue []*Record
+	// maxRows bounds the row count a batch or columns frame may declare.
+	maxRows uint32
 }
 
 // NewDecoder returns a decoder reading from r. reg may be nil; when given,
 // formats whose names match registered ones decode into typed values.
 func NewDecoder(r io.Reader, reg *Registry) *Decoder {
-	return &Decoder{r: r, reg: reg, formats: make(map[uint32]*Format)}
+	return &Decoder{r: r, reg: reg, formats: make(map[uint32]*Format), maxRows: maxBatchLen}
+}
+
+// LimitRows lowers the row count the next batch or columns frames may
+// declare (never above the package-wide frame limit). A run-length or
+// dictionary column expands rows out of a few bytes, so a consumer that
+// knows how many rows it is owed sets that here and a frame claiming more
+// is refused before any of it is materialized.
+func (d *Decoder) LimitRows(n int) {
+	d.maxRows = uint32(max(0, min(n, maxBatchLen)))
 }
 
 // Pending reports how many already-decoded records (from a batch frame)
@@ -659,8 +670,8 @@ func (d *Decoder) readBatch() (*Record, error) {
 	if err != nil {
 		return nil, badEOF(err)
 	}
-	if n == 0 || n > maxBatchLen {
-		return nil, fmt.Errorf("%w: batch count %d", ErrBadFrame, n)
+	if n == 0 || n > d.maxRows {
+		return nil, fmt.Errorf("%w: batch count %d (limit %d)", ErrBadFrame, n, d.maxRows)
 	}
 	first, err := d.readRecordBody(f)
 	if err != nil {

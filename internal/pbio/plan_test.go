@@ -2,6 +2,8 @@ package pbio
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
 	"reflect"
 	"testing"
 	"time"
@@ -156,5 +158,48 @@ func TestPlanFrameBuildersRoundTrip(t *testing.T) {
 	}
 	if _, _, err := p.AppendBatchFrame(nil, nestedRec{}); err == nil {
 		t.Fatal("non-slice accepted")
+	}
+}
+
+// TestDecoderLimitRows: a consumer that knows how many rows it is owed
+// caps what a batch or columns frame may declare, and a frame over the
+// cap is refused on its header — before any row is read or materialized.
+func TestDecoderLimitRows(t *testing.T) {
+	reg := NewRegistry()
+	reg.MustRegister("rec", flatRec{})
+	p := reg.PlanFor(reflect.TypeOf(flatRec{}))
+	def := p.Format().AppendDef(nil)
+	batch, _, err := p.AppendBatchFrame(nil, make([]flatRec, 3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	header := func(kind byte, rows uint32) []byte {
+		b := binary.LittleEndian.AppendUint32([]byte{kind}, p.Format().ID)
+		return binary.LittleEndian.AppendUint32(b, rows)
+	}
+
+	for _, tc := range []struct {
+		name  string
+		frame []byte
+		limit int
+		ok    bool
+	}{
+		{"batch under the limit", batch, 3, true},
+		{"batch over the limit", batch, 2, false},
+		{"limit above the package bound clamps", batch, 1 << 40, true},
+		{"non-positive limit refuses every frame", batch, -1, false},
+		// Headers only: a refusal must not wait for the payload.
+		{"columns header over the limit", header(frameColumns, 11), 10, false},
+		{"compressed columns header over the limit", header(frameColumnsZ, 1<<20), 1 << 19, false},
+	} {
+		dec := NewDecoder(bytes.NewReader(append(append([]byte(nil), def...), tc.frame...)), reg)
+		dec.LimitRows(tc.limit)
+		_, err := dec.Decode()
+		if tc.ok && err != nil {
+			t.Errorf("%s: %v", tc.name, err)
+		}
+		if !tc.ok && !errors.Is(err, ErrBadFrame) {
+			t.Errorf("%s: err = %v, want ErrBadFrame", tc.name, err)
+		}
 	}
 }

@@ -1,6 +1,12 @@
-package dissem
+// Package recwire binds the interaction record to its PBIO wire format.
+// Everything that moves interactions off-process — the dissemination
+// daemon's broker, its subscribers, and the GPA's federated history
+// pages — registers through here, so a columnar batch has one encoding
+// on every link and no consumer has to import the daemon to decode it.
+package recwire
 
 import (
+	"fmt"
 	"time"
 
 	"sysprof/internal/core"
@@ -8,10 +14,26 @@ import (
 	"sysprof/internal/simnet"
 )
 
+// Format names the interaction record's wire format.
+const Format = "sysprof.interaction"
+
+// Register adds the interaction format to reg and binds its column
+// decoder. The format is derived from core.Record itself — pbio flattens
+// the nested flow key into four u16 fields — so encoders write columnar
+// batches straight into the wire buffer and decoders rebuild them
+// straight into *core.RecordColumns.
+func Register(reg *pbio.Registry) error {
+	if _, err := reg.Register(Format, core.Record{}); err != nil {
+		return fmt.Errorf("recwire: %w", err)
+	}
+	reg.BindColumnDecoder(Format, decodeInteractionColumns)
+	return nil
+}
+
 // decodeInteractionColumns rebuilds a *core.RecordColumns from a columnar
-// "sysprof.interaction" frame. Columns arrive in wire-field order
-// (core.Record flattened), so the four flow u16 columns fill successive
-// pieces of the packed FlowKey column. Capacity is reserved up to
+// interaction frame. Columns arrive in wire-field order (core.Record
+// flattened), so the four flow u16 columns fill successive pieces of the
+// packed FlowKey column. Capacity is reserved up to
 // pbio.MaxColumnReserve rows; a hostile row count beyond that only grows
 // the batch as bytes actually arrive.
 func decodeInteractionColumns(cr *pbio.ColumnReader, rows int) (any, error) {
