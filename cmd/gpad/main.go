@@ -348,6 +348,5 @@ func dumpTo(g *gpa.GPA, path string, truncate bool) (int, error) {
 	if truncate {
 		return g.DumpAndTruncate(f)
 	}
-	n := len(g.Correlated())
-	return n, g.Dump(f)
+	return g.Dump(f)
 }

@@ -2,7 +2,10 @@ package main
 
 import (
 	"bytes"
+	"fmt"
 	"log"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -11,6 +14,7 @@ import (
 	"sysprof/internal/dissem"
 	"sysprof/internal/gpa"
 	"sysprof/internal/pbio"
+	"sysprof/internal/simnet"
 )
 
 // TestIngestFrameAccountsUnknown pins the receive loop's dispatch: the
@@ -48,5 +52,44 @@ func TestIngestFrameAccountsUnknown(t *testing.T) {
 	}
 	if n := strings.Count(logged.String(), "dropping frames decoded as"); n != 2 {
 		t.Fatalf("logged %d times, want once per decoded type (2):\n%s", n, logged.String())
+	}
+}
+
+// TestDumpCountIsLinesWritten races ingest against dumpTo: the count
+// gpad logs must be the number of lines that dump appended, not the size
+// of a second snapshot taken a moment earlier or later.
+func TestDumpCountIsLinesWritten(t *testing.T) {
+	g := gpa.New(gpa.Config{MaxCorrelated: 4096}, func() time.Duration { return 0 })
+	flow := simnet.FlowKey{Src: simnet.Addr{Node: 1, Port: 1000}, Dst: simnet.Addr{Node: 2, Port: 80}}
+	stop, done := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(done)
+		for id := uint64(1); ; id += 2 {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			start := time.Duration(id) * time.Millisecond
+			g.Ingest(core.Record{ID: id, Node: 1, Flow: flow, Start: start, End: start + 10*time.Millisecond})
+			g.Ingest(core.Record{ID: id + 1, Node: 2, Flow: flow, Start: start + time.Millisecond, End: start + 8*time.Millisecond})
+		}
+	}()
+	defer func() { close(stop); <-done }()
+
+	dir := t.TempDir()
+	for i := 0; i < 50; i++ {
+		path := filepath.Join(dir, fmt.Sprintf("dump-%d.jsonl", i))
+		n, err := dumpTo(g, path, i%2 == 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if lines := bytes.Count(data, []byte("\n")); lines != n {
+			t.Fatalf("dump %d: dumpTo reported %d interactions, file has %d lines", i, n, lines)
+		}
 	}
 }

@@ -15,8 +15,8 @@
 //
 // -check is the regression guard: after writing the fresh report it is
 // compared byte for byte against the committed snapshot of the same
-// name, and any difference fails the run (benchhot style: the file is
-// written first so a failing run leaves the numbers to inspect).
+// name, and any difference fails the run (the file is written first, so
+// a failing run leaves the numbers to inspect).
 // Intentional behavior changes re-bless the snapshot by committing the
 // regenerated file.
 package main

@@ -41,7 +41,6 @@
 package main
 
 import (
-	"bufio"
 	"encoding/base64"
 	"errors"
 	"flag"
@@ -53,6 +52,7 @@ import (
 
 	"sysprof/internal/core"
 	"sysprof/internal/ecode"
+	"sysprof/internal/lineproto"
 )
 
 func main() {
@@ -162,25 +162,10 @@ func send(addr, cmd string) error {
 	if _, err := fmt.Fprintf(conn, "%s\n", cmd); err != nil {
 		return fmt.Errorf("send: %w", err)
 	}
-	sc := bufio.NewScanner(conn)
-	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
-	if !sc.Scan() {
-		return errors.New("connection closed before reply")
+	reply, err := lineproto.ReadReply(conn)
+	if err != nil {
+		return err
 	}
-	first := sc.Text()
-	switch {
-	case strings.HasPrefix(first, "-"):
-		return errors.New(strings.TrimPrefix(first, "-"))
-	case strings.HasPrefix(first, "+"):
-		fmt.Println(strings.TrimPrefix(first, "+"))
-		for sc.Scan() {
-			line := sc.Text()
-			if line == "." {
-				return nil
-			}
-			fmt.Println(line)
-		}
-		return sc.Err()
-	}
-	return fmt.Errorf("malformed reply %q", first)
+	fmt.Println(reply)
+	return nil
 }

@@ -11,7 +11,6 @@
 package controller
 
 import (
-	"bufio"
 	"encoding/base64"
 	"errors"
 	"fmt"
@@ -25,6 +24,7 @@ import (
 
 	"sysprof/internal/core"
 	"sysprof/internal/kprof"
+	"sysprof/internal/lineproto"
 )
 
 // ErrUnknownTarget is returned when a node or analyzer name is not
@@ -766,40 +766,8 @@ func parseSize(s string) (int, error) {
 }
 
 // ServeConn handles one management connection: a command per line, a
-// reply per command. Replies are "+<payload>" lines (payload may be
-// multi-line, terminated by a lone ".") or "-<error>".
-func (c *Controller) ServeConn(conn io.ReadWriter) {
-	sc := bufio.NewScanner(conn)
-	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
-	w := bufio.NewWriter(conn)
-	for sc.Scan() {
-		reply, err := c.Execute(sc.Text())
-		if err != nil {
-			// Error replies are a single protocol line; multi-line errors
-			// (verifier evidence chains) are flattened. Clients that want
-			// the full chain verify locally before installing.
-			msg := strings.ReplaceAll(strings.TrimRight(err.Error(), "\n"), "\n", " | ")
-			msg = strings.ReplaceAll(msg, "\t", " ")
-			fmt.Fprintf(w, "-%s\n", msg)
-		} else {
-			fmt.Fprintf(w, "+%s\n.\n", strings.TrimRight(reply, "\n"))
-		}
-		if err := w.Flush(); err != nil {
-			return
-		}
-	}
-}
+// reply per command, in lineproto's framing.
+func (c *Controller) ServeConn(conn io.ReadWriter) { lineproto.ServeConn(conn, c.Execute) }
 
 // Serve accepts management connections until the listener closes.
-func (c *Controller) Serve(l net.Listener) {
-	for {
-		conn, err := l.Accept()
-		if err != nil {
-			return
-		}
-		go func() {
-			defer conn.Close()
-			c.ServeConn(conn)
-		}()
-	}
-}
+func (c *Controller) Serve(l net.Listener) { lineproto.Serve(l, c.Execute) }

@@ -82,7 +82,8 @@ func (r eventRecord) Field(name string) (ecode.Value, bool) {
 }
 
 // EventSchema is the CPA-visible kernel event schema: the typed fields
-// of the "ev" record, kept in lockstep with eventRecord.Field.
+// of the "ev" record. TestEventSchemaMatchesRecord holds it in lockstep
+// with eventRecord.Field.
 func EventSchema() ecode.RecordSchema {
 	return ecode.RecordSchema{
 		"type":  ecode.TString,

@@ -177,3 +177,49 @@ func reqFlowWithPorts(src, dst uint16) (f simnet.FlowKey) {
 	f.Dst.Port = dst
 	return f
 }
+
+// TestEventSchemaMatchesRecord holds EventSchema and eventRecord.Field
+// together: on a fully populated event every declared field is answered
+// with a value of its declared type — the compiled engine loads a field
+// into the slot that type picked — and a name the schema does not
+// declare is refused, so the verifier and the adapter reject the same
+// programs.
+func TestEventSchemaMatchesRecord(t *testing.T) {
+	rec := eventRecord{ev: &kprof.Event{
+		Type: kprof.EvNetRx, CPU: 1, Node: 2, PID: 3, PID2: 4, GID: 5, Time: 6 * time.Millisecond,
+		Flow:  simnet.FlowKey{Src: simnet.Addr{Node: 7, Port: 1000}, Dst: simnet.Addr{Node: 2, Port: 80}},
+		MsgID: 8, Seq: 9, Last: true, Bytes: 1500, Aux: 10, Tag: 11, Proc: "httpd",
+	}}
+	schema := EventSchema()
+	if len(schema) != 16 {
+		t.Errorf("schema declares %d fields, want 16", len(schema))
+	}
+	for name, typ := range schema {
+		v, ok := rec.Field(name)
+		if !ok {
+			t.Errorf("field %q is in the schema but the adapter refuses it", name)
+			continue
+		}
+		switch v.(type) {
+		case int64:
+			ok = typ == ecode.TInt
+		case string:
+			ok = typ == ecode.TString
+		case bool:
+			ok = typ == ecode.TBool
+		default:
+			ok = false
+		}
+		if !ok {
+			t.Errorf("field %q: adapter answered %T, schema declares %v", name, v, typ)
+		}
+	}
+	for _, name := range []string{"", "bogus", "Type", "gid", "tag", "flow"} {
+		if _, declared := schema[name]; declared {
+			t.Errorf("schema declares %q", name)
+		}
+		if _, ok := rec.Field(name); ok {
+			t.Errorf("adapter answers undeclared field %q", name)
+		}
+	}
+}

@@ -31,7 +31,8 @@ type coreRecord struct {
 // reference interpreter against the same view.
 func FilterRecord(r *core.Record) ecode.Record { return coreRecord{r: r} }
 
-// Field implements ecode.Record; kept in lockstep with filterSchema.
+// Field implements ecode.Record; TestFilterFieldSchemaComplete holds it
+// in lockstep with filterSchema.
 func (c coreRecord) Field(name string) (ecode.Value, bool) {
 	r := c.r
 	switch name {

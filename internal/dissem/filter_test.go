@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"sysprof/internal/core"
+	"sysprof/internal/ecode"
 	"sysprof/internal/pbio"
 	"sysprof/internal/pubsub"
 )
@@ -91,11 +92,26 @@ func TestFilterFieldSchemaComplete(t *testing.T) {
 	rec := FilterRecord(&r)
 	schema := filterSchema()
 	for _, name := range fields {
-		if _, ok := rec.Field(name); !ok {
+		v, ok := rec.Field(name)
+		if !ok {
 			t.Fatalf("field %q missing from the adapter", name)
 		}
-		if _, ok := schema[name]; !ok {
+		typ, ok := schema[name]
+		if !ok {
 			t.Fatalf("field %q missing from the schema", name)
+		}
+		// The compiled engine loads a field into the slot its declared
+		// type picked, so the adapter must hand back exactly that type.
+		switch v.(type) {
+		case int64:
+			ok = typ == ecode.TInt
+		case string:
+			ok = typ == ecode.TString
+		default:
+			ok = false
+		}
+		if !ok {
+			t.Fatalf("field %q: adapter answered %T, schema declares %v", name, v, typ)
 		}
 	}
 	if len(schema) != len(fields) {

@@ -1,7 +1,8 @@
 package ecode
 
 // AST node types. Statements and expressions are small tagged structs
-// evaluated by the tree-walking interpreter in interp.go.
+// that the verifier (verify.go) checks and the closure compiler
+// (compile.go) lowers.
 
 type stmt interface{ stmtNode() }
 

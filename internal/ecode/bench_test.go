@@ -17,8 +17,7 @@ return n;
 // BenchmarkCPAPerEvent compares the two CPA execution engines on the
 // same program and event: the tree-walking interpreter (with its
 // runtime step limit) versus the verified-and-compiled closures (no
-// step counting — termination is proven at install time). cmd/benchhot
-// guards that /compiled never regresses behind /interp.
+// step counting — termination is proven at install time).
 func BenchmarkCPAPerEvent(b *testing.B) {
 	bindings := map[string]Value{
 		"ev": MapRecord{"type": "net_rx", "bytes": int64(1500)},

@@ -14,8 +14,9 @@ package ecode
 //     site reuses a preallocated argument buffer.
 //
 // Only verified programs can be compiled (CompileVerified runs the
-// verifier first); the interpreter remains the reference semantics and
-// the fuzz harness cross-checks the two.
+// verifier first); the interpreter (interp_test.go) is the reference
+// semantics, and the differential tests and the fuzz harness cross-check
+// the two.
 
 import (
 	"fmt"
@@ -92,7 +93,7 @@ func (p *Program) CompileVerified(env VerifyEnv) (*Compiled, *Verdict, error) {
 }
 
 // CompiledInstance is a compiled program plus its private persistent
-// state. Like Instance, it is not safe for concurrent Run calls.
+// state. It is not safe for concurrent Run calls.
 type CompiledInstance struct {
 	c *Compiled
 	m cmachine
@@ -132,8 +133,9 @@ func (c *Compiled) NewInstance(extra map[string]Builtin) (*CompiledInstance, err
 }
 
 // Run executes the program against the host bindings (every record
-// named in the verify env must be present). Semantics match
-// Instance.Run; there is no step limit because termination is proven.
+// named in the verify env must be present). It returns the value of the
+// first executed return statement, or nil if execution falls off the
+// end; there is no step limit because termination is proven.
 func (ci *CompiledInstance) Run(bindings map[string]Value) (Value, error) {
 	m := &ci.m
 	m.ret = nil
@@ -154,8 +156,8 @@ func (ci *CompiledInstance) Run(bindings map[string]Value) (Value, error) {
 	return m.ret, nil
 }
 
-// Static returns a persistent variable's value, mirroring
-// Instance.Static (absent until its declaration first executes).
+// Static returns a persistent variable's value (absent until its
+// declaration first executes).
 func (ci *CompiledInstance) Static(name string) (Value, bool) {
 	ref, ok := ci.c.statics[name]
 	if !ok || !ci.m.sinit[ref.sinit] {

@@ -24,7 +24,7 @@ package ecode
 //	             proven loop bounds and the builtin cost table, reported
 //	             in the verdict, and checked against a ceiling
 //
-// Diagnostics are lint.Diagnostic values, so the verdict renders in
+// Diagnostics are diag.Diagnostic values, so the verdict renders in
 // sysproflint's evidence-chain shape (file:line:col first line plus
 // indented supporting frames) and CLI/CI output stays uniform.
 
@@ -34,7 +34,7 @@ import (
 	"sort"
 	"strings"
 
-	"sysprof/internal/lint"
+	"sysprof/internal/diag"
 )
 
 // Type is one point of the E-Code static type lattice.
@@ -210,7 +210,7 @@ type Verdict struct {
 	Cost int
 	// Diags are the findings, sorted by line, in sysproflint's
 	// evidence-chain shape.
-	Diags []lint.Diagnostic
+	Diags []diag.Diagnostic
 }
 
 // Render returns every diagnostic with its evidence chain, one finding
@@ -254,7 +254,7 @@ func (p *Program) Verify(env VerifyEnv) *Verdict {
 	cost := vf.checkBlock(p.body)
 	if cost > env.maxCost() {
 		vf.reportChain(PassCost, 1,
-			[]lint.ChainFrame{vf.frame(1, fmt.Sprintf("ceiling is %d steps per event; shrink loop bounds or split the analyzer", env.maxCost()))},
+			[]diag.ChainFrame{vf.frame(1, fmt.Sprintf("ceiling is %d steps per event; shrink loop bounds or split the analyzer", env.maxCost()))},
 			"worst-case per-event cost %d exceeds the verifier ceiling", cost)
 	}
 
@@ -305,23 +305,23 @@ type verifier struct {
 	// loops is the stack of enclosing loop lines (for noalloc evidence).
 	loops []int
 
-	diags []lint.Diagnostic
+	diags []diag.Diagnostic
 }
 
 func (vf *verifier) pos(line int) gotoken.Position {
 	return gotoken.Position{Filename: vf.env.name(), Line: line, Column: 1}
 }
 
-func (vf *verifier) frame(line int, msg string) lint.ChainFrame {
-	return lint.ChainFrame{Pos: vf.pos(line), Msg: msg}
+func (vf *verifier) frame(line int, msg string) diag.ChainFrame {
+	return diag.ChainFrame{Pos: vf.pos(line), Msg: msg}
 }
 
 func (vf *verifier) report(pass string, line int, format string, args ...any) {
 	vf.reportChain(pass, line, nil, format, args...)
 }
 
-func (vf *verifier) reportChain(pass string, line int, chain []lint.ChainFrame, format string, args ...any) {
-	vf.diags = append(vf.diags, lint.Diagnostic{
+func (vf *verifier) reportChain(pass string, line int, chain []diag.ChainFrame, format string, args ...any) {
+	vf.diags = append(vf.diags, diag.Diagnostic{
 		Pos:      vf.pos(line),
 		Analyzer: pass,
 		Message:  fmt.Sprintf(format, args...),
@@ -504,14 +504,14 @@ func (vf *verifier) checkStringGrowth(n *assignStmt, vt Type, where varWhere) {
 	}
 	if where == varStatic {
 		vf.reportChain(PassNoAlloc, n.line,
-			[]lint.ChainFrame{vf.frame(n.line, fmt.Sprintf("static %q persists across events; every event appends", n.name))},
+			[]diag.ChainFrame{vf.frame(n.line, fmt.Sprintf("static %q persists across events; every event appends", n.name))},
 			"static string %q grows without bound", n.name)
 		return
 	}
 	if len(vf.loops) > 0 {
 		loopLine := vf.loops[len(vf.loops)-1]
 		vf.reportChain(PassNoAlloc, n.line,
-			[]lint.ChainFrame{vf.frame(loopLine, "enclosing loop starts here")},
+			[]diag.ChainFrame{vf.frame(loopLine, "enclosing loop starts here")},
 			"string concatenation in a loop allocates per iteration")
 	}
 }
@@ -680,7 +680,7 @@ func (vf *verifier) checkFor(n *forStmt) int {
 
 	if iters < 0 {
 		vf.reportChain(PassTermination, n.line,
-			[]lint.ChainFrame{
+			[]diag.ChainFrame{
 				vf.frame(whyLine, why),
 				vf.frame(n.line, "analyzers run per kernel event; the compiled fast path has no runtime step limit to fall back on"),
 			},
@@ -930,7 +930,7 @@ func (vf *verifier) checkExpr(e expr) (Type, int) {
 		if t == TString && n.op == "+" && len(vf.loops) > 0 {
 			loopLine := vf.loops[len(vf.loops)-1]
 			vf.reportChain(PassNoAlloc, n.line,
-				[]lint.ChainFrame{vf.frame(loopLine, "enclosing loop starts here")},
+				[]diag.ChainFrame{vf.frame(loopLine, "enclosing loop starts here")},
 				"string concatenation in a loop allocates per iteration")
 		}
 		return t, cost
@@ -959,7 +959,7 @@ func (vf *verifier) checkField(n *fieldExpr) (Type, int) {
 	ft, ok := schema[n.field]
 	if !ok {
 		vf.reportChain(PassTypecheck, n.line,
-			[]lint.ChainFrame{vf.frame(n.line, "schema fields: "+schemaFields(schema))},
+			[]diag.ChainFrame{vf.frame(n.line, "schema fields: "+schemaFields(schema))},
 			"record %q has no field %q", id.name, n.field)
 		return TInvalid, 2
 	}
@@ -993,7 +993,7 @@ func (vf *verifier) checkCall(n *callExpr) (Type, int) {
 	}
 	if sig.Blocking {
 		vf.reportChain(PassNoBlock, n.line,
-			[]lint.ChainFrame{vf.frame(n.line, fmt.Sprintf("%s is classified blocking in the builtin table; analyzers run on the kernel event fast path", n.name))},
+			[]diag.ChainFrame{vf.frame(n.line, fmt.Sprintf("%s is classified blocking in the builtin table; analyzers run on the kernel event fast path", n.name))},
 			"call to blocking builtin %q", n.name)
 	}
 	if sig.Variadic {

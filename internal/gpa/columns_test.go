@@ -149,7 +149,7 @@ func TestColumnarRowEquivalence(t *testing.T) {
 			t.Fatalf("seed %d: traffic missed a branch: %+v", seed, want)
 		}
 		var wantDump bytes.Buffer
-		if err := oracle.Dump(&wantDump); err != nil {
+		if _, err := oracle.Dump(&wantDump); err != nil {
 			t.Fatal(err)
 		}
 		for name, g := range map[string]*GPA{"IngestColumns": batched, "Ingest": single} {
@@ -160,7 +160,7 @@ func TestColumnarRowEquivalence(t *testing.T) {
 				t.Fatalf("seed %d: %s pending %d, row oracle %d", seed, name, got, w)
 			}
 			var dump bytes.Buffer
-			if err := g.Dump(&dump); err != nil {
+			if _, err := g.Dump(&dump); err != nil {
 				t.Fatal(err)
 			}
 			if !bytes.Equal(dump.Bytes(), wantDump.Bytes()) {

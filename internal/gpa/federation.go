@@ -33,6 +33,7 @@ import (
 	"time"
 
 	"sysprof/internal/core"
+	"sysprof/internal/lineproto"
 	"sysprof/internal/simnet"
 )
 
@@ -152,39 +153,7 @@ func (f *Frontend) queryShard(addr, cmd string) (string, error) {
 	if _, err := fmt.Fprintf(conn, "%s\n", cmd); err != nil {
 		return "", err
 	}
-	return readReply(conn)
-}
-
-// readReply parses one "+payload\n...\n.\n" or "-error\n" framed reply.
-func readReply(r io.Reader) (string, error) {
-	sc := newLineScanner(r)
-	if !sc.Scan() {
-		if err := sc.Err(); err != nil {
-			return "", err
-		}
-		return "", io.ErrUnexpectedEOF
-	}
-	first := sc.Text()
-	switch {
-	case strings.HasPrefix(first, "-"):
-		return "", errors.New(strings.TrimPrefix(first, "-"))
-	case strings.HasPrefix(first, "+"):
-		var sb strings.Builder
-		sb.WriteString(strings.TrimPrefix(first, "+"))
-		for sc.Scan() {
-			line := sc.Text()
-			if line == "." {
-				return sb.String(), nil
-			}
-			sb.WriteByte('\n')
-			sb.WriteString(line)
-		}
-		if err := sc.Err(); err != nil {
-			return "", err
-		}
-		return "", io.ErrUnexpectedEOF
-	}
-	return "", fmt.Errorf("gpa: malformed reply line %q", first)
+	return lineproto.ReadReply(conn)
 }
 
 // fanOut runs cmd against every shard concurrently and collects replies
@@ -321,29 +290,11 @@ func (f *Frontend) ClassAggregatesAll() (map[simnet.NodeID]map[string]core.Aggre
 				out[node] = m
 			}
 			for class, agg := range classes {
-				cur := m[class]
-				if cur.Class == "" {
-					cur.Class = class
-				}
-				cur.Merge(&agg)
-				m[class] = cur
+				mergeClass(m, class, &agg)
 			}
 		}
 	}
 	return out, st, nil
-}
-
-// ClassAggregates merges one node's per-class aggregates across shards.
-func (f *Frontend) ClassAggregates(node simnet.NodeID) (map[string]core.Aggregate, FederationStatus, error) {
-	all, st, err := f.ClassAggregatesAll()
-	if err != nil {
-		return nil, st, err
-	}
-	m := all[node]
-	if m == nil {
-		m = make(map[string]core.Aggregate)
-	}
-	return m, st, nil
 }
 
 // Correlated returns the merged end-to-end interactions in global
@@ -393,156 +344,33 @@ func (f *Frontend) broadcast(cmd string) (string, FederationStatus, error) {
 	return strings.TrimRight(sb.String(), "\n"), st, nil
 }
 
-// SetShardRetention broadcasts a correlated-history cap to every shard
-// (the per-shard retention knob surfaced through the controller).
-func (f *Frontend) SetShardRetention(max int) (FederationStatus, error) {
-	if max < 0 {
-		return FederationStatus{}, fmt.Errorf("gpa: retention %d, want >= 0", max)
-	}
-	_, st, err := f.broadcast(fmt.Sprintf("retention %d", max))
-	return st, err
-}
-
 // Status probes every shard with a cheap query and reports liveness.
 func (f *Frontend) Status() FederationStatus {
 	_, st := f.fanOut("stats")
 	return st
 }
 
-// Execute runs one query command against the federation, mirroring
-// GPA.Execute. Textual commands are merged and, when a shard is dead,
-// suffixed with the partial-result staleness marker; JSON commands are
-// wrapped in a {"federation": status, "data": ...} envelope so machine
-// consumers see the marker too. Admin commands broadcast to every shard.
-func (f *Frontend) Execute(line string) (string, error) {
-	fields := strings.Fields(strings.TrimSpace(line))
-	if len(fields) == 0 {
-		return "", errors.New("gpa: empty query")
-	}
+// Execute runs one query command against the federation; see execute
+// for the command set.
+func (f *Frontend) Execute(line string) (string, error) { return execute(f, line) }
+
+// encode wraps a merged JSON payload with its federation status.
+func (f *Frontend) encode(st FederationStatus, data any) (string, error) {
+	return jsonReply(struct {
+		Federation FederationStatus `json:"federation"`
+		Data       any              `json:"data"`
+	}{st, data})
+}
+
+// executeOwn answers "federation" and broadcasts the admin verbs as
+// they are: each shard checks the arguments it is sent.
+func (f *Frontend) executeOwn(fields []string) (string, error) {
 	switch fields[0] {
-	case "stats":
-		sum, st, err := f.StatsSnapshot()
-		if err != nil {
-			return "", err
-		}
-		return fmt.Sprintf("ingested=%d correlated=%d uncorrelated=%d pending=%d",
-			sum.Ingested, sum.Correlated, sum.Uncorrelated, sum.Pending) + st.marker(), nil
-	case "nodes":
-		nodes, st, err := f.Nodes()
-		if err != nil {
-			return "", err
-		}
-		parts := make([]string, len(nodes))
-		for i, n := range nodes {
-			parts[i] = fmt.Sprintf("%d", n)
-		}
-		return strings.Join(parts, " ") + st.marker(), nil
-	case "load":
-		if len(fields) != 2 {
-			return "", errors.New("gpa: usage: load <node>")
-		}
-		id, err := parseNode(fields[1])
-		if err != nil {
-			return "", err
-		}
-		l, st, err := f.ServerLoad(id)
-		if err != nil {
-			return "", err
-		}
-		return fmt.Sprintf("node=%d interactions=%d mean_residence=%v mean_kernel=%v mean_bufwait=%v",
-			l.Node, l.Interactions, l.MeanResidence, l.MeanKernel, l.MeanBufferWait) + st.marker(), nil
-	case "classes":
-		if len(fields) != 2 {
-			return "", errors.New("gpa: usage: classes <node>")
-		}
-		id, err := parseNode(fields[1])
-		if err != nil {
-			return "", err
-		}
-		aggs, st, err := f.ClassAggregates(id)
-		if err != nil {
-			return "", err
-		}
-		names := make([]string, 0, len(aggs))
-		for n := range aggs {
-			names = append(names, n)
-		}
-		sort.Strings(names)
-		var sb strings.Builder
-		for _, n := range names {
-			a := aggs[n]
-			fmt.Fprintf(&sb, "%s count=%d mean_user=%v mean_kernel=%v mean_residence=%v\n",
-				n, a.Count, a.MeanUser(), a.MeanKernel(), a.MeanResidence())
-		}
-		return strings.TrimRight(sb.String(), "\n") + st.marker(), nil
-	case "recent":
-		if len(fields) != 2 {
-			return "", errors.New("gpa: usage: recent <n>")
-		}
-		n, err := parseCount(fields[1])
-		if err != nil {
-			return "", err
-		}
-		recs, st, err := f.correlatedTail(n)
-		if err != nil {
-			return "", err
-		}
-		var sb strings.Builder
-		for i := range recs {
-			writeRecent(&sb, &recs[i].EndToEnd)
-		}
-		return strings.TrimRight(sb.String(), "\n") + st.marker(), nil
-	case "jstats":
-		sum, st, err := f.StatsSnapshot()
-		if err != nil {
-			return "", err
-		}
-		return envelope(st, sum)
-	case "jnodes":
-		nodes, st, err := f.Nodes()
-		if err != nil {
-			return "", err
-		}
-		return envelope(st, nodes)
-	case "jload":
-		if len(fields) != 2 {
-			return "", errors.New("gpa: usage: jload <node>")
-		}
-		id, err := parseNode(fields[1])
-		if err != nil {
-			return "", err
-		}
-		l, st, err := f.ServerLoad(id)
-		if err != nil {
-			return "", err
-		}
-		return envelope(st, l)
-	case "jclasses":
-		all, st, err := f.ClassAggregatesAll()
-		if err != nil {
-			return "", err
-		}
-		return envelope(st, all)
-	case "jcorrelated":
-		n, err := tailCount(fields)
-		if err != nil {
-			return "", err
-		}
-		recs, st, err := f.correlatedTail(n)
-		if err != nil {
-			return "", err
-		}
-		return envelope(st, recs)
 	case "federation":
-		st := f.Status()
-		b, err := json.Marshal(struct {
+		return jsonReply(struct {
 			FederationStatus
 			Endpoints []string `json:"endpoints"`
-		}{st, f.Endpoints()})
-		if err != nil {
-			return "", err
-		}
-		return string(b), nil
+		}{f.Status(), f.Endpoints()})
 	case "retention", "clockbound":
 		out, st, err := f.broadcast(strings.Join(fields, " "))
 		if err != nil {
@@ -553,21 +381,9 @@ func (f *Frontend) Execute(line string) (string, error) {
 	return "", fmt.Errorf("gpa: unknown federation query %q", fields[0])
 }
 
-// envelope wraps a merged JSON payload with its federation status.
-func envelope(st FederationStatus, data any) (string, error) {
-	b, err := json.Marshal(struct {
-		Federation FederationStatus `json:"federation"`
-		Data       any              `json:"data"`
-	}{st, data})
-	if err != nil {
-		return "", fmt.Errorf("gpa: encode federation reply: %w", err)
-	}
-	return string(b), nil
-}
-
 // ServeConn answers federation queries on one connection with the same
 // framing as the single-process query server.
-func (f *Frontend) ServeConn(conn io.ReadWriter) { serveLineProtocol(conn, f.Execute) }
+func (f *Frontend) ServeConn(conn io.ReadWriter) { lineproto.ServeConn(conn, f.Execute) }
 
 // Serve accepts federation query connections until the listener closes.
-func (f *Frontend) Serve(l net.Listener) { serveListener(l, f.Execute) }
+func (f *Frontend) Serve(l net.Listener) { lineproto.Serve(l, f.Execute) }

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"sysprof/internal/core"
+	"sysprof/internal/lineproto"
 	"sysprof/internal/simnet"
 )
 
@@ -282,7 +283,7 @@ func TestFederationShardWithoutPageQueryIsDead(t *testing.T) {
 				h.shards[idx].ServeConn(c2)
 				return
 			}
-			serveLineProtocol(c2, func(line string) (string, error) {
+			lineproto.ServeConn(c2, func(line string) (string, error) {
 				asked.Add(1)
 				return "", fmt.Errorf("gpa: unknown query %q", strings.Fields(line)[0])
 			})

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"sysprof/internal/core"
+	"sysprof/internal/lineproto"
 	"sysprof/internal/simnet"
 )
 
@@ -30,7 +31,7 @@ type fedHarness struct {
 
 // serve answers one query connection for shard g.
 func (h *fedHarness) serve(g *GPA, conn net.Conn) {
-	serveLineProtocol(conn, func(line string) (string, error) {
+	lineproto.ServeConn(conn, func(line string) (string, error) {
 		if fields := strings.Fields(line); h.frameRows > 0 && len(fields) > 0 && fields[0] == "pcorrelated" {
 			n, err := tailCount(fields)
 			if err != nil {
@@ -276,12 +277,12 @@ func TestFederationRetentionBroadcast(t *testing.T) {
 	h := newFedHarness(t, 2, Config{})
 	h.workload(16, 8) // 128 correlated, spread across shards
 
-	st, err := h.fe.SetShardRetention(8)
+	out, err := h.fe.Execute("retention 8")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Partial {
-		t.Fatalf("unexpected partial: %+v", st)
+	if out != "shard 0: retention=8\nshard 1: retention=8" {
+		t.Fatalf("retention broadcast replied %q", out)
 	}
 	// Trigger trims by correlating more on each shard.
 	h.workload(16, 8)
@@ -292,7 +293,7 @@ func TestFederationRetentionBroadcast(t *testing.T) {
 			t.Fatalf("shard %d holds %d correlated after retention 8 (limit %d)", i, n, 8+8/4)
 		}
 	}
-	if _, err := h.fe.SetShardRetention(-1); err == nil {
+	if _, err := h.fe.Execute("retention -1"); err == nil {
 		t.Fatal("negative retention accepted")
 	}
 

@@ -529,8 +529,14 @@ type SeqEndToEnd struct {
 
 // CorrelatedSeq returns the correlated interactions with their sequence
 // tags, in completion order.
-func (g *GPA) CorrelatedSeq() []SeqEndToEnd {
+func (g *GPA) CorrelatedSeq() []SeqEndToEnd { return g.correlatedSeqTail(0) }
+
+// correlatedSeqTail is CorrelatedSeq cut to the last n (0 = all).
+func (g *GPA) correlatedSeqTail(n int) []SeqEndToEnd {
 	tagged := g.correlatedSnapshot()
+	if n > 0 && len(tagged) > n {
+		tagged = tagged[len(tagged)-n:]
+	}
 	out := make([]SeqEndToEnd, len(tagged))
 	for i := range tagged {
 		out[i] = SeqEndToEnd{Seq: tagged[i].seq, EndToEnd: tagged[i].e2e}
@@ -553,17 +559,20 @@ func (g *GPA) ClassAggregatesAll() map[simnet.NodeID]map[string]core.Aggregate {
 				out[node] = m
 			}
 			for class, agg := range classes {
-				cur := m[class]
-				if cur.Class == "" {
-					cur.Class = class
-				}
-				cur.Merge(agg)
-				m[class] = cur
+				mergeClass(m, class, agg)
 			}
 		}
 		s.mu.Unlock()
 	}
 	return out
+}
+
+// mergeClass folds agg into m's aggregate for class.
+func mergeClass(m map[string]core.Aggregate, class string, agg *core.Aggregate) {
+	cur := m[class]
+	cur.Class = class
+	cur.Merge(agg)
+	m[class] = cur
 }
 
 // PendingCount returns records still awaiting their counterpart.
@@ -588,12 +597,7 @@ func (g *GPA) ClassAggregates(node simnet.NodeID) map[string]core.Aggregate {
 		s := &g.shards[i]
 		s.mu.Lock()
 		for class, agg := range s.byClass[node] {
-			m := out[class]
-			if m.Class == "" {
-				m.Class = class
-			}
-			m.Merge(agg)
-			out[class] = m
+			mergeClass(out, class, agg)
 		}
 		s.mu.Unlock()
 	}
@@ -687,18 +691,8 @@ func (g *GPA) StatsSnapshot() Stats {
 // Dump writes the correlated interactions as JSON lines ("the GPA
 // periodically dumps its information onto local disk, which can be used
 // later for purposes of auditing, workload prediction, and system
-// modeling").
-func (g *GPA) Dump(w io.Writer) error {
-	recs := g.Correlated()
-	g.dumps.Add(1)
-	enc := json.NewEncoder(w)
-	for i := range recs {
-		if err := enc.Encode(&recs[i]); err != nil {
-			return fmt.Errorf("gpa: dump: %w", err)
-		}
-	}
-	return nil
-}
+// modeling") and returns how many the snapshot it wrote held.
+func (g *GPA) Dump(w io.Writer) (int, error) { return g.writeDump(w, g.correlatedSnapshot()) }
 
 // DumpAndTruncate writes the correlated history as JSON lines and clears
 // it from memory — the retention companion to Dump for long-running
@@ -718,6 +712,11 @@ func (g *GPA) DumpAndTruncate(w io.Writer) (int, error) {
 		s.mu.Unlock()
 	}
 	sort.Slice(tagged, func(i, j int) bool { return tagged[i].seq < tagged[j].seq })
+	return g.writeDump(w, tagged)
+}
+
+// writeDump encodes one history snapshot for Dump and DumpAndTruncate.
+func (g *GPA) writeDump(w io.Writer, tagged []seqE2E) (int, error) {
 	g.dumps.Add(1)
 	enc := json.NewEncoder(w)
 	for i := range tagged {

@@ -162,7 +162,7 @@ func TestDumpJSONLines(t *testing.T) {
 	g.Ingest(clientRec(1, 0))
 	g.Ingest(serverRec(2, 0))
 	var buf bytes.Buffer
-	if err := g.Dump(&buf); err != nil {
+	if _, err := g.Dump(&buf); err != nil {
 		t.Fatal(err)
 	}
 	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
@@ -444,7 +444,7 @@ var errWrite = errors.New("disk full")
 
 func TestDumpSurfacesWriteErrors(t *testing.T) {
 	g := seededGPA(t)
-	if err := g.Dump(failWriter{}); !errors.Is(err, errWrite) {
+	if _, err := g.Dump(failWriter{}); !errors.Is(err, errWrite) {
 		t.Fatalf("err = %v", err)
 	}
 }

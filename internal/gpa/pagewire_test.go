@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"sysprof/internal/core"
+	"sysprof/internal/lineproto"
 	"sysprof/internal/pbio"
 )
 
@@ -122,7 +123,7 @@ func replyFrontend(t *testing.T, payload string) *Frontend {
 		c1, c2 := net.Pipe()
 		go func() {
 			defer c2.Close()
-			serveLineProtocol(c2, func(string) (string, error) { return payload, nil })
+			lineproto.ServeConn(c2, func(string) (string, error) { return payload, nil })
 		}()
 		return c1, nil
 	}))

@@ -11,7 +11,7 @@ import (
 func TestDumpLoadRoundTrip(t *testing.T) {
 	g := seededGPA(t)
 	var buf bytes.Buffer
-	if err := g.Dump(&buf); err != nil {
+	if _, err := g.Dump(&buf); err != nil {
 		t.Fatal(err)
 	}
 	recs, err := LoadDump(&buf)

@@ -1,7 +1,6 @@
 package gpa
 
 import (
-	"bufio"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -13,6 +12,7 @@ import (
 	"time"
 
 	"sysprof/internal/core"
+	"sysprof/internal/lineproto"
 	"sysprof/internal/simnet"
 )
 
@@ -42,22 +42,21 @@ type AccountingRow struct {
 
 // Accounting merges per-node class aggregates (across all shards) into a
 // per-class billing report, sorted by CPU time descending.
-func (g *GPA) Accounting() []AccountingRow {
+func (g *GPA) Accounting() []AccountingRow { return accountingRows(g.ClassAggregatesAll()) }
+
+// accountingRows folds every node's class aggregates into one row per
+// class.
+func accountingRows(byNode map[simnet.NodeID]map[string]core.Aggregate) []AccountingRow {
 	merged := make(map[string]*core.Aggregate)
-	for i := range g.shards {
-		s := &g.shards[i]
-		s.mu.Lock()
-		for _, classes := range s.byClass {
-			for name, agg := range classes {
-				m := merged[name]
-				if m == nil {
-					m = &core.Aggregate{Class: name}
-					merged[name] = m
-				}
-				m.Merge(agg)
+	for _, classes := range byNode {
+		for name, agg := range classes {
+			m := merged[name]
+			if m == nil {
+				m = &core.Aggregate{Class: name}
+				merged[name] = m
 			}
+			m.Merge(&agg)
 		}
-		s.mu.Unlock()
 	}
 	out := make([]AccountingRow, 0, len(merged))
 	for name, agg := range merged {
@@ -89,8 +88,9 @@ func (g *GPA) Accounting() []AccountingRow {
 }
 
 // RenderAccounting prints the billing report as a table.
-func (g *GPA) RenderAccounting() string {
-	rows := g.Accounting()
+func (g *GPA) RenderAccounting() string { return renderAccounting(g.Accounting()) }
+
+func renderAccounting(rows []AccountingRow) string {
 	var sb strings.Builder
 	sb.WriteString("class            interactions   cpu-time     blocked      req-bytes   resp-bytes   mean-residence\n")
 	for _, r := range rows {
@@ -102,164 +102,62 @@ func (g *GPA) RenderAccounting() string {
 	return sb.String()
 }
 
-// Execute runs one query command. Commands:
-//
-//	stats                     analyzer counters
-//	nodes                     reporting nodes
-//	load <node>               sliding-window load of a node
-//	classes <node>            per-class aggregates at a node
-//	accounting                system-wide per-class billing report
-//	flow <n:p> <n:p>          correlated interactions on one flow
-//	recent <n>                last n correlated end-to-end interactions
-//
-// Machine-readable commands serve the federation frontend, which fans
-// queries out to shard gpad processes and merges the decoded results —
-// one JSON document per reply, except the bulk transfer:
-//
-//	jstats                    Stats plus pending count, as JSON
-//	jnodes                    reporting node ids, as a JSON array
-//	jload <node>              Load of a node, as JSON
-//	jclasses                  per-node per-class aggregates, as JSON
-//	jcorrelated [n]           correlated interactions with sequence tags
-//	                          (last n by sequence), as JSON rows
-//	pcorrelated [n]           the same stream (last n by completion) as one
-//	                          columnar page: base64-framed pbio 0x05
-//	                          frames, see pagewire.go
-//
-// Admin commands (federation retention / clock-quality knobs):
-//
-//	retention <n>             cap correlated history at n (0 = unbounded)
-//	clockbound <node> <dur>   set a node's clock-error bound (0 clears)
-func (g *GPA) Execute(line string) (string, error) {
-	fields := strings.Fields(strings.TrimSpace(line))
-	if len(fields) == 0 {
-		return "", errors.New("gpa: empty query")
-	}
+// source is what a query is answered from: one analyzer's own state
+// (local, whose status is always empty) or a federation's merged shard
+// replies (*Frontend, whose status names the shards that did not
+// answer). Everything in which the two reply differently is behind the
+// last two methods.
+type source interface {
+	StatsSnapshot() (StatsReply, FederationStatus, error)
+	Nodes() ([]simnet.NodeID, FederationStatus, error)
+	ServerLoad(simnet.NodeID) (Load, FederationStatus, error)
+	ClassAggregatesAll() (map[simnet.NodeID]map[string]core.Aggregate, FederationStatus, error)
+	// correlatedTail returns the last n correlated interactions in
+	// completion order; 0 means the whole history.
+	correlatedTail(n int) ([]SeqEndToEnd, FederationStatus, error)
+	// encode renders the payload of a machine-readable reply: bare from
+	// an analyzer, in the {"federation": status, "data": ...} envelope
+	// from a frontend.
+	encode(st FederationStatus, data any) (string, error)
+	// executeOwn runs the verbs only this kind of source answers, and
+	// refuses the rest.
+	executeOwn(fields []string) (string, error)
+}
+
+// local answers queries from one analyzer: GPA's accessors in source's
+// shape.
+type local struct{ g *GPA }
+
+func (l local) StatsSnapshot() (StatsReply, FederationStatus, error) {
+	return StatsReply{Stats: l.g.StatsSnapshot(), Pending: l.g.PendingCount()}, FederationStatus{}, nil
+}
+
+func (l local) Nodes() ([]simnet.NodeID, FederationStatus, error) {
+	return l.g.Nodes(), FederationStatus{}, nil
+}
+
+func (l local) ServerLoad(node simnet.NodeID) (Load, FederationStatus, error) {
+	return l.g.ServerLoad(node), FederationStatus{}, nil
+}
+
+func (l local) ClassAggregatesAll() (map[simnet.NodeID]map[string]core.Aggregate, FederationStatus, error) {
+	return l.g.ClassAggregatesAll(), FederationStatus{}, nil
+}
+
+func (l local) correlatedTail(n int) ([]SeqEndToEnd, FederationStatus, error) {
+	return l.g.correlatedSeqTail(n), FederationStatus{}, nil
+}
+
+func (l local) encode(_ FederationStatus, data any) (string, error) { return jsonReply(data) }
+
+func (l local) executeOwn(fields []string) (string, error) {
 	switch fields[0] {
-	case "stats":
-		st := g.StatsSnapshot()
-		return fmt.Sprintf("ingested=%d correlated=%d uncorrelated=%d pending=%d",
-			st.Ingested, st.Correlated, st.Uncorrelated, g.PendingCount()), nil
-	case "nodes":
-		var parts []string
-		for _, n := range g.Nodes() {
-			parts = append(parts, strconv.Itoa(int(n)))
-		}
-		return strings.Join(parts, " "), nil
-	case "load":
-		if len(fields) != 2 {
-			return "", errors.New("gpa: usage: load <node>")
-		}
-		id, err := parseNode(fields[1])
-		if err != nil {
-			return "", err
-		}
-		l := g.ServerLoad(id)
-		return fmt.Sprintf("node=%d interactions=%d mean_residence=%v mean_kernel=%v mean_bufwait=%v",
-			l.Node, l.Interactions, l.MeanResidence, l.MeanKernel, l.MeanBufferWait), nil
-	case "classes":
-		if len(fields) != 2 {
-			return "", errors.New("gpa: usage: classes <node>")
-		}
-		id, err := parseNode(fields[1])
-		if err != nil {
-			return "", err
-		}
-		aggs := g.ClassAggregates(id)
-		names := make([]string, 0, len(aggs))
-		for n := range aggs {
-			names = append(names, n)
-		}
-		sort.Strings(names)
-		var sb strings.Builder
-		for _, n := range names {
-			a := aggs[n]
-			fmt.Fprintf(&sb, "%s count=%d mean_user=%v mean_kernel=%v mean_residence=%v\n",
-				n, a.Count, a.MeanUser(), a.MeanKernel(), a.MeanResidence())
-		}
-		return strings.TrimRight(sb.String(), "\n"), nil
-	case "accounting":
-		return strings.TrimRight(g.RenderAccounting(), "\n"), nil
-	case "flow":
-		// "information about a particular interaction": all correlated
-		// interactions on one flow, either direction.
-		if len(fields) != 3 {
-			return "", errors.New("gpa: usage: flow <node:port> <node:port>")
-		}
-		src, err := parseAddr(fields[1])
-		if err != nil {
-			return "", err
-		}
-		dst, err := parseAddr(fields[2])
-		if err != nil {
-			return "", err
-		}
-		want := simnet.FlowKey{Src: src, Dst: dst}.Canonical()
-		var sb strings.Builder
-		n := 0
-		for _, e := range g.Correlated() {
-			if e.Flow.Canonical() != want {
-				continue
-			}
-			n++
-			fmt.Fprintf(&sb, "start=%v client=%v server=%v network=%v user=%v kernel=%v bufwait=%v\n",
-				e.Server.Start, e.Client.Residence(), e.Server.Residence(),
-				e.NetworkDelay(), e.Server.UserTime, e.Server.KernelTime(),
-				e.Server.BufferWait)
-		}
-		if n == 0 {
-			return "no correlated interactions on " + want.String(), nil
-		}
-		return strings.TrimRight(sb.String(), "\n"), nil
-	case "recent":
-		if len(fields) != 2 {
-			return "", errors.New("gpa: usage: recent <n>")
-		}
-		n, err := parseCount(fields[1])
-		if err != nil {
-			return "", err
-		}
-		recs := g.correlatedSnapshot()
-		if len(recs) > n {
-			recs = recs[len(recs)-n:]
-		}
-		var sb strings.Builder
-		for i := range recs {
-			writeRecent(&sb, &recs[i].e2e)
-		}
-		return strings.TrimRight(sb.String(), "\n"), nil
-	case "jstats":
-		st := g.StatsSnapshot()
-		return jsonReply(StatsReply{Stats: st, Pending: g.PendingCount()})
-	case "jnodes":
-		return jsonReply(g.Nodes())
-	case "jload":
-		if len(fields) != 2 {
-			return "", errors.New("gpa: usage: jload <node>")
-		}
-		id, err := parseNode(fields[1])
-		if err != nil {
-			return "", err
-		}
-		return jsonReply(g.ServerLoad(id))
-	case "jclasses":
-		return jsonReply(g.ClassAggregatesAll())
-	case "jcorrelated":
-		n, err := tailCount(fields)
-		if err != nil {
-			return "", err
-		}
-		recs := g.CorrelatedSeq()
-		if n > 0 && len(recs) > n {
-			recs = recs[len(recs)-n:]
-		}
-		return jsonReply(recs)
 	case "pcorrelated":
 		n, err := tailCount(fields)
 		if err != nil {
 			return "", err
 		}
-		return g.correlatedPage(n, pageFrameRows)
+		return l.g.correlatedPage(n, pageFrameRows)
 	case "retention":
 		if len(fields) != 2 {
 			return "", errors.New("gpa: usage: retention <max-correlated>")
@@ -268,7 +166,7 @@ func (g *GPA) Execute(line string) (string, error) {
 		if err != nil || n < 0 {
 			return "", fmt.Errorf("gpa: bad retention %q (want integer >= 0)", fields[1])
 		}
-		if err := g.SetMaxCorrelated(int(n)); err != nil {
+		if err := l.g.SetMaxCorrelated(int(n)); err != nil {
 			return "", err
 		}
 		return fmt.Sprintf("retention=%d", n), nil
@@ -284,10 +182,199 @@ func (g *GPA) Execute(line string) (string, error) {
 		if err != nil || d < 0 {
 			return "", fmt.Errorf("gpa: bad clock bound %q (want non-negative duration)", fields[2])
 		}
-		g.SetClockErrorBound(id, d)
+		l.g.SetClockErrorBound(id, d)
 		return fmt.Sprintf("node=%d clockbound=%v", id, d), nil
 	}
 	return "", fmt.Errorf("gpa: unknown query %q", fields[0])
+}
+
+// Execute runs one query command against this analyzer; see execute for
+// the command set.
+func (g *GPA) Execute(line string) (string, error) { return execute(local{g}, line) }
+
+// execute runs one query command against an analyzer or a federation.
+// Commands:
+//
+//	stats                     analyzer counters
+//	nodes                     reporting nodes
+//	load <node>               sliding-window load of a node
+//	classes <node>            per-class aggregates at a node
+//	accounting                system-wide per-class billing report
+//	flow <n:p> <n:p>          correlated interactions on one flow
+//	recent <n>                last n correlated end-to-end interactions
+//
+// Machine-readable commands, one JSON document per reply:
+//
+//	jstats                    Stats plus pending count
+//	jnodes                    reporting node ids, as an array
+//	jload <node>              Load of a node
+//	jclasses                  per-node per-class aggregates
+//	jcorrelated [n]           correlated interactions with sequence tags
+//	                          (the last n in completion order)
+//
+// A frontend merges all of these from its shards; when one is dead it
+// suffixes a textual reply with the partial-result staleness marker, and
+// it always wraps a JSON reply in a {"federation": status, "data": ...}
+// envelope so machine consumers see the marker too. The rest is
+// executeOwn's: an analyzer applies the admin commands and serves its
+// history page, a frontend broadcasts the admin commands to every shard
+// and reports on its shards.
+//
+//	retention <n>             cap correlated history at n (0 = unbounded)
+//	clockbound <node> <dur>   set a node's clock-error bound (0 clears)
+//	pcorrelated [n]           analyzer only: the jcorrelated stream as one
+//	                          columnar page of base64-framed pbio 0x05
+//	                          frames (pagewire.go), what a frontend fetches
+//	federation                frontend only: shard liveness and endpoints
+func execute(src source, line string) (string, error) {
+	fields := strings.Fields(line)
+	if len(fields) == 0 {
+		return "", errors.New("gpa: empty query")
+	}
+	verb := fields[0]
+	switch verb {
+	case "jstats", "stats":
+		sum, st, err := src.StatsSnapshot()
+		if err != nil {
+			return "", err
+		}
+		if verb == "jstats" {
+			return src.encode(st, sum)
+		}
+		return fmt.Sprintf("ingested=%d correlated=%d uncorrelated=%d pending=%d",
+			sum.Ingested, sum.Correlated, sum.Uncorrelated, sum.Pending) + st.marker(), nil
+	case "jnodes", "nodes":
+		nodes, st, err := src.Nodes()
+		if err != nil {
+			return "", err
+		}
+		if verb == "jnodes" {
+			return src.encode(st, nodes)
+		}
+		parts := make([]string, len(nodes))
+		for i, n := range nodes {
+			parts[i] = strconv.Itoa(int(n))
+		}
+		return strings.Join(parts, " ") + st.marker(), nil
+	case "jload", "load":
+		id, err := nodeArg(fields)
+		if err != nil {
+			return "", err
+		}
+		l, st, err := src.ServerLoad(id)
+		if err != nil {
+			return "", err
+		}
+		if verb == "jload" {
+			return src.encode(st, l)
+		}
+		return fmt.Sprintf("node=%d interactions=%d mean_residence=%v mean_kernel=%v mean_bufwait=%v",
+			l.Node, l.Interactions, l.MeanResidence, l.MeanKernel, l.MeanBufferWait) + st.marker(), nil
+	case "classes":
+		id, err := nodeArg(fields)
+		if err != nil {
+			return "", err
+		}
+		all, st, err := src.ClassAggregatesAll()
+		if err != nil {
+			return "", err
+		}
+		aggs := all[id]
+		names := make([]string, 0, len(aggs))
+		for n := range aggs {
+			names = append(names, n)
+		}
+		sort.Strings(names)
+		var sb strings.Builder
+		for _, n := range names {
+			a := aggs[n]
+			fmt.Fprintf(&sb, "%s count=%d mean_user=%v mean_kernel=%v mean_residence=%v\n",
+				n, a.Count, a.MeanUser(), a.MeanKernel(), a.MeanResidence())
+		}
+		return strings.TrimRight(sb.String(), "\n") + st.marker(), nil
+	case "accounting":
+		all, st, err := src.ClassAggregatesAll()
+		if err != nil {
+			return "", err
+		}
+		return strings.TrimRight(renderAccounting(accountingRows(all)), "\n") + st.marker(), nil
+	case "flow":
+		// "information about a particular interaction": all correlated
+		// interactions on one flow, either direction.
+		if len(fields) != 3 {
+			return "", errors.New("gpa: usage: flow <node:port> <node:port>")
+		}
+		from, err := parseAddr(fields[1])
+		if err != nil {
+			return "", err
+		}
+		to, err := parseAddr(fields[2])
+		if err != nil {
+			return "", err
+		}
+		want := simnet.FlowKey{Src: from, Dst: to}.Canonical()
+		recs, st, err := src.correlatedTail(0)
+		if err != nil {
+			return "", err
+		}
+		var sb strings.Builder
+		for i := range recs {
+			e := &recs[i].EndToEnd
+			if e.Flow.Canonical() != want {
+				continue
+			}
+			fmt.Fprintf(&sb, "start=%v client=%v server=%v network=%v user=%v kernel=%v bufwait=%v\n",
+				e.Server.Start, e.Client.Residence(), e.Server.Residence(),
+				e.NetworkDelay(), e.Server.UserTime, e.Server.KernelTime(),
+				e.Server.BufferWait)
+		}
+		if sb.Len() == 0 {
+			return "no correlated interactions on " + want.String() + st.marker(), nil
+		}
+		return strings.TrimRight(sb.String(), "\n") + st.marker(), nil
+	case "recent":
+		if len(fields) != 2 {
+			return "", errors.New("gpa: usage: recent <n>")
+		}
+		n, err := parseCount(fields[1])
+		if err != nil {
+			return "", err
+		}
+		recs, st, err := src.correlatedTail(n)
+		if err != nil {
+			return "", err
+		}
+		var sb strings.Builder
+		for i := range recs {
+			writeRecent(&sb, &recs[i].EndToEnd)
+		}
+		return strings.TrimRight(sb.String(), "\n") + st.marker(), nil
+	case "jclasses":
+		all, st, err := src.ClassAggregatesAll()
+		if err != nil {
+			return "", err
+		}
+		return src.encode(st, all)
+	case "jcorrelated":
+		n, err := tailCount(fields)
+		if err != nil {
+			return "", err
+		}
+		recs, st, err := src.correlatedTail(n)
+		if err != nil {
+			return "", err
+		}
+		return src.encode(st, recs)
+	}
+	return src.executeOwn(fields)
+}
+
+// nodeArg parses the one node-id argument load, classes and jload take.
+func nodeArg(fields []string) (simnet.NodeID, error) {
+	if len(fields) != 2 {
+		return 0, fmt.Errorf("gpa: usage: %s <node>", fields[0])
+	}
+	return parseNode(fields[1])
 }
 
 // tailCount parses the optional trailing-count argument the correlated
@@ -364,54 +451,8 @@ func parseAddr(s string) (simnet.Addr, error) {
 	return simnet.Addr{Node: simnet.NodeID(node), Port: uint16(port)}, nil
 }
 
-// newLineScanner builds a line scanner sized for query replies: a
-// correlated payload is one line covering a shard's whole retained
-// history, so the token cap is generous (64 MiB) rather than bufio's
-// 64 KiB default.
-func newLineScanner(r io.Reader) *bufio.Scanner {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 1<<26)
-	return sc
-}
-
-// serveLineProtocol answers queries on one connection using the same
-// framing as the controller protocol: "+payload" terminated by a lone "."
-// on success, "-error" on failure. Shared by the single-process GPA query
-// server and the federation frontend.
-func serveLineProtocol(conn io.ReadWriter, exec func(string) (string, error)) {
-	sc := bufio.NewScanner(conn)
-	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
-	w := bufio.NewWriter(conn)
-	for sc.Scan() {
-		reply, err := exec(sc.Text())
-		if err != nil {
-			fmt.Fprintf(w, "-%v\n", err)
-		} else {
-			fmt.Fprintf(w, "+%s\n.\n", strings.TrimRight(reply, "\n"))
-		}
-		if err := w.Flush(); err != nil {
-			return
-		}
-	}
-}
-
-// serveListener accepts query connections until the listener closes.
-func serveListener(l net.Listener, exec func(string) (string, error)) {
-	for {
-		conn, err := l.Accept()
-		if err != nil {
-			return
-		}
-		go func() {
-			defer conn.Close()
-			serveLineProtocol(conn, exec)
-		}()
-	}
-}
-
-// ServeConn answers queries on one connection ("+payload ... ." or
-// "-error" framing, as in the controller protocol).
-func (g *GPA) ServeConn(conn io.ReadWriter) { serveLineProtocol(conn, g.Execute) }
+// ServeConn answers queries on one connection in lineproto's framing.
+func (g *GPA) ServeConn(conn io.ReadWriter) { lineproto.ServeConn(conn, g.Execute) }
 
 // Serve accepts query connections until the listener closes.
-func (g *GPA) Serve(l net.Listener) { serveListener(l, g.Execute) }
+func (g *GPA) Serve(l net.Listener) { lineproto.Serve(l, g.Execute) }

@@ -1,4 +1,4 @@
-package gpa
+package lineproto
 
 import (
 	"bytes"
@@ -8,10 +8,10 @@ import (
 
 // FuzzReadReply drives the remote-query reply framing ("+payload" lines
 // terminated by a lone '.', or a one-line "-error") with arbitrary
-// bytes. Invariants: readReply never panics, never returns both a
+// bytes. Invariants: ReadReply never panics, never returns both a
 // payload and an error, and any successfully parsed payload that the
 // serving side could actually have produced (no lone "." line, no
-// carriage returns — serveLineProtocol never emits either) survives a
+// carriage returns — ServeConn never emits either) survives a
 // re-frame/re-parse round trip unchanged.
 func FuzzReadReply(f *testing.F) {
 	f.Add([]byte("+ok\n.\n"))
@@ -23,7 +23,7 @@ func FuzzReadReply(f *testing.F) {
 	f.Add([]byte("+a\n..\n.\n"))
 	f.Add([]byte(""))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		payload, err := readReply(bytes.NewReader(data))
+		payload, err := ReadReply(bytes.NewReader(data))
 		if err != nil {
 			if payload != "" {
 				t.Fatalf("error %v alongside non-empty payload %q", err, payload)
@@ -44,7 +44,7 @@ func FuzzReadReply(f *testing.F) {
 			return
 		}
 		reframed := "+" + payload + "\n.\n"
-		back, err := readReply(strings.NewReader(reframed))
+		back, err := ReadReply(strings.NewReader(reframed))
 		if err != nil {
 			t.Fatalf("re-parse of %q failed: %v", reframed, err)
 		}

@@ -140,26 +140,8 @@ func (b *Broker) fanOutColumns(channelName string, plan *pbio.Plan, cols *core.R
 // whole batch.
 func (b *Broker) publishColumnsSharded(channelName string, plan *pbio.Plan, cols *core.RecordColumns, remotes []*remoteConn) error {
 	n := cols.Len()
-	type shardGroup struct {
-		sel     ShardSelector
-		remotes []*remoteConn
-	}
-	var groups []shardGroup
-	for _, rc := range remotes {
-		found := false
-		for gi := range groups {
-			if groups[gi].sel == rc.sel {
-				groups[gi].remotes = append(groups[gi].remotes, rc)
-				found = true
-				break
-			}
-		}
-		if !found {
-			groups = append(groups, shardGroup{sel: rc.sel, remotes: []*remoteConn{rc}})
-		}
-	}
 	var firstErr error
-	for _, grp := range groups {
+	for _, grp := range groupBySelector(remotes) {
 		part := cols
 		var scratch *core.RecordColumns
 		if grp.sel.Count != 0 {

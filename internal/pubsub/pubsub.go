@@ -280,13 +280,15 @@ type Broker struct {
 	// so any subscribe or unsubscribe invalidates it for free.
 	lastChan atomic.Pointer[chanCacheEntry]
 
-	// Fan-out knobs, atomically readable mid-publish. queueDepth only
-	// applies to subscribers connecting after a change; the other three
-	// take effect immediately for all connections.
+	// Fan-out knobs. blockTimeout and evictAfter are fixed at
+	// construction; the rest are live, atomically readable mid-publish.
+	// queueDepth only applies to subscribers connecting after a change;
+	// overflow and wireCompress take effect immediately for all
+	// connections.
+	blockTimeout time.Duration
+	evictAfter   int64
 	queueDepth   atomic.Int64
 	overflow     atomic.Int32
-	blockTimeout atomic.Int64 // nanoseconds
-	evictAfter   atomic.Int64
 	// wireCompress gates per-column compressed (0x05) columnar frames:
 	// subscribers that requested compression receive them only while
 	// this is on. Default on — the subscriber's handshake flag is the
@@ -313,16 +315,16 @@ func NewBroker(reg *pbio.Registry, opts ...Option) *Broker {
 		cfg.QueueDepth = 1
 	}
 	b := &Broker{
-		reg:   reg,
-		conns: make(map[*remoteConn]bool),
+		reg:          reg,
+		conns:        make(map[*remoteConn]bool),
+		blockTimeout: cfg.BlockTimeout,
+		evictAfter:   int64(cfg.EvictAfterOverflows),
 	}
 	empty := make(map[string]*subscribers)
 	b.chans.Store(&empty)
 	b.queueDepth.Store(int64(cfg.QueueDepth))
 	b.overflow.Store(int32(cfg.Overflow))
-	b.blockTimeout.Store(int64(cfg.BlockTimeout))
-	b.evictAfter.Store(int64(cfg.EvictAfterOverflows))
-	b.wireCompress.Store(!cfg.NoWireCompression)
+	b.wireCompress.Store(true)
 	return b
 }
 
@@ -492,6 +494,31 @@ func (b *Broker) PublishBatch(channelName string, recs any) error {
 	return b.publishBatchSharded(channelName, rv, subs.remotes)
 }
 
+// shardGroup is the subscribers that share one shard selector, and so
+// one frame of each publish.
+type shardGroup struct {
+	sel     ShardSelector
+	remotes []*remoteConn
+}
+
+// groupBySelector groups a fan-out set by selector: the unsharded group
+// shares one frame of the whole batch, each distinct (index, count) pair
+// one filtered frame.
+func groupBySelector(remotes []*remoteConn) []shardGroup {
+	var groups []shardGroup
+next:
+	for _, rc := range remotes {
+		for gi := range groups {
+			if groups[gi].sel == rc.sel {
+				groups[gi].remotes = append(groups[gi].remotes, rc)
+				continue next
+			}
+		}
+		groups = append(groups, shardGroup{sel: rc.sel, remotes: []*remoteConn{rc}})
+	}
+	return groups
+}
+
 // publishBatchSharded fans a batch out across a mixed set of sharded and
 // unsharded remote subscribers: one shared frame per distinct selector,
 // each holding only that shard's slice of the batch. Records without a
@@ -510,29 +537,8 @@ func (b *Broker) publishBatchSharded(channelName string, rv reflect.Value, remot
 			keys[i], hasKey[i] = fn(rv.Index(i).Interface())
 		}
 	}
-	// Group subscribers by selector: the unsharded group shares one frame
-	// of the whole batch, each distinct (index, count) pair shares one
-	// filtered frame.
-	type shardGroup struct {
-		sel     ShardSelector
-		remotes []*remoteConn
-	}
-	var groups []shardGroup
-	for _, rc := range remotes {
-		found := false
-		for gi := range groups {
-			if groups[gi].sel == rc.sel {
-				groups[gi].remotes = append(groups[gi].remotes, rc)
-				found = true
-				break
-			}
-		}
-		if !found {
-			groups = append(groups, shardGroup{sel: rc.sel, remotes: []*remoteConn{rc}})
-		}
-	}
 	var firstErr error
-	for _, grp := range groups {
+	for _, grp := range groupBySelector(remotes) {
 		slice := rv
 		if grp.sel.Count != 0 {
 			kept := reflect.MakeSlice(rv.Type(), 0, n)
@@ -599,8 +605,7 @@ func (b *Broker) fanOut(remotes []*remoteConn, f *frame) {
 	f.refs = int64(len(remotes))
 	recs := uint64(f.recs)
 	policy := OverflowPolicy(b.overflow.Load())
-	timeout := time.Duration(b.blockTimeout.Load())
-	evictAfter := b.evictAfter.Load()
+	timeout, evictAfter := b.blockTimeout, b.evictAfter
 	var enqueued, dropped uint64
 	for _, rc := range remotes {
 		eff := policy
@@ -770,9 +775,6 @@ func (b *Broker) SetOverflowPolicyName(name string) error {
 	return nil
 }
 
-// SetBlockTimeout changes the BlockWithDeadline wait bound.
-func (b *Broker) SetBlockTimeout(d time.Duration) { b.blockTimeout.Store(int64(d)) }
-
 // SetWireCompression toggles per-column compressed (0x05) columnar
 // frames for subscribers that requested them, effective on the next
 // publish. Turning it off downgrades those links to plain 0x04 frames —
@@ -783,10 +785,6 @@ func (b *Broker) SetWireCompression(on bool) { b.wireCompress.Store(on) }
 // WireCompression reports whether the broker currently serves compressed
 // columnar frames to subscribers that asked for them.
 func (b *Broker) WireCompression() bool { return b.wireCompress.Load() }
-
-// SetEvictAfterOverflows changes the sustained-overflow eviction
-// threshold (0 disables).
-func (b *Broker) SetEvictAfterOverflows(n int) { b.evictAfter.Store(int64(n)) }
 
 // Serve accepts remote subscribers on l until the broker is closed. It
 // blocks; run it in a goroutine and call Close to stop.

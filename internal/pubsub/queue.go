@@ -77,10 +77,6 @@ type Config struct {
 	// that persistently cannot keep up is cheaper gone than throttling
 	// the node. 0 disables eviction. Default 64.
 	EvictAfterOverflows int
-	// NoWireCompression vetoes per-column compressed (0x05) columnar
-	// frames even for subscribers that request them. Default off:
-	// compression is negotiated by the subscriber's handshake flag.
-	NoWireCompression bool
 }
 
 // DefaultConfig returns the default fan-out knobs.
@@ -108,10 +104,6 @@ func WithBlockTimeout(d time.Duration) Option { return func(c *Config) { c.Block
 // WithEvictAfterOverflows sets the sustained-overflow eviction threshold
 // (0 disables).
 func WithEvictAfterOverflows(n int) Option { return func(c *Config) { c.EvictAfterOverflows = n } }
-
-// WithWireCompression enables or disables compressed columnar frames for
-// subscribers that negotiate them (default enabled).
-func WithWireCompression(on bool) Option { return func(c *Config) { c.NoWireCompression = !on } }
 
 // frame is one encoded publish, shared by reference across every
 // subscriber queue it was fanned out to: the broker encodes once, each
