@@ -1,8 +1,10 @@
 package ecode
 
-// AST node types. Statements and expressions are small tagged structs
-// that the verifier (verify.go) checks and the closure compiler
-// (compile.go) lowers.
+// AST node types. Statements and expressions are small tagged structs,
+// never written after parsing: the verifier (verify.go) checks them and
+// records what each name and expression resolved to in a table keyed by
+// node, and the closure compiler (compile.go) lowers them from that
+// table.
 
 type stmt interface{ stmtNode() }
 

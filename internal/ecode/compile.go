@@ -1,8 +1,10 @@
 package ecode
 
 // compile.go lowers a verified E-Code program to specialized Go
-// closures — the paper's "run-time code generation" step. Verification
-// is what makes the lowering fast:
+// closures — the paper's "run-time code generation" step. It resolves
+// nothing itself: what a name means and what type an expression has are
+// read from the resolution the verifier's walk recorded (verify.go), so
+// the two cannot disagree. Verification is what makes the lowering fast:
 //
 //   - Full static typing lets every variable live in a typed slot array
 //     (int64/float64/bool/string/Record) indexed at compile time, so
@@ -19,6 +21,7 @@ package ecode
 // the two.
 
 import (
+	"cmp"
 	"fmt"
 	"sort"
 )
@@ -31,7 +34,7 @@ type Compiled struct {
 
 	body []cstmt
 
-	// Slot-space sizes per type (statics first, then locals).
+	// Slot-space sizes per type.
 	nInt, nFloat, nBool, nStr, nRec int
 	nSInit                          int
 	argBufSizes                     []int
@@ -62,28 +65,18 @@ func (p *Program) CompileVerified(env VerifyEnv) (*Compiled, *Verdict, error) {
 		statics:  map[string]slotRef{},
 		bindings: map[string]int{},
 	}
-	cp := &compiler{
-		c:       c,
-		env:     env,
-		sigs:    env.sigs(),
-		statics: map[string]Type{},
-		binfo:   map[string]int{},
-	}
-	// Record bindings occupy the first recs slots, in sorted order so
-	// compilation is deterministic.
+	// Record bindings are the recs slots, in sorted order so compilation
+	// is deterministic.
 	names := make([]string, 0, len(env.Records))
 	for n := range env.Records {
 		names = append(names, n)
 	}
 	sort.Strings(names)
-	root := &cscope{vars: map[string]slotRef{}}
-	for _, n := range names {
-		ref := slotRef{t: TRecord, idx: c.nRec}
-		c.nRec++
-		root.vars[n] = ref
-		c.bindings[n] = ref.idx
+	for i, n := range names {
+		c.bindings[n] = i
 	}
-	cp.sc = &cscope{vars: map[string]slotRef{}, parent: root}
+	c.nRec = len(names)
+	cp := &compiler{c: c, res: v.res, slots: map[*symbol]slotRef{}, binfo: map[string]int{}}
 	body, err := cp.compileBlock(p.body)
 	if err != nil {
 		return nil, v, err
@@ -192,16 +185,21 @@ type cmachine struct {
 	ret      Value
 }
 
-// Closure kinds. Typed expression closures avoid interface boxing for
-// every intermediate value on the hot path.
+// Closure kinds. A cexpr is typed by the static type of the expression
+// it evaluates, so no intermediate value on the hot path is boxed;
+// cexpr[Value] is the boxing form, built only where a Value is
+// genuinely needed (return statements and builtin arguments).
 type (
-	cstmt  func(*cmachine) (ctrl, error)
-	cInt   func(*cmachine) (int64, error)
-	cFloat func(*cmachine) (float64, error)
-	cBool  func(*cmachine) (bool, error)
-	cStr   func(*cmachine) (string, error)
-	cVal   func(*cmachine) (Value, error)
+	cstmt          func(*cmachine) (ctrl, error)
+	cexpr[T any]   func(*cmachine) (T, error)
+	lowerer[T any] func(expr) (cexpr[T], error)
 )
+
+// scalar is the set of Go types an E-Code value of static type int,
+// float, bool or string has at run time.
+type scalar interface {
+	int64 | float64 | bool | string
+}
 
 func execSeq(m *cmachine, seq []cstmt) (ctrl, error) {
 	for _, s := range seq {
@@ -220,48 +218,41 @@ type slotRef struct {
 	sinit int // static init-guard index; -1 for locals
 }
 
-type cscope struct {
-	vars   map[string]slotRef
-	parent *cscope
-}
-
-func (s *cscope) lookup(name string) (slotRef, bool) {
-	for cur := s; cur != nil; cur = cur.parent {
-		if r, ok := cur.vars[name]; ok {
-			return r, true
-		}
-	}
-	return slotRef{}, false
-}
-
 type compiler struct {
-	c       *Compiled
-	env     VerifyEnv
-	sigs    map[string]BuiltinSig
-	sc      *cscope
-	statics map[string]Type
-	binfo   map[string]int
+	c     *Compiled
+	res   *resolution
+	slots map[*symbol]slotRef // one slot per local or static declaration
+	binfo map[string]int
 }
 
-func (cp *compiler) alloc(t Type) int {
-	switch t {
-	case TInt:
-		cp.c.nInt++
-		return cp.c.nInt - 1
-	case TFloat:
-		cp.c.nFloat++
-		return cp.c.nFloat - 1
-	case TBool:
-		cp.c.nBool++
-		return cp.c.nBool - 1
-	case TString:
-		cp.c.nStr++
-		return cp.c.nStr - 1
-	case TRecord:
-		cp.c.nRec++
-		return cp.c.nRec - 1
+// slot returns the slot of the symbol the verifier resolved node (an
+// identifier use, an assignment or a declaration) to, allocating it the
+// first time the declaration is met.
+func (cp *compiler) slot(node any) slotRef {
+	s := cp.res.syms[node]
+	if s.where == varBinding {
+		return slotRef{t: TRecord, idx: cp.c.bindings[s.name], sinit: -1}
 	}
-	return -1
+	ref, ok := cp.slots[s]
+	if !ok {
+		ref = slotRef{t: s.t, sinit: -1}
+		switch s.t {
+		case TInt:
+			ref.idx, cp.c.nInt = cp.c.nInt, cp.c.nInt+1
+		case TFloat:
+			ref.idx, cp.c.nFloat = cp.c.nFloat, cp.c.nFloat+1
+		case TBool:
+			ref.idx, cp.c.nBool = cp.c.nBool, cp.c.nBool+1
+		case TString:
+			ref.idx, cp.c.nStr = cp.c.nStr, cp.c.nStr+1
+		}
+		if s.where == varStatic {
+			ref.sinit, cp.c.nSInit = cp.c.nSInit, cp.c.nSInit+1
+			cp.c.statics[s.name] = ref
+		}
+		cp.slots[s] = ref
+	}
+	return ref
 }
 
 func (cp *compiler) builtinSlot(name string) int {
@@ -274,80 +265,11 @@ func (cp *compiler) builtinSlot(name string) int {
 	return i
 }
 
-func (cp *compiler) internal(line int, format string, args ...any) error {
-	return fmt.Errorf("ecode: internal: line %d: "+format, append([]any{line}, args...)...)
-}
-
-// resolve finds a variable the way the interpreter does: scope chain
-// (including bindings at the root), then statics.
-func (cp *compiler) resolve(name string) (slotRef, bool) {
-	if r, ok := cp.sc.lookup(name); ok {
-		return r, true
-	}
-	r, ok := cp.c.statics[name]
-	return r, ok
-}
-
-// typeOf re-derives an expression's static type from compiler scope;
-// the program already verified, so this cannot fail in a way typecheck
-// would have reported.
-func (cp *compiler) typeOf(e expr) Type {
-	switch n := e.(type) {
-	case *intLit:
-		return TInt
-	case *floatLit:
-		return TFloat
-	case *boolLit:
-		return TBool
-	case *stringLit:
-		return TString
-	case *identExpr:
-		if r, ok := cp.resolve(n.name); ok {
-			return r.t
-		}
-	case *fieldExpr:
-		if id, ok := n.recv.(*identExpr); ok {
-			return cp.env.Records[id.name][n.field]
-		}
-	case *callExpr:
-		sig, ok := cp.sigs[n.name]
-		if !ok {
-			return TInvalid
-		}
-		switch sig.Result {
-		case RInt:
-			return TInt
-		case RFloat:
-			return TFloat
-		case RBool:
-			return TBool
-		case RString:
-			return TString
-		case RArg0:
-			if len(n.args) > 0 {
-				return cp.typeOf(n.args[0])
-			}
-		}
-	case *unaryExpr:
-		if n.op == "!" {
-			return TBool
-		}
-		return cp.typeOf(n.x)
-	case *binaryExpr:
-		switch n.op {
-		case "&&", "||", "==", "!=", "<", "<=", ">", ">=":
-			return TBool
-		}
-		lt, rt := cp.typeOf(n.l), cp.typeOf(n.r)
-		if lt == TString {
-			return TString
-		}
-		if lt == TInt && rt == TInt {
-			return TInt
-		}
-		return TFloat
-	}
-	return TInvalid
+// unlowerable reports an AST node the lowering has no case for. The
+// verifier admits no such node; FuzzVerify would surface one as this
+// error instead of a panic on the install path.
+func unlowerable(format string, args ...any) error {
+	return fmt.Errorf("ecode: internal: unlowerable "+format, args...)
 }
 
 func (cp *compiler) compileBlock(stmts []stmt) ([]cstmt, error) {
@@ -365,22 +287,33 @@ func (cp *compiler) compileBlock(stmts []stmt) ([]cstmt, error) {
 func (cp *compiler) compileStmt(s stmt) (cstmt, error) {
 	switch n := s.(type) {
 	case *declStmt:
-		return cp.compileDecl(n)
+		ref := cp.slot(n)
+		store, err := cp.compileStore(ref, "=", n.init, n.line)
+		if err != nil || !n.static {
+			return store, err
+		}
+		guard := ref.sinit
+		return func(m *cmachine) (ctrl, error) {
+			if m.sinit[guard] {
+				return ctrlNone, nil
+			}
+			m.sinit[guard] = true
+			return store(m)
+		}, nil
+
 	case *assignStmt:
-		return cp.compileAssign(n)
+		return cp.compileStore(cp.slot(n), n.op, n.val, n.line)
+
 	case *ifStmt:
 		cond, err := cp.compileBool(n.cond)
 		if err != nil {
 			return nil, err
 		}
-		cp.sc = &cscope{vars: map[string]slotRef{}, parent: cp.sc}
 		then, err := cp.compileBlock(n.then)
 		if err != nil {
 			return nil, err
 		}
-		cp.sc.vars = map[string]slotRef{}
 		els, err := cp.compileBlock(n.els)
-		cp.sc = cp.sc.parent
 		if err != nil {
 			return nil, err
 		}
@@ -396,10 +329,8 @@ func (cp *compiler) compileStmt(s stmt) (cstmt, error) {
 		}, nil
 
 	case *forStmt:
-		cp.sc = &cscope{vars: map[string]slotRef{}, parent: cp.sc}
-		defer func() { cp.sc = cp.sc.parent }()
 		var init, post cstmt
-		var cond cBool
+		var cond cexpr[bool]
 		var err error
 		if n.init != nil {
 			if init, err = cp.compileStmt(n.init); err != nil {
@@ -476,7 +407,7 @@ func (cp *compiler) compileStmt(s stmt) (cstmt, error) {
 		// A discarded call result is not type-asserted (the interpreter
 		// never looks at it either), so compile calls directly instead
 		// of through a typed path.
-		var f cVal
+		var f cexpr[Value]
 		var err error
 		if call, ok := n.e.(*callExpr); ok {
 			f, err = cp.compileCall(call)
@@ -493,52 +424,24 @@ func (cp *compiler) compileStmt(s stmt) (cstmt, error) {
 	case *continueStmt:
 		return func(m *cmachine) (ctrl, error) { return ctrlContinue, nil }, nil
 	}
-	return nil, fmt.Errorf("ecode: internal: unknown statement %T", s)
+	return nil, unlowerable("statement %T", s)
 }
 
-func (cp *compiler) compileDecl(n *declStmt) (cstmt, error) {
-	t := typeFromName(n.typ)
-	var ref slotRef
-	if n.static {
-		var ok bool
-		if ref, ok = cp.c.statics[n.name]; !ok {
-			ref = slotRef{t: t, idx: cp.alloc(t), sinit: cp.c.nSInit}
-			cp.c.nSInit++
-			cp.c.statics[n.name] = ref
-		}
-	} else {
-		ref = slotRef{t: t, idx: cp.alloc(t), sinit: -1}
-		cp.sc.vars[n.name] = ref
-	}
-	store, err := cp.compileStore(ref, n.init, n.line)
-	if err != nil {
-		return nil, err
-	}
-	if !n.static {
-		return store, nil
-	}
-	guard := ref.sinit
-	return func(m *cmachine) (ctrl, error) {
-		if m.sinit[guard] {
-			return ctrlNone, nil
-		}
-		m.sinit[guard] = true
-		return store(m)
-	}, nil
-}
-
-// compileStore builds the "evaluate init (or zero) and write the slot"
-// statement for a declaration, applying the interpreter's int<->float
-// init coercion.
-func (cp *compiler) compileStore(ref slotRef, init expr, line int) (cstmt, error) {
-	idx := ref.idx
+// compileStore lowers "slot op= val": an assignment, or a declaration's
+// initialiser (op "=", a nil val meaning the zero value, and int and
+// float initialising each other the way the interpreter's coerce does).
+// Which slot array is written is the one thing that cannot be said over
+// a type parameter without an indirect call per store, so the four
+// leaves are spelled out; what is done to the slot is update's.
+func (cp *compiler) compileStore(ref slotRef, op string, val expr, line int) (cstmt, error) {
+	idx, k := ref.idx, op[0]
 	switch ref.t {
 	case TInt:
-		if init == nil {
+		if val == nil {
 			return func(m *cmachine) (ctrl, error) { m.ints[idx] = 0; return ctrlNone, nil }, nil
 		}
-		if cp.typeOf(init) == TFloat {
-			f, err := cp.compileFloat(init)
+		if cp.res.types[val] == TFloat {
+			f, err := cp.compileFloat(val)
 			if err != nil {
 				return nil, err
 			}
@@ -548,33 +451,37 @@ func (cp *compiler) compileStore(ref slotRef, init expr, line int) (cstmt, error
 				return ctrlNone, err
 			}, nil
 		}
-		f, err := cp.compileInt(init)
+		f, err := cp.compileInt(val)
 		if err != nil {
 			return nil, err
 		}
 		return func(m *cmachine) (ctrl, error) {
 			v, err := f(m)
-			m.ints[idx] = v
-			return ctrlNone, err
+			if err != nil {
+				return ctrlNone, err
+			}
+			return ctrlNone, update(&m.ints[idx], k, v, line, "integer division by zero")
 		}, nil
 	case TFloat:
-		if init == nil {
+		if val == nil {
 			return func(m *cmachine) (ctrl, error) { m.floats[idx] = 0; return ctrlNone, nil }, nil
 		}
-		f, err := cp.compileFloat(init) // promotes int inits
+		f, err := cp.compileFloat(val) // promotes an int val
 		if err != nil {
 			return nil, err
 		}
 		return func(m *cmachine) (ctrl, error) {
 			v, err := f(m)
-			m.floats[idx] = v
-			return ctrlNone, err
+			if err != nil {
+				return ctrlNone, err
+			}
+			return ctrlNone, update(&m.floats[idx], k, v, line, "division by zero")
 		}, nil
-	case TBool:
-		if init == nil {
+	case TBool: // "=" is the only assignment the verifier types on a bool
+		if val == nil {
 			return func(m *cmachine) (ctrl, error) { m.bools[idx] = false; return ctrlNone, nil }, nil
 		}
-		f, err := cp.compileBool(init)
+		f, err := cp.compileBool(val)
 		if err != nil {
 			return nil, err
 		}
@@ -583,13 +490,20 @@ func (cp *compiler) compileStore(ref slotRef, init expr, line int) (cstmt, error
 			m.bools[idx] = v
 			return ctrlNone, err
 		}, nil
-	case TString:
-		if init == nil {
+	case TString: // "=" and "+=" only
+		if val == nil {
 			return func(m *cmachine) (ctrl, error) { m.strs[idx] = ""; return ctrlNone, nil }, nil
 		}
-		f, err := cp.compileStr(init)
+		f, err := cp.compileStr(val)
 		if err != nil {
 			return nil, err
+		}
+		if k == '+' {
+			return func(m *cmachine) (ctrl, error) {
+				v, err := f(m)
+				m.strs[idx] += v
+				return ctrlNone, err
+			}, nil
 		}
 		return func(m *cmachine) (ctrl, error) {
 			v, err := f(m)
@@ -597,161 +511,33 @@ func (cp *compiler) compileStore(ref slotRef, init expr, line int) (cstmt, error
 			return ctrlNone, err
 		}, nil
 	}
-	return nil, cp.internal(line, "declaration of %s", ref.t)
+	return nil, unlowerable("store to %s at line %d", ref.t, line)
 }
 
-func (cp *compiler) compileAssign(n *assignStmt) (cstmt, error) {
-	ref, ok := cp.resolve(n.name)
-	if !ok {
-		return nil, cp.internal(n.line, "assignment to unresolved %q", n.name)
+// update applies the assignment operator whose first byte is k ("=",
+// "+=", "-=", "*=", "/=") to a numeric slot.
+func update[T int64 | float64](p *T, k byte, v T, line int, divZero string) error {
+	switch k {
+	case '=':
+		*p = v
+	case '+':
+		*p += v
+	case '-':
+		*p -= v
+	case '*':
+		*p *= v
+	case '/':
+		if v == 0 {
+			return &RuntimeError{Line: line, Msg: divZero}
+		}
+		*p /= v
 	}
-	idx := ref.idx
-	line := n.line
-	switch ref.t {
-	case TInt:
-		f, err := cp.compileInt(n.val)
-		if err != nil {
-			return nil, err
-		}
-		switch n.op {
-		case "=":
-			return func(m *cmachine) (ctrl, error) {
-				v, err := f(m)
-				m.ints[idx] = v
-				return ctrlNone, err
-			}, nil
-		case "+=":
-			return func(m *cmachine) (ctrl, error) {
-				v, err := f(m)
-				m.ints[idx] += v
-				return ctrlNone, err
-			}, nil
-		case "-=":
-			return func(m *cmachine) (ctrl, error) {
-				v, err := f(m)
-				m.ints[idx] -= v
-				return ctrlNone, err
-			}, nil
-		case "*=":
-			return func(m *cmachine) (ctrl, error) {
-				v, err := f(m)
-				m.ints[idx] *= v
-				return ctrlNone, err
-			}, nil
-		case "/=":
-			return func(m *cmachine) (ctrl, error) {
-				v, err := f(m)
-				if err != nil {
-					return ctrlNone, err
-				}
-				if v == 0 {
-					return ctrlNone, rtErr(line, "integer division by zero")
-				}
-				m.ints[idx] /= v
-				return ctrlNone, nil
-			}, nil
-		}
-	case TFloat:
-		f, err := cp.compileFloat(n.val)
-		if err != nil {
-			return nil, err
-		}
-		switch n.op {
-		case "=":
-			return func(m *cmachine) (ctrl, error) {
-				v, err := f(m)
-				m.floats[idx] = v
-				return ctrlNone, err
-			}, nil
-		case "+=":
-			return func(m *cmachine) (ctrl, error) {
-				v, err := f(m)
-				m.floats[idx] += v
-				return ctrlNone, err
-			}, nil
-		case "-=":
-			return func(m *cmachine) (ctrl, error) {
-				v, err := f(m)
-				m.floats[idx] -= v
-				return ctrlNone, err
-			}, nil
-		case "*=":
-			return func(m *cmachine) (ctrl, error) {
-				v, err := f(m)
-				m.floats[idx] *= v
-				return ctrlNone, err
-			}, nil
-		case "/=":
-			return func(m *cmachine) (ctrl, error) {
-				v, err := f(m)
-				if err != nil {
-					return ctrlNone, err
-				}
-				if v == 0 {
-					return ctrlNone, rtErr(line, "division by zero")
-				}
-				m.floats[idx] /= v
-				return ctrlNone, nil
-			}, nil
-		}
-	case TBool:
-		if n.op == "=" {
-			f, err := cp.compileBool(n.val)
-			if err != nil {
-				return nil, err
-			}
-			return func(m *cmachine) (ctrl, error) {
-				v, err := f(m)
-				m.bools[idx] = v
-				return ctrlNone, err
-			}, nil
-		}
-	case TString:
-		f, err := cp.compileStr(n.val)
-		if err != nil {
-			return nil, err
-		}
-		switch n.op {
-		case "=":
-			return func(m *cmachine) (ctrl, error) {
-				v, err := f(m)
-				m.strs[idx] = v
-				return ctrlNone, err
-			}, nil
-		case "+=":
-			return func(m *cmachine) (ctrl, error) {
-				v, err := f(m)
-				m.strs[idx] += v
-				return ctrlNone, err
-			}, nil
-		}
-	}
-	return nil, cp.internal(n.line, "assignment %s %s", ref.t, n.op)
+	return nil
 }
 
-// compileField builds the generic record-field load.
-func (cp *compiler) compileField(n *fieldExpr) (cVal, error) {
-	id, ok := n.recv.(*identExpr)
-	if !ok {
-		return nil, cp.internal(n.line, "field access on non-identifier")
-	}
-	ref, ok := cp.resolve(id.name)
-	if !ok || ref.t != TRecord {
-		return nil, cp.internal(n.line, "field access on %q", id.name)
-	}
-	idx, field, line := ref.idx, n.field, n.line
-	return func(m *cmachine) (Value, error) {
-		v, ok := m.recs[idx].Field(field)
-		if !ok {
-			return nil, rtErr(line, "record has no field %q", field)
-		}
-		return v, nil
-	}, nil
-}
-
-func (cp *compiler) compileCall(n *callExpr) (cVal, error) {
+func (cp *compiler) compileCall(n *callExpr) (cexpr[Value], error) {
 	slot := cp.builtinSlot(n.name)
-	argFns := make([]cVal, len(n.args))
+	argFns := make([]cexpr[Value], len(n.args))
 	for i, a := range n.args {
 		f, err := cp.compileVal(a)
 		if err != nil {
@@ -779,142 +565,51 @@ func (cp *compiler) compileCall(n *callExpr) (cVal, error) {
 	}, nil
 }
 
-func (cp *compiler) compileInt(e expr) (cInt, error) {
+// The four typed lowerings. Each spells out only what is particular to
+// its type — the literal node, the slot array an identifier loads from,
+// and the operators that exist on it alone — and hands every other node
+// to the shared family below.
+
+func (cp *compiler) compileInt(e expr) (cexpr[int64], error) {
 	switch n := e.(type) {
 	case *intLit:
-		v := n.v
-		return func(*cmachine) (int64, error) { return v, nil }, nil
+		return constant(n.v), nil
 	case *identExpr:
-		ref, ok := cp.resolve(n.name)
-		if !ok || ref.t != TInt {
-			return nil, cp.internal(n.line, "int read of %q", n.name)
-		}
-		idx := ref.idx
+		idx := cp.slot(n).idx
 		return func(m *cmachine) (int64, error) { return m.ints[idx], nil }, nil
-	case *fieldExpr:
-		f, err := cp.compileField(n)
-		if err != nil {
-			return nil, err
-		}
-		line, field := n.line, n.field
-		return func(m *cmachine) (int64, error) {
-			v, err := f(m)
-			if err != nil {
-				return 0, err
-			}
-			i, ok := v.(int64)
-			if !ok {
-				return 0, rtErr(line, "field %q is %T, schema says int", field, v)
-			}
-			return i, nil
-		}, nil
-	case *callExpr:
-		f, err := cp.compileCall(n)
-		if err != nil {
-			return nil, err
-		}
-		line, name := n.line, n.name
-		return func(m *cmachine) (int64, error) {
-			v, err := f(m)
-			if err != nil {
-				return 0, err
-			}
-			i, ok := v.(int64)
-			if !ok {
-				return 0, rtErr(line, "%s returned %T, want int", name, v)
-			}
-			return i, nil
-		}, nil
 	case *unaryExpr:
-		if n.op != "-" {
-			return nil, cp.internal(n.line, "int unary %q", n.op)
-		}
-		f, err := cp.compileInt(n.x)
-		if err != nil {
-			return nil, err
-		}
-		return func(m *cmachine) (int64, error) {
-			v, err := f(m)
-			return -v, err
-		}, nil
+		return negate(cp.compileInt(n.x))
 	case *binaryExpr:
-		l, err := cp.compileInt(n.l)
-		if err != nil {
-			return nil, err
+		if n.op != "%" {
+			return arith(cp.compileInt, n, "integer division by zero")
 		}
-		r, err := cp.compileInt(n.r)
+		l, r, err := operands(cp.compileInt, n)
 		if err != nil {
 			return nil, err
 		}
 		line := n.line
-		switch n.op {
-		case "+":
-			return func(m *cmachine) (int64, error) {
-				lv, err := l(m)
-				if err != nil {
-					return 0, err
-				}
-				rv, err := r(m)
-				return lv + rv, err
-			}, nil
-		case "-":
-			return func(m *cmachine) (int64, error) {
-				lv, err := l(m)
-				if err != nil {
-					return 0, err
-				}
-				rv, err := r(m)
-				return lv - rv, err
-			}, nil
-		case "*":
-			return func(m *cmachine) (int64, error) {
-				lv, err := l(m)
-				if err != nil {
-					return 0, err
-				}
-				rv, err := r(m)
-				return lv * rv, err
-			}, nil
-		case "/":
-			return func(m *cmachine) (int64, error) {
-				lv, err := l(m)
-				if err != nil {
-					return 0, err
-				}
-				rv, err := r(m)
-				if err != nil {
-					return 0, err
-				}
-				if rv == 0 {
-					return 0, rtErr(line, "integer division by zero")
-				}
-				return lv / rv, nil
-			}, nil
-		case "%":
-			return func(m *cmachine) (int64, error) {
-				lv, err := l(m)
-				if err != nil {
-					return 0, err
-				}
-				rv, err := r(m)
-				if err != nil {
-					return 0, err
-				}
-				if rv == 0 {
-					return 0, rtErr(line, "integer modulo by zero")
-				}
-				return lv % rv, nil
-			}, nil
-		}
-		return nil, cp.internal(n.line, "int binary %q", n.op)
+		return func(m *cmachine) (int64, error) {
+			lv, err := l(m)
+			if err != nil {
+				return 0, err
+			}
+			rv, err := r(m)
+			if err != nil {
+				return 0, err
+			}
+			if rv == 0 {
+				return 0, rtErr(line, "integer modulo by zero")
+			}
+			return lv % rv, nil
+		}, nil
 	}
-	return nil, fmt.Errorf("ecode: internal: int expression %T", e)
+	return unbox[int64](cp, e)
 }
 
-func (cp *compiler) compileFloat(e expr) (cFloat, error) {
+func (cp *compiler) compileFloat(e expr) (cexpr[float64], error) {
 	// Ints promote to float wherever a float is expected, exactly like
 	// evalBinary's mixed-operand rule.
-	if cp.typeOf(e) == TInt {
+	if cp.res.types[e] == TInt {
 		f, err := cp.compileInt(e)
 		if err != nil {
 			return nil, err
@@ -926,175 +621,27 @@ func (cp *compiler) compileFloat(e expr) (cFloat, error) {
 	}
 	switch n := e.(type) {
 	case *floatLit:
-		v := n.v
-		return func(*cmachine) (float64, error) { return v, nil }, nil
+		return constant(n.v), nil
 	case *identExpr:
-		ref, ok := cp.resolve(n.name)
-		if !ok || ref.t != TFloat {
-			return nil, cp.internal(n.line, "float read of %q", n.name)
-		}
-		idx := ref.idx
+		idx := cp.slot(n).idx
 		return func(m *cmachine) (float64, error) { return m.floats[idx], nil }, nil
-	case *fieldExpr:
-		f, err := cp.compileField(n)
-		if err != nil {
-			return nil, err
-		}
-		line, field := n.line, n.field
-		return func(m *cmachine) (float64, error) {
-			v, err := f(m)
-			if err != nil {
-				return 0, err
-			}
-			x, ok := v.(float64)
-			if !ok {
-				return 0, rtErr(line, "field %q is %T, schema says float", field, v)
-			}
-			return x, nil
-		}, nil
-	case *callExpr:
-		f, err := cp.compileCall(n)
-		if err != nil {
-			return nil, err
-		}
-		line, name := n.line, n.name
-		return func(m *cmachine) (float64, error) {
-			v, err := f(m)
-			if err != nil {
-				return 0, err
-			}
-			x, ok := v.(float64)
-			if !ok {
-				return 0, rtErr(line, "%s returned %T, want float", name, v)
-			}
-			return x, nil
-		}, nil
 	case *unaryExpr:
-		if n.op != "-" {
-			return nil, cp.internal(n.line, "float unary %q", n.op)
-		}
-		f, err := cp.compileFloat(n.x)
-		if err != nil {
-			return nil, err
-		}
-		return func(m *cmachine) (float64, error) {
-			v, err := f(m)
-			return -v, err
-		}, nil
+		return negate(cp.compileFloat(n.x))
 	case *binaryExpr:
-		l, err := cp.compileFloat(n.l)
-		if err != nil {
-			return nil, err
-		}
-		r, err := cp.compileFloat(n.r)
-		if err != nil {
-			return nil, err
-		}
-		line := n.line
-		switch n.op {
-		case "+":
-			return func(m *cmachine) (float64, error) {
-				lv, err := l(m)
-				if err != nil {
-					return 0, err
-				}
-				rv, err := r(m)
-				return lv + rv, err
-			}, nil
-		case "-":
-			return func(m *cmachine) (float64, error) {
-				lv, err := l(m)
-				if err != nil {
-					return 0, err
-				}
-				rv, err := r(m)
-				return lv - rv, err
-			}, nil
-		case "*":
-			return func(m *cmachine) (float64, error) {
-				lv, err := l(m)
-				if err != nil {
-					return 0, err
-				}
-				rv, err := r(m)
-				return lv * rv, err
-			}, nil
-		case "/":
-			return func(m *cmachine) (float64, error) {
-				lv, err := l(m)
-				if err != nil {
-					return 0, err
-				}
-				rv, err := r(m)
-				if err != nil {
-					return 0, err
-				}
-				if rv == 0 {
-					return 0, rtErr(line, "division by zero")
-				}
-				return lv / rv, nil
-			}, nil
-		}
-		return nil, cp.internal(n.line, "float binary %q", n.op)
+		return arith(cp.compileFloat, n, "division by zero")
 	}
-	return nil, fmt.Errorf("ecode: internal: float expression %T", e)
+	return unbox[float64](cp, e)
 }
 
-func (cp *compiler) compileStr(e expr) (cStr, error) {
+func (cp *compiler) compileStr(e expr) (cexpr[string], error) {
 	switch n := e.(type) {
 	case *stringLit:
-		v := n.v
-		return func(*cmachine) (string, error) { return v, nil }, nil
+		return constant(n.v), nil
 	case *identExpr:
-		ref, ok := cp.resolve(n.name)
-		if !ok || ref.t != TString {
-			return nil, cp.internal(n.line, "string read of %q", n.name)
-		}
-		idx := ref.idx
+		idx := cp.slot(n).idx
 		return func(m *cmachine) (string, error) { return m.strs[idx], nil }, nil
-	case *fieldExpr:
-		f, err := cp.compileField(n)
-		if err != nil {
-			return nil, err
-		}
-		line, field := n.line, n.field
-		return func(m *cmachine) (string, error) {
-			v, err := f(m)
-			if err != nil {
-				return "", err
-			}
-			s, ok := v.(string)
-			if !ok {
-				return "", rtErr(line, "field %q is %T, schema says string", field, v)
-			}
-			return s, nil
-		}, nil
-	case *callExpr:
-		f, err := cp.compileCall(n)
-		if err != nil {
-			return nil, err
-		}
-		line, name := n.line, n.name
-		return func(m *cmachine) (string, error) {
-			v, err := f(m)
-			if err != nil {
-				return "", err
-			}
-			s, ok := v.(string)
-			if !ok {
-				return "", rtErr(line, "%s returned %T, want string", name, v)
-			}
-			return s, nil
-		}, nil
-	case *binaryExpr:
-		if n.op != "+" {
-			return nil, cp.internal(n.line, "string binary %q", n.op)
-		}
-		l, err := cp.compileStr(n.l)
-		if err != nil {
-			return nil, err
-		}
-		r, err := cp.compileStr(n.r)
+	case *binaryExpr: // "+" is the only string-valued operator
+		l, r, err := operands(cp.compileStr, n)
 		if err != nil {
 			return nil, err
 		}
@@ -1107,59 +654,17 @@ func (cp *compiler) compileStr(e expr) (cStr, error) {
 			return lv + rv, err
 		}, nil
 	}
-	return nil, fmt.Errorf("ecode: internal: string expression %T", e)
+	return unbox[string](cp, e)
 }
 
-func (cp *compiler) compileBool(e expr) (cBool, error) {
+func (cp *compiler) compileBool(e expr) (cexpr[bool], error) {
 	switch n := e.(type) {
 	case *boolLit:
-		v := n.v
-		return func(*cmachine) (bool, error) { return v, nil }, nil
+		return constant(n.v), nil
 	case *identExpr:
-		ref, ok := cp.resolve(n.name)
-		if !ok || ref.t != TBool {
-			return nil, cp.internal(n.line, "bool read of %q", n.name)
-		}
-		idx := ref.idx
+		idx := cp.slot(n).idx
 		return func(m *cmachine) (bool, error) { return m.bools[idx], nil }, nil
-	case *fieldExpr:
-		f, err := cp.compileField(n)
-		if err != nil {
-			return nil, err
-		}
-		line, field := n.line, n.field
-		return func(m *cmachine) (bool, error) {
-			v, err := f(m)
-			if err != nil {
-				return false, err
-			}
-			b, ok := v.(bool)
-			if !ok {
-				return false, rtErr(line, "field %q is %T, schema says bool", field, v)
-			}
-			return b, nil
-		}, nil
-	case *callExpr:
-		f, err := cp.compileCall(n)
-		if err != nil {
-			return nil, err
-		}
-		line, name := n.line, n.name
-		return func(m *cmachine) (bool, error) {
-			v, err := f(m)
-			if err != nil {
-				return false, err
-			}
-			b, ok := v.(bool)
-			if !ok {
-				return false, rtErr(line, "%s returned %T, want bool", name, v)
-			}
-			return b, nil
-		}, nil
-	case *unaryExpr:
-		if n.op != "!" {
-			return nil, cp.internal(n.line, "bool unary %q", n.op)
-		}
+	case *unaryExpr: // "!" is the only bool-valued unary
 		f, err := cp.compileBool(n.x)
 		if err != nil {
 			return nil, err
@@ -1171,28 +676,28 @@ func (cp *compiler) compileBool(e expr) (cBool, error) {
 	case *binaryExpr:
 		return cp.compileBoolBinary(n)
 	}
-	return nil, fmt.Errorf("ecode: internal: bool expression %T", e)
+	return unbox[bool](cp, e)
 }
 
-func (cp *compiler) compileBoolBinary(n *binaryExpr) (cBool, error) {
-	switch n.op {
-	case "&&", "||":
-		l, err := cp.compileBool(n.l)
+func (cp *compiler) compileBoolBinary(n *binaryExpr) (cexpr[bool], error) {
+	lt, rt := cp.res.types[n.l], cp.res.types[n.r]
+	switch {
+	case n.op == "&&":
+		l, r, err := operands(cp.compileBool, n)
 		if err != nil {
 			return nil, err
 		}
-		r, err := cp.compileBool(n.r)
+		return func(m *cmachine) (bool, error) {
+			lv, err := l(m)
+			if err != nil || !lv {
+				return false, err
+			}
+			return r(m)
+		}, nil
+	case n.op == "||":
+		l, r, err := operands(cp.compileBool, n)
 		if err != nil {
 			return nil, err
-		}
-		if n.op == "&&" {
-			return func(m *cmachine) (bool, error) {
-				lv, err := l(m)
-				if err != nil || !lv {
-					return false, err
-				}
-				return r(m)
-			}, nil
 		}
 		return func(m *cmachine) (bool, error) {
 			lv, err := l(m)
@@ -1201,45 +706,12 @@ func (cp *compiler) compileBoolBinary(n *binaryExpr) (cBool, error) {
 			}
 			return r(m)
 		}, nil
-	}
-
-	lt, rt := cp.typeOf(n.l), cp.typeOf(n.r)
-	op := n.op
-	switch {
-	case lt == TString && rt == TString:
-		l, err := cp.compileStr(n.l)
+	case lt == TBool: // "==" and "!=" only; bools are not ordered
+		l, r, err := operands(cp.compileBool, n)
 		if err != nil {
 			return nil, err
 		}
-		r, err := cp.compileStr(n.r)
-		if err != nil {
-			return nil, err
-		}
-		cmp, err := strCmp(op)
-		if err != nil {
-			return nil, cp.internal(n.line, "%v", err)
-		}
-		return func(m *cmachine) (bool, error) {
-			lv, err := l(m)
-			if err != nil {
-				return false, err
-			}
-			rv, err := r(m)
-			return cmp(lv, rv), err
-		}, nil
-	case lt == TBool && rt == TBool:
-		l, err := cp.compileBool(n.l)
-		if err != nil {
-			return nil, err
-		}
-		r, err := cp.compileBool(n.r)
-		if err != nil {
-			return nil, err
-		}
-		eq := op == "=="
-		if !eq && op != "!=" {
-			return nil, cp.internal(n.line, "bool comparison %q", op)
-		}
+		eq := n.op == "=="
 		return func(m *cmachine) (bool, error) {
 			lv, err := l(m)
 			if err != nil {
@@ -1248,169 +720,200 @@ func (cp *compiler) compileBoolBinary(n *binaryExpr) (cBool, error) {
 			rv, err := r(m)
 			return (lv == rv) == eq, err
 		}, nil
+	case lt == TString:
+		return compare(cp.compileStr, n)
 	case lt == TInt && rt == TInt:
-		l, err := cp.compileInt(n.l)
-		if err != nil {
-			return nil, err
-		}
-		r, err := cp.compileInt(n.r)
-		if err != nil {
-			return nil, err
-		}
-		cmp, err := intCmp(op)
-		if err != nil {
-			return nil, cp.internal(n.line, "%v", err)
-		}
-		return func(m *cmachine) (bool, error) {
-			lv, err := l(m)
-			if err != nil {
-				return false, err
-			}
-			rv, err := r(m)
-			return cmp(lv, rv), err
-		}, nil
-	default: // mixed numeric: promote both to float, like evalBinary
-		l, err := cp.compileFloat(n.l)
-		if err != nil {
-			return nil, err
-		}
-		r, err := cp.compileFloat(n.r)
-		if err != nil {
-			return nil, err
-		}
-		cmp, err := floatCmp(op)
-		if err != nil {
-			return nil, cp.internal(n.line, "%v", err)
-		}
-		return func(m *cmachine) (bool, error) {
-			lv, err := l(m)
-			if err != nil {
-				return false, err
-			}
-			rv, err := r(m)
-			return cmp(lv, rv), err
-		}, nil
+		return compare(cp.compileInt, n)
 	}
+	// Mixed numeric operands both promote to float, like evalBinary.
+	return compare(cp.compileFloat, n)
 }
 
-func intCmp(op string) (func(a, b int64) bool, error) {
-	switch op {
-	case "==":
-		return func(a, b int64) bool { return a == b }, nil
-	case "!=":
-		return func(a, b int64) bool { return a != b }, nil
-	case "<":
-		return func(a, b int64) bool { return a < b }, nil
-	case "<=":
-		return func(a, b int64) bool { return a <= b }, nil
-	case ">":
-		return func(a, b int64) bool { return a > b }, nil
-	case ">=":
-		return func(a, b int64) bool { return a >= b }, nil
-	}
-	return nil, fmt.Errorf("int comparison %q", op)
-}
-
-func floatCmp(op string) (func(a, b float64) bool, error) {
-	switch op {
-	case "==":
-		return func(a, b float64) bool { return a == b }, nil
-	case "!=":
-		return func(a, b float64) bool { return a != b }, nil
-	case "<":
-		return func(a, b float64) bool { return a < b }, nil
-	case "<=":
-		return func(a, b float64) bool { return a <= b }, nil
-	case ">":
-		return func(a, b float64) bool { return a > b }, nil
-	case ">=":
-		return func(a, b float64) bool { return a >= b }, nil
-	}
-	return nil, fmt.Errorf("float comparison %q", op)
-}
-
-func strCmp(op string) (func(a, b string) bool, error) {
-	switch op {
-	case "==":
-		return func(a, b string) bool { return a == b }, nil
-	case "!=":
-		return func(a, b string) bool { return a != b }, nil
-	case "<":
-		return func(a, b string) bool { return a < b }, nil
-	case "<=":
-		return func(a, b string) bool { return a <= b }, nil
-	case ">":
-		return func(a, b string) bool { return a > b }, nil
-	case ">=":
-		return func(a, b string) bool { return a >= b }, nil
-	}
-	return nil, fmt.Errorf("string comparison %q", op)
-}
-
-// compileVal compiles any expression to a generic (boxing) closure —
-// used only where a Value is genuinely needed: return statements and
-// builtin arguments.
-func (cp *compiler) compileVal(e expr) (cVal, error) {
-	switch cp.typeOf(e) {
+// compileVal lowers any expression to a boxing closure — used only
+// where a Value is genuinely needed: return statements and builtin
+// arguments.
+func (cp *compiler) compileVal(e expr) (cexpr[Value], error) {
+	switch cp.res.types[e] {
 	case TInt:
-		f, err := cp.compileInt(e)
-		if err != nil {
-			return nil, err
-		}
-		return func(m *cmachine) (Value, error) {
-			v, err := f(m)
-			if err != nil {
-				return nil, err
-			}
-			return v, nil
-		}, nil
+		return box(cp.compileInt(e))
 	case TFloat:
-		f, err := cp.compileFloat(e)
-		if err != nil {
-			return nil, err
-		}
-		return func(m *cmachine) (Value, error) {
-			v, err := f(m)
-			if err != nil {
-				return nil, err
-			}
-			return v, nil
-		}, nil
+		return box(cp.compileFloat(e))
 	case TBool:
-		f, err := cp.compileBool(e)
-		if err != nil {
-			return nil, err
-		}
-		return func(m *cmachine) (Value, error) {
-			v, err := f(m)
-			if err != nil {
-				return nil, err
-			}
-			return v, nil
-		}, nil
+		return box(cp.compileBool(e))
 	case TString:
-		f, err := cp.compileStr(e)
-		if err != nil {
-			return nil, err
-		}
-		return func(m *cmachine) (Value, error) {
-			v, err := f(m)
-			if err != nil {
-				return nil, err
-			}
-			return v, nil
-		}, nil
-	case TRecord:
-		id, ok := e.(*identExpr)
-		if !ok {
-			return nil, fmt.Errorf("ecode: internal: record expression %T", e)
-		}
-		ref, ok := cp.resolve(id.name)
-		if !ok {
-			return nil, cp.internal(id.line, "record read of %q", id.name)
-		}
-		idx := ref.idx
+		return box(cp.compileStr(e))
+	case TRecord: // only a bare host binding is record-typed
+		idx := cp.slot(e).idx
 		return func(m *cmachine) (Value, error) { return m.recs[idx], nil }, nil
 	}
-	return nil, fmt.Errorf("ecode: internal: untyped expression %T", e)
+	return nil, unlowerable("untyped expression %T", e)
+}
+
+// The closure family every typed lowering shares, written once over the
+// value's Go type. Where the operator is native to the instantiation
+// (+ on int64, < on string) the generic closure costs what the
+// hand-written one did: no node gains an indirect call, a type switch
+// or an allocation.
+
+func constant[T any](v T) cexpr[T] {
+	return func(*cmachine) (T, error) { return v, nil }
+}
+
+// operands lowers both sides of a binary node with one typed lowering.
+func operands[T any](lower lowerer[T], n *binaryExpr) (l, r cexpr[T], err error) {
+	if l, err = lower(n.l); err == nil {
+		r, err = lower(n.r)
+	}
+	return l, r, err
+}
+
+// unbox lowers the two nodes whose value arrives boxed from the host —
+// a record field and a builtin's result — and asserts the static type
+// the verifier gave it.
+func unbox[T scalar](cp *compiler, e expr) (cexpr[T], error) {
+	want := cp.res.types[e]
+	switch n := e.(type) {
+	case *fieldExpr:
+		idx, field, line := cp.slot(n.recv).idx, n.field, n.line
+		return func(m *cmachine) (zero T, _ error) {
+			v, ok := m.recs[idx].Field(field)
+			if !ok {
+				return zero, rtErr(line, "record has no field %q", field)
+			}
+			x, ok := v.(T)
+			if !ok {
+				return zero, rtErr(line, "field %q is %T, schema says %s", field, v, want)
+			}
+			return x, nil
+		}, nil
+	case *callExpr:
+		f, err := cp.compileCall(n)
+		if err != nil {
+			return nil, err
+		}
+		name, line := n.name, n.line
+		return func(m *cmachine) (zero T, _ error) {
+			v, err := f(m)
+			if err != nil {
+				return zero, err
+			}
+			x, ok := v.(T)
+			if !ok {
+				return zero, rtErr(line, "%s returned %T, want %s", name, v, want)
+			}
+			return x, nil
+		}, nil
+	}
+	return nil, unlowerable("%s expression %T", want, e)
+}
+
+func box[T scalar](f cexpr[T], err error) (cexpr[Value], error) {
+	if err != nil {
+		return nil, err
+	}
+	return func(m *cmachine) (Value, error) {
+		v, err := f(m)
+		if err != nil {
+			return nil, err
+		}
+		return v, nil
+	}, nil
+}
+
+func negate[T int64 | float64](f cexpr[T], err error) (cexpr[T], error) {
+	if err != nil {
+		return nil, err
+	}
+	return func(m *cmachine) (T, error) {
+		v, err := f(m)
+		return -v, err
+	}, nil
+}
+
+// arith lowers + - * / over one numeric type; divZero is the text that
+// type's division fault carries.
+func arith[T int64 | float64](lower lowerer[T], n *binaryExpr, divZero string) (cexpr[T], error) {
+	l, r, err := operands(lower, n)
+	if err != nil {
+		return nil, err
+	}
+	switch n.op {
+	case "+":
+		return func(m *cmachine) (T, error) {
+			lv, err := l(m)
+			if err != nil {
+				return 0, err
+			}
+			rv, err := r(m)
+			return lv + rv, err
+		}, nil
+	case "-":
+		return func(m *cmachine) (T, error) {
+			lv, err := l(m)
+			if err != nil {
+				return 0, err
+			}
+			rv, err := r(m)
+			return lv - rv, err
+		}, nil
+	case "*":
+		return func(m *cmachine) (T, error) {
+			lv, err := l(m)
+			if err != nil {
+				return 0, err
+			}
+			rv, err := r(m)
+			return lv * rv, err
+		}, nil
+	case "/":
+		line := n.line
+		return func(m *cmachine) (T, error) {
+			lv, err := l(m)
+			if err != nil {
+				return 0, err
+			}
+			rv, err := r(m)
+			if err != nil {
+				return 0, err
+			}
+			if rv == 0 {
+				return 0, &RuntimeError{Line: line, Msg: divZero}
+			}
+			return lv / rv, nil
+		}, nil
+	}
+	return nil, unlowerable("arithmetic %q at line %d", n.op, n.line)
+}
+
+// compare lowers the six comparisons over one ordered type.
+func compare[T cmp.Ordered](lower lowerer[T], n *binaryExpr) (cexpr[bool], error) {
+	l, r, err := operands(lower, n)
+	if err != nil {
+		return nil, err
+	}
+	var test func(a, b T) bool
+	switch n.op {
+	case "==":
+		test = func(a, b T) bool { return a == b }
+	case "!=":
+		test = func(a, b T) bool { return a != b }
+	case "<":
+		test = func(a, b T) bool { return a < b }
+	case "<=":
+		test = func(a, b T) bool { return a <= b }
+	case ">":
+		test = func(a, b T) bool { return a > b }
+	case ">=":
+		test = func(a, b T) bool { return a >= b }
+	default:
+		return nil, unlowerable("comparison %q at line %d", n.op, n.line)
+	}
+	return func(m *cmachine) (bool, error) {
+		lv, err := l(m)
+		if err != nil {
+			return false, err
+		}
+		rv, err := r(m)
+		return test(lv, rv), err
+	}, nil
 }

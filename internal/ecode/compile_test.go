@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -118,6 +119,41 @@ return 0.0;
 			diffRun(t, tc.src, ev, nil)
 		})
 	}
+
+	for _, tc := range scopingCases {
+		t.Run(tc.name, func(t *testing.T) {
+			if got, err := diffRun(t, tc.src, ev, nil); err != nil || got != tc.want {
+				t.Errorf("got %#v, %v; want %#v", got, err, tc.want)
+			}
+		})
+	}
+}
+
+// scopingCases extend TestCompiledMatchesInterpreter's corpus (and seed
+// FuzzVerify): what a name means is resolved once, by the verifier, and
+// both engines must run the program as it was typed — so these also
+// pin the value. A declaration's initialiser resolves before the
+// declared name is bound, and a loop body is a scope of its own,
+// fresh on every iteration (the first six diverged between the
+// engines, or from the verifier's typing, before that held).
+var scopingCases = []struct {
+	name string
+	src  string
+	want Value
+}{
+	{"init-reads-outer", `int x = 1; if (true) { int x = x + 1; return x; } return -1;`, int64(2)},
+	{"init-reads-outer-retyped", `int x = 1; if (true) { float x = x + 0.5; return x; } return -1.0;`, 1.5},
+	{"init-reads-static", `static int n = 7; if (true) { int n = n + 1; return n; } return -1;`, int64(8)},
+	{"init-reads-outer-string", `string x = "abc"; if (true) { int x = len(x); return x; } return -1;`, int64(3)},
+	{"loop-init-reads-outer", `int x = 5; int s = 0; for (int i = 0; i < 3; i++) { int x = x + i; s = x; } return s;`, int64(7)},
+	{"loop-init-reads-outer-string", `string x = "abc"; int s = 0; for (int i = 0; i < 2; i++) { int x = len(x); s += x; } return s;`, int64(6)},
+
+	{"branch-retype-then", `if (ev.last) { int v = 3; return v; } else { string v = "ab"; return len(v); }`, int64(3)},
+	{"branch-retype-else", `if (!ev.last) { int v = 3; return v; } else { string v = "ab"; return len(v); }`, int64(2)},
+	{"for-init-shadows-outer", `int i = 42; int s = 0; for (int i = 0; i < 3; i++) { s += 100; } return s + i;`, int64(342)},
+	{"local-shadows-static", `static int n = 7; int r = 0; if (true) { int n = 200; r = n; } return r + n;`, int64(207)},
+	{"static-in-loop-body", `int s = 0; for (int i = 0; i < 3; i++) { static int k = 10; k++; s = k; } return s;`, int64(13)},
+	{"sibling-loops", `int s = 0; for (int i = 0; i < 3; i++) { int d = i; s += d; } for (int j = 0; j < 3; j++) { int d = 2; s += d; } return s;`, int64(9)},
 }
 
 // TestCompiledStaticsPersist mirrors TestStaticPersistsAcrossRuns: the
@@ -170,6 +206,83 @@ return count;
 	if _, ok := ci.Static("missing"); ok {
 		t.Error("Static returned a value for an undeclared name")
 	}
+
+	// A static declared in a branch exists from the event that first
+	// takes the branch, not before.
+	c, _, err = MustCompile(`
+static int runs = 0;
+runs++;
+if (runs == 2) { static int late = 40; late += runs; }
+return runs;
+`).CompileVerified(testVerifyEnv("late"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ci, err = c.NewInstance(nil); err != nil {
+		t.Fatal(err)
+	}
+	for run, want := range []Value{nil, int64(42), int64(42)} {
+		if _, err := ci.Run(bindings); err != nil {
+			t.Fatal(err)
+		}
+		if got, ok := ci.Static("late"); got != want || ok != (want != nil) {
+			t.Errorf("after run %d: Static(late) = %v, %v; want %v", run+1, got, ok, want)
+		}
+	}
+}
+
+// TestSharedProgramConcurrentVerify: a *Program is immutable. One parsed
+// program is verified and compiled from several goroutines at once
+// against environments that type the same nodes differently — ev.key is
+// an int for one and a string for the next, and the third binds only
+// rec, so ev is undefined — and every result must equal the sequential
+// one. Under -race this is what rules out annotating the AST in place.
+func TestSharedProgramConcurrentVerify(t *testing.T) {
+	prog := MustCompile(`static int n = 0; n++; if (ev.key == ev.key && n > 0) { return ev.key; } return ev.key;`)
+	envs := []VerifyEnv{
+		{Name: "cpa", Records: map[string]RecordSchema{"ev": {"key": TInt}}},
+		{Name: "retyped", Records: map[string]RecordSchema{"ev": {"key": TString}}},
+		{Name: "filter", Records: map[string]RecordSchema{"rec": {"key": TString}}},
+	}
+	bindings := []map[string]Value{
+		{"ev": MapRecord{"key": int64(7)}},
+		{"ev": MapRecord{"key": "seven"}},
+		{"rec": MapRecord{"key": "seven"}},
+	}
+	run := func(i int) string {
+		c, v, err := prog.CompileVerified(envs[i])
+		out := fmt.Sprintf("ok=%v cost=%d\n%s\n", v.OK, v.Cost, v.Render())
+		if err != nil {
+			return out + err.Error()
+		}
+		ci, err := c.NewInstance(nil)
+		if err != nil {
+			return out + err.Error()
+		}
+		val, err := ci.Run(bindings[i])
+		return out + fmt.Sprintf("%#v %v", val, err)
+	}
+	want := make([]string, len(envs))
+	for i := range envs {
+		want[i] = run(i)
+	}
+	if !strings.Contains(want[0], "7 <nil>") || !strings.Contains(want[1], `"seven" <nil>`) || !strings.Contains(want[2], `undefined variable "ev"`) {
+		t.Fatalf("sequential results are not what the test assumes:\n%s", strings.Join(want, "\n---\n"))
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 12; g++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			for k := 0; k < 25; k++ {
+				if got := run(i); got != want[i] {
+					t.Errorf("env %s, concurrent result differs from sequential:\n got: %s\nwant: %s", envs[i].Name, got, want[i])
+					return
+				}
+			}
+		}(g % len(envs))
+	}
+	wg.Wait()
 }
 
 // TestCompiledInstancesIsolated: two instances of one Compiled must not
@@ -393,5 +506,3 @@ return n;
 		t.Errorf("compiled hot path allocates %.1f/op, want <= 1", avg)
 	}
 }
-
-var _ = fmt.Sprintf // keep fmt when corpus cases churn

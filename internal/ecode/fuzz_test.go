@@ -3,6 +3,7 @@ package ecode
 import (
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -37,6 +38,9 @@ func FuzzVerify(f *testing.F) {
 	f.Add(`while (true) { emit(`)
 	f.Add(`string s = "unterminated`)
 	f.Add("\x00\xff")
+	for _, tc := range scopingCases {
+		f.Add(tc.src)
+	}
 
 	f.Fuzz(func(t *testing.T, src string) {
 		prog, err := Compile(src)
@@ -61,7 +65,12 @@ func FuzzVerify(f *testing.F) {
 		// Accepted programs are safe to execute by construction; both
 		// engines must agree on the result (diffRun fails the test on
 		// any divergence in value or error text).
-		diffRun(t, src, map[string]Value{"ev": testEvent()},
+		_, err = diffRun(t, src, map[string]Value{"ev": testEvent()},
 			map[string]Builtin{"emit": func(args []Value) (Value, error) { return int64(0), nil }})
+		// The verifier typed every field and builtin argument, so the
+		// only fault left to run time is arithmetic.
+		if err != nil && !strings.Contains(err.Error(), "by zero") {
+			t.Fatalf("accepted program raised a runtime error the verifier should have excluded: %v", err)
+		}
 	})
 }

@@ -199,7 +199,10 @@ func (st *execState) exec(s stmt) (ctrl, error) {
 					break
 				}
 			}
+			// The body is a scope of its own, fresh on every iteration.
+			st.locals = &scope{vars: make(map[string]Value), parent: st.locals}
 			c, err := st.execBlock(n.body)
+			st.locals = st.locals.parent
 			if err != nil {
 				return ctrlNone, err
 			}

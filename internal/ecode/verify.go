@@ -146,8 +146,7 @@ func StandardSigs() map[string]BuiltinSig {
 // step limit: a verified analyzer can never come near that limit.
 const DefaultMaxCost = 50_000
 
-// Verifier pass names, as they appear in Diagnostic.Analyzer and in
-// VerifyEnv.Disable.
+// Verifier pass names, as they appear in Diagnostic.Analyzer.
 const (
 	PassTypecheck   = "typecheck"
 	PassTermination = "termination"
@@ -171,10 +170,6 @@ type VerifyEnv struct {
 	// MaxCost rejects analyzers whose worst-case per-event step count
 	// exceeds it; zero means DefaultMaxCost.
 	MaxCost int
-	// Disable names verifier passes to skip (PassTypecheck, ...).
-	// Mutation tests use it to prove each pass has teeth on its own;
-	// production callers must leave it empty.
-	Disable []string
 }
 
 func (env *VerifyEnv) name() string {
@@ -202,7 +197,7 @@ func (env *VerifyEnv) sigs() map[string]BuiltinSig {
 
 // Verdict is the verifier's decision on one program.
 type Verdict struct {
-	// OK is true when every enabled pass accepted the program.
+	// OK is true when every pass accepted the program.
 	OK bool
 	// Cost is the statically derived worst-case step count per event
 	// (statements + expression nodes + builtin table costs), an upper
@@ -211,6 +206,29 @@ type Verdict struct {
 	// Diags are the findings, sorted by line, in sysproflint's
 	// evidence-chain shape.
 	Diags []diag.Diagnostic
+
+	// res is what the walk resolved; CompileVerified lowers from it.
+	res *resolution
+}
+
+// symbol is one thing a name can mean: a local or static declaration,
+// or a host record binding. Two declarations of the same name are two
+// symbols; every use of a static shares one.
+type symbol struct {
+	name  string
+	t     Type
+	where varWhere
+}
+
+// resolution is what one Verify walk learned about a program: the static
+// type of every expression node, and which symbol every identifier use
+// (*identExpr), assignment target (*assignStmt) and declaration
+// (*declStmt) names. It is keyed by AST node and kept beside the AST,
+// never in it: one *Program is verified against different environments,
+// possibly from several goroutines at once.
+type resolution struct {
+	types map[expr]Type
+	syms  map[any]*symbol
 }
 
 // Render returns every diagnostic with its evidence chain, one finding
@@ -238,19 +256,15 @@ func (p *Program) Verify(env VerifyEnv) *Verdict {
 	vf := &verifier{
 		env:     env,
 		sigs:    env.sigs(),
-		statics: map[string]Type{},
+		statics: map[string]*symbol{},
 		consts:  map[string]constVal{},
+		res:     &resolution{types: map[expr]Type{}, syms: map[any]*symbol{}},
 	}
-	disabled := make(map[string]bool, len(env.Disable))
-	for _, p := range env.Disable {
-		disabled[p] = true
-	}
-
-	root := &vscope{vars: map[string]Type{}}
+	root := &vscope{vars: map[string]*symbol{}}
 	for name := range env.Records {
-		root.vars[name] = TRecord
+		root.vars[name] = &symbol{name: name, t: TRecord, where: varBinding}
 	}
-	vf.sc = &vscope{vars: map[string]Type{}, parent: root}
+	vf.sc = &vscope{vars: map[string]*symbol{}, parent: root}
 	cost := vf.checkBlock(p.body)
 	if cost > env.maxCost() {
 		vf.reportChain(PassCost, 1,
@@ -258,30 +272,16 @@ func (p *Program) Verify(env VerifyEnv) *Verdict {
 			"worst-case per-event cost %d exceeds the verifier ceiling", cost)
 	}
 
-	kept := vf.diags[:0]
-	for _, d := range vf.diags {
-		if !disabled[d.Analyzer] {
-			kept = append(kept, d)
-		}
-	}
-	sort.SliceStable(kept, func(i, j int) bool { return kept[i].Pos.Line < kept[j].Pos.Line })
-	return &Verdict{OK: len(kept) == 0, Cost: cost, Diags: kept}
+	sort.SliceStable(vf.diags, func(i, j int) bool { return vf.diags[i].Pos.Line < vf.diags[j].Pos.Line })
+	return &Verdict{OK: len(vf.diags) == 0, Cost: cost, Diags: vf.diags, res: vf.res}
 }
 
-// vscope is a static scope: variable name to type, chained like the
-// interpreter's runtime scopes so shadowing resolves identically.
+// vscope is a static scope: variable name to the declaration it names,
+// chained like the interpreter's runtime scopes so shadowing resolves
+// identically. It is the only scope chain in the package.
 type vscope struct {
-	vars   map[string]Type
+	vars   map[string]*symbol
 	parent *vscope
-}
-
-func (s *vscope) lookup(name string) (Type, bool) {
-	for cur := s; cur != nil; cur = cur.parent {
-		if t, ok := cur.vars[name]; ok {
-			return t, true
-		}
-	}
-	return TInvalid, false
 }
 
 // constVal is a statically known int value used for loop-bound
@@ -297,7 +297,7 @@ type verifier struct {
 	sigs map[string]BuiltinSig
 
 	sc      *vscope
-	statics map[string]Type
+	statics map[string]*symbol
 	// consts maps variable names to statically known int values in the
 	// current straight-line context; any write the verifier cannot fold
 	// clears the entry.
@@ -306,6 +306,7 @@ type verifier struct {
 	loops []int
 
 	diags []diag.Diagnostic
+	res   *resolution
 }
 
 func (vf *verifier) pos(line int) gotoken.Position {
@@ -350,6 +351,13 @@ func mulCost(a int, b int64) int {
 	return a * int(b)
 }
 
+// checkScoped verifies a braced block in a scope of its own.
+func (vf *verifier) checkScoped(stmts []stmt) int {
+	vf.sc = &vscope{vars: map[string]*symbol{}, parent: vf.sc}
+	defer func() { vf.sc = vf.sc.parent }()
+	return vf.checkBlock(stmts)
+}
+
 // checkBlock verifies a statement sequence in the current scope and
 // returns its worst-case cost.
 func (vf *verifier) checkBlock(stmts []stmt) int {
@@ -372,11 +380,8 @@ func (vf *verifier) checkStmt(s stmt) int {
 			vf.report(PassTypecheck, n.line, "if condition is %s, not bool", condT)
 		}
 		// Branch scopes mirror the interpreter's.
-		vf.sc = &vscope{vars: map[string]Type{}, parent: vf.sc}
-		thenCost := vf.checkBlock(n.then)
-		vf.sc.vars = map[string]Type{}
-		elseCost := vf.checkBlock(n.els)
-		vf.sc = vf.sc.parent
+		thenCost := vf.checkScoped(n.then)
+		elseCost := vf.checkScoped(n.els)
 		// A conditional write is not a statically known value.
 		vf.clearAssigned(n.then)
 		vf.clearAssigned(n.els)
@@ -416,17 +421,26 @@ func (vf *verifier) checkDecl(n *declStmt) int {
 			vf.report(PassTypecheck, n.line, "cannot initialize %s %q with %s", t, n.name, it)
 		}
 	}
+	// The name is bound only now: the initialiser above resolved in the
+	// scope as it stood before this declaration.
 	if n.static {
-		if old, ok := vf.statics[n.name]; ok && old != t {
-			vf.report(PassTypecheck, n.line, "static %q redeclared as %s (previously %s)", n.name, t, old)
+		sym := vf.statics[n.name]
+		if sym != nil && sym.t != t {
+			vf.report(PassTypecheck, n.line, "static %q redeclared as %s (previously %s)", n.name, t, sym.t)
+			sym = nil
 		}
-		vf.statics[n.name] = t
+		if sym == nil {
+			sym = &symbol{name: n.name, t: t, where: varStatic}
+			vf.statics[n.name] = sym
+		}
+		vf.res.syms[n] = sym
 		// Statics persist across events with values the verifier cannot
 		// know; never constant-fold them.
 		vf.consts[n.name] = constVal{}
 		return cost
 	}
-	vf.sc.vars[n.name] = t
+	sym := &symbol{name: n.name, t: t, where: varLocal}
+	vf.sc.vars[n.name], vf.res.syms[n] = sym, sym
 	if t == TInt {
 		if v, ok := vf.constIntOf(n.init); ok {
 			vf.consts[n.name] = constVal{known: true, v: v}
@@ -449,17 +463,19 @@ func initCompatible(decl, init Type) bool {
 }
 
 func (vf *verifier) checkAssign(n *assignStmt) int {
-	vt, where := vf.resolveVar(n.name)
+	sym := vf.resolveVar(n.name)
 	et, cost := vf.checkExpr(n.val)
 	cost = addCost(1, cost)
-	switch where {
-	case varMissing:
+	if sym == nil {
 		vf.report(PassTypecheck, n.line, "assignment to undeclared variable %q", n.name)
 		return cost
-	case varBinding:
+	}
+	if sym.where == varBinding {
 		vf.report(PassTypecheck, n.line, "cannot assign to host binding %q", n.name)
 		return cost
 	}
+	vf.res.syms[n] = sym
+	vt, where := sym.t, sym.where
 	if et == TInvalid || vt == TInvalid {
 		return cost
 	}
@@ -523,7 +539,7 @@ func (vf *verifier) containsStringConcat(e expr) bool {
 		return false
 	}
 	if b.op == "+" {
-		if lt, _ := vf.typeOnly(b.l); lt == TString {
+		if vf.res.types[b.l] == TString {
 			return true
 		}
 	}
@@ -547,27 +563,21 @@ func (vf *verifier) foldAssign(n *assignStmt, vt Type, where varWhere) {
 type varWhere uint8
 
 const (
-	varMissing varWhere = iota
-	varLocal
+	varLocal varWhere = iota
 	varStatic
 	varBinding
 )
 
 // resolveVar finds a name the way the interpreter does: scope chain
-// first (which includes host bindings at the root), then statics.
-func (vf *verifier) resolveVar(name string) (Type, varWhere) {
+// first (which includes host bindings at the root), then statics. It
+// returns nil for a name nothing declares.
+func (vf *verifier) resolveVar(name string) *symbol {
 	for cur := vf.sc; cur != nil; cur = cur.parent {
-		if t, ok := cur.vars[name]; ok {
-			if t == TRecord && cur.parent == nil {
-				return t, varBinding
-			}
-			return t, varLocal
+		if s, ok := cur.vars[name]; ok {
+			return s
 		}
 	}
-	if t, ok := vf.statics[name]; ok {
-		return t, varStatic
-	}
-	return TInvalid, varMissing
+	return vf.statics[name]
 }
 
 // constIntOf statically evaluates an int expression: literals, known
@@ -580,7 +590,7 @@ func (vf *verifier) constIntOf(e expr) (int64, bool) {
 		if c, ok := vf.consts[n.name]; ok && c.known {
 			// Only trust the entry if the name still resolves to a local
 			// int (a shadow may have changed its meaning).
-			if t, w := vf.resolveVar(n.name); w == varLocal && t == TInt {
+			if s := vf.resolveVar(n.name); s != nil && s.where == varLocal && s.t == TInt {
 				return c.v, true
 			}
 		}
@@ -642,7 +652,11 @@ func (vf *verifier) clearAssigned(stmts []stmt) {
 // checkFor verifies one loop: its bound (termination pass), its body,
 // and its contribution to the worst-case cost.
 func (vf *verifier) checkFor(n *forStmt) int {
-	vf.sc = &vscope{vars: map[string]Type{}, parent: vf.sc}
+	// This scope holds the init declaration for the whole loop; the body
+	// is a scope of its own inside it, entered fresh on every iteration,
+	// so cond and post never see a body declaration and a body name has
+	// one referent whichever iteration is running.
+	vf.sc = &vscope{vars: map[string]*symbol{}, parent: vf.sc}
 	defer func() { vf.sc = vf.sc.parent }()
 
 	initCost := 0
@@ -671,7 +685,7 @@ func (vf *verifier) checkFor(n *forStmt) int {
 	if n.post != nil {
 		vf.clearAssigned([]stmt{n.post})
 	}
-	bodyCost := vf.checkBlock(n.body)
+	bodyCost := vf.checkScoped(n.body)
 	postCost := 0
 	if n.post != nil {
 		postCost = vf.checkStmt(n.post)
@@ -849,8 +863,7 @@ func (vf *verifier) isIntIdent(e expr) string {
 	if !ok {
 		return ""
 	}
-	t, w := vf.resolveVar(id.name)
-	if t == TInt && (w == varLocal || w == varStatic) {
+	if s := vf.resolveVar(id.name); s != nil && s.t == TInt {
 		return id.name
 	}
 	return ""
@@ -866,18 +879,15 @@ func exprDesc(e expr) string {
 	return "expression"
 }
 
-// typeOnly types an expression without reporting diagnostics or
-// charging cost (used for noalloc's concat detection).
-func (vf *verifier) typeOnly(e expr) (Type, bool) {
-	saved := vf.diags
-	t, _ := vf.checkExpr(e)
-	vf.diags = saved
-	return t, t != TInvalid
+// checkExpr types an expression, reports violations, records the type
+// in the resolution, and returns it plus the worst-case evaluation cost.
+func (vf *verifier) checkExpr(e expr) (Type, int) {
+	t, cost := vf.exprType(e)
+	vf.res.types[e] = t
+	return t, cost
 }
 
-// checkExpr types an expression, reports violations, and returns its
-// static type plus its worst-case evaluation cost.
-func (vf *verifier) checkExpr(e expr) (Type, int) {
+func (vf *verifier) exprType(e expr) (Type, int) {
 	switch n := e.(type) {
 	case *intLit:
 		return TInt, 1
@@ -889,12 +899,13 @@ func (vf *verifier) checkExpr(e expr) (Type, int) {
 		return TString, 1
 
 	case *identExpr:
-		t, w := vf.resolveVar(n.name)
-		if w == varMissing {
+		sym := vf.resolveVar(n.name)
+		if sym == nil {
 			vf.report(PassTypecheck, n.line, "undefined variable %q", n.name)
 			return TInvalid, 1
 		}
-		return t, 1
+		vf.res.syms[n] = sym
+		return sym.t, 1
 
 	case *fieldExpr:
 		return vf.checkField(n)
@@ -946,15 +957,16 @@ func (vf *verifier) checkField(n *fieldExpr) (Type, int) {
 		}
 		return TInvalid, 2
 	}
-	t, w := vf.resolveVar(id.name)
-	if w == varMissing {
+	sym := vf.resolveVar(id.name)
+	if sym == nil {
 		vf.report(PassTypecheck, n.line, "undefined variable %q", id.name)
 		return TInvalid, 2
 	}
-	if t != TRecord {
-		vf.report(PassTypecheck, n.line, "field access on %s %q (not a record)", t, id.name)
+	if sym.t != TRecord {
+		vf.report(PassTypecheck, n.line, "field access on %s %q (not a record)", sym.t, id.name)
 		return TInvalid, 2
 	}
+	vf.res.syms[id] = sym
 	schema := vf.env.Records[id.name]
 	ft, ok := schema[n.field]
 	if !ok {

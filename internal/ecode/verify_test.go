@@ -127,10 +127,13 @@ func TestVerifyRejectFixtures(t *testing.T) {
 	}
 }
 
-// TestVerifyPassDisableFlips is the verifier's mutation test: disabling
-// the single pass a reject fixture trips must flip it to accepted, for
-// every pass — proof that each pass rejects on its own teeth and no
-// other pass masks it.
+// TestVerifyPassDisableFlips is the verifier's mutation test: every
+// diagnostic a reject fixture draws comes from the one pass its header
+// names, so that pass alone rejects it — take the pass away and the
+// verdict flips — and no other pass masks it; and every pass is tripped
+// by some fixture. (The name is from when a knob switched passes off to
+// show the same thing.) CompileVerified must hand back no artifact for
+// any of them.
 func TestVerifyPassDisableFlips(t *testing.T) {
 	tripped := map[string]bool{}
 	for _, path := range fixtures(t, "reject") {
@@ -144,13 +147,18 @@ func TestVerifyPassDisableFlips(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if prog.Verify(testVerifyEnv("x")).OK {
-			t.Errorf("%s: not rejected with all passes enabled", path)
+		v := prog.Verify(testVerifyEnv("x"))
+		if v.OK || len(v.Diags) == 0 {
+			t.Errorf("%s: not rejected", path)
 		}
-		env := testVerifyEnv("x")
-		env.Disable = []string{pass}
-		if v := prog.Verify(env); !v.OK {
-			t.Errorf("%s: still rejected with pass %s disabled:\n%s", path, pass, v.Render())
+		for _, d := range v.Diags {
+			if d.Analyzer != pass {
+				t.Errorf("%s: pass %s also rejects it, so %s is not shown to have teeth alone: %s",
+					path, d.Analyzer, pass, d.String())
+			}
+		}
+		if c, _, err := prog.CompileVerified(testVerifyEnv("x")); c != nil || err == nil {
+			t.Errorf("%s: CompileVerified = (%v, %v), want no artifact and an error", path, c, err)
 		}
 	}
 	for _, pass := range []string{PassTypecheck, PassTermination, PassNoAlloc, PassNoBlock, PassCost} {
