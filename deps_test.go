@@ -28,3 +28,26 @@ func TestDaemonsDoNotLinkTheAnalyzers(t *testing.T) {
 		}
 	}
 }
+
+// TestPubsubDoesNotImportTheHarness keeps the send-queue machine free of
+// the code that drives it in virtual time: the scenario harness imports
+// pubsub.Queue and hands it durations and timestamps as values, so
+// internal/pubsub itself imports neither the sim engine nor the harness
+// and must not grow a clock interface to reach them. (Direct imports
+// only: internal/core reaches internal/sim through kprof and simnet, so
+// the engine sits under every package that handles a core.Record.)
+func TestPubsubDoesNotImportTheHarness(t *testing.T) {
+	out, err := exec.Command("go", "list", "-f", `{{join .Imports "\n"}}`, "./internal/pubsub").Output()
+	if err != nil {
+		t.Fatalf("go list: %v", err)
+	}
+	imports := strings.Fields(string(out))
+	if len(imports) == 0 {
+		t.Fatal("go list printed no imports")
+	}
+	for _, pkg := range imports {
+		if pkg == "sysprof/internal/sim" || pkg == "sysprof/internal/scenario" {
+			t.Errorf("internal/pubsub imports %s", pkg)
+		}
+	}
+}

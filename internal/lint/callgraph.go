@@ -154,12 +154,13 @@ type CallGraph struct {
 }
 
 // Node resolves a type-checker function object to its graph node (nil
-// for functions outside the graph — stdlib, or packages not loaded).
+// for functions outside the graph — stdlib, or packages not loaded). A
+// method of an instantiated generic type resolves to its declaration.
 func (g *CallGraph) Node(f *types.Func) *FuncNode {
 	if f == nil {
 		return nil
 	}
-	return g.nodes[f]
+	return g.nodes[f.Origin()]
 }
 
 // PkgFuncs returns the declared functions of one package in source
@@ -260,12 +261,12 @@ func (g *CallGraph) buildFuncValueIndex(pkgs []*loadedPackage) []*FuncNode {
 		}
 		switch e := ast.Unparen(rhs).(type) {
 		case *ast.Ident:
-			if f, ok := lp.info.Uses[e].(*types.Func); ok && g.nodes[f] != nil {
-				g.fvTargets[v] = g.nodes[f]
+			if f, ok := lp.info.Uses[e].(*types.Func); ok && g.Node(f) != nil {
+				g.fvTargets[v] = g.Node(f)
 			}
 		case *ast.SelectorExpr:
-			if f, ok := lp.info.Uses[e.Sel].(*types.Func); ok && g.nodes[f] != nil {
-				g.fvTargets[v] = g.nodes[f]
+			if f, ok := lp.info.Uses[e.Sel].(*types.Func); ok && g.Node(f) != nil {
+				g.fvTargets[v] = g.Node(f)
 			}
 		case *ast.FuncLit:
 			node := &FuncNode{
@@ -358,7 +359,7 @@ func (g *CallGraph) addEdges(caller *FuncNode, call *ast.CallExpr, cha *chaIndex
 		}
 		return
 	}
-	if node := g.nodes[callee]; node != nil {
+	if node := g.Node(callee); node != nil {
 		caller.Edges = append(caller.Edges, CallEdge{Callee: node, Call: call, Kind: EdgeStatic})
 		return
 	}

@@ -591,6 +591,23 @@ func TestMutations(t *testing.T) {
 		}
 	})
 
+	t.Run("pubsub-machine-sleep", func(t *testing.T) {
+		// Generic-receiver teeth: the send-queue state machine is a generic
+		// type, and the annotated enqueue reaches it through an instantiated
+		// method (Queue[*frame].Offer) that must resolve to its declaration.
+		mroot := copyRepoSubset(t)
+		mutate(t, mroot, filepath.Join("internal", "pubsub", "queue.go"),
+			"func (q *Queue[F]) Offer(f F, recs uint64, policy OverflowPolicy) (a Admission[F]) {\n",
+			"func (q *Queue[F]) Offer(f F, recs uint64, policy OverflowPolicy) (a Admission[F]) {\n\ttime.Sleep(0)\n")
+		diags, err := Run(mroot, []string{"./internal/pubsub"}, All())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !hasFinding(diags, "nonblock", "which calls time.Sleep") {
+			t.Fatalf("want a nonblock finding after adding a sleep to Queue.Offer, got:\n%s", renderDiags(diags))
+		}
+	})
+
 	t.Run("module-escaping-make", func(t *testing.T) {
 		// Escape teeth: the same make is accepted while stack-local
 		// (TestFixtureModule) and rejected once routed through a callee.
@@ -616,8 +633,8 @@ func TestMutations(t *testing.T) {
 			"\t\tf, ok := rc.q.dequeue()\n\t\tif !ok {\n\t\t\treturn\n\t\t}\n",
 			"\t\tf, _ := rc.q.dequeue()\n")
 		mutate(t, mroot, filepath.Join("internal", "pubsub", "pubsub.go"),
-			"\t\tif err != nil {\n\t\t\tb.remoteFailures.Add(1)\n\t\t\tb.dropConn(rc)\n\t\t\treturn\n\t\t}\n",
-			"\t\tif err != nil {\n\t\t\tb.remoteFailures.Add(1)\n\t\t}\n")
+			"\t\t\tb.remoteFailures.Add(1)\n\t\t\tb.dropConn(rc)\n\t\t\treturn\n\t\t}\n",
+			"\t\t\tb.remoteFailures.Add(1)\n\t\t}\n")
 		diags, err := Run(mroot, []string{"./internal/pubsub"}, All())
 		if err != nil {
 			t.Fatal(err)

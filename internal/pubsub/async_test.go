@@ -22,6 +22,25 @@ func stalledSub(t *testing.T, addr string, channels ...string) *Subscriber {
 	return sub
 }
 
+// wedgedSub subscribes over a net.Pipe and never reads. A pipe's Write
+// completes only when the peer reads, so — unlike stalledSub's TCP socket,
+// whose kernel buffer takes the first frames — the connection's writer
+// never delivers anything, whatever the scheduler does.
+func wedgedSub(t *testing.T, b *Broker, channels ...string) net.Conn {
+	t.Helper()
+	client, server := net.Pipe()
+	b.wg.Add(1)
+	go func() {
+		defer b.wg.Done()
+		b.handleConn(server)
+	}()
+	if err := writeHandshakeOpts(client, channels, ShardSelector{}, false); err != nil {
+		t.Fatal(err)
+	}
+	waitRegistered(t, b, 1)
+	return client
+}
+
 func startBroker(t *testing.T, b *Broker) string {
 	t.Helper()
 	l, err := net.Listen("tcp", "127.0.0.1:0")
@@ -79,8 +98,8 @@ func TestOverflowDropsCountedBrokerLive(t *testing.T) {
 	if subs[0].QueueLen > subs[0].QueueCap {
 		t.Fatalf("queue len %d exceeds cap %d", subs[0].QueueLen, subs[0].QueueCap)
 	}
-	if subs[0].DroppedRecords != st.RemoteDropped {
-		t.Fatalf("per-subscriber drops %d != broker drops %d", subs[0].DroppedRecords, st.RemoteDropped)
+	if got := subs[0].Refused + subs[0].EvictedOldest; got != st.RemoteDropped {
+		t.Fatalf("per-subscriber drops %d != broker drops %d", got, st.RemoteDropped)
 	}
 	// Liveness: 5000 non-blocking enqueues should be far under a second
 	// even on a loaded CI machine; a synchronous path stuck behind the
@@ -117,6 +136,53 @@ func TestSlowSubscriberEvicted(t *testing.T) {
 	// The broker stays usable after the eviction.
 	if err := publishOne(b, "m", metric{}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestEvictionDiscardsAreCounted evicts a wedged subscriber mid-stream
+// with multi-record batches and checks that nothing was discarded without
+// a number: once the writer has exited, every record admitted to the
+// connection's queue was delivered, shed for a newer frame, or discarded
+// with the connection, and every shed or discarded record is in
+// RemoteDropped. Before the queue counted what dropConn and a failed write
+// release, the frames still queued at the eviction were in no counter.
+func TestEvictionDiscardsAreCounted(t *testing.T) {
+	reg := newReg(t)
+	b := NewBroker(reg, WithQueueDepth(2), WithEvictAfterOverflows(8))
+	defer wedgedSub(t, b, "m").Close()
+	var rc *remoteConn
+	b.mu.Lock()
+	for c := range b.conns {
+		rc = c
+	}
+	b.mu.Unlock()
+
+	deadline := time.Now().Add(5 * time.Second)
+	for b.Stats().SlowEvicted == 0 {
+		if err := b.PublishBatch("m", []metric{{Value: 1}, {Value: 2}, {Value: 3}}); err != nil {
+			t.Fatal(err)
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("subscriber never evicted: %+v", b.Stats())
+		}
+	}
+	b.Close() // waits for the connection's writer goroutine to exit
+
+	st := b.Stats()
+	m, _ := rc.q.snapshot()
+	c := m.Counts
+	if c.Discarded < 6 || st.RemoteDeliver != 0 {
+		t.Fatalf("eviction of a wedged subscriber should discard a full queue (two 3-record frames) and deliver nothing: %+v, delivered %d", c, st.RemoteDeliver)
+	}
+	if st.RemoteEnqueued != c.Admitted || m.Len() != 0 {
+		t.Fatalf("RemoteEnqueued %d != the queue's admitted %d, or %d frames still queued", st.RemoteEnqueued, c.Admitted, m.Len())
+	}
+	if want := st.RemoteDeliver + c.EvictedOldest + c.Discarded; st.RemoteEnqueued != want {
+		t.Fatalf("RemoteEnqueued %d != delivered %d + evicted-oldest %d + discarded %d: %d records in no counter",
+			st.RemoteEnqueued, st.RemoteDeliver, c.EvictedOldest, c.Discarded, int64(st.RemoteEnqueued)-int64(want))
+	}
+	if want := c.Refused + c.EvictedOldest + c.Discarded; st.RemoteDropped != want {
+		t.Fatalf("RemoteDropped %d != refused %d + evicted-oldest %d + discarded %d", st.RemoteDropped, c.Refused, c.EvictedOldest, c.Discarded)
 	}
 }
 

@@ -126,86 +126,9 @@ type remoteConn struct {
 	sentFormats map[*pbio.Format]bool
 	defBuf      []byte
 
-	// Enqueue-side traffic counters live inside q, maintained under its
-	// mutex; only the writer-side ones stay here as atomics.
-	delivered atomic.Uint64
-	// drainNanos is an EWMA of the writer goroutine's per-frame socket
-	// write time, maintained by writeLoop and read by the Adaptive
-	// overflow policy on the publish path.
-	drainNanos atomic.Int64
-	// chanDrain holds one drain-time EWMA per channel seen on this
-	// connection, as a copy-on-write map: the writer goroutine is the
-	// sole structural mutator (a channel shows up once, on its first
-	// delivered frame), the publish path only loads the snapshot. It
-	// floors the Adaptive decision per channel, so one fast channel on a
-	// shared connection cannot mask a slow one.
-	chanDrain atomic.Pointer[map[string]*atomic.Int64]
-}
-
-// channelDrain returns the named channel's drain EWMA (0 = no frame of
-// that channel delivered yet).
-//
-//sysprof:nonblocking
-//sysprof:noalloc
-func (rc *remoteConn) channelDrain(channel string) int64 {
-	if m := rc.chanDrain.Load(); m != nil {
-		if e := (*m)[channel]; e != nil {
-			return e.Load()
-		}
-	}
-	return 0
-}
-
-// adaptivePolicy resolves the Adaptive overflow policy for this
-// connection: block when the observed drain rate says a queue slot will
-// free up within the deadline, shed otherwise. The channel's own drain
-// estimate floors the connection-wide one — a connection dominated by a
-// fast channel still sheds for the slow channel's frames.
-//
-//sysprof:nonblocking
-//sysprof:noalloc
-func (rc *remoteConn) adaptivePolicy(timeout time.Duration, channel string) OverflowPolicy {
-	d := rc.drainNanos.Load()
-	if channel != "" {
-		if cd := rc.channelDrain(channel); cd > d {
-			d = cd
-		}
-	}
-	if d > 0 && time.Duration(d) <= timeout {
-		return BlockWithDeadline
-	}
-	return DropOldest
-}
-
-// noteDrain folds one frame's socket write time into the connection and
-// per-channel EWMAs (α = 1/8). Called only from the connection's writer
-// goroutine, so plain load-modify-store sequences are race-free; the
-// atomic stores publish to the publish path.
-func (rc *remoteConn) noteDrain(channel string, dur int64) {
-	prev := rc.drainNanos.Load()
-	rc.drainNanos.Store(prev - prev/8 + dur/8)
-	if channel == "" {
-		return
-	}
-	m := rc.chanDrain.Load()
-	e := (*atomic.Int64)(nil)
-	if m != nil {
-		e = (*m)[channel]
-	}
-	if e == nil {
-		// First frame on this channel: publish a grown snapshot.
-		next := make(map[string]*atomic.Int64, 4)
-		if m != nil {
-			for k, v := range *m {
-				next[k] = v
-			}
-		}
-		e = new(atomic.Int64)
-		next[channel] = e
-		rc.chanDrain.Store(&next)
-	}
-	prev = e.Load()
-	e.Store(prev - prev/8 + dur/8)
+	// drain is the writer goroutine's per-frame socket write time, noted by
+	// writeLoop and read by the Adaptive overflow policy on the publish path.
+	drain DrainEstimate
 }
 
 // subscribers is an immutable snapshot of one channel's consumers.
@@ -227,25 +150,22 @@ type BrokerStats struct {
 	RemoteDeliver    uint64 // records written to sockets
 	RemoteFailures   uint64 // connections dropped on write error
 	RemoteEnqueued   uint64 // records admitted to send queues
-	RemoteDropped    uint64 // records shed by the overflow policy
+	RemoteDropped    uint64 // records shed by the overflow policy, or discarded with a dropped connection
 	SlowEvicted      uint64 // subscribers evicted for sustained overflow
 }
 
 // SubscriberStats is one remote connection's view of the fan-out.
 type SubscriberStats struct {
-	Addr             string
-	Shard            string // shard selector ("i/N", empty = unsharded)
-	Compressed       bool   // subscriber requested compressed (0x05) frames
-	Channels         []string
-	QueueLen         int
-	QueueCap         int
-	EnqueuedFrames   uint64
-	EnqueuedRecords  uint64
-	DeliveredRecords uint64
-	DroppedRecords   uint64
-	BlockedNanos     uint64 // publisher time spent waiting under BlockWithDeadline
-	DrainNanos       int64  // EWMA of per-frame socket write time (adaptive policy input)
-	OverflowStreak   int64  // consecutive overflowing publishes (0 = keeping up)
+	Addr           string
+	Shard          string // shard selector ("i/N", empty = unsharded)
+	Compressed     bool   // subscriber requested compressed (0x05) frames
+	Channels       []string
+	QueueLen       int
+	QueueCap       int
+	QueueCounts           // the send queue's traffic, by outcome (Popped includes the frame being written)
+	BlockedNanos   uint64 // publisher time spent waiting under BlockWithDeadline
+	DrainNanos     int64  // EWMA of per-frame socket write time (adaptive policy input)
+	OverflowStreak int64  // consecutive overflowing publishes (0 = keeping up)
 }
 
 // Broker hosts named publish-subscribe channels.
@@ -286,7 +206,7 @@ type Broker struct {
 	// overflow and wireCompress take effect immediately for all
 	// connections.
 	blockTimeout time.Duration
-	evictAfter   int64
+	evictAfter   int
 	queueDepth   atomic.Int64
 	overflow     atomic.Int32
 	// wireCompress gates per-column compressed (0x05) columnar frames:
@@ -318,7 +238,7 @@ func NewBroker(reg *pbio.Registry, opts ...Option) *Broker {
 		reg:          reg,
 		conns:        make(map[*remoteConn]bool),
 		blockTimeout: cfg.BlockTimeout,
-		evictAfter:   int64(cfg.EvictAfterOverflows),
+		evictAfter:   cfg.EvictAfterOverflows,
 	}
 	empty := make(map[string]*subscribers)
 	b.chans.Store(&empty)
@@ -604,32 +524,25 @@ func (b *Broker) fanOut(remotes []*remoteConn, f *frame) {
 	//lint:ignore atomicmix sole-owner preset: the queue mutex in enqueue publishes the store to writers before any concurrent release
 	f.refs = int64(len(remotes))
 	recs := uint64(f.recs)
-	policy := OverflowPolicy(b.overflow.Load())
-	timeout, evictAfter := b.blockTimeout, b.evictAfter
+	policy, timeout := OverflowPolicy(b.overflow.Load()), b.blockTimeout
 	var enqueued, dropped uint64
 	for _, rc := range remotes {
-		eff := policy
-		if policy == Adaptive {
-			eff = rc.adaptivePolicy(timeout, f.channel)
-		}
-		res := rc.q.enqueue(f, recs, eff, timeout)
-		if res.closed {
-			f.release()
-			continue
-		}
-		if !res.admitted {
-			// BlockWithDeadline expired: this subscriber misses the
-			// new frame.
+		a := rc.q.enqueue(f, rc.drain.Resolve(policy, timeout, f.channel), timeout)
+		switch a.Outcome {
+		case Admitted:
+			enqueued += recs
+		case Displaced:
+			enqueued += recs
+			dropped += uint64(a.Evicted.recs)
+			a.Evicted.release()
+		case Refused:
+			// BlockWithDeadline expired: this subscriber misses the new frame.
 			f.release()
 			dropped += recs
-		} else {
-			enqueued += recs
-			if res.evicted != nil {
-				dropped += uint64(res.evicted.recs)
-				res.evicted.release()
-			}
+		default: // QueueClosed
+			f.release()
 		}
-		if evictAfter > 0 && res.streak >= evictAfter {
+		if a.Evict {
 			// Sustained overflow: a subscriber that persistently cannot
 			// keep up is cheaper gone than throttling the node.
 			b.slowEvicted.Add(1)
@@ -663,12 +576,13 @@ func (b *Broker) writeLoop(rc *remoteConn) {
 		channel := f.channel
 		f.release()
 		if err != nil {
+			rc.q.lose(recs)
+			b.remoteDropped.Add(recs)
 			b.remoteFailures.Add(1)
 			b.dropConn(rc)
 			return
 		}
-		rc.noteDrain(channel, dur)
-		rc.delivered.Add(recs)
+		rc.drain.Note(channel, dur)
 		b.remoteDeliver.Add(recs)
 	}
 }
@@ -720,25 +634,22 @@ func (b *Broker) Subscribers() []SubscriberStats {
 	b.mu.Unlock()
 	out := make([]SubscriberStats, 0, len(conns))
 	for _, rc := range conns {
-		qs := rc.q.stats()
+		m, blockedNanos := rc.q.snapshot()
 		chans := make([]string, 0, len(rc.channels))
 		for name := range rc.channels {
 			chans = append(chans, name)
 		}
 		out = append(out, SubscriberStats{
-			Addr:             rc.conn.RemoteAddr().String(),
-			Shard:            rc.sel.String(),
-			Compressed:       rc.columnsZ,
-			Channels:         chans,
-			QueueLen:         qs.len,
-			QueueCap:         qs.cap,
-			EnqueuedFrames:   qs.enqFrames,
-			EnqueuedRecords:  qs.enqRecords,
-			DeliveredRecords: rc.delivered.Load(),
-			DroppedRecords:   qs.dropped,
-			BlockedNanos:     qs.blockedNanos,
-			DrainNanos:       rc.drainNanos.Load(),
-			OverflowStreak:   qs.overflowStreak,
+			Addr:           rc.conn.RemoteAddr().String(),
+			Shard:          rc.sel.String(),
+			Compressed:     rc.columnsZ,
+			Channels:       chans,
+			QueueLen:       m.Len(),
+			QueueCap:       len(m.ring),
+			QueueCounts:    m.Counts,
+			BlockedNanos:   blockedNanos,
+			DrainNanos:     rc.drain.nanos.Load(),
+			OverflowStreak: m.streak,
 		})
 	}
 	return out
@@ -829,7 +740,7 @@ func (b *Broker) handleConn(conn net.Conn) {
 	}
 	rc := &remoteConn{
 		conn:        conn,
-		q:           newSendQueue(int(b.queueDepth.Load())),
+		q:           newSendQueue(int(b.queueDepth.Load()), b.evictAfter),
 		channels:    make(map[string]bool, len(hs.channels)),
 		sel:         hs.sel,
 		columnsZ:    hs.columnsZ,
@@ -905,9 +816,12 @@ func (b *Broker) dropConn(rc *remoteConn) {
 	})
 	b.mu.Unlock()
 	rc.conn.Close()
+	var discarded uint64
 	for _, f := range rc.q.close() {
+		discarded += uint64(f.recs)
 		f.release()
 	}
+	b.remoteDropped.Add(discarded)
 }
 
 // Close shuts the broker down: stops the listener, closes remote

@@ -147,119 +147,277 @@ func (f *frame) release() {
 	}
 }
 
-// sendQueue is a bounded FIFO ring of frames between the publish path
-// and one connection's writer goroutine.
+// Queue is one subscriber's send queue as a pure state machine: a bounded
+// FIFO ring of frames, admission under an already-resolved overflow
+// policy, the consecutive-overflow streak with its eviction verdict, and
+// every traffic counter. It takes no lock and reads no clock; whoever
+// drives it supplies both, and all the waiting — sendQueue for the
+// broker's writer goroutines, sim-engine events in the scenario harness,
+// so chaos runs exercise this code and not a copy of it.
+type Queue[F any] struct {
+	// Counts is exported so that a driver modelling a reconnect can carry
+	// the counters over into the next connection's Queue.
+	Counts QueueCounts
+
+	ring       []queued[F]
+	head, n    int
+	closed     bool
+	evictAfter int64
+	streak     int64 // consecutive overflowing offers (0 = keeping up)
+}
+
+type queued[F any] struct {
+	f    F
+	recs uint64
+}
+
+// QueueCounts counts a Queue's traffic, in records except AdmittedFrames.
+// After every operation Offered == Admitted + Refused and Admitted ==
+// Popped + EvictedOldest + Discarded + QueuedRecords(): nothing leaves the
+// queue without a number.
+type QueueCounts struct {
+	Offered        uint64 // a WouldBlock or QueueClosed offer is not one
+	Admitted       uint64
+	AdmittedFrames uint64
+	Refused        uint64 // the block deadline passed; the new frame was dropped
+	EvictedOldest  uint64 // shed from the head to admit a newer frame
+	Discarded      uint64 // still queued at Close, or popped and never delivered (Lose)
+	Popped         uint64 // handed to the consumer and not reported lost
+}
+
+// Outcome is what became of an offered frame.
+type Outcome uint8
+
+const (
+	Admitted  Outcome = iota // queued in a free slot; the overflow streak is zeroed
+	Displaced                // queued in place of the oldest frame, which Admission.Evicted hands to the caller
+	Refused                  // dropped for this subscriber (what Refuse returns)
+	// WouldBlock: BlockWithDeadline met a full ring and nothing changed. The
+	// driver waits for a Pop and offers again, or gives up with Refuse.
+	WouldBlock
+	QueueClosed // the subscriber is gone; nothing is queued or counted
+)
+
+// Admission reports one Offer or Refuse. Evict is the sustained-overflow
+// verdict, given once, on the offer that takes the streak to
+// EvictAfterOverflows: the driver should disconnect the subscriber.
+type Admission[F any] struct {
+	Outcome Outcome
+	Evicted F
+	Evict   bool
+}
+
+// NewQueue returns an empty queue of depth frames (at least one) whose
+// eviction verdict fires after evictAfter consecutive overflows (0 = never).
+func NewQueue[F any](depth, evictAfter int) Queue[F] {
+	return Queue[F]{ring: make([]queued[F], max(depth, 1)), evictAfter: int64(evictAfter)}
+}
+
+// Offer admits f, carrying recs records, under a resolved policy: into a
+// free slot if there is one, else WouldBlock under BlockWithDeadline and
+// Displaced under anything else.
+func (q *Queue[F]) Offer(f F, recs uint64, policy OverflowPolicy) (a Admission[F]) {
+	switch {
+	case q.closed:
+		return Admission[F]{Outcome: QueueClosed}
+	case q.n < len(q.ring):
+		q.ring[(q.head+q.n)%len(q.ring)] = queued[F]{f, recs}
+		q.n++
+		q.streak = 0
+	case policy == BlockWithDeadline:
+		return Admission[F]{Outcome: WouldBlock}
+	default:
+		// The new frame lands exactly where the evicted one sat ((head+1 +
+		// n-1) mod cap == head), so replace in place: n is unchanged and the
+		// queue stays non-empty, so no consumer needs waking.
+		old := &q.ring[q.head]
+		a.Outcome, a.Evicted = Displaced, old.f
+		q.Counts.EvictedOldest += old.recs
+		*old = queued[F]{f, recs}
+		q.head = (q.head + 1) % len(q.ring)
+		a.Evict = q.overflowed()
+	}
+	q.Counts.Offered += recs
+	q.Counts.Admitted += recs
+	q.Counts.AdmittedFrames++
+	return a
+}
+
+// Refuse drops a frame of recs records that WouldBlock and whose deadline
+// has passed.
+func (q *Queue[F]) Refuse(recs uint64) Admission[F] {
+	q.Counts.Offered += recs
+	q.Counts.Refused += recs
+	return Admission[F]{Outcome: Refused, Evict: q.overflowed()}
+}
+
+func (q *Queue[F]) overflowed() bool {
+	q.streak++
+	return q.streak == q.evictAfter // 0 never matches: the streak is at least 1 here
+}
+
+// Pop removes the oldest frame; ok is false on an empty queue.
+func (q *Queue[F]) Pop() (f F, ok bool) {
+	if q.n == 0 {
+		return f, false
+	}
+	head := q.ring[q.head]
+	q.ring[q.head] = queued[F]{}
+	q.head = (q.head + 1) % len(q.ring)
+	q.n--
+	q.Counts.Popped += head.recs
+	return head.f, true
+}
+
+// Lose moves a popped frame's recs records from Popped to Discarded: its
+// write failed, or its subscriber went away while it was in flight.
+func (q *Queue[F]) Lose(recs uint64) {
+	q.Counts.Popped -= recs
+	q.Counts.Discarded += recs
+}
+
+// Close marks the queue closed and returns the frames still queued, counted
+// as Discarded, so the caller can release their references.
+func (q *Queue[F]) Close() (rem []F) {
+	q.closed = true
+	before := q.Counts.Popped
+	for f, ok := q.Pop(); ok; f, ok = q.Pop() {
+		rem = append(rem, f)
+	}
+	q.Lose(q.Counts.Popped - before)
+	return rem
+}
+
+// Len is the number of frames queued.
+func (q *Queue[F]) Len() int { return q.n }
+
+// QueuedRecords sums the records of the frames still queued.
+func (q *Queue[F]) QueuedRecords() (recs uint64) {
+	for i := 0; i < q.n; i++ {
+		recs += q.ring[(q.head+i)%len(q.ring)].recs
+	}
+	return recs
+}
+
+// DrainEstimate is one connection's observed per-frame drain time, the
+// input of the Adaptive policy: an EWMA over every frame and one per
+// channel. Only the connection's writer calls Note; Resolve only loads.
+type DrainEstimate struct {
+	nanos atomic.Int64
+	// byChannel is a copy-on-write map (a channel shows up once, on its
+	// first delivered frame). It floors the Adaptive decision per channel,
+	// so one fast channel on a shared connection cannot mask a slow one.
+	byChannel atomic.Pointer[map[string]*atomic.Int64]
+}
+
+// Resolve turns the configured policy into the one Queue.Offer applies:
+// Adaptive blocks when the estimate says a queue slot will free up within
+// the deadline, and sheds otherwise or before any delivery.
+//
+//sysprof:nonblocking
+//sysprof:noalloc
+func (d *DrainEstimate) Resolve(policy OverflowPolicy, timeout time.Duration, channel string) OverflowPolicy {
+	if policy != Adaptive {
+		return policy
+	}
+	est := d.nanos.Load()
+	if m := d.byChannel.Load(); m != nil && channel != "" {
+		if e := (*m)[channel]; e != nil {
+			est = max(est, e.Load())
+		}
+	}
+	if est > 0 && time.Duration(est) <= timeout {
+		return BlockWithDeadline
+	}
+	return DropOldest
+}
+
+// Note folds one frame's drain time into the connection and per-channel
+// EWMAs (α = 1/8). Plain load-modify-store sequences are race-free under
+// the single-caller rule; the atomic stores publish to Resolve.
+func (d *DrainEstimate) Note(channel string, dur int64) {
+	prev := d.nanos.Load()
+	d.nanos.Store(prev - prev/8 + dur/8)
+	if channel == "" {
+		return
+	}
+	m := d.byChannel.Load()
+	e := (*atomic.Int64)(nil)
+	if m != nil {
+		e = (*m)[channel]
+	}
+	if e == nil {
+		// First frame on this channel: publish a grown snapshot.
+		next := make(map[string]*atomic.Int64, 4)
+		if m != nil {
+			for k, v := range *m {
+				next[k] = v
+			}
+		}
+		e = new(atomic.Int64)
+		next[channel] = e
+		d.byChannel.Store(&next)
+	}
+	prev = e.Load()
+	e.Store(prev - prev/8 + dur/8)
+}
+
+// sendQueue drives a Queue between the publish path and one connection's
+// writer goroutine, adding only what the machine leaves out: the lock and
+// the waiting — the writer's for a frame, a blocked publisher's for a slot.
 type sendQueue struct {
 	mu       sync.Mutex
 	notEmpty sync.Cond
 	notFull  sync.Cond
-	ring     []*frame
-	head     int
-	n        int
-	closed   bool
-
-	// Traffic counters, guarded by mu. enqueue already holds the lock,
-	// so bumping them here costs plain adds; as per-connection atomics
-	// they were one locked RMW each on the publish hot path.
-	enqFrames      uint64
-	enqRecords     uint64
-	dropped        uint64
-	blockedNanos   uint64
-	overflowStreak int64
+	// Guarded by mu, which enqueue holds anyway: the machine's counters
+	// cost plain adds, not one locked RMW each on the publish hot path.
+	m            Queue[*frame]
+	blockedNanos uint64
 }
 
-func newSendQueue(depth int) *sendQueue {
-	if depth < 1 {
-		depth = 1
-	}
-	q := &sendQueue{ring: make([]*frame, depth)}
+func newSendQueue(depth, evictAfter int) *sendQueue {
+	q := &sendQueue{m: NewQueue[*frame](depth, evictAfter)}
 	q.notEmpty.L = &q.mu
 	q.notFull.L = &q.mu
 	return q
 }
 
-// enqResult reports an enqueue attempt's outcome. The caller owns the
-// reference of a frame that was not admitted, and the reference of any
-// evicted frame. streak is the consecutive-overflow count after this
-// attempt (zero on a clean admit), so the caller can apply the
-// sustained-overflow eviction policy without touching the counters.
-type enqResult struct {
-	admitted bool
-	closed   bool
-	evicted  *frame
-	streak   int64
-}
-
-// enqueue admits f (carrying recs records) to the ring, applying the
-// overflow policy when full, and maintains the queue's traffic counters
-// under the lock it already holds. Under DropOldest it never waits;
-// BlockWithDeadline bounds the wait by the timeout, so the publish path
-// cannot stall indefinitely.
+// enqueue offers f to the machine under a resolved policy. The caller owns
+// the reference of a frame that was not admitted, and of a displaced one.
+// Under DropOldest it never waits; BlockWithDeadline bounds the wait by
+// the timeout, so the publish path cannot stall indefinitely.
 //
 //sysprof:nonblocking
-func (q *sendQueue) enqueue(f *frame, recs uint64, policy OverflowPolicy, timeout time.Duration) enqResult {
-	var res enqResult
+func (q *sendQueue) enqueue(f *frame, policy OverflowPolicy, timeout time.Duration) Admission[*frame] {
+	recs := uint64(f.recs)
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	if q.closed {
-		res.closed = true
-		return res
-	}
-	if q.n == len(q.ring) {
-		if policy == BlockWithDeadline {
-			start := time.Now()
-			timer := time.AfterFunc(timeout, func() {
-				q.mu.Lock()
-				q.notFull.Broadcast()
-				q.mu.Unlock()
-			})
-			for q.n == len(q.ring) && !q.closed && time.Since(start) < timeout {
-				//lint:ignore nonblock BlockWithDeadline is an explicitly bounded wait: the AfterFunc broadcast wakes this within the timeout
-				q.notFull.Wait()
-			}
-			timer.Stop()
-			q.blockedNanos += uint64(time.Since(start))
-			if q.closed {
-				res.closed = true
-				return res
-			}
-			if q.n == len(q.ring) {
-				// Deadline expired; the new frame is dropped.
-				q.dropped += recs
-				q.overflowStreak++
-				res.streak = q.overflowStreak
-				return res
-			}
-		} else {
-			// Full ring, drop-oldest: the new frame lands exactly where the
-			// evicted one sat ((head+1 + n-1) mod cap == head), so replace
-			// in place — one pointer write, n unchanged, and no writer
-			// wake-up needed since the queue stays non-empty.
-			res.evicted = q.ring[q.head]
-			q.ring[q.head] = f
-			q.head = (q.head + 1) % len(q.ring)
-			res.admitted = true
-			q.enqFrames++
-			q.enqRecords += recs
-			q.dropped += uint64(res.evicted.recs)
-			q.overflowStreak++
-			res.streak = q.overflowStreak
-			return res
+	a := q.m.Offer(f, recs, policy)
+	if a.Outcome == WouldBlock {
+		start := time.Now()
+		timer := time.AfterFunc(timeout, func() {
+			q.mu.Lock()
+			q.notFull.Broadcast()
+			q.mu.Unlock()
+		})
+		for a.Outcome == WouldBlock && time.Since(start) < timeout {
+			//lint:ignore nonblock BlockWithDeadline is an explicitly bounded wait: the AfterFunc broadcast wakes this within the timeout
+			q.notFull.Wait()
+			a = q.m.Offer(f, recs, policy)
+		}
+		timer.Stop()
+		q.blockedNanos += uint64(time.Since(start))
+		if a.Outcome == WouldBlock {
+			a = q.m.Refuse(recs)
 		}
 	}
-	q.ring[(q.head+q.n)%len(q.ring)] = f
-	q.n++
-	res.admitted = true
-	q.enqFrames++
-	q.enqRecords += recs
-	q.overflowStreak = 0
-	if q.n == 1 {
+	if a.Outcome == Admitted && q.m.Len() == 1 {
 		// The writer only ever waits on an empty queue, so a signal is
 		// needed solely on the empty→non-empty transition; skipping it
 		// otherwise keeps the publish path off the cond's notify list.
 		q.notEmpty.Signal()
 	}
-	return res
+	return a
 }
 
 // dequeue blocks for the next frame; ok is false once the queue is
@@ -267,68 +425,34 @@ func (q *sendQueue) enqueue(f *frame, recs uint64, policy OverflowPolicy, timeou
 func (q *sendQueue) dequeue() (*frame, bool) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	for q.n == 0 && !q.closed {
+	for q.m.Len() == 0 && !q.m.closed {
 		q.notEmpty.Wait()
 	}
-	if q.n == 0 {
-		return nil, false
-	}
-	f := q.ring[q.head]
-	q.ring[q.head] = nil
-	q.head = (q.head + 1) % len(q.ring)
-	q.n--
 	q.notFull.Signal()
-	return f, true
+	return q.m.Pop()
 }
 
-// close marks the queue closed, wakes all waiters, and returns the
-// frames still queued so the caller can release their references.
+// lose reports that a dequeued frame of recs records was never delivered.
+func (q *sendQueue) lose(recs uint64) {
+	q.mu.Lock()
+	q.m.Lose(recs)
+	q.mu.Unlock()
+}
+
+// close closes the machine, wakes all waiters, and returns the frames
+// still queued so the caller can release their references.
 func (q *sendQueue) close() []*frame {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	if q.closed {
-		return nil
-	}
-	q.closed = true
-	var rem []*frame
-	for i := 0; i < q.n; i++ {
-		idx := (q.head + i) % len(q.ring)
-		rem = append(rem, q.ring[idx])
-		q.ring[idx] = nil
-	}
-	q.head, q.n = 0, 0
 	q.notEmpty.Broadcast()
 	q.notFull.Broadcast()
-	return rem
+	return q.m.Close()
 }
 
-func (q *sendQueue) depth() (n, capacity int) {
+// snapshot returns a mutex-consistent copy of the machine, for its counters
+// and lengths (the ring is shared), and the time publishers spent blocked.
+func (q *sendQueue) snapshot() (Queue[*frame], uint64) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	return q.n, len(q.ring)
-}
-
-// queueStats is a mutex-consistent snapshot of one send queue's depth
-// and traffic counters.
-type queueStats struct {
-	len, cap       int
-	enqFrames      uint64
-	enqRecords     uint64
-	dropped        uint64
-	blockedNanos   uint64
-	overflowStreak int64
-}
-
-func (q *sendQueue) stats() queueStats {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return queueStats{
-		len:            q.n,
-		cap:            len(q.ring),
-		enqFrames:      q.enqFrames,
-		enqRecords:     q.enqRecords,
-		dropped:        q.dropped,
-		blockedNanos:   q.blockedNanos,
-		overflowStreak: q.overflowStreak,
-	}
+	return q.m, q.blockedNanos
 }

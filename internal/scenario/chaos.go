@@ -229,8 +229,8 @@ func (r *runner) pickShard(ev ChaosEvent, rng *sim.RNG) *shardSub {
 // for Duration.
 func (r *runner) slowSubscriber(ev ChaosEvent, rng *sim.RNG) []string {
 	s := r.pickShard(ev, rng)
-	s.setSlowFactor(ev.Factor)
-	r.eng.After(ev.Duration, func() { s.setSlowFactor(1) })
+	s.slowFactor = ev.Factor
+	r.eng.After(ev.Duration, func() { s.slowFactor = 1 })
 	return []string{fmt.Sprintf("shard-%d x%g", s.idx, ev.Factor)}
 }
 
@@ -241,7 +241,7 @@ func (r *runner) flapSubscriber(ev ChaosEvent, rng *sim.RNG) []string {
 	var cycles int
 	var flip func()
 	flip = func() {
-		s.setDetached(!s.detached)
+		s.setDetached(s.state != detached)
 		cycles++
 		if time.Duration(cycles)*ev.Period < ev.Duration {
 			r.eng.After(ev.Period, flip)
@@ -256,6 +256,6 @@ func (r *runner) flapSubscriber(ev ChaosEvent, rng *sim.RNG) []string {
 // killShard kills one shard subscriber permanently.
 func (r *runner) killShard(ev ChaosEvent, rng *sim.RNG) []string {
 	s := r.pickShard(ev, rng)
-	s.kill()
+	s.disconnect(dead)
 	return []string{fmt.Sprintf("shard-%d", s.idx)}
 }

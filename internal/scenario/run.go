@@ -66,8 +66,8 @@ func Run(spec Spec) (*Report, error) {
 		linkCfg: make(map[[2]simnet.NodeID]simnet.LinkConfig),
 	}
 
-	// Analysis tier: one single-shard GPA per scenario shard, fed by a
-	// deterministic subscriber model. Flow sharding uses the same
+	// Analysis tier: one single-shard GPA per scenario shard, fed by the
+	// broker's send queue under the sim's clock. Flow sharding uses the same
 	// canonical ShardHash as the dissemination router, so both endpoints
 	// of an interaction always land on the same shard's analyzer.
 	r.shards = make([]*shardSub, spec.Monitor.Shards)
@@ -153,15 +153,15 @@ func (r *runner) runQuery() {
 	var worst time.Duration
 	partial := false
 	for _, s := range r.shards {
-		if s.dead {
+		if s.state == dead {
 			partial = true
 			if r.spec.Monitor.QueryTimeout > worst {
 				worst = r.spec.Monitor.QueryTimeout
 			}
 			continue
 		}
-		backlog := len(s.queue)
-		if s.blocked != nil {
+		backlog := s.q.Len() // plus the frame in flight
+		if s.inflight != 0 {
 			backlog++
 		}
 		lat := queryShardBase + time.Duration(backlog)*s.effDrain()
@@ -277,17 +277,17 @@ func (r *runner) snapshot() *Report {
 		sr := ShardReport{
 			Index:           s.idx,
 			Offered:         s.offered,
-			Delivered:       s.delivered,
-			DroppedOverflow: s.dropOverflow,
-			DroppedDetached: s.dropDetached,
-			DroppedEvicted:  s.dropEvicted,
-			DroppedDead:     s.dropDead,
+			Delivered:       s.q.Counts.Popped - s.inflight,
+			DroppedOverflow: s.q.Counts.Refused + s.q.Counts.EvictedOldest,
+			DroppedDetached: s.lost[detached],
+			DroppedEvicted:  s.lost[evicted],
+			DroppedDead:     s.lost[dead],
 			QueuedAtEnd:     s.queuedRecords(),
 			BlockAdmits:     s.blockAdmits,
 			BlockedUS:       int64(s.blockedFor / time.Microsecond),
 			Flaps:           s.flaps,
-			Evicted:         s.evicted,
-			Dead:            s.dead,
+			Evicted:         s.state == evicted,
+			Dead:            s.state == dead,
 
 			Ingested:          gs.Ingested,
 			Correlated:        gs.Correlated,
@@ -303,10 +303,10 @@ func (r *runner) snapshot() *Report {
 		f.DroppedEvicted += sr.DroppedEvicted
 		f.DroppedDead += sr.DroppedDead
 		f.QueuedAtEnd += sr.QueuedAtEnd
-		if s.dead {
+		if sr.Dead {
 			f.DeadShards++
 		}
-		if s.evicted {
+		if sr.Evicted {
 			f.EvictedShards++
 		}
 		correlatedPairs += gs.Correlated

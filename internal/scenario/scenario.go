@@ -101,10 +101,9 @@ type Template struct {
 }
 
 // MonitorSpec shapes the global analysis tier: how many GPA shards the
-// record stream fans out to and how each shard's subscriber behaves. The
-// subscriber model mirrors pubsub's remote fan-out semantics (bounded
-// frame queue, overflow policy, eviction) but runs on the sim engine so
-// chaos against it stays deterministic.
+// record stream fans out to and how each shard's subscriber behaves — its
+// send queue is pubsub's own, driven by the sim engine so that chaos
+// against it stays deterministic.
 type MonitorSpec struct {
 	// Shards is the number of GPA shard subscribers.
 	Shards int
@@ -387,6 +386,35 @@ func Builtins() map[string]Spec {
 				{At: 4500 * time.Millisecond, Kind: ChaosDegrade, Count: 3, Factor: 0.05, Duration: time.Second},
 			},
 			Guard: Guard{MaxTimeoutFraction: 0.5},
+		},
+		// overflow-small is the one builtin that fills a send queue, so the
+		// broker's overflow arms sit under the byte-diff guard too. Both
+		// shards run the adaptive policy on a one-frame queue. Shard 0's
+		// healthy drain beats the block timeout, so full-queue publishes
+		// block-admit (or are refused at the deadline); slowed past it, the
+		// policy sheds the oldest frame instead, and recovers. Shard 1 stalls
+		// from its first frame: with no delivery to estimate from the policy
+		// sheds on every publish and the streak runs into the eviction
+		// threshold.
+		"overflow-small": {
+			Name:     "overflow-small",
+			Seed:     3,
+			Duration: 3 * time.Second,
+			Fleet:    FleetSpec{Nodes: 12},
+			Templates: []Template{
+				{Name: "c", Role: "client", Weight: 1, Rate: 60, Slots: 8,
+					FlushInterval: 10 * time.Millisecond, WindowSize: 4},
+				{Name: "s", Role: "server", Weight: 1,
+					FlushInterval: 10 * time.Millisecond, WindowSize: 4},
+			},
+			Monitor: MonitorSpec{
+				Shards: 2, QueueDepth: 1, DrainPerFrame: 200 * time.Microsecond,
+				Overflow: "adaptive", BlockTimeout: time.Millisecond, EvictAfter: 8,
+			},
+			Chaos: []ChaosEvent{
+				{At: 0, Kind: ChaosSlowSub, Shard: 1, Factor: 1000, Duration: time.Second},
+				{At: 1500 * time.Millisecond, Kind: ChaosSlowSub, Shard: 0, Factor: 8, Duration: time.Second},
+			},
 		},
 		"chaos-1k": {
 			Name:     "chaos-1k",

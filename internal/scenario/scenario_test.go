@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"bytes"
+	"os"
 	"testing"
 	"time"
 )
@@ -122,35 +123,47 @@ func TestDeadShardPartialResults(t *testing.T) {
 	}
 }
 
-// evictionSpec is a seeded scenario tuned so the shard subscriber
-// overflows persistently: one shard, a one-frame queue, a drain far
-// slower than the flush cadence, and DropOldest with a low eviction
-// threshold.
-func evictionSpec() Spec {
-	return Spec{
-		Name:     "evict-mini",
-		Seed:     3,
-		Duration: 3 * time.Second,
-		Fleet:    FleetSpec{Nodes: 8},
-		Templates: []Template{
-			{Name: "c", Role: "client", Weight: 1, Rate: 40, Slots: 8,
-				FlushInterval: 20 * time.Millisecond, WindowSize: 4},
-			{Name: "s", Role: "server", Weight: 1,
-				FlushInterval: 20 * time.Millisecond, WindowSize: 4},
-		},
-		Monitor: MonitorSpec{
-			Shards: 1, QueueDepth: 1, DrainPerFrame: 30 * time.Millisecond,
-			Overflow: "drop", EvictAfter: 6,
-		},
+// TestOverflowSmallSnapshot holds the one builtin that fills a send queue
+// to its committed report byte for byte, and checks that the run reaches
+// every overflow arm: shed and refused frames, block admits with their
+// wait, and a queue discarded at eviction. A block-admitted publisher
+// waited less than the deadline, or it would have been refused.
+func TestOverflowSmallSnapshot(t *testing.T) {
+	spec := Builtins()["overflow-small"]
+	rep := runTwice(t, spec)
+	if err := rep.Check(spec.Guard); err != nil {
+		t.Fatal(err)
+	}
+	snap, err := os.ReadFile("../../BENCH_scenario_overflow-small.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := rep.CompareSnapshot(snap); err != nil {
+		t.Fatal(err)
+	}
+	var admits uint64
+	var blockedUS int64
+	for _, s := range rep.Shards {
+		admits += s.BlockAdmits
+		blockedUS += s.BlockedUS
+	}
+	f := rep.Fanout
+	if f.DroppedOverflow == 0 || admits == 0 || blockedUS == 0 || f.DroppedEvicted == 0 {
+		t.Fatalf("an overflow arm was not reached: dropped_overflow=%d block_admits=%d blocked_us=%d dropped_evicted=%d",
+			f.DroppedOverflow, admits, blockedUS, f.DroppedEvicted)
+	}
+	if limit := int64(admits) * int64(spec.Monitor.BlockTimeout/time.Microsecond); blockedUS > limit {
+		t.Fatalf("blocked_us %d > block_admits %d x block_timeout %v", blockedUS, admits, spec.Monitor.BlockTimeout)
 	}
 }
 
-// TestSlowSubscriberEviction pins the eviction counters: a subscriber
-// that persistently overflows is disconnected, its queue is charged to
-// dropped_evicted, and every record offered afterwards drops there too.
+// TestSlowSubscriberEviction pins the eviction counters on overflow-small's
+// stalled shard: a subscriber that persistently overflows is disconnected,
+// its queue is charged to dropped_evicted, and every record offered
+// afterwards drops there too.
 func TestSlowSubscriberEviction(t *testing.T) {
-	rep := runTwice(t, evictionSpec())
-	s := rep.Shards[0]
+	rep := runTwice(t, Builtins()["overflow-small"])
+	s := rep.Shards[1]
 	if !s.Evicted || rep.Fanout.EvictedShards != 1 {
 		t.Fatalf("subscriber not evicted: %+v", s)
 	}
@@ -160,42 +173,17 @@ func TestSlowSubscriberEviction(t *testing.T) {
 	if s.DroppedEvicted == 0 {
 		t.Fatal("no records attributed to eviction")
 	}
-	if rep.UnaccountedRecords != 0 {
-		t.Fatalf("%d unaccounted records", rep.UnaccountedRecords)
+	if s.Offered != s.Delivered+s.DroppedOverflow+s.DroppedEvicted {
+		t.Fatalf("evicted shard's records do not add up: %+v", s)
 	}
 }
 
-// adaptiveSpec drives the Adaptive overflow policy through both of its
-// arms: while healthy the drain beats the block timeout so full-queue
-// publishes block-admit; slow-subscriber chaos then pushes the drain
-// past the deadline and the policy falls back to shedding frames.
-func adaptiveSpec() Spec {
-	return Spec{
-		Name:     "adaptive-mini",
-		Seed:     5,
-		Duration: 3 * time.Second,
-		Fleet:    FleetSpec{Nodes: 8},
-		Templates: []Template{
-			{Name: "c", Role: "client", Weight: 1, Rate: 40, Slots: 8,
-				FlushInterval: 10 * time.Millisecond, WindowSize: 4},
-			{Name: "s", Role: "server", Weight: 1,
-				FlushInterval: 10 * time.Millisecond, WindowSize: 4},
-		},
-		Monitor: MonitorSpec{
-			Shards: 1, QueueDepth: 1, DrainPerFrame: 800 * time.Microsecond,
-			Overflow: "adaptive", BlockTimeout: time.Millisecond,
-		},
-		Chaos: []ChaosEvent{
-			{At: 1500 * time.Millisecond, Kind: ChaosSlowSub, Shard: 0,
-				Factor: 100, Duration: time.Second},
-		},
-	}
-}
-
-// TestAdaptiveOverflowDrops pins the adaptive-policy counters under
-// seeded chaos: block admits while fast, overflow drops while slowed.
+// TestAdaptiveOverflowDrops pins the adaptive-policy counters on
+// overflow-small's other shard: block admits while the drain beats the
+// deadline, overflow drops while slow-subscriber chaos holds it past it,
+// and no eviction — it keeps draining between overflows.
 func TestAdaptiveOverflowDrops(t *testing.T) {
-	rep := runTwice(t, adaptiveSpec())
+	rep := runTwice(t, Builtins()["overflow-small"])
 	s := rep.Shards[0]
 	if s.BlockAdmits == 0 {
 		t.Fatal("adaptive policy never block-admitted while drain beat the deadline")
@@ -206,8 +194,8 @@ func TestAdaptiveOverflowDrops(t *testing.T) {
 	if s.DroppedOverflow == 0 {
 		t.Fatal("adaptive policy never shed frames while slowed past the deadline")
 	}
-	if rep.UnaccountedRecords != 0 {
-		t.Fatalf("%d unaccounted records", rep.UnaccountedRecords)
+	if s.Evicted || s.Delivered == 0 {
+		t.Fatalf("the adaptive shard should survive its slowdown: %+v", s)
 	}
 }
 

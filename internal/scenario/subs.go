@@ -4,229 +4,188 @@ import (
 	"time"
 
 	"sysprof/internal/core"
+	"sysprof/internal/dissem"
 	"sysprof/internal/gpa"
 	"sysprof/internal/pubsub"
 	"sysprof/internal/sim"
 )
 
-// shardSub models one GPA shard's pub-sub subscriber deterministically on
-// the sim engine. It mirrors pubsub's remote fan-out semantics — a
-// bounded frame queue, a per-frame drain time, the DropOldest /
-// BlockWithDeadline / Adaptive overflow policies, and eviction after a
-// consecutive-overflow streak — without the real TCP writer goroutines,
-// whose OS-level scheduling would make byte-identical reports impossible.
-// Chaos drives it directly: slow-subscriber chaos multiplies the drain
-// time, flapping detaches and reattaches it, shard death kills it.
+// shardSub drives one GPA shard's subscriber connection in virtual time.
+// The queue, overflow policies, eviction streak and adaptive drain estimate
+// are the broker's own (pubsub.Queue, pubsub.DrainEstimate); this type is
+// only their driver — what pubsub's sendQueue and writer goroutine are on a
+// real clock, whose OS scheduling would make byte-identical reports
+// impossible. Like that writer it pops a frame before it starts on it; a
+// publisher that must wait for a slot is a parked frame with a deadline
+// event. Chaos sets slowFactor, flaps it (setDetached) or kills it.
 type shardSub struct {
-	idx int
-	eng *sim.Engine
-	g   *gpa.GPA
+	idx    int
+	eng    *sim.Engine
+	g      *gpa.GPA
+	m      *MonitorSpec
+	policy pubsub.OverflowPolicy
 
-	depth        int
-	drain        time.Duration
-	policy       pubsub.OverflowPolicy
-	blockTimeout time.Duration
-	evictAfter   int
+	// The current connection. A reattach starts a fresh queue and estimate,
+	// as a re-dialled broker connection would, under the running counters.
+	q   pubsub.Queue[*core.RecordColumns]
+	est *pubsub.DrainEstimate
+	// inflight is the size of the popped frame the GPA is ingesting until
+	// drainTimer fires (0 = idle); parked are the publishers blocked on a
+	// full queue, oldest first.
+	inflight   uint64
+	drainTimer *sim.Event
+	parked     []parkedFrame
 
-	queue []*core.RecordColumns
-	// blocked is the one frame admitted past a full queue by a blocking
-	// publisher: it takes the slot the in-progress drain is about to
-	// free. At most one can be outstanding per drain period — a second
-	// blocking publisher in the same period would outwait its deadline
-	// and drops instead.
-	blocked  *core.RecordColumns
-	draining bool
+	slowFactor float64 // slow-subscriber chaos: scales the per-frame drain time
+	state      subState
+	// lost[st] is the records charged to leaving the attached state for st:
+	// those the connection held at that moment and those offered since.
+	lost [dead + 1]uint64
 
-	slowFactor     float64
-	detached       bool
-	evicted        bool
-	dead           bool
-	overflowStreak int
+	// The harness's own counters; the report reads the rest off q.Counts.
+	offered     uint64
+	blockAdmits uint64
+	blockedFor  time.Duration
+	flaps       uint64
+}
 
-	// Counters for the run report. offered = delivered + dropOverflow +
-	// dropDetached + dropEvicted + dropDead + queued residual.
-	offered      uint64
-	delivered    uint64
-	dropOverflow uint64
-	dropDetached uint64
-	dropEvicted  uint64
-	dropDead     uint64
-	blockAdmits  uint64
-	blockedFor   time.Duration
-	flaps        uint64
+// subState is what chaos has done to the subscriber. Only an attached one
+// is offered frames; death overrides the other two.
+type subState uint8
+
+const (
+	attached subState = iota
+	detached
+	evicted
+	dead
+)
+
+// parkedFrame is one publisher waiting out the block deadline.
+type parkedFrame struct {
+	f        *core.RecordColumns
+	since    time.Duration
+	deadline *sim.Event
 }
 
 func newShardSub(idx int, eng *sim.Engine, g *gpa.GPA, m *MonitorSpec, policy pubsub.OverflowPolicy) *shardSub {
-	return &shardSub{
-		idx: idx, eng: eng, g: g,
-		depth:        m.QueueDepth,
-		drain:        m.DrainPerFrame,
-		policy:       policy,
-		blockTimeout: m.BlockTimeout,
-		evictAfter:   m.EvictAfter,
-		slowFactor:   1,
-	}
+	s := &shardSub{idx: idx, eng: eng, g: g, m: m, policy: policy, slowFactor: 1}
+	s.connect()
+	return s
+}
+
+func (s *shardSub) connect() {
+	counts := s.q.Counts
+	s.q = pubsub.NewQueue[*core.RecordColumns](s.m.QueueDepth, s.m.EvictAfter)
+	s.q.Counts = counts
+	s.est = new(pubsub.DrainEstimate)
+	s.state = attached
 }
 
 // effDrain is the per-frame ingest time under the current slowdown.
 func (s *shardSub) effDrain() time.Duration {
-	return time.Duration(float64(s.drain) * s.slowFactor)
+	return time.Duration(float64(s.m.DrainPerFrame) * s.slowFactor)
 }
 
-// offer hands the subscriber one routed frame. The frame is owned by the
-// subscriber from here on.
+// offer hands the subscriber one routed frame (never an empty one). The
+// frame is owned by the subscriber from here on.
 func (s *shardSub) offer(f *core.RecordColumns) {
 	n := uint64(f.Len())
-	if n == 0 {
-		return
-	}
 	s.offered += n
-	switch {
-	case s.dead:
-		s.dropDead += n
-		return
-	case s.evicted:
-		s.dropEvicted += n
-		return
-	case s.detached:
-		s.dropDetached += n
+	if s.state != attached {
+		s.lost[s.state] += n
 		return
 	}
-	if len(s.queue) < s.depth {
-		s.queue = append(s.queue, f)
-		s.overflowStreak = 0
-		s.kick()
+	a := s.q.Offer(f, n, s.est.Resolve(s.policy, s.m.BlockTimeout, dissem.ChannelInteractions))
+	if a.Outcome != pubsub.WouldBlock {
+		s.settle(a)
 		return
 	}
-	policy := s.policy
-	if policy == pubsub.Adaptive {
-		// Per the real broker: block only when the observed drain is
-		// faster than the deadline, otherwise shed the oldest.
-		if s.effDrain() <= s.blockTimeout {
-			policy = pubsub.BlockWithDeadline
-		} else {
-			policy = pubsub.DropOldest
-		}
-	}
-	switch policy {
-	case pubsub.BlockWithDeadline:
-		if s.blocked == nil && s.draining && s.effDrain() <= s.blockTimeout {
-			// The in-progress drain frees a slot within the deadline;
-			// the publisher waits for it.
-			s.blocked = f
-			s.blockAdmits++
-			s.blockedFor += s.effDrain()
-			return
-		}
-		// Deadline would pass before a slot frees: the NEW frame drops.
-		s.dropOverflow += n
-		s.bumpOverflow()
-	default: // DropOldest
-		head := s.queue[0]
-		s.queue = s.queue[1:]
-		s.dropOverflow += uint64(head.Len())
-		s.queue = append(s.queue, f)
-		s.bumpOverflow()
-		s.kick()
-	}
+	// The publisher waits: for the slot the next pop frees, or its deadline.
+	p := parkedFrame{f: f, since: s.eng.Now()}
+	p.deadline = s.eng.After(s.m.BlockTimeout, func() {
+		s.parked = s.parked[1:] // equal timeouts: the oldest expires first
+		s.settle(s.q.Refuse(n))
+	})
+	s.parked = append(s.parked, p)
 }
 
-// bumpOverflow advances the consecutive-overflow streak and evicts the
-// subscriber when it crosses the configured threshold — the broker's
-// "persistently slow subscribers are cheaper gone" policy.
-func (s *shardSub) bumpOverflow() {
-	s.overflowStreak++
-	if s.evictAfter > 0 && s.overflowStreak >= s.evictAfter && !s.evicted {
-		s.flushQueue(&s.dropEvicted)
-		s.evicted = true
+// settle acts on the machine's verdict: evict on sustained overflow (the
+// broker's "persistently slow subscribers are cheaper gone"), and make
+// sure the drain loop of a subscriber still attached is running.
+func (s *shardSub) settle(a pubsub.Admission[*core.RecordColumns]) {
+	if a.Evict {
+		s.disconnect(evicted)
 	}
+	s.kick()
 }
 
-// kick starts the drain loop if idle and the subscriber can make
-// progress.
+// kick pops the next frame if the subscriber is idle and attached, hands
+// the freed slot to the longest-blocked publisher, and schedules the
+// frame's ingest one drain time out.
 func (s *shardSub) kick() {
-	if s.draining || len(s.queue) == 0 || s.dead || s.detached || s.evicted {
+	if s.inflight != 0 || s.state != attached {
 		return
 	}
-	s.draining = true
-	s.eng.After(s.effDrain(), s.drainOne)
-}
-
-// drainOne completes one frame's ingest and reschedules.
-func (s *shardSub) drainOne() {
-	s.draining = false
-	if s.dead || s.detached || s.evicted {
+	f, ok := s.q.Pop()
+	if !ok {
 		return
 	}
-	if len(s.queue) > 0 {
-		f := s.queue[0]
-		s.queue = s.queue[1:]
-		if s.blocked != nil {
-			// The blocked publisher's frame takes the freed slot.
-			s.queue = append(s.queue, s.blocked)
-			s.blocked = nil
-		}
-		s.delivered += uint64(f.Len())
+	if len(s.parked) > 0 {
+		p := s.parked[0]
+		s.parked = s.parked[1:]
+		p.deadline.Cancel()
+		s.blockAdmits++
+		s.blockedFor += s.eng.Now() - p.since
+		s.q.Offer(p.f, uint64(p.f.Len()), pubsub.BlockWithDeadline)
+	}
+	d := s.effDrain()
+	s.inflight = uint64(f.Len())
+	s.drainTimer = s.eng.After(d, func() {
+		s.inflight = 0
+		s.est.Note(dissem.ChannelInteractions, int64(d))
 		s.g.IngestColumns(f)
-	}
-	s.kick()
+		s.kick()
+	})
 }
 
-// setDetached flips the flapping state: detaching loses every queued
-// frame (the broker drops a disconnected subscriber's queue).
+// disconnect is the broker's dropConn: the frame in flight is lost with
+// the socket, the queue is closed and what it held discarded, and blocked
+// publishers return empty-handed — all of it charged to the new state,
+// as is every later offer. Queries against a dead shard come back partial.
+func (s *shardSub) disconnect(to subState) {
+	before := s.q.Counts.Discarded
+	if s.inflight != 0 {
+		s.drainTimer.Cancel()
+		s.q.Lose(s.inflight)
+		s.inflight = 0
+	}
+	s.q.Close()
+	s.lost[to] += s.q.Counts.Discarded - before
+	for _, p := range s.parked {
+		p.deadline.Cancel()
+		s.lost[to] += uint64(p.f.Len())
+	}
+	s.parked = nil
+	s.state = to
+}
+
+// setDetached flips the flapping state.
 func (s *shardSub) setDetached(on bool) {
-	if s.dead || s.evicted || on == s.detached {
-		return
-	}
-	if on {
-		s.flushQueue(&s.dropDetached)
-		s.detached = true
+	switch {
+	case on && s.state == attached:
+		s.disconnect(detached)
 		s.flaps++
-		return
-	}
-	s.detached = false
-	s.overflowStreak = 0
-	s.kick()
-}
-
-// kill is shard death: queued frames are lost and every later offer
-// drops; queries against the shard return partial results.
-func (s *shardSub) kill() {
-	if s.dead {
-		return
-	}
-	s.flushQueue(&s.dropDead)
-	s.dead = true
-}
-
-// setSlowFactor scales the per-frame drain time (slow-subscriber chaos).
-func (s *shardSub) setSlowFactor(f float64) {
-	if f <= 0 {
-		f = 1
-	}
-	s.slowFactor = f
-}
-
-// flushQueue drops all queued frames into the given counter.
-func (s *shardSub) flushQueue(ctr *uint64) {
-	for _, f := range s.queue {
-		*ctr += uint64(f.Len())
-	}
-	s.queue = s.queue[:0]
-	if s.blocked != nil {
-		*ctr += uint64(s.blocked.Len())
-		s.blocked = nil
+	case !on && s.state == detached:
+		s.connect()
 	}
 }
 
-// queuedRecords is the in-queue residual at snapshot time.
+// queuedRecords is the residual at snapshot time: queued, in flight, or
+// with a publisher still blocked.
 func (s *shardSub) queuedRecords() uint64 {
-	var n uint64
-	for _, f := range s.queue {
-		n += uint64(f.Len())
-	}
-	if s.blocked != nil {
-		n += uint64(s.blocked.Len())
+	n := s.q.QueuedRecords() + s.inflight
+	for _, p := range s.parked {
+		n += uint64(p.f.Len())
 	}
 	return n
 }
