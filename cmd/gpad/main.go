@@ -33,6 +33,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"net"
 	"os"
@@ -85,7 +86,9 @@ func main() {
 		}
 		err = runFrontend(splitAddrs(*frontend), opts)
 	} else {
-		err = run(opts)
+		sig := make(chan os.Signal, 1)
+		signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
+		err = run(opts, sig, os.Stdout)
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "gpad:", err)
@@ -195,7 +198,10 @@ func runFrontend(endpoints []string, opts options) error {
 	}
 }
 
-func run(opts options) error {
+// run subscribes, ingests and reports until a value arrives on sig. The
+// final summary and dump are taken only after every reader has returned,
+// so what they show is what was ingested.
+func run(opts options, sig <-chan os.Signal, out io.Writer) error {
 	reg := pbio.NewRegistry()
 	if err := dissem.RegisterFormats(reg); err != nil {
 		return err
@@ -218,6 +224,7 @@ func run(opts options) error {
 
 	var wg sync.WaitGroup
 	var unknown unknownFrames
+	var subs []*pubsub.Subscriber
 	stop := make(chan struct{})
 	for _, addr := range opts.addrs {
 		addr = strings.TrimSpace(addr)
@@ -237,19 +244,19 @@ func run(opts options) error {
 		} else {
 			log.Printf("subscribed to %s", addr)
 		}
+		subs = append(subs, sub)
 		wg.Add(1)
 		go func(addr string, sub *pubsub.Subscriber) {
 			defer wg.Done()
 			defer sub.Close()
 			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
 				_, rec, err := sub.Recv()
 				if err != nil {
-					log.Printf("%s: stream ended: %v", addr, err)
+					select {
+					case <-stop: // shutdown closed the subscriber under Recv
+					default:
+						log.Printf("%s: stream ended: %v", addr, err)
+					}
 					return
 				}
 				ingestFrame(g, rec, &unknown)
@@ -257,8 +264,6 @@ func run(opts options) error {
 		}(addr, sub)
 	}
 
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	ticker := time.NewTicker(opts.interval)
 	defer ticker.Stop()
 	var dumpTick <-chan time.Time
@@ -270,7 +275,7 @@ func run(opts options) error {
 	for {
 		select {
 		case <-ticker.C:
-			printSummary(g, &unknown)
+			printSummary(out, g, &unknown)
 		case <-dumpTick:
 			n, err := dumpTo(g, opts.dumpPath, true)
 			if err != nil {
@@ -278,8 +283,14 @@ func run(opts options) error {
 			}
 			log.Printf("dumped and truncated %d correlated interactions to %s", n, opts.dumpPath)
 		case <-sig:
+			// A reader blocked in Recv sees nothing but its connection
+			// closing; wait for all of them before looking at the GPA.
 			close(stop)
-			printSummary(g, &unknown)
+			for _, sub := range subs {
+				sub.Close()
+			}
+			wg.Wait()
+			printSummary(out, g, &unknown)
 			if opts.dumpPath != "" {
 				n, err := dumpTo(g, opts.dumpPath, opts.dumpInterval > 0)
 				if err != nil {
@@ -317,20 +328,19 @@ func ingestFrame(g *gpa.GPA, rec *pbio.Record, unknown *unknownFrames) {
 	case *core.RecordColumns:
 		g.IngestColumns(w)
 	case *dissem.WireAggregate:
-		node, agg := dissem.AggFromWire(w)
-		g.IngestAggregate(node, agg)
+		g.IngestAggregate(w.Node, w.Aggregate)
 	default:
 		unknown.note(rec)
 	}
 }
 
-func printSummary(g *gpa.GPA, unknown *unknownFrames) {
+func printSummary(out io.Writer, g *gpa.GPA, unknown *unknownFrames) {
 	st := g.StatsSnapshot()
-	fmt.Printf("gpa: ingested=%d correlated=%d pending=%d unknown_frames=%d\n",
+	fmt.Fprintf(out, "gpa: ingested=%d correlated=%d pending=%d unknown_frames=%d\n",
 		st.Ingested, st.Correlated, g.PendingCount(), unknown.total.Load())
 	for _, node := range g.Nodes() {
 		l := g.ServerLoad(node)
-		fmt.Printf("  node %d: %d interactions/window, mean residence %v, mean buffer wait %v\n",
+		fmt.Fprintf(out, "  node %d: %d interactions/window, mean residence %v, mean buffer wait %v\n",
 			node, l.Interactions, l.MeanResidence, l.MeanBufferWait)
 	}
 }

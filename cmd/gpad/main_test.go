@@ -4,8 +4,11 @@ import (
 	"bytes"
 	"fmt"
 	"log"
+	"net"
 	"os"
 	"path/filepath"
+	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -14,6 +17,7 @@ import (
 	"sysprof/internal/dissem"
 	"sysprof/internal/gpa"
 	"sysprof/internal/pbio"
+	"sysprof/internal/pubsub"
 	"sysprof/internal/simnet"
 )
 
@@ -34,7 +38,7 @@ func TestIngestFrameAccountsUnknown(t *testing.T) {
 	cols.Append(&core.Record{ID: 1, Node: 1, Class: "port:80"})
 	ingestFrame(g, &pbio.Record{Format: "sysprof.interaction", Value: cols}, &unknown)
 	ingestFrame(g, &pbio.Record{Format: "sysprof.aggregate",
-		Value: &dissem.WireAggregate{Node: 2, Class: "db", Count: 3}}, &unknown)
+		Value: &dissem.WireAggregate{Node: 2, Aggregate: core.Aggregate{Class: "db", Count: 3}}}, &unknown)
 	if st := g.StatsSnapshot(); st.Ingested != 2 || unknown.total.Load() != 0 {
 		t.Fatalf("known frames: ingested %d, unknown %d; want 2, 0", st.Ingested, unknown.total.Load())
 	}
@@ -91,5 +95,89 @@ func TestDumpCountIsLinesWritten(t *testing.T) {
 		if lines := bytes.Count(data, []byte("\n")); lines != n {
 			t.Fatalf("dump %d: dumpTo reported %d interactions, file has %d lines", i, n, lines)
 		}
+	}
+}
+
+// TestShutdownDumpHoldsWhatTheSummaryCounts stops gpad while a loopback
+// broker is still publishing correlatable pairs at it: the final summary
+// and the dump are taken after the readers have returned, so the dump
+// has exactly the pairs the summary counted — not the ones a reader
+// still blocked in Recv slipped in between or after the two.
+func TestShutdownDumpHoldsWhatTheSummaryCounts(t *testing.T) {
+	defer log.SetOutput(log.Writer())
+	log.SetOutput(new(bytes.Buffer))
+
+	reg := pbio.NewRegistry()
+	if err := dissem.RegisterFormats(reg); err != nil {
+		t.Fatal(err)
+	}
+	b := pubsub.NewBroker(reg)
+	defer b.Close()
+	// The publisher waits for queue space, so it runs at the pace gpad
+	// reads and there is always a frame in flight.
+	b.SetOverflowPolicy(pubsub.BlockWithDeadline)
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go b.Serve(l)
+
+	dump := filepath.Join(t.TempDir(), "dump.jsonl")
+	sig := make(chan os.Signal, 1)
+	var out bytes.Buffer
+	ran := make(chan error, 1)
+	go func() {
+		ran <- run(options{
+			addrs: []string{l.Addr().String()}, interval: time.Hour,
+			dumpPath: dump, maxCorrelated: 1 << 18, wireCompress: true,
+		}, sig, &out)
+	}()
+	for deadline := time.Now().Add(5 * time.Second); len(b.Subscribers()) == 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("gpad never subscribed")
+		}
+	}
+
+	stop, published := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(published)
+		flow := simnet.FlowKey{Src: simnet.Addr{Node: 1, Port: 1000}, Dst: simnet.Addr{Node: 2, Port: 80}}
+		cols := core.NewRecordColumns(16)
+		for id := uint64(1); ; {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			cols.Reset()
+			for i := 0; i < 8; i, id = i+1, id+2 {
+				start := time.Duration(id) * time.Microsecond
+				cols.AppendRow(core.Record{ID: id, Node: 1, Flow: flow, Start: start, End: start + 10*time.Microsecond})
+				cols.AppendRow(core.Record{ID: id + 1, Node: 2, Flow: flow, Start: start + time.Microsecond, End: start + 8*time.Microsecond})
+			}
+			if err := b.PublishColumns(dissem.ChannelInteractions, cols); err != nil {
+				return
+			}
+		}
+	}()
+	time.Sleep(50 * time.Millisecond)
+	sig <- os.Interrupt
+	if err := <-ran; err != nil {
+		t.Fatal(err)
+	}
+	close(stop)
+	<-published
+
+	m := regexp.MustCompile(`correlated=(\d+)`).FindStringSubmatch(out.String())
+	if m == nil {
+		t.Fatalf("no summary printed:\n%s", out.String())
+	}
+	counted, _ := strconv.Atoi(m[1])
+	data, err := os.ReadFile(dump)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if lines := bytes.Count(data, []byte("\n")); counted == 0 || lines != counted {
+		t.Fatalf("summary counts %d correlated pairs, the dump holds %d", counted, lines)
 	}
 }

@@ -8,18 +8,13 @@
 // Usage:
 //
 //	go run ./cmd/sysproflint [-analyzers nonblock,lockcheck] \
-//	    [-format text|sarif] [-baseline lint-baseline.json] \
-//	    [-write-baseline lint-baseline.json] [packages...]
+//	    [-format text|sarif] [packages...]
 //
 // Packages default to ./... (the whole module). -format sarif writes a
 // SARIF 2.1.0 document to stdout instead of the text diagnostics (CI
-// uploads it as an artifact). -baseline suppresses findings recorded in
-// the given file — matched on (file, analyzer, message), so line drift
-// does not resurrect them — while still failing on anything new;
-// -write-baseline records the current findings as that accepted set.
-// The exit status is 0 when no (non-baselined) diagnostics were
-// produced, 1 when there were findings, and 2 on driver errors
-// (unreadable module, unknown analyzer, unreadable baseline).
+// uploads it as an artifact). The exit status is 0 when no diagnostics
+// were produced, 1 when there were findings, and 2 on driver errors
+// (unreadable module, unknown analyzer).
 package main
 
 import (
@@ -35,10 +30,8 @@ func main() {
 	analyzers := flag.String("analyzers", "", "comma-separated analyzer subset (default: all)")
 	list := flag.Bool("list", false, "list available analyzers and exit")
 	format := flag.String("format", "text", "output format: text or sarif")
-	baselinePath := flag.String("baseline", "", "suppress findings recorded in this baseline file; still fail on new ones")
-	writeBaseline := flag.String("write-baseline", "", "record the current findings to this baseline file and exit 0")
 	flag.Usage = func() {
-		fmt.Fprintf(flag.CommandLine.Output(), "usage: sysproflint [-analyzers a,b] [-format text|sarif] [-baseline f] [-write-baseline f] [packages...]\n")
+		fmt.Fprintf(flag.CommandLine.Output(), "usage: sysproflint [-analyzers a,b] [-format text|sarif] [packages...]\n")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
@@ -76,37 +69,6 @@ func main() {
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "sysproflint:", err)
 		os.Exit(2)
-	}
-
-	if *writeBaseline != "" {
-		f, err := os.Create(*writeBaseline)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "sysproflint:", err)
-			os.Exit(2)
-		}
-		if err := lint.NewBaseline(root, diags).Write(f); err != nil {
-			fmt.Fprintln(os.Stderr, "sysproflint:", err)
-			os.Exit(2)
-		}
-		if err := f.Close(); err != nil {
-			fmt.Fprintln(os.Stderr, "sysproflint:", err)
-			os.Exit(2)
-		}
-		fmt.Fprintf(os.Stderr, "sysproflint: recorded %d finding(s) to %s\n", len(diags), *writeBaseline)
-		return
-	}
-
-	if *baselinePath != "" {
-		base, err := lint.LoadBaseline(*baselinePath)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "sysproflint:", err)
-			os.Exit(2)
-		}
-		var suppressed int
-		diags, suppressed = base.Filter(root, diags)
-		if suppressed > 0 {
-			fmt.Fprintf(os.Stderr, "sysproflint: %d baselined finding(s) suppressed\n", suppressed)
-		}
 	}
 
 	if *format == "sarif" {

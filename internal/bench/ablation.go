@@ -367,7 +367,7 @@ func RunAblationHierarchy(n, classes int) (HierarchyResult, error) {
 	var aggBuf bytes.Buffer
 	aenc := pbio.NewEncoder(&aggBuf, reg)
 	for _, a := range aggs {
-		if err := aenc.Encode(dissem.AggToWire(2, a)); err != nil {
+		if err := aenc.Encode(dissem.WireAggregate{Node: 2, Aggregate: *a}); err != nil {
 			return HierarchyResult{}, err
 		}
 	}

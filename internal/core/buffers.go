@@ -61,8 +61,7 @@ func (b *DoubleBuffer) Push(rec Record) {
 		b.drops++
 		return
 	}
-	//lint:ignore hotalloc Append copies rec's fields into the columns and does not retain the pointer, so &rec stays on the stack
-	b.active.Append(&rec)
+	b.active.AppendRow(rec)
 	if b.active.Len() < b.capacity {
 		return
 	}

@@ -1,6 +1,7 @@
 package dissem
 
 import (
+	"bytes"
 	"reflect"
 	"testing"
 
@@ -81,4 +82,43 @@ func BenchmarkColumnsEncode(b *testing.B) {
 			buf = out
 		}
 	})
+}
+
+// BenchmarkColumnsDecode measures what every subscriber does with each
+// frame it reads: the bound column decoder rebuilding a 512-row
+// *core.RecordColumns from a plain and from a compressed frame.
+func BenchmarkColumnsDecode(b *testing.B) {
+	cols := shardLinkBatch(512)
+	reg := pbio.NewRegistry()
+	if err := RegisterFormats(reg); err != nil {
+		b.Fatal(err)
+	}
+	plan := reg.PlanFor(reflect.TypeOf(core.Record{}))
+	def := plan.Format().AppendDef(nil)
+	def = def[:len(def):len(def)] // the two streams must not share a tail
+	plain, _, err := plan.AppendColumnsFrame(def, cols)
+	if err != nil {
+		b.Fatal(err)
+	}
+	compressed, _, err := plan.AppendCompressedColumnsFrame(def, cols)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name   string
+		stream []byte
+	}{{"plain", plain}, {"compressed", compressed}} {
+		b.Run(tc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				rec, err := pbio.NewDecoder(bytes.NewReader(tc.stream), reg).Decode()
+				if err != nil {
+					b.Fatal(err)
+				}
+				if rec.Value.(*core.RecordColumns).Len() != 512 {
+					b.Fatal("short batch")
+				}
+			}
+		})
+	}
 }

@@ -15,7 +15,6 @@ import (
 	"sysprof/internal/pbio"
 	"sysprof/internal/procfs"
 	"sysprof/internal/pubsub"
-	"sysprof/internal/recwire"
 	"sysprof/internal/sim"
 	"sysprof/internal/simnet"
 )
@@ -28,55 +27,19 @@ const ChannelInteractions = "sysprof.interactions"
 // flush and reset locally, so subscribers can sum them.
 const ChannelAggregates = "sysprof.aggregates"
 
-// WireAggregate is the flat (PBIO-encodable) form of a per-class
-// aggregate delta from one node.
+// WireAggregate is a per-class aggregate delta from one node, as
+// published: pbio flattens the embedded aggregate into the row the way
+// it flattens Record.Flow.
 type WireAggregate struct {
-	Node  uint16
-	Class string
-	Count uint64
-
-	TotalResidence time.Duration
-	TotalUser      time.Duration
-	TotalKernel    time.Duration
-	TotalBlocked   time.Duration
-	TotalBufWait   time.Duration
-
-	ReqBytes  uint64
-	RespBytes uint64
-
-	MaxResidence time.Duration
-}
-
-// AggToWire flattens an aggregate.
-func AggToWire(node simnet.NodeID, a *core.Aggregate) WireAggregate {
-	return WireAggregate{
-		Node: uint16(node), Class: a.Class, Count: a.Count,
-		TotalResidence: a.TotalResidence, TotalUser: a.TotalUser,
-		TotalKernel: a.TotalKernel, TotalBlocked: a.TotalBlocked,
-		TotalBufWait: a.TotalBufWait,
-		ReqBytes:     a.ReqBytes, RespBytes: a.RespBytes,
-		MaxResidence: a.MaxResidence,
-	}
-}
-
-// AggFromWire reconstructs an aggregate (the node id is returned
-// separately since core.Aggregate does not carry it).
-func AggFromWire(w *WireAggregate) (simnet.NodeID, core.Aggregate) {
-	return simnet.NodeID(w.Node), core.Aggregate{
-		Class: w.Class, Count: w.Count,
-		TotalResidence: w.TotalResidence, TotalUser: w.TotalUser,
-		TotalKernel: w.TotalKernel, TotalBlocked: w.TotalBlocked,
-		TotalBufWait: w.TotalBufWait,
-		ReqBytes:     w.ReqBytes, RespBytes: w.RespBytes,
-		MaxResidence: w.MaxResidence,
-	}
+	Node simnet.NodeID
+	core.Aggregate
 }
 
 // RegisterFormats registers the daemon's wire formats with a PBIO
 // registry (both broker and subscriber sides need this): the interaction
-// format and its column decoder (recwire), and the aggregate-delta rows.
+// format with its column decoder, and the aggregate-delta rows.
 func RegisterFormats(reg *pbio.Registry) error {
-	if err := recwire.Register(reg); err != nil {
+	if err := core.RegisterRecordFormat(reg); err != nil {
 		return fmt.Errorf("dissem: %w", err)
 	}
 	if _, err := reg.Register("sysprof.aggregate", WireAggregate{}); err != nil {
@@ -89,6 +52,8 @@ func RegisterFormats(reg *pbio.Registry) error {
 type Stats struct {
 	BatchesDrained   uint64
 	BatchesPublished uint64
+	// RecordsPublished counts interaction records only, so that
+	// published + dropped is what left the LPA buffers.
 	RecordsPublished uint64
 	PublishErrors    uint64
 	// RecordsDropped counts records lost to failed publishes — each
@@ -96,6 +61,10 @@ type Stats struct {
 	// loss accounting can attribute every record that left an LPA buffer
 	// but never reached a subscriber.
 	RecordsDropped uint64
+	// AggregatesPublished and AggregatesDropped count per-class aggregate
+	// deltas the same way.
+	AggregatesPublished uint64
+	AggregatesDropped   uint64
 }
 
 // Config configures a daemon.
@@ -277,7 +246,7 @@ func (d *Daemon) FlushNow() {
 			continue
 		}
 		for _, agg := range aggs {
-			wires = append(wires, AggToWire(d.cfg.Node, &agg))
+			wires = append(wires, WireAggregate{Node: d.cfg.Node, Aggregate: agg})
 		}
 	}
 	if len(wires) == 0 {
@@ -285,11 +254,11 @@ func (d *Daemon) FlushNow() {
 	}
 	if err := d.broker.PublishBatch(ChannelAggregates, wires); err != nil {
 		d.stats.PublishErrors++
-		d.stats.RecordsDropped += uint64(len(wires))
+		d.stats.AggregatesDropped += uint64(len(wires))
 		return
 	}
 	d.stats.BatchesPublished++
-	d.stats.RecordsPublished += uint64(len(wires))
+	d.stats.AggregatesPublished += uint64(len(wires))
 }
 
 // FlushInterval reports the current flush period.

@@ -1,6 +1,7 @@
 package dissem
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -232,18 +233,38 @@ func TestSetFlushInterval(t *testing.T) {
 	d.Stop()
 }
 
+// TestAggWireRoundTrip sends an aggregate delta through pbio: the
+// embedded core.Aggregate flattens into the row beside the node id, and
+// the typed decode lands every field back.
 func TestAggWireRoundTrip(t *testing.T) {
-	agg := core.Aggregate{
+	reg := pbio.NewRegistry()
+	if err := RegisterFormats(reg); err != nil {
+		t.Fatal(err)
+	}
+	want := WireAggregate{Node: 7, Aggregate: core.Aggregate{
 		Class: "port:80", Count: 5,
 		TotalResidence: 10 * time.Millisecond, TotalUser: 2 * time.Millisecond,
 		TotalKernel: time.Millisecond, TotalBlocked: 3 * time.Millisecond,
 		TotalBufWait: 500 * time.Microsecond,
 		ReqBytes:     1000, RespBytes: 9000, MaxResidence: 4 * time.Millisecond,
+	}}
+	if got, want := len(reg.Lookup("sysprof.aggregate").Fields), 1+reflect.TypeOf(core.Aggregate{}).NumField(); got != want {
+		t.Fatalf("aggregate format has %d fields, want the node plus core.Aggregate's %d", got, want-1)
 	}
-	w := AggToWire(7, &agg)
-	node, back := AggFromWire(&w)
-	if node != 7 || back != agg {
-		t.Fatalf("round trip: node=%d %+v", node, back)
+	var sb strings.Builder
+	if err := pbio.NewEncoder(&sb, reg).Encode(&want); err != nil {
+		t.Fatal(err)
+	}
+	rec, err := pbio.NewDecoder(strings.NewReader(sb.String()), reg).Decode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, ok := rec.Value.(*WireAggregate)
+	if !ok || rec.Format != "sysprof.aggregate" {
+		t.Fatalf("decoded %T of format %q", rec.Value, rec.Format)
+	}
+	if *got != want {
+		t.Fatalf("round trip:\n got %+v\nwant %+v", *got, want)
 	}
 }
 
@@ -286,8 +307,14 @@ func TestDaemonPublishesClassAggregates(t *testing.T) {
 	if len(got) != 1 {
 		t.Fatalf("published %d aggregates, want 1", len(got))
 	}
-	if got[0].Class != "port:80" || got[0].Count != 1 || got[0].Node != uint16(node.ID()) {
+	if got[0].Class != "port:80" || got[0].Count != 1 || got[0].Node != node.ID() {
 		t.Fatalf("aggregate = %+v", got[0])
+	}
+	// Aggregate deltas are not interaction records: the record counters
+	// are what "published + dropped = left the LPA buffers" is read from.
+	if st := d.Stats(); st.AggregatesPublished != 1 || st.AggregatesDropped != 0 ||
+		st.RecordsPublished != 0 || st.RecordsDropped != 0 || st.BatchesPublished != 1 {
+		t.Fatalf("stats after an aggregate-only flush = %+v", st)
 	}
 	// Delta semantics: the LPA's aggregates were reset on publish.
 	if len(lpa.Aggregates()) != 0 {

@@ -13,9 +13,9 @@ import "sysprof/internal/simnet"
 func ShardKey(rec any) (uint64, bool) {
 	switch v := rec.(type) {
 	case WireAggregate:
-		return simnet.NodeShardHash(simnet.NodeID(v.Node)), true
+		return simnet.NodeShardHash(v.Node), true
 	case *WireAggregate:
-		return simnet.NodeShardHash(simnet.NodeID(v.Node)), true
+		return simnet.NodeShardHash(v.Node), true
 	}
 	return 0, false
 }

@@ -160,45 +160,6 @@ func TestCompressedColumnsShrink(t *testing.T) {
 		len(plain), len(compressed), float64(len(plain))/float64(len(compressed)))
 }
 
-// TestCompressedEncodingTagsMatchPBIO pins core's unexported zEnc*
-// encoding tags against pbio's exported ColEnc* constants. core cannot
-// import pbio, so the two packages each declare the values; this test —
-// in the one package that imports both — is what keeps them equal.
-func TestCompressedEncodingTagsMatchPBIO(t *testing.T) {
-	cols := shardLinkBatch(8)
-	for _, tc := range []struct {
-		field int
-		want  byte
-		name  string
-	}{
-		{0, pbio.ColEncDelta, "ID delta"},
-		{1, pbio.ColEncRLE, "Node RLE"},
-		{2, pbio.ColEncRLE, "Flow.Src.Node RLE"},
-		{3, pbio.ColEncDelta, "Flow.Src.Port delta"},
-		{6, pbio.ColEncDict, "Class dict"},
-		{7, pbio.ColEncRLE, "CPU RLE"},
-		{8, pbio.ColEncDelta, "Start delta"},
-		{20, pbio.ColEncRLE, "ServerPID RLE"},
-		{21, pbio.ColEncDict, "ServerProc dict"},
-	} {
-		buf := cols.AppendCompressedColumn(nil, tc.field)
-		if len(buf) == 0 || buf[0] != tc.want {
-			t.Errorf("%s: field %d opens with tag %#x, want %#x", tc.name, tc.field, buf[0], tc.want)
-		}
-	}
-
-	// The raw fallback: a string column with more distinct values than
-	// the dictionary holds must be tagged raw.
-	big := core.NewRecordColumns(64)
-	for i := 0; i < 64; i++ {
-		r := core.Record{ID: uint64(i), Class: string(rune('A'+i%40)) + "class"}
-		big.Append(&r)
-	}
-	if buf := big.AppendCompressedColumn(nil, 6); len(buf) == 0 || buf[0] != pbio.ColEncRaw {
-		t.Errorf("high-cardinality string column tagged %#x, want raw %#x", buf[0], pbio.ColEncRaw)
-	}
-}
-
 // TestCompressedNegotiation runs the wire-compression handshake end to
 // end: one subscriber requests compressed frames and one dials plain,
 // both must decode the same publish to identical batches; flipping the

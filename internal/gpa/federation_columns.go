@@ -44,8 +44,8 @@ func (p *E2EColumns) reset() {
 func (p *E2EColumns) appendE2E(seq uint64, e *EndToEnd) {
 	p.Seqs = append(p.Seqs, seq)
 	p.Flows = append(p.Flows, e.Flow)
-	p.Client.Append(&e.Client)
-	p.Server.Append(&e.Server)
+	p.Client.AppendRow(e.Client)
+	p.Server.AppendRow(e.Server)
 }
 
 // validate rejects pages whose columns disagree on row count — a
@@ -56,29 +56,11 @@ func (p *E2EColumns) validate() error {
 	if len(p.Flows) != n {
 		return fmt.Errorf("gpa: columnar page has %d seqs but %d flows", n, len(p.Flows))
 	}
-	if err := checkRecordColumns(&p.Client, n); err != nil {
+	if err := p.Client.CheckRows(n); err != nil {
 		return fmt.Errorf("gpa: columnar page client half: %w", err)
 	}
-	if err := checkRecordColumns(&p.Server, n); err != nil {
+	if err := p.Server.CheckRows(n); err != nil {
 		return fmt.Errorf("gpa: columnar page server half: %w", err)
-	}
-	return nil
-}
-
-// checkRecordColumns verifies every column of a decoded record batch
-// holds exactly n rows.
-func checkRecordColumns(c *core.RecordColumns, n int) error {
-	for _, l := range [...]int{
-		len(c.IDs), len(c.Nodes), len(c.Flows), len(c.Classes), len(c.CPUs),
-		len(c.Starts), len(c.Ends),
-		len(c.ReqPackets), len(c.ReqBytes), len(c.RespPackets), len(c.RespBytes),
-		len(c.ProtoTimes), len(c.TxTimes), len(c.BufferWaits),
-		len(c.SyscallTimes), len(c.UserTimes), len(c.BlockedTimes),
-		len(c.ServerPIDs), len(c.ServerProcs), len(c.CtxSwitches), len(c.DiskOps),
-	} {
-		if l != n {
-			return fmt.Errorf("column holds %d rows, want %d", l, n)
-		}
 	}
 	return nil
 }

@@ -322,7 +322,7 @@ var oneRow = sync.Pool{New: func() any { return core.NewRecordColumns(1) }}
 func (g *GPA) Ingest(rec core.Record) {
 	cols := oneRow.Get().(*core.RecordColumns)
 	cols.Reset()
-	cols.Append(&rec)
+	cols.AppendRow(rec)
 	g.IngestColumns(cols)
 	oneRow.Put(cols)
 }

@@ -22,7 +22,6 @@ import (
 
 	"sysprof/internal/core"
 	"sysprof/internal/pbio"
-	"sysprof/internal/recwire"
 	"sysprof/internal/simnet"
 )
 
@@ -57,7 +56,7 @@ func init() {
 	type headRow struct{ SeqFlow uint64 }
 	pageReg.MustRegister(pageHeadFormat, headRow{})
 	pageReg.BindColumnDecoder(pageHeadFormat, decodePageHead)
-	if err := recwire.Register(pageReg); err != nil {
+	if err := core.RegisterRecordFormat(pageReg); err != nil {
 		panic(err)
 	}
 	headPlan = pageReg.PlanFor(reflect.TypeOf(headRow{}))
@@ -182,7 +181,7 @@ func (g *GPA) correlatedPage(n, frameRows int) (string, error) {
 		for lo := 0; lo < len(order) && err == nil; lo += frameRows {
 			sc.chunk.Reset()
 			for _, i := range order[lo:min(lo+frameRows, len(order))] {
-				sc.chunk.AppendRowOf(half, i)
+				sc.chunk.AppendRow(half.Row(i))
 			}
 			buf, _, err = halfPlan.AppendCompressedColumnsFrame(buf, runCoded{&sc.chunk})
 		}
@@ -231,7 +230,7 @@ func decodeCorrelatedPage(payload string) (*E2EColumns, error) {
 			cols, ok := rec.Value.(*core.RecordColumns)
 			switch {
 			case !ok:
-				return nil, fmt.Errorf("gpa: page half carries a %q frame, want %q", rec.Format, recwire.Format)
+				return nil, fmt.Errorf("gpa: page half carries a %q frame, want %q", rec.Format, halfPlan.Format().Name)
 			case half.Len() == 0:
 				*half = *cols
 			default:

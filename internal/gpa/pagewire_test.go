@@ -103,7 +103,7 @@ func pageFrames(t *testing.T, page *E2EColumns, frameRows int) (defs, head []byt
 		for lo := 0; lo < page.Len(); lo += frameRows {
 			var chunk core.RecordColumns
 			for i := lo; i < min(lo+frameRows, page.Len()); i++ {
-				chunk.AppendRowOf(half, i)
+				chunk.AppendRow(half.Row(i))
 			}
 			frame, _, err := halfPlan.AppendCompressedColumnsFrame(nil, runCoded{&chunk})
 			if err != nil {

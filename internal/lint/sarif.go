@@ -2,9 +2,7 @@ package lint
 
 import (
 	"encoding/json"
-	"fmt"
 	"io"
-	"os"
 	"path/filepath"
 	"sort"
 )
@@ -132,88 +130,4 @@ func WriteSARIF(w io.Writer, root string, diags []Diagnostic, analyzers []*Analy
 			Results: results,
 		}},
 	})
-}
-
-// Baseline is a recorded set of accepted findings. A finding matches the
-// baseline on (file, analyzer, message) — line and column are excluded
-// on purpose, so unrelated edits that shift a known finding down the
-// file do not resurrect it, while any new finding (or a changed message,
-// which means a changed defect) still fails the run.
-type Baseline struct {
-	Findings []BaselineFinding `json:"findings"`
-}
-
-// BaselineFinding is one accepted finding.
-type BaselineFinding struct {
-	File     string `json:"file"`
-	Analyzer string `json:"analyzer"`
-	Message  string `json:"message"`
-}
-
-func baselineKey(file, analyzer, message string) string {
-	return file + "\x00" + analyzer + "\x00" + message
-}
-
-// NewBaseline records the given diagnostics as the accepted set.
-func NewBaseline(root string, diags []Diagnostic) *Baseline {
-	b := &Baseline{Findings: make([]BaselineFinding, 0, len(diags))}
-	seen := make(map[string]bool)
-	for _, d := range diags {
-		f := BaselineFinding{File: relURI(root, d.Pos.Filename), Analyzer: d.Analyzer, Message: d.Message}
-		k := baselineKey(f.File, f.Analyzer, f.Message)
-		if seen[k] {
-			continue
-		}
-		seen[k] = true
-		b.Findings = append(b.Findings, f)
-	}
-	return b
-}
-
-// LoadBaseline reads a baseline file written by Write.
-func LoadBaseline(path string) (*Baseline, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, fmt.Errorf("lint: baseline: %w", err)
-	}
-	var b Baseline
-	if err := json.Unmarshal(data, &b); err != nil {
-		return nil, fmt.Errorf("lint: baseline %s: %w", path, err)
-	}
-	return &b, nil
-}
-
-// Write writes the baseline as indented JSON (stable order for diffs).
-func (b *Baseline) Write(w io.Writer) error {
-	sorted := append([]BaselineFinding(nil), b.Findings...)
-	sort.Slice(sorted, func(i, j int) bool {
-		a, c := sorted[i], sorted[j]
-		if a.File != c.File {
-			return a.File < c.File
-		}
-		if a.Analyzer != c.Analyzer {
-			return a.Analyzer < c.Analyzer
-		}
-		return a.Message < c.Message
-	})
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(Baseline{Findings: sorted})
-}
-
-// Filter splits diagnostics into those not covered by the baseline (new
-// findings, which should fail the run) and the count of suppressed ones.
-func (b *Baseline) Filter(root string, diags []Diagnostic) (fresh []Diagnostic, suppressed int) {
-	keys := make(map[string]bool, len(b.Findings))
-	for _, f := range b.Findings {
-		keys[baselineKey(f.File, f.Analyzer, f.Message)] = true
-	}
-	for _, d := range diags {
-		if keys[baselineKey(relURI(root, d.Pos.Filename), d.Analyzer, d.Message)] {
-			suppressed++
-			continue
-		}
-		fresh = append(fresh, d)
-	}
-	return fresh, suppressed
 }

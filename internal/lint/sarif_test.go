@@ -2,8 +2,6 @@ package lint
 
 import (
 	"encoding/json"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -97,45 +95,5 @@ func TestWriteSARIF(t *testing.T) {
 	}
 	if len(r.RelatedLocations) != 1 || r.RelatedLocations[0].Message.Text != "calls net.Write" {
 		t.Errorf("chain not carried as relatedLocations: %+v", r.RelatedLocations)
-	}
-}
-
-// TestBaselineRoundTrip: recorded findings are suppressed on re-runs —
-// including after they drift to a different line — while new findings
-// and changed messages stay fatal.
-func TestBaselineRoundTrip(t *testing.T) {
-	diags := sampleDiags()
-	base := NewBaseline("/mod", diags)
-
-	var sb strings.Builder
-	if err := base.Write(&sb); err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(t.TempDir(), "baseline.json")
-	if err := os.WriteFile(path, []byte(sb.String()), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := LoadBaseline(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Same findings, one drifted 100 lines: all suppressed.
-	drifted := sampleDiags()
-	drifted[1].Pos.Line += 100
-	fresh, suppressed := loaded.Filter("/mod", drifted)
-	if len(fresh) != 0 || suppressed != 2 {
-		t.Fatalf("drifted findings should be baselined: fresh=%d suppressed=%d", len(fresh), suppressed)
-	}
-
-	// A new finding fails; a changed message is a changed defect.
-	extra := sampleDiags()
-	extra[1].Message = "wire-tainted value m sizes a make without a bounds check against a constant or named cap"
-	fresh, suppressed = loaded.Filter("/mod", extra)
-	if len(fresh) != 1 || suppressed != 1 {
-		t.Fatalf("changed message should be fresh: fresh=%d suppressed=%d", len(fresh), suppressed)
-	}
-	if fresh[0].Analyzer != "wiretaint" {
-		t.Fatalf("wrong survivor: %s", fresh[0])
 	}
 }

@@ -81,7 +81,7 @@ func (b *Broker) PublishColumns(channelName string, cols *core.RecordColumns) er
 		for i := 0; i < n; i++ {
 			row = cols.Row(i)
 			if s.filter(&row) {
-				kept.AppendRowOf(cols, i)
+				kept.AppendRow(row)
 			}
 		}
 		if kept.Len() > 0 {
@@ -134,12 +134,23 @@ func (b *Broker) fanOutColumns(channelName string, plan *pbio.Plan, cols *core.R
 	return firstErr
 }
 
+// Gather appends to dst the rows of src that belong to this selector's
+// shard — the partition sweep: one ShardHash per row over the packed flow
+// column (the same hash every flow router uses), only matching rows
+// copied. The broker and the scenario harness both route with it.
+func (s ShardSelector) Gather(dst, src *core.RecordColumns) {
+	for i := range src.Flows {
+		if s.Match(src.Flows[i].ShardHash()) {
+			dst.AppendRow(src.Row(i))
+		}
+	}
+}
+
 // publishColumnsSharded partitions the batch across shard selectors by
 // sweeping the Flow column: one ShardHash per row, one scratch sub-batch
 // per distinct selector. Unsharded subscribers share a frame of the
 // whole batch.
 func (b *Broker) publishColumnsSharded(channelName string, plan *pbio.Plan, cols *core.RecordColumns, remotes []*remoteConn) error {
-	n := cols.Len()
 	var firstErr error
 	for _, grp := range groupBySelector(remotes) {
 		part := cols
@@ -147,13 +158,7 @@ func (b *Broker) publishColumnsSharded(channelName string, plan *pbio.Plan, cols
 		if grp.sel.Count != 0 {
 			scratch = colsPool.Get().(*core.RecordColumns)
 			scratch.Reset()
-			// The partition sweep: hash the packed flow column in a tight
-			// loop; only matching rows are gathered.
-			for i := 0; i < n; i++ {
-				if grp.sel.Match(cols.Flows[i].ShardHash()) {
-					scratch.AppendRowOf(cols, i)
-				}
-			}
+			grp.sel.Gather(scratch, cols)
 			if scratch.Len() == 0 {
 				colsPool.Put(scratch)
 				continue // nothing in this batch for that shard

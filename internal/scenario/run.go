@@ -26,8 +26,7 @@ type runner struct {
 	servers int
 	linkCfg map[[2]simnet.NodeID]simnet.LinkConfig
 
-	shards       []*shardSub
-	frameScratch []*core.RecordColumns
+	shards []*shardSub
 
 	chaosLog []ChaosApplied
 
@@ -79,7 +78,6 @@ func Run(spec Spec) (*Report, error) {
 		}, eng.Now)
 		r.shards[i] = newShardSub(i, eng, g, &spec.Monitor, policy)
 	}
-	r.frameScratch = make([]*core.RecordColumns, len(r.shards))
 	broker.Subscribe(dissem.ChannelInteractions, func(rec any) {
 		if cols, ok := rec.(*core.RecordColumns); ok {
 			r.route(cols)
@@ -100,25 +98,16 @@ func Run(spec Spec) (*Report, error) {
 	return r.snapshot(), nil
 }
 
-// route fans one published batch out to the shard subscribers, splitting
-// rows by canonical flow hash. Routed frames are copies — the source
-// batch is only valid during the subscriber callback.
+// route fans one published batch out to the shard subscribers with the
+// broker's own partition sweep, shards in index order. Routed frames are
+// copies — the source batch is only valid during the subscriber callback.
 func (r *runner) route(cols *core.RecordColumns) {
-	n := cols.Len()
-	nsh := uint64(len(r.shards))
-	for i := 0; i < n; i++ {
-		sh := int(cols.Flows[i].ShardHash() % nsh)
-		f := r.frameScratch[sh]
-		if f == nil {
-			f = core.NewRecordColumns(n - i)
-			r.frameScratch[sh] = f
-		}
-		f.AppendRowOf(cols, i)
-	}
-	for sh, f := range r.frameScratch {
-		if f != nil {
-			r.frameScratch[sh] = nil
-			r.shards[sh].offer(f)
+	f := &core.RecordColumns{}
+	for sh, s := range r.shards {
+		sel := pubsub.ShardSelector{Index: uint32(sh), Count: uint32(len(r.shards))}
+		if sel.Gather(f, cols); f.Len() > 0 {
+			s.offer(f)
+			f = &core.RecordColumns{}
 		}
 	}
 }
