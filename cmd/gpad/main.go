@@ -151,6 +151,7 @@ func runFrontend(endpoints []string, opts options) error {
 	if err != nil {
 		return err
 	}
+	defer fe.Close()
 	if opts.queryAddr != "" {
 		ql, err := net.Listen("tcp", opts.queryAddr)
 		if err != nil {

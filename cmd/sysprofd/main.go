@@ -141,6 +141,7 @@ func run(httpAddr, pubsubAddr, ctlAddr string, pace time.Duration, tracePath, to
 		if err != nil {
 			return err
 		}
+		defer fe.Close()
 		if err := ctl.AttachFederation(fe); err != nil {
 			return err
 		}

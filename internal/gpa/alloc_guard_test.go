@@ -2,7 +2,10 @@
 
 package gpa
 
-import "testing"
+import (
+	"strings"
+	"testing"
+)
 
 // TestIngestSteadyStateZeroAlloc guards the 0 allocs/op claim the hot
 // path benchmark makes: once a GPA has reached steady-state capacity,
@@ -23,5 +26,29 @@ func TestIngestSteadyStateZeroAlloc(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(20, func() { g.IngestColumns(cols) }); allocs != 0 {
 		t.Fatalf("steady-state IngestColumns allocates %.1f times per batch, want 0", allocs)
+	}
+}
+
+var sinkString string
+
+// TestWriteRecentAllocatesOnlyItsStrings: a "recent" line costs the
+// allocations of the four String() calls it is made of (the flow and
+// three durations) and none for putting them together — no formatter
+// state, no boxed operands.
+func TestWriteRecentAllocatesOnlyItsStrings(t *testing.T) {
+	h := newFedHarness(t, 1, Config{})
+	h.workload(1, 1)
+	e := &h.shards[0].Correlated()[0]
+	strs := testing.AllocsPerRun(100, func() {
+		sinkString = e.Flow.String()
+		sinkString = e.Client.Residence().String()
+		sinkString = e.Server.Residence().String()
+		sinkString = e.NetworkDelay().String()
+	})
+	var sb strings.Builder
+	sb.Grow(101 * 128) // every run's line fits: the builder does not grow
+	line := testing.AllocsPerRun(100, func() { writeRecent(&sb, e) })
+	if line > strs {
+		t.Fatalf("writeRecent allocates %.0f times a line, its four String() calls %.0f", line, strs)
 	}
 }

@@ -27,6 +27,8 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"os"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -75,7 +77,13 @@ type Frontend struct {
 
 	mu        sync.Mutex
 	endpoints []string
+	idle      map[string][]*lineproto.Client // kept connections by endpoint, last used last
 }
+
+// maxIdlePerShard bounds the connections kept to one shard between
+// queries: one for each caller likely to be asking at once (a query client
+// or two, gpad's summary ticker). Each holds a 4 KB reader at either end.
+const maxIdlePerShard = 4
 
 // FrontendOption configures a Frontend.
 type FrontendOption func(*Frontend)
@@ -103,6 +111,7 @@ func NewFrontend(endpoints []string, opts ...FrontendOption) (*Frontend, error) 
 	f := &Frontend{
 		endpoints: append([]string(nil), endpoints...),
 		timeout:   5 * time.Second,
+		idle:      make(map[string][]*lineproto.Client),
 	}
 	f.dial = func(addr string) (net.Conn, error) {
 		return net.DialTimeout("tcp", addr, f.timeout)
@@ -121,17 +130,62 @@ func (f *Frontend) Endpoints() []string {
 }
 
 // SetEndpoints replaces the shard endpoint list (the controller's
-// federation reconfiguration knob). The shard count may change only if
-// the record routing layer is re-pointed accordingly; the frontend just
-// queries whatever it is given.
+// federation reconfiguration knob) and closes the idle connections to the
+// endpoints it drops. The shard count may change only if the record
+// routing layer is re-pointed accordingly; the frontend just queries
+// whatever it is given.
 func (f *Frontend) SetEndpoints(endpoints []string) error {
 	if len(endpoints) == 0 {
 		return errors.New("gpa: federation needs at least one shard endpoint")
 	}
 	f.mu.Lock()
-	defer f.mu.Unlock()
 	f.endpoints = append([]string(nil), endpoints...)
+	f.mu.Unlock()
+	f.closeIdle(endpoints)
 	return nil
+}
+
+// Close closes the idle shard connections; a later query dials afresh.
+func (f *Frontend) Close() { f.closeIdle(nil) }
+
+// closeIdle closes the idle connections to every endpoint not in keep.
+func (f *Frontend) closeIdle(keep []string) {
+	var drop []*lineproto.Client
+	f.mu.Lock()
+	for addr, conns := range f.idle {
+		if !slices.Contains(keep, addr) {
+			drop = append(drop, conns...)
+			delete(f.idle, addr)
+		}
+	}
+	f.mu.Unlock()
+	for _, c := range drop {
+		c.Close()
+	}
+}
+
+// takeIdle returns the idle connection to addr used last, or nil.
+func (f *Frontend) takeIdle(addr string) (c *lineproto.Client) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if n := len(f.idle[addr]); n > 0 {
+		c, f.idle[addr] = f.idle[addr][n-1], f.idle[addr][:n-1]
+	}
+	return c
+}
+
+// putIdle keeps c for addr's next query, or closes it when addr has its
+// fill of idle connections or is no longer an endpoint.
+func (f *Frontend) putIdle(addr string, c *lineproto.Client) {
+	f.mu.Lock()
+	keep := len(f.idle[addr]) < maxIdlePerShard && slices.Contains(f.endpoints, addr)
+	if keep {
+		f.idle[addr] = append(f.idle[addr], c)
+	}
+	f.mu.Unlock()
+	if !keep {
+		c.Close()
+	}
 }
 
 // shardReply is one shard's answer to a fanned-out command.
@@ -142,18 +196,34 @@ type shardReply struct {
 }
 
 // queryShard runs one command against one shard endpoint and returns the
-// reply payload ("+payload ... ." framing, as served by GPA.Serve).
+// reply payload ("+payload ... ." framing, as served by GPA.Serve). The
+// link is a kept connection: an idle one is taken or one is dialed, put
+// back after any framed reply (an error reply included) and closed on a
+// transport error. When a reused connection fails before a reply byte
+// arrives, and not by the deadline, the shard has most likely restarted
+// since: the command is asked once more on a fresh dial, so a restart
+// costs a re-dial and not a partial answer. Nothing else is retried — a
+// shard that does not answer costs one query timeout.
 func (f *Frontend) queryShard(addr, cmd string) (string, error) {
-	conn, err := f.dial(addr)
-	if err != nil {
-		return "", err
+	c := f.takeIdle(addr)
+	for reused := c != nil; ; c, reused = nil, false {
+		if c == nil {
+			conn, err := f.dial(addr)
+			if err != nil {
+				return "", err
+			}
+			c = lineproto.NewClient(conn)
+		}
+		payload, err := c.Do(cmd, f.timeout)
+		if err == nil || errors.As(err, new(lineproto.ReplyError)) {
+			f.putIdle(addr, c)
+			return payload, err
+		}
+		c.Close()
+		if !reused || !errors.As(err, new(*lineproto.NoReplyError)) || errors.Is(err, os.ErrDeadlineExceeded) {
+			return "", err
+		}
 	}
-	defer conn.Close()
-	_ = conn.SetDeadline(time.Now().Add(f.timeout))
-	if _, err := fmt.Fprintf(conn, "%s\n", cmd); err != nil {
-		return "", err
-	}
-	return lineproto.ReadReply(conn)
 }
 
 // fanOut runs cmd against every shard concurrently and collects replies

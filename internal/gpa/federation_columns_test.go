@@ -136,7 +136,7 @@ func TestFederationPageMergeEquivalence(t *testing.T) {
 			h.addEmptyShard(t)
 			h.frameRows = tc.frameRows
 			if tc.dead >= 0 {
-				h.dead[tc.dead] = true
+				h.kill(tc.dead)
 			}
 			all := checkAgainstOracle(t, h, 0)
 			if tc.dead < 0 && len(all) != pairs {
@@ -293,6 +293,7 @@ func TestFederationShardWithoutPageQueryIsDead(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer fe.Close()
 
 	got, st, err := fe.CorrelatedSeq()
 	if err != nil {
@@ -305,7 +306,7 @@ func TestFederationShardWithoutPageQueryIsDead(t *testing.T) {
 		!strings.Contains(st.Errors[0], "unknown query") {
 		t.Fatalf("status = %+v, want shard %d dead with its unknown-query error", st, oddShard)
 	}
-	h.dead[oddShard] = true
+	h.kill(oddShard)
 	want, _, err := h.fe.correlatedSeqRows()
 	if err != nil {
 		t.Fatal(err)

@@ -7,6 +7,8 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -18,15 +20,60 @@ import (
 // fedHarness is an in-process federation: N shard analyzers plus a
 // monolithic reference analyzer fed the same records, and a Frontend
 // whose dial function pipes to the shard query servers (endpoint "i" =
-// shard i). dead marks shards whose dial fails; a non-zero frameRows makes
-// every shard cut its page's half frames that short, so small histories
-// exercise the multi-frame path.
+// shard i). kill takes a shard down the way a dead process goes: dials
+// fail and the pipes already open to it are severed; revive lets it be
+// dialed again. A non-zero frameRows makes every shard cut its page's
+// half frames that short, so small histories exercise the multi-frame
+// path.
 type fedHarness struct {
 	shards    []*GPA
 	mono      *GPA
 	fe        *Frontend
-	dead      map[int]bool
 	frameRows int
+
+	mu    sync.Mutex
+	dead  map[int]bool
+	pipes map[int][]net.Conn // shard ends of the pipes dialed so far
+	dials map[int]int
+
+	openConns atomic.Int32 // frontend ends dialed and not yet closed
+}
+
+// harnessConn is the frontend's end of a pipe; closing it is counted.
+type harnessConn struct {
+	net.Conn
+	h *fedHarness
+}
+
+func (c *harnessConn) Close() error {
+	c.h.openConns.Add(-1)
+	return c.Conn.Close()
+}
+
+// open reports how many connections the frontend holds, idle or in use.
+func (h *fedHarness) open() int { return int(h.openConns.Load()) }
+
+func (h *fedHarness) kill(idx int) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	h.dead[idx] = true
+	for _, c := range h.pipes[idx] {
+		c.Close()
+	}
+	h.pipes[idx] = nil
+}
+
+func (h *fedHarness) revive(idx int) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	h.dead[idx] = false
+}
+
+// dialed reports how many times shard idx was dialed successfully.
+func (h *fedHarness) dialed(idx int) int {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return h.dials[idx]
 }
 
 // serve answers one query connection for shard g.
@@ -45,7 +92,10 @@ func (h *fedHarness) serve(g *GPA, conn net.Conn) {
 
 func newFedHarness(t testing.TB, n int, cfg Config) *fedHarness {
 	t.Helper()
-	h := &fedHarness{mono: New(cfg, func() time.Duration { return 0 }), dead: make(map[int]bool)}
+	h := &fedHarness{
+		mono: New(cfg, func() time.Duration { return 0 }),
+		dead: make(map[int]bool), pipes: make(map[int][]net.Conn), dials: make(map[int]int),
+	}
 	endpoints := make([]string, n)
 	for i := 0; i < n; i++ {
 		h.shards = append(h.shards, New(cfg, func() time.Duration { return 0 }))
@@ -56,19 +106,25 @@ func newFedHarness(t testing.TB, n int, cfg Config) *fedHarness {
 		if err != nil || idx < 0 || idx >= len(h.shards) {
 			return nil, fmt.Errorf("bad endpoint %q", addr)
 		}
+		h.mu.Lock()
+		defer h.mu.Unlock()
 		if h.dead[idx] {
 			return nil, errors.New("connection refused")
 		}
 		c1, c2 := net.Pipe()
+		h.pipes[idx] = append(h.pipes[idx], c2)
+		h.dials[idx]++
+		h.openConns.Add(1)
 		go func() {
 			defer c2.Close()
 			h.serve(h.shards[idx], c2)
 		}()
-		return c1, nil
+		return &harnessConn{Conn: c1, h: h}, nil
 	}))
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(fe.Close)
 	h.fe = fe
 	return h
 }
@@ -216,7 +272,7 @@ func TestFederationMatchesMonolithic(t *testing.T) {
 func TestFederationDeadShardPartialResults(t *testing.T) {
 	h := newFedHarness(t, 4, Config{})
 	h.workload(24, 5)
-	h.dead[2] = true
+	h.kill(2)
 
 	// Expected survivors: everything the live shards correlated.
 	var want []EndToEnd
@@ -264,7 +320,7 @@ func TestFederationDeadShardPartialResults(t *testing.T) {
 
 	// All shards dead: explicit error.
 	for i := range h.shards {
-		h.dead[i] = true
+		h.kill(i)
 	}
 	if _, _, err := h.fe.Correlated(); err == nil {
 		t.Fatal("all shards dead must be an error, not an empty result")
@@ -314,7 +370,7 @@ func TestFederationRetentionBroadcast(t *testing.T) {
 func TestFrontendExecuteEnvelope(t *testing.T) {
 	h := newFedHarness(t, 2, Config{})
 	h.workload(8, 2)
-	h.dead[1] = true
+	h.kill(1)
 
 	out, err := h.fe.Execute("jstats")
 	if err != nil {

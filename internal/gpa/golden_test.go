@@ -103,9 +103,9 @@ func TestRepliesGolden(t *testing.T) {
 	var sb strings.Builder
 	goldenSection(&sb, "gpa", h.mono.Execute, append(append([]string(nil), goldenLocalQueries...), goldenQueries...))
 	goldenSection(&sb, "frontend, 2/2 shards", h.fe.Execute, goldenQueries)
-	h.dead[1] = true
+	h.kill(1)
 	goldenSection(&sb, "frontend, shard 1 dead", h.fe.Execute, goldenQueries)
-	h.dead[0] = true
+	h.kill(0)
 	goldenSection(&sb, "frontend, all shards dead", h.fe.Execute, goldenQueries)
 	got := sb.String()
 
@@ -151,7 +151,7 @@ func TestFrontendAccountingAndFlow(t *testing.T) {
 		}
 	}
 
-	h.dead[1] = true
+	h.kill(1)
 	const marker = "\n! partial: 1/2 shards answered; dead: 1 (connection refused)"
 	for _, q := range goldenLocalQueries {
 		want, wantErr := h.shards[0].Execute(q)
@@ -164,7 +164,7 @@ func TestFrontendAccountingAndFlow(t *testing.T) {
 		}
 	}
 
-	h.dead[0] = true
+	h.kill(0)
 	for _, q := range []string{"accounting", "flow 10:1000 1:80"} {
 		if _, err := h.fe.Execute(q); !errors.Is(err, errAllShardsDead) {
 			t.Errorf("%q with every shard dead: err = %v, want errAllShardsDead", q, err)

@@ -130,6 +130,7 @@ func replyFrontend(t *testing.T, payload string) *Frontend {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(fe.Close)
 	return fe
 }
 

@@ -389,11 +389,14 @@ func tailCount(fields []string) (int, error) {
 	return 0, fmt.Errorf("gpa: usage: %s [n]", fields[0])
 }
 
-// writeRecent renders one line of a "recent" reply.
+// writeRecent renders one line of a "recent" reply: the allocations are
+// those of the String() calls, with none for a formatter to box them.
 func writeRecent(sb *strings.Builder, e *EndToEnd) {
-	fmt.Fprintf(sb, "%s client=%v server=%v network=%v class=%s\n",
-		e.Flow, e.Client.Residence(), e.Server.Residence(),
-		e.NetworkDelay(), e.Server.Class)
+	for _, s := range [...]string{e.Flow.String(), " client=", e.Client.Residence().String(),
+		" server=", e.Server.Residence().String(), " network=", e.NetworkDelay().String(),
+		" class=", e.Server.Class, "\n"} {
+		sb.WriteString(s)
+	}
 }
 
 // StatsReply is the jstats payload: analyzer counters plus the live

@@ -6,6 +6,7 @@ import (
 	"net"
 	"sort"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -35,8 +36,10 @@ type fedStack struct {
 
 	mono      *gpa.GPA
 	shards    []*gpa.GPA
-	listeners []net.Listener // shard query listeners
+	listeners []net.Listener  // shard query listeners
+	served    []chan struct{} // closed when the shard's Serve has returned
 	frontend  *gpa.Frontend
+	dials     atomic.Int32 // shard connections the frontend opened
 }
 
 func buildFedStack(t *testing.T, nShards int) *fedStack {
@@ -152,12 +155,21 @@ func buildFedStack(t *testing.T, nShards int) *fedStack {
 		if err != nil {
 			t.Fatal(err)
 		}
-		go g.Serve(ql)
+		served := make(chan struct{})
+		go func() {
+			defer close(served)
+			g.Serve(ql)
+		}()
+		st.served = append(st.served, served)
 		st.shards = append(st.shards, g)
 		st.listeners = append(st.listeners, ql)
 		endpoints[i] = ql.Addr().String()
 	}
-	st.frontend, err = gpa.NewFrontend(endpoints, gpa.WithQueryTimeout(2*time.Second))
+	st.frontend, err = gpa.NewFrontend(endpoints, gpa.WithQueryTimeout(2*time.Second),
+		gpa.WithDialFunc(func(addr string) (net.Conn, error) {
+			st.dials.Add(1)
+			return net.DialTimeout("tcp", addr, 2*time.Second)
+		}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,6 +187,7 @@ func buildFedStack(t *testing.T, nShards int) *fedStack {
 }
 
 func (st *fedStack) close() {
+	st.frontend.Close()
 	st.broker.Close()
 	for _, l := range st.listeners {
 		l.Close()
@@ -374,5 +387,48 @@ func TestFederatedTierSurvivesDeadShard(t *testing.T) {
 	textual := queryLine(t, fl.Addr().String(), "stats")
 	if !strings.Contains(textual, "! partial: 1/2 shards answered") {
 		t.Fatalf("textual reply missing staleness marker: %q", textual)
+	}
+}
+
+// TestFederatedTierRedialsRestartedShard: the frontend keeps one TCP
+// connection per shard across queries, and a shard whose query endpoint
+// goes down and comes back on the same address costs the next query one
+// re-dial — the answer is whole, with no partial marker.
+func TestFederatedTierRedialsRestartedShard(t *testing.T) {
+	st := buildFedStack(t, 2)
+	defer st.close()
+	st.runAndDrain(t)
+
+	want := len(st.mono.Correlated())
+	ask := func(when string) {
+		t.Helper()
+		fed, fst, err := st.frontend.Correlated()
+		if err != nil || fst.Partial || len(fed) != want {
+			t.Fatalf("%s: %d interactions, status %+v, err %v; want all %d", when, len(fed), fst, err, want)
+		}
+	}
+	for i := 0; i < 10; i++ {
+		ask("steady state")
+	}
+	if n := st.dials.Load(); n != 2 {
+		t.Fatalf("10 queries over 2 shards dialed %d times, want 2", n)
+	}
+
+	// Restart shard 1's query endpoint: closing the listener ends the
+	// connection the frontend kept; the same analyzer serves the same
+	// address again.
+	addr := st.listeners[1].Addr().String()
+	st.listeners[1].Close()
+	<-st.served[1]
+	ql, err := net.Listen("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st.listeners[1] = ql
+	go st.shards[1].Serve(ql)
+
+	ask("after the restart")
+	if n := st.dials.Load(); n != 3 {
+		t.Fatalf("restart cost %d dials, want exactly one re-dial", n-2)
 	}
 }

@@ -1,0 +1,206 @@
+package pbio
+
+import (
+	"bytes"
+	"encoding/binary"
+	"errors"
+	"io"
+	"os"
+	"path/filepath"
+	"reflect"
+	"strconv"
+	"strings"
+	"testing"
+	"time"
+)
+
+// readOnly hides every method of a reader but Read, as a bare connection
+// does: the decoder over it takes its bytes through io.ReadFull.
+type readOnly struct{ r io.Reader }
+
+func (o readOnly) Read(p []byte) (int, error) { return o.r.Read(p) }
+
+// decodeAll decodes until the stream errors and returns what it yielded.
+func decodeAll(r io.Reader, reg *Registry) ([]*Record, error) {
+	dec := NewDecoder(r, reg)
+	var recs []*Record
+	for {
+		rec, err := dec.Decode()
+		if err != nil {
+			return recs, err
+		}
+		recs = append(recs, rec)
+	}
+}
+
+// goldenStreams are well-formed streams of every frame kind, each as the
+// frames it is made of so the test knows where the boundaries fall.
+func goldenStreams(t *testing.T) map[string][][]byte {
+	reg := NewRegistry()
+	reg.MustRegister("rec", flatRec{})
+	p := reg.PlanFor(reflect.TypeOf(flatRec{}))
+	rows := []flatRec{
+		{ID: 7, SrcN: 1, SrcP: 1024, DstN: 2, DstP: 80, Class: "port:80", Dur: time.Millisecond},
+		{ID: 9, SrcN: 1, SrcP: 1025, DstN: 2, DstP: 80, Class: "port:80", Dur: 3 * time.Second},
+		{ID: 1 << 40, SrcN: 1, SrcP: 1026, DstN: 2, DstP: 80, Class: "", Dur: -1},
+	}
+	def := p.Format().AppendDef(nil)
+	record, err := p.AppendRecordFrame(nil, &rows[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	batch, _, err := p.AppendBatchFrame(nil, rows)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	header := func(kind byte) []byte {
+		b := binary.LittleEndian.AppendUint32([]byte{kind}, p.Format().ID)
+		return binary.LittleEndian.AppendUint32(b, uint32(len(rows)))
+	}
+	u16 := func(b []byte, get func(*flatRec) uint16) []byte {
+		for i := range rows {
+			b = binary.LittleEndian.AppendUint16(b, get(&rows[i]))
+		}
+		return b
+	}
+	plain := header(frameColumns)
+	for i := range rows {
+		plain = binary.LittleEndian.AppendUint64(plain, rows[i].ID)
+	}
+	plain = u16(plain, func(r *flatRec) uint16 { return r.SrcN })
+	plain = u16(plain, func(r *flatRec) uint16 { return r.SrcP })
+	plain = u16(plain, func(r *flatRec) uint16 { return r.DstN })
+	plain = u16(plain, func(r *flatRec) uint16 { return r.DstP })
+	for i := range rows {
+		plain = binary.LittleEndian.AppendUint32(plain, uint32(len(rows[i].Class)))
+		plain = append(plain, rows[i].Class...)
+	}
+	for i := range rows {
+		plain = binary.LittleEndian.AppendUint64(plain, uint64(rows[i].Dur))
+	}
+
+	// The same rows with every column encoding: delta, run-length,
+	// dictionary, raw.
+	packed := append(header(frameColumnsZ), ColEncDelta)
+	prev := uint64(0)
+	for i := range rows {
+		d := int64(rows[i].ID - prev)
+		packed = binary.AppendUvarint(packed, uint64(d<<1)^uint64(d>>63))
+		prev = rows[i].ID
+	}
+	packed = append(packed, ColEncRLE, 3, 1) // SrcN
+	packed = u16(append(packed, ColEncRaw), func(r *flatRec) uint16 { return r.SrcP })
+	packed = append(packed, ColEncRLE, 3, 2)  // DstN
+	packed = append(packed, ColEncRLE, 3, 80) // DstP
+	packed = append(packed, ColEncDict, 2)
+	packed = append(binary.LittleEndian.AppendUint32(packed, 7), "port:80"...)
+	packed = binary.LittleEndian.AppendUint32(packed, 0)
+	packed = append(packed, 2, 0, 1, 1) // two of entry 0, one of entry 1
+	packed = append(packed, ColEncRaw)
+	for i := range rows {
+		packed = binary.LittleEndian.AppendUint64(packed, uint64(rows[i].Dur))
+	}
+
+	return map[string][][]byte{
+		"records":            {def, record, record},
+		"batch":              {def, batch},
+		"columns":            {def, plain},
+		"compressed columns": {def, packed},
+		"mixed":              {def, record, batch, plain, packed, record},
+	}
+}
+
+// corpusInputs returns the inputs of every committed fuzz corpus under
+// dir, whatever target they were written for.
+func corpusInputs(t *testing.T, dir string) [][]byte {
+	files, err := filepath.Glob(filepath.Join(dir, "fuzz", "*", "*"))
+	if err != nil || len(files) == 0 {
+		t.Fatalf("no fuzz corpus under %s (%v)", dir, err)
+	}
+	var out [][]byte
+	for _, file := range files {
+		data, err := os.ReadFile(file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, line := range strings.Split(string(data), "\n")[1:] {
+			open, end := strings.IndexByte(line, '('), strings.LastIndexByte(line, ')')
+			if open < 0 || end < open {
+				continue
+			}
+			if s, err := strconv.Unquote(line[open+1 : end]); err == nil {
+				out = append(out, []byte(s))
+			}
+		}
+	}
+	return out
+}
+
+// TestDecoderPathsAgree: a decoder over a reader that offers ReadByte (a
+// page in memory) and one over a reader that does not (a connection) are
+// the same decoder — at every truncation of every golden frame and every
+// committed fuzz input they yield identical records and identical errors:
+// io.EOF on a frame boundary of a well-formed stream, io.ErrUnexpectedEOF
+// inside a frame.
+func TestDecoderPathsAgree(t *testing.T) {
+	both := func(name string, b []byte, check func(n int, recs []*Record, err error)) {
+		for n := 0; n <= len(b); n++ {
+			fast, fastErr := decodeAll(bytes.NewReader(b[:n]), fuzzRegistry(t))
+			slow, slowErr := decodeAll(readOnly{bytes.NewReader(b[:n])}, fuzzRegistry(t))
+			if !reflect.DeepEqual(fast, slow) {
+				t.Fatalf("%s cut at %d/%d: %d records with ReadByte, %d without, or they differ", name, n, len(b), len(fast), len(slow))
+			}
+			if fastErr != slowErr && (fastErr.Error() != slowErr.Error() ||
+				errors.Is(fastErr, io.ErrUnexpectedEOF) != errors.Is(slowErr, io.ErrUnexpectedEOF)) {
+				t.Fatalf("%s cut at %d/%d: err %v with ReadByte, %v without", name, n, len(b), fastErr, slowErr)
+			}
+			if check != nil {
+				check(n, fast, fastErr)
+			}
+		}
+	}
+
+	golden := goldenStreams(t)
+	batchRecs, _ := decodeAll(bytes.NewReader(bytes.Join(golden["batch"], nil)), fuzzRegistry(t))
+	if len(batchRecs) != 3 {
+		t.Fatalf("batch stream decoded to %d records, want 3", len(batchRecs))
+	}
+	for name, frames := range golden {
+		boundary := map[int]bool{0: true}
+		var stream []byte
+		for _, f := range frames {
+			stream = append(stream, f...)
+			boundary[len(stream)] = true
+		}
+		both(name, stream, func(n int, recs []*Record, err error) {
+			if want := map[bool]error{true: io.EOF, false: io.ErrUnexpectedEOF}[boundary[n]]; err != want {
+				t.Fatalf("%s cut at %d/%d (frame boundary: %v): err = %v, want %v", name, n, len(stream), boundary[n], err, want)
+			}
+		})
+		// The hand-built column frames say what the encoder's batch says.
+		recs, _ := decodeAll(bytes.NewReader(stream), fuzzRegistry(t))
+		if want := map[string]int{"records": 2, "mixed": 11}[name]; want != 0 && len(recs) != want {
+			t.Fatalf("%s: decoded %d records, want %d", name, len(recs), want)
+		} else if want == 0 && !reflect.DeepEqual(recs, batchRecs) {
+			t.Fatalf("%s: decoded %d records that differ from the batch frame's %d", name, len(recs), len(batchRecs))
+		}
+	}
+
+	inputs := append(corpusInputs(t, "testdata"), corpusInputs(t, filepath.Join("..", "gpa", "testdata"))...)
+	inputs = append(inputs, fuzzSeeds(t)...)
+	for i, in := range inputs {
+		both("corpus input "+strconv.Itoa(i), in, nil)
+	}
+}
+
+// fuzzRegistry is the registry FuzzDecode decodes with, plus the golden
+// streams' format.
+func fuzzRegistry(t *testing.T) *Registry {
+	reg := NewRegistry()
+	if _, err := reg.Register("fuzz.rec", fuzzRec{}); err != nil {
+		t.Fatal(err)
+	}
+	reg.MustRegister("rec", flatRec{})
+	return reg
+}

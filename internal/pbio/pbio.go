@@ -590,7 +590,10 @@ type Record struct {
 
 // Decoder reads self-describing records.
 type Decoder struct {
-	r       io.Reader
+	r io.Reader
+	// br is r when r reads single bytes itself (a page decoded from
+	// memory); nil for a bare connection, which is read through r alone.
+	br      io.ByteReader
 	reg     *Registry
 	formats map[uint32]*Format
 	scratch [8]byte
@@ -604,7 +607,8 @@ type Decoder struct {
 // NewDecoder returns a decoder reading from r. reg may be nil; when given,
 // formats whose names match registered ones decode into typed values.
 func NewDecoder(r io.Reader, reg *Registry) *Decoder {
-	return &Decoder{r: r, reg: reg, formats: make(map[uint32]*Format), maxRows: maxBatchLen}
+	br, _ := r.(io.ByteReader)
+	return &Decoder{r: r, br: br, reg: reg, formats: make(map[uint32]*Format), maxRows: maxBatchLen}
 }
 
 // LimitRows lowers the row count the next batch or columns frames may
@@ -838,6 +842,9 @@ func (d *Decoder) readValue(k Kind) (any, error) {
 }
 
 func (d *Decoder) readByte() (byte, error) {
+	if d.br != nil {
+		return d.br.ReadByte()
+	}
 	if _, err := io.ReadFull(d.r, d.scratch[:1]); err != nil {
 		return 0, err
 	}
