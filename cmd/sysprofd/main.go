@@ -87,9 +87,6 @@ func run(httpAddr, pubsubAddr, ctlAddr string, pace time.Duration, tracePath, to
 		return err
 	}
 	broker := pubsub.NewBroker(reg, brokerOpts...)
-	// Route records to sharded subscribers (federated gpad tier) by flow
-	// hash; unsharded subscribers still see the full stream.
-	broker.SetShardKeyFunc(dissem.ShardKey)
 	defer broker.Close()
 	fs := procfs.New()
 

@@ -7,14 +7,11 @@
 //
 // Usage:
 //
-//	go run ./cmd/sysproflint [-analyzers nonblock,lockcheck] \
-//	    [-format text|sarif] [packages...]
+//	go run ./cmd/sysproflint [-analyzers nonblock,lockcheck] [packages...]
 //
-// Packages default to ./... (the whole module). -format sarif writes a
-// SARIF 2.1.0 document to stdout instead of the text diagnostics (CI
-// uploads it as an artifact). The exit status is 0 when no diagnostics
-// were produced, 1 when there were findings, and 2 on driver errors
-// (unreadable module, unknown analyzer).
+// Packages default to ./... (the whole module). The exit status is 0 when
+// no diagnostics were produced, 1 when there were findings, and 2 on
+// driver errors (unreadable module, unknown analyzer).
 package main
 
 import (
@@ -29,17 +26,11 @@ import (
 func main() {
 	analyzers := flag.String("analyzers", "", "comma-separated analyzer subset (default: all)")
 	list := flag.Bool("list", false, "list available analyzers and exit")
-	format := flag.String("format", "text", "output format: text or sarif")
 	flag.Usage = func() {
-		fmt.Fprintf(flag.CommandLine.Output(), "usage: sysproflint [-analyzers a,b] [-format text|sarif] [packages...]\n")
+		fmt.Fprintf(flag.CommandLine.Output(), "usage: sysproflint [-analyzers a,b] [packages...]\n")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
-
-	if *format != "text" && *format != "sarif" {
-		fmt.Fprintf(os.Stderr, "sysproflint: unknown format %q (want text or sarif)\n", *format)
-		os.Exit(2)
-	}
 
 	if *list {
 		for _, a := range lint.All() {
@@ -71,18 +62,11 @@ func main() {
 		os.Exit(2)
 	}
 
-	if *format == "sarif" {
-		if err := lint.WriteSARIF(os.Stdout, root, diags, suite); err != nil {
-			fmt.Fprintln(os.Stderr, "sysproflint:", err)
-			os.Exit(2)
-		}
-	} else {
-		for _, d := range diags {
-			// One grep-able file:line:col line per finding; evidence chains
-			// (cross-package call paths, lock acquisition paths) follow as
-			// indented continuation lines.
-			fmt.Println(d.Detail())
-		}
+	for _, d := range diags {
+		// One grep-able file:line:col line per finding; evidence chains
+		// (cross-package call paths, lock acquisition paths) follow as
+		// indented continuation lines.
+		fmt.Println(d.Detail())
 	}
 	if len(diags) > 0 {
 		fmt.Fprintf(os.Stderr, "sysproflint: %d finding(s)\n", len(diags))

@@ -9,16 +9,16 @@ import (
 	"sysprof/internal/pbio"
 )
 
-// BenchmarkFlushEncode measures the row batch (0x03) encoder on a drained
-// batch of core.Records: the cached encode plan appends the batch frame
-// straight from the []core.Record into a reused wire buffer, with the
-// batch boxed once, mirroring the broker encoding one shared frame for
-// all subscribers. 0 allocs/op is the bar.
+// BenchmarkFlushEncode measures what a flush's aggregate deltas cost to
+// frame: the rows viewed as columns by pbio.StructColumns (boxed once,
+// as one publish does) and appended to a reused wire buffer, mirroring the
+// broker encoding one shared frame for all subscribers. 0 allocs/op is
+// the bar.
 func BenchmarkFlushEncode(b *testing.B) {
-	const batchSize = 64
-	batch := make([]core.Record, batchSize)
+	batch := make(AggregateBatch, 64)
 	for i := range batch {
-		batch[i] = sampleRecord(uint64(i + 1))
+		r := sampleRecord(uint64(i + 1))
+		batch[i] = WireAggregate{Node: r.Node, Aggregate: core.Aggregate{Class: r.Class, Count: uint64(i)}}
 	}
 
 	b.Run("direct-plan", func(b *testing.B) {
@@ -26,16 +26,15 @@ func BenchmarkFlushEncode(b *testing.B) {
 		if err := RegisterFormats(reg); err != nil {
 			b.Fatal(err)
 		}
-		plan := reg.PlanFor(reflect.TypeOf(core.Record{}))
+		plan, cols := batch.Columns(reg)
 		if plan == nil {
-			b.Fatal("no plan bound for core.Record")
+			b.Fatal("no plan bound for WireAggregate")
 		}
-		boxed := any(batch)
 		var buf []byte
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			out, _, err := plan.AppendBatchFrame(buf[:0], boxed)
+			out, _, err := plan.AppendColumnsFrame(buf[:0], cols)
 			if err != nil {
 				b.Fatal(err)
 			}

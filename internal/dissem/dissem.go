@@ -35,9 +35,43 @@ type WireAggregate struct {
 	core.Aggregate
 }
 
+// AggregateBatch is one flush's aggregate deltas as the broker publishes
+// them: the rows viewed as columns by pbio.StructColumns, routed by node
+// hash — the key the GPA's shardForNode stripes aggregates by — so a
+// sharded subscriber tier receives each delta exactly once.
+type AggregateBatch []WireAggregate
+
+// Len implements core.Batch.
+func (a AggregateBatch) Len() int { return len(a) }
+
+// Columns implements core.Batch.
+func (a AggregateBatch) Columns(reg *pbio.Registry) (*pbio.Plan, pbio.CompressedColumnAppender) {
+	return pbio.StructColumns(reg, []WireAggregate(a))
+}
+
+// Shard implements core.Batch.
+func (a AggregateBatch) Shard(sel core.ShardSelector) core.Batch {
+	return a.Keep(func(row any) bool { return sel.Match(simnet.NodeShardHash(row.(*WireAggregate).Node)) })
+}
+
+// Keep implements core.Batch; keep sees each row as a *WireAggregate.
+func (a AggregateBatch) Keep(keep func(row any) bool) core.Batch {
+	var kept AggregateBatch
+	for i := range a {
+		if keep(&a[i]) {
+			kept = append(kept, a[i])
+		}
+	}
+	return kept
+}
+
+// Release implements core.Batch; the scratch batches are not pooled.
+func (AggregateBatch) Release() {}
+
 // RegisterFormats registers the daemon's wire formats with a PBIO
 // registry (both broker and subscriber sides need this): the interaction
-// format with its column decoder, and the aggregate-delta rows.
+// format with its column decoder, and the aggregate-delta rows, which
+// bind none — a subscriber gets them back as *WireAggregate, one a Recv.
 func RegisterFormats(reg *pbio.Registry) error {
 	if err := core.RegisterRecordFormat(reg); err != nil {
 		return fmt.Errorf("dissem: %w", err)
@@ -219,21 +253,29 @@ func (d *Daemon) Start() {
 
 // FlushNow evicts aged window contents, drains partial buffers, and
 // publishes per-class aggregate deltas for LPAs running at class
-// granularity. All aggregates produced by one flush go out as a single
-// pub-sub batch.
+// granularity.
 func (d *Daemon) FlushNow() {
 	cutoff := d.eng.Now() - d.cfg.MaxWindowAge
 	var idleCutoff time.Duration
 	if d.cfg.FlowExpiry > 0 {
 		idleCutoff = d.eng.Now() - d.cfg.FlowExpiry
 	}
-	var wires []WireAggregate
 	for _, lpa := range d.lpas {
 		lpa.Window().EvictOlderThan(cutoff)
 		lpa.Buffers().FlushAll()
 		if idleCutoff > 0 {
 			lpa.ExpireIdleFlows(idleCutoff)
 		}
+	}
+	d.publishAggregates()
+}
+
+// publishAggregates publishes, as a single pub-sub batch, what the LPAs
+// running at class granularity have aggregated since the last call, and
+// resets it: subscribers sum deltas.
+func (d *Daemon) publishAggregates() {
+	var wires AggregateBatch
+	for _, lpa := range d.lpas {
 		if lpa.Granularity() != core.PerClass {
 			continue
 		}
@@ -252,7 +294,7 @@ func (d *Daemon) FlushNow() {
 	if len(wires) == 0 {
 		return
 	}
-	if err := d.broker.PublishBatch(ChannelAggregates, wires); err != nil {
+	if err := d.broker.PublishColumns(ChannelAggregates, wires); err != nil {
 		d.stats.PublishErrors++
 		d.stats.AggregatesDropped += uint64(len(wires))
 		return
@@ -281,7 +323,9 @@ func (d *Daemon) SetFlushInterval(iv time.Duration) error {
 	return nil
 }
 
-// Stop cancels the flush timer and performs a final full flush.
+// Stop cancels the flush timer and performs a final full flush: open
+// interactions are force-closed first, so the last aggregate deltas
+// include them.
 func (d *Daemon) Stop() {
 	if d.flushEv != nil {
 		d.flushEv.Cancel()
@@ -292,6 +336,7 @@ func (d *Daemon) Stop() {
 		lpa.Window().EvictAll()
 		lpa.Buffers().FlushAll()
 	}
+	d.publishAggregates()
 }
 
 // Stats returns daemon counters.

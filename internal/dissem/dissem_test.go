@@ -197,7 +197,7 @@ func TestSetFlushInterval(t *testing.T) {
 	defer broker.Close()
 	published := 0
 	broker.Subscribe(ChannelAggregates, func(rec any) {
-		published += len(rec.([]WireAggregate))
+		published += len(rec.(AggregateBatch))
 	})
 
 	d := New(eng, broker, nil, Config{Node: node.ID(), FlushInterval: time.Hour})
@@ -284,9 +284,9 @@ func TestDaemonPublishesClassAggregates(t *testing.T) {
 
 	var got []WireAggregate
 	broker.Subscribe(ChannelAggregates, func(rec any) {
-		batch, ok := rec.([]WireAggregate)
+		batch, ok := rec.(AggregateBatch)
 		if !ok {
-			t.Errorf("local subscriber got %T, want []WireAggregate", rec)
+			t.Errorf("local subscriber got %T, want AggregateBatch", rec)
 			return
 		}
 		got = append(got, batch...)
@@ -324,6 +324,52 @@ func TestDaemonPublishesClassAggregates(t *testing.T) {
 	d.FlushNow()
 	if len(got) != 1 {
 		t.Fatalf("empty flush published: %d", len(got))
+	}
+}
+
+// TestStopPublishesLastAggregates: an interaction that closes at class
+// granularity after the last tick — or that Stop itself force-closes — is
+// still in the LPA's aggregates when the daemon stops. Stop publishes
+// them: every interaction the LPA counted reaches the aggregates channel.
+func TestStopPublishesLastAggregates(t *testing.T) {
+	eng := sim.NewEngine()
+	network := simnet.NewNetwork(eng)
+	node, err := simos.NewNode(eng, network, "srv", simos.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := pbio.NewRegistry()
+	if err := RegisterFormats(reg); err != nil {
+		t.Fatal(err)
+	}
+	broker := pubsub.NewBroker(reg)
+	defer broker.Close()
+	var delivered uint64
+	broker.Subscribe(ChannelAggregates, func(rec any) {
+		for _, w := range rec.(AggregateBatch) {
+			delivered += w.Count
+		}
+	})
+
+	d := New(eng, broker, nil, Config{Node: node.ID(), FlushInterval: time.Hour})
+	lpa := core.NewLPA(node.Hub(), core.Config{Granularity: core.PerClass, OnFull: d.OnFull})
+	d.Serve(lpa)
+	d.Start()
+
+	// One interaction closed by the next request, which Stop force-closes.
+	flow := simnet.FlowKey{Src: simnet.Addr{Node: 9, Port: 5}, Dst: simnet.Addr{Node: node.ID(), Port: 80}}
+	hub := node.Hub()
+	hub.Emit(&kprof.Event{Type: kprof.EvNetRx, Flow: flow, Bytes: 100})
+	hub.Emit(&kprof.Event{Type: kprof.EvNetTx, Flow: flow.Reverse(), Bytes: 50, Last: true})
+	hub.Emit(&kprof.Event{Type: kprof.EvNetRx, Flow: flow, Bytes: 100})
+
+	d.Stop()
+	want := lpa.Stats().Interactions
+	if want == 0 || delivered != want {
+		t.Fatalf("aggregates channel delivered Count %d after Stop, the LPA closed %d interactions", delivered, want)
+	}
+	if st := d.Stats(); st.AggregatesPublished == 0 || st.AggregatesDropped != 0 {
+		t.Fatalf("stats after Stop = %+v", st)
 	}
 }
 

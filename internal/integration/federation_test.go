@@ -22,17 +22,21 @@ import (
 )
 
 // fedStack is a federated deployment: both endpoints of a monitored pair
-// run full dissemination stacks into one broker; a monolithic GPA
-// subscribes unsharded while N shard GPAs subscribe with shard selectors,
-// exactly as `gpad -shard i/N` does, and a frontend merges the shard
-// query endpoints over real TCP.
+// run full dissemination stacks into one broker, and a third node, batch,
+// is monitored at class granularity — it ships aggregate deltas, never
+// records; a monolithic GPA subscribes unsharded while N shard GPAs
+// subscribe with shard selectors, exactly as `gpad -shard i/N` does, to
+// both channels, and a frontend merges the shard query endpoints over
+// real TCP.
 type fedStack struct {
-	eng     *sim.Engine
-	server  *simos.Node
-	client  *simos.Node
-	daemons []*dissem.Daemon
-	broker  *pubsub.Broker
-	reg     *pbio.Registry
+	eng      *sim.Engine
+	server   *simos.Node
+	client   *simos.Node
+	batch    *simos.Node
+	batchLPA *core.LPA
+	daemons  []*dissem.Daemon // server's, client's, batch's
+	broker   *pubsub.Broker
+	reg      *pbio.Registry
 
 	mono      *gpa.GPA
 	shards    []*gpa.GPA
@@ -40,6 +44,10 @@ type fedStack struct {
 	served    []chan struct{} // closed when the shard's Serve has returned
 	frontend  *gpa.Frontend
 	dials     atomic.Int32 // shard connections the frontend opened
+
+	// Aggregate deltas each subscriber received off its socket.
+	monoDeltas  atomic.Uint64
+	shardDeltas []atomic.Uint64
 }
 
 func buildFedStack(t *testing.T, nShards int) *fedStack {
@@ -54,57 +62,72 @@ func buildFedStack(t *testing.T, nShards int) *fedStack {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := network.Connect(server.ID(), client.ID()); err != nil {
+	batch, err := simos.NewNode(eng, network, "batch", simos.Config{})
+	if err != nil {
 		t.Fatal(err)
+	}
+	for _, n := range []*simos.Node{server, batch} {
+		if err := network.Connect(n.ID(), client.ID()); err != nil {
+			t.Fatal(err)
+		}
 	}
 	reg := pbio.NewRegistry()
 	if err := dissem.RegisterFormats(reg); err != nil {
 		t.Fatal(err)
 	}
 	broker := pubsub.NewBroker(reg, pubsub.WithQueueDepth(4096))
-	broker.SetShardKeyFunc(dissem.ShardKey)
 	fs := procfs.New()
 
 	// Monitor BOTH endpoints so interactions have two views to correlate.
-	st := &fedStack{eng: eng, server: server, client: client, broker: broker, reg: reg}
-	for _, n := range []*simos.Node{server, client} {
+	st := &fedStack{eng: eng, server: server, client: client, batch: batch, broker: broker, reg: reg,
+		shardDeltas: make([]atomic.Uint64, nShards)}
+	for _, n := range []*simos.Node{server, client, batch} {
 		daemon := dissem.New(eng, broker, fs, dissem.Config{
 			NodeName:      n.Name(),
 			Node:          n.ID(),
 			FlushInterval: 50 * time.Millisecond,
 			MaxWindowAge:  100 * time.Millisecond,
 		})
-		lpa := core.NewLPA(n.Hub(), core.Config{OnFull: daemon.OnFull, WindowSize: 8})
+		cfg := core.Config{OnFull: daemon.OnFull, WindowSize: 8}
+		if n == batch {
+			cfg.Granularity = core.PerClass
+		}
+		lpa := core.NewLPA(n.Hub(), cfg)
+		if n == batch {
+			st.batchLPA = lpa
+		}
 		daemon.Serve(lpa)
 		daemon.Start()
 		st.daemons = append(st.daemons, daemon)
 	}
 
-	// Workload.
-	ssock := server.MustBind(80)
-	csock := client.MustBind(9000)
-	server.Spawn("httpd", func(p *simos.Process) {
-		var loop func()
-		loop = func() {
-			p.Recv(ssock, func(m *simos.Message) {
-				p.Compute(time.Millisecond, func() {
-					p.Reply(ssock, m, 4096, nil, loop)
+	// Workload: the client drives a request loop against each server.
+	for i, srv := range []*simos.Node{server, batch} {
+		ssock := srv.MustBind(80)
+		csock := client.MustBind(uint16(9000 + i))
+		srv.Spawn("httpd", func(p *simos.Process) {
+			var loop func()
+			loop = func() {
+				p.Recv(ssock, func(m *simos.Message) {
+					p.Compute(time.Millisecond, func() {
+						p.Reply(ssock, m, 4096, nil, loop)
+					})
 				})
-			})
-		}
-		loop()
-	})
-	client.Spawn("load", func(p *simos.Process) {
-		var loop func()
-		loop = func() {
-			p.Send(csock, ssock.Addr(), 256, nil, func() {
-				p.Recv(csock, func(m *simos.Message) {
-					p.Sleep(5*time.Millisecond, loop)
+			}
+			loop()
+		})
+		client.Spawn("load", func(p *simos.Process) {
+			var loop func()
+			loop = func() {
+				p.Send(csock, ssock.Addr(), 256, nil, func() {
+					p.Recv(csock, func(m *simos.Message) {
+						p.Sleep(5*time.Millisecond, loop)
+					})
 				})
-			})
-		}
-		loop()
-	})
+			}
+			loop()
+		})
+	}
 
 	// Broker over real TCP.
 	bl, err := net.Listen("tcp", "127.0.0.1:0")
@@ -116,19 +139,25 @@ func buildFedStack(t *testing.T, nShards int) *fedStack {
 
 	wall := time.Now()
 	now := func() time.Duration { return time.Since(wall) }
-	subscribe := func(g *gpa.GPA, sub *pubsub.Subscriber) {
+	subscribe := func(g *gpa.GPA, sub *pubsub.Subscriber, deltas *atomic.Uint64) {
 		go func() {
 			defer sub.Close()
 			for {
-				_, rec, err := sub.Recv()
+				ch, rec, err := sub.Recv()
 				if err != nil {
 					return
 				}
 				switch w := rec.Value.(type) {
 				case *core.RecordColumns:
 					g.IngestColumns(w)
+				case *dissem.WireAggregate:
+					if ch != dissem.ChannelAggregates {
+						t.Errorf("aggregate delta arrived on channel %q", ch)
+					}
+					g.IngestAggregate(w.Node, w.Aggregate)
+					deltas.Add(1)
 				default:
-					t.Errorf("interactions channel delivered %T (format %q), want *core.RecordColumns", rec.Value, rec.Format)
+					t.Errorf("channel %q delivered %T (format %q)", ch, rec.Value, rec.Format)
 				}
 			}
 		}()
@@ -136,21 +165,21 @@ func buildFedStack(t *testing.T, nShards int) *fedStack {
 
 	// Monolithic reference: unsharded subscription, full stream.
 	st.mono = gpa.New(gpa.Config{LoadWindow: time.Hour}, now)
-	monoSub, err := pubsub.Dial(addr, reg, dissem.ChannelInteractions)
+	monoSub, err := pubsub.Dial(addr, reg, dissem.ChannelInteractions, dissem.ChannelAggregates)
 	if err != nil {
 		t.Fatal(err)
 	}
-	subscribe(st.mono, monoSub)
+	subscribe(st.mono, monoSub, &st.monoDeltas)
 
 	// Shard analyzers: selector-scoped subscriptions plus query servers.
 	endpoints := make([]string, nShards)
 	for i := 0; i < nShards; i++ {
 		g := gpa.New(gpa.Config{LoadWindow: time.Hour}, now)
-		sub, err := pubsub.DialSharded(addr, reg, i, nShards, dissem.ChannelInteractions)
+		sub, err := pubsub.DialSharded(addr, reg, i, nShards, dissem.ChannelInteractions, dissem.ChannelAggregates)
 		if err != nil {
 			t.Fatal(err)
 		}
-		subscribe(g, sub)
+		subscribe(g, sub, &st.shardDeltas[i])
 		ql, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
 			t.Fatal(err)
@@ -334,6 +363,56 @@ func TestFederatedTierMatchesMonolithicOverTCP(t *testing.T) {
 		return done(seqs[i].EndToEnd) < done(seqs[j].EndToEnd)
 	}) {
 		t.Fatal("merged federation stream not in completion order")
+	}
+}
+
+// TestFederatedAggregatesReachExactlyOneShard: the aggregate deltas of a
+// node monitored at class granularity ride the same sharded links as the
+// interaction batches, with nothing installed on the broker to route
+// them. Every delta the daemon published reaches the unsharded analyzer
+// and exactly one shard — the one the GPA itself stripes that node's
+// aggregates to — so the federation bills what the monolithic analyzer
+// bills, down to the interactions Stop force-closed.
+func TestFederatedAggregatesReachExactlyOneShard(t *testing.T) {
+	st := buildFedStack(t, 2)
+	defer st.close()
+	st.runAndDrain(t)
+
+	ds := st.daemons[2].Stats()
+	if ds.AggregatesPublished == 0 || ds.AggregatesDropped != 0 || ds.RecordsPublished != 0 {
+		t.Fatalf("batch node's daemon stats = %+v, want aggregate deltas only", ds)
+	}
+	if got := st.monoDeltas.Load(); got != ds.AggregatesPublished {
+		t.Fatalf("unsharded subscriber received %d deltas, the daemon published %d", got, ds.AggregatesPublished)
+	}
+	owner := int(simnet.NodeShardHash(st.batch.ID()) % uint64(len(st.shards)))
+	for i := range st.shardDeltas {
+		want := uint64(0)
+		if i == owner {
+			want = ds.AggregatesPublished
+		}
+		if got := st.shardDeltas[i].Load(); got != want {
+			t.Fatalf("shard %d received %d deltas, want %d (node %d belongs to shard %d)", i, got, want, st.batch.ID(), owner)
+		}
+	}
+
+	var billed uint64
+	for _, agg := range st.mono.ClassAggregatesAll()[st.batch.ID()] {
+		billed += agg.Count
+	}
+	if want := st.batchLPA.Stats().Interactions; want == 0 || billed != want {
+		t.Fatalf("analyzer holds %d interactions for the batch node, its LPA closed %d", billed, want)
+	}
+	mono, err := st.mono.Execute("accounting")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fed, err := st.frontend.Execute("accounting")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fed != mono || !strings.Contains(mono, "port:80") {
+		t.Fatalf("accounting differs:\nfederation:\n%s\nmonolithic:\n%s", fed, mono)
 	}
 }
 

@@ -45,11 +45,26 @@ func goldenStreams(t *testing.T) map[string][][]byte {
 		{ID: 1 << 40, SrcN: 1, SrcP: 1026, DstN: 2, DstP: 80, Class: "", Dur: -1},
 	}
 	def := p.Format().AppendDef(nil)
-	record, err := p.AppendRecordFrame(nil, &rows[0])
+	var records [][]byte
+	for i := range rows {
+		record, err := p.AppendRecordFrame(nil, &rows[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		records = append(records, record)
+	}
+	record := records[0]
+	// The rows as the broker's generic adapter frames them: every column
+	// raw. "unbound" is the same layout under a format name the decoding
+	// side has never registered, so its rows come back as field maps.
+	_, cols := StructColumns(reg, rows)
+	rawZ, _, err := p.AppendCompressedColumnsFrame(nil, cols)
 	if err != nil {
 		t.Fatal(err)
 	}
-	batch, _, err := p.AppendBatchFrame(nil, rows)
+	reg.MustRegister("unbound", unboundRec{})
+	up, ucols := StructColumns(reg, []unboundRec{unboundRec(rows[0]), unboundRec(rows[1]), unboundRec(rows[2])})
+	unbound, _, err := up.AppendColumnsFrame(nil, ucols)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,14 +117,22 @@ func goldenStreams(t *testing.T) map[string][][]byte {
 		packed = binary.LittleEndian.AppendUint64(packed, uint64(rows[i].Dur))
 	}
 
+	if got, _, err := p.AppendColumnsFrame(nil, cols); err != nil || !bytes.Equal(got, plain) {
+		t.Fatalf("StructColumns frames the rows as % x (err %v), the hand-built columns frame is % x", got, err, plain)
+	}
 	return map[string][][]byte{
 		"records":            {def, record, record},
-		"batch":              {def, batch},
+		"rows":               append([][]byte{def}, records...),
 		"columns":            {def, plain},
 		"compressed columns": {def, packed},
-		"mixed":              {def, record, batch, plain, packed, record},
+		"raw columns":        {def, rawZ},
+		"unbound columns":    {up.Format().AppendDef(nil), unbound},
+		"mixed":              {def, record, rawZ, plain, packed, record},
 	}
 }
+
+// unboundRec has flatRec's layout and a format no decoder registry knows.
+type unboundRec flatRec
 
 // corpusInputs returns the inputs of every committed fuzz corpus under
 // dir, whatever target they were written for.
@@ -162,9 +185,9 @@ func TestDecoderPathsAgree(t *testing.T) {
 	}
 
 	golden := goldenStreams(t)
-	batchRecs, _ := decodeAll(bytes.NewReader(bytes.Join(golden["batch"], nil)), fuzzRegistry(t))
-	if len(batchRecs) != 3 {
-		t.Fatalf("batch stream decoded to %d records, want 3", len(batchRecs))
+	rowRecs, _ := decodeAll(bytes.NewReader(bytes.Join(golden["rows"], nil)), fuzzRegistry(t))
+	if len(rowRecs) != 3 {
+		t.Fatalf("the rows as single-record frames decoded to %d records, want 3", len(rowRecs))
 	}
 	for name, frames := range golden {
 		boundary := map[int]bool{0: true}
@@ -178,12 +201,16 @@ func TestDecoderPathsAgree(t *testing.T) {
 				t.Fatalf("%s cut at %d/%d (frame boundary: %v): err = %v, want %v", name, n, len(stream), boundary[n], err, want)
 			}
 		})
-		// The hand-built column frames say what the encoder's batch says.
+		// Every column frame of the bound format says what the rows say
+		// one record frame at a time.
 		recs, _ := decodeAll(bytes.NewReader(stream), fuzzRegistry(t))
-		if want := map[string]int{"records": 2, "mixed": 11}[name]; want != 0 && len(recs) != want {
+		if want := map[string]int{"records": 2, "mixed": 11, "unbound columns": 3}[name]; want != 0 && len(recs) != want {
 			t.Fatalf("%s: decoded %d records, want %d", name, len(recs), want)
-		} else if want == 0 && !reflect.DeepEqual(recs, batchRecs) {
-			t.Fatalf("%s: decoded %d records that differ from the batch frame's %d", name, len(recs), len(batchRecs))
+		} else if want == 0 && !reflect.DeepEqual(recs, rowRecs) {
+			t.Fatalf("%s: decoded %d records that differ from the record frames' %d", name, len(recs), len(rowRecs))
+		}
+		if name == "unbound columns" && (recs[2].Value != nil || recs[2].Fields["ID"] != uint64(1<<40)) {
+			t.Fatalf("unbound columns: last row = %+v, want a field map only", recs[2])
 		}
 	}
 

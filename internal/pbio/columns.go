@@ -6,6 +6,7 @@ import (
 	"math"
 	"reflect"
 	"time"
+	"unsafe"
 )
 
 // ColumnAppender is the contract a structure-of-arrays batch implements
@@ -81,6 +82,42 @@ func (p *Plan) AppendCompressedColumnsFrame(buf []byte, cols CompressedColumnApp
 		buf = cols.AppendCompressedColumn(buf, field)
 	}
 	return buf, n, nil
+}
+
+// structColumns is StructColumns's view: column `field` is the plan's
+// load of that one field, strided over the rows.
+type structColumns[T any] struct {
+	fields []planField
+	rows   []T
+}
+
+// StructColumns returns reg's plan for T and rows viewed as that plan's
+// columns, so a row-shaped batch (a flush's handful of aggregate deltas)
+// travels in the same 0x04/0x05 frames as a native columnar one; a
+// compressed frame carries each column ColEncRaw. A receiver with no
+// ColumnDecoder bound for the format gets the rows back one typed record
+// per Decode. The plan is nil unless T itself is a registered struct type.
+func StructColumns[T any](reg *Registry, rows []T) (*Plan, CompressedColumnAppender) {
+	p := reg.plans[reflect.TypeFor[T]()]
+	if p == nil {
+		return nil, nil
+	}
+	return p, structColumns[T]{p.fields, rows}
+}
+
+func (c structColumns[T]) Rows() int          { return len(c.rows) }
+func (c structColumns[T]) NumWireFields() int { return len(c.fields) }
+
+func (c structColumns[T]) AppendColumn(buf []byte, field int) []byte {
+	one := c.fields[field : field+1]
+	for i := range c.rows {
+		buf = appendFields(buf, unsafe.Pointer(&c.rows[i]), one)
+	}
+	return buf
+}
+
+func (c structColumns[T]) AppendCompressedColumn(buf []byte, field int) []byte {
+	return c.AppendColumn(append(buf, ColEncRaw), field)
 }
 
 func (p *Plan) columnsHeader(buf []byte, cols ColumnAppender, kind byte, what string) ([]byte, int, error) {
@@ -395,7 +432,7 @@ func (cr *ColumnReader) value(k Kind) (any, error) {
 // the typed columnar batch. Otherwise rows are materialized generically
 // — records are allocated as the first column streams in, so memory
 // stays bounded by bytes actually delivered — and returned one Decode at
-// a time like a row batch.
+// a time.
 func (d *Decoder) readColumns(compressed bool) (*Record, error) {
 	id, err := d.readUint32()
 	if err != nil {

@@ -47,10 +47,10 @@ func FuzzDecode(f *testing.F) {
 		}
 	}
 	// Handcrafted edges: bad frame kind, format with huge field count,
-	// batch referencing an unknown format.
+	// the retired 0x03 batch kind.
 	f.Add([]byte{0xEE})
 	f.Add([]byte{frameFormat, 1, 0, 0, 0, 1, 0, 0, 0, 'x', 0xFF, 0xFF})
-	f.Add([]byte{frameBatch, 9, 0, 0, 0, 1, 0, 0, 0})
+	f.Add([]byte{0x03, 9, 0, 0, 0, 1, 0, 0, 0})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		reg := NewRegistry()

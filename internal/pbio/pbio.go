@@ -8,19 +8,18 @@
 // Wire layout (all integers little-endian):
 //
 //	frame   := kind(1) payload
-//	kind    := 0x01 (format definition) | 0x02 (record) | 0x03 (batch) |
+//	kind    := 0x01 (format definition) | 0x02 (record) |
 //	           0x04 (columns) | 0x05 (compressed columns, see columns.go)
 //	formdef := id(u32) name(str) nfields(u16) { fname(str) fkind(u8) }*
 //	record  := id(u32) fields...   (fixed order per format)
-//	batch   := id(u32) count(u32) { fields... }*count
 //	columns := id(u32) count(u32) { field_i of every row }*nfields
 //	str     := len(u32) bytes
 //
-// A columns frame carries the same values as a batch frame transposed:
-// all rows' field 0, then all rows' field 1, and so on — the
-// structure-of-arrays layout the hot path keeps in memory, so encoding
-// is a straight copy per column and decoding can rebuild columnar
-// batches without materializing rows.
+// A columns frame carries a batch of records transposed: all rows'
+// field 0, then all rows' field 1, and so on — the structure-of-arrays
+// layout the hot path keeps in memory, so encoding is a straight copy per
+// column and decoding can rebuild columnar batches without materializing
+// rows. (Kind 0x03, a row-major batch, is retired and refused.)
 //
 // Strings and byte slices are length-prefixed; all other kinds are fixed
 // width. The encoding is compact and allocation-light — the property the
@@ -142,7 +141,7 @@ func (r *Registry) Register(name string, sample any) (*Format, error) {
 	if err := p.flatten(t, "", nil, 0); err != nil {
 		return nil, fmt.Errorf("pbio: register %q: %w", name, err)
 	}
-	// Decoders reject zero-field formats (they would make batch frames
+	// Decoders reject zero-field formats (they would make columns frames
 	// free to expand); refuse to produce one.
 	if len(f.Fields) == 0 {
 		return nil, fmt.Errorf("pbio: register %q: struct has no encodable exported fields", name)
@@ -324,13 +323,14 @@ func (p *Plan) basePointer(v any) (unsafe.Pointer, error) {
 	return boxed.UnsafePointer(), nil
 }
 
-// appendFields appends the struct at base's planned fields in wire order:
-// one offset load and copy per field, resolved at compile time.
+// appendFields appends the given planned fields of the struct at base in
+// wire order: one offset load and copy per field, resolved at
+// registration.
 //
 //sysprof:nonblocking
-func (p *Plan) appendFields(buf []byte, base unsafe.Pointer) []byte {
-	for i := range p.fields {
-		pf := &p.fields[i]
+func appendFields(buf []byte, base unsafe.Pointer, fields []planField) []byte {
+	for i := range fields {
+		pf := &fields[i]
 		fp := unsafe.Add(base, pf.off)
 		switch pf.op {
 		case opBool:
@@ -387,66 +387,7 @@ func (p *Plan) AppendRecordFrame(buf []byte, v any) ([]byte, error) {
 	}
 	buf = append(buf, frameRecord)
 	buf = binary.LittleEndian.AppendUint32(buf, p.f.ID)
-	return p.appendFields(buf, base), nil
-}
-
-// AppendBatchFrame appends one batch frame holding every element of vs
-// (a slice of the plan's type, or of pointers to it) and returns the
-// extended buffer plus the record count. An empty slice appends nothing.
-func (p *Plan) AppendBatchFrame(buf []byte, vs any) ([]byte, int, error) {
-	sv := reflect.ValueOf(vs)
-	if sv.Kind() != reflect.Slice {
-		return buf, 0, fmt.Errorf("pbio: batch frame: want a slice, got %T", vs)
-	}
-	n := sv.Len()
-	if n == 0 {
-		return buf, 0, nil
-	}
-	if n > maxBatchLen {
-		return buf, 0, fmt.Errorf("pbio: batch frame: %d records exceeds batch limit %d", n, maxBatchLen)
-	}
-	et := sv.Type().Elem()
-	if et != p.typ && et != p.ptrType {
-		base := et
-		for base.Kind() == reflect.Pointer {
-			base = base.Elem()
-		}
-		if base != p.typ {
-			return buf, 0, fmt.Errorf("pbio: plan for %s got slice of %s", p.typ, et)
-		}
-	}
-	buf = append(buf, frameBatch)
-	buf = binary.LittleEndian.AppendUint32(buf, p.f.ID)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(n))
-	switch et {
-	case p.typ:
-		base := sv.UnsafePointer()
-		stride := et.Size()
-		for i := 0; i < n; i++ {
-			buf = p.appendFields(buf, unsafe.Add(base, uintptr(i)*stride))
-		}
-	case p.ptrType:
-		base := sv.UnsafePointer()
-		for i := 0; i < n; i++ {
-			ep := *(*unsafe.Pointer)(unsafe.Add(base, uintptr(i)*unsafe.Sizeof(uintptr(0))))
-			if ep == nil {
-				return buf, 0, fmt.Errorf("pbio: batch frame: nil element at %d", i)
-			}
-			buf = p.appendFields(buf, ep)
-		}
-	default:
-		for i := 0; i < n; i++ {
-			rv := sv.Index(i)
-			for rv.Kind() == reflect.Pointer {
-				if rv.IsNil() {
-					return buf, 0, fmt.Errorf("pbio: batch frame: nil element at %d", i)
-				}
-				rv = rv.Elem()
-			}
-			buf = p.appendFields(buf, rv.Addr().UnsafePointer())
-		}
-	}
-	return buf, n, nil
+	return appendFields(buf, base, p.fields), nil
 }
 
 func kindOf(t reflect.Type) (Kind, bool) {
@@ -489,7 +430,6 @@ func kindOf(t reflect.Type) (Kind, bool) {
 const (
 	frameFormat   = 0x01
 	frameRecord   = 0x02
-	frameBatch    = 0x03
 	frameColumns  = 0x04
 	frameColumnsZ = 0x05
 
@@ -497,7 +437,7 @@ const (
 	// corrupted or hostile stream cannot force huge allocations.
 	maxFieldLen = 1 << 24
 
-	// maxBatchLen bounds the record count of a batch frame for the same
+	// maxBatchLen bounds the row count of a columns frame for the same
 	// reason.
 	maxBatchLen = 1 << 20
 
@@ -597,10 +537,11 @@ type Decoder struct {
 	reg     *Registry
 	formats map[uint32]*Format
 	scratch [8]byte
-	// queue holds records decoded from a batch frame but not yet returned;
-	// Decode drains it before reading the stream again.
+	// queue holds rows materialized from a columns frame of a format with
+	// no bound column decoder but not yet returned; Decode drains it before
+	// reading the stream again.
 	queue []*Record
-	// maxRows bounds the row count a batch or columns frame may declare.
+	// maxRows bounds the row count a columns frame may declare.
 	maxRows uint32
 }
 
@@ -611,8 +552,8 @@ func NewDecoder(r io.Reader, reg *Registry) *Decoder {
 	return &Decoder{r: r, br: br, reg: reg, formats: make(map[uint32]*Format), maxRows: maxBatchLen}
 }
 
-// LimitRows lowers the row count the next batch or columns frames may
-// declare (never above the package-wide frame limit). A run-length or
+// LimitRows lowers the row count the next columns frames may declare
+// (never above the package-wide frame limit). A run-length or
 // dictionary column expands rows out of a few bytes, so a consumer that
 // knows how many rows it is owed sets that here and a frame claiming more
 // is refused before any of it is materialized.
@@ -620,15 +561,15 @@ func (d *Decoder) LimitRows(n int) {
 	d.maxRows = uint32(max(0, min(n, maxBatchLen)))
 }
 
-// Pending reports how many already-decoded records (from a batch frame)
-// the next Decode calls will return without touching the stream. Framing
+// Pending reports how many already-materialized rows (see queue) the
+// next Decode calls will return without touching the stream. Framing
 // layered above pbio (e.g. pubsub's channel headers, written once per
 // batch) uses this to know when not to expect its own header.
 func (d *Decoder) Pending() int { return len(d.queue) }
 
 // Decode reads the next record, transparently consuming format frames and
-// expanding batch frames one record at a time. It returns io.EOF at clean
-// end of stream.
+// expanding generically decoded columns frames one row at a time. It
+// returns io.EOF at clean end of stream.
 func (d *Decoder) Decode() (*Record, error) {
 	if len(d.queue) > 0 {
 		rec := d.queue[0]
@@ -647,8 +588,6 @@ func (d *Decoder) Decode() (*Record, error) {
 			}
 		case frameRecord:
 			return d.readRecord()
-		case frameBatch:
-			return d.readBatch()
 		case frameColumns:
 			return d.readColumns(false)
 		case frameColumnsZ:
@@ -657,38 +596,6 @@ func (d *Decoder) Decode() (*Record, error) {
 			return nil, fmt.Errorf("%w: frame kind 0x%02x", ErrBadFrame, kind)
 		}
 	}
-}
-
-// readBatch consumes a whole batch frame, returns its first record, and
-// queues the rest.
-func (d *Decoder) readBatch() (*Record, error) {
-	id, err := d.readUint32()
-	if err != nil {
-		return nil, badEOF(err)
-	}
-	f := d.formats[id]
-	if f == nil {
-		return nil, fmt.Errorf("%w: batch format id %d", ErrUnknownFormat, id)
-	}
-	n, err := d.readUint32()
-	if err != nil {
-		return nil, badEOF(err)
-	}
-	if n == 0 || n > d.maxRows {
-		return nil, fmt.Errorf("%w: batch count %d (limit %d)", ErrBadFrame, n, d.maxRows)
-	}
-	first, err := d.readRecordBody(f)
-	if err != nil {
-		return nil, err
-	}
-	for i := uint32(1); i < n; i++ {
-		rec, err := d.readRecordBody(f)
-		if err != nil {
-			return nil, err
-		}
-		d.queue = append(d.queue, rec)
-	}
-	return first, nil
 }
 
 func (d *Decoder) readFormat() error {
@@ -704,7 +611,7 @@ func (d *Decoder) readFormat() error {
 	if err != nil {
 		return badEOF(err)
 	}
-	// A zero-field format would let a batch frame expand into up to
+	// A zero-field format would let a columns frame expand into up to
 	// maxBatchLen records without consuming any input bytes.
 	if nf == 0 {
 		return fmt.Errorf("%w: format %q declares no fields", ErrBadFrame, name)

@@ -39,13 +39,15 @@ func newPair(t *testing.T) (*Registry, *Encoder, *bytes.Buffer) {
 	return reg, NewEncoder(&buf, reg), &buf
 }
 
-// writeBatch appends vs to buf as one 0x03 batch frame, built out of
-// stream the way the pubsub connection writer does: the plan's frame
-// builder, preceded by the format definition when withDef is set (the
-// stream has not carried the format yet).
-func writeBatch(t testing.TB, reg *Registry, buf *bytes.Buffer, vs any, withDef bool) {
+// writeBatch appends vs to buf as one columns frame, built out of stream
+// the way the pubsub connection writer does: the plan's frame builder over
+// the rows viewed as columns, preceded by the format definition when
+// withDef is set (the stream has not carried the format yet). None of the
+// test formats binds a ColumnDecoder, so the decoder hands the rows back
+// one typed record per Decode.
+func writeBatch[T any](t testing.TB, reg *Registry, buf *bytes.Buffer, vs []T, withDef bool) {
 	t.Helper()
-	p := reg.PlanFor(reflect.TypeOf(vs).Elem())
+	p, cols := StructColumns(reg, vs)
 	if p == nil {
 		t.Fatalf("no plan for %T", vs)
 	}
@@ -53,7 +55,7 @@ func writeBatch(t testing.TB, reg *Registry, buf *bytes.Buffer, vs any, withDef 
 	if withDef {
 		frame = p.Format().AppendDef(frame)
 	}
-	frame, _, err := p.AppendBatchFrame(frame, vs)
+	frame, _, err := p.AppendColumnsFrame(frame, cols)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,10 +209,28 @@ func TestTruncatedStream(t *testing.T) {
 	}
 }
 
+// TestBadFrameKind: an unknown kind byte is refused, and so is 0x03 — the
+// retired row-major batch frame — even when a well-formed payload of a
+// format the stream has defined follows it.
 func TestBadFrameKind(t *testing.T) {
 	dec := NewDecoder(bytes.NewReader([]byte{0xFF}), nil)
 	if _, err := dec.Decode(); !errors.Is(err, ErrBadFrame) {
 		t.Fatalf("err = %v, want ErrBadFrame", err)
+	}
+
+	reg, enc, buf := newPair(t)
+	if err := enc.Encode(other{X: 1}); err != nil {
+		t.Fatal(err)
+	}
+	id := reg.Lookup("other").ID
+	buf.Write([]byte{0x03, byte(id), 0, 0, 0, 1, 0, 0, 0}) // kind, format id, one row
+	buf.Write([]byte{2, 0, 0, 0, 0, 0, 0, 0})              // X = 2, Y = ""
+	dec = NewDecoder(buf, reg)
+	if rec, err := dec.Decode(); err != nil || rec.Value.(*other).X != 1 {
+		t.Fatalf("record before the 0x03 frame: %+v, %v", rec, err)
+	}
+	if rec, err := dec.Decode(); !errors.Is(err, ErrBadFrame) {
+		t.Fatalf("0x03 frame decoded to %+v, err = %v; want ErrBadFrame", rec, err)
 	}
 }
 
@@ -356,19 +376,13 @@ func TestBatchRoundTrip(t *testing.T) {
 	}
 }
 
+// TestBatchOfPointers: StructColumns strides a []T by the offsets of T's
+// plan, so a slice of pointers to a registered type has no plan — it is
+// refused, not read as if the pointer words were the struct.
 func TestBatchOfPointers(t *testing.T) {
-	reg, _, buf := newPair(t)
-	in := []*other{{X: 1, Y: "a"}, {X: 2, Y: "b"}}
-	writeBatch(t, reg, buf, in, true)
-	dec := NewDecoder(buf, reg)
-	for i := range in {
-		rec, err := dec.Decode()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := rec.Value.(*other); !reflect.DeepEqual(got, in[i]) {
-			t.Fatalf("record %d: got %+v, want %+v", i, got, in[i])
-		}
+	reg, _, _ := newPair(t)
+	if p, cols := StructColumns(reg, []*other{{X: 1, Y: "a"}, {X: 2, Y: "b"}}); p != nil || cols != nil {
+		t.Fatalf("StructColumns over []*other = %v, %v; want no plan", p, cols)
 	}
 }
 
@@ -405,7 +419,7 @@ func TestBatchTruncatedStream(t *testing.T) {
 	reg, _, buf := newPair(t)
 	writeBatch(t, reg, buf, []sample{{A: 1}, {A: 2}}, true)
 	full := buf.Bytes()
-	// The whole batch frame is consumed before the first record is
+	// The whole columns frame is consumed before the first record is
 	// returned, so any truncation inside the frame surfaces immediately —
 	// and as truncation, not as a clean EOF.
 	for _, cut := range []int{3, len(full) / 2} {

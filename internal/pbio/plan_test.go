@@ -110,16 +110,20 @@ func TestPlanFrameBuildersRoundTrip(t *testing.T) {
 		{ID: 1, Src: endpoint{1, 10}, Dst: endpoint{2, 80}, Class: "a", Dur: time.Second},
 		{ID: 2, Src: endpoint{3, 11}, Dst: endpoint{4, 81}, Class: "b", Dur: time.Minute},
 	}
-	// Stream = def frame + one record frame + one batch frame, assembled
-	// by hand the way the pubsub broker does.
+	// Stream = def frame + one record frame + one columns frame,
+	// assembled by hand the way the pubsub broker does.
 	var stream []byte
 	stream = p.Format().AppendDef(stream)
 	stream, err := p.AppendRecordFrame(stream, &batch[0])
 	if err != nil {
 		t.Fatal(err)
 	}
+	bp, cols := StructColumns(reg, batch)
+	if bp != p {
+		t.Fatalf("StructColumns resolved plan %v, want the registered one", bp)
+	}
 	var n int
-	stream, n, err = p.AppendBatchFrame(stream, batch)
+	stream, n, err = p.AppendColumnsFrame(stream, cols)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,31 +149,31 @@ func TestPlanFrameBuildersRoundTrip(t *testing.T) {
 
 	// Empty batch appends nothing.
 	before := len(stream)
-	stream, n, err = p.AppendBatchFrame(stream, []nestedRec{})
+	_, cols = StructColumns(reg, []nestedRec{})
+	stream, n, err = p.AppendColumnsFrame(stream, cols)
 	if err != nil || n != 0 || len(stream) != before {
 		t.Fatalf("empty batch: n=%d err=%v grew=%v", n, err, len(stream) != before)
 	}
-	// Wrong types are rejected.
+	// Wrong types are rejected: a record of another type, and rows of a
+	// type the registry has no plan for.
 	if _, err := p.AppendRecordFrame(nil, flatRec{}); err == nil {
 		t.Fatal("wrong record type accepted")
 	}
-	if _, _, err := p.AppendBatchFrame(nil, []flatRec{{}}); err == nil {
-		t.Fatal("wrong slice type accepted")
-	}
-	if _, _, err := p.AppendBatchFrame(nil, nestedRec{}); err == nil {
-		t.Fatal("non-slice accepted")
+	if bp, cols := StructColumns(reg, []flatRec{{}}); bp != nil || cols != nil {
+		t.Fatal("rows of an unregistered type got a plan")
 	}
 }
 
 // TestDecoderLimitRows: a consumer that knows how many rows it is owed
-// caps what a batch or columns frame may declare, and a frame over the
+// caps what a columns frame may declare, and a frame over the
 // cap is refused on its header — before any row is read or materialized.
 func TestDecoderLimitRows(t *testing.T) {
 	reg := NewRegistry()
 	reg.MustRegister("rec", flatRec{})
 	p := reg.PlanFor(reflect.TypeOf(flatRec{}))
 	def := p.Format().AppendDef(nil)
-	batch, _, err := p.AppendBatchFrame(nil, make([]flatRec, 3))
+	_, cols := StructColumns(reg, make([]flatRec, 3))
+	batch, _, err := p.AppendColumnsFrame(nil, cols)
 	if err != nil {
 		t.Fatal(err)
 	}

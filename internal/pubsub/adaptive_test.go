@@ -111,7 +111,7 @@ func TestAdaptiveStalledSubscriberNeverBlocks(t *testing.T) {
 	const publishes = 64
 	start := time.Now()
 	for i := 0; i < publishes; i++ {
-		if err := publishOne(b, "m", metric{Name: "n", Value: int64(i)}); err != nil {
+		if err := publishOne(b, "m", uint64(i)); err != nil {
 			t.Fatal(err)
 		}
 	}

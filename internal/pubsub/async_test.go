@@ -9,6 +9,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"sysprof/internal/core"
 )
 
 // stalledSub dials the broker and never reads, so the connection's send
@@ -34,7 +36,7 @@ func wedgedSub(t *testing.T, b *Broker, channels ...string) net.Conn {
 		defer b.wg.Done()
 		b.handleConn(server)
 	}()
-	if err := writeHandshakeOpts(client, channels, ShardSelector{}, false); err != nil {
+	if err := writeHandshakeOpts(client, channels, core.ShardSelector{}, false); err != nil {
 		t.Fatal(err)
 	}
 	waitRegistered(t, b, 1)
@@ -78,7 +80,7 @@ func TestOverflowDropsCountedBrokerLive(t *testing.T) {
 	const publishes = 5000
 	start := time.Now()
 	for i := 0; i < publishes; i++ {
-		if err := publishOne(b, "m", metric{Value: int64(i)}); err != nil {
+		if err := publishOne(b, "m", uint64(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -123,7 +125,7 @@ func TestSlowSubscriberEvicted(t *testing.T) {
 
 	deadline := time.Now().Add(5 * time.Second)
 	for b.Stats().SlowEvicted == 0 {
-		if err := publishOne(b, "m", metric{}); err != nil {
+		if err := publishOne(b, "m", 0); err != nil {
 			t.Fatal(err)
 		}
 		if time.Now().After(deadline) {
@@ -134,7 +136,7 @@ func TestSlowSubscriberEvicted(t *testing.T) {
 		t.Fatalf("evicted subscriber still registered (%d live)", n)
 	}
 	// The broker stays usable after the eviction.
-	if err := publishOne(b, "m", metric{}); err != nil {
+	if err := publishOne(b, "m", 0); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -159,7 +161,7 @@ func TestEvictionDiscardsAreCounted(t *testing.T) {
 
 	deadline := time.Now().Add(5 * time.Second)
 	for b.Stats().SlowEvicted == 0 {
-		if err := b.PublishBatch("m", []metric{{Value: 1}, {Value: 2}, {Value: 3}}); err != nil {
+		if err := b.PublishColumns("m", batchOf(1, 2, 3)); err != nil {
 			t.Fatal(err)
 		}
 		if time.Now().After(deadline) {
@@ -205,7 +207,7 @@ func TestBlockWithDeadlinePolicy(t *testing.T) {
 
 	deadline := time.Now().Add(5 * time.Second)
 	for b.Stats().RemoteDropped == 0 {
-		if err := publishOne(b, "m", metric{}); err != nil {
+		if err := publishOne(b, "m", 0); err != nil {
 			t.Fatal(err)
 		}
 		if time.Now().After(deadline) {
@@ -243,8 +245,8 @@ func TestConcurrentPublishSubscribeCloseRace(t *testing.T) {
 					return
 				default:
 				}
-				_ = publishOne(b, "m", metric{Value: int64(id*1000 + j)})
-				_ = b.PublishBatch("m", []metric{{Value: 1}, {Value: 2}})
+				_ = publishOne(b, "m", uint64(id*1000+j))
+				_ = b.PublishColumns("m", metricBatch{{Value: 1}, {Value: 2}})
 			}
 		}(i)
 	}
@@ -269,7 +271,7 @@ func TestConcurrentPublishSubscribeCloseRace(t *testing.T) {
 	wg.Wait()
 
 	// After Close, publishing errors and the broker is quiescent.
-	if err := publishOne(b, "m", metric{}); err != ErrClosed {
+	if err := publishOne(b, "m", 0); err != ErrClosed {
 		t.Fatalf("post-close publish error = %v, want ErrClosed", err)
 	}
 }

@@ -5,15 +5,8 @@ import (
 	"testing"
 	"time"
 
-	"sysprof/internal/pbio"
+	"sysprof/internal/core"
 )
-
-func benchReg(b *testing.B) *pbio.Registry {
-	b.Helper()
-	reg := pbio.NewRegistry()
-	reg.MustRegister("metric", metric{})
-	return reg
-}
 
 // drainingSub dials and reads frames as fast as they arrive.
 func drainingSub(b *testing.B, addr string) *Subscriber {
@@ -40,7 +33,7 @@ func drainingSub(b *testing.B, addr string) *Subscriber {
 // publisher only ever touches the bounded queue, never the socket.
 func BenchmarkPublishRemote(b *testing.B) {
 	run := func(b *testing.B, stalled bool) {
-		reg := benchReg(b)
+		reg := newReg(b)
 		br := NewBroker(reg, WithQueueDepth(64), WithEvictAfterOverflows(0))
 		defer br.Close()
 		l, err := net.Listen("tcp", "127.0.0.1:0")
@@ -71,11 +64,11 @@ func BenchmarkPublishRemote(b *testing.B) {
 			time.Sleep(time.Millisecond)
 		}
 
-		one := any([]metric{{Name: "bench", Value: 42, Dur: time.Millisecond}})
+		one := batchOf(42)
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if err := br.PublishBatch("m", one); err != nil {
+			if err := br.PublishColumns("m", one); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -85,10 +78,10 @@ func BenchmarkPublishRemote(b *testing.B) {
 	b.Run("one-stalled", func(b *testing.B) { run(b, true) })
 }
 
-// BenchmarkPublishBatchRemote is the daemon flush path: one batch frame
+// BenchmarkPublishColumnsRemote is the daemon flush path: one batch frame
 // encoded once and fanned out.
-func BenchmarkPublishBatchRemote(b *testing.B) {
-	reg := benchReg(b)
+func BenchmarkPublishColumnsRemote(b *testing.B) {
+	reg := newReg(b)
 	br := NewBroker(reg, WithQueueDepth(64), WithEvictAfterOverflows(0))
 	defer br.Close()
 	l, err := net.Listen("tcp", "127.0.0.1:0")
@@ -106,15 +99,14 @@ func BenchmarkPublishBatchRemote(b *testing.B) {
 		time.Sleep(time.Millisecond)
 	}
 
-	batch := make([]metric, 64)
-	for i := range batch {
-		batch[i] = metric{Name: "b", Value: int64(i), Dur: time.Microsecond}
+	batch := &core.RecordColumns{}
+	for id := uint64(0); id < 64; id++ {
+		batch.AppendColumns(batchOf(id))
 	}
-	boxed := any(batch)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := br.PublishBatch("m", boxed); err != nil {
+		if err := br.PublishColumns("m", batch); err != nil {
 			b.Fatal(err)
 		}
 	}

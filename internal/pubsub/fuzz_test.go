@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/binary"
 	"testing"
+
+	"sysprof/internal/core"
 )
 
 // FuzzReadHandshake feeds arbitrary bytes to the subscriber handshake
@@ -15,7 +17,7 @@ func FuzzReadHandshake(f *testing.F) {
 	// Modern handshake produced by the real writer.
 	var modern bytes.Buffer
 	if err := writeHandshakeOpts(&modern, []string{"sysprof.interactions", "sysprof.aggregates"},
-		ShardSelector{}, false); err != nil {
+		core.ShardSelector{}, false); err != nil {
 		f.Fatal(err)
 	}
 	f.Add(modern.Bytes())
@@ -23,7 +25,7 @@ func FuzzReadHandshake(f *testing.F) {
 	// Sharded, compressed subscription (shard 2 of 8).
 	var sharded bytes.Buffer
 	if err := writeHandshakeOpts(&sharded, []string{"sysprof.interactions"},
-		ShardSelector{Index: 2, Count: 8}, true); err != nil {
+		core.ShardSelector{Index: 2, Count: 8}, true); err != nil {
 		f.Fatal(err)
 	}
 	f.Add(sharded.Bytes())

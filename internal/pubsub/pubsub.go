@@ -6,13 +6,17 @@
 // PBIO-encoded binary frames. Subscriptions may carry dynamic data
 // filters, so uninterested consumers do not pay network cost.
 //
+// There is one publish call, PublishColumns, and one thing it publishes,
+// a core.Batch: rows that encode themselves by column and know their own
+// shard key. Interaction records and per-class aggregate deltas take the
+// same local delivery, shard grouping, frame encode and fan-out.
+//
 // Remote fan-out is asynchronous: each connection owns a bounded send
-// queue drained by a dedicated writer goroutine, so PublishColumns and
-// PublishBatch encode once, enqueue a shared frame per subscriber, and
-// return without ever waiting on a socket. A slow or stalled subscriber overflows only
-// its own queue — shedding frames per the configured OverflowPolicy and
-// eventually being evicted — instead of backing up dissemination for the
-// whole node.
+// queue drained by a dedicated writer goroutine, so PublishColumns encodes
+// once, enqueues a shared frame per subscriber, and returns without ever
+// waiting on a socket. A slow or stalled subscriber overflows only its own
+// queue — shedding frames per the configured OverflowPolicy and eventually
+// being evicted — instead of backing up dissemination for the whole node.
 package pubsub
 
 import (
@@ -21,55 +25,22 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"reflect"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"sysprof/internal/core"
 	"sysprof/internal/pbio"
 )
 
 // ErrClosed is returned from operations on a closed broker or subscriber.
 var ErrClosed = errors.New("pubsub: closed")
 
-// Filter decides whether a record is delivered to a subscriber. A nil
-// filter passes everything.
+// Filter decides whether a record is delivered to a subscriber: it is
+// asked once per row of a published batch, of the value the batch's Keep
+// shows it (a *core.Record for interactions). A nil filter passes
+// everything.
 type Filter func(rec any) bool
-
-// ShardKeyFunc extracts the shard routing key of a published record (for
-// SysProf traffic, the flow's ShardHash, or the node hash for flow-less
-// aggregates). ok=false means the record has no key and is broadcast to
-// every sharded subscriber rather than silently dropped.
-type ShardKeyFunc func(rec any) (key uint64, ok bool)
-
-// ShardSelector restricts a remote subscription to one shard of a
-// federated consumer tier: the subscriber receives only records whose
-// shard key satisfies key % Count == Index. The zero value (Count == 0)
-// means unsharded — the subscriber sees everything.
-type ShardSelector struct {
-	Index uint32
-	Count uint32
-}
-
-// Valid reports whether the selector describes a real shard.
-func (s ShardSelector) Valid() bool { return s.Count > 0 && s.Index < s.Count }
-
-// Match reports whether a shard key belongs to this selector. An
-// unsharded selector matches everything.
-//
-//sysprof:nonblocking
-//sysprof:noalloc
-func (s ShardSelector) Match(key uint64) bool {
-	return s.Count == 0 || key%uint64(s.Count) == uint64(s.Index)
-}
-
-// String renders "i/N" ("" for unsharded).
-func (s ShardSelector) String() string {
-	if s.Count == 0 {
-		return ""
-	}
-	return fmt.Sprintf("%d/%d", s.Index, s.Count)
-}
 
 // maxShardCount bounds the shard count a handshake may claim.
 const maxShardCount = 4096
@@ -117,7 +88,7 @@ type remoteConn struct {
 	// sel restricts this subscriber to one shard of the record stream
 	// (zero value = unsharded). Immutable after the handshake, so the
 	// publish path reads it without synchronization.
-	sel ShardSelector
+	sel core.ShardSelector
 	// columnsZ records that the subscriber asked for per-column
 	// compressed (0x05) columnar frames. Honored per publish only while
 	// the broker's wire-compression knob is on.
@@ -139,19 +110,18 @@ type subscribers struct {
 	remotes []*remoteConn
 }
 
-// BrokerStats counts broker activity. Batch publishes count once per
-// batch in Published/BatchesPublished and once per record in the deliver
-// counters. RemoteEnqueued/RemoteDeliver/RemoteDropped count records per
+// BrokerStats counts broker activity. A publish counts once per batch in
+// Published and once per record in the deliver counters.
+// RemoteEnqueued/RemoteDeliver/RemoteDropped count records per
 // subscriber: one batch fanned out to three subscribers adds 3×len(batch).
 type BrokerStats struct {
-	Published        uint64
-	BatchesPublished uint64
-	LocalDeliver     uint64
-	RemoteDeliver    uint64 // records written to sockets
-	RemoteFailures   uint64 // connections dropped on write error
-	RemoteEnqueued   uint64 // records admitted to send queues
-	RemoteDropped    uint64 // records shed by the overflow policy, or discarded with a dropped connection
-	SlowEvicted      uint64 // subscribers evicted for sustained overflow
+	Published      uint64
+	LocalDeliver   uint64
+	RemoteDeliver  uint64 // records written to sockets
+	RemoteFailures uint64 // connections dropped on write error
+	RemoteEnqueued uint64 // records admitted to send queues
+	RemoteDropped  uint64 // records shed by the overflow policy, or discarded with a dropped connection
+	SlowEvicted    uint64 // subscribers evicted for sustained overflow
 }
 
 // SubscriberStats is one remote connection's view of the fan-out.
@@ -181,20 +151,6 @@ type Broker struct {
 	// hot path loads it with one atomic read and never takes mu.
 	chans atomic.Pointer[map[string]*subscribers]
 
-	// shardKey extracts routing keys for sharded subscribers (nil = no
-	// key function installed; sharded subscribers then receive the full
-	// stream). Set once at wiring time, read atomically mid-publish.
-	shardKey atomic.Pointer[ShardKeyFunc]
-
-	// colsPlan caches the encode plan used by PublishColumns.
-	colsPlan columnsPlanCache
-
-	// lastPlan is a single-entry type→plan cache for the PublishBatch
-	// path: monitoring traffic publishes one type per
-	// channel, so the registry map lookup (hash of a reflect.Type) is
-	// almost always redundant.
-	lastPlan atomic.Pointer[planCacheEntry]
-
 	// lastChan is a single-entry channel-name→subscribers cache for the
 	// publish paths. It keys on the copy-on-write map snapshot pointer,
 	// so any subscribe or unsubscribe invalidates it for free.
@@ -215,14 +171,13 @@ type Broker struct {
 	// opt-in; this knob is the operator's broker-side veto.
 	wireCompress atomic.Bool
 
-	published        atomic.Uint64
-	batchesPublished atomic.Uint64
-	localDeliver     atomic.Uint64
-	remoteDeliver    atomic.Uint64
-	remoteFailures   atomic.Uint64
-	remoteEnqueued   atomic.Uint64
-	remoteDropped    atomic.Uint64
-	slowEvicted      atomic.Uint64
+	published      atomic.Uint64
+	localDeliver   atomic.Uint64
+	remoteDeliver  atomic.Uint64
+	remoteFailures atomic.Uint64
+	remoteEnqueued atomic.Uint64
+	remoteDropped  atomic.Uint64
+	slowEvicted    atomic.Uint64
 }
 
 // NewBroker returns a broker encoding remote traffic with reg's formats.
@@ -291,25 +246,6 @@ func (b *Broker) Subscribe(channelName string, fn func(rec any), opts ...SubOpti
 	return s
 }
 
-// SetShardKeyFunc installs the routing-key extractor used to slice the
-// record stream across sharded remote subscribers (dissem.ShardKey for
-// SysProf deployments). Without one, shard selectors are inert: sharded
-// subscribers receive the full stream.
-func (b *Broker) SetShardKeyFunc(fn ShardKeyFunc) {
-	if fn == nil {
-		b.shardKey.Store(nil)
-		return
-	}
-	b.shardKey.Store(&fn)
-}
-
-func (b *Broker) shardKeyFn() ShardKeyFunc {
-	if p := b.shardKey.Load(); p != nil {
-		return *p
-	}
-	return nil
-}
-
 // chanCacheEntry is one resolved channel-name→subscribers pair, valid
 // for exactly one channel-map snapshot.
 type chanCacheEntry struct {
@@ -349,75 +285,10 @@ func hasSharded(remotes []*remoteConn) bool {
 	return false
 }
 
-// PublishBatch delivers a whole slice of records in one operation — the
-// row path for flow-less schemas (the per-flush aggregates channel);
-// interaction records travel as columns through PublishColumns. recs must
-// be a slice of a registered struct type, or pointers to one.
-//
-// Unfiltered local subscribers receive the slice itself as a single
-// value, so a batch costs one callback and one interface boxing instead
-// of one per record; the slice is only valid for the duration of the
-// callback (the publisher may recycle it). Filtered local subscribers
-// receive a freshly built sub-slice of the elements their filter passes,
-// preserving the Filter contract of one predicate call per record.
-// Remote subscribers receive one channel header plus one PBIO batch
-// frame, encoded once and enqueued per subscriber.
-func (b *Broker) PublishBatch(channelName string, recs any) error {
-	rv := reflect.ValueOf(recs)
-	if rv.Kind() != reflect.Slice {
-		return fmt.Errorf("pubsub: publish batch: want a slice, got %T", recs)
-	}
-	n := rv.Len()
-	if n == 0 {
-		return nil
-	}
-	if b.closed.Load() {
-		return ErrClosed
-	}
-	b.published.Add(1)
-	b.batchesPublished.Add(1)
-	subs := b.lookupChannel(channelName)
-	if subs == nil {
-		return nil
-	}
-
-	for _, s := range subs.locals {
-		if s.filter == nil {
-			s.fn(recs)
-			b.localDeliver.Add(uint64(n))
-			continue
-		}
-		kept := reflect.MakeSlice(rv.Type(), 0, n)
-		for i := 0; i < n; i++ {
-			el := rv.Index(i)
-			if s.filter(el.Interface()) {
-				kept = reflect.Append(kept, el)
-			}
-		}
-		if kept.Len() == 0 {
-			continue
-		}
-		s.fn(kept.Interface())
-		b.localDeliver.Add(uint64(kept.Len()))
-	}
-	if len(subs.remotes) == 0 {
-		return nil
-	}
-	if !hasSharded(subs.remotes) {
-		f, err := b.encodeFrame(channelName, recs)
-		if err != nil {
-			return err
-		}
-		b.fanOut(subs.remotes, f)
-		return nil
-	}
-	return b.publishBatchSharded(channelName, rv, subs.remotes)
-}
-
 // shardGroup is the subscribers that share one shard selector, and so
 // one frame of each publish.
 type shardGroup struct {
-	sel     ShardSelector
+	sel     core.ShardSelector
 	remotes []*remoteConn
 }
 
@@ -437,81 +308,6 @@ next:
 		groups = append(groups, shardGroup{sel: rc.sel, remotes: []*remoteConn{rc}})
 	}
 	return groups
-}
-
-// publishBatchSharded fans a batch out across a mixed set of sharded and
-// unsharded remote subscribers: one shared frame per distinct selector,
-// each holding only that shard's slice of the batch. Records without a
-// shard key are broadcast into every shard's frame (an unkeyable record
-// must not silently vanish from a federated tier). Per-element reflection
-// and key extraction cost is only paid when sharded subscribers are
-// connected — the monolithic deployment keeps the zero-copy single-frame
-// path above.
-func (b *Broker) publishBatchSharded(channelName string, rv reflect.Value, remotes []*remoteConn) error {
-	n := rv.Len()
-	fn := b.shardKeyFn()
-	keys := make([]uint64, n)
-	hasKey := make([]bool, n)
-	if fn != nil {
-		for i := 0; i < n; i++ {
-			keys[i], hasKey[i] = fn(rv.Index(i).Interface())
-		}
-	}
-	var firstErr error
-	for _, grp := range groupBySelector(remotes) {
-		slice := rv
-		if grp.sel.Count != 0 {
-			kept := reflect.MakeSlice(rv.Type(), 0, n)
-			for i := 0; i < n; i++ {
-				if !hasKey[i] || grp.sel.Match(keys[i]) {
-					kept = reflect.Append(kept, rv.Index(i))
-				}
-			}
-			if kept.Len() == 0 {
-				continue // nothing in this batch for that shard
-			}
-			slice = kept
-		}
-		f, err := b.encodeFrame(channelName, slice.Interface())
-		if err != nil {
-			if firstErr == nil {
-				firstErr = err
-			}
-			continue
-		}
-		b.fanOut(grp.remotes, f)
-	}
-	return firstErr
-}
-
-// encodeFrame builds the shared wire frame for one batch publish:
-// channel header followed by the PBIO batch frame, encoded through the
-// element type's cached plan straight into a pooled buffer.
-func (b *Broker) encodeFrame(channelName string, recs any) (*frame, error) {
-	t := reflect.TypeOf(recs).Elem()
-	var p *pbio.Plan
-	if e := b.lastPlan.Load(); e != nil && e.t == t {
-		p = e.p
-	} else {
-		p = b.reg.PlanFor(t)
-		if p == nil {
-			return nil, fmt.Errorf("pubsub: no encode plan for %s (register the type)", t)
-		}
-		b.lastPlan.Store(&planCacheEntry{t: t, p: p})
-	}
-	f := framePool.Get().(*frame)
-	f.buf = appendString(f.buf[:0], channelName)
-	f.hdrLen = len(f.buf)
-	f.channel = channelName
-	var err error
-	if f.buf, f.recs, err = p.AppendBatchFrame(f.buf, recs); err != nil {
-		//lint:ignore atomicmix frame is not yet shared: released by this goroutine before any writer sees it
-		f.refs = 1
-		f.release()
-		return nil, err
-	}
-	f.format = p.Format()
-	return f, nil
 }
 
 // fanOut enqueues the frame to every remote subscriber. The frame's
@@ -612,14 +408,13 @@ func (rc *remoteConn) writeFrame(f *frame) error {
 // Stats returns a copy of the broker counters.
 func (b *Broker) Stats() BrokerStats {
 	return BrokerStats{
-		Published:        b.published.Load(),
-		BatchesPublished: b.batchesPublished.Load(),
-		LocalDeliver:     b.localDeliver.Load(),
-		RemoteDeliver:    b.remoteDeliver.Load(),
-		RemoteFailures:   b.remoteFailures.Load(),
-		RemoteEnqueued:   b.remoteEnqueued.Load(),
-		RemoteDropped:    b.remoteDropped.Load(),
-		SlowEvicted:      b.slowEvicted.Load(),
+		Published:      b.published.Load(),
+		LocalDeliver:   b.localDeliver.Load(),
+		RemoteDeliver:  b.remoteDeliver.Load(),
+		RemoteFailures: b.remoteFailures.Load(),
+		RemoteEnqueued: b.remoteEnqueued.Load(),
+		RemoteDropped:  b.remoteDropped.Load(),
+		SlowEvicted:    b.slowEvicted.Load(),
 	}
 }
 
@@ -854,26 +649,26 @@ type Subscriber struct {
 	conn net.Conn
 	dec  *pbio.Decoder
 	// lastChannel is the channel of the batch currently being drained: the
-	// broker writes one channel header per batch, so records after the
-	// first carry no header of their own.
+	// broker writes one channel header per batch, so rows after the first
+	// of a batch the decoder hands back row by row carry no header.
 	lastChannel string
 }
 
 // Dial connects to a broker at addr and subscribes to the channels. reg
 // supplies local Go types for typed decoding (may be nil).
 func Dial(addr string, reg *pbio.Registry, channels ...string) (*Subscriber, error) {
-	return dial(addr, reg, ShardSelector{}, false, channels)
+	return dial(addr, reg, core.ShardSelector{}, false, channels)
 }
 
 // DialSharded connects like Dial but subscribes as shard `shard` of `of`:
-// the broker delivers only records whose shard key maps to this shard
-// (plus keyless records, which are broadcast). This is how a federated
-// gpad shard receives exactly its slice of the interaction stream.
+// the broker delivers only the rows of each batch whose shard key maps to
+// this shard. This is how a federated gpad shard receives exactly its
+// slice of the interaction and aggregate streams.
 func DialSharded(addr string, reg *pbio.Registry, shard, of int, channels ...string) (*Subscriber, error) {
 	if of < 1 || shard < 0 || shard >= of || of > maxShardCount {
 		return nil, fmt.Errorf("pubsub: bad shard %d/%d (want 0 <= shard < of <= %d)", shard, of, maxShardCount)
 	}
-	return dial(addr, reg, ShardSelector{Index: uint32(shard), Count: uint32(of)}, false, channels)
+	return dial(addr, reg, core.ShardSelector{Index: uint32(shard), Count: uint32(of)}, false, channels)
 }
 
 // Dialer is the full-option subscriber constructor: the Dial helpers
@@ -894,17 +689,17 @@ type Dialer struct {
 
 // Dial connects to a broker at addr with the dialer's options.
 func (d Dialer) Dial(addr string, channels ...string) (*Subscriber, error) {
-	sel := ShardSelector{}
+	sel := core.ShardSelector{}
 	if d.Of != 0 {
 		if d.Of < 1 || d.Shard < 0 || d.Shard >= d.Of || d.Of > maxShardCount {
 			return nil, fmt.Errorf("pubsub: bad shard %d/%d (want 0 <= shard < of <= %d)", d.Shard, d.Of, maxShardCount)
 		}
-		sel = ShardSelector{Index: uint32(d.Shard), Count: uint32(d.Of)}
+		sel = core.ShardSelector{Index: uint32(d.Shard), Count: uint32(d.Of)}
 	}
 	return dial(addr, d.Registry, sel, d.Compress, channels)
 }
 
-func dial(addr string, reg *pbio.Registry, sel ShardSelector, compress bool, channels []string) (*Subscriber, error) {
+func dial(addr string, reg *pbio.Registry, sel core.ShardSelector, compress bool, channels []string) (*Subscriber, error) {
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("pubsub: dial %s: %w", addr, err)
@@ -917,10 +712,11 @@ func dial(addr string, reg *pbio.Registry, sel ShardSelector, compress bool, cha
 }
 
 // Recv blocks for the next record, returning its channel and decoded
-// record. A columnar publish arrives as one record whose Value is the
-// whole batch; batches published with PublishBatch are returned one
-// record at a time, transparently. io.EOF indicates the broker closed the
-// connection.
+// record. A batch of a format with a bound column decoder (interactions)
+// arrives as one record whose Value is the whole batch; any other batch
+// (aggregate deltas, or a format that does not match the local one) is
+// returned one row at a time, transparently. io.EOF indicates the broker
+// closed the connection.
 func (s *Subscriber) Recv() (string, *pbio.Record, error) {
 	if s.dec.Pending() > 0 {
 		rec, err := s.dec.Decode()
@@ -971,12 +767,12 @@ const (
 )
 
 type handshake struct {
-	sel      ShardSelector
+	sel      core.ShardSelector
 	columnsZ bool
 	channels []string
 }
 
-func writeHandshakeOpts(w io.Writer, channels []string, sel ShardSelector, compress bool) error {
+func writeHandshakeOpts(w io.Writer, channels []string, sel core.ShardSelector, compress bool) error {
 	if len(channels) > maxHandshakeChannels {
 		return fmt.Errorf("pubsub: handshake: %d channels exceeds limit %d", len(channels), maxHandshakeChannels)
 	}

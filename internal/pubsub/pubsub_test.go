@@ -6,18 +6,67 @@ import (
 	"testing"
 	"time"
 
+	"sysprof/internal/core"
 	"sysprof/internal/pbio"
+	"sysprof/internal/simnet"
 )
 
+// The suite publishes what ships: columnar interaction batches, told
+// apart by record ID. idsOf is what a subscriber, local or remote, reads
+// back out of one.
+func batchOf(ids ...uint64) *core.RecordColumns {
+	cols := &core.RecordColumns{}
+	for _, id := range ids {
+		cols.AppendRow(core.Record{ID: id, Class: "c", Flow: flowOf(id)})
+	}
+	return cols
+}
+
+// flowOf gives each record its own flow, so batches spread over shards.
+func flowOf(id uint64) simnet.FlowKey {
+	return simnet.FlowKey{Src: simnet.Addr{Node: 1, Port: uint16(1000 + id)}, Dst: simnet.Addr{Node: 2, Port: 80}}
+}
+
+func idsOf(rec any) []uint64 { return rec.(*core.RecordColumns).IDs }
+
+// evenID is the suite's dynamic data filter.
+func evenID(rec any) bool { return rec.(*core.Record).ID%2 == 0 }
+
+// metric rows are the other kind of batch a broker carries, shaped like
+// dissem's aggregate deltas: pbio.StructColumns frames them, no column
+// decoder is bound, and a subscriber gets them back one row per Recv.
 type metric struct {
 	Name  string
 	Value int64
 	Dur   time.Duration
 }
 
-func newReg(t *testing.T) *pbio.Registry {
+type metricBatch []metric
+
+func (m metricBatch) Len() int { return len(m) }
+func (m metricBatch) Columns(reg *pbio.Registry) (*pbio.Plan, pbio.CompressedColumnAppender) {
+	return pbio.StructColumns(reg, []metric(m))
+}
+func (m metricBatch) Shard(sel core.ShardSelector) core.Batch {
+	return m.Keep(func(row any) bool { return sel.Match(uint64(row.(*metric).Value)) })
+}
+func (m metricBatch) Keep(keep func(row any) bool) core.Batch {
+	var kept metricBatch
+	for i := range m {
+		if keep(&m[i]) {
+			kept = append(kept, m[i])
+		}
+	}
+	return kept
+}
+func (metricBatch) Release() {}
+
+func newReg(t testing.TB) *pbio.Registry {
 	t.Helper()
 	reg := pbio.NewRegistry()
+	if err := core.RegisterRecordFormat(reg); err != nil {
+		t.Fatal(err)
+	}
 	if _, err := reg.Register("metric", metric{}); err != nil {
 		t.Fatal(err)
 	}
@@ -26,24 +75,24 @@ func newReg(t *testing.T) *pbio.Registry {
 
 // publishOne publishes a one-record batch: the tests below drive the
 // fan-out machinery one record at a time.
-func publishOne(b *Broker, channel string, m metric) error {
-	return b.PublishBatch(channel, []metric{m})
+func publishOne(b *Broker, channel string, id uint64) error {
+	return b.PublishColumns(channel, batchOf(id))
 }
 
 func TestLocalPublishSubscribe(t *testing.T) {
 	b := NewBroker(newReg(t))
 	defer b.Close()
-	var got []metric
+	var got []uint64
 	b.Subscribe("lpa.interactions", func(rec any) {
-		got = append(got, rec.([]metric)...)
+		got = append(got, idsOf(rec)...)
 	})
-	if err := publishOne(b, "lpa.interactions", metric{Name: "x", Value: 1}); err != nil {
+	if err := publishOne(b, "lpa.interactions", 1); err != nil {
 		t.Fatal(err)
 	}
-	if err := publishOne(b, "other.channel", metric{Name: "ignored"}); err != nil {
+	if err := publishOne(b, "other.channel", 2); err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != 1 || got[0].Name != "x" {
+	if len(got) != 1 || got[0] != 1 {
 		t.Fatalf("got = %v", got)
 	}
 	st := b.Stats()
@@ -55,11 +104,10 @@ func TestLocalPublishSubscribe(t *testing.T) {
 func TestLocalFilter(t *testing.T) {
 	b := NewBroker(newReg(t))
 	defer b.Close()
-	var got []int64
-	b.Subscribe("m", func(rec any) { got = append(got, rec.([]metric)[0].Value) },
-		WithFilter(func(rec any) bool { return rec.(metric).Value%2 == 0 }))
-	for i := int64(1); i <= 4; i++ {
-		_ = publishOne(b, "m", metric{Value: i})
+	var got []uint64
+	b.Subscribe("m", func(rec any) { got = append(got, idsOf(rec)[0]) }, WithFilter(evenID))
+	for i := uint64(1); i <= 4; i++ {
+		_ = publishOne(b, "m", i)
 	}
 	if len(got) != 2 || got[0] != 2 || got[1] != 4 {
 		t.Fatalf("filtered values = %v", got)
@@ -71,10 +119,10 @@ func TestLocalUnsubscribe(t *testing.T) {
 	defer b.Close()
 	n := 0
 	sub := b.Subscribe("m", func(any) { n++ })
-	_ = publishOne(b, "m", metric{})
+	_ = publishOne(b, "m", 0)
 	sub.Close()
 	sub.Close() // idempotent
-	_ = publishOne(b, "m", metric{})
+	_ = publishOne(b, "m", 0)
 	if n != 1 {
 		t.Fatalf("deliveries = %d, want 1", n)
 	}
@@ -102,7 +150,7 @@ func TestRemoteSubscriberOverTCP(t *testing.T) {
 	// Give the handshake a moment to register server-side.
 	deadline := time.Now().Add(2 * time.Second)
 	for {
-		if err := publishOne(b, "gpa.feed", metric{Name: "rt", Value: 7, Dur: time.Second}); err != nil {
+		if err := publishOne(b, "gpa.feed", 7); err != nil {
 			t.Fatal(err)
 		}
 		if b.Stats().RemoteDeliver > 0 {
@@ -121,12 +169,12 @@ func TestRemoteSubscriberOverTCP(t *testing.T) {
 	if ch != "gpa.feed" {
 		t.Fatalf("channel = %q", ch)
 	}
-	m, ok := rec.Value.(*metric)
+	cols, ok := rec.Value.(*core.RecordColumns)
 	if !ok {
 		t.Fatalf("record value type %T", rec.Value)
 	}
-	if m.Name != "rt" || m.Value != 7 || m.Dur != time.Second {
-		t.Fatalf("record = %+v", m)
+	if cols.Len() != 1 || cols.Row(0) != batchOf(7).Row(0) {
+		t.Fatalf("batch = %+v", cols)
 	}
 
 	b.Close()
@@ -161,8 +209,8 @@ func TestRemoteOnlySubscribedChannels(t *testing.T) {
 
 	deadline := time.Now().Add(2 * time.Second)
 	for b.Stats().RemoteDeliver == 0 {
-		_ = publishOne(b, "unwanted", metric{Name: "no"})
-		_ = publishOne(b, "wanted", metric{Name: "yes"})
+		_ = publishOne(b, "unwanted", 1)
+		_ = publishOne(b, "wanted", 2)
 		if time.Now().After(deadline) {
 			t.Fatal("no remote delivery")
 		}
@@ -172,42 +220,37 @@ func TestRemoteOnlySubscribedChannels(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ch != "wanted" || rec.Value.(*metric).Name != "yes" {
+	if ch != "wanted" || idsOf(rec.Value)[0] != 2 {
 		t.Fatalf("got %q %+v", ch, rec.Value)
 	}
 }
 
-func TestPublishBatchLocal(t *testing.T) {
+func TestPublishColumnsLocal(t *testing.T) {
 	b := NewBroker(newReg(t))
 	defer b.Close()
 
-	var whole [][]metric
+	var whole [][]uint64
 	b.Subscribe("m", func(rec any) {
-		batch, ok := rec.([]metric)
+		batch, ok := rec.(*core.RecordColumns)
 		if !ok {
-			t.Errorf("unfiltered subscriber got %T, want []metric", rec)
+			t.Errorf("unfiltered subscriber got %T, want *core.RecordColumns", rec)
 			return
 		}
-		// The slice is only valid during the callback; copy it.
-		whole = append(whole, append([]metric(nil), batch...))
+		// The batch is only valid during the callback; copy it.
+		whole = append(whole, append([]uint64(nil), batch.IDs...))
 	})
 
-	var even []int64
-	b.Subscribe("m", func(rec any) {
-		for _, m := range rec.([]metric) {
-			even = append(even, m.Value)
-		}
-	}, WithFilter(func(rec any) bool { return rec.(metric).Value%2 == 0 }))
+	var even []uint64
+	b.Subscribe("m", func(rec any) { even = append(even, idsOf(rec)...) }, WithFilter(evenID))
 
 	none := 0
 	b.Subscribe("m", func(any) { none++ },
 		WithFilter(func(any) bool { return false }))
 
-	batch := []metric{{Value: 1}, {Value: 2}, {Value: 3}, {Value: 4}}
-	if err := b.PublishBatch("m", batch); err != nil {
+	if err := b.PublishColumns("m", batchOf(1, 2, 3, 4)); err != nil {
 		t.Fatal(err)
 	}
-	if err := b.PublishBatch("m", []metric{}); err != nil {
+	if err := b.PublishColumns("m", batchOf()); err != nil {
 		t.Fatal(err) // empty batch is a no-op
 	}
 
@@ -221,23 +264,19 @@ func TestPublishBatchLocal(t *testing.T) {
 		t.Fatalf("all-rejected subscriber was called %d times", none)
 	}
 	st := b.Stats()
-	if st.BatchesPublished != 1 {
-		t.Fatalf("BatchesPublished = %d, want 1", st.BatchesPublished)
+	if st.Published != 1 {
+		t.Fatalf("Published = %d, want 1", st.Published)
 	}
 	if st.LocalDeliver != 6 { // 4 unfiltered + 2 filtered
 		t.Fatalf("LocalDeliver = %d, want 6", st.LocalDeliver)
 	}
 }
 
-func TestPublishBatchRejectsNonSlice(t *testing.T) {
-	b := NewBroker(newReg(t))
-	defer b.Close()
-	if err := b.PublishBatch("m", metric{}); err == nil {
-		t.Fatal("PublishBatch with non-slice should error")
-	}
-}
-
-func TestPublishBatchRemote(t *testing.T) {
+// TestPublishRowsRemote publishes a row-shaped batch — the aggregate
+// channel's kind — through the same call: filtered locals see *metric
+// rows, and the remote subscriber, whose registry binds no column decoder
+// for the format, drains the frame one typed row per Recv.
+func TestPublishRowsRemote(t *testing.T) {
 	reg := newReg(t)
 	b := NewBroker(reg)
 	defer b.Close()
@@ -252,17 +291,26 @@ func TestPublishBatchRemote(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer sub.Close()
+	var odd []int64
+	b.Subscribe("m", func(rec any) {
+		for _, m := range rec.(metricBatch) {
+			odd = append(odd, m.Value)
+		}
+	}, WithFilter(func(rec any) bool { return rec.(*metric).Value%2 == 1 }))
 
-	batch := []metric{{Name: "a", Value: 1}, {Name: "b", Value: 2}, {Name: "c", Value: 3}}
+	batch := metricBatch{{Name: "a", Value: 1, Dur: time.Second}, {Name: "b", Value: 2}, {Name: "c", Value: 3}}
 	deadline := time.Now().Add(2 * time.Second)
 	for b.Stats().RemoteDeliver == 0 {
-		if err := b.PublishBatch("m", batch); err != nil {
+		if err := b.PublishColumns("m", batch); err != nil {
 			t.Fatal(err)
 		}
 		if time.Now().After(deadline) {
 			t.Fatal("remote subscriber never registered")
 		}
 		time.Sleep(time.Millisecond)
+	}
+	if len(odd) < 2 || odd[0] != 1 || odd[1] != 3 {
+		t.Fatalf("filtered local rows = %v, want 1 3 per publish", odd)
 	}
 
 	// The subscriber drains the batch one record at a time, all tagged
@@ -288,7 +336,7 @@ func TestPublishBatchRemote(t *testing.T) {
 func TestPublishAfterCloseErrors(t *testing.T) {
 	b := NewBroker(newReg(t))
 	b.Close()
-	if err := publishOne(b, "m", metric{}); !errors.Is(err, ErrClosed) {
+	if err := publishOne(b, "m", 0); !errors.Is(err, ErrClosed) {
 		t.Fatalf("err = %v, want ErrClosed", err)
 	}
 	b.Close() // idempotent
@@ -311,7 +359,7 @@ func TestDeadRemoteDroppedOnPublish(t *testing.T) {
 	// Wait for registration, then kill the client abruptly.
 	deadline := time.Now().Add(2 * time.Second)
 	for b.Stats().RemoteDeliver == 0 {
-		_ = publishOne(b, "m", metric{})
+		_ = publishOne(b, "m", 0)
 		if time.Now().After(deadline) {
 			t.Fatal("no remote delivery")
 		}
@@ -322,7 +370,7 @@ func TestDeadRemoteDroppedOnPublish(t *testing.T) {
 	// without wedging the broker.
 	deadline = time.Now().Add(5 * time.Second)
 	for {
-		_ = publishOne(b, "m", metric{})
+		_ = publishOne(b, "m", 0)
 		if b.Stats().RemoteFailures > 0 {
 			break
 		}
@@ -331,7 +379,7 @@ func TestDeadRemoteDroppedOnPublish(t *testing.T) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	if err := publishOne(b, "m", metric{}); err != nil {
+	if err := publishOne(b, "m", 0); err != nil {
 		// Second publish after the drop should be clean (no remotes left).
 		if b.Stats().RemoteFailures < 1 {
 			t.Fatalf("unexpected error: %v", err)

@@ -65,7 +65,7 @@ func ParseOverflowPolicy(s string) (OverflowPolicy, error) {
 // Config holds the remote fan-out knobs. Zero values take the defaults.
 type Config struct {
 	// QueueDepth is the per-subscriber outgoing queue capacity, in
-	// frames (one Publish or PublishBatch = one frame). Default 256.
+	// frames (one published batch = at most one frame). Default 256.
 	QueueDepth int
 	// Overflow picks the full-queue policy. Default DropOldest.
 	Overflow OverflowPolicy

@@ -2,24 +2,17 @@ package pubsub
 
 import (
 	"net"
+	"reflect"
 	"testing"
 	"time"
+
+	"sysprof/internal/core"
 )
 
-// shardedHarness starts a broker with a value-keyed shard function and
-// returns it plus its listen address.
+// shardedHarness starts a broker and returns it plus its listen address.
 func shardedHarness(t *testing.T) (*Broker, string) {
 	t.Helper()
 	b := NewBroker(newReg(t))
-	b.SetShardKeyFunc(func(rec any) (uint64, bool) {
-		switch m := rec.(type) {
-		case metric:
-			return uint64(m.Value), true
-		case *metric:
-			return uint64(m.Value), true
-		}
-		return 0, false
-	})
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -29,24 +22,31 @@ func shardedHarness(t *testing.T) (*Broker, string) {
 	return b, l.Addr().String()
 }
 
-// drain receives records until the deadline or limit, returning the
-// observed metric values.
-func drain(t *testing.T, s *Subscriber, want int) []int64 {
+// drain receives frames until it has seen want rows or the deadline
+// passes, returning the record IDs (or metric values) observed.
+func drain(t *testing.T, s *Subscriber, want int) []uint64 {
 	t.Helper()
-	vals := make(chan int64, want)
+	vals := make(chan uint64, want)
 	go func() {
 		defer close(vals)
-		for i := 0; i < want; i++ {
+		for n := 0; n < want; {
 			_, rec, err := s.Recv()
 			if err != nil {
 				return
 			}
-			if m, ok := rec.Value.(*metric); ok {
-				vals <- m.Value
+			switch v := rec.Value.(type) {
+			case *core.RecordColumns:
+				for _, id := range v.IDs {
+					vals <- id
+				}
+				n += v.Len()
+			case *metric:
+				vals <- uint64(v.Value)
+				n++
 			}
 		}
 	}()
-	var out []int64
+	var out []uint64
 	deadline := time.After(5 * time.Second)
 	for {
 		select {
@@ -65,8 +65,10 @@ func drain(t *testing.T, s *Subscriber, want int) []int64 {
 }
 
 // TestShardedSubscribersPartitionStream checks that shard i/N receives
-// exactly the records whose shard key maps to it while an unsharded
-// subscriber still sees everything.
+// exactly the rows whose own shard key maps to it — the flow hash for
+// interaction batches, whatever the batch says for any other kind — while
+// an unsharded subscriber still sees everything. No routing hook is
+// installed anywhere: the batch carries its key.
 func TestShardedSubscribersPartitionStream(t *testing.T) {
 	b, addr := shardedHarness(t)
 	reg := newReg(t)
@@ -86,77 +88,45 @@ func TestShardedSubscribersPartitionStream(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer full.Close()
+	waitRegistered(t, b, 3)
 
-	// Wait until all three handshakes are registered.
-	deadline := time.Now().Add(5 * time.Second)
-	for len(b.Subscribers()) < 3 {
-		if time.Now().After(deadline) {
-			t.Fatalf("subscribers = %d, want 3", len(b.Subscribers()))
-		}
-		time.Sleep(time.Millisecond)
+	// Records 0..5 as one-record batches, then 6..11 as one batch; then
+	// metric rows 12..15, which shard on their value.
+	var owned [2][]uint64
+	for id := uint64(0); id < 12; id++ {
+		sh := flowOf(id).ShardHash() % 2
+		owned[sh] = append(owned[sh], id)
 	}
-
-	// Values 0..5 as one-record batches, then 6..11 as one batch: evens
-	// to shard 0, odds to shard 1, everything to the unsharded subscriber.
-	for v := int64(0); v < 6; v++ {
-		if err := publishOne(b, "m", metric{Value: v}); err != nil {
+	if len(owned[0]) == 0 || len(owned[1]) == 0 {
+		t.Fatalf("flows do not spread over both shards: %v", owned)
+	}
+	for id := uint64(0); id < 6; id++ {
+		if err := publishOne(b, "m", id); err != nil {
 			t.Fatal(err)
 		}
 	}
-	batch := make([]metric, 0, 6)
-	for v := int64(6); v < 12; v++ {
-		batch = append(batch, metric{Value: v})
-	}
-	if err := b.PublishBatch("m", batch); err != nil {
+	if err := b.PublishColumns("m", batchOf(6, 7, 8, 9, 10, 11)); err != nil {
 		t.Fatal(err)
 	}
+	if err := b.PublishColumns("m", metricBatch{{Value: 12}, {Value: 13}, {Value: 14}, {Value: 15}}); err != nil {
+		t.Fatal(err)
+	}
+	owned[0] = append(owned[0], 12, 14)
+	owned[1] = append(owned[1], 13, 15)
 
-	check := func(name string, got []int64, wantMod int64, wantLen int) {
+	check := func(name string, got, want []uint64) {
 		t.Helper()
-		if len(got) != wantLen {
-			t.Fatalf("%s received %d records %v, want %d", name, len(got), got, wantLen)
-		}
-		for _, v := range got {
-			if wantMod >= 0 && v%2 != wantMod {
-				t.Fatalf("%s received out-of-shard value %d (got %v)", name, v, got)
-			}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s received %v, want %v", name, got, want)
 		}
 	}
-	check("shard0", drain(t, shard0, 6), 0, 6)
-	check("shard1", drain(t, shard1, 6), 1, 6)
-	check("full", drain(t, full, 12), -1, 12)
-}
-
-// TestShardedBroadcastWithoutKeyFunc checks the fail-open contract: with
-// no shard key function installed, a sharded subscriber receives the full
-// stream (sharding is inert, not a silent drop).
-func TestShardedBroadcastWithoutKeyFunc(t *testing.T) {
-	b := NewBroker(newReg(t))
-	defer b.Close()
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	go func() { _ = b.Serve(l) }()
-
-	sub, err := DialSharded(l.Addr().String(), newReg(t), 1, 4, "m")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sub.Close()
-	deadline := time.Now().Add(5 * time.Second)
-	for len(b.Subscribers()) < 1 {
-		if time.Now().After(deadline) {
-			t.Fatal("subscriber never registered")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	if err := b.PublishBatch("m", []metric{{Value: 1}, {Value: 2}, {Value: 3}}); err != nil {
-		t.Fatal(err)
-	}
-	got := drain(t, sub, 3)
-	if len(got) != 3 {
-		t.Fatalf("received %v, want all 3 records", got)
+	check("shard0", drain(t, shard0, len(owned[0])), owned[0])
+	check("shard1", drain(t, shard1, len(owned[1])), owned[1])
+	check("full", drain(t, full, 16), []uint64{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15})
+	// Nothing more was queued for anyone: the full stream once, plus each
+	// row once more for the shard that owns it.
+	if got := b.Stats().RemoteEnqueued; got != 32 {
+		t.Fatalf("RemoteEnqueued = %d, want 16 rows to the unsharded link + 16 across the shards", got)
 	}
 }
 
@@ -179,7 +149,7 @@ func TestSplitByCompressionCutsOrderedRemotes(t *testing.T) {
 	var remotes []*remoteConn
 	wantZ := 0
 	for i, z := range []bool{false, true, false, false, true, true, false} {
-		remotes = insertRemote(remotes, &remoteConn{columnsZ: z, sel: ShardSelector{Index: uint32(i % 2), Count: 2}})
+		remotes = insertRemote(remotes, &remoteConn{columnsZ: z, sel: core.ShardSelector{Index: uint32(i % 2), Count: 2}})
 		if z {
 			wantZ++
 		}

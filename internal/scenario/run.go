@@ -104,7 +104,7 @@ func Run(spec Spec) (*Report, error) {
 func (r *runner) route(cols *core.RecordColumns) {
 	f := &core.RecordColumns{}
 	for sh, s := range r.shards {
-		sel := pubsub.ShardSelector{Index: uint32(sh), Count: uint32(len(r.shards))}
+		sel := core.ShardSelector{Index: uint32(sh), Count: uint32(len(r.shards))}
 		if sel.Gather(f, cols); f.Len() > 0 {
 			s.offer(f)
 			f = &core.RecordColumns{}
