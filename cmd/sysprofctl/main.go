@@ -13,8 +13,6 @@
 //	window <node> <lpa> <size>
 //	bufcap <node> <lpa> <capacity>
 //	ntpinterval <node> [<dur>|now]        clock re-measurement cadence / force one
-//	install-cpa <node> <name> <groups> -- <e-code source>
-//	remove-cpa <node> <name>
 //
 // Custom-analyzer commands (source read from a file, verified locally
 // before it is sent — the full evidence chain prints on rejection; the

@@ -86,7 +86,9 @@ func run() error {
 		return err
 	}
 
-	// Install the CPA exactly as sysprofctl would.
+	// Install the CPA. Over the control channel the same call is
+	// "cpa install <node> <name> <groups> <base64-source>", which is what
+	// sysprofctl sends; here the mask is narrower than any group name.
 	if err := ctl.InstallCPA("server", "latency-watch", cpaSource,
 		kprof.MaskOf(kprof.EvNetUserRead)); err != nil {
 		return err
@@ -149,7 +151,7 @@ func run() error {
 			class, agg.Count, agg.MeanResidence().Round(time.Microsecond))
 	}
 
-	if _, err := ctl.Execute("remove-cpa server latency-watch"); err != nil {
+	if _, err := ctl.Execute("cpa remove server latency-watch"); err != nil {
 		return err
 	}
 	fmt.Println("removed CPA; monitoring reverted")

@@ -364,13 +364,21 @@ func (c *Controller) InstallCPA(node, name, src string, mask kprof.Mask) error {
 	hub := t.hub
 	c.mu.Unlock()
 
+	// Verifying, compiling and subscribing run unlocked, so a concurrent
+	// install of the same name may have won the map entry meanwhile: the
+	// loser must leave the hub, or it would run forever where neither
+	// "cpa list" nor "cpa remove" can see it.
 	cpa, err := core.NewCPA(hub, name, src, mask, c.emit)
 	if err != nil {
 		return err
 	}
 	c.mu.Lock()
+	defer c.mu.Unlock()
+	if _, ok := t.cpas[name]; ok {
+		cpa.Close()
+		return fmt.Errorf("controller: cpa %q already installed on %q", name, node)
+	}
 	t.cpas[name] = cpa
-	c.mu.Unlock()
 	return nil
 }
 
@@ -510,16 +518,14 @@ func maskFromSpec(spec string) (kprof.Mask, error) {
 //	pubsubqueue <node> <depth>         send-queue depth for new subscribers
 //	pubsubpolicy <node> drop|block|adaptive  fan-out overflow policy
 //	wirecompress <node> on|off         compressed columnar wire frames
-//	install-cpa <node> <name> <groups> -- <e-code source>
-//	remove-cpa <node> <name>
 //	cpa install <node> <name> <groups> <base64-source>
 //	cpa remove <node> <name>
 //	cpa list <node>
 //
-// "cpa install" is the transport sysprofctl uses: base64 keeps
-// multi-line E-Code sources intact across the line-oriented protocol.
-// Either install path verifies the program node-side before it touches
-// the event hub; rejections return the verifier's evidence chains.
+// "cpa install" carries its source as base64, which keeps multi-line
+// E-Code intact across the line-oriented protocol (sysprofctl encodes a
+// file). The program is verified node-side before it touches the event
+// hub; rejections return the verifier's evidence chains.
 //
 // Federation commands (require AttachFederation):
 //
@@ -650,25 +656,6 @@ func (c *Controller) Execute(line string) (string, error) {
 			return "", fmt.Errorf("controller: bad wirecompress state %q (want on or off)", fields[2])
 		}
 		return "ok", c.SetPubSubWireCompression(fields[1], on)
-	case "install-cpa":
-		head, src, found := strings.Cut(line, " -- ")
-		if !found {
-			return "", errors.New("controller: usage: install-cpa <node> <name> <groups> -- <source>")
-		}
-		hf := strings.Fields(head)
-		if len(hf) != 4 {
-			return "", errors.New("controller: usage: install-cpa <node> <name> <groups> -- <source>")
-		}
-		m, err := maskFromSpec(hf[3])
-		if err != nil {
-			return "", err
-		}
-		return "ok", c.InstallCPA(hf[1], hf[2], src, m)
-	case "remove-cpa":
-		if len(fields) != 3 {
-			return "", errors.New("controller: usage: remove-cpa <node> <name>")
-		}
-		return "ok", c.RemoveCPA(fields[1], fields[2])
 	case "cpa":
 		if len(fields) < 2 {
 			return "", errors.New("controller: usage: cpa install|remove|list ...")

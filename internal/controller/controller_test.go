@@ -5,6 +5,8 @@ import (
 	"encoding/base64"
 	"errors"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -177,6 +179,54 @@ func TestInstallRemoveCPA(t *testing.T) {
 	}
 }
 
+// TestInstallCPAConcurrentSameName: installs run their verify, compile
+// and subscribe steps outside the controller lock, so N racing installs
+// of one name all reach the hub; exactly one may stay. A loser left
+// subscribed would run on every event forever, invisible to "cpa list"
+// and "cpa remove".
+func TestInstallCPAConcurrentSameName(t *testing.T) {
+	var emitted atomic.Int64
+	hub := kprof.NewHub(1, func() time.Duration { return 0 })
+	hub.SetPerEventCost(0)
+	c := New(func(string, ecode.Value) { emitted.Add(1) })
+	if err := c.RegisterNode("n1", hub); err != nil {
+		t.Fatal(err)
+	}
+	const n = 16
+	var wg sync.WaitGroup
+	var installed atomic.Int64
+	start := make(chan struct{})
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			err := c.InstallCPA("n1", "probe", `emit("x", ev.bytes); return 0;`, kprof.MaskOf(kprof.EvNetRx))
+			if err == nil {
+				installed.Add(1)
+			} else if !strings.Contains(err.Error(), "already installed") {
+				t.Errorf("loser's error = %v, want already installed", err)
+			}
+		}()
+	}
+	close(start)
+	wg.Wait()
+	if installed.Load() != 1 {
+		t.Fatalf("%d of %d concurrent installs succeeded, want 1", installed.Load(), n)
+	}
+	hub.Emit(&kprof.Event{Type: kprof.EvNetRx, Bytes: 77})
+	if got := emitted.Load(); got != 1 {
+		t.Fatalf("one event reached %d subscribed analyzers, want 1", got)
+	}
+	if err := c.RemoveCPA("n1", "probe"); err != nil {
+		t.Fatal(err)
+	}
+	hub.Emit(&kprof.Event{Type: kprof.EvNetRx, Bytes: 88})
+	if got := emitted.Load(); got != 1 {
+		t.Fatalf("after remove an analyzer still runs: %d emits", got)
+	}
+}
+
 func TestExecuteCommands(t *testing.T) {
 	c, _, lpa := setup(t)
 	tests := []struct {
@@ -191,9 +241,15 @@ func TestExecuteCommands(t *testing.T) {
 		{"window n1 main 33", false},
 		{"window n1 main zero", true},
 		{"bufcap n1 main 11", false},
-		{"install-cpa n1 p1 net -- static int n = 0; n++; return n;", false},
-		{"install-cpa n1 p1 net", true},
-		{"remove-cpa n1 p1", false},
+		{"cpa install n1 p1 net c3RhdGljIGludCBuID0gMDsgbisrOyByZXR1cm4gbjs=", false}, // static int n = 0; n++; return n;
+		{"cpa install n1 p1 net", true},
+		{"cpa install n1 p2 net not*base64", true},
+		{"cpa list n1", false},
+		{"cpa remove n1 p1", false},
+		{"cpa remove n1 p1", true},
+		// The pre-base64 verbs are gone, not aliased.
+		{"install-cpa n1 p1 net -- static int n = 0; n++; return n;", true},
+		{"remove-cpa n1 p1", true},
 		{"nosuchcommand", true},
 		{"", true},
 	}
@@ -202,6 +258,9 @@ func TestExecuteCommands(t *testing.T) {
 		if (err != nil) != tt.wantErr {
 			t.Errorf("Execute(%q) err = %v, wantErr=%v", tt.cmd, err, tt.wantErr)
 		}
+	}
+	if _, err := c.Execute("install-cpa n1 p1 net -- return 0;"); err == nil || !strings.Contains(err.Error(), "unknown command") {
+		t.Errorf("install-cpa: err = %v, want unknown command", err)
 	}
 	if lpa.Window().Size() != 33 {
 		t.Fatal("window command not applied")

@@ -27,8 +27,9 @@ func FuzzExecute(f *testing.F) {
 		"flushinterval web 250ms",
 		"pubsubqueue web 512",
 		"pubsubpolicy web drop",
-		"install-cpa web big net -- static int n = 0; return n;",
-		"remove-cpa web big",
+		"cpa install web big net c3RhdGljIGludCBuID0gMDsgcmV0dXJuIG47", // static int n = 0; return n;
+		"cpa remove web big",
+		"cpa list web",
 		"federation status",
 		"federation endpoints",
 		"federation set-endpoints 127.0.0.1:9001,127.0.0.1:9002",

@@ -33,90 +33,47 @@ type CPA struct {
 	lastErr error
 }
 
-// eventRecord adapts a kprof event to the ecode.Record interface. Field
-// names are the stable CPA-visible schema.
-type eventRecord struct {
-	ev *kprof.Event
-}
+// eventFields is what a CPA may read of the kernel event bound as "ev":
+// the stable CPA-visible schema the verifier checks sources against and,
+// row for row, the getters the compiled program calls. A new
+// CPA-visible field is one more row.
+var eventFields = ecode.Bind("ev",
+	ecode.Str("type", func(e *kprof.Event) string { return e.Type.String() }),
+	ecode.Int("time", func(e *kprof.Event) int64 { return int64(e.Time) }),
+	ecode.Int("node", func(e *kprof.Event) int64 { return int64(e.Node) }),
+	ecode.Int("cpu", func(e *kprof.Event) int64 { return int64(e.CPU) }),
+	ecode.Int("pid", func(e *kprof.Event) int64 { return int64(e.PID) }),
+	ecode.Int("pid2", func(e *kprof.Event) int64 { return int64(e.PID2) }),
+	ecode.Int("bytes", func(e *kprof.Event) int64 { return int64(e.Bytes) }),
+	ecode.Int("aux", func(e *kprof.Event) int64 { return e.Aux }),
+	ecode.Int("msgid", func(e *kprof.Event) int64 { return int64(e.MsgID) }),
+	ecode.Int("seq", func(e *kprof.Event) int64 { return int64(e.Seq) }),
+	ecode.Bool("last", func(e *kprof.Event) bool { return e.Last }),
+	ecode.Str("proc", func(e *kprof.Event) string { return e.Proc }),
+	ecode.Int("src_node", func(e *kprof.Event) int64 { return int64(e.Flow.Src.Node) }),
+	ecode.Int("src_port", func(e *kprof.Event) int64 { return int64(e.Flow.Src.Port) }),
+	ecode.Int("dst_node", func(e *kprof.Event) int64 { return int64(e.Flow.Dst.Node) }),
+	ecode.Int("dst_port", func(e *kprof.Event) int64 { return int64(e.Flow.Dst.Port) }),
+)
 
-var _ ecode.Record = eventRecord{}
-
-// Field implements ecode.Record.
-func (r eventRecord) Field(name string) (ecode.Value, bool) {
-	ev := r.ev
-	switch name {
-	case "type":
-		return ev.Type.String(), true
-	case "time":
-		return int64(ev.Time), true
-	case "node":
-		return int64(ev.Node), true
-	case "cpu":
-		return int64(ev.CPU), true
-	case "pid":
-		return int64(ev.PID), true
-	case "pid2":
-		return int64(ev.PID2), true
-	case "bytes":
-		return int64(ev.Bytes), true
-	case "aux":
-		return ev.Aux, true
-	case "msgid":
-		return int64(ev.MsgID), true
-	case "seq":
-		return int64(ev.Seq), true
-	case "last":
-		return ev.Last, true
-	case "proc":
-		return ev.Proc, true
-	case "src_node":
-		return int64(ev.Flow.Src.Node), true
-	case "src_port":
-		return int64(ev.Flow.Src.Port), true
-	case "dst_node":
-		return int64(ev.Flow.Dst.Node), true
-	case "dst_port":
-		return int64(ev.Flow.Dst.Port), true
-	}
-	return nil, false
-}
-
-// EventSchema is the CPA-visible kernel event schema: the typed fields
-// of the "ev" record. TestEventSchemaMatchesRecord holds it in lockstep
-// with eventRecord.Field.
-func EventSchema() ecode.RecordSchema {
-	return ecode.RecordSchema{
-		"type":  ecode.TString,
-		"time":  ecode.TInt,
-		"node":  ecode.TInt,
-		"cpu":   ecode.TInt,
-		"pid":   ecode.TInt,
-		"pid2":  ecode.TInt,
-		"bytes": ecode.TInt,
-		"aux":   ecode.TInt,
-		"msgid": ecode.TInt,
-		"seq":   ecode.TInt,
-		"last":  ecode.TBool,
-		"proc":  ecode.TString,
-
-		"src_node": ecode.TInt,
-		"src_port": ecode.TInt,
-		"dst_node": ecode.TInt,
-		"dst_port": ecode.TInt,
-	}
-}
-
-// CPAVerifyEnv is the canonical verification environment for custom
-// analyzers: the event schema plus the emit builtin. Frontends
-// (sysprofctl) and the LPA host both verify against this same
-// environment, so a program accepted client-side cannot be rejected
-// node-side for schema drift.
-func CPAVerifyEnv(name string) ecode.VerifyEnv {
+// CPAVerifyEnv is the canonical environment for custom analyzers: the
+// event fields plus the emit builtin, delivering to emit (nil: nowhere,
+// which is all verifying needs). Frontends (sysprofctl) and the LPA host
+// both verify against this same environment, so a program accepted
+// client-side cannot be rejected node-side for schema drift.
+func CPAVerifyEnv(name string, emit EmitFunc) ecode.VerifyEnv {
 	return ecode.VerifyEnv{
 		Name:    name,
-		Records: map[string]ecode.RecordSchema{"ev": EventSchema()},
-		Builtins: map[string]ecode.BuiltinSig{
-			"emit": {Params: []ecode.ParamKind{ecode.PString, ecode.PAny}, Result: ecode.RInt, Cost: 4},
+		Binding: eventFields,
+		Builtins: map[string]ecode.Builtin{
+			"emit": {Params: []ecode.ParamKind{ecode.PString, ecode.PAny}, Result: ecode.RInt, Cost: 4,
+				// The verifier admits only emit(string, any).
+				Fn: func(args []ecode.Value) (ecode.Value, error) {
+					if emit != nil {
+						emit(args[0].(string), args[1])
+					}
+					return int64(0), nil
+				}},
 		},
 	}
 }
@@ -133,33 +90,14 @@ func NewCPA(hub *kprof.Hub, name, src string, mask kprof.Mask, emit EmitFunc) (*
 	if err != nil {
 		return nil, fmt.Errorf("cpa %q: %w", name, err)
 	}
-	compiled, verdict, err := prog.CompileVerified(CPAVerifyEnv(name))
+	compiled, verdict, err := prog.CompileVerified(CPAVerifyEnv(name, emit))
 	if err != nil {
 		if verdict != nil && !verdict.OK {
 			return nil, fmt.Errorf("cpa %q rejected by verifier:\n%s", name, verdict.Render())
 		}
 		return nil, fmt.Errorf("cpa %q: %w", name, err)
 	}
-	c := &CPA{name: name, cost: compiled.Cost()}
-	builtins := map[string]ecode.Builtin{
-		"emit": func(args []ecode.Value) (ecode.Value, error) {
-			if len(args) != 2 {
-				return nil, fmt.Errorf("emit wants (channel, value)")
-			}
-			ch, ok := args[0].(string)
-			if !ok {
-				return nil, fmt.Errorf("emit channel must be a string")
-			}
-			if emit != nil {
-				emit(ch, args[1])
-			}
-			return int64(0), nil
-		},
-	}
-	c.inst, err = compiled.NewInstance(builtins)
-	if err != nil {
-		return nil, fmt.Errorf("cpa %q: %w", name, err)
-	}
+	c := &CPA{name: name, cost: compiled.Cost(), inst: compiled.NewInstance()}
 	c.sub = hub.Subscribe(mask, c.handle)
 	return c, nil
 }
@@ -171,7 +109,7 @@ func VerifyCPA(name, src string) (*ecode.Verdict, error) {
 	if err != nil {
 		return nil, fmt.Errorf("cpa %q: %w", name, err)
 	}
-	return prog.Verify(CPAVerifyEnv(name)), nil
+	return prog.Verify(CPAVerifyEnv(name, nil)), nil
 }
 
 // Name returns the analyzer's name.
@@ -196,7 +134,7 @@ func (c *CPA) Static(name string) (ecode.Value, bool) { return c.inst.Static(nam
 
 func (c *CPA) handle(ev *kprof.Event) {
 	c.runs++
-	if _, err := c.inst.Run(map[string]ecode.Value{"ev": eventRecord{ev: ev}}); err != nil {
+	if _, err := c.inst.Run(ev); err != nil {
 		c.errs++
 		c.lastErr = err
 	}

@@ -178,48 +178,55 @@ func reqFlowWithPorts(src, dst uint16) (f simnet.FlowKey) {
 	return f
 }
 
-// TestEventSchemaMatchesRecord holds EventSchema and eventRecord.Field
-// together: on a fully populated event every declared field is answered
-// with a value of its declared type — the compiled engine loads a field
-// into the slot that type picked — and a name the schema does not
-// declare is refused, so the verifier and the adapter reject the same
-// programs.
-func TestEventSchemaMatchesRecord(t *testing.T) {
-	rec := eventRecord{ev: &kprof.Event{
-		Type: kprof.EvNetRx, CPU: 1, Node: 2, PID: 3, PID2: 4, GID: 5, Time: 6 * time.Millisecond,
-		Flow:  simnet.FlowKey{Src: simnet.Addr{Node: 7, Port: 1000}, Dst: simnet.Addr{Node: 2, Port: 80}},
-		MsgID: 8, Seq: 9, Last: true, Bytes: 1500, Aux: 10, Tag: 11, Proc: "httpd",
-	}}
-	schema := EventSchema()
-	if len(schema) != 16 {
-		t.Errorf("schema declares %d fields, want 16", len(schema))
+// captureCPASource is the analyzer the end-to-end benchmark's
+// capture-cpa workload installs (bench/e2e's cpaSource, the outlier
+// detector of examples/custom-analyzer): the per-event cost that
+// pipeline reports is this program's.
+const captureCPASource = `
+static int   n      = 0;
+static float sum_ns = 0.0;
+
+if (ev.type != "net_user_read") { return 0; }
+n++;
+sum_ns += ev.aux;
+float mean = sum_ns / n;
+if (n > 8 && ev.aux > mean * 2.0) {
+	emit("latency.alerts", ev.aux);
+}
+return n;
+`
+
+// captureCPA installs captureCPASource and hands back the event the
+// workload feeds it, for driving handle without the hub.
+func captureCPA(tb testing.TB) (*CPA, *kprof.Event) {
+	hub, _ := cpaHub()
+	cpa, err := NewCPA(hub, "latency-watch", captureCPASource, kprof.MaskOf(kprof.EvNetUserRead), nil)
+	if err != nil {
+		tb.Fatal(err)
 	}
-	for name, typ := range schema {
-		v, ok := rec.Field(name)
-		if !ok {
-			t.Errorf("field %q is in the schema but the adapter refuses it", name)
-			continue
-		}
-		switch v.(type) {
-		case int64:
-			ok = typ == ecode.TInt
-		case string:
-			ok = typ == ecode.TString
-		case bool:
-			ok = typ == ecode.TBool
-		default:
-			ok = false
-		}
-		if !ok {
-			t.Errorf("field %q: adapter answered %T, schema declares %v", name, v, typ)
-		}
+	tb.Cleanup(cpa.Close)
+	return cpa, &kprof.Event{Type: kprof.EvNetUserRead, PID: 7, Proc: "srv", Flow: reqFlowWithPorts(99, 80), Aux: 1234}
+}
+
+// TestCPAHandleAllocs: a CPA run reads the event through typed getters —
+// no per-event binding map, no boxed field values — so all that is left
+// to allocate is the boxed return value.
+func TestCPAHandleAllocs(t *testing.T) {
+	cpa, ev := captureCPA(t)
+	if avg := testing.AllocsPerRun(1000, func() { cpa.handle(ev) }); avg > 1 {
+		t.Errorf("CPA.handle allocates %.2f/run, want <= 1", avg)
 	}
-	for _, name := range []string{"", "bogus", "Type", "gid", "tag", "flow"} {
-		if _, declared := schema[name]; declared {
-			t.Errorf("schema declares %q", name)
-		}
-		if _, ok := rec.Field(name); ok {
-			t.Errorf("adapter answers undeclared field %q", name)
-		}
+	if runs, errs, err := cpa.Stats(); runs == 0 || errs != 0 {
+		t.Errorf("runs=%d errs=%d err=%v", runs, errs, err)
+	}
+}
+
+// BenchmarkCPAHandle is the per-event cost of an installed analyzer as a
+// daemon pays it: handle on a net_user_read event, minus the hub.
+func BenchmarkCPAHandle(b *testing.B) {
+	cpa, ev := captureCPA(b)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		cpa.handle(ev)
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"sysprof/internal/core"
-	"sysprof/internal/ecode"
 	"sysprof/internal/pbio"
 	"sysprof/internal/pubsub"
 )
@@ -78,47 +77,20 @@ func TestCompileFilterVerifierGate(t *testing.T) {
 	}
 }
 
-func TestFilterFieldSchemaComplete(t *testing.T) {
-	// Every documented field must resolve, in the adapter and in the
-	// schema the verifier checks sources against — and nothing else.
-	fields := []string{
-		"id", "node", "class", "src_node", "src_port", "dst_node", "dst_port",
-		"start_ns", "end_ns", "residence_ns", "req_packets", "req_bytes",
-		"resp_packets", "resp_bytes", "proto_ns", "tx_ns", "buffer_wait_ns",
-		"syscall_ns", "user_ns", "blocked_ns", "server_pid", "server_proc",
-		"ctx_switches", "disk_ops",
+// TestCompiledFilterAllocs: a filter reads int and string fields through
+// typed getters and answers with a bool, so a record costs the publish
+// path no allocation.
+func TestCompiledFilterAllocs(t *testing.T) {
+	f, err := CompileFilter(`return rec.class == "port:80" && rec.server_proc != "" && rec.buffer_wait_ns > 50000;`)
+	if err != nil {
+		t.Fatal(err)
 	}
 	r := sampleRecord(1)
-	rec := FilterRecord(&r)
-	schema := filterSchema()
-	for _, name := range fields {
-		v, ok := rec.Field(name)
-		if !ok {
-			t.Fatalf("field %q missing from the adapter", name)
-		}
-		typ, ok := schema[name]
-		if !ok {
-			t.Fatalf("field %q missing from the schema", name)
-		}
-		// The compiled engine loads a field into the slot its declared
-		// type picked, so the adapter must hand back exactly that type.
-		switch v.(type) {
-		case int64:
-			ok = typ == ecode.TInt
-		case string:
-			ok = typ == ecode.TString
-		default:
-			ok = false
-		}
-		if !ok {
-			t.Fatalf("field %q: adapter answered %T, schema declares %v", name, v, typ)
-		}
+	if !f(&r) {
+		t.Fatal("matching record rejected")
 	}
-	if len(schema) != len(fields) {
-		t.Fatalf("schema declares %d fields, want %d", len(schema), len(fields))
-	}
-	if _, ok := rec.Field("bogus"); ok {
-		t.Fatal("unknown field resolved")
+	if avg := testing.AllocsPerRun(1000, func() { f(&r) }); avg != 0 {
+		t.Errorf("compiled filter allocates %.2f/record, want 0", avg)
 	}
 }
 

@@ -1,6 +1,10 @@
-package ecode
+package ecode_test
 
-import "testing"
+import (
+	"testing"
+
+	"sysprof/internal/ecode"
+)
 
 // cpaBenchSource is a realistic CPA program for per-event cost
 // measurement (it runs on the kernel fast path).
@@ -15,38 +19,31 @@ return n;
 `
 
 // BenchmarkCPAPerEvent compares the two CPA execution engines on the
-// same program and event: the tree-walking interpreter (with its
-// runtime step limit) versus the verified-and-compiled closures (no
-// step counting — termination is proven at install time).
+// same program and event — a *kprof.Event read through the CPA field
+// table, the record a daemon binds: the tree-walking interpreter (with
+// its runtime step limit) versus the verified-and-compiled closures (no
+// step counting — termination is proven at install time; the one
+// alloc/op boxes the returned count).
 func BenchmarkCPAPerEvent(b *testing.B) {
-	bindings := map[string]Value{
-		"ev": MapRecord{"type": "net_rx", "bytes": int64(1500)},
-	}
+	env, ev := testVerifyEnv("bench"), testEvent()
 	b.Run("interp", func(b *testing.B) {
-		inst := MustCompile(cpaBenchSource).NewInstance()
+		inst := ecode.MustCompile(cpaBenchSource).NewInstance(ecode.WithEnv(env))
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := inst.Run(bindings); err != nil {
+			if _, err := inst.Run(ev); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	b.Run("compiled", func(b *testing.B) {
-		env := VerifyEnv{
-			Name:    "bench",
-			Records: map[string]RecordSchema{"ev": {"type": TString, "bytes": TInt}},
-		}
-		c, verdict, err := MustCompile(cpaBenchSource).CompileVerified(env)
+		c, verdict, err := ecode.MustCompile(cpaBenchSource).CompileVerified(env)
 		if err != nil {
 			b.Fatalf("%v\n%s", err, verdict.Render())
 		}
-		ci, err := c.NewInstance(nil)
-		if err != nil {
-			b.Fatal(err)
-		}
+		ci := c.NewInstance()
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := ci.Run(bindings); err != nil {
+			if _, err := ci.Run(ev); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -57,13 +54,10 @@ func BenchmarkCPAPerEvent(b *testing.B) {
 // whole of it: parse, verify, lower to closures, bind an instance. It is
 // paid once per analyzer, never per event.
 func BenchmarkCompile(b *testing.B) {
-	env := VerifyEnv{
-		Name:    "bench",
-		Records: map[string]RecordSchema{"ev": {"type": TString, "bytes": TInt}},
-	}
+	env := testVerifyEnv("bench")
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		prog, err := Compile(cpaBenchSource)
+		prog, err := ecode.Compile(cpaBenchSource)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -71,20 +65,15 @@ func BenchmarkCompile(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := c.NewInstance(nil); err != nil {
-			b.Fatal(err)
-		}
+		c.NewInstance()
 	}
 }
 
 // BenchmarkVerify measures install-time verification cost (paid once
 // per install, never per event).
 func BenchmarkVerify(b *testing.B) {
-	prog := MustCompile(cpaBenchSource)
-	env := VerifyEnv{
-		Name:    "bench",
-		Records: map[string]RecordSchema{"ev": {"type": TString, "bytes": TInt}},
-	}
+	prog := ecode.MustCompile(cpaBenchSource)
+	env := testVerifyEnv("bench")
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if v := prog.Verify(env); !v.OK {

@@ -7,13 +7,14 @@ package ecode
 // the two cannot disagree. Verification is what makes the lowering fast:
 //
 //   - Full static typing lets every variable live in a typed slot array
-//     (int64/float64/bool/string/Record) indexed at compile time, so
-//     the hot path never touches a map or boxes an intermediate value
-//     the way the tree-walking interpreter does.
+//     (int64/float64/bool/string) indexed at compile time, and makes a
+//     record-field read the typed getter of its field-table row, so the
+//     hot path never touches a map, compares a name or boxes an
+//     intermediate value the way the tree-walking interpreter does.
 //   - The termination proof removes the interpreter's per-statement
 //     step counter entirely: a verified loop needs no runtime guard.
-//   - Builtins resolve to slot indices at compile time, and each call
-//     site reuses a preallocated argument buffer.
+//   - A call site captures its builtin's implementation at compile time
+//     and reuses a preallocated argument buffer.
 //
 // Only verified programs can be compiled (CompileVerified runs the
 // verifier first); the interpreter (interp_test.go) is the reference
@@ -23,7 +24,6 @@ package ecode
 import (
 	"cmp"
 	"fmt"
-	"sort"
 )
 
 // Compiled is a verified E-Code program lowered to closures. It is
@@ -35,13 +35,12 @@ type Compiled struct {
 	body []cstmt
 
 	// Slot-space sizes per type.
-	nInt, nFloat, nBool, nStr, nRec int
-	nSInit                          int
-	argBufSizes                     []int
+	nInt, nFloat, nBool, nStr int
+	nSInit                    int
+	argBufSizes               []int
 
-	statics  map[string]slotRef
-	bindings map[string]int // record binding name -> recs slot
-	builtins []string       // builtin slot -> name
+	statics map[string]slotRef
+	bind    *Binding // the host record Run takes; nil when the env has none
 }
 
 // Name returns the analyzer name the program was verified under.
@@ -59,24 +58,8 @@ func (p *Program) CompileVerified(env VerifyEnv) (*Compiled, *Verdict, error) {
 	if !v.OK {
 		return nil, v, fmt.Errorf("ecode: %s: %w", env.name(), v.Err())
 	}
-	c := &Compiled{
-		name:     env.name(),
-		cost:     v.Cost,
-		statics:  map[string]slotRef{},
-		bindings: map[string]int{},
-	}
-	// Record bindings are the recs slots, in sorted order so compilation
-	// is deterministic.
-	names := make([]string, 0, len(env.Records))
-	for n := range env.Records {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	for i, n := range names {
-		c.bindings[n] = i
-	}
-	c.nRec = len(names)
-	cp := &compiler{c: c, res: v.res, slots: map[*symbol]slotRef{}, binfo: map[string]int{}}
+	c := &Compiled{name: env.name(), cost: v.Cost, statics: map[string]slotRef{}, bind: env.Binding}
+	cp := &compiler{c: c, env: env, res: v.res, slots: map[*symbol]slotRef{}}
 	body, err := cp.compileBlock(p.body)
 	if err != nil {
 		return nil, v, err
@@ -92,57 +75,37 @@ type CompiledInstance struct {
 	m cmachine
 }
 
-// NewInstance binds the program to its builtins (defaults merged with
-// extra) and allocates fresh static state. Every builtin the program
-// calls must be present.
-func (c *Compiled) NewInstance(extra map[string]Builtin) (*CompiledInstance, error) {
-	impls := defaultBuiltins()
-	for k, v := range extra {
-		impls[k] = v
-	}
-	bound := make([]Builtin, len(c.builtins))
-	for i, name := range c.builtins {
-		fn, ok := impls[name]
-		if !ok {
-			return nil, fmt.Errorf("ecode: %s: no implementation for builtin %q", c.name, name)
-		}
-		bound[i] = fn
-	}
+// NewInstance allocates fresh static state for one run of the program
+// per event.
+func (c *Compiled) NewInstance() *CompiledInstance {
 	ci := &CompiledInstance{c: c}
 	ci.m = cmachine{
-		ints:     make([]int64, c.nInt),
-		floats:   make([]float64, c.nFloat),
-		bools:    make([]bool, c.nBool),
-		strs:     make([]string, c.nStr),
-		recs:     make([]Record, c.nRec),
-		sinit:    make([]bool, c.nSInit),
-		argbufs:  make([][]Value, len(c.argBufSizes)),
-		builtins: bound,
+		ints:    make([]int64, c.nInt),
+		floats:  make([]float64, c.nFloat),
+		bools:   make([]bool, c.nBool),
+		strs:    make([]string, c.nStr),
+		sinit:   make([]bool, c.nSInit),
+		argbufs: make([][]Value, len(c.argBufSizes)),
 	}
 	for i, n := range c.argBufSizes {
 		ci.m.argbufs[i] = make([]Value, n)
 	}
-	return ci, nil
+	return ci
 }
 
-// Run executes the program against the host bindings (every record
-// named in the verify env must be present). It returns the value of the
-// first executed return statement, or nil if execution falls off the
-// end; there is no step limit because termination is proven.
-func (ci *CompiledInstance) Run(bindings map[string]Value) (Value, error) {
+// Run executes the program against host, the record the verify env
+// binds: a non-nil pointer to the struct its field table was declared
+// over (ignored when the env has no record). It returns the value of
+// the first executed return statement, or nil if execution falls off
+// the end; there is no step limit because termination is proven.
+func (ci *CompiledInstance) Run(host any) (Value, error) {
 	m := &ci.m
 	m.ret = nil
-	for name, idx := range ci.c.bindings {
-		v, ok := bindings[name]
-		if !ok {
-			return nil, fmt.Errorf("ecode: %s: missing binding %q", ci.c.name, name)
-		}
-		rec, ok := v.(Record)
-		if !ok {
-			return nil, fmt.Errorf("ecode: %s: binding %q is %T, not a Record", ci.c.name, name, v)
-		}
-		m.recs[idx] = rec
+	// Checked once here, so no field read has to.
+	if b := ci.c.bind; b != nil && !b.isHost(host) {
+		return nil, fmt.Errorf("ecode: %s: binding %q is %T, not a %s", ci.c.name, b.name, host, b.host)
 	}
+	m.host = host
 	if _, err := execSeq(m, ci.c.body); err != nil {
 		return nil, err
 	}
@@ -172,17 +135,16 @@ func (ci *CompiledInstance) Static(name string) (Value, bool) {
 // cmachine is one instance's mutable execution state: typed slot arrays
 // (statics persist across runs; locals are always written before read,
 // so they need no reset), the static init guards, per-call-site
-// argument buffers, and the bound builtins.
+// argument buffers, and the host record of the run in progress.
 type cmachine struct {
-	ints     []int64
-	floats   []float64
-	bools    []bool
-	strs     []string
-	recs     []Record
-	sinit    []bool
-	argbufs  [][]Value
-	builtins []Builtin
-	ret      Value
+	ints    []int64
+	floats  []float64
+	bools   []bool
+	strs    []string
+	sinit   []bool
+	argbufs [][]Value
+	host    any
+	ret     Value
 }
 
 // Closure kinds. A cexpr is typed by the static type of the expression
@@ -220,19 +182,16 @@ type slotRef struct {
 
 type compiler struct {
 	c     *Compiled
+	env   VerifyEnv
 	res   *resolution
 	slots map[*symbol]slotRef // one slot per local or static declaration
-	binfo map[string]int
 }
 
-// slot returns the slot of the symbol the verifier resolved node (an
+// slot returns the slot of the variable the verifier resolved node (an
 // identifier use, an assignment or a declaration) to, allocating it the
 // first time the declaration is met.
 func (cp *compiler) slot(node any) slotRef {
 	s := cp.res.syms[node]
-	if s.where == varBinding {
-		return slotRef{t: TRecord, idx: cp.c.bindings[s.name], sinit: -1}
-	}
 	ref, ok := cp.slots[s]
 	if !ok {
 		ref = slotRef{t: s.t, sinit: -1}
@@ -253,16 +212,6 @@ func (cp *compiler) slot(node any) slotRef {
 		cp.slots[s] = ref
 	}
 	return ref
-}
-
-func (cp *compiler) builtinSlot(name string) int {
-	if i, ok := cp.binfo[name]; ok {
-		return i
-	}
-	i := len(cp.c.builtins)
-	cp.c.builtins = append(cp.c.builtins, name)
-	cp.binfo[name] = i
-	return i
 }
 
 // unlowerable reports an AST node the lowering has no case for. The
@@ -536,7 +485,11 @@ func update[T int64 | float64](p *T, k byte, v T, line int, divZero string) erro
 }
 
 func (cp *compiler) compileCall(n *callExpr) (cexpr[Value], error) {
-	slot := cp.builtinSlot(n.name)
+	b, _ := cp.env.builtin(n.name)
+	fn := b.Fn
+	if fn == nil {
+		return nil, fmt.Errorf("ecode: %s: builtin %q has no implementation", cp.c.name, n.name)
+	}
 	argFns := make([]cexpr[Value], len(n.args))
 	for i, a := range n.args {
 		f, err := cp.compileVal(a)
@@ -557,7 +510,7 @@ func (cp *compiler) compileCall(n *callExpr) (cexpr[Value], error) {
 			}
 			buf[i] = v
 		}
-		v, err := m.builtins[slot](buf)
+		v, err := fn(buf)
 		if err != nil {
 			return nil, rtErr(line, "%s: %v", name, err)
 		}
@@ -742,9 +695,8 @@ func (cp *compiler) compileVal(e expr) (cexpr[Value], error) {
 		return box(cp.compileBool(e))
 	case TString:
 		return box(cp.compileStr(e))
-	case TRecord: // only a bare host binding is record-typed
-		idx := cp.slot(e).idx
-		return func(m *cmachine) (Value, error) { return m.recs[idx], nil }, nil
+	case TRecord: // only the bare host binding is record-typed
+		return func(m *cmachine) (Value, error) { return m.host, nil }, nil
 	}
 	return nil, unlowerable("untyped expression %T", e)
 }
@@ -767,25 +719,18 @@ func operands[T any](lower lowerer[T], n *binaryExpr) (l, r cexpr[T], err error)
 	return l, r, err
 }
 
-// unbox lowers the two nodes whose value arrives boxed from the host —
-// a record field and a builtin's result — and asserts the static type
-// the verifier gave it.
+// unbox lowers the two nodes whose value comes from the host. A record
+// field is read by its table row's typed getter: the row is picked
+// here, once, and the read itself is that one call. A builtin's result
+// arrives boxed and is asserted to the static type the verifier gave it.
 func unbox[T scalar](cp *compiler, e expr) (cexpr[T], error) {
 	want := cp.res.types[e]
 	switch n := e.(type) {
 	case *fieldExpr:
-		idx, field, line := cp.slot(n.recv).idx, n.field, n.line
-		return func(m *cmachine) (zero T, _ error) {
-			v, ok := m.recs[idx].Field(field)
-			if !ok {
-				return zero, rtErr(line, "record has no field %q", field)
-			}
-			x, ok := v.(T)
-			if !ok {
-				return zero, rtErr(line, "field %q is %T, schema says %s", field, v, want)
-			}
-			return x, nil
-		}, nil
+		f, _ := cp.env.Binding.field(n.field)
+		if read, ok := f.read.(cexpr[T]); ok {
+			return read, nil
+		}
 	case *callExpr:
 		f, err := cp.compileCall(n)
 		if err != nil {

@@ -1,30 +1,42 @@
-package ecode
+package ecode_test
+
+// The engine's tests bind what ships: programs are verified against
+// core.CPAVerifyEnv — the environment sysprofctl and the LPA host use —
+// and run on a *kprof.Event, so there is no second event schema here to
+// keep equal to the first.
 
 import (
+	"errors"
 	"fmt"
 	"reflect"
 	"strings"
 	"sync"
 	"testing"
+	"time"
+
+	"sysprof/internal/core"
+	"sysprof/internal/ecode"
+	"sysprof/internal/kprof"
+	"sysprof/internal/simnet"
 )
 
-// diffRun executes src through both the interpreter and the compiled
-// closures with the same bindings and requires identical outcomes:
-// either both error, or both succeed with equal values.
-func diffRun(t *testing.T, src string, bindings map[string]Value, extra map[string]Builtin) (Value, error) {
-	t.Helper()
-	prog := MustCompile(src)
-	iv, ierr := prog.NewInstance(WithBuiltins(extra)).Run(bindings)
+// testVerifyEnv is the CPA environment with emit delivering nowhere.
+func testVerifyEnv(name string) ecode.VerifyEnv { return core.CPAVerifyEnv(name, nil) }
 
-	c, verdict, err := prog.CompileVerified(testVerifyEnv("diff"))
+// diffRun executes src through both the interpreter and the compiled
+// closures in the same environment on the same host record and requires
+// identical outcomes: either both error, or both succeed with equal
+// values.
+func diffRun(t *testing.T, src string, env ecode.VerifyEnv, host any) (ecode.Value, error) {
+	t.Helper()
+	prog := ecode.MustCompile(src)
+	iv, ierr := prog.NewInstance(ecode.WithEnv(env)).Run(host)
+
+	c, verdict, err := prog.CompileVerified(env)
 	if err != nil {
 		t.Fatalf("CompileVerified rejected:\n%s\n%v", verdict.Render(), err)
 	}
-	ci, err := c.NewInstance(extra)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cv, cerr := ci.Run(bindings)
+	cv, cerr := c.NewInstance().Run(host)
 
 	if (ierr != nil) != (cerr != nil) {
 		t.Fatalf("error divergence: interp err=%v, compiled err=%v", ierr, cerr)
@@ -42,12 +54,11 @@ func diffRun(t *testing.T, src string, bindings map[string]Value, extra map[stri
 	return cv, nil
 }
 
-func testEvent() Record {
-	return MapRecord{
-		"type": "net_rx", "time": int64(1000), "node": int64(1), "cpu": int64(0),
-		"pid": int64(42), "pid2": int64(0), "bytes": int64(1500), "aux": int64(7),
-		"msgid": int64(9), "seq": int64(3), "last": true, "proc": "nginx",
-		"src_node": int64(1), "src_port": int64(80), "dst_node": int64(2), "dst_port": int64(9090),
+func testEvent() *kprof.Event {
+	return &kprof.Event{
+		Type: kprof.EvNetRx, Time: 1000 * time.Nanosecond, Node: 1, PID: 42, Bytes: 1500, Aux: 7,
+		MsgID: 9, Seq: 3, Last: true, Proc: "nginx",
+		Flow: simnet.FlowKey{Src: simnet.Addr{Node: 1, Port: 80}, Dst: simnet.Addr{Node: 2, Port: 9090}},
 	}
 }
 
@@ -55,7 +66,7 @@ func testEvent() Record {
 // must produce identical results from the tree-walker and the compiled
 // closures.
 func TestCompiledMatchesInterpreter(t *testing.T) {
-	ev := map[string]Value{"ev": testEvent()}
+	env, ev := testVerifyEnv("diff"), testEvent()
 	cases := []struct {
 		name string
 		src  string
@@ -116,13 +127,13 @@ return 0.0;
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			diffRun(t, tc.src, ev, nil)
+			diffRun(t, tc.src, env, ev)
 		})
 	}
 
 	for _, tc := range scopingCases {
 		t.Run(tc.name, func(t *testing.T) {
-			if got, err := diffRun(t, tc.src, ev, nil); err != nil || got != tc.want {
+			if got, err := diffRun(t, tc.src, env, ev); err != nil || got != tc.want {
 				t.Errorf("got %#v, %v; want %#v", got, err, tc.want)
 			}
 		})
@@ -139,7 +150,7 @@ return 0.0;
 var scopingCases = []struct {
 	name string
 	src  string
-	want Value
+	want ecode.Value
 }{
 	{"init-reads-outer", `int x = 1; if (true) { int x = x + 1; return x; } return -1;`, int64(2)},
 	{"init-reads-outer-retyped", `int x = 1; if (true) { float x = x + 0.5; return x; } return -1.0;`, 1.5},
@@ -167,27 +178,25 @@ count++;
 total += ev.bytes;
 return count;
 `
-	prog := MustCompile(src)
-	c, _, err := prog.CompileVerified(testVerifyEnv("statics"))
+	prog := ecode.MustCompile(src)
+	env := testVerifyEnv("statics")
+	c, _, err := prog.CompileVerified(env)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ci, err := c.NewInstance(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	inst := prog.NewInstance()
-	bindings := map[string]Value{"ev": testEvent()}
+	ci := c.NewInstance()
+	inst := prog.NewInstance(ecode.WithEnv(env))
+	ev := testEvent()
 
 	if _, ok := ci.Static("count"); ok {
 		t.Error("Static visible before first run")
 	}
 	for run := 1; run <= 3; run++ {
-		iv, err := inst.Run(bindings)
+		iv, err := inst.Run(ev)
 		if err != nil {
 			t.Fatal(err)
 		}
-		cv, err := ci.Run(bindings)
+		cv, err := ci.Run(ev)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -209,7 +218,7 @@ return count;
 
 	// A static declared in a branch exists from the event that first
 	// takes the branch, not before.
-	c, _, err = MustCompile(`
+	c, _, err = ecode.MustCompile(`
 static int runs = 0;
 runs++;
 if (runs == 2) { static int late = 40; late += runs; }
@@ -218,17 +227,22 @@ return runs;
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ci, err = c.NewInstance(nil); err != nil {
-		t.Fatal(err)
-	}
-	for run, want := range []Value{nil, int64(42), int64(42)} {
-		if _, err := ci.Run(bindings); err != nil {
+	ci = c.NewInstance()
+	for run, want := range []ecode.Value{nil, int64(42), int64(42)} {
+		if _, err := ci.Run(ev); err != nil {
 			t.Fatal(err)
 		}
 		if got, ok := ci.Static("late"); got != want || ok != (want != nil) {
 			t.Errorf("after run %d: Static(late) = %v, %v; want %v", run+1, got, ok, want)
 		}
 	}
+}
+
+// keyed is a host record whose one field the environments of
+// TestSharedProgramConcurrentVerify type differently.
+type keyed struct {
+	n int64
+	s string
 }
 
 // TestSharedProgramConcurrentVerify: a *Program is immutable. One parsed
@@ -238,28 +252,21 @@ return runs;
 // rec, so ev is undefined — and every result must equal the sequential
 // one. Under -race this is what rules out annotating the AST in place.
 func TestSharedProgramConcurrentVerify(t *testing.T) {
-	prog := MustCompile(`static int n = 0; n++; if (ev.key == ev.key && n > 0) { return ev.key; } return ev.key;`)
-	envs := []VerifyEnv{
-		{Name: "cpa", Records: map[string]RecordSchema{"ev": {"key": TInt}}},
-		{Name: "retyped", Records: map[string]RecordSchema{"ev": {"key": TString}}},
-		{Name: "filter", Records: map[string]RecordSchema{"rec": {"key": TString}}},
+	prog := ecode.MustCompile(`static int n = 0; n++; if (ev.key == ev.key && n > 0) { return ev.key; } return ev.key;`)
+	strKey := ecode.Str("key", func(k *keyed) string { return k.s })
+	envs := []ecode.VerifyEnv{
+		{Name: "cpa", Binding: ecode.Bind("ev", ecode.Int("key", func(k *keyed) int64 { return k.n }))},
+		{Name: "retyped", Binding: ecode.Bind("ev", strKey)},
+		{Name: "filter", Binding: ecode.Bind("rec", strKey)},
 	}
-	bindings := []map[string]Value{
-		{"ev": MapRecord{"key": int64(7)}},
-		{"ev": MapRecord{"key": "seven"}},
-		{"rec": MapRecord{"key": "seven"}},
-	}
+	host := &keyed{n: 7, s: "seven"}
 	run := func(i int) string {
 		c, v, err := prog.CompileVerified(envs[i])
 		out := fmt.Sprintf("ok=%v cost=%d\n%s\n", v.OK, v.Cost, v.Render())
 		if err != nil {
 			return out + err.Error()
 		}
-		ci, err := c.NewInstance(nil)
-		if err != nil {
-			return out + err.Error()
-		}
-		val, err := ci.Run(bindings[i])
+		val, err := c.NewInstance().Run(host)
 		return out + fmt.Sprintf("%#v %v", val, err)
 	}
 	want := make([]string, len(envs))
@@ -288,27 +295,19 @@ func TestSharedProgramConcurrentVerify(t *testing.T) {
 // TestCompiledInstancesIsolated: two instances of one Compiled must not
 // share static state or argument buffers.
 func TestCompiledInstancesIsolated(t *testing.T) {
-	c, _, err := MustCompile(`static int n = 0; n += len(ev.proc); return n;`).
+	c, _, err := ecode.MustCompile(`static int n = 0; n += len(ev.proc); return n;`).
 		CompileVerified(testVerifyEnv("iso"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := c.NewInstance(nil)
-	if err != nil {
+	a, b, ev := c.NewInstance(), c.NewInstance(), testEvent()
+	if _, err := a.Run(ev); err != nil {
 		t.Fatal(err)
 	}
-	b, err := c.NewInstance(nil)
-	if err != nil {
+	if _, err := a.Run(ev); err != nil {
 		t.Fatal(err)
 	}
-	bindings := map[string]Value{"ev": testEvent()}
-	if _, err := a.Run(bindings); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := a.Run(bindings); err != nil {
-		t.Fatal(err)
-	}
-	v, err := b.Run(bindings)
+	v, err := b.Run(ev)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -317,18 +316,19 @@ func TestCompiledInstancesIsolated(t *testing.T) {
 	}
 }
 
-// TestCompiledCustomBuiltin: extra builtins resolve by name at
-// NewInstance time and receive evaluated arguments.
+// TestCompiledCustomBuiltin: a host builtin is one environment entry —
+// signature and implementation — and receives evaluated arguments.
 func TestCompiledCustomBuiltin(t *testing.T) {
-	var got []Value
-	extra := map[string]Builtin{
-		"emit": func(args []Value) (Value, error) {
-			got = append(got, args...)
-			return int64(len(args)), nil
-		},
+	var got []ecode.Value
+	env := testVerifyEnv("diff")
+	env.Builtins = map[string]ecode.Builtin{
+		"emit": {Params: []ecode.ParamKind{ecode.PString, ecode.PAny}, Result: ecode.RInt, Cost: 4,
+			Fn: func(args []ecode.Value) (ecode.Value, error) {
+				got = append(got, args...)
+				return int64(len(args)), nil
+			}},
 	}
-	v, err := diffRunT(t, `emit("chan", ev.bytes); return emit("x", 1);`,
-		map[string]Value{"ev": testEvent()}, extra)
+	v, err := diffRun(t, `emit("chan", ev.bytes); return emit("x", 1);`, env, testEvent())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -336,54 +336,52 @@ func TestCompiledCustomBuiltin(t *testing.T) {
 		t.Errorf("emit returned %v, want 2", v)
 	}
 	// Both engines ran, so the builtin saw each call twice.
-	want := []Value{"chan", int64(1500), "x", int64(1), "chan", int64(1500), "x", int64(1)}
+	want := []ecode.Value{"chan", int64(1500), "x", int64(1), "chan", int64(1500), "x", int64(1)}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("emit args %#v, want %#v", got, want)
 	}
 }
 
-// diffRunT is diffRun for tests that also need the return value when
-// the builtin has call-order side effects.
-func diffRunT(t *testing.T, src string, bindings map[string]Value, extra map[string]Builtin) (Value, error) {
-	t.Helper()
-	return diffRun(t, src, bindings, extra)
-}
-
-// TestCompiledMissingBuiltin: an unresolvable builtin fails at
-// NewInstance, not mid-run on the hot path.
+// TestCompiledMissingBuiltin: a builtin declared without an
+// implementation fails the install, not a run on the hot path.
 func TestCompiledMissingBuiltin(t *testing.T) {
-	c, _, err := MustCompile(`emit("x", 1); return 0;`).CompileVerified(testVerifyEnv("mb"))
-	if err != nil {
-		t.Fatal(err)
+	env := ecode.VerifyEnv{Name: "mb", Builtins: map[string]ecode.Builtin{
+		"emit": {Params: []ecode.ParamKind{ecode.PString, ecode.PAny}, Result: ecode.RInt},
+	}}
+	prog := ecode.MustCompile(`emit("x", 1); return 0;`)
+	if v := prog.Verify(env); !v.OK {
+		t.Fatalf("signature alone should verify:\n%s", v.Render())
 	}
-	if _, err := c.NewInstance(nil); err == nil || !strings.Contains(err.Error(), "emit") {
-		t.Errorf("NewInstance error = %v, want missing-builtin mention of emit", err)
+	if c, _, err := prog.CompileVerified(env); c != nil || err == nil || !strings.Contains(err.Error(), "emit") {
+		t.Errorf("CompileVerified = (%v, %v), want no artifact and an error naming emit", c, err)
 	}
 }
 
-// TestCompiledMissingBinding: Run rejects absent or mistyped record
-// bindings up front.
+// TestCompiledMissingBinding: Run takes the host record the
+// environment's field table was declared over and nothing else — an
+// absent, nil or foreign value is an error up front, never a panic in a
+// getter.
 func TestCompiledMissingBinding(t *testing.T) {
-	c, _, err := MustCompile(`return ev.bytes;`).CompileVerified(testVerifyEnv("mbind"))
+	c, _, err := ecode.MustCompile(`return ev.bytes;`).CompileVerified(testVerifyEnv("mbind"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	ci, err := c.NewInstance(nil)
-	if err != nil {
-		t.Fatal(err)
+	ci := c.NewInstance()
+	for _, host := range []any{nil, int64(3), (*kprof.Event)(nil), kprof.Event{}, &core.Record{}} {
+		_, err := ci.Run(host)
+		if err == nil || !strings.Contains(err.Error(), `"ev"`) || !strings.Contains(err.Error(), "*kprof.Event") {
+			t.Errorf("Run(%T): err = %v, want one naming the binding and its host type", host, err)
+		}
 	}
-	if _, err := ci.Run(nil); err == nil || !strings.Contains(err.Error(), `"ev"`) {
-		t.Errorf("missing binding: err = %v", err)
-	}
-	if _, err := ci.Run(map[string]Value{"ev": int64(3)}); err == nil || !strings.Contains(err.Error(), "Record") {
-		t.Errorf("mistyped binding: err = %v", err)
+	if v, err := ci.Run(testEvent()); err != nil || v != int64(1500) {
+		t.Errorf("Run(event) = %v, %v", v, err)
 	}
 }
 
 // TestCompileVerifiedRejects: a hostile program never reaches the
 // compiler; the error carries the verifier's evidence chain.
 func TestCompileVerifiedRejects(t *testing.T) {
-	c, v, err := MustCompile(`while (true) { }`).CompileVerified(testVerifyEnv("hostile.ec"))
+	c, v, err := ecode.MustCompile(`while (true) { }`).CompileVerified(testVerifyEnv("hostile.ec"))
 	if c != nil {
 		t.Fatal("hostile program compiled")
 	}
@@ -398,7 +396,7 @@ func TestCompileVerifiedRejects(t *testing.T) {
 // TestCompiledCost: the verifier's estimate rides along on the
 // artifact for controller status reporting.
 func TestCompiledCost(t *testing.T) {
-	c, v, err := MustCompile(`int n = 0; for (int i = 0; i < 50; i++) { n += i; } return n;`).
+	c, v, err := ecode.MustCompile(`int n = 0; for (int i = 0; i < 50; i++) { n += i; } return n;`).
 		CompileVerified(testVerifyEnv("cost"))
 	if err != nil {
 		t.Fatal(err)
@@ -417,9 +415,8 @@ func TestCompiledCost(t *testing.T) {
 // has no counter to trip (exercised with a limit far below the work).
 func TestCompiledNoStepLimit(t *testing.T) {
 	src := `int s = 0; for (int i = 0; i < 10000; i++) { s += 1; } return s;`
-	bindings := map[string]Value{"ev": testEvent()}
-	prog := MustCompile(src)
-	if _, err := prog.NewInstance(WithStepLimit(100)).Run(bindings); err == nil {
+	prog := ecode.MustCompile(src)
+	if _, err := prog.NewInstance(ecode.WithStepLimit(100)).Run(nil); err == nil {
 		t.Fatal("interpreter step limit did not trip — test premise broken")
 	}
 	env := testVerifyEnv("nolimit")
@@ -428,11 +425,7 @@ func TestCompiledNoStepLimit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ci, err := c.NewInstance(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	v, err := ci.Run(bindings)
+	v, err := c.NewInstance().Run(testEvent())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -444,40 +437,22 @@ func TestCompiledNoStepLimit(t *testing.T) {
 // TestCompiledRuntimeErrorLine: arithmetic faults keep their source
 // line through compilation.
 func TestCompiledRuntimeErrorLine(t *testing.T) {
-	c, _, err := MustCompile("int z = 0;\nreturn 1 / z;").CompileVerified(testVerifyEnv("line"))
+	c, _, err := ecode.MustCompile("int z = 0;\nreturn 1 / z;").CompileVerified(testVerifyEnv("line"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	ci, err := c.NewInstance(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, rerr := ci.Run(map[string]Value{"ev": testEvent()})
-	var re *RuntimeError
-	if !errorsAs(rerr, &re) || re.Line != 2 {
+	_, rerr := c.NewInstance().Run(testEvent())
+	var re *ecode.RuntimeError
+	if !errors.As(rerr, &re) || re.Line != 2 {
 		t.Fatalf("err = %v, want RuntimeError at line 2", rerr)
 	}
 }
 
-func errorsAs(err error, target **RuntimeError) bool {
-	for err != nil {
-		if re, ok := err.(*RuntimeError); ok {
-			*target = re
-			return true
-		}
-		u, ok := err.(interface{ Unwrap() error })
-		if !ok {
-			return false
-		}
-		err = u.Unwrap()
-	}
-	return false
-}
-
 // TestCompiledAllocFree: the steady-state hot path must not allocate
-// beyond boxing the returned value.
+// beyond boxing the returned value — reading typed fields off the real
+// event included.
 func TestCompiledAllocFree(t *testing.T) {
-	c, _, err := MustCompile(`
+	c, _, err := ecode.MustCompile(`
 static int n = 0;
 if (ev.type == "net_rx" && ev.bytes > 512) {
 	n++;
@@ -487,16 +462,12 @@ return n;
 	if err != nil {
 		t.Fatal(err)
 	}
-	ci, err := c.NewInstance(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bindings := map[string]Value{"ev": testEvent()}
-	if _, err := ci.Run(bindings); err != nil { // warm static init
+	ci, ev := c.NewInstance(), testEvent()
+	if _, err := ci.Run(ev); err != nil { // warm static init
 		t.Fatal(err)
 	}
 	avg := testing.AllocsPerRun(200, func() {
-		if _, err := ci.Run(bindings); err != nil {
+		if _, err := ci.Run(ev); err != nil {
 			t.Fatal(err)
 		}
 	})

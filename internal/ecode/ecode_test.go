@@ -6,13 +6,26 @@ import (
 	"testing"
 )
 
-func run(t *testing.T, src string, bindings map[string]Value) Value {
+// sample is the host record these tests bind as "ev".
+type sample struct {
+	typ     string
+	bytes   int64
+	latency float64
+}
+
+var sampleEnv = VerifyEnv{Binding: Bind("ev",
+	Str("type", func(s *sample) string { return s.typ }),
+	Int("bytes", func(s *sample) int64 { return s.bytes }),
+	Float("latency", func(s *sample) float64 { return s.latency }),
+)}
+
+func run(t *testing.T, src string, host *sample) Value {
 	t.Helper()
 	prog, err := Compile(src)
 	if err != nil {
 		t.Fatalf("compile: %v", err)
 	}
-	out, err := prog.NewInstance().Run(bindings)
+	out, err := prog.NewInstance(WithEnv(sampleEnv)).Run(host)
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
@@ -129,9 +142,7 @@ func TestRecordFieldAccess(t *testing.T) {
 		if (ev.type == "net_rx" && ev.bytes > 1000) { return "big"; }
 		return "small";
 	`
-	out := run(t, src, map[string]Value{
-		"ev": MapRecord{"type": "net_rx", "bytes": int64(1500)},
-	})
+	out := run(t, src, &sample{typ: "net_rx", bytes: 1500})
 	if out != "big" {
 		t.Fatalf("got %v", out)
 	}
@@ -160,13 +171,13 @@ func TestCustomBuiltin(t *testing.T) {
 	prog := MustCompile(`emit("ch", 42); return 0;`)
 	var gotChannel string
 	var gotVal Value
-	inst := prog.NewInstance(WithBuiltins(map[string]Builtin{
-		"emit": func(args []Value) (Value, error) {
+	inst := prog.NewInstance(WithEnv(VerifyEnv{Builtins: map[string]Builtin{
+		"emit": {Fn: func(args []Value) (Value, error) {
 			gotChannel = args[0].(string)
 			gotVal = args[1]
 			return int64(0), nil
-		},
-	}))
+		}},
+	}}))
 	if _, err := inst.Run(nil); err != nil {
 		t.Fatal(err)
 	}
@@ -203,7 +214,7 @@ func TestRuntimeErrors(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: compile: %v", tt.src, err)
 		}
-		_, err = prog.NewInstance().Run(map[string]Value{"ev": MapRecord{}})
+		_, err = prog.NewInstance(WithEnv(sampleEnv)).Run(&sample{})
 		if err == nil || !strings.Contains(err.Error(), tt.want) {
 			t.Errorf("%s: err = %v, want containing %q", tt.src, err, tt.want)
 		}
@@ -279,11 +290,11 @@ func TestRealisticCPA(t *testing.T) {
 		if (ev.latency > mean * 2.0 && n > 3) { return true; }
 		return false;
 	`)
-	inst := prog.NewInstance()
+	inst := prog.NewInstance(WithEnv(sampleEnv))
 	latencies := []float64{10, 11, 9, 10, 50}
 	var flagged int
 	for _, l := range latencies {
-		out, err := inst.Run(map[string]Value{"ev": MapRecord{"latency": l}})
+		out, err := inst.Run(&sample{latency: l})
 		if err != nil {
 			t.Fatal(err)
 		}

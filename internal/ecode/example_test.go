@@ -6,8 +6,13 @@ import (
 	"sysprof/internal/ecode"
 )
 
-// Verify a small analyzer with persistent state against the schema of
-// the record it reads, lower it to closures, and run it per event.
+// packet is the host struct the example binds as "ev".
+type packet struct{ size int }
+
+// Declare what a program may read of the host record — one field table,
+// the verifier's schema and the compiled program's getters — verify a
+// small analyzer with persistent state against it, lower it to closures,
+// and run it per event.
 func ExampleProgram_CompileVerified() {
 	prog, err := ecode.Compile(`
 		static int big = 0;
@@ -19,22 +24,18 @@ func ExampleProgram_CompileVerified() {
 		return
 	}
 	compiled, verdict, err := prog.CompileVerified(ecode.VerifyEnv{
-		Name:    "bigpackets",
-		Records: map[string]ecode.RecordSchema{"ev": {"bytes": ecode.TInt}},
+		Name: "bigpackets",
+		Binding: ecode.Bind("ev",
+			ecode.Int("bytes", func(p *packet) int64 { return int64(p.size) }),
+		),
 	})
 	if err != nil {
 		fmt.Println(verdict.Render())
 		return
 	}
-	inst, err := compiled.NewInstance(nil)
-	if err != nil {
-		fmt.Println("instantiate:", err)
-		return
-	}
-	for _, bytes := range []int64{500, 1500, 2000, 100} {
-		out, err := inst.Run(map[string]ecode.Value{
-			"ev": ecode.MapRecord{"bytes": bytes},
-		})
+	inst := compiled.NewInstance()
+	for _, size := range []int{500, 1500, 2000, 100} {
+		out, err := inst.Run(&packet{size: size})
 		if err != nil {
 			fmt.Println("run:", err)
 			return
@@ -48,29 +49,24 @@ func ExampleProgram_CompileVerified() {
 	// 2
 }
 
-// Host programs can expose custom builtins, like SysProf's emit(): the
-// verifier needs the signature, the instance the implementation.
+// Host programs can expose custom builtins, like SysProf's emit(): one
+// entry carries the signature the verifier checks calls against and the
+// implementation a call runs.
 func ExampleCompiled_NewInstance() {
 	compiled, _, err := ecode.MustCompile(`emit("alerts", 42); return 0;`).CompileVerified(ecode.VerifyEnv{
-		Builtins: map[string]ecode.BuiltinSig{
-			"emit": {Params: []ecode.ParamKind{ecode.PString, ecode.PAny}, Result: ecode.RInt},
+		Builtins: map[string]ecode.Builtin{
+			"emit": {Params: []ecode.ParamKind{ecode.PString, ecode.PAny}, Result: ecode.RInt,
+				Fn: func(args []ecode.Value) (ecode.Value, error) {
+					fmt.Printf("emit(%v, %v)\n", args[0], args[1])
+					return int64(0), nil
+				}},
 		},
 	})
 	if err != nil {
 		fmt.Println(err)
 		return
 	}
-	inst, err := compiled.NewInstance(map[string]ecode.Builtin{
-		"emit": func(args []ecode.Value) (ecode.Value, error) {
-			fmt.Printf("emit(%v, %v)\n", args[0], args[1])
-			return int64(0), nil
-		},
-	})
-	if err != nil {
-		fmt.Println(err)
-		return
-	}
-	_, _ = inst.Run(nil)
+	_, _ = compiled.NewInstance().Run(nil)
 	// Output:
 	// emit(alerts, 42)
 }

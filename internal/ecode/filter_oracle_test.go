@@ -50,9 +50,9 @@ func TestFilterCompiledMatchesInterpreter(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", src, err)
 		}
-		interp := ecode.MustCompile(src).NewInstance()
+		interp := ecode.MustCompile(src).NewInstance(ecode.WithEnv(dissem.FilterVerifyEnv()))
 		for i := range records {
-			out, err := interp.Run(map[string]ecode.Value{"rec": dissem.FilterRecord(&records[i])})
+			out, err := interp.Run(&records[i])
 			want, _ := out.(bool)
 			want = want && err == nil
 			if got := filter(&records[i]); got != want {

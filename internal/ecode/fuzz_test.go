@@ -1,10 +1,12 @@
-package ecode
+package ecode_test
 
 import (
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"sysprof/internal/ecode"
 )
 
 // FuzzVerify throws arbitrary source at the full trust pipeline:
@@ -43,10 +45,10 @@ func FuzzVerify(f *testing.F) {
 	}
 
 	f.Fuzz(func(t *testing.T, src string) {
-		prog, err := Compile(src)
+		prog, err := ecode.Compile(src)
 		if err != nil {
 			// Parse errors must at least be stable across compiles.
-			_, err2 := Compile(src)
+			_, err2 := ecode.Compile(src)
 			if err2 == nil || err2.Error() != err.Error() {
 				t.Fatalf("nondeterministic compile: %v vs %v", err, err2)
 			}
@@ -65,8 +67,7 @@ func FuzzVerify(f *testing.F) {
 		// Accepted programs are safe to execute by construction; both
 		// engines must agree on the result (diffRun fails the test on
 		// any divergence in value or error text).
-		_, err = diffRun(t, src, map[string]Value{"ev": testEvent()},
-			map[string]Builtin{"emit": func(args []Value) (Value, error) { return int64(0), nil }})
+		_, err = diffRun(t, src, env, testEvent())
 		// The verifier typed every field and builtin argument, so the
 		// only fault left to run time is arithmetic.
 		if err != nil && !strings.Contains(err.Error(), "by zero") {

@@ -18,9 +18,11 @@ import (
 // survive across Run calls, which is how CPAs accumulate statistics over
 // event streams.
 type Instance struct {
-	prog     *Program
-	statics  map[string]Value
-	builtins map[string]Builtin
+	prog    *Program
+	statics map[string]Value
+	// env is where the host record and the builtins come from: the same
+	// tables the verifier and the compiler read, looked up by name.
+	env VerifyEnv
 	// stepLimit bounds loop iterations per Run so a buggy analyzer
 	// cannot wedge the kernel fast path.
 	stepLimit int
@@ -30,13 +32,10 @@ type Instance struct {
 // InstanceOption configures an Instance.
 type InstanceOption func(*Instance)
 
-// WithBuiltins adds host functions.
-func WithBuiltins(b map[string]Builtin) InstanceOption {
-	return func(i *Instance) {
-		for k, v := range b {
-			i.builtins[k] = v
-		}
-	}
+// WithEnv runs the program in env: Run's host is bound under the name
+// of env's binding, and env's builtins extend the standard ones.
+func WithEnv(env VerifyEnv) InstanceOption {
+	return func(i *Instance) { i.env = env }
 }
 
 // WithStepLimit overrides the per-run execution step budget (default 1e6).
@@ -53,7 +52,6 @@ func (p *Program) NewInstance(opts ...InstanceOption) *Instance {
 	inst := &Instance{
 		prog:      p,
 		statics:   make(map[string]Value),
-		builtins:  defaultBuiltins(),
 		stepLimit: 1_000_000,
 	}
 	for _, opt := range opts {
@@ -82,14 +80,14 @@ type execState struct {
 	ret    Value
 }
 
-// Run executes the program with the given host bindings (e.g. "ev" bound
-// to a Record). It returns the value of the first executed return
-// statement, or nil if execution falls off the end.
-func (i *Instance) Run(bindings map[string]Value) (Value, error) {
+// Run executes the program with host bound as the env's binding (e.g. a
+// *kprof.Event as "ev"). It returns the value of the first executed
+// return statement, or nil if execution falls off the end.
+func (i *Instance) Run(host any) (Value, error) {
 	i.steps = 0
-	root := &scope{vars: make(map[string]Value, len(bindings))}
-	for k, v := range bindings {
-		root.vars[k] = v
+	root := &scope{vars: map[string]Value{}}
+	if b := i.env.Binding; b != nil {
+		root.vars[b.name] = host
 	}
 	st := &execState{inst: i, locals: &scope{vars: make(map[string]Value), parent: root}}
 	_, err := st.execBlock(i.prog.body)
@@ -356,19 +354,20 @@ func (st *execState) eval(e expr) (Value, error) {
 		if err != nil {
 			return nil, err
 		}
-		rec, ok := recv.(Record)
-		if !ok {
+		rec := st.inst.env.Binding
+		if rec == nil || !rec.isHost(recv) {
 			return nil, rtErr(n.line, "field access on non-record %T", recv)
 		}
-		v, ok := rec.Field(n.field)
+		v, ok := rec.Value(recv, n.field)
 		if !ok {
 			return nil, rtErr(n.line, "record has no field %q", n.field)
 		}
 		return v, nil
 
 	case *callExpr:
-		fn, ok := st.inst.builtins[n.name]
-		if !ok {
+		b, _ := st.inst.env.builtin(n.name)
+		fn := b.Fn
+		if fn == nil {
 			return nil, rtErr(n.line, "unknown function %q", n.name)
 		}
 		args := make([]Value, len(n.args))
@@ -541,4 +540,32 @@ func evalBinary(op string, l, r Value, line int) (Value, error) {
 		return lf >= rf, nil
 	}
 	return nil, rtErr(line, "op %q not defined on floats", op)
+}
+
+// Name is the name programs see the record under.
+func (r *Binding) Name() string { return r.name }
+
+// FieldNames lists the table's rows, sorted.
+func (r *Binding) FieldNames() []string { return r.fieldNames() }
+
+// Value reads one field of host by name, boxed: the interpreter's field
+// access, through the row's own getter.
+func (r *Binding) Value(host any, name string) (Value, bool) {
+	f, _ := r.field(name)
+	m := &cmachine{host: host}
+	switch read := f.read.(type) {
+	case cexpr[int64]:
+		v, _ := read(m)
+		return v, true
+	case cexpr[float64]:
+		v, _ := read(m)
+		return v, true
+	case cexpr[bool]:
+		v, _ := read(m)
+		return v, true
+	case cexpr[string]:
+		v, _ := read(m)
+		return v, true
+	}
+	return nil, false
 }

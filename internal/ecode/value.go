@@ -2,30 +2,95 @@ package ecode
 
 import (
 	"fmt"
+	"sort"
 	"strings"
 )
 
-// Value is an E-Code runtime value: int64, float64, bool, string, or a
-// Record (for host-bound structured data like kernel events).
+// Value is an E-Code runtime value: int64, float64, bool, string, or
+// the bound host record itself (which only a PAny builtin parameter,
+// like emit's payload, accepts).
 type Value = any
 
-// Record exposes named fields to E-Code programs (e.g. the kernel event
-// bound as "ev").
-type Record interface {
-	Field(name string) (Value, bool)
+// Binding is one host record as programs see it — the kernel event
+// bound as "ev", the interaction record bound as "rec": the name and an
+// ordered field table. The table is the whole host interface. The
+// verifier reads each row's name and type; CompileVerified makes the
+// row's getter the field read itself, so a verified read is one typed
+// call with no name to compare and no value to box; the reference
+// interpreter reads the same rows by name.
+type Binding struct {
+	name   string
+	host   string // the host type's name, for Run's error
+	isHost func(any) bool
+	fields []field
 }
 
-// MapRecord adapts a map to the Record interface.
-type MapRecord map[string]Value
-
-// Field implements Record.
-func (m MapRecord) Field(name string) (Value, bool) {
-	v, ok := m[name]
-	return v, ok
+// field is a Field with the host type erased.
+type field struct {
+	name string
+	typ  Type
+	// read is the compiled form of reading this field off the machine's
+	// host record: a cexpr[int64], cexpr[float64], cexpr[bool] or
+	// cexpr[string], as typ says.
+	read any
 }
 
-// Builtin is a host-provided function callable from programs.
-type Builtin func(args []Value) (Value, error)
+// Field is one row of a host record's field table: the name programs
+// read it by, its static type, and a typed getter over the host struct
+// H. Int, Float, Bool and Str build rows; Bind collects them.
+type Field[H any] struct{ field }
+
+func newField[H any, T scalar](name string, typ Type, get func(*H) T) Field[H] {
+	read := cexpr[T](func(m *cmachine) (T, error) { return get(m.host.(*H)), nil })
+	return Field[H]{field{name: name, typ: typ, read: read}}
+}
+
+// Int declares an int field.
+func Int[H any](name string, get func(*H) int64) Field[H] { return newField(name, TInt, get) }
+
+// Float declares a float field.
+func Float[H any](name string, get func(*H) float64) Field[H] { return newField(name, TFloat, get) }
+
+// Bool declares a bool field.
+func Bool[H any](name string, get func(*H) bool) Field[H] { return newField(name, TBool, get) }
+
+// Str declares a string field.
+func Str[H any](name string, get func(*H) string) Field[H] { return newField(name, TString, get) }
+
+// Bind declares that programs see a *H under name, with these fields.
+func Bind[H any](name string, fields ...Field[H]) *Binding {
+	r := &Binding{
+		name:   name,
+		host:   fmt.Sprintf("%T", (*H)(nil)),
+		isHost: func(v any) bool { p, ok := v.(*H); return ok && p != nil },
+		fields: make([]field, len(fields)),
+	}
+	for i, f := range fields {
+		r.fields[i] = f.field
+	}
+	return r
+}
+
+// field finds a row by name. It runs when a program is verified or
+// lowered, never per event.
+func (r *Binding) field(name string) (field, bool) {
+	for _, f := range r.fields {
+		if f.name == name {
+			return f, true
+		}
+	}
+	return field{}, false
+}
+
+// fieldNames lists the table's names, sorted as diagnostics print them.
+func (r *Binding) fieldNames() []string {
+	names := make([]string, len(r.fields))
+	for i, f := range r.fields {
+		names[i] = f.name
+	}
+	sort.Strings(names)
+	return names
+}
 
 // RuntimeError reports an execution problem with source position.
 type RuntimeError struct {
@@ -47,53 +112,61 @@ type Program struct {
 	body []stmt
 }
 
-func defaultBuiltins() map[string]Builtin {
-	return map[string]Builtin{
-		"len": func(args []Value) (Value, error) {
-			if len(args) != 1 {
-				return nil, fmt.Errorf("len wants 1 arg")
+// standardBuiltins is every environment's builtin table. Besides the
+// functions programs may call it declares the host's slow-path ones —
+// sleep, readproc, log — which exist for offline E-Code tooling and are
+// classified blocking, so the verifier rejects any analyzer that tries
+// to call them per event; no verified program reaches their (absent)
+// implementations.
+var standardBuiltins = map[string]Builtin{
+	"len": {Params: []ParamKind{PString}, Result: RInt, Cost: 1, Fn: func(args []Value) (Value, error) {
+		if len(args) != 1 {
+			return nil, fmt.Errorf("len wants 1 arg")
+		}
+		s, ok := args[0].(string)
+		if !ok {
+			return nil, fmt.Errorf("len wants a string")
+		}
+		return int64(len(s)), nil
+	}},
+	"abs": {Params: []ParamKind{PNum}, Result: RArg0, Cost: 1, Fn: func(args []Value) (Value, error) {
+		if len(args) != 1 {
+			return nil, fmt.Errorf("abs wants 1 arg")
+		}
+		switch v := args[0].(type) {
+		case int64:
+			if v < 0 {
+				return -v, nil
 			}
-			s, ok := args[0].(string)
-			if !ok {
-				return nil, fmt.Errorf("len wants a string")
+			return v, nil
+		case float64:
+			if v < 0 {
+				return -v, nil
 			}
-			return int64(len(s)), nil
-		},
-		"abs": func(args []Value) (Value, error) {
-			if len(args) != 1 {
-				return nil, fmt.Errorf("abs wants 1 arg")
-			}
-			switch v := args[0].(type) {
-			case int64:
-				if v < 0 {
-					return -v, nil
-				}
-				return v, nil
-			case float64:
-				if v < 0 {
-					return -v, nil
-				}
-				return v, nil
-			}
-			return nil, fmt.Errorf("abs wants a number")
-		},
-		"min": minMax(true),
-		"max": minMax(false),
-		"contains": func(args []Value) (Value, error) {
-			if len(args) != 2 {
-				return nil, fmt.Errorf("contains wants 2 args")
-			}
-			s, ok1 := args[0].(string)
-			sub, ok2 := args[1].(string)
-			if !ok1 || !ok2 {
-				return nil, fmt.Errorf("contains wants strings")
-			}
-			return strings.Contains(s, sub), nil
-		},
-	}
+			return v, nil
+		}
+		return nil, fmt.Errorf("abs wants a number")
+	}},
+	"min": {Params: []ParamKind{PNum}, Variadic: true, Result: RArg0, Cost: 2, Fn: minMax(true)},
+	"max": {Params: []ParamKind{PNum}, Variadic: true, Result: RArg0, Cost: 2, Fn: minMax(false)},
+	"contains": {Params: []ParamKind{PString, PString}, Result: RBool, Cost: 8, Fn: func(args []Value) (Value, error) {
+		if len(args) != 2 {
+			return nil, fmt.Errorf("contains wants 2 args")
+		}
+		s, ok1 := args[0].(string)
+		sub, ok2 := args[1].(string)
+		if !ok1 || !ok2 {
+			return nil, fmt.Errorf("contains wants strings")
+		}
+		return strings.Contains(s, sub), nil
+	}},
+
+	"sleep":    {Params: []ParamKind{PNum}, Result: RInt, Blocking: true, Cost: 1},
+	"readproc": {Params: []ParamKind{PString}, Result: RString, Blocking: true, Cost: 1},
+	"log":      {Params: []ParamKind{PString}, Result: RInt, Blocking: true, Cost: 1},
 }
 
-func minMax(isMin bool) Builtin {
+func minMax(isMin bool) func([]Value) (Value, error) {
 	return func(args []Value) (Value, error) {
 		if len(args) < 1 {
 			return nil, fmt.Errorf("min/max want at least 1 arg")

@@ -10,7 +10,7 @@ package ecode
 //
 //	typecheck    full static typing over the int/float/bool/string
 //	             lattice; record-field access is validated against the
-//	             registered host schema (unknown fields, mixed-type
+//	             host record's field table (unknown fields, mixed-type
 //	             operands and mistyped builtin arguments are rejected)
 //	termination  every loop must have a statically derivable worst-case
 //	             iteration count (constant-bounded counter with a
@@ -80,10 +80,6 @@ func typeFromName(name string) Type {
 	return TInvalid
 }
 
-// RecordSchema declares the fields a host record exposes and their
-// types. Field access on a bound record is verified against it.
-type RecordSchema map[string]Type
-
 // ParamKind constrains one builtin parameter.
 type ParamKind uint8
 
@@ -110,35 +106,19 @@ const (
 	RArg0
 )
 
-// BuiltinSig classifies one builtin for the verifier: parameter and
-// result typing, the blocking/nonblocking classification the noblock
-// pass enforces, and the worst-case step cost one call charges.
-type BuiltinSig struct {
+// Builtin is one host function programs may call, declared once: the
+// typing, the blocking/nonblocking classification the noblock pass
+// enforces and the worst-case step cost the verifier reads, and the
+// implementation a compiled call site captures (see standardBuiltins).
+type Builtin struct {
 	Params   []ParamKind
 	Variadic bool // last param may repeat (at least one argument total)
 	Result   ResultKind
 	Blocking bool // true: never allowed on the event fast path
 	Cost     int  // worst-case steps charged per call (0 counts as 1)
-}
-
-// StandardSigs is the builtin signature table for the default runtime
-// (see defaultBuiltins). It also declares the host's slow-path
-// functions — sleep, readproc, log — which exist for offline E-Code
-// tooling and are classified blocking, so the verifier rejects any
-// analyzer that tries to call them per event.
-func StandardSigs() map[string]BuiltinSig {
-	return map[string]BuiltinSig{
-		"len":      {Params: []ParamKind{PString}, Result: RInt, Cost: 1},
-		"abs":      {Params: []ParamKind{PNum}, Result: RArg0, Cost: 1},
-		"min":      {Params: []ParamKind{PNum}, Variadic: true, Result: RArg0, Cost: 2},
-		"max":      {Params: []ParamKind{PNum}, Variadic: true, Result: RArg0, Cost: 2},
-		"contains": {Params: []ParamKind{PString, PString}, Result: RBool, Cost: 8},
-
-		// Slow-path host functions: blocking by classification.
-		"sleep":    {Params: []ParamKind{PNum}, Result: RInt, Blocking: true, Cost: 1},
-		"readproc": {Params: []ParamKind{PString}, Result: RString, Blocking: true, Cost: 1},
-		"log":      {Params: []ParamKind{PString}, Result: RInt, Blocking: true, Cost: 1},
-	}
+	// Fn runs a call. The verifier has typed the arguments; Fn may be
+	// nil only where Blocking already keeps every call out.
+	Fn func(args []Value) (Value, error)
 }
 
 // DefaultMaxCost is the per-event worst-case step ceiling when
@@ -155,18 +135,18 @@ const (
 	PassCost        = "cost"
 )
 
-// VerifyEnv is the static environment an analyzer is verified against:
-// the records it may touch, the builtins it may call, and the cost
-// ceiling it must fit under.
+// VerifyEnv is the environment a program is verified against and, once
+// it passes, compiled into: the record it may read, the builtins it may
+// call, and the cost ceiling it must fit under.
 type VerifyEnv struct {
 	// Name labels diagnostics (every finding's Pos.Filename). Pass the
 	// analyzer's name or source path; empty means "analyzer".
 	Name string
-	// Records maps binding names (e.g. "ev") to their field schemas.
-	Records map[string]RecordSchema
-	// Builtins extends or overrides StandardSigs for this environment
-	// (e.g. the CPA host adds emit).
-	Builtins map[string]BuiltinSig
+	// Binding is the one host record programs read (nil: none).
+	Binding *Binding
+	// Builtins extends or overrides the standard table for this
+	// environment (e.g. the CPA host adds emit).
+	Builtins map[string]Builtin
 	// MaxCost rejects analyzers whose worst-case per-event step count
 	// exceeds it; zero means DefaultMaxCost.
 	MaxCost int
@@ -186,13 +166,14 @@ func (env *VerifyEnv) maxCost() int {
 	return env.MaxCost
 }
 
-// sigs merges the standard builtin table with the environment's.
-func (env *VerifyEnv) sigs() map[string]BuiltinSig {
-	out := StandardSigs()
-	for k, v := range env.Builtins {
-		out[k] = v
+// builtin resolves a function name: the environment's table first, then
+// the standard one.
+func (env *VerifyEnv) builtin(name string) (Builtin, bool) {
+	if b, ok := env.Builtins[name]; ok {
+		return b, true
 	}
-	return out
+	b, ok := standardBuiltins[name]
+	return b, ok
 }
 
 // Verdict is the verifier's decision on one program.
@@ -255,14 +236,13 @@ func (v *Verdict) Err() error {
 func (p *Program) Verify(env VerifyEnv) *Verdict {
 	vf := &verifier{
 		env:     env,
-		sigs:    env.sigs(),
 		statics: map[string]*symbol{},
 		consts:  map[string]constVal{},
 		res:     &resolution{types: map[expr]Type{}, syms: map[any]*symbol{}},
 	}
 	root := &vscope{vars: map[string]*symbol{}}
-	for name := range env.Records {
-		root.vars[name] = &symbol{name: name, t: TRecord, where: varBinding}
+	if b := env.Binding; b != nil {
+		root.vars[b.name] = &symbol{name: b.name, t: TRecord, where: varBinding}
 	}
 	vf.sc = &vscope{vars: map[string]*symbol{}, parent: root}
 	cost := vf.checkBlock(p.body)
@@ -293,8 +273,7 @@ type constVal struct {
 }
 
 type verifier struct {
-	env  VerifyEnv
-	sigs map[string]BuiltinSig
+	env VerifyEnv
 
 	sc      *vscope
 	statics map[string]*symbol
@@ -967,24 +946,15 @@ func (vf *verifier) checkField(n *fieldExpr) (Type, int) {
 		return TInvalid, 2
 	}
 	vf.res.syms[id] = sym
-	schema := vf.env.Records[id.name]
-	ft, ok := schema[n.field]
+	// Only the environment's binding is record-typed.
+	f, ok := vf.env.Binding.field(n.field)
 	if !ok {
 		vf.reportChain(PassTypecheck, n.line,
-			[]diag.ChainFrame{vf.frame(n.line, "schema fields: "+schemaFields(schema))},
+			[]diag.ChainFrame{vf.frame(n.line, "schema fields: "+strings.Join(vf.env.Binding.fieldNames(), ", "))},
 			"record %q has no field %q", id.name, n.field)
 		return TInvalid, 2
 	}
-	return ft, 2
-}
-
-func schemaFields(s RecordSchema) string {
-	names := make([]string, 0, len(s))
-	for f := range s {
-		names = append(names, f)
-	}
-	sort.Strings(names)
-	return strings.Join(names, ", ")
+	return f.typ, 2
 }
 
 func (vf *verifier) checkCall(n *callExpr) (Type, int) {
@@ -995,7 +965,7 @@ func (vf *verifier) checkCall(n *callExpr) (Type, int) {
 		argTypes[i] = t
 		cost = addCost(cost, c)
 	}
-	sig, ok := vf.sigs[n.name]
+	sig, ok := vf.env.builtin(n.name)
 	if !ok {
 		vf.report(PassTypecheck, n.line, "unknown function %q", n.name)
 		return TInvalid, cost

@@ -1,4 +1,4 @@
-package ecode
+package ecode_test
 
 import (
 	"flag"
@@ -7,30 +7,11 @@ import (
 	"regexp"
 	"strings"
 	"testing"
+
+	"sysprof/internal/ecode"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite verifier golden .want files")
-
-// testEventSchema mirrors the CPA-visible kernel event schema
-// (core.EventSchema) without importing core, which would cycle.
-func testEventSchema() RecordSchema {
-	return RecordSchema{
-		"type": TString, "time": TInt, "node": TInt, "cpu": TInt,
-		"pid": TInt, "pid2": TInt, "bytes": TInt, "aux": TInt,
-		"msgid": TInt, "seq": TInt, "last": TBool, "proc": TString,
-		"src_node": TInt, "src_port": TInt, "dst_node": TInt, "dst_port": TInt,
-	}
-}
-
-func testVerifyEnv(name string) VerifyEnv {
-	return VerifyEnv{
-		Name:    name,
-		Records: map[string]RecordSchema{"ev": testEventSchema()},
-		Builtins: map[string]BuiltinSig{
-			"emit": {Params: []ParamKind{PString, PAny}, Result: RInt, Cost: 4},
-		},
-	}
-}
 
 // fixtureHeader reads the //pass: and //want: directives of a reject
 // fixture.
@@ -67,7 +48,7 @@ func TestVerifyAcceptFixtures(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		prog, err := Compile(string(src))
+		prog, err := ecode.Compile(string(src))
 		if err != nil {
 			t.Fatalf("%s: %v", path, err)
 		}
@@ -75,8 +56,8 @@ func TestVerifyAcceptFixtures(t *testing.T) {
 		if !v.OK {
 			t.Errorf("%s: rejected:\n%s", path, v.Render())
 		}
-		if v.Cost <= 0 || v.Cost > DefaultMaxCost {
-			t.Errorf("%s: cost %d out of range (0, %d]", path, v.Cost, DefaultMaxCost)
+		if v.Cost <= 0 || v.Cost > ecode.DefaultMaxCost {
+			t.Errorf("%s: cost %d out of range (0, %d]", path, v.Cost, ecode.DefaultMaxCost)
 		}
 	}
 }
@@ -91,7 +72,7 @@ func TestVerifyRejectFixtures(t *testing.T) {
 			t.Fatal(err)
 		}
 		pass, want := fixtureHeader(t, string(src))
-		prog, err := Compile(string(src))
+		prog, err := ecode.Compile(string(src))
 		if err != nil {
 			t.Fatalf("%s: %v", path, err)
 		}
@@ -143,7 +124,7 @@ func TestVerifyPassDisableFlips(t *testing.T) {
 		}
 		pass, _ := fixtureHeader(t, string(src))
 		tripped[pass] = true
-		prog, err := Compile(string(src))
+		prog, err := ecode.Compile(string(src))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -161,7 +142,7 @@ func TestVerifyPassDisableFlips(t *testing.T) {
 			t.Errorf("%s: CompileVerified = (%v, %v), want no artifact and an error", path, c, err)
 		}
 	}
-	for _, pass := range []string{PassTypecheck, PassTermination, PassNoAlloc, PassNoBlock, PassCost} {
+	for _, pass := range []string{ecode.PassTypecheck, ecode.PassTermination, ecode.PassNoAlloc, ecode.PassNoBlock, ecode.PassCost} {
 		if !tripped[pass] {
 			t.Errorf("no reject fixture exercises pass %s", pass)
 		}
@@ -171,7 +152,7 @@ func TestVerifyPassDisableFlips(t *testing.T) {
 // TestVerifyDiagnosticShape checks the evidence-chain rendering matches
 // sysproflint's: file:line:col first line, tab-indented chain frames.
 func TestVerifyDiagnosticShape(t *testing.T) {
-	prog := MustCompile(`
+	prog := ecode.MustCompile(`
 static int n = 0;
 while (true) {
 	n += 1;
@@ -200,11 +181,11 @@ return n;
 // TestVerifyCostEstimate pins the cost model's loop multiplication: a
 // bounded loop's body is charged per proven iteration.
 func TestVerifyCostEstimate(t *testing.T) {
-	flat := MustCompile(`int a = 1; return a;`).Verify(testVerifyEnv("x"))
+	flat := ecode.MustCompile(`int a = 1; return a;`).Verify(testVerifyEnv("x"))
 	if !flat.OK {
 		t.Fatalf("flat program rejected:\n%s", flat.Render())
 	}
-	loop := MustCompile(`
+	loop := ecode.MustCompile(`
 int a = 0;
 for (int i = 0; i < 100; i++) {
 	a += 2;
@@ -241,7 +222,7 @@ func TestVerifyLoopBounds(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			v := MustCompile(tc.src).Verify(testVerifyEnv("x"))
+			v := ecode.MustCompile(tc.src).Verify(testVerifyEnv("x"))
 			if v.OK != tc.ok {
 				t.Errorf("OK=%v, want %v\n%s", v.OK, tc.ok, v.Render())
 			}
@@ -273,7 +254,7 @@ func TestVerifyTypecheckMatrix(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			v := MustCompile(tc.src).Verify(testVerifyEnv("x"))
+			v := ecode.MustCompile(tc.src).Verify(testVerifyEnv("x"))
 			if v.OK != tc.ok {
 				t.Errorf("OK=%v, want %v\n%s", v.OK, tc.ok, v.Render())
 			}

@@ -17,7 +17,7 @@ import (
 )
 
 const (
-	// maxCommand bounds one command line (an install-cpa command carries
+	// maxCommand bounds one command line (a "cpa install" command carries
 	// base64 E-Code source).
 	maxCommand = 1 << 20
 	// maxReplyLine bounds one reply line: a correlated page is a single

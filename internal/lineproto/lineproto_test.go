@@ -31,7 +31,7 @@ func pipeClient(t *testing.T, exec func(string) (string, error)) *Client {
 }
 
 // TestServeConnCommandSizes: the per-connection scanner starts small and
-// still grows to maxCommand — the largest line that fits (an install-cpa
+// still grows to maxCommand — the largest line that fits (a "cpa install"
 // carrying most of a MiB of base64) is answered, one past the bound ends
 // the connection unanswered.
 func TestServeConnCommandSizes(t *testing.T) {
