@@ -48,32 +48,25 @@ import (
 	"sysprof/internal/core"
 	"sysprof/internal/dissem"
 	"sysprof/internal/gpa"
+	"sysprof/internal/lineproto"
 	"sysprof/internal/pbio"
 	"sysprof/internal/pubsub"
 )
 
 func main() {
+	var opts options
 	subscribe := flag.String("subscribe", "127.0.0.1:8071", "comma-separated sysprofd pub-sub addresses")
-	interval := flag.Duration("interval", 2*time.Second, "summary print interval")
-	dump := flag.String("dump", "", "append correlated interactions (JSON lines) to this file on exit")
-	query := flag.String("query", "", "serve the GPA query protocol on this TCP address (e.g. 127.0.0.1:8073)")
-	maxCorrelated := flag.Int("max-correlated", 1<<18, "cap on in-memory correlated interactions (0 = unbounded)")
-	maxCorrelatedAge := flag.Duration("max-correlated-age", 0, "evict correlated interactions older than this (0 = no age bound)")
-	dumpInterval := flag.Duration("dump-interval", 0, "with -dump: periodically dump-and-truncate the correlated history (0 = only on exit)")
+	flag.DurationVar(&opts.interval, "interval", 2*time.Second, "summary print interval")
+	flag.StringVar(&opts.dumpPath, "dump", "", "append correlated interactions (JSON lines) to this file on exit")
+	flag.StringVar(&opts.queryAddr, "query", "", "serve the GPA query protocol on this TCP address (e.g. 127.0.0.1:8073)")
+	flag.IntVar(&opts.maxCorrelated, "max-correlated", 1<<18, "cap on in-memory correlated interactions (0 = unbounded)")
+	flag.DurationVar(&opts.maxCorrelatedAge, "max-correlated-age", 0, "evict correlated interactions older than this (0 = no age bound)")
+	flag.DurationVar(&opts.dumpInterval, "dump-interval", 0, "with -dump: periodically dump-and-truncate the correlated history (0 = only on exit)")
 	shard := flag.String("shard", "", "subscribe as flow-hash shard i/N of a federated gpad tier (e.g. 0/4)")
 	frontend := flag.String("frontend", "", "run the federation merge frontend over these comma-separated shard query endpoints")
-	wireCompress := flag.Bool("wire-compress", true, "request per-column compressed frames from the broker (negotiated; either side can veto)")
+	flag.BoolVar(&opts.wireCompress, "wire-compress", true, "request per-column compressed frames from the broker (negotiated; either side can veto)")
 	flag.Parse()
-	opts := options{
-		addrs:            strings.Split(*subscribe, ","),
-		interval:         *interval,
-		dumpPath:         *dump,
-		queryAddr:        *query,
-		maxCorrelated:    *maxCorrelated,
-		maxCorrelatedAge: *maxCorrelatedAge,
-		dumpInterval:     *dumpInterval,
-		wireCompress:     *wireCompress,
-	}
+	opts.addrs = lineproto.SplitList(*subscribe)
 	var err error
 	if opts.shardIndex, opts.shardCount, err = parseShard(*shard); err != nil {
 		fmt.Fprintln(os.Stderr, "gpad:", err)
@@ -84,7 +77,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, "gpad: -frontend and -shard are mutually exclusive")
 			os.Exit(2)
 		}
-		err = runFrontend(splitAddrs(*frontend), opts)
+		err = runFrontend(lineproto.SplitList(*frontend), opts)
 	} else {
 		sig := make(chan os.Signal, 1)
 		signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
@@ -131,17 +124,6 @@ func parseShard(s string) (index, count int, err error) {
 		return 0, 0, fmt.Errorf("bad -shard %q (want i/N with 0 <= i < N)", s)
 	}
 	return index, count, nil
-}
-
-// splitAddrs splits a comma-separated address list, dropping empties.
-func splitAddrs(s string) []string {
-	var out []string
-	for _, a := range strings.Split(s, ",") {
-		if a = strings.TrimSpace(a); a != "" {
-			out = append(out, a)
-		}
-	}
-	return out
 }
 
 // runFrontend runs the federation merge frontend: no subscriptions, just
@@ -228,10 +210,6 @@ func run(opts options, sig <-chan os.Signal, out io.Writer) error {
 	var subs []*pubsub.Subscriber
 	stop := make(chan struct{})
 	for _, addr := range opts.addrs {
-		addr = strings.TrimSpace(addr)
-		if addr == "" {
-			continue
-		}
 		d := pubsub.Dialer{Registry: reg, Compress: opts.wireCompress}
 		if opts.shardCount > 0 {
 			d.Shard, d.Of = opts.shardIndex, opts.shardCount

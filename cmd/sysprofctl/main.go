@@ -5,31 +5,16 @@
 //
 //	sysprofctl [-addr host:port] <command...>
 //
-// Commands (see internal/controller):
+// The commands are the controller's, and it lists them itself:
 //
-//	status
-//	granularity <node> <lpa> interaction|class
-//	mask <node> <lpa> <groups>            groups: all,sched,syscall,net,fs,default,none
-//	window <node> <lpa> <size>
-//	bufcap <node> <lpa> <capacity>
-//	ntpinterval <node> [<dur>|now]        clock re-measurement cadence / force one
+//	sysprofctl help
 //
-// Custom-analyzer commands (source read from a file, verified locally
-// before it is sent — the full evidence chain prints on rejection; the
-// node re-verifies on arrival regardless):
+// Two are translated on the way. They take the analyzer's source as a
+// file, verified locally before anything is sent — the full evidence
+// chain prints on rejection; the node re-verifies on arrival regardless:
 //
 //	cpa install <node> <file.ec> [name] [groups]   default name: file base, groups: all
 //	cpa verify <file.ec>                           verify only, print verdict
-//	cpa remove <node> <name>
-//	cpa list <node>
-//
-// Federation commands (when a federated gpad tier is attached):
-//
-//	federation status                     shard liveness + endpoints (JSON)
-//	federation endpoints                  current shard endpoint list
-//	federation set-endpoints <a,b,...>    replace the shard endpoint list
-//	federation retention <n>              per-shard correlated-history cap
-//	federation clockbound <node> <dur>    broadcast a node clock-error bound
 //
 // Example:
 //
@@ -64,75 +49,65 @@ func main() {
 
 func run(addr string, args []string) error {
 	if len(args) == 0 {
-		return errors.New("no command given (try: sysprofctl status)")
+		return errors.New("no command given (try: sysprofctl help)")
 	}
-	if args[0] == "cpa" {
-		wire, err := cpaCommand(args)
-		if err != nil || wire == "" {
-			return err
+	wire := strings.Join(args, " ")
+	if len(args) >= 2 && args[0] == "cpa" {
+		switch args[1] {
+		case "verify":
+			return cpaVerify(args[2:])
+		case "install":
+			var err error
+			if wire, err = cpaInstall(args[2:]); err != nil {
+				return err
+			}
 		}
-		return send(addr, wire)
 	}
-	return send(addr, strings.Join(args, " "))
+	return send(addr, wire)
 }
 
-// cpaCommand translates the user-facing cpa subcommands into wire
-// commands, verifying file-based sources locally first. An empty return
-// with nil error means the command completed without needing the wire
-// (cpa verify).
-func cpaCommand(args []string) (string, error) {
-	if len(args) < 2 {
-		return "", errors.New("usage: cpa install|verify|remove|list ...")
+// cpaVerify verifies an analyzer file and prints the verdict; nothing is
+// sent.
+func cpaVerify(args []string) error {
+	if len(args) != 1 {
+		return errors.New("usage: cpa verify <file.ec>")
 	}
-	switch args[1] {
-	case "verify":
-		if len(args) != 3 {
-			return "", errors.New("usage: cpa verify <file.ec>")
-		}
-		_, verdict, err := loadAndVerify(args[2])
-		if err != nil {
-			return "", err
-		}
-		if !verdict.OK {
-			return "", fmt.Errorf("rejected:\n%s", verdict.Render())
-		}
-		fmt.Printf("ok: worst-case cost %d steps/event\n", verdict.Cost)
-		return "", nil
-	case "install":
-		if len(args) < 4 || len(args) > 6 {
-			return "", errors.New("usage: cpa install <node> <file.ec> [name] [groups]")
-		}
-		node, file := args[2], args[3]
-		name := strings.TrimSuffix(filepath.Base(file), ".ec")
-		if len(args) >= 5 {
-			name = args[4]
-		}
-		groups := "all"
-		if len(args) == 6 {
-			groups = args[5]
-		}
-		src, verdict, err := loadAndVerify(file)
-		if err != nil {
-			return "", err
-		}
-		if !verdict.OK {
-			return "", fmt.Errorf("%s rejected by the verifier (not sent):\n%s", file, verdict.Render())
-		}
-		fmt.Printf("verified: worst-case cost %d steps/event\n", verdict.Cost)
-		b64 := base64.StdEncoding.EncodeToString(src)
-		return fmt.Sprintf("cpa install %s %s %s %s", node, name, groups, b64), nil
-	case "remove":
-		if len(args) != 4 {
-			return "", errors.New("usage: cpa remove <node> <name>")
-		}
-		return fmt.Sprintf("cpa remove %s %s", args[2], args[3]), nil
-	case "list":
-		if len(args) != 3 {
-			return "", errors.New("usage: cpa list <node>")
-		}
-		return "cpa list " + args[2], nil
+	_, verdict, err := loadAndVerify(args[0])
+	if err != nil {
+		return err
 	}
-	return "", fmt.Errorf("unknown cpa command %q", args[1])
+	if !verdict.OK {
+		return fmt.Errorf("rejected:\n%s", verdict.Render())
+	}
+	fmt.Printf("ok: worst-case cost %d steps/event\n", verdict.Cost)
+	return nil
+}
+
+// cpaInstall turns the file-based install into the wire command, which
+// carries the source as base64, verifying the source locally first.
+func cpaInstall(args []string) (string, error) {
+	if len(args) < 2 || len(args) > 4 {
+		return "", errors.New("usage: cpa install <node> <file.ec> [name] [groups]")
+	}
+	node, file := args[0], args[1]
+	name := strings.TrimSuffix(filepath.Base(file), ".ec")
+	if len(args) >= 3 {
+		name = args[2]
+	}
+	groups := "all"
+	if len(args) == 4 {
+		groups = args[3]
+	}
+	src, verdict, err := loadAndVerify(file)
+	if err != nil {
+		return "", err
+	}
+	if !verdict.OK {
+		return "", fmt.Errorf("%s rejected by the verifier (not sent):\n%s", file, verdict.Render())
+	}
+	fmt.Printf("verified: worst-case cost %d steps/event\n", verdict.Cost)
+	b64 := base64.StdEncoding.EncodeToString(src)
+	return fmt.Sprintf("cpa install %s %s %s %s", node, name, groups, b64), nil
 }
 
 // loadAndVerify reads an E-Code file and verifies it under the CPA

@@ -22,7 +22,7 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"strings"
+	"sync"
 	"syscall"
 	"time"
 
@@ -35,6 +35,7 @@ import (
 	"sysprof/internal/dissem"
 	"sysprof/internal/ecode"
 	"sysprof/internal/gpa"
+	"sysprof/internal/lineproto"
 	"sysprof/internal/ntpclock"
 	"sysprof/internal/pbio"
 	"sysprof/internal/procfs"
@@ -46,38 +47,57 @@ import (
 )
 
 func main() {
-	httpAddr := flag.String("http", "127.0.0.1:8070", "procfs HTTP address")
-	pubsubAddr := flag.String("pubsub", "127.0.0.1:8071", "pub-sub TCP address")
-	ctlAddr := flag.String("ctl", "127.0.0.1:8072", "controller TCP address")
-	pace := flag.Duration("pace", 100*time.Millisecond, "virtual-time advance per wall tick")
-	tracePath := flag.String("trace", "", "record the kernel event stream (PBIO) to this file")
-	topology := flag.String("topology", "simple", "hosted cluster: simple (web server), nfs (storage proxy), rubis (auction site)")
+	var opts options
+	flag.StringVar(&opts.httpAddr, "http", "127.0.0.1:8070", "procfs HTTP address")
+	flag.StringVar(&opts.pubsubAddr, "pubsub", "127.0.0.1:8071", "pub-sub TCP address")
+	flag.StringVar(&opts.ctlAddr, "ctl", "127.0.0.1:8072", "controller TCP address")
+	flag.DurationVar(&opts.pace, "pace", 100*time.Millisecond, "virtual-time advance per wall tick")
+	flag.StringVar(&opts.tracePath, "trace", "", "record the kernel event stream (PBIO) to this file")
+	flag.StringVar(&opts.topology, "topology", "simple", "hosted cluster: simple (web server), nfs (storage proxy), rubis (auction site)")
 	psQueue := flag.Int("pubsub-queue", 256, "per-subscriber send-queue depth (frames)")
 	psOverflow := flag.String("pubsub-overflow", "drop", "send-queue overflow policy: drop (drop-oldest), block (block-with-deadline), or adaptive (per-subscriber, from observed drain rate)")
 	psEvict := flag.Int("pubsub-evict", 64, "evict a subscriber after this many consecutive overflows (0 = never)")
 	fedEndpoints := flag.String("federation", "", "comma-separated gpad shard query endpoints; attaches a federation frontend to the controller (sysprofctl federation ...)")
-	ntpInterval := flag.Duration("ntp-interval", 0, "automatic NTP clock-error re-measurement cadence for the monitored node (0 disables; retune live with sysprofctl ntpinterval)")
+	flag.DurationVar(&opts.ntpInterval, "ntp-interval", 0, "automatic NTP clock-error re-measurement cadence for the monitored node (0 disables; retune live with sysprofctl ntpinterval)")
 	flag.Parse()
 	psPolicy, err := pubsub.ParseOverflowPolicy(*psOverflow)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "sysprofd:", err)
 		os.Exit(2)
 	}
-	brokerOpts := []pubsub.Option{
+	opts.federation = lineproto.SplitList(*fedEndpoints)
+	opts.broker = []pubsub.Option{
 		pubsub.WithQueueDepth(*psQueue),
 		pubsub.WithOverflowPolicy(psPolicy),
 		pubsub.WithEvictAfterOverflows(*psEvict),
 	}
-	if err := run(*httpAddr, *pubsubAddr, *ctlAddr, *pace, *tracePath, *topology, *fedEndpoints, *ntpInterval, brokerOpts); err != nil {
+	sig := make(chan os.Signal, 1)
+	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
+	if err := run(opts, sig); err != nil {
 		fmt.Fprintln(os.Stderr, "sysprofd:", err)
 		os.Exit(1)
 	}
 }
 
-func run(httpAddr, pubsubAddr, ctlAddr string, pace time.Duration, tracePath, topology, fedEndpoints string, ntpInterval time.Duration, brokerOpts []pubsub.Option) error {
+type options struct {
+	httpAddr, pubsubAddr, ctlAddr string
+	pace                          time.Duration
+	tracePath, topology           string
+	federation                    []string // gpad shard query endpoints; none: no frontend
+	ntpInterval                   time.Duration
+	broker                        []pubsub.Option
+}
+
+// run hosts the node until a value arrives on sig. The simulated world —
+// engine, kernel, analyzers, daemon — is single-threaded: the pacing
+// loop, every management command and every procfs read take world
+// before they touch it (a federation verb holds it for its round trip to
+// the shards, as the NTP monitor's broadcast always has).
+func run(opts options, sig <-chan os.Signal) error {
+	var world sync.Mutex
 	eng := sim.NewEngine()
 	network := simnet.NewNetwork(eng)
-	server, err := buildTopology(eng, network, topology)
+	server, err := buildTopology(eng, network, opts.topology)
 	if err != nil {
 		return err
 	}
@@ -86,7 +106,7 @@ func run(httpAddr, pubsubAddr, ctlAddr string, pace time.Duration, tracePath, to
 	if err := dissem.RegisterFormats(reg); err != nil {
 		return err
 	}
-	broker := pubsub.NewBroker(reg, brokerOpts...)
+	broker := pubsub.NewBroker(reg, opts.broker...)
 	defer broker.Close()
 	fs := procfs.New()
 
@@ -127,14 +147,8 @@ func run(httpAddr, pubsubAddr, ctlAddr string, pace time.Duration, tracePath, to
 		return err
 	}
 	var fed *gpa.Frontend
-	if fedEndpoints != "" {
-		var eps []string
-		for _, a := range strings.Split(fedEndpoints, ",") {
-			if a = strings.TrimSpace(a); a != "" {
-				eps = append(eps, a)
-			}
-		}
-		fe, err := gpa.NewFrontend(eps)
+	if len(opts.federation) > 0 {
+		fe, err := gpa.NewFrontend(opts.federation)
 		if err != nil {
 			return err
 		}
@@ -143,10 +157,10 @@ func run(httpAddr, pubsubAddr, ctlAddr string, pace time.Duration, tracePath, to
 			return err
 		}
 		fed = fe
-		log.Printf("federation frontend attached over %d shard endpoints", len(eps))
+		log.Printf("federation frontend attached over %d shard endpoints", len(opts.federation))
 	}
 
-	if ntpInterval > 0 {
+	if opts.ntpInterval > 0 {
 		// Model the monitored node's clock explicitly (a few ms fast, 50
 		// ppm drift) and re-measure its error bound on a cadence. Each
 		// measurement is logged and — when a federation frontend is
@@ -158,7 +172,7 @@ func run(httpAddr, pubsubAddr, ctlAddr string, pace time.Duration, tracePath, to
 		syncer := ntpclock.NewSyncer(nodeClock, refClock, sim.NewRNG(11),
 			200*time.Microsecond, 50*time.Microsecond)
 		nodeName := server.Name()
-		mon, err := ntpclock.NewMonitor(eng, syncer, ntpInterval, 8,
+		mon, err := ntpclock.NewMonitor(eng, syncer, opts.ntpInterval, 8,
 			func(offset, bound time.Duration) {
 				log.Printf("ntp %s: offset=%v bound=%v", nodeName, offset, bound)
 				if fed != nil {
@@ -175,11 +189,11 @@ func run(httpAddr, pubsubAddr, ctlAddr string, pace time.Duration, tracePath, to
 		if err := ctl.AttachNTP(nodeName, mon); err != nil {
 			return err
 		}
-		log.Printf("ntp monitor on %s every %v", nodeName, ntpInterval)
+		log.Printf("ntp monitor on %s every %v", nodeName, opts.ntpInterval)
 	}
 
-	if tracePath != "" {
-		f, err := os.Create(tracePath)
+	if opts.tracePath != "" {
+		f, err := os.Create(opts.tracePath)
 		if err != nil {
 			return fmt.Errorf("trace file: %w", err)
 		}
@@ -190,11 +204,11 @@ func run(httpAddr, pubsubAddr, ctlAddr string, pace time.Duration, tracePath, to
 		}
 		tw.Attach(server.Hub(), core.MaskDefault())
 		defer tw.Detach()
-		log.Printf("recording event trace to %s", tracePath)
+		log.Printf("recording event trace to %s", opts.tracePath)
 	}
 
 	// Real listeners.
-	psListener, err := net.Listen("tcp", pubsubAddr)
+	psListener, err := net.Listen("tcp", opts.pubsubAddr)
 	if err != nil {
 		return fmt.Errorf("pubsub listen: %w", err)
 	}
@@ -203,37 +217,54 @@ func run(httpAddr, pubsubAddr, ctlAddr string, pace time.Duration, tracePath, to
 			log.Printf("pubsub serve: %v", err)
 		}
 	}()
-	ctlListener, err := net.Listen("tcp", ctlAddr)
+	ctlListener, err := net.Listen("tcp", opts.ctlAddr)
 	if err != nil {
 		return fmt.Errorf("ctl listen: %w", err)
 	}
 	defer ctlListener.Close()
-	go ctl.Serve(ctlListener)
-	httpSrv := &http.Server{Addr: httpAddr, Handler: fs}
+	go lineproto.Serve(ctlListener, func(line string) (string, error) {
+		world.Lock()
+		defer world.Unlock()
+		return ctl.Execute(line)
+	})
+	httpListener, err := net.Listen("tcp", opts.httpAddr)
+	if err != nil {
+		return fmt.Errorf("http listen: %w", err)
+	}
+	httpSrv := &http.Server{Handler: http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		world.Lock()
+		defer world.Unlock()
+		fs.ServeHTTP(w, r)
+	})}
 	go func() {
-		if err := httpSrv.ListenAndServe(); err != nil && err != http.ErrServerClosed {
+		if err := httpSrv.Serve(httpListener); err != nil && err != http.ErrServerClosed {
 			log.Printf("http serve: %v", err)
 		}
 	}()
 	defer httpSrv.Close()
 
+	// The addresses the listeners got, which differ from the ones asked
+	// for when those name port 0.
 	log.Printf("sysprofd up: procfs http://%s/sysprof/ pubsub %s ctl %s",
-		httpAddr, pubsubAddr, ctlAddr)
+		httpListener.Addr(), psListener.Addr(), ctlListener.Addr())
 
 	// Pace virtual time against wall time until interrupted.
-	stop := make(chan os.Signal, 1)
-	signal.Notify(stop, os.Interrupt, syscall.SIGTERM)
-	ticker := time.NewTicker(pace)
+	ticker := time.NewTicker(opts.pace)
 	defer ticker.Stop()
 	for {
 		select {
 		case <-ticker.C:
-			if err := eng.RunFor(pace); err != nil {
+			world.Lock()
+			err := eng.RunFor(opts.pace)
+			world.Unlock()
+			if err != nil {
 				return err
 			}
-		case <-stop:
+		case <-sig:
 			log.Printf("shutting down")
+			world.Lock()
 			daemon.Stop()
+			world.Unlock()
 			return nil
 		}
 	}

@@ -129,69 +129,39 @@ func (c *Controller) RegisterNode(name string, hub *kprof.Hub) error {
 	return nil
 }
 
-// AttachLPA registers an analyzer for management.
-func (c *Controller) AttachLPA(node, name string, lpa *core.LPA) error {
+// node runs f on a registered node's entry, under the lock: the one
+// place a node name is resolved.
+func (c *Controller) node(name string, f func(*target) error) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	t := c.targets[node]
+	t := c.targets[name]
 	if t == nil {
-		return fmt.Errorf("%w: node %q", ErrUnknownTarget, node)
+		return fmt.Errorf("%w: node %q", ErrUnknownTarget, name)
 	}
-	t.lpas[name] = lpa
-	return nil
+	return f(t)
+}
+
+// AttachLPA registers an analyzer for management.
+func (c *Controller) AttachLPA(node, name string, lpa *core.LPA) error {
+	return c.node(node, func(t *target) error { t.lpas[name] = lpa; return nil })
 }
 
 // AttachDaemon registers a node's dissemination daemon so its flush
 // cadence can be retuned at runtime.
 func (c *Controller) AttachDaemon(node string, d Flusher) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	t := c.targets[node]
-	if t == nil {
-		return fmt.Errorf("%w: node %q", ErrUnknownTarget, node)
-	}
-	t.daemon = d
-	return nil
+	return c.node(node, func(t *target) error { t.daemon = d; return nil })
 }
 
 // AttachBroker registers a node's pub-sub broker so its remote fan-out
 // queues can be retuned at runtime.
 func (c *Controller) AttachBroker(node string, b FanOut) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	t := c.targets[node]
-	if t == nil {
-		return fmt.Errorf("%w: node %q", ErrUnknownTarget, node)
-	}
-	t.broker = b
-	return nil
+	return c.node(node, func(t *target) error { t.broker = b; return nil })
 }
 
 // AttachNTP registers a node's NTP clock monitor so its re-measurement
 // cadence can be retuned (and a measurement forced) at runtime.
 func (c *Controller) AttachNTP(node string, m NTPMonitor) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	t := c.targets[node]
-	if t == nil {
-		return fmt.Errorf("%w: node %q", ErrUnknownTarget, node)
-	}
-	t.ntp = m
-	return nil
-}
-
-// ntp resolves a node's attached clock monitor.
-func (c *Controller) ntp(node string) (NTPMonitor, error) {
-	c.mu.Lock()
-	t := c.targets[node]
-	c.mu.Unlock()
-	if t == nil {
-		return nil, fmt.Errorf("%w: node %q", ErrUnknownTarget, node)
-	}
-	if t.ntp == nil {
-		return nil, fmt.Errorf("%w: node %q has no NTP monitor attached", ErrUnknownTarget, node)
-	}
-	return t.ntp, nil
+	return c.node(node, func(t *target) error { t.ntp = m; return nil })
 }
 
 // AttachFederation registers the federated-GPA frontend so its shard
@@ -219,151 +189,32 @@ func (c *Controller) fed() (Federation, error) {
 	return f, nil
 }
 
-func (c *Controller) broker(node string) (FanOut, error) {
-	c.mu.Lock()
-	t := c.targets[node]
-	c.mu.Unlock()
-	if t == nil {
-		return nil, fmt.Errorf("%w: node %q", ErrUnknownTarget, node)
-	}
-	if t.broker == nil {
-		return nil, fmt.Errorf("%w: no broker attached to node %q", ErrUnknownTarget, node)
-	}
-	return t.broker, nil
-}
-
-// SetPubSubQueueDepth retunes a node's per-subscriber send-queue depth
-// (applies to subscribers connecting after the change).
-func (c *Controller) SetPubSubQueueDepth(node string, depth int) error {
-	b, err := c.broker(node)
-	if err != nil {
-		return err
-	}
-	return b.SetQueueDepth(depth)
-}
-
-// SetPubSubOverflowPolicy switches a node's fan-out overflow policy.
-func (c *Controller) SetPubSubOverflowPolicy(node, policy string) error {
-	b, err := c.broker(node)
-	if err != nil {
-		return err
-	}
-	return b.SetOverflowPolicyName(policy)
-}
-
-// SetPubSubWireCompression toggles a node's compressed columnar wire
-// frames for subscribers that negotiated them.
-func (c *Controller) SetPubSubWireCompression(node string, on bool) error {
-	b, err := c.broker(node)
-	if err != nil {
-		return err
-	}
-	b.SetWireCompression(on)
-	return nil
-}
-
-// SetFlushInterval retunes a node's dissemination flush period.
-func (c *Controller) SetFlushInterval(node string, iv time.Duration) error {
-	c.mu.Lock()
-	t := c.targets[node]
-	c.mu.Unlock()
-	if t == nil {
-		return fmt.Errorf("%w: node %q", ErrUnknownTarget, node)
-	}
-	if t.daemon == nil {
-		return fmt.Errorf("%w: no daemon attached to node %q", ErrUnknownTarget, node)
-	}
-	return t.daemon.SetFlushInterval(iv)
-}
-
-func (c *Controller) lpa(node, name string) (*core.LPA, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	t := c.targets[node]
-	if t == nil {
-		return nil, fmt.Errorf("%w: node %q", ErrUnknownTarget, node)
-	}
-	l := t.lpas[name]
-	if l == nil {
-		return nil, fmt.Errorf("%w: lpa %q on node %q", ErrUnknownTarget, name, node)
-	}
-	return l, nil
-}
-
-// SetGranularity switches an LPA between per-interaction records and
-// per-class aggregates.
-func (c *Controller) SetGranularity(node, lpaName string, g core.Granularity) error {
-	l, err := c.lpa(node, lpaName)
-	if err != nil {
-		return err
-	}
-	l.SetGranularity(g)
-	return nil
-}
-
-// SetEventMask changes the kernel event set an LPA receives.
-func (c *Controller) SetEventMask(node, lpaName string, mask kprof.Mask) error {
-	l, err := c.lpa(node, lpaName)
-	if err != nil {
-		return err
-	}
-	l.Subscription().SetMask(mask)
-	return nil
-}
-
-// SetWindowSize resizes an LPA's interaction window.
-func (c *Controller) SetWindowSize(node, lpaName string, size int) error {
-	l, err := c.lpa(node, lpaName)
-	if err != nil {
-		return err
-	}
-	l.Window().Resize(size)
-	return nil
-}
-
-// SetBufferCapacity resizes an LPA's per-CPU dissemination buffers.
-func (c *Controller) SetBufferCapacity(node, lpaName string, capacity int) error {
-	l, err := c.lpa(node, lpaName)
-	if err != nil {
-		return err
-	}
-	for i := 0; i < l.Buffers().NumCPUs(); i++ {
-		l.Buffers().Buffer(i).SetCapacity(capacity)
-	}
-	return nil
-}
-
-// SetPIDFilter restricts an LPA to events from one process (pid > 0) or
-// clears the restriction (pid <= 0). This is the paper's event pruning
-// "on the basis of process IDs".
-func (c *Controller) SetPIDFilter(node, lpaName string, pid int32) error {
-	l, err := c.lpa(node, lpaName)
-	if err != nil {
-		return err
-	}
-	if pid <= 0 {
-		l.Subscription().SetPIDFilter(nil)
+// attached resolves what get finds on a node; finding nothing is an
+// unknown target, told in missing's words.
+func attached[P comparable](c *Controller, node string, get func(*target) P, missing string, args ...any) (p P, err error) {
+	err = c.node(node, func(t *target) error {
+		var none P
+		if p = get(t); p == none {
+			return fmt.Errorf("%w: %s", ErrUnknownTarget, fmt.Sprintf(missing, args...))
+		}
 		return nil
-	}
-	l.Subscription().SetPIDFilter(func(p int32) bool { return p == pid })
-	return nil
+	})
+	return p, err
 }
 
 // InstallCPA compiles and installs an E-Code analyzer on a node.
 func (c *Controller) InstallCPA(node, name, src string, mask kprof.Mask) error {
-	c.mu.Lock()
-	t := c.targets[node]
-	if t == nil {
-		c.mu.Unlock()
-		return fmt.Errorf("%w: node %q", ErrUnknownTarget, node)
+	var hub *kprof.Hub
+	taken := func(t *target) error {
+		if _, ok := t.cpas[name]; ok {
+			return fmt.Errorf("controller: cpa %q already installed on %q", name, node)
+		}
+		hub = t.hub
+		return nil
 	}
-	if _, ok := t.cpas[name]; ok {
-		c.mu.Unlock()
-		return fmt.Errorf("controller: cpa %q already installed on %q", name, node)
+	if err := c.node(node, taken); err != nil {
+		return err
 	}
-	hub := t.hub
-	c.mu.Unlock()
-
 	// Verifying, compiling and subscribing run unlocked, so a concurrent
 	// install of the same name may have won the map entry meanwhile: the
 	// loser must leave the hub, or it would run forever where neither
@@ -372,70 +223,67 @@ func (c *Controller) InstallCPA(node, name, src string, mask kprof.Mask) error {
 	if err != nil {
 		return err
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if _, ok := t.cpas[name]; ok {
-		cpa.Close()
-		return fmt.Errorf("controller: cpa %q already installed on %q", name, node)
-	}
-	t.cpas[name] = cpa
-	return nil
+	return c.node(node, func(t *target) error {
+		if err := taken(t); err != nil {
+			cpa.Close()
+			return err
+		}
+		t.cpas[name] = cpa
+		return nil
+	})
 }
 
 // ListCPAs renders one line per installed analyzer on a node: name,
 // verifier cost estimate, run and error counters.
-func (c *Controller) ListCPAs(node string) (string, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	t := c.targets[node]
-	if t == nil {
-		return "", fmt.Errorf("%w: node %q", ErrUnknownTarget, node)
+func (c *Controller) ListCPAs(node string) (out string, err error) {
+	err = c.node(node, func(t *target) error {
+		if out = strings.TrimRight(t.cpaLines(""), "\n"); out == "" {
+			out = "no cpas installed"
+		}
+		return nil
+	})
+	return out, err
+}
+
+// names returns a map's keys in order.
+func names[V any](m map[string]V) []string {
+	out := make([]string, 0, len(m))
+	for name := range m {
+		out = append(out, name)
 	}
-	names := make([]string, 0, len(t.cpas))
-	for name := range t.cpas {
-		names = append(names, name)
-	}
-	sort.Strings(names)
+	sort.Strings(out)
+	return out
+}
+
+// cpaLines renders the node's installed analyzers in name order.
+func (t *target) cpaLines(indent string) string {
 	var sb strings.Builder
-	for _, name := range names {
-		cpa := t.cpas[name]
-		runs, errs, _ := cpa.Stats()
-		fmt.Fprintf(&sb, "cpa %s: cost=%d runs=%d errs=%d\n", name, cpa.Cost(), runs, errs)
+	for _, name := range names(t.cpas) {
+		runs, errs, _ := t.cpas[name].Stats()
+		fmt.Fprintf(&sb, "%scpa %s: cost=%d runs=%d errs=%d\n", indent, name, t.cpas[name].Cost(), runs, errs)
 	}
-	if sb.Len() == 0 {
-		return "no cpas installed", nil
-	}
-	return strings.TrimRight(sb.String(), "\n"), nil
+	return sb.String()
 }
 
 // RemoveCPA uninstalls an analyzer.
 func (c *Controller) RemoveCPA(node, name string) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	t := c.targets[node]
-	if t == nil {
-		return fmt.Errorf("%w: node %q", ErrUnknownTarget, node)
-	}
-	cpa := t.cpas[name]
-	if cpa == nil {
-		return fmt.Errorf("%w: cpa %q on node %q", ErrUnknownTarget, name, node)
-	}
-	cpa.Close()
-	delete(t.cpas, name)
-	return nil
+	return c.node(node, func(t *target) error {
+		cpa := t.cpas[name]
+		if cpa == nil {
+			return fmt.Errorf("%w: cpa %q on node %q", ErrUnknownTarget, name, node)
+		}
+		cpa.Close()
+		delete(t.cpas, name)
+		return nil
+	})
 }
 
 // Status renders a human-readable summary of everything managed.
 func (c *Controller) Status() string {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	nodes := make([]string, 0, len(c.targets))
-	for n := range c.targets {
-		nodes = append(nodes, n)
-	}
-	sort.Strings(nodes)
 	var sb strings.Builder
-	for _, n := range nodes {
+	for _, n := range names(c.targets) {
 		t := c.targets[n]
 		st := t.hub.StatsSnapshot()
 		fmt.Fprintf(&sb, "node %s: emitted=%d delivered=%d suppressed=%d overhead=%v",
@@ -445,18 +293,17 @@ func (c *Controller) Status() string {
 		}
 		if t.broker != nil {
 			depth, policy := t.broker.QueueConfig()
-			fmt.Fprintf(&sb, " pubsub=%d/%s", depth, policy)
+			compress := "off"
+			if t.broker.WireCompression() {
+				compress = "on"
+			}
+			fmt.Fprintf(&sb, " pubsub=%d/%s wirecompress=%s", depth, policy, compress)
 		}
 		if t.ntp != nil {
 			fmt.Fprintf(&sb, " ntp=%v", t.ntp.Interval())
 		}
 		sb.WriteByte('\n')
-		lpas := make([]string, 0, len(t.lpas))
-		for name := range t.lpas {
-			lpas = append(lpas, name)
-		}
-		sort.Strings(lpas)
-		for _, name := range lpas {
+		for _, name := range names(t.lpas) {
 			l := t.lpas[name]
 			ls := l.Stats()
 			gran := "interaction"
@@ -466,15 +313,7 @@ func (c *Controller) Status() string {
 			fmt.Fprintf(&sb, "  lpa %s: granularity=%s events=%d interactions=%d window=%d/%d\n",
 				name, gran, ls.Events, ls.Interactions, l.Window().Len(), l.Window().Size())
 		}
-		cpas := make([]string, 0, len(t.cpas))
-		for name := range t.cpas {
-			cpas = append(cpas, name)
-		}
-		sort.Strings(cpas)
-		for _, name := range cpas {
-			runs, errs, _ := t.cpas[name].Stats()
-			fmt.Fprintf(&sb, "  cpa %s: cost=%d runs=%d errs=%d\n", name, t.cpas[name].Cost(), runs, errs)
-		}
+		sb.WriteString(t.cpaLines("  "))
 	}
 	return sb.String()
 }
@@ -505,237 +344,235 @@ func maskFromSpec(spec string) (kprof.Mask, error) {
 	return m, nil
 }
 
-// Execute runs one text command and returns its reply. Commands:
-//
-//	status
-//	granularity <node> <lpa> interaction|class
-//	mask <node> <lpa> <groups>         groups: all,sched,syscall,net,fs,default,none
-//	window <node> <lpa> <size>
-//	bufcap <node> <lpa> <capacity>
-//	pidfilter <node> <lpa> <pid>|off
-//	flushinterval <node> <duration>    e.g. 250ms, 2s
-//	ntpinterval <node> [<dur>|now]     clock re-measurement cadence / force one
-//	pubsubqueue <node> <depth>         send-queue depth for new subscribers
-//	pubsubpolicy <node> drop|block|adaptive  fan-out overflow policy
-//	wirecompress <node> on|off         compressed columnar wire frames
-//	cpa install <node> <name> <groups> <base64-source>
-//	cpa remove <node> <name>
-//	cpa list <node>
-//
-// "cpa install" carries its source as base64, which keeps multi-line
-// E-Code intact across the line-oriented protocol (sysprofctl encodes a
-// file). The program is verified node-side before it touches the event
-// hub; rejections return the verifier's evidence chains.
-//
-// Federation commands (require AttachFederation):
-//
-//	federation status                    shard liveness + endpoints (JSON)
-//	federation endpoints                 current shard endpoint list
-//	federation set-endpoints <a,b,...>   replace the shard endpoint list
-//	federation retention <n>             per-shard correlated-history cap
-//	federation clockbound <node> <dur>   broadcast a node clock-error bound
+// commands is the management protocol: every verb the controller
+// answers, beside "help", which lists them. A reply is "ok" unless the
+// row says otherwise.
 //
 // All numeric arguments are range-checked: sizes and depths must fit the
 // documented bounds, PIDs must fit int32, durations must be positive.
 // Out-of-range input is rejected with an error rather than truncated
-// into a different — valid-looking — value.
-func (c *Controller) Execute(line string) (string, error) {
-	line = strings.TrimSpace(line)
-	fields := strings.Fields(line)
-	if len(fields) == 0 {
-		return "", errors.New("controller: empty command")
-	}
-	switch fields[0] {
-	case "status":
-		return c.Status(), nil
-	case "granularity":
-		if len(fields) != 4 {
-			return "", errors.New("controller: usage: granularity <node> <lpa> interaction|class")
-		}
-		var g core.Granularity
-		switch fields[3] {
-		case "interaction":
-			g = core.PerInteraction
-		case "class":
-			g = core.PerClass
-		default:
-			return "", fmt.Errorf("controller: bad granularity %q", fields[3])
-		}
-		return "ok", c.SetGranularity(fields[1], fields[2], g)
-	case "mask":
-		if len(fields) != 4 {
-			return "", errors.New("controller: usage: mask <node> <lpa> <groups>")
-		}
-		m, err := maskFromSpec(fields[3])
-		if err != nil {
-			return "", err
-		}
-		return "ok", c.SetEventMask(fields[1], fields[2], m)
-	case "pidfilter":
-		if len(fields) != 4 {
-			return "", errors.New("controller: usage: pidfilter <node> <lpa> <pid>|off")
-		}
-		if fields[3] == "off" {
-			return "ok", c.SetPIDFilter(fields[1], fields[2], 0)
-		}
-		// ParseInt with bitSize 31: a pid that does not fit int32 is an
-		// input error, not a filter on whatever it wraps to.
-		pid, err := strconv.ParseInt(fields[3], 10, 31)
-		if err != nil || pid <= 0 {
-			return "", fmt.Errorf("controller: bad pid %q (want 1..2147483647 or off)", fields[3])
-		}
-		return "ok", c.SetPIDFilter(fields[1], fields[2], int32(pid))
-	case "window", "bufcap":
-		if len(fields) != 4 {
-			return "", fmt.Errorf("controller: usage: %s <node> <lpa> <n>", fields[0])
-		}
-		n, err := parseSize(fields[3])
-		if err != nil {
-			return "", err
-		}
-		if fields[0] == "window" {
-			return "ok", c.SetWindowSize(fields[1], fields[2], n)
-		}
-		return "ok", c.SetBufferCapacity(fields[1], fields[2], n)
-	case "flushinterval":
-		if len(fields) != 3 {
-			return "", errors.New("controller: usage: flushinterval <node> <duration>")
-		}
-		iv, err := time.ParseDuration(fields[2])
-		if err != nil || iv <= 0 {
-			return "", fmt.Errorf("controller: bad duration %q (want positive, e.g. 250ms)", fields[2])
-		}
-		return "ok", c.SetFlushInterval(fields[1], iv)
-	case "ntpinterval":
-		if len(fields) < 2 || len(fields) > 3 {
-			return "", errors.New("controller: usage: ntpinterval <node> [<duration>|now]")
-		}
-		m, err := c.ntp(fields[1])
-		if err != nil {
-			return "", err
-		}
-		if len(fields) == 2 {
-			return fmt.Sprintf("interval=%v", m.Interval()), nil
-		}
-		if fields[2] == "now" {
-			offset, bound := m.RemeasureNow()
-			return fmt.Sprintf("offset=%v bound=%v", offset, bound), nil
-		}
-		iv, err := time.ParseDuration(fields[2])
-		if err != nil || iv <= 0 {
-			return "", fmt.Errorf("controller: bad duration %q (want positive, e.g. 30s, or now)", fields[2])
-		}
-		if err := m.SetInterval(iv); err != nil {
-			return "", fmt.Errorf("controller: %v", err)
-		}
-		return "ok", nil
-	case "pubsubqueue":
-		if len(fields) != 3 {
-			return "", errors.New("controller: usage: pubsubqueue <node> <depth>")
-		}
-		depth, err := parseSize(fields[2])
-		if err != nil {
-			return "", err
-		}
-		return "ok", c.SetPubSubQueueDepth(fields[1], depth)
-	case "pubsubpolicy":
-		if len(fields) != 3 {
-			return "", errors.New("controller: usage: pubsubpolicy <node> drop|block|adaptive")
-		}
-		return "ok", c.SetPubSubOverflowPolicy(fields[1], fields[2])
-	case "wirecompress":
-		if len(fields) != 3 {
-			return "", errors.New("controller: usage: wirecompress <node> on|off")
-		}
-		var on bool
-		switch fields[2] {
-		case "on":
-			on = true
-		case "off":
-		default:
-			return "", fmt.Errorf("controller: bad wirecompress state %q (want on or off)", fields[2])
-		}
-		return "ok", c.SetPubSubWireCompression(fields[1], on)
-	case "cpa":
-		if len(fields) < 2 {
-			return "", errors.New("controller: usage: cpa install|remove|list ...")
-		}
-		switch fields[1] {
-		case "install":
-			if len(fields) != 6 {
-				return "", errors.New("controller: usage: cpa install <node> <name> <groups> <base64-source>")
-			}
-			m, err := maskFromSpec(fields[4])
-			if err != nil {
-				return "", err
-			}
-			src, err := base64.StdEncoding.DecodeString(fields[5])
-			if err != nil {
-				return "", fmt.Errorf("controller: bad base64 source: %v", err)
-			}
-			if err := c.InstallCPA(fields[2], fields[3], string(src), m); err != nil {
-				return "", err
-			}
-			return "ok", nil
-		case "remove":
-			if len(fields) != 4 {
-				return "", errors.New("controller: usage: cpa remove <node> <name>")
-			}
-			return "ok", c.RemoveCPA(fields[2], fields[3])
-		case "list":
-			if len(fields) != 3 {
-				return "", errors.New("controller: usage: cpa list <node>")
-			}
-			return c.ListCPAs(fields[2])
-		}
-		return "", fmt.Errorf("controller: unknown cpa command %q", fields[1])
-	case "federation":
-		f, err := c.fed()
-		if err != nil {
-			return "", err
-		}
-		if len(fields) < 2 {
-			return "", errors.New("controller: usage: federation status|endpoints|set-endpoints|retention|clockbound ...")
-		}
-		switch fields[1] {
-		case "status":
-			return f.Execute("federation")
-		case "endpoints":
-			return strings.Join(f.Endpoints(), ","), nil
-		case "set-endpoints":
-			if len(fields) != 3 {
-				return "", errors.New("controller: usage: federation set-endpoints <addr,addr,...>")
-			}
-			var eps []string
-			for _, a := range strings.Split(fields[2], ",") {
-				if a = strings.TrimSpace(a); a != "" {
-					eps = append(eps, a)
-				}
-			}
+// into a different — valid-looking — value, and before the node it names
+// is looked up.
+var commands = &lineproto.Table[*Controller]{Pkg: "controller", Noun: "command", Rows: append([]lineproto.Command[*Controller]{
+	{Name: "status", Help: "every node's counters and knobs, its analyzers beneath it",
+		Run: func(c *Controller, _ []string) (string, error) { return c.Status(), nil }},
+	{Name: "granularity", Args: "<node> <lpa> interaction|class", Run: (*Controller).granularity,
+		Help: "publish per-interaction records or per-class aggregates"},
+	{Name: "mask", Args: "<node> <lpa> <groups>", Run: (*Controller).mask,
+		Help: "kernel event groups the analyzer receives: all,sched,syscall,net,fs,default,none"},
+	{Name: "window", Args: "<node> <lpa> <n>", Run: (*Controller).window,
+		Help: "resize the analyzer's interaction window"},
+	{Name: "bufcap", Args: "<node> <lpa> <n>", Run: (*Controller).bufCap,
+		Help: "resize the analyzer's per-CPU dissemination buffers"},
+	{Name: "pidfilter", Args: "<node> <lpa> <pid>|off", Run: (*Controller).pidFilter,
+		Help: "prune the analyzer's events to one process"},
+	{Name: "flushinterval", Args: "<node> <duration>", Run: (*Controller).flushInterval,
+		Help: "how often the node pushes partial buffers out, e.g. 250ms"},
+	{Name: "ntpinterval", Args: "<node> [<duration>|now]", Run: (*Controller).ntpInterval,
+		Help: "clock re-measurement cadence: show it, set it, or measure now"},
+	{Name: "pubsubqueue", Args: "<node> <depth>", Run: (*Controller).pubSubQueue,
+		Help: "send-queue depth for subscribers that connect from now on"},
+	{Name: "pubsubpolicy", Args: "<node> drop|block|adaptive", Help: "what a full send queue does",
+		Run: func(c *Controller, a []string) (string, error) {
+			return c.onBroker(a[0], func(b FanOut) error { return b.SetOverflowPolicyName(a[1]) })
+		}},
+	{Name: "wirecompress", Args: "<node> on|off", Run: (*Controller).wireCompress,
+		Help: "compressed columnar frames for subscribers that negotiated them"},
+	// The source travels as base64, which keeps multi-line E-Code whole
+	// on a line protocol (sysprofctl encodes a file). The node verifies
+	// it before it touches the event hub; a rejection is the verifier's
+	// evidence chain.
+	{Name: "cpa install", Args: "<node> <name> <groups> <base64-source>", Run: (*Controller).cpaInstall,
+		Help: "verify, compile and run an E-Code analyzer on the node's events"},
+	{Name: "cpa remove", Args: "<node> <name>", Help: "uninstall an analyzer",
+		Run: func(c *Controller, a []string) (string, error) { return ok(c.RemoveCPA(a[0], a[1])) }},
+	{Name: "cpa list", Args: "<node>", Help: "installed analyzers: verifier cost, runs, errors",
+		Run: func(c *Controller, a []string) (string, error) { return c.ListCPAs(a[0]) }},
+}, lineproto.Lift(federationCommands, (*Controller).fed)...)}
+
+// federationCommands drive the federated-GPA frontend (AttachFederation).
+var federationCommands = []lineproto.Command[Federation]{
+	{Name: "federation status", Help: "shard liveness and endpoints (JSON)",
+		Run: func(f Federation, _ []string) (string, error) { return f.Execute("federation") }},
+	{Name: "federation endpoints", Help: "the shard endpoint list",
+		Run: func(f Federation, _ []string) (string, error) { return strings.Join(f.Endpoints(), ","), nil }},
+	{Name: "federation set-endpoints", Args: "<addr,addr,...>", Help: "replace the shard endpoint list (entry i serves shard i)",
+		Run: func(f Federation, a []string) (string, error) {
+			eps := lineproto.SplitList(a[0])
 			if err := f.SetEndpoints(eps); err != nil {
 				return "", err
 			}
 			return fmt.Sprintf("ok shards=%d", len(eps)), nil
-		case "retention":
-			if len(fields) != 3 {
-				return "", errors.New("controller: usage: federation retention <max-correlated>")
-			}
+		}},
+	{Name: "federation retention", Args: "<max-correlated>", Help: "cap every shard's correlated history (0 = unbounded)",
+		Run: func(f Federation, a []string) (string, error) {
 			// Validated here as well as in the shards: reject before
 			// broadcasting rather than failing N times remotely.
-			n, err := strconv.ParseInt(fields[2], 10, 32)
+			n, err := strconv.ParseInt(a[0], 10, 32)
 			if err != nil || n < 0 {
-				return "", fmt.Errorf("controller: bad retention %q (want integer >= 0)", fields[2])
+				return "", fmt.Errorf("controller: bad retention %q (want integer >= 0)", a[0])
 			}
 			return f.Execute("retention " + strconv.FormatInt(n, 10))
-		case "clockbound":
-			if len(fields) != 4 {
-				return "", errors.New("controller: usage: federation clockbound <node> <duration>")
-			}
-			return f.Execute("clockbound " + fields[2] + " " + fields[3])
+		}},
+	{Name: "federation clockbound", Args: "<node> <duration>", Help: "broadcast a node's clock-error bound to the shards",
+		Run: func(f Federation, a []string) (string, error) { return f.Execute("clockbound " + a[0] + " " + a[1]) }},
+}
+
+// Execute runs one text command and returns its reply; "help" lists the
+// commands.
+func (c *Controller) Execute(line string) (string, error) {
+	fields := strings.Fields(line)
+	// A controller without a federation says so before it reads the rest
+	// of a federation command.
+	if len(fields) > 0 && fields[0] == "federation" {
+		if _, err := c.fed(); err != nil {
+			return "", err
 		}
-		return "", fmt.Errorf("controller: unknown federation command %q", fields[1])
 	}
-	return "", fmt.Errorf("controller: unknown command %q", fields[0])
+	return commands.Run(c, fields)
+}
+
+// ok is the reply of a knob that took.
+func ok(err error) (string, error) {
+	if err != nil {
+		return "", err
+	}
+	return "ok", nil
+}
+
+// onLPA turns one knob of the analyzer a[0] a[1] names.
+func (c *Controller) onLPA(a []string, set func(*core.LPA)) (string, error) {
+	l, err := attached(c, a[0], func(t *target) *core.LPA { return t.lpas[a[1]] }, "lpa %q on node %q", a[1], a[0])
+	if err != nil {
+		return "", err
+	}
+	set(l)
+	return "ok", nil
+}
+
+func (c *Controller) granularity(a []string) (string, error) {
+	var g core.Granularity
+	switch a[2] {
+	case "interaction":
+		g = core.PerInteraction
+	case "class":
+		g = core.PerClass
+	default:
+		return "", fmt.Errorf("controller: bad granularity %q", a[2])
+	}
+	return c.onLPA(a, func(l *core.LPA) { l.SetGranularity(g) })
+}
+
+func (c *Controller) mask(a []string) (string, error) {
+	m, err := maskFromSpec(a[2])
+	if err != nil {
+		return "", err
+	}
+	return c.onLPA(a, func(l *core.LPA) { l.Subscription().SetMask(m) })
+}
+
+// pidFilter is the paper's event pruning "on the basis of process IDs".
+func (c *Controller) pidFilter(a []string) (string, error) {
+	var keep func(int32) bool
+	if a[2] != "off" {
+		// ParseInt with bitSize 31: a pid that does not fit int32 is an
+		// input error, not a filter on whatever it wraps to.
+		pid, err := strconv.ParseInt(a[2], 10, 31)
+		if err != nil || pid <= 0 {
+			return "", fmt.Errorf("controller: bad pid %q (want 1..2147483647 or off)", a[2])
+		}
+		keep = func(p int32) bool { return p == int32(pid) }
+	}
+	return c.onLPA(a, func(l *core.LPA) { l.Subscription().SetPIDFilter(keep) })
+}
+
+func (c *Controller) window(a []string) (string, error) {
+	n, err := parseSize(a[2])
+	if err != nil {
+		return "", err
+	}
+	return c.onLPA(a, func(l *core.LPA) { l.Window().Resize(n) })
+}
+
+func (c *Controller) bufCap(a []string) (string, error) {
+	n, err := parseSize(a[2])
+	if err != nil {
+		return "", err
+	}
+	return c.onLPA(a, func(l *core.LPA) {
+		for i := 0; i < l.Buffers().NumCPUs(); i++ {
+			l.Buffers().Buffer(i).SetCapacity(n)
+		}
+	})
+}
+
+func (c *Controller) flushInterval(a []string) (string, error) {
+	iv, err := time.ParseDuration(a[1])
+	if err != nil || iv <= 0 {
+		return "", fmt.Errorf("controller: bad duration %q (want positive, e.g. 250ms)", a[1])
+	}
+	d, err := attached(c, a[0], func(t *target) Flusher { return t.daemon }, "no daemon attached to node %q", a[0])
+	if err != nil {
+		return "", err
+	}
+	return ok(d.SetFlushInterval(iv))
+}
+
+func (c *Controller) ntpInterval(a []string) (string, error) {
+	m, err := attached(c, a[0], func(t *target) NTPMonitor { return t.ntp }, "node %q has no NTP monitor attached", a[0])
+	switch {
+	case err != nil:
+		return "", err
+	case len(a) == 1:
+		return fmt.Sprintf("interval=%v", m.Interval()), nil
+	case a[1] == "now":
+		offset, bound := m.RemeasureNow()
+		return fmt.Sprintf("offset=%v bound=%v", offset, bound), nil
+	}
+	iv, err := time.ParseDuration(a[1])
+	if err != nil || iv <= 0 {
+		return "", fmt.Errorf("controller: bad duration %q (want positive, e.g. 30s, or now)", a[1])
+	}
+	if err := m.SetInterval(iv); err != nil {
+		return "", fmt.Errorf("controller: %v", err)
+	}
+	return "ok", nil
+}
+
+// onBroker turns one knob of a node's pub-sub broker.
+func (c *Controller) onBroker(node string, set func(FanOut) error) (string, error) {
+	b, err := attached(c, node, func(t *target) FanOut { return t.broker }, "no broker attached to node %q", node)
+	if err != nil {
+		return "", err
+	}
+	return ok(set(b))
+}
+
+func (c *Controller) pubSubQueue(a []string) (string, error) {
+	depth, err := parseSize(a[1])
+	if err != nil {
+		return "", err
+	}
+	return c.onBroker(a[0], func(b FanOut) error { return b.SetQueueDepth(depth) })
+}
+
+func (c *Controller) wireCompress(a []string) (string, error) {
+	if a[1] != "on" && a[1] != "off" {
+		return "", fmt.Errorf("controller: bad wirecompress state %q (want on or off)", a[1])
+	}
+	return c.onBroker(a[0], func(b FanOut) error { b.SetWireCompression(a[1] == "on"); return nil })
+}
+
+func (c *Controller) cpaInstall(a []string) (string, error) {
+	m, err := maskFromSpec(a[2])
+	if err != nil {
+		return "", err
+	}
+	src, err := base64.StdEncoding.DecodeString(a[3])
+	if err != nil {
+		return "", fmt.Errorf("controller: bad base64 source: %v", err)
+	}
+	return ok(c.InstallCPA(a[0], a[1], string(src), m))
 }
 
 // maxSize bounds resize arguments (windows, buffer capacities, queue

@@ -47,10 +47,10 @@ func TestRegisterDuplicateNode(t *testing.T) {
 
 func TestUnknownTargets(t *testing.T) {
 	c, _, _ := setup(t)
-	if err := c.SetGranularity("nope", "main", core.PerClass); !errors.Is(err, ErrUnknownTarget) {
+	if _, err := c.Execute("granularity nope main class"); !errors.Is(err, ErrUnknownTarget) {
 		t.Fatalf("err = %v", err)
 	}
-	if err := c.SetWindowSize("n1", "nope", 8); !errors.Is(err, ErrUnknownTarget) {
+	if _, err := c.Execute("window n1 nope 8"); !errors.Is(err, ErrUnknownTarget) {
 		t.Fatalf("err = %v", err)
 	}
 	if err := c.RemoveCPA("n1", "nope"); !errors.Is(err, ErrUnknownTarget) {
@@ -77,7 +77,7 @@ func TestFlushIntervalKnob(t *testing.T) {
 	fl := &fakeFlusher{iv: 500 * time.Millisecond}
 
 	// Before a daemon is attached the knob reports unknown target.
-	if err := c.SetFlushInterval("n1", time.Second); !errors.Is(err, ErrUnknownTarget) {
+	if _, err := c.Execute("flushinterval n1 1s"); !errors.Is(err, ErrUnknownTarget) {
 		t.Fatalf("err = %v", err)
 	}
 	if err := c.AttachDaemon("nope", fl); !errors.Is(err, ErrUnknownTarget) {
@@ -86,14 +86,6 @@ func TestFlushIntervalKnob(t *testing.T) {
 	if err := c.AttachDaemon("n1", fl); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.SetFlushInterval("n1", 250*time.Millisecond); err != nil {
-		t.Fatal(err)
-	}
-	if fl.iv != 250*time.Millisecond {
-		t.Fatalf("interval = %v", fl.iv)
-	}
-
-	// Text protocol form.
 	if reply, err := c.Execute("flushinterval n1 2s"); err != nil || reply != "ok" {
 		t.Fatalf("reply=%q err=%v", reply, err)
 	}
@@ -118,26 +110,26 @@ func TestFlushIntervalKnob(t *testing.T) {
 
 func TestGranularityAndWindowKnobs(t *testing.T) {
 	c, _, lpa := setup(t)
-	if err := c.SetGranularity("n1", "main", core.PerClass); err != nil {
+	if _, err := c.Execute("granularity n1 main class"); err != nil {
 		t.Fatal(err)
 	}
 	if lpa.Granularity() != core.PerClass {
 		t.Fatal("granularity not applied")
 	}
-	if err := c.SetWindowSize("n1", "main", 7); err != nil {
+	if _, err := c.Execute("window n1 main 7"); err != nil {
 		t.Fatal(err)
 	}
 	if lpa.Window().Size() != 7 {
 		t.Fatal("window size not applied")
 	}
-	if err := c.SetBufferCapacity("n1", "main", 9); err != nil {
+	if _, err := c.Execute("bufcap n1 main 9"); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestSetEventMask(t *testing.T) {
 	c, hub, _ := setup(t)
-	if err := c.SetEventMask("n1", "main", kprof.MaskScheduling()); err != nil {
+	if _, err := c.Execute("mask n1 main sched"); err != nil {
 		t.Fatal(err)
 	}
 	if hub.Enabled(kprof.EvNetRx) {
@@ -279,6 +271,24 @@ func TestStatusContents(t *testing.T) {
 			t.Fatalf("status missing %q:\n%s", want, out)
 		}
 	}
+	if strings.Contains(out, "wirecompress=") {
+		t.Fatalf("status reports a compression knob with no broker attached:\n%s", out)
+	}
+
+	// The broker's compression veto shows beside its queue settings, and
+	// follows the knob.
+	if err := c.AttachBroker("n1", &fakeFanOut{depth: 256, policy: "drop", compress: true}); err != nil {
+		t.Fatal(err)
+	}
+	if out := c.Status(); !strings.Contains(out, "pubsub=256/drop wirecompress=on") {
+		t.Fatalf("status = %q", out)
+	}
+	if _, err := c.Execute("wirecompress n1 off"); err != nil {
+		t.Fatal(err)
+	}
+	if out := c.Status(); !strings.Contains(out, "pubsub=256/drop wirecompress=off") {
+		t.Fatalf("status after wirecompress off = %q", out)
+	}
 }
 
 func TestServeConnProtocol(t *testing.T) {
@@ -355,7 +365,7 @@ func TestPubSubKnobs(t *testing.T) {
 	fo := &fakeFanOut{depth: 256, policy: "drop"}
 
 	// Before a broker is attached the knobs report unknown target.
-	if err := c.SetPubSubQueueDepth("n1", 64); !errors.Is(err, ErrUnknownTarget) {
+	if _, err := c.Execute("pubsubqueue n1 64"); !errors.Is(err, ErrUnknownTarget) {
 		t.Fatalf("err = %v", err)
 	}
 	if err := c.AttachBroker("nope", fo); !errors.Is(err, ErrUnknownTarget) {
@@ -364,14 +374,6 @@ func TestPubSubKnobs(t *testing.T) {
 	if err := c.AttachBroker("n1", fo); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.SetPubSubQueueDepth("n1", 64); err != nil || fo.depth != 64 {
-		t.Fatalf("depth=%d err=%v", fo.depth, err)
-	}
-	if err := c.SetPubSubOverflowPolicy("n1", "block"); err != nil || fo.policy != "block" {
-		t.Fatalf("policy=%q err=%v", fo.policy, err)
-	}
-
-	// Text protocol form.
 	if reply, err := c.Execute("pubsubqueue n1 1024"); err != nil || reply != "ok" {
 		t.Fatalf("reply=%q err=%v", reply, err)
 	}
@@ -383,6 +385,9 @@ func TestPubSubKnobs(t *testing.T) {
 	}
 	if fo.policy != "drop" {
 		t.Fatalf("policy = %q", fo.policy)
+	}
+	if _, err := c.Execute("pubsubpolicy n1 block"); err != nil || fo.policy != "block" {
+		t.Fatalf("policy=%q err=%v", fo.policy, err)
 	}
 	if _, err := c.Execute("pubsubqueue n1 0"); err == nil {
 		t.Fatal("zero depth accepted")
@@ -416,7 +421,7 @@ func TestPubSubKnobs(t *testing.T) {
 	}
 
 	// Status shows the fan-out config once a broker is attached.
-	if !strings.Contains(c.Status(), "pubsub=1024/drop") {
+	if !strings.Contains(c.Status(), "pubsub=1024/block wirecompress=on") {
 		t.Fatalf("status = %q", c.Status())
 	}
 }
@@ -540,5 +545,26 @@ func TestNTPIntervalCommand(t *testing.T) {
 	}
 	if !strings.Contains(c.Status(), "ntp=5s") {
 		t.Fatalf("status missing ntp cadence:\n%s", c.Status())
+	}
+}
+
+// TestHelpListsEveryRow: "help" is the command table's own listing (its
+// format is lineproto's, pinned there), one line per row in table order
+// and one for itself. Run with -v to print it (CI does, so a verb
+// appearing or vanishing shows in the log of the PR that caused it).
+func TestHelpListsEveryRow(t *testing.T) {
+	reply, err := New(nil).Execute("help")
+	if err != nil || reply != commands.Help() {
+		t.Fatalf("help = %q, %v; want the table's listing", reply, err)
+	}
+	t.Logf("controller help:\n%s", reply)
+	lines := strings.Split(reply, "\n")
+	if len(lines) != len(commands.Rows)+1 {
+		t.Fatalf("help has %d lines for %d rows and itself", len(lines), len(commands.Rows))
+	}
+	for i, row := range commands.Rows {
+		if !strings.HasPrefix(lines[i], row.Usage()+" ") {
+			t.Errorf("help line %d = %q, want the usage %q", i+1, lines[i], row.Usage())
+		}
 	}
 }

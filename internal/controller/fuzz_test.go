@@ -13,28 +13,23 @@ import (
 // range-checking path with no side effects to corrupt.
 //
 // Invariants: the parser never panics, and on an empty controller the
-// only line that can succeed is "status" (everything else must fail
-// validation or target lookup).
+// only lines that can succeed are "status" and "help" (everything else
+// must fail validation or target lookup).
 func FuzzExecute(f *testing.F) {
-	seeds := []string{
-		"status",
+	// Every verb as its usage line spells it, and once with arguments of
+	// the right count that get past validation.
+	for _, row := range commands.Rows {
+		f.Add(row.Usage())
+	}
+	for _, s := range []string{
+		"help",
 		"granularity web interactions class",
 		"mask web interactions sched,net",
-		"window web interactions 128",
-		"bufcap web interactions 4096",
-		"pidfilter web interactions 1234",
 		"pidfilter web interactions off",
-		"flushinterval web 250ms",
-		"pubsubqueue web 512",
-		"pubsubpolicy web drop",
+		"ntpinterval web now",
+		"wirecompress web on",
 		"cpa install web big net c3RhdGljIGludCBuID0gMDsgcmV0dXJuIG47", // static int n = 0; return n;
-		"cpa remove web big",
-		"cpa list web",
-		"federation status",
-		"federation endpoints",
 		"federation set-endpoints 127.0.0.1:9001,127.0.0.1:9002",
-		"federation retention 100000",
-		"federation clockbound 2 600ms",
 		// Range-check edges: overflow wraps, negatives, absurd sizes.
 		"pidfilter web interactions 4294967296",
 		"pidfilter web interactions -1",
@@ -45,8 +40,7 @@ func FuzzExecute(f *testing.F) {
 		"",
 		"   ",
 		"window web interactions " + strings.Repeat("9", 400),
-	}
-	for _, s := range seeds {
+	} {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, line string) {
@@ -55,8 +49,7 @@ func FuzzExecute(f *testing.F) {
 		if err != nil {
 			return
 		}
-		fields := strings.Fields(strings.TrimSpace(line))
-		if len(fields) == 0 || fields[0] != "status" {
+		if fields := strings.Fields(line); len(fields) == 0 || fields[0] != "status" && fields[0] != "help" {
 			t.Fatalf("empty controller accepted %q (reply %q)", line, reply)
 		}
 		if !utf8.ValidString(reply) {

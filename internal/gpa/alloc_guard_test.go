@@ -5,6 +5,9 @@ package gpa
 import (
 	"strings"
 	"testing"
+
+	"sysprof/internal/core"
+	"sysprof/internal/simnet"
 )
 
 // TestIngestSteadyStateZeroAlloc guards the 0 allocs/op claim the hot
@@ -50,5 +53,28 @@ func TestWriteRecentAllocatesOnlyItsStrings(t *testing.T) {
 	line := testing.AllocsPerRun(100, func() { writeRecent(&sb, e) })
 	if line > strs {
 		t.Fatalf("writeRecent allocates %.0f times a line, its four String() calls %.0f", line, strs)
+	}
+}
+
+// TestClassesReadsOneNode: "classes <node>" on an analyzer reads that
+// node's aggregates and no other's, so what it allocates does not grow
+// with the number of other reporting nodes.
+func TestClassesReadsOneNode(t *testing.T) {
+	allocs := func(others int) float64 {
+		g, _ := newGPA(Config{})
+		for n := 0; n <= others; n++ {
+			for _, class := range []string{"port:80", "nfs:read"} {
+				g.IngestAggregate(simnet.NodeID(1+n), core.Aggregate{Class: class, Count: 3})
+			}
+		}
+		return testing.AllocsPerRun(50, func() {
+			reply, err := g.Execute("classes 1")
+			if err != nil || !strings.HasPrefix(reply, "nfs:read count=3 ") {
+				t.Fatalf("classes 1 = %q, %v", reply, err)
+			}
+		})
+	}
+	if alone, crowded := allocs(0), allocs(200); crowded > alone {
+		t.Fatalf("classes 1 allocates %.0f times beside 200 other nodes, %.0f alone", crowded, alone)
 	}
 }

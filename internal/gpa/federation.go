@@ -367,6 +367,13 @@ func (f *Frontend) ClassAggregatesAll() (map[simnet.NodeID]map[string]core.Aggre
 	return out, st, nil
 }
 
+// ClassAggregates returns one node's per-class aggregates, merged across
+// shards; like every class query it costs one jclasses round trip.
+func (f *Frontend) ClassAggregates(node simnet.NodeID) (map[string]core.Aggregate, FederationStatus, error) {
+	all, st, err := f.ClassAggregatesAll()
+	return all[node], st, err
+}
+
 // Correlated returns the merged end-to-end interactions in global
 // completion order.
 func (f *Frontend) Correlated() ([]EndToEnd, FederationStatus, error) {
@@ -397,12 +404,12 @@ func (f *Frontend) Dump(w io.Writer) (FederationStatus, error) {
 	return st, nil
 }
 
-// broadcast sends an admin command to every shard and reports the
-// federation status plus each live shard's one-line reply.
-func (f *Frontend) broadcast(cmd string) (string, FederationStatus, error) {
-	replies, st := f.fanOut(cmd)
+// broadcast sends an admin verb and its arguments to every shard and
+// reports each live shard's one-line reply, then the partial marker.
+func (f *Frontend) broadcast(verb string, args []string) (string, error) {
+	replies, st := f.fanOut(strings.Join(append([]string{verb}, args...), " "))
 	if st.allDead() {
-		return "", st, fmt.Errorf("%w: %s", errAllShardsDead, strings.Join(st.Errors, "; "))
+		return "", fmt.Errorf("%w: %s", errAllShardsDead, strings.Join(st.Errors, "; "))
 	}
 	var sb strings.Builder
 	for _, r := range replies {
@@ -411,7 +418,7 @@ func (f *Frontend) broadcast(cmd string) (string, FederationStatus, error) {
 		}
 		fmt.Fprintf(&sb, "shard %d: %s\n", r.index, strings.TrimRight(r.payload, "\n"))
 	}
-	return strings.TrimRight(sb.String(), "\n"), st, nil
+	return strings.TrimRight(sb.String(), "\n") + st.marker(), nil
 }
 
 // Status probes every shard with a cheap query and reports liveness.
@@ -420,35 +427,41 @@ func (f *Frontend) Status() FederationStatus {
 	return st
 }
 
-// Execute runs one query command against the federation; see execute
-// for the command set.
-func (f *Frontend) Execute(line string) (string, error) { return execute(f, line) }
+// frontendCommands is the query protocol of a federation: the shared
+// queries merged from the shards, the admin verbs broadcast as they are —
+// each shard checks the arguments it is sent — and the federation report.
+var frontendCommands = &lineproto.Table[*Frontend]{Pkg: "gpa", Noun: "query", Unknown: "federation query", Rows: append(
+	lineproto.Lift(queries, func(f *Frontend) (source, error) { return f, nil }),
+	lineproto.Command[*Frontend]{Name: "retention", Help: "broadcast to every shard: retention <max-correlated>",
+		Run: func(f *Frontend, a []string) (string, error) { return f.broadcast("retention", a) }},
+	lineproto.Command[*Frontend]{Name: "clockbound", Help: "broadcast to every shard: clockbound <node> <duration>",
+		Run: func(f *Frontend, a []string) (string, error) { return f.broadcast("clockbound", a) }},
+	lineproto.Command[*Frontend]{Name: "federation", Help: "shard liveness and endpoints (JSON)",
+		Run: func(f *Frontend, _ []string) (string, error) {
+			return jsonReply(struct {
+				FederationStatus
+				Endpoints []string `json:"endpoints"`
+			}{f.Status(), f.Endpoints()})
+		}},
+)}
 
-// encode wraps a merged JSON payload with its federation status.
-func (f *Frontend) encode(st FederationStatus, data any) (string, error) {
+// Execute runs one query command against the federation; "help" lists
+// the commands.
+func (f *Frontend) Execute(line string) (string, error) {
+	return frontendCommands.Run(f, strings.Fields(line))
+}
+
+// encode renders the payload of a machine-readable reply: bare from an
+// analyzer, whose status is empty, and in the {"federation": status,
+// "data": ...} envelope from a frontend.
+func (st FederationStatus) encode(data any) (string, error) {
+	if st.Shards == 0 {
+		return jsonReply(data)
+	}
 	return jsonReply(struct {
 		Federation FederationStatus `json:"federation"`
 		Data       any              `json:"data"`
 	}{st, data})
-}
-
-// executeOwn answers "federation" and broadcasts the admin verbs as
-// they are: each shard checks the arguments it is sent.
-func (f *Frontend) executeOwn(fields []string) (string, error) {
-	switch fields[0] {
-	case "federation":
-		return jsonReply(struct {
-			FederationStatus
-			Endpoints []string `json:"endpoints"`
-		}{f.Status(), f.Endpoints()})
-	case "retention", "clockbound":
-		out, st, err := f.broadcast(strings.Join(fields, " "))
-		if err != nil {
-			return "", err
-		}
-		return out + st.marker(), nil
-	}
-	return "", fmt.Errorf("gpa: unknown federation query %q", fields[0])
 }
 
 // ServeConn answers federation queries on one connection with the same

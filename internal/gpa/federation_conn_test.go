@@ -37,7 +37,7 @@ func TestFrontendKeepsShardConnections(t *testing.T) {
 		}
 	}
 	// An error reply is a reply: the connection that carried it is kept.
-	if _, _, err := h.fe.broadcast("retention -1"); err == nil {
+	if _, err := h.fe.Execute("retention -1"); err == nil {
 		t.Fatal("retention -1 accepted")
 	}
 	fullStats(t, h.fe)

@@ -80,7 +80,7 @@ func (h *fedHarness) dialed(idx int) int {
 func (h *fedHarness) serve(g *GPA, conn net.Conn) {
 	lineproto.ServeConn(conn, func(line string) (string, error) {
 		if fields := strings.Fields(line); h.frameRows > 0 && len(fields) > 0 && fields[0] == "pcorrelated" {
-			n, err := tailCount(fields)
+			n, err := tailCount(fields[1:])
 			if err != nil {
 				return "", err
 			}

@@ -11,11 +11,13 @@ import (
 // and queries are read-only — the correlation stats are unchanged
 // afterwards.
 func FuzzQuery(f *testing.F) {
+	// Every verb as its usage line spells it, then arguments that parse.
+	for _, row := range analyzerCommands.Rows {
+		f.Add(row.Usage())
+	}
 	for _, s := range []string{
-		"stats", "nodes", "load 2", "classes 2", "accounting",
-		"flow 1:1000 2:80", "recent 5", "jstats", "jnodes", "jload 2",
-		"jclasses 2", "jcorrelated 3", "retention", "clockbound",
-		"", " ", "load", "load x", "recent -1", "bogus arg",
+		"help", "load 2", "classes 2", "flow 1:1000 2:80", "recent 5", "jload 2",
+		"jcorrelated 3", "pcorrelated 2", "", " ", "load x", "recent -1", "bogus arg",
 	} {
 		f.Add(s)
 	}

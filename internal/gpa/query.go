@@ -2,7 +2,6 @@ package gpa
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -105,23 +104,16 @@ func renderAccounting(rows []AccountingRow) string {
 // source is what a query is answered from: one analyzer's own state
 // (local, whose status is always empty) or a federation's merged shard
 // replies (*Frontend, whose status names the shards that did not
-// answer). Everything in which the two reply differently is behind the
-// last two methods.
+// answer).
 type source interface {
 	StatsSnapshot() (StatsReply, FederationStatus, error)
 	Nodes() ([]simnet.NodeID, FederationStatus, error)
 	ServerLoad(simnet.NodeID) (Load, FederationStatus, error)
+	ClassAggregates(simnet.NodeID) (map[string]core.Aggregate, FederationStatus, error)
 	ClassAggregatesAll() (map[simnet.NodeID]map[string]core.Aggregate, FederationStatus, error)
 	// correlatedTail returns the last n correlated interactions in
 	// completion order; 0 means the whole history.
 	correlatedTail(n int) ([]SeqEndToEnd, FederationStatus, error)
-	// encode renders the payload of a machine-readable reply: bare from
-	// an analyzer, in the {"federation": status, "data": ...} envelope
-	// from a frontend.
-	encode(st FederationStatus, data any) (string, error)
-	// executeOwn runs the verbs only this kind of source answers, and
-	// refuses the rest.
-	executeOwn(fields []string) (string, error)
 }
 
 // local answers queries from one analyzer: GPA's accessors in source's
@@ -140,6 +132,10 @@ func (l local) ServerLoad(node simnet.NodeID) (Load, FederationStatus, error) {
 	return l.g.ServerLoad(node), FederationStatus{}, nil
 }
 
+func (l local) ClassAggregates(node simnet.NodeID) (map[string]core.Aggregate, FederationStatus, error) {
+	return l.g.ClassAggregates(node), FederationStatus{}, nil
+}
+
 func (l local) ClassAggregatesAll() (map[simnet.NodeID]map[string]core.Aggregate, FederationStatus, error) {
 	return l.g.ClassAggregatesAll(), FederationStatus{}, nil
 }
@@ -148,245 +144,204 @@ func (l local) correlatedTail(n int) ([]SeqEndToEnd, FederationStatus, error) {
 	return l.g.correlatedSeqTail(n), FederationStatus{}, nil
 }
 
-func (l local) encode(_ FederationStatus, data any) (string, error) { return jsonReply(data) }
+// read is the first half of a query: what the command's arguments ask
+// of the source.
+type read[V any] func(src source, args []string) (V, FederationStatus, error)
 
-func (l local) executeOwn(fields []string) (string, error) {
-	switch fields[0] {
-	case "pcorrelated":
-		n, err := tailCount(fields)
-		if err != nil {
-			return "", err
-		}
-		return l.g.correlatedPage(n, pageFrameRows)
-	case "retention":
-		if len(fields) != 2 {
-			return "", errors.New("gpa: usage: retention <max-correlated>")
-		}
-		n, err := strconv.ParseInt(fields[1], 10, 32)
-		if err != nil || n < 0 {
-			return "", fmt.Errorf("gpa: bad retention %q (want integer >= 0)", fields[1])
-		}
-		if err := l.g.SetMaxCorrelated(int(n)); err != nil {
-			return "", err
-		}
-		return fmt.Sprintf("retention=%d", n), nil
-	case "clockbound":
-		if len(fields) != 3 {
-			return "", errors.New("gpa: usage: clockbound <node> <duration>")
-		}
-		id, err := parseNode(fields[1])
-		if err != nil {
-			return "", err
-		}
-		d, err := time.ParseDuration(fields[2])
-		if err != nil || d < 0 {
-			return "", fmt.Errorf("gpa: bad clock bound %q (want non-negative duration)", fields[2])
-		}
-		l.g.SetClockErrorBound(id, d)
-		return fmt.Sprintf("node=%d clockbound=%v", id, d), nil
-	}
-	return "", fmt.Errorf("gpa: unknown query %q", fields[0])
+// noArgs reads one of the source's accessors, whatever the arguments.
+func noArgs[V any](get func(source) (V, FederationStatus, error)) read[V] {
+	return func(src source, _ []string) (V, FederationStatus, error) { return get(src) }
 }
 
-// Execute runs one query command against this analyzer; see execute for
-// the command set.
-func (g *GPA) Execute(line string) (string, error) { return execute(local{g}, line) }
-
-// execute runs one query command against an analyzer or a federation.
-// Commands:
-//
-//	stats                     analyzer counters
-//	nodes                     reporting nodes
-//	load <node>               sliding-window load of a node
-//	classes <node>            per-class aggregates at a node
-//	accounting                system-wide per-class billing report
-//	flow <n:p> <n:p>          correlated interactions on one flow
-//	recent <n>                last n correlated end-to-end interactions
-//
-// Machine-readable commands, one JSON document per reply:
-//
-//	jstats                    Stats plus pending count
-//	jnodes                    reporting node ids, as an array
-//	jload <node>              Load of a node
-//	jclasses                  per-node per-class aggregates
-//	jcorrelated [n]           correlated interactions with sequence tags
-//	                          (the last n in completion order)
-//
-// A frontend merges all of these from its shards; when one is dead it
-// suffixes a textual reply with the partial-result staleness marker, and
-// it always wraps a JSON reply in a {"federation": status, "data": ...}
-// envelope so machine consumers see the marker too. The rest is
-// executeOwn's: an analyzer applies the admin commands and serves its
-// history page, a frontend broadcasts the admin commands to every shard
-// and reports on its shards.
-//
-//	retention <n>             cap correlated history at n (0 = unbounded)
-//	clockbound <node> <dur>   set a node's clock-error bound (0 clears)
-//	pcorrelated [n]           analyzer only: the jcorrelated stream as one
-//	                          columnar page of base64-framed pbio 0x05
-//	                          frames (pagewire.go), what a frontend fetches
-//	federation                frontend only: shard liveness and endpoints
-func execute(src source, line string) (string, error) {
-	fields := strings.Fields(line)
-	if len(fields) == 0 {
-		return "", errors.New("gpa: empty query")
+// byNode reads one of the source's per-node accessors at the node the
+// first argument names.
+func byNode[V any](get func(source, simnet.NodeID) (V, FederationStatus, error)) read[V] {
+	return func(src source, a []string) (v V, st FederationStatus, err error) {
+		id, err := parseNode(a[0])
+		if err != nil {
+			return v, st, err
+		}
+		return get(src, id)
 	}
-	verb := fields[0]
-	switch verb {
-	case "jstats", "stats":
-		sum, st, err := src.StatsSnapshot()
-		if err != nil {
+}
+
+// answer makes a row's handler from a read and a rendering of what was
+// read: text, closed by the partial-result marker, or — with no
+// rendering — the one JSON document of a machine-readable reply.
+func answer[V any](get read[V], text func(V) string) func(source, []string) (string, error) {
+	return func(src source, args []string) (string, error) {
+		v, st, err := get(src, args)
+		switch {
+		case err != nil:
 			return "", err
+		case text == nil:
+			return st.encode(v)
 		}
-		if verb == "jstats" {
-			return src.encode(st, sum)
-		}
-		return fmt.Sprintf("ingested=%d correlated=%d uncorrelated=%d pending=%d",
-			sum.Ingested, sum.Correlated, sum.Uncorrelated, sum.Pending) + st.marker(), nil
-	case "jnodes", "nodes":
-		nodes, st, err := src.Nodes()
-		if err != nil {
-			return "", err
-		}
-		if verb == "jnodes" {
-			return src.encode(st, nodes)
-		}
-		parts := make([]string, len(nodes))
-		for i, n := range nodes {
-			parts[i] = strconv.Itoa(int(n))
-		}
-		return strings.Join(parts, " ") + st.marker(), nil
-	case "jload", "load":
-		id, err := nodeArg(fields)
-		if err != nil {
-			return "", err
-		}
-		l, st, err := src.ServerLoad(id)
-		if err != nil {
-			return "", err
-		}
-		if verb == "jload" {
-			return src.encode(st, l)
-		}
-		return fmt.Sprintf("node=%d interactions=%d mean_residence=%v mean_kernel=%v mean_bufwait=%v",
-			l.Node, l.Interactions, l.MeanResidence, l.MeanKernel, l.MeanBufferWait) + st.marker(), nil
-	case "classes":
-		id, err := nodeArg(fields)
-		if err != nil {
-			return "", err
-		}
-		all, st, err := src.ClassAggregatesAll()
-		if err != nil {
-			return "", err
-		}
-		aggs := all[id]
-		names := make([]string, 0, len(aggs))
-		for n := range aggs {
-			names = append(names, n)
-		}
-		sort.Strings(names)
-		var sb strings.Builder
-		for _, n := range names {
-			a := aggs[n]
-			fmt.Fprintf(&sb, "%s count=%d mean_user=%v mean_kernel=%v mean_residence=%v\n",
-				n, a.Count, a.MeanUser(), a.MeanKernel(), a.MeanResidence())
-		}
-		return strings.TrimRight(sb.String(), "\n") + st.marker(), nil
-	case "accounting":
-		all, st, err := src.ClassAggregatesAll()
-		if err != nil {
-			return "", err
-		}
-		return strings.TrimRight(renderAccounting(accountingRows(all)), "\n") + st.marker(), nil
-	case "flow":
-		// "information about a particular interaction": all correlated
-		// interactions on one flow, either direction.
-		if len(fields) != 3 {
-			return "", errors.New("gpa: usage: flow <node:port> <node:port>")
-		}
-		from, err := parseAddr(fields[1])
-		if err != nil {
-			return "", err
-		}
-		to, err := parseAddr(fields[2])
-		if err != nil {
-			return "", err
-		}
-		want := simnet.FlowKey{Src: from, Dst: to}.Canonical()
-		recs, st, err := src.correlatedTail(0)
-		if err != nil {
-			return "", err
-		}
-		var sb strings.Builder
-		for i := range recs {
-			e := &recs[i].EndToEnd
-			if e.Flow.Canonical() != want {
-				continue
+		return strings.TrimRight(text(v), "\n") + st.marker(), nil
+	}
+}
+
+// queries are the verbs an analyzer and a frontend both answer, the
+// frontend by merging its shards' replies: when a shard is dead it closes
+// a textual reply with the staleness marker, and it always wraps a JSON
+// reply in a {"federation": status, "data": ...} envelope so machine
+// consumers see the marker too.
+var queries = []lineproto.Command[source]{
+	{Name: "stats", Help: "analyzer counters", Run: answer(noArgs(source.StatsSnapshot), textStats)},
+	{Name: "nodes", Help: "reporting nodes", Run: answer(noArgs(source.Nodes), textNodes)},
+	{Name: "load", Args: "<node>", Help: "sliding-window load of a node", Run: answer(byNode(source.ServerLoad), textLoad)},
+	{Name: "classes", Args: "<node>", Help: "per-class aggregates at a node",
+		Run: answer(byNode(source.ClassAggregates), textClasses)},
+	{Name: "accounting", Help: "system-wide per-class billing report",
+		Run: answer(noArgs(source.ClassAggregatesAll), textAccounting)},
+	{Name: "flow", Args: "<node:port> <node:port>", Help: "correlated interactions on one flow, either direction", Run: flowQuery},
+	{Name: "recent", Args: "<n>", Help: "last n correlated end-to-end interactions", Run: answer(readTail, textRecent)},
+	{Name: "jstats", Help: "JSON: counters plus pending count", Run: answer(noArgs(source.StatsSnapshot), nil)},
+	{Name: "jnodes", Help: "JSON: reporting node ids", Run: answer(noArgs(source.Nodes), nil)},
+	{Name: "jload", Args: "<node>", Help: "JSON: load of a node", Run: answer(byNode(source.ServerLoad), nil)},
+	{Name: "jclasses", Help: "JSON: per-node per-class aggregates", Run: answer(noArgs(source.ClassAggregatesAll), nil)},
+	{Name: "jcorrelated", Args: "[n]", Help: "JSON: correlated interactions with sequence tags (the last n in completion order)",
+		Run: answer(readTail, nil)},
+}
+
+// analyzerCommands is the query protocol of one analyzer: it applies the
+// admin verbs and serves its history page.
+var analyzerCommands = &lineproto.Table[*GPA]{Pkg: "gpa", Noun: "query", Rows: append(
+	lineproto.Lift(queries, func(g *GPA) (source, error) { return local{g}, nil }),
+	lineproto.Command[*GPA]{Name: "retention", Args: "<max-correlated>", Help: "cap correlated history at n (0 = unbounded)",
+		Run: func(g *GPA, a []string) (string, error) {
+			n, err := strconv.ParseInt(a[0], 10, 32)
+			if err != nil || n < 0 {
+				return "", fmt.Errorf("gpa: bad retention %q (want integer >= 0)", a[0])
 			}
-			fmt.Fprintf(&sb, "start=%v client=%v server=%v network=%v user=%v kernel=%v bufwait=%v\n",
-				e.Server.Start, e.Client.Residence(), e.Server.Residence(),
-				e.NetworkDelay(), e.Server.UserTime, e.Server.KernelTime(),
-				e.Server.BufferWait)
-		}
-		if sb.Len() == 0 {
-			return "no correlated interactions on " + want.String() + st.marker(), nil
-		}
-		return strings.TrimRight(sb.String(), "\n") + st.marker(), nil
-	case "recent":
-		if len(fields) != 2 {
-			return "", errors.New("gpa: usage: recent <n>")
-		}
-		n, err := parseCount(fields[1])
-		if err != nil {
-			return "", err
-		}
-		recs, st, err := src.correlatedTail(n)
-		if err != nil {
-			return "", err
-		}
-		var sb strings.Builder
-		for i := range recs {
-			writeRecent(&sb, &recs[i].EndToEnd)
-		}
-		return strings.TrimRight(sb.String(), "\n") + st.marker(), nil
-	case "jclasses":
-		all, st, err := src.ClassAggregatesAll()
-		if err != nil {
-			return "", err
-		}
-		return src.encode(st, all)
-	case "jcorrelated":
-		n, err := tailCount(fields)
-		if err != nil {
-			return "", err
-		}
-		recs, st, err := src.correlatedTail(n)
-		if err != nil {
-			return "", err
-		}
-		return src.encode(st, recs)
-	}
-	return src.executeOwn(fields)
+			if err := g.SetMaxCorrelated(int(n)); err != nil {
+				return "", err
+			}
+			return fmt.Sprintf("retention=%d", n), nil
+		}},
+	lineproto.Command[*GPA]{Name: "clockbound", Args: "<node> <duration>", Help: "set a node's clock-error bound (0 clears)",
+		Run: func(g *GPA, a []string) (string, error) {
+			id, err := parseNode(a[0])
+			if err != nil {
+				return "", err
+			}
+			d, err := time.ParseDuration(a[1])
+			if err != nil || d < 0 {
+				return "", fmt.Errorf("gpa: bad clock bound %q (want non-negative duration)", a[1])
+			}
+			g.SetClockErrorBound(id, d)
+			return fmt.Sprintf("node=%d clockbound=%v", id, d), nil
+		}},
+	lineproto.Command[*GPA]{Name: "pcorrelated", Args: "[n]",
+		Help: "the jcorrelated stream as one columnar page of base64-framed pbio 0x05 frames (pagewire.go): what a frontend fetches",
+		Run: func(g *GPA, a []string) (string, error) {
+			n, err := tailCount(a)
+			if err != nil {
+				return "", err
+			}
+			return g.correlatedPage(n, pageFrameRows)
+		}},
+)}
+
+// Execute runs one query command against this analyzer; "help" lists
+// the commands.
+func (g *GPA) Execute(line string) (string, error) {
+	return analyzerCommands.Run(g, strings.Fields(line))
 }
 
-// nodeArg parses the one node-id argument load, classes and jload take.
-func nodeArg(fields []string) (simnet.NodeID, error) {
-	if len(fields) != 2 {
-		return 0, fmt.Errorf("gpa: usage: %s <node>", fields[0])
-	}
-	return parseNode(fields[1])
+func textStats(sum StatsReply) string {
+	return fmt.Sprintf("ingested=%d correlated=%d uncorrelated=%d pending=%d",
+		sum.Ingested, sum.Correlated, sum.Uncorrelated, sum.Pending)
 }
 
-// tailCount parses the optional trailing-count argument the correlated
-// query family shares; 0 means the whole history.
-func tailCount(fields []string) (int, error) {
-	switch len(fields) {
-	case 1:
+func textNodes(nodes []simnet.NodeID) string {
+	parts := make([]string, len(nodes))
+	for i, n := range nodes {
+		parts[i] = strconv.Itoa(int(n))
+	}
+	return strings.Join(parts, " ")
+}
+
+func textLoad(l Load) string {
+	return fmt.Sprintf("node=%d interactions=%d mean_residence=%v mean_kernel=%v mean_bufwait=%v",
+		l.Node, l.Interactions, l.MeanResidence, l.MeanKernel, l.MeanBufferWait)
+}
+
+func textClasses(aggs map[string]core.Aggregate) string {
+	names := make([]string, 0, len(aggs))
+	for n := range aggs {
+		names = append(names, n)
+	}
+	sort.Strings(names)
+	var sb strings.Builder
+	for _, n := range names {
+		a := aggs[n]
+		fmt.Fprintf(&sb, "%s count=%d mean_user=%v mean_kernel=%v mean_residence=%v\n",
+			n, a.Count, a.MeanUser(), a.MeanKernel(), a.MeanResidence())
+	}
+	return sb.String()
+}
+
+func textAccounting(all map[simnet.NodeID]map[string]core.Aggregate) string {
+	return renderAccounting(accountingRows(all))
+}
+
+// flowQuery answers with "information about a particular interaction":
+// the correlated interactions on one flow, either direction.
+func flowQuery(src source, a []string) (string, error) {
+	from, err := parseAddr(a[0])
+	if err != nil {
+		return "", err
+	}
+	to, err := parseAddr(a[1])
+	if err != nil {
+		return "", err
+	}
+	want := simnet.FlowKey{Src: from, Dst: to}.Canonical()
+	recs, st, err := src.correlatedTail(0)
+	if err != nil {
+		return "", err
+	}
+	var sb strings.Builder
+	for i := range recs {
+		e := &recs[i].EndToEnd
+		if e.Flow.Canonical() != want {
+			continue
+		}
+		fmt.Fprintf(&sb, "start=%v client=%v server=%v network=%v user=%v kernel=%v bufwait=%v\n",
+			e.Server.Start, e.Client.Residence(), e.Server.Residence(),
+			e.NetworkDelay(), e.Server.UserTime, e.Server.KernelTime(),
+			e.Server.BufferWait)
+	}
+	if sb.Len() == 0 {
+		return "no correlated interactions on " + want.String() + st.marker(), nil
+	}
+	return strings.TrimRight(sb.String(), "\n") + st.marker(), nil
+}
+
+func readTail(src source, a []string) ([]SeqEndToEnd, FederationStatus, error) {
+	n, err := tailCount(a)
+	if err != nil {
+		return nil, FederationStatus{}, err
+	}
+	return src.correlatedTail(n)
+}
+
+func textRecent(recs []SeqEndToEnd) string {
+	var sb strings.Builder
+	for i := range recs {
+		writeRecent(&sb, &recs[i].EndToEnd)
+	}
+	return sb.String()
+}
+
+// tailCount parses the trailing count the correlated query family
+// shares; without one it is 0, the whole history.
+func tailCount(a []string) (int, error) {
+	if len(a) == 0 {
 		return 0, nil
-	case 2:
-		return parseCount(fields[1])
 	}
-	return 0, fmt.Errorf("gpa: usage: %s [n]", fields[0])
+	return parseCount(a[0])
 }
 
 // writeRecent renders one line of a "recent" reply: the allocations are

@@ -165,3 +165,40 @@ func TestFlowQuery(t *testing.T) {
 		}
 	}
 }
+
+// TestHelpListsEveryRow: on an analyzer and on a frontend "help" is the
+// server's command table's own listing (its format is lineproto's,
+// pinned there), one line per row in table order and one for itself.
+// Run with -v to print both (CI does, so a verb appearing or vanishing
+// shows in the log of the PR that caused it).
+func TestHelpListsEveryRow(t *testing.T) {
+	check := func(server, reply string, err error, want string, usages []string) {
+		t.Helper()
+		if err != nil || reply != want {
+			t.Fatalf("%s help = %q, %v; want the table's listing", server, reply, err)
+		}
+		t.Logf("%s help:\n%s", server, reply)
+		lines := strings.Split(reply, "\n")
+		if len(lines) != len(usages)+1 {
+			t.Fatalf("%s help has %d lines for %d rows and itself", server, len(lines), len(usages))
+		}
+		for i, usage := range usages {
+			if !strings.HasPrefix(lines[i], usage+" ") {
+				t.Errorf("%s help line %d = %q, want the usage %q", server, i+1, lines[i], usage)
+			}
+		}
+	}
+	var usages []string
+	for _, row := range analyzerCommands.Rows {
+		usages = append(usages, row.Usage())
+	}
+	reply, err := seededGPA(t).Execute("help")
+	check("gpa", reply, err, analyzerCommands.Help(), usages)
+
+	usages = nil
+	for _, row := range frontendCommands.Rows {
+		usages = append(usages, row.Usage())
+	}
+	reply, err = newFedHarness(t, 1, Config{}).fe.Execute("help")
+	check("frontend", reply, err, frontendCommands.Help(), usages)
+}
