@@ -2,7 +2,7 @@
 // process: it subscribes to one or more sysprofd pub-sub endpoints over
 // TCP, correlates the interaction records they publish, and periodically
 // prints per-node load summaries and (optionally) dumps correlated
-// end-to-end interactions as JSON lines.
+// end-to-end interactions as the page stream gpa.LoadDump reads back.
 //
 // Retention: -max-correlated and -max-correlated-age bound the in-memory
 // correlated history for long runs; with -dump set, -dump-interval
@@ -57,7 +57,7 @@ func main() {
 	var opts options
 	subscribe := flag.String("subscribe", "127.0.0.1:8071", "comma-separated sysprofd pub-sub addresses")
 	flag.DurationVar(&opts.interval, "interval", 2*time.Second, "summary print interval")
-	flag.StringVar(&opts.dumpPath, "dump", "", "append correlated interactions (JSON lines) to this file on exit")
+	flag.StringVar(&opts.dumpPath, "dump", "", "append correlated interactions (pages gpa.LoadDump reads) to this file on exit")
 	flag.StringVar(&opts.queryAddr, "query", "", "serve the GPA query protocol on this TCP address (e.g. 127.0.0.1:8073)")
 	flag.IntVar(&opts.maxCorrelated, "max-correlated", 1<<18, "cap on in-memory correlated interactions (0 = unbounded)")
 	flag.DurationVar(&opts.maxCorrelatedAge, "max-correlated-age", 0, "evict correlated interactions older than this (0 = no age bound)")

@@ -59,10 +59,10 @@ func TestIngestFrameAccountsUnknown(t *testing.T) {
 	}
 }
 
-// TestDumpCountIsLinesWritten races ingest against dumpTo: the count
-// gpad logs must be the number of lines that dump appended, not the size
-// of a second snapshot taken a moment earlier or later.
-func TestDumpCountIsLinesWritten(t *testing.T) {
+// TestDumpCountIsRowsWritten races ingest against dumpTo: the count gpad
+// logs must be the number of interactions that dump appended, not the
+// size of a second snapshot taken a moment earlier or later.
+func TestDumpCountIsRowsWritten(t *testing.T) {
 	g := gpa.New(gpa.Config{MaxCorrelated: 4096}, func() time.Duration { return 0 })
 	flow := simnet.FlowKey{Src: simnet.Addr{Node: 1, Port: 1000}, Dst: simnet.Addr{Node: 2, Port: 80}}
 	stop, done := make(chan struct{}), make(chan struct{})
@@ -83,17 +83,13 @@ func TestDumpCountIsLinesWritten(t *testing.T) {
 
 	dir := t.TempDir()
 	for i := 0; i < 50; i++ {
-		path := filepath.Join(dir, fmt.Sprintf("dump-%d.jsonl", i))
+		path := filepath.Join(dir, fmt.Sprintf("dump-%d", i))
 		n, err := dumpTo(g, path, i%2 == 1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		data, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if lines := bytes.Count(data, []byte("\n")); lines != n {
-			t.Fatalf("dump %d: dumpTo reported %d interactions, file has %d lines", i, n, lines)
+		if rows := loadDump(t, path); rows != n {
+			t.Fatalf("dump %d: dumpTo reported %d interactions, file has %d", i, n, rows)
 		}
 	}
 }
@@ -122,7 +118,7 @@ func TestShutdownDumpHoldsWhatTheSummaryCounts(t *testing.T) {
 	}
 	go b.Serve(l)
 
-	dump := filepath.Join(t.TempDir(), "dump.jsonl")
+	dump := filepath.Join(t.TempDir(), "dump")
 	sig := make(chan os.Signal, 1)
 	var out bytes.Buffer
 	ran := make(chan error, 1)
@@ -173,11 +169,23 @@ func TestShutdownDumpHoldsWhatTheSummaryCounts(t *testing.T) {
 		t.Fatalf("no summary printed:\n%s", out.String())
 	}
 	counted, _ := strconv.Atoi(m[1])
-	data, err := os.ReadFile(dump)
+	if rows := loadDump(t, dump); counted == 0 || rows != counted {
+		t.Fatalf("summary counts %d correlated pairs, the dump holds %d", counted, rows)
+	}
+}
+
+// loadDump reads a dump file back and returns how many interactions it
+// holds.
+func loadDump(t *testing.T, path string) int {
+	t.Helper()
+	f, err := os.Open(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if lines := bytes.Count(data, []byte("\n")); counted == 0 || lines != counted {
-		t.Fatalf("summary counts %d correlated pairs, the dump holds %d", counted, lines)
+	defer f.Close()
+	recs, err := gpa.LoadDump(f)
+	if err != nil {
+		t.Fatal(err)
 	}
+	return len(recs)
 }

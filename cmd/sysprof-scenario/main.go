@@ -24,17 +24,13 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
 
 	"sysprof/internal/scenario"
 )
-
-func fail(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, "sysprof-scenario: "+format+"\n", args...)
-	os.Exit(1)
-}
 
 func loadSpec(name, file string, seed int64) (scenario.Spec, error) {
 	var spec scenario.Spec
@@ -66,13 +62,25 @@ func loadSpec(name, file string, seed int64) (scenario.Spec, error) {
 }
 
 func main() {
-	name := flag.String("name", "", "builtin scenario to run (see -list)")
-	file := flag.String("f", "", "TOML scenario file to run")
-	seed := flag.Int64("seed", 0, "override the scenario seed (0 = keep the spec's)")
-	outDir := flag.String("out", ".", "directory for BENCH_scenario_<name>.json")
-	check := flag.Bool("check", false, "fail if the report differs from the committed snapshot")
-	list := flag.Bool("list", false, "list builtin scenarios and exit")
-	flag.Parse()
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		fmt.Fprintln(os.Stderr, "sysprof-scenario:", err)
+		os.Exit(1)
+	}
+}
+
+// run parses args as the command line and runs the scenario it names,
+// reporting to stdout.
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("sysprof-scenario", flag.ContinueOnError)
+	name := fs.String("name", "", "builtin scenario to run (see -list)")
+	file := fs.String("f", "", "TOML scenario file to run")
+	seed := fs.Int64("seed", 0, "override the scenario seed (0 = keep the spec's)")
+	outDir := fs.String("out", ".", "directory for BENCH_scenario_<name>.json")
+	check := fs.Bool("check", false, "fail if the report differs from the committed snapshot")
+	list := fs.Bool("list", false, "list builtin scenarios and exit")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	if *list {
 		builtins := scenario.Builtins()
@@ -83,24 +91,24 @@ func main() {
 		sort.Strings(names)
 		for _, n := range names {
 			s := builtins[n]
-			fmt.Printf("%-12s %4d nodes, %d shards, %d chaos events, seed %d, %v\n",
+			fmt.Fprintf(stdout, "%-12s %4d nodes, %d shards, %d chaos events, seed %d, %v\n",
 				n, s.Fleet.Nodes, s.Monitor.Shards, len(s.Chaos), s.Seed, s.Duration)
 		}
-		return
+		return nil
 	}
 
 	spec, err := loadSpec(*name, *file, *seed)
 	if err != nil {
-		fail("%v", err)
+		return err
 	}
 
 	rep, err := scenario.Run(spec)
 	if err != nil {
-		fail("%v", err)
+		return err
 	}
 	buf, err := rep.EncodeJSON()
 	if err != nil {
-		fail("%v", err)
+		return err
 	}
 
 	outPath := filepath.Join(*outDir, "BENCH_scenario_"+rep.Name+".json")
@@ -109,23 +117,24 @@ func main() {
 	if *check {
 		snapshot, err = os.ReadFile(outPath)
 		if err != nil {
-			fail("-check: %v (run once without -check to create the snapshot)", err)
+			return fmt.Errorf("-check: %w (run once without -check to create the snapshot)", err)
 		}
 	}
 	if err := os.WriteFile(outPath, buf, 0o644); err != nil {
-		fail("%v", err)
+		return err
 	}
-	fmt.Printf("wrote %s: %d/%d requests completed, correlation %.2f%%, %d chaos events, %d unaccounted records\n",
+	fmt.Fprintf(stdout, "wrote %s: %d/%d requests completed, correlation %.2f%%, %d chaos events, %d unaccounted records\n",
 		outPath, rep.Workload.Completed, rep.Workload.Dispatched,
 		rep.CorrelationRatePct, len(rep.Chaos), rep.UnaccountedRecords)
 
 	if err := rep.Check(spec.Guard); err != nil {
-		fail("guard: %v", err)
+		return fmt.Errorf("guard: %w", err)
 	}
 	if *check {
 		if err := rep.CompareSnapshot(snapshot); err != nil {
-			fail("%v", err)
+			return err
 		}
-		fmt.Printf("snapshot check passed: %s\n", outPath)
+		fmt.Fprintf(stdout, "snapshot check passed: %s\n", outPath)
 	}
+	return nil
 }

@@ -1,5 +1,6 @@
 // Command sysprof-trace inspects and re-analyzes SysProf event traces
-// recorded by sysprofd -trace (PBIO event logs).
+// recorded by sysprofd -trace: PBIO streams of kprof.Event batches, one
+// compressed columnar frame per batch.
 //
 // Usage:
 //

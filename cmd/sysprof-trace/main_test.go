@@ -66,6 +66,9 @@ func writeTestTrace(t *testing.T) string {
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
 	}
+	if err := tw.Close(); err != nil {
+		t.Fatal(err)
+	}
 	if tw.Events() == 0 {
 		t.Fatal("no events recorded")
 	}

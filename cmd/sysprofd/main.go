@@ -176,7 +176,7 @@ func run(opts options, sig <-chan os.Signal) error {
 			func(offset, bound time.Duration) {
 				log.Printf("ntp %s: offset=%v bound=%v", nodeName, offset, bound)
 				if fed != nil {
-					if _, err := fed.Execute(fmt.Sprintf("clockbound %s %v", nodeName, bound)); err != nil {
+					if _, err := fed.Execute(fmt.Sprintf("clockbound %d %v", server.ID(), bound)); err != nil {
 						log.Printf("ntp clockbound broadcast: %v", err)
 					}
 				}
@@ -197,13 +197,26 @@ func run(opts options, sig <-chan os.Signal) error {
 		if err != nil {
 			return fmt.Errorf("trace file: %w", err)
 		}
-		defer f.Close()
 		tw, err := trace.NewWriter(f)
 		if err != nil {
+			f.Close()
 			return err
 		}
 		tw.Attach(server.Hub(), core.MaskDefault())
-		defer tw.Detach()
+		defer func() {
+			world.Lock()
+			tw.Detach()
+			err := tw.Close()
+			world.Unlock()
+			if cerr := f.Close(); err == nil {
+				err = cerr
+			}
+			if err != nil {
+				log.Printf("event trace %s: %v", opts.tracePath, err)
+			} else {
+				log.Printf("event trace %s: %d events", opts.tracePath, tw.Events())
+			}
+		}()
 		log.Printf("recording event trace to %s", opts.tracePath)
 	}
 

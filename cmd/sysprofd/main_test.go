@@ -7,13 +7,17 @@ import (
 	"net"
 	"net/http"
 	"os"
+	"path/filepath"
 	"regexp"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"sysprof/internal/gpa"
+	"sysprof/internal/kprof"
 	"sysprof/internal/lineproto"
+	"sysprof/internal/trace"
 )
 
 // lockedBuffer is a log sink the test reads while the daemon writes.
@@ -34,29 +38,38 @@ func (b *lockedBuffer) String() string {
 	return b.buf.String()
 }
 
-// TestLoopbackSmoke brings a node up on loopback ports the kernel picks
-// and drives each surface once: the management protocol (help, status,
-// one knob round trip), a procfs read, and a clean shutdown on a signal.
-func TestLoopbackSmoke(t *testing.T) {
+// start runs sysprofd with opts, its listeners on loopback ports the
+// kernel picks, until the returned stop is called; it returns the procfs
+// URL and the controller address the node logged.
+func start(t *testing.T, opts options) (procfsURL, ctlAddr string, stop func()) {
+	t.Helper()
 	var logged lockedBuffer
-	defer log.SetOutput(log.Writer())
+	out := log.Writer()
 	log.SetOutput(&logged)
+	t.Cleanup(func() { log.SetOutput(out) })
 
+	opts.httpAddr, opts.pubsubAddr, opts.ctlAddr = "127.0.0.1:0", "127.0.0.1:0", "127.0.0.1:0"
+	opts.pace, opts.topology = 5*time.Millisecond, "simple"
 	sig := make(chan os.Signal, 1)
 	ran := make(chan error, 1)
-	go func() {
-		ran <- run(options{
-			httpAddr: "127.0.0.1:0", pubsubAddr: "127.0.0.1:0", ctlAddr: "127.0.0.1:0",
-			pace: 5 * time.Millisecond, topology: "simple",
-		}, sig)
-	}()
+	go func() { ran <- run(opts, sig) }()
+	stop = func() {
+		t.Helper()
+		sig <- os.Interrupt
+		select {
+		case err := <-ran:
+			if err != nil {
+				t.Fatalf("shutdown: %v", err)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatal("sysprofd did not shut down on the signal")
+		}
+	}
 
 	up := regexp.MustCompile(`sysprofd up: procfs (http://\S+) pubsub \S+ ctl (\S+)`)
-	var procfsURL, ctlAddr string
 	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
 		if m := up.FindStringSubmatch(logged.String()); m != nil {
-			procfsURL, ctlAddr = m[1], m[2]
-			break
+			return m[1], m[2], stop
 		}
 		select {
 		case err := <-ran:
@@ -67,6 +80,15 @@ func TestLoopbackSmoke(t *testing.T) {
 			t.Fatalf("sysprofd never came up:\n%s", logged.String())
 		}
 	}
+}
+
+// TestLoopbackSmoke brings a node up on loopback and drives each surface
+// once: the management protocol (help, status, one knob round trip), a
+// procfs read, and a clean shutdown on a signal that leaves the event
+// trace whole.
+func TestLoopbackSmoke(t *testing.T) {
+	tracePath := filepath.Join(t.TempDir(), "events.trace")
+	procfsURL, ctlAddr, stop := start(t, options{tracePath: tracePath})
 
 	conn, err := net.Dial("tcp", ctlAddr)
 	if err != nil {
@@ -86,6 +108,19 @@ func TestLoopbackSmoke(t *testing.T) {
 	ask("status", " flush=250ms pubsub=256/drop wirecompress=on")
 	ask("flushinterval webserver 50ms", "ok")
 	ask("status", " flush=50ms ")
+	// Run until the hub has delivered events, to the trace among others.
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+		reply, err := ctl.Do("status", 5*time.Second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(reply, " delivered=0 ") {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("no events delivered:\n%s", reply)
+		}
+	}
 
 	resp, err := http.Get(procfsURL)
 	if err != nil {
@@ -97,13 +132,34 @@ func TestLoopbackSmoke(t *testing.T) {
 		t.Fatalf("GET %s: status %d, err %v, body %q", procfsURL, resp.StatusCode, err, body)
 	}
 
-	sig <- os.Interrupt
-	select {
-	case err := <-ran:
-		if err != nil {
-			t.Fatalf("shutdown: %v", err)
+	stop()
+	f, err := os.Open(tracePath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	if n, err := trace.Replay(f, func(*kprof.Event) error { return nil }); n == 0 || err != nil {
+		t.Fatalf("trace replays %d events, err %v; want the whole run's", n, err)
+	}
+}
+
+// TestNTPClockBoundReachesShards: with -ntp-interval and -federation, each
+// measured clock-error bound lands on the shards as the monitored node's.
+func TestNTPClockBoundReachesShards(t *testing.T) {
+	g := gpa.New(gpa.Config{}, func() time.Duration { return 0 })
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	go g.Serve(l)
+
+	_, _, stop := start(t, options{federation: []string{l.Addr().String()}, ntpInterval: 20 * time.Millisecond})
+	defer stop()
+	const webserver = 1 // the simple topology's first node
+	for deadline := time.Now().Add(10 * time.Second); g.ClockErrorBound(webserver) == 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("no clock-error bound reached the shard")
 		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("sysprofd did not shut down on the signal")
 	}
 }

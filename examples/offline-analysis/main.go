@@ -93,6 +93,9 @@ func run() error {
 		return err
 	}
 	tw.Detach()
+	if err := tw.Close(); err != nil {
+		return err
+	}
 	fmt.Printf("captured %d kernel events (%d KiB trace)\n\n", tw.Events(), traceBuf.Len()/1024)
 
 	// ---- Phase 2: offline analysis from the trace alone -----------------

@@ -194,8 +194,8 @@ func RunAblationBuffers(records, capacity int, fillGap, copyDelay time.Duration)
 	return res, nil
 }
 
-// EncodingResult compares PBIO binary encoding against a JSON baseline
-// for interaction records.
+// EncodingResult compares the PBIO columnar frames interaction records
+// ship in against a JSON baseline.
 type EncodingResult struct {
 	Records     int
 	BinaryBytes int
@@ -205,7 +205,7 @@ type EncodingResult struct {
 // Render prints the ablation.
 func (r EncodingResult) Render() string {
 	var sb strings.Builder
-	sb.WriteString("Ablation: PBIO binary encoding vs JSON (wire bytes)\n")
+	sb.WriteString("Ablation: PBIO columnar frames vs JSON (wire bytes)\n")
 	fmt.Fprintf(&sb, "  records:  %d\n", r.Records)
 	fmt.Fprintf(&sb, "  binary:   %d bytes (%.1f/record)\n",
 		r.BinaryBytes, float64(r.BinaryBytes)/float64(r.Records))
@@ -233,26 +233,61 @@ func sampleInteraction(i int) core.Record {
 	}
 }
 
-// RunAblationEncoding measures wire-size difference over n records.
-func RunAblationEncoding(n int) (EncodingResult, error) {
+// shippedBytes is what publishing batches of one row type costs on a
+// subscriber link: the format definition once, then one compressed
+// columnar frame per batch, as the broker sends them by default.
+func shippedBytes(batches ...core.Batch) (int, error) {
 	reg := pbio.NewRegistry()
 	if err := dissem.RegisterFormats(reg); err != nil {
-		return EncodingResult{}, err
+		return 0, err
 	}
-	var bin bytes.Buffer
-	enc := pbio.NewEncoder(&bin, reg)
+	var wire []byte
+	for i, b := range batches {
+		p, cols := b.Columns(reg)
+		if i == 0 {
+			wire = p.Format().AppendDef(wire)
+		}
+		var err error
+		if wire, _, err = p.AppendCompressedColumnsFrame(wire, cols); err != nil {
+			return 0, err
+		}
+	}
+	return len(wire), nil
+}
+
+// flushRows is core.Config's default BufferCapacity: the rows of a full
+// buffer, which is one flushed batch.
+const flushRows = 512
+
+// recordBatches cuts recs into the batches full LPA buffers flush.
+func recordBatches(recs []core.Record) []core.Batch {
+	var out []core.Batch
+	for lo := 0; lo < len(recs); lo += flushRows {
+		cols := core.NewRecordColumns(flushRows)
+		for i := lo; i < min(lo+flushRows, len(recs)); i++ {
+			cols.Append(&recs[i])
+		}
+		out = append(out, cols)
+	}
+	return out
+}
+
+// RunAblationEncoding measures wire-size difference over n records.
+func RunAblationEncoding(n int) (EncodingResult, error) {
+	recs := make([]core.Record, n)
 	var jsonBuf bytes.Buffer
 	jenc := json.NewEncoder(&jsonBuf)
-	for i := 0; i < n; i++ {
-		rec := sampleInteraction(i)
-		if err := enc.Encode(&rec); err != nil {
-			return EncodingResult{}, err
-		}
-		if err := jenc.Encode(&rec); err != nil {
+	for i := range recs {
+		recs[i] = sampleInteraction(i)
+		if err := jenc.Encode(&recs[i]); err != nil {
 			return EncodingResult{}, err
 		}
 	}
-	return EncodingResult{Records: n, BinaryBytes: bin.Len(), JSONBytes: jsonBuf.Len()}, nil
+	bin, err := shippedBytes(recordBatches(recs)...)
+	if err != nil {
+		return EncodingResult{}, err
+	}
+	return EncodingResult{Records: n, BinaryBytes: bin, JSONBytes: jsonBuf.Len()}, nil
 }
 
 // HashingResult compares LPA event-processing over hashed vs linear flow
@@ -341,39 +376,33 @@ func maxInt(a, b int) int {
 }
 
 // RunAblationHierarchy compares shipping raw records vs class aggregates
-// for n interactions over c classes.
+// for n interactions over c classes: the records in flush-sized batches,
+// the aggregates as one flush's deltas.
 func RunAblationHierarchy(n, classes int) (HierarchyResult, error) {
-	reg := pbio.NewRegistry()
-	if err := dissem.RegisterFormats(reg); err != nil {
-		return HierarchyResult{}, err
-	}
-
-	var raw bytes.Buffer
-	enc := pbio.NewEncoder(&raw, reg)
+	recs := make([]core.Record, n)
 	aggs := make(map[string]*core.Aggregate)
-	for i := 0; i < n; i++ {
-		rec := sampleInteraction(i)
+	for i := range recs {
+		rec := &recs[i]
+		*rec = sampleInteraction(i)
 		rec.Class = fmt.Sprintf("class:%d", i%classes)
-		if err := enc.Encode(&rec); err != nil {
-			return HierarchyResult{}, err
-		}
 		agg := aggs[rec.Class]
 		if agg == nil {
 			agg = &core.Aggregate{Class: rec.Class}
 			aggs[rec.Class] = agg
 		}
-		agg.Add(&rec)
+		agg.Add(rec)
 	}
-	var aggBuf bytes.Buffer
-	aenc := pbio.NewEncoder(&aggBuf, reg)
+	raw, err := shippedBytes(recordBatches(recs)...)
+	if err != nil {
+		return HierarchyResult{}, err
+	}
+	var deltas dissem.AggregateBatch
 	for _, a := range aggs {
-		if err := aenc.Encode(dissem.WireAggregate{Node: 2, Aggregate: *a}); err != nil {
-			return HierarchyResult{}, err
-		}
+		deltas = append(deltas, dissem.WireAggregate{Node: 2, Aggregate: *a})
 	}
-	return HierarchyResult{
-		Interactions:   n,
-		RawRecordBytes: raw.Len(),
-		AggregateBytes: aggBuf.Len(),
-	}, nil
+	agg, err := shippedBytes(deltas)
+	if err != nil {
+		return HierarchyResult{}, err
+	}
+	return HierarchyResult{Interactions: n, RawRecordBytes: raw, AggregateBytes: agg}, nil
 }

@@ -1,6 +1,7 @@
 package dissem
 
 import (
+	"bytes"
 	"reflect"
 	"strings"
 	"testing"
@@ -41,10 +42,10 @@ func rowsOf(cols *core.RecordColumns) []core.Record {
 	return out
 }
 
-// TestRecordEncodesWithPBIO round-trips one core.Record through the
-// single-record (0x02) path: the format is derived from the nested
-// struct itself, so the typed decode must land every flattened field
-// back in its nested slot.
+// TestRecordEncodesWithPBIO round-trips one core.Record as a one-row
+// columnar frame: the format is derived from the nested struct itself, so
+// the decoded batch must land every flattened field back in its nested
+// slot.
 func TestRecordEncodesWithPBIO(t *testing.T) {
 	reg := pbio.NewRegistry()
 	if err := RegisterFormats(reg); err != nil {
@@ -53,23 +54,32 @@ func TestRecordEncodesWithPBIO(t *testing.T) {
 	if got := len(reg.Lookup("sysprof.interaction").Fields); got != core.RecordWireFields {
 		t.Fatalf("interaction format has %d fields, core.RecordWireFields = %d", got, core.RecordWireFields)
 	}
-	var sb strings.Builder
 	r := sampleRecord(1)
-	if err := pbio.NewEncoder(&sb, reg).Encode(&r); err != nil {
-		t.Fatal(err)
-	}
-	dec := pbio.NewDecoder(strings.NewReader(sb.String()), reg)
-	rec, err := dec.Decode()
+	cols := core.NewRecordColumns(1)
+	cols.Append(&r)
+	rec, err := pbio.NewDecoder(bytes.NewReader(shipped(t, reg, cols)), reg).Decode()
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, ok := rec.Value.(*core.Record)
-	if !ok {
+	got, ok := rec.Value.(*core.RecordColumns)
+	if !ok || got.Len() != 1 {
 		t.Fatalf("decoded %T", rec.Value)
 	}
-	if *got != r {
-		t.Fatalf("pbio round trip mismatch: %+v", got)
+	if got.Row(0) != r {
+		t.Fatalf("pbio round trip mismatch: %+v", got.Row(0))
 	}
+}
+
+// shipped frames a batch the way the broker sends it on a fresh link: the
+// format definition, then one compressed columnar frame.
+func shipped(t *testing.T, reg *pbio.Registry, b core.Batch) []byte {
+	t.Helper()
+	p, cols := b.Columns(reg)
+	frame, _, err := p.AppendCompressedColumnsFrame(p.Format().AppendDef(nil), cols)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return frame
 }
 
 func TestDaemonPublishesDrainedBatches(t *testing.T) {
@@ -251,11 +261,7 @@ func TestAggWireRoundTrip(t *testing.T) {
 	if got, want := len(reg.Lookup("sysprof.aggregate").Fields), 1+reflect.TypeOf(core.Aggregate{}).NumField(); got != want {
 		t.Fatalf("aggregate format has %d fields, want the node plus core.Aggregate's %d", got, want-1)
 	}
-	var sb strings.Builder
-	if err := pbio.NewEncoder(&sb, reg).Encode(&want); err != nil {
-		t.Fatal(err)
-	}
-	rec, err := pbio.NewDecoder(strings.NewReader(sb.String()), reg).Decode()
+	rec, err := pbio.NewDecoder(bytes.NewReader(shipped(t, reg, AggregateBatch{want})), reg).Decode()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -388,20 +388,22 @@ func (f *Frontend) Correlated() ([]EndToEnd, FederationStatus, error) {
 	return out, st, nil
 }
 
-// Dump writes the merged correlated history as JSON lines — the
-// federation form of GPA.Dump for offline auditing.
+// Dump writes the merged correlated history, numbered as CorrelatedSeq
+// numbers it, as the page stream GPA.Dump writes — the federation form of
+// GPA.Dump for offline auditing.
 func (f *Frontend) Dump(w io.Writer) (FederationStatus, error) {
-	recs, st, err := f.Correlated()
+	recs, st, err := f.CorrelatedSeq()
 	if err != nil {
 		return st, err
 	}
-	enc := json.NewEncoder(w)
+	sc := pagePool.Get().(*pageScratch)
+	defer pagePool.Put(sc)
+	sc.page.reset()
 	for i := range recs {
-		if err := enc.Encode(&recs[i]); err != nil {
-			return st, fmt.Errorf("gpa: federation dump: %w", err)
-		}
+		sc.page.appendE2E(recs[i].Seq, &recs[i].EndToEnd)
 	}
-	return st, nil
+	sc.order = sc.page.completionOrder(sc.order[:0])
+	return st, sc.writePages(w)
 }
 
 // broadcast sends an admin verb and its arguments to every shard and

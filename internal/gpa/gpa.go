@@ -21,7 +21,6 @@
 package gpa
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"sort"
@@ -688,41 +687,26 @@ func (g *GPA) StatsSnapshot() Stats {
 	return st
 }
 
-// Dump writes the correlated interactions as JSON lines ("the GPA
+// Dump writes the correlated interactions as a page stream ("the GPA
 // periodically dumps its information onto local disk, which can be used
 // later for purposes of auditing, workload prediction, and system
-// modeling") and returns how many the snapshot it wrote held.
-func (g *GPA) Dump(w io.Writer) (int, error) { return g.writeDump(w, g.correlatedSnapshot()) }
+// modeling"; LoadDump reads it back) and returns how many the snapshot it
+// wrote held.
+func (g *GPA) Dump(w io.Writer) (int, error) { return g.dump(w, false) }
 
-// DumpAndTruncate writes the correlated history as JSON lines and clears
+// DumpAndTruncate writes the correlated history as Dump does and clears
 // it from memory — the retention companion to Dump for long-running
 // analyzers: periodic dumps move history to disk while the in-memory
 // working set stays bounded. The history is detached from the shards
 // before writing, so a write error loses those interactions from memory
 // (they are reported in the returned count alongside the error).
 // Aggregates, load windows, and counters are untouched.
-func (g *GPA) DumpAndTruncate(w io.Writer) (int, error) {
-	var tagged []seqE2E
-	for i := range g.shards {
-		s := &g.shards[i]
-		s.mu.Lock()
-		tagged = append(tagged, s.correlated...)
-		s.stats.CorrelatedEvicted += uint64(len(s.correlated))
-		s.correlated = nil // release the backing array for long runs
-		s.mu.Unlock()
-	}
-	sort.Slice(tagged, func(i, j int) bool { return tagged[i].seq < tagged[j].seq })
-	return g.writeDump(w, tagged)
-}
+func (g *GPA) DumpAndTruncate(w io.Writer) (int, error) { return g.dump(w, true) }
 
-// writeDump encodes one history snapshot for Dump and DumpAndTruncate.
-func (g *GPA) writeDump(w io.Writer, tagged []seqE2E) (int, error) {
+func (g *GPA) dump(w io.Writer, truncate bool) (int, error) {
+	sc := pagePool.Get().(*pageScratch)
+	defer pagePool.Put(sc)
+	sc.gather(g, truncate)
 	g.dumps.Add(1)
-	enc := json.NewEncoder(w)
-	for i := range tagged {
-		if err := enc.Encode(&tagged[i].e2e); err != nil {
-			return len(tagged), fmt.Errorf("gpa: dump: %w", err)
-		}
-	}
-	return len(tagged), nil
+	return len(sc.order), sc.writePages(w)
 }

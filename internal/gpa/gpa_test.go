@@ -3,7 +3,6 @@ package gpa
 import (
 	"bytes"
 	"errors"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -157,20 +156,22 @@ func TestClassAggregatesAndNodes(t *testing.T) {
 	}
 }
 
-func TestDumpJSONLines(t *testing.T) {
+// TestDumpIsPageStream: a dump of a one-page history is the
+// "pcorrelated" reply without its base64.
+func TestDumpIsPageStream(t *testing.T) {
 	g, _ := newGPA(Config{})
 	g.Ingest(clientRec(1, 0))
 	g.Ingest(serverRec(2, 0))
 	var buf bytes.Buffer
-	if _, err := g.Dump(&buf); err != nil {
+	if n, err := g.Dump(&buf); err != nil || n != 1 {
+		t.Fatalf("Dump = (%d, %v), want (1, nil)", n, err)
+	}
+	reply, err := g.Execute("pcorrelated")
+	if err != nil {
 		t.Fatal(err)
 	}
-	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
-	if len(lines) != 1 {
-		t.Fatalf("dump lines = %d", len(lines))
-	}
-	if !strings.Contains(lines[0], "\"client\"") || !strings.Contains(lines[0], "\"server\"") {
-		t.Fatalf("dump line = %s", lines[0])
+	if b64(buf.Bytes()) != reply {
+		t.Fatalf("dump is not the pcorrelated page:\n dump  %x\n reply %s", buf.Bytes(), reply)
 	}
 	if g.StatsSnapshot().Dumps != 1 {
 		t.Fatal("dump not counted")
@@ -504,8 +505,8 @@ func TestDumpAndTruncate(t *testing.T) {
 	if err != nil || n != 3 {
 		t.Fatalf("DumpAndTruncate = (%d, %v), want (3, nil)", n, err)
 	}
-	if lines := strings.Count(buf.String(), "\n"); lines != 3 {
-		t.Fatalf("dumped %d lines, want 3", lines)
+	if recs, err := LoadDump(bytes.NewReader(buf.Bytes())); err != nil || len(recs) != 3 {
+		t.Fatalf("dump loads %d interactions (err %v), want 3", len(recs), err)
 	}
 	if left := g.Correlated(); len(left) != 0 {
 		t.Fatalf("history not truncated: %d left", len(left))

@@ -1,15 +1,17 @@
 package gpa
 
-// The correlated-history page on the wire. A shard answers "pcorrelated
-// [n]" with one self-describing pbio stream, base64-framed for the line
-// protocol: a head frame, then the client halves and the server halves as
-// interaction frames of at most pageFrameRows rows. Every frame is
+// The correlated-history page on the wire and on disk. A shard answers
+// "pcorrelated [n]" with one self-describing pbio stream, base64-framed
+// for the line protocol: a head frame, then the client halves and the
+// server halves as interaction frames of at most pageFrameRows rows. A
+// dump is the same pages, unframed, one after another. Every frame is
 // compressed columnar (0x05) — the shard link's own encoding, whose
 // per-column delta/RLE/dictionary codes already buy what a general
 // compressor would — and the frontend decodes through pbio's bound column
 // decoders straight into the columns its merge walks.
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/base64"
 	"encoding/binary"
@@ -30,12 +32,14 @@ import (
 // scratch and the frontend never regrows a column mid-frame.
 const pageFrameRows = pbio.MaxColumnReserve
 
-// maxPageRows bounds the rows one shard page may materialize at the
-// frontend (about 256 MiB of columns). A run-length column expands rows
-// out of a few bytes exactly as a gzip bomb does, so the cap is on rows,
-// not bytes, and binds before a frame is decoded: the head may declare at
-// most this many, and each half at most what the head delivered.
-const maxPageRows = 1 << 19
+// maxPageRows bounds the rows one page may materialize at its reader
+// (about 256 MiB of columns); a dump of a longer history is several
+// pages. A run-length column expands rows out of a few bytes exactly as a
+// gzip bomb does, so the cap is on rows, not bytes, and binds before a
+// frame is decoded: the head may declare at most this many, and each half
+// at most what the head delivered. It is a variable only so that tests
+// can cut a small history into several pages.
+var maxPageRows = 1 << 19
 
 // pageHead is the head frame's one column: per interaction, its sequence
 // tag shifted left one, plus 1 when its flow is the server record's rather
@@ -120,18 +124,73 @@ func (c runCoded) AppendCompressedColumn(buf []byte, field int) []byte {
 	return binary.AppendUvarint(buf, uint64(int64(first>>1)^-int64(first&1)))
 }
 
-// pageScratch is what rendering one page needs. Pooled, so steady-state
+// pageScratch is what rendering pages needs. Pooled, so steady-state
 // queries allocate only their reply and nothing page-sized stays on the
 // GPA between them.
 type pageScratch struct {
-	page  E2EColumns         // every stripe's history, in stripe order
-	order []int              // the page's rows, in emission order
+	page  E2EColumns         // the history to render, in stripe order
+	order []int              // page's rows under the merge key
 	head  pageHead           // the head frame's batch
 	chunk core.RecordColumns // one half frame's batch
 	wire  []byte
 }
 
 var pagePool = sync.Pool{New: func() any { return new(pageScratch) }}
+
+// gather copies every stripe's history into the scratch page, detaching
+// it from the stripes when detach is set, and orders the rows under the
+// merge key.
+func (sc *pageScratch) gather(g *GPA, detach bool) {
+	p := &sc.page
+	p.reset()
+	for i := range g.shards {
+		s := &g.shards[i]
+		s.mu.Lock()
+		for j := range s.correlated {
+			p.appendE2E(s.correlated[j].seq, &s.correlated[j].e2e)
+		}
+		if detach {
+			s.stats.CorrelatedEvicted += uint64(len(s.correlated))
+			s.correlated = nil // release the backing array for long runs
+		}
+		s.mu.Unlock()
+	}
+	sc.order = p.completionOrder(sc.order[:0])
+}
+
+// render sets wire to one page holding the given rows of the scratch page,
+// in that order, with half frames cut every frameRows rows.
+func (sc *pageScratch) render(rows []int, frameRows int) error {
+	p := &sc.page
+	sc.head = sc.head[:0]
+	for _, i := range rows {
+		switch p.Flows[i] {
+		case p.Client.Flows[i]:
+			sc.head = append(sc.head, p.Seqs[i]<<1)
+		case p.Server.Flows[i]:
+			sc.head = append(sc.head, p.Seqs[i]<<1|1)
+		default:
+			return fmt.Errorf("gpa: interaction %d's flow %v is neither endpoint's", p.Seqs[i], p.Flows[i])
+		}
+	}
+	buf := headPlan.Format().AppendDef(sc.wire[:0])
+	buf = halfPlan.Format().AppendDef(buf)
+	buf, _, err := headPlan.AppendCompressedColumnsFrame(buf, sc.head)
+	for _, half := range [...]*core.RecordColumns{&p.Client, &p.Server} {
+		for lo := 0; lo < len(rows) && err == nil; lo += frameRows {
+			sc.chunk.Reset()
+			for _, i := range rows[lo:min(lo+frameRows, len(rows))] {
+				sc.chunk.AppendRow(half.Row(i))
+			}
+			buf, _, err = halfPlan.AppendCompressedColumnsFrame(buf, runCoded{&sc.chunk})
+		}
+	}
+	sc.wire = buf
+	if err != nil {
+		return fmt.Errorf("gpa: encode page: %w", err)
+	}
+	return nil
+}
 
 // correlatedPage renders the "pcorrelated" reply: the last n (0 = all)
 // correlated interactions under the merge key, in that order, with half
@@ -141,17 +200,7 @@ var pagePool = sync.Pool{New: func() any { return new(pageScratch) }}
 func (g *GPA) correlatedPage(n, frameRows int) (string, error) {
 	sc := pagePool.Get().(*pageScratch)
 	defer pagePool.Put(sc)
-	p := &sc.page
-	p.reset()
-	for i := range g.shards {
-		s := &g.shards[i]
-		s.mu.Lock()
-		for j := range s.correlated {
-			p.appendE2E(s.correlated[j].seq, &s.correlated[j].e2e)
-		}
-		s.mu.Unlock()
-	}
-	sc.order = p.completionOrder(sc.order[:0])
+	sc.gather(g, false)
 	order := sc.order
 	if n > 0 && len(order) > n {
 		order = order[len(order)-n:]
@@ -162,52 +211,83 @@ func (g *GPA) correlatedPage(n, frameRows int) (string, error) {
 	if len(order) > maxPageRows {
 		return "", fmt.Errorf("gpa: history of %d interactions exceeds the %d-row page; ask for a tail", len(order), maxPageRows)
 	}
-
-	sc.head = sc.head[:0]
-	for _, i := range order {
-		switch p.Flows[i] {
-		case p.Client.Flows[i]:
-			sc.head = append(sc.head, p.Seqs[i]<<1)
-		case p.Server.Flows[i]:
-			sc.head = append(sc.head, p.Seqs[i]<<1|1)
-		default:
-			return "", fmt.Errorf("gpa: interaction %d's flow %v is neither endpoint's", p.Seqs[i], p.Flows[i])
-		}
+	if err := sc.render(order, frameRows); err != nil {
+		return "", err
 	}
-	buf := headPlan.Format().AppendDef(sc.wire[:0])
-	buf = halfPlan.Format().AppendDef(buf)
-	buf, _, err := headPlan.AppendCompressedColumnsFrame(buf, sc.head)
-	for _, half := range [...]*core.RecordColumns{&p.Client, &p.Server} {
-		for lo := 0; lo < len(order) && err == nil; lo += frameRows {
-			sc.chunk.Reset()
-			for _, i := range order[lo:min(lo+frameRows, len(order))] {
-				sc.chunk.AppendRow(half.Row(i))
-			}
-			buf, _, err = halfPlan.AppendCompressedColumnsFrame(buf, runCoded{&sc.chunk})
-		}
-	}
-	sc.wire = buf
-	if err != nil {
-		return "", fmt.Errorf("gpa: encode page: %w", err)
-	}
-	return base64.StdEncoding.EncodeToString(buf), nil
+	return base64.StdEncoding.EncodeToString(sc.wire), nil
 }
 
-// decodeCorrelatedPage parses one shard's "pcorrelated" payload. The
-// reply is untrusted: the head frame may not declare more than
-// maxPageRows rows, a half frame may not declare more rows than the head
-// still owes that half, and columns only grow as frames deliver them.
+// writePages writes every ordered row of the scratch page to w as a
+// stream of pages of at most maxPageRows rows each: the file form of a
+// history, which LoadDump reads back.
+func (sc *pageScratch) writePages(w io.Writer) error {
+	for lo := 0; lo < len(sc.order); lo += maxPageRows {
+		if err := sc.render(sc.order[lo:min(lo+maxPageRows, len(sc.order))], pageFrameRows); err != nil {
+			return err
+		}
+		if _, err := w.Write(sc.wire); err != nil {
+			return fmt.Errorf("gpa: dump: %w", err)
+		}
+	}
+	return nil
+}
+
+// decodeCorrelatedPage parses one shard's "pcorrelated" payload: one page
+// or, for an empty history, nothing.
 func decodeCorrelatedPage(payload string) (*E2EColumns, error) {
 	raw, err := base64.StdEncoding.DecodeString(strings.TrimSpace(payload))
 	if err != nil {
 		return nil, fmt.Errorf("gpa: page: bad base64 framing: %w", err)
 	}
 	dec := pbio.NewDecoder(bytes.NewReader(raw), pageReg)
+	page, err := readPage(dec)
+	if errors.Is(err, io.EOF) {
+		return new(E2EColumns), nil
+	}
+	if err != nil {
+		return nil, err
+	}
+	if _, err := dec.Decode(); !errors.Is(err, io.EOF) {
+		return nil, fmt.Errorf("gpa: page carries data past its %d rows", page.Len())
+	}
+	return page, nil
+}
+
+// readPages reads a stream of pages to its end, as one page holding every
+// page's rows in stream order.
+func readPages(r io.Reader) (*E2EColumns, error) {
+	if _, ok := r.(io.ByteReader); !ok {
+		// The decoder reads a field at a time; without a buffer each is a
+		// read(2) on a file.
+		r = bufio.NewReader(r)
+	}
+	dec := pbio.NewDecoder(r, pageReg)
+	all := new(E2EColumns)
+	for {
+		page, err := readPage(dec)
+		if errors.Is(err, io.EOF) {
+			return all, nil
+		}
+		if err != nil {
+			return nil, err
+		}
+		all.Seqs = append(all.Seqs, page.Seqs...)
+		all.Flows = append(all.Flows, page.Flows...)
+		all.Client.AppendColumns(&page.Client)
+		all.Server.AppendColumns(&page.Server)
+	}
+}
+
+// readPage reads the next page of a stream; io.EOF means the stream ended
+// cleanly before one began. The stream is untrusted: the head frame may
+// not declare more than maxPageRows rows, a half frame may not declare
+// more rows than the head still owes that half, and columns only grow as
+// frames deliver them.
+func readPage(dec *pbio.Decoder) (*E2EColumns, error) {
 	dec.LimitRows(maxPageRows)
-	page := new(E2EColumns)
 	rec, err := dec.Decode()
 	if errors.Is(err, io.EOF) {
-		return page, nil
+		return nil, io.EOF
 	}
 	if err != nil {
 		return nil, fmt.Errorf("gpa: page head: %w", err)
@@ -216,6 +296,7 @@ func decodeCorrelatedPage(payload string) (*E2EColumns, error) {
 	if !ok {
 		return nil, fmt.Errorf("gpa: page opens with a %q frame, want %q", rec.Format, pageHeadFormat)
 	}
+	page := new(E2EColumns)
 	n := len(head)
 	for _, half := range [...]*core.RecordColumns{&page.Client, &page.Server} {
 		for half.Len() < n {
@@ -240,9 +321,6 @@ func decodeCorrelatedPage(payload string) (*E2EColumns, error) {
 				half.AppendColumns(cols)
 			}
 		}
-	}
-	if _, err := dec.Decode(); !errors.Is(err, io.EOF) {
-		return nil, fmt.Errorf("gpa: page carries data past its %d rows", n)
 	}
 	// Every row has arrived, so n is backed by delivered bytes.
 	page.Seqs, page.Flows = head, make([]simnet.FlowKey, n)

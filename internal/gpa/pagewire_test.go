@@ -228,7 +228,8 @@ func TestPageRowCapIsExact(t *testing.T) {
 }
 
 // FuzzDecodeCorrelatedPage throws arbitrary pbio streams at the page
-// decoder. Invariants: it never panics, and whatever it accepts is a
+// decoders: a shard's one-page reply and LoadDump's page stream.
+// Invariants: neither panics, and whatever either accepts is a
 // well-formed page — equal-length columns the merge can walk end to end.
 func FuzzDecodeCorrelatedPage(f *testing.F) {
 	_, raw := realPage(f, 12, 0, pageFrameRows)
@@ -238,23 +239,37 @@ func FuzzDecodeCorrelatedPage(f *testing.F) {
 	f.Add(raw[:len(raw)/2])
 	f.Add(append(halfPlan.Format().AppendDef(headPlan.Format().AppendDef(nil)), bombFrame(headPlan.Format(), 64)...))
 	f.Add([]byte{})
+	h := newFedHarness(f, 1, Config{})
+	var dump bytes.Buffer
+	for seed := int64(1); seed <= 2; seed++ {
+		h.overlapWorkload(rand.New(rand.NewSource(seed)), 6)
+		if _, err := h.shards[0].DumpAndTruncate(&dump); err != nil {
+			f.Fatal(err)
+		}
+	}
+	f.Add(dump.Bytes())
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		if len(raw) > 1<<16 {
 			t.Skip()
 		}
-		page, err := decodeCorrelatedPage(b64(raw))
-		if err != nil {
-			return
-		}
-		if err := page.validate(); err != nil {
-			t.Fatalf("accepted page fails validation: %v", err)
-		}
-		if page.Len() == 0 {
-			return
-		}
-		h := newMergeHead(0, page)
-		for _, i := range h.order {
-			_, _, _ = page.Flows[i], page.Client.Row(i), page.Server.Row(i)
+		for _, decode := range [...]func([]byte) (*E2EColumns, error){
+			func(raw []byte) (*E2EColumns, error) { return decodeCorrelatedPage(b64(raw)) },
+			func(raw []byte) (*E2EColumns, error) { return readPages(bytes.NewReader(raw)) },
+		} {
+			page, err := decode(raw)
+			if err != nil {
+				continue
+			}
+			if err := page.validate(); err != nil {
+				t.Fatalf("accepted page fails validation: %v", err)
+			}
+			if page.Len() == 0 {
+				continue
+			}
+			h := newMergeHead(0, page)
+			for _, i := range h.order {
+				_, _, _ = page.Flows[i], page.Client.Row(i), page.Server.Row(i)
+			}
 		}
 	})
 }

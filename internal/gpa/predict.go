@@ -1,8 +1,6 @@
 package gpa
 
 import (
-	"bufio"
-	"encoding/json"
 	"fmt"
 	"io"
 	"math"
@@ -16,26 +14,20 @@ import (
 // correlated interactions into arrival-rate forecasts; PlanCapacity turns
 // a forecast plus measured per-interaction cost into a server count.
 
-// LoadDump parses a JSON-lines dump (as written by Dump) back into
-// end-to-end interaction records.
-func LoadDump(r io.Reader) ([]EndToEnd, error) {
-	var out []EndToEnd
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 1<<22)
-	line := 0
-	for sc.Scan() {
-		line++
-		if len(sc.Bytes()) == 0 {
-			continue
-		}
-		var e EndToEnd
-		if err := json.Unmarshal(sc.Bytes(), &e); err != nil {
-			return nil, fmt.Errorf("gpa: dump line %d: %w", line, err)
-		}
-		out = append(out, e)
+// LoadDump reads a dump back: the pages Dump, DumpAndTruncate or
+// Frontend.Dump wrote, any number of them appended to one file, as one
+// history in completion order (the pages' (completion, seq) merge key).
+// Each page is read under the same row guards as a shard's page reply.
+func LoadDump(r io.Reader) ([]SeqEndToEnd, error) {
+	page, err := readPages(r)
+	if err != nil {
+		return nil, fmt.Errorf("gpa: load dump: %w", err)
 	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("gpa: read dump: %w", err)
+	out := make([]SeqEndToEnd, 0, page.Len())
+	for _, i := range page.completionOrder(nil) {
+		out = append(out, SeqEndToEnd{Seq: page.Seqs[i], EndToEnd: EndToEnd{
+			Flow: page.Flows[i], Client: page.Client.Row(i), Server: page.Server.Row(i),
+		}})
 	}
 	return out, nil
 }

@@ -2,42 +2,170 @@ package gpa
 
 import (
 	"bytes"
+	"cmp"
+	"errors"
+	"io"
 	"math"
+	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"time"
+
+	"sysprof/internal/pbio"
 )
 
-func TestDumpLoadRoundTrip(t *testing.T) {
-	g := seededGPA(t)
-	var buf bytes.Buffer
-	if _, err := g.Dump(&buf); err != nil {
-		t.Fatal(err)
+// sameHistory fails unless got and want hold the same interactions,
+// field for field and sequence tag included, once both are in seq order.
+func sameHistory(t *testing.T, got, want []SeqEndToEnd) {
+	t.Helper()
+	bySeq := func(a, b SeqEndToEnd) int { return cmp.Compare(a.Seq, b.Seq) }
+	got, want = slices.Clone(got), slices.Clone(want)
+	slices.SortFunc(got, bySeq)
+	slices.SortFunc(want, bySeq)
+	if len(got) != len(want) {
+		t.Fatalf("loaded %d interactions, want %d", len(got), len(want))
 	}
-	recs, err := LoadDump(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	orig := g.Correlated()
-	if len(recs) != len(orig) {
-		t.Fatalf("loaded %d, want %d", len(recs), len(orig))
-	}
-	for i := range recs {
-		if recs[i].Flow != orig[i].Flow ||
-			recs[i].Server.Start != orig[i].Server.Start ||
-			recs[i].Client.End != orig[i].Client.End {
-			t.Fatalf("record %d differs:\n got %+v\nwant %+v", i, recs[i], orig[i])
+	for i := range got {
+		if got[i] != want[i] {
+			t.Fatalf("interaction %d differs:\n got %+v\nwant %+v", i, got[i], want[i])
 		}
 	}
 }
 
-func TestLoadDumpErrors(t *testing.T) {
-	if _, err := LoadDump(strings.NewReader("{not json}\n")); err == nil {
-		t.Fatal("bad line accepted")
+// TestDumpLoadRoundTrip: whatever wrote a dump — an analyzer, an analyzer
+// truncating as it goes, a federation with a shard down — and however
+// many pages it took, LoadDump reads back exactly the history the writer
+// held.
+func TestDumpLoadRoundTrip(t *testing.T) {
+	load := func(t *testing.T, dump *bytes.Buffer) []SeqEndToEnd {
+		t.Helper()
+		recs, err := LoadDump(dump)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return recs
 	}
-	recs, err := LoadDump(strings.NewReader("\n\n"))
+	t.Run("Dump", func(t *testing.T) {
+		g := seededGPA(t)
+		var buf bytes.Buffer
+		if n, err := g.Dump(&buf); err != nil || n != 1 {
+			t.Fatalf("Dump = (%d, %v), want (1, nil)", n, err)
+		}
+		sameHistory(t, load(t, &buf), g.CorrelatedSeq())
+	})
+	t.Run("DumpAndTruncate appended", func(t *testing.T) {
+		h := newFedHarness(t, 1, Config{})
+		g, rng := h.shards[0], rand.New(rand.NewSource(3))
+		var file bytes.Buffer
+		var want []SeqEndToEnd
+		for i := 0; i < 2; i++ {
+			h.overlapWorkload(rng, 20)
+			want = append(want, g.CorrelatedSeq()...)
+			if _, err := g.DumpAndTruncate(&file); err != nil {
+				t.Fatal(err)
+			}
+		}
+		sameHistory(t, load(t, &file), want)
+	})
+	t.Run("Frontend.Dump", func(t *testing.T) {
+		h := newFedHarness(t, 2, Config{})
+		h.workload(16, 3)
+		for _, dead := range []bool{false, true} {
+			if dead {
+				h.kill(1)
+			}
+			want, _, err := h.fe.CorrelatedSeq()
+			if err != nil {
+				t.Fatal(err)
+			}
+			var buf bytes.Buffer
+			if st, err := h.fe.Dump(&buf); err != nil || st.Partial != dead {
+				t.Fatalf("Dump with shard 1 dead=%v: status %+v, err %v", dead, st, err)
+			}
+			sameHistory(t, load(t, &buf), want)
+		}
+	})
+	t.Run("several pages", func(t *testing.T) {
+		defer func(rows int) { maxPageRows = rows }(maxPageRows)
+		maxPageRows = 7
+		h := newFedHarness(t, 1, Config{})
+		h.overlapWorkload(rand.New(rand.NewSource(5)), 30)
+		g := h.shards[0]
+		var buf bytes.Buffer
+		if _, err := g.Dump(&buf); err != nil {
+			t.Fatal(err)
+		}
+		dec := pbio.NewDecoder(bytes.NewReader(buf.Bytes()), pageReg)
+		pages := 0
+		for ; ; pages++ {
+			page, err := readPage(dec)
+			if errors.Is(err, io.EOF) {
+				break
+			}
+			if err != nil || page.Len() > maxPageRows {
+				t.Fatalf("page %d: %d rows, err %v", pages, page.Len(), err)
+			}
+		}
+		want := g.CorrelatedSeq()
+		if wantPages := (len(want) + maxPageRows - 1) / maxPageRows; pages != wantPages || pages < 2 {
+			t.Fatalf("%d interactions dumped as %d pages, want %d", len(want), pages, wantPages)
+		}
+		sameHistory(t, load(t, &buf), want)
+	})
+}
+
+// TestLoadDumpErrors: an empty file is an empty history; anything that is
+// not a page stream — garbage, a truncated dump, a JSON-lines dump — is an
+// error.
+func TestLoadDumpErrors(t *testing.T) {
+	recs, err := LoadDump(strings.NewReader(""))
 	if err != nil || len(recs) != 0 {
-		t.Fatalf("blank dump: %v %v", recs, err)
+		t.Fatalf("empty dump: %v %v", recs, err)
+	}
+	var dump bytes.Buffer
+	if _, err := seededGPA(t).Dump(&dump); err != nil {
+		t.Fatal(err)
+	}
+	for name, in := range map[string]string{
+		"garbage":    "{not json}\n",
+		"truncated":  dump.String()[:dump.Len()-5],
+		"JSON lines": `{"flow":{"Src":{"Node":1,"Port":1000},"Dst":{"Node":2,"Port":80}}}` + "\n",
+	} {
+		if _, err := LoadDump(strings.NewReader(in)); err == nil {
+			t.Errorf("%s: loaded", name)
+		}
+	}
+}
+
+// readCounter hides every method of a reader but Read, as a file does, and
+// counts the calls.
+type readCounter struct {
+	r     io.Reader
+	reads int
+}
+
+func (c *readCounter) Read(p []byte) (int, error) {
+	c.reads++
+	return c.r.Read(p)
+}
+
+// TestLoadDumpBuffersFileReads: LoadDump over a reader without ReadByte
+// reads in blocks, not a field at a time.
+func TestLoadDumpBuffersFileReads(t *testing.T) {
+	h := newFedHarness(t, 1, Config{})
+	h.overlapWorkload(rand.New(rand.NewSource(7)), 1000)
+	var dump bytes.Buffer
+	n, err := h.shards[0].Dump(&dump)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := &readCounter{r: &dump}
+	if recs, err := LoadDump(r); err != nil || len(recs) != n {
+		t.Fatalf("loaded %d of %d interactions, err %v", len(recs), n, err)
+	}
+	if r.reads > n/10 {
+		t.Fatalf("%d reads for %d interactions, want well under one per interaction", r.reads, n)
 	}
 }
 

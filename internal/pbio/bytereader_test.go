@@ -45,9 +45,11 @@ func goldenStreams(t *testing.T) map[string][][]byte {
 		{ID: 1 << 40, SrcN: 1, SrcP: 1026, DstN: 2, DstP: 80, Class: "", Dur: -1},
 	}
 	def := p.Format().AppendDef(nil)
+	// Each row alone, as a one-row columns frame.
 	var records [][]byte
 	for i := range rows {
-		record, err := p.AppendRecordFrame(nil, &rows[i])
+		_, one := StructColumns(reg, rows[i:i+1])
+		record, _, err := p.AppendColumnsFrame(nil, one)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -187,7 +189,7 @@ func TestDecoderPathsAgree(t *testing.T) {
 	golden := goldenStreams(t)
 	rowRecs, _ := decodeAll(bytes.NewReader(bytes.Join(golden["rows"], nil)), fuzzRegistry(t))
 	if len(rowRecs) != 3 {
-		t.Fatalf("the rows as single-record frames decoded to %d records, want 3", len(rowRecs))
+		t.Fatalf("the rows as one-row frames decoded to %d records, want 3", len(rowRecs))
 	}
 	for name, frames := range golden {
 		boundary := map[int]bool{0: true}
@@ -202,12 +204,12 @@ func TestDecoderPathsAgree(t *testing.T) {
 			}
 		})
 		// Every column frame of the bound format says what the rows say
-		// one record frame at a time.
+		// one one-row frame at a time.
 		recs, _ := decodeAll(bytes.NewReader(stream), fuzzRegistry(t))
 		if want := map[string]int{"records": 2, "mixed": 11, "unbound columns": 3}[name]; want != 0 && len(recs) != want {
 			t.Fatalf("%s: decoded %d records, want %d", name, len(recs), want)
 		} else if want == 0 && !reflect.DeepEqual(recs, rowRecs) {
-			t.Fatalf("%s: decoded %d records that differ from the record frames' %d", name, len(recs), len(rowRecs))
+			t.Fatalf("%s: decoded %d records that differ from the one-row frames' %d", name, len(recs), len(rowRecs))
 		}
 		if name == "unbound columns" && (recs[2].Value != nil || recs[2].Fields["ID"] != uint64(1<<40)) {
 			t.Fatalf("unbound columns: last row = %+v, want a field map only", recs[2])

@@ -375,8 +375,8 @@ func (cr *ColumnReader) String() (string, error) {
 	return cr.d.readString()
 }
 
-// value decodes one value of kind k through the column state machine —
-// the generic materialization path's analogue of Decoder.readValue.
+// value decodes one value of kind k through the column state machine for
+// the generic materialization path.
 func (cr *ColumnReader) value(k Kind) (any, error) {
 	switch k {
 	case KindBool:
@@ -420,7 +420,14 @@ func (cr *ColumnReader) value(k Kind) (any, error) {
 			}
 			cr.remaining--
 		}
-		return cr.d.readValue(KindBytes)
+		n, err := cr.d.readUint32()
+		if err != nil {
+			return nil, err
+		}
+		if n > maxFieldLen {
+			return nil, fmt.Errorf("%w: bytes field length %d exceeds limit", ErrBadFrame, n)
+		}
+		return cr.d.readLengthPrefixed(n)
 	}
 	return nil, fmt.Errorf("%w: field kind %d", ErrBadFrame, k)
 }

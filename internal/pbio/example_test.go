@@ -8,8 +8,9 @@ import (
 	"sysprof/internal/pbio"
 )
 
-// Register a record format, encode to a self-describing stream, decode.
-func ExampleNewEncoder() {
+// Register a record format, frame a batch of rows into a self-describing
+// stream, decode.
+func ExampleStructColumns() {
 	type Metric struct {
 		Name    string
 		Value   int64
@@ -18,12 +19,16 @@ func ExampleNewEncoder() {
 	reg := pbio.NewRegistry()
 	reg.MustRegister("metric", Metric{})
 
-	var wire bytes.Buffer
-	enc := pbio.NewEncoder(&wire, reg)
-	_ = enc.Encode(Metric{Name: "rps", Value: 150, Latency: 3 * time.Millisecond})
-	_ = enc.Encode(Metric{Name: "errs", Value: 2, Latency: 0})
+	plan, cols := pbio.StructColumns(reg, []Metric{
+		{Name: "rps", Value: 150, Latency: 3 * time.Millisecond},
+		{Name: "errs", Value: 2, Latency: 0},
+	})
+	wire, _, err := plan.AppendCompressedColumnsFrame(plan.Format().AppendDef(nil), cols)
+	if err != nil {
+		panic(err)
+	}
 
-	dec := pbio.NewDecoder(&wire, reg)
+	dec := pbio.NewDecoder(bytes.NewReader(wire), reg)
 	for {
 		rec, err := dec.Decode()
 		if err != nil {

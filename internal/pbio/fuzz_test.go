@@ -14,17 +14,17 @@ type fuzzRec struct {
 	Score float64
 }
 
-// fuzzSeeds builds well-formed streams (format + record, format +
-// batch) with the real encoder, so the fuzzer starts from inputs that
-// reach deep into the decoder.
+// fuzzSeeds builds well-formed streams (format + one-row compressed
+// columns frame, format + batch) with the real frame builders, so the
+// fuzzer starts from inputs that reach deep into the decoder.
 func fuzzSeeds(tb testing.TB) [][]byte {
 	reg := NewRegistry()
 	if _, err := reg.Register("fuzz.rec", fuzzRec{}); err != nil {
 		tb.Fatal(err)
 	}
-	var single bytes.Buffer
-	enc := NewEncoder(&single, reg)
-	if err := enc.Encode(fuzzRec{Name: "alpha", Count: 7, Data: []byte{1, 2, 3}, Score: 0.5}); err != nil {
+	p, one := StructColumns(reg, []fuzzRec{{Name: "alpha", Count: 7, Data: []byte{1, 2, 3}, Score: 0.5}})
+	single, _, err := p.AppendCompressedColumnsFrame(p.Format().AppendDef(nil), one)
+	if err != nil {
 		tb.Fatal(err)
 	}
 	var batch bytes.Buffer
@@ -32,7 +32,7 @@ func fuzzSeeds(tb testing.TB) [][]byte {
 		{Name: "a", Count: 1},
 		{Name: "b", Count: 2, Data: []byte("payload")},
 	}, true)
-	return [][]byte{single.Bytes(), batch.Bytes()}
+	return [][]byte{single, batch.Bytes()}
 }
 
 // FuzzDecode feeds arbitrary bytes to the stream decoder. The decoder

@@ -8,10 +8,9 @@
 // Wire layout (all integers little-endian):
 //
 //	frame   := kind(1) payload
-//	kind    := 0x01 (format definition) | 0x02 (record) |
-//	           0x04 (columns) | 0x05 (compressed columns, see columns.go)
+//	kind    := 0x01 (format definition) | 0x04 (columns) |
+//	           0x05 (compressed columns, see columns.go)
 //	formdef := id(u32) name(str) nfields(u16) { fname(str) fkind(u8) }*
-//	record  := id(u32) fields...   (fixed order per format)
 //	columns := id(u32) count(u32) { field_i of every row }*nfields
 //	str     := len(u32) bytes
 //
@@ -19,7 +18,8 @@
 // field 0, then all rows' field 1, and so on — the structure-of-arrays
 // layout the hot path keeps in memory, so encoding is a straight copy per
 // column and decoding can rebuild columnar batches without materializing
-// rows. (Kind 0x03, a row-major batch, is retired and refused.)
+// rows. A single record is a one-row batch. (Kinds 0x02, a single row,
+// and 0x03, a row-major batch, are retired and refused.)
 //
 // Strings and byte slices are length-prefixed; all other kinds are fixed
 // width. The encoding is compact and allocation-light — the property the
@@ -137,7 +137,7 @@ func (r *Registry) Register(name string, sample any) (*Format, error) {
 		return nil, fmt.Errorf("pbio: register: format %q already registered", name)
 	}
 	f := &Format{ID: r.nextID, Name: name, goType: t}
-	p := &Plan{f: f, typ: t, ptrType: reflect.PointerTo(t)}
+	p := &Plan{f: f}
 	if err := p.flatten(t, "", nil, 0); err != nil {
 		return nil, fmt.Errorf("pbio: register %q: %w", name, err)
 	}
@@ -172,10 +172,8 @@ func (r *Registry) Lookup(name string) *Format { return r.byName[name] }
 // key) thereby encodes straight into a flat wire layout with no
 // intermediate conversion struct.
 type Plan struct {
-	f       *Format
-	typ     reflect.Type
-	ptrType reflect.Type
-	fields  []planField
+	f      *Format
+	fields []planField
 }
 
 // planField is one wire field's source: where it sits in the struct and
@@ -283,46 +281,6 @@ func (r *Registry) PlanFor(t reflect.Type) *Plan {
 // Format returns the wire format the plan encodes into.
 func (p *Plan) Format() *Format { return p.f }
 
-// eface mirrors the runtime's interface layout so a plan can reach the
-// struct behind an `any` without reflect.Value traffic on the hot path.
-type eface struct {
-	typ  unsafe.Pointer
-	data unsafe.Pointer
-}
-
-func efaceData(v any) unsafe.Pointer {
-	return (*eface)(unsafe.Pointer(&v)).data
-}
-
-// basePointer returns the address of the plan-typed struct inside v (a
-// value, a pointer, or a multiply-indirected pointer to one). Plan types
-// can never be pointer-shaped — kindOf rejects pointer fields, and every
-// supported field kind is at least one non-pointer word — so a boxed
-// value's interface data word always points at the struct itself.
-func (p *Plan) basePointer(v any) (unsafe.Pointer, error) {
-	switch reflect.TypeOf(v) {
-	case p.typ:
-		return efaceData(v), nil
-	case p.ptrType:
-		ptr := efaceData(v)
-		if ptr == nil {
-			return nil, fmt.Errorf("pbio: plan for %s got a nil pointer", p.typ)
-		}
-		return ptr, nil
-	}
-	rv := reflect.ValueOf(v)
-	for rv.Kind() == reflect.Pointer {
-		rv = rv.Elem()
-	}
-	if !rv.IsValid() || rv.Type() != p.typ {
-		return nil, fmt.Errorf("pbio: plan for %s got %T", p.typ, v)
-	}
-	// Deeply-indirected value: box an addressable copy.
-	boxed := reflect.New(p.typ)
-	boxed.Elem().Set(rv)
-	return boxed.UnsafePointer(), nil
-}
-
 // appendFields appends the given planned fields of the struct at base in
 // wire order: one offset load and copy per field, resolved at
 // registration.
@@ -374,22 +332,6 @@ func appendFields(buf []byte, base unsafe.Pointer, fields []planField) []byte {
 	return buf
 }
 
-// AppendRecordFrame appends a single-record frame for v (a value or
-// pointer of the plan's type) to buf and returns the extended buffer.
-// Unlike Encoder.Encode it writes no format-definition frame — callers
-// that build frames out-of-stream (e.g. a broker encoding once for many
-// subscriber connections) emit the definition per stream via
-// Format.AppendDef.
-func (p *Plan) AppendRecordFrame(buf []byte, v any) ([]byte, error) {
-	base, err := p.basePointer(v)
-	if err != nil {
-		return buf, err
-	}
-	buf = append(buf, frameRecord)
-	buf = binary.LittleEndian.AppendUint32(buf, p.f.ID)
-	return appendFields(buf, base, p.fields), nil
-}
-
 func kindOf(t reflect.Type) (Kind, bool) {
 	if t == reflect.TypeOf(time.Duration(0)) {
 		return KindDuration, true
@@ -429,7 +371,6 @@ func kindOf(t reflect.Type) (Kind, bool) {
 
 const (
 	frameFormat   = 0x01
-	frameRecord   = 0x02
 	frameColumns  = 0x04
 	frameColumnsZ = 0x05
 
@@ -452,48 +393,9 @@ const (
 	lengthPrefixChunk = 64 << 10
 )
 
-// Encoder writes self-describing records to a stream.
-type Encoder struct {
-	w    io.Writer
-	reg  *Registry
-	sent map[uint32]bool
-	buf  []byte
-}
-
-// NewEncoder returns an encoder writing to w using formats from reg.
-func NewEncoder(w io.Writer, reg *Registry) *Encoder {
-	return &Encoder{w: w, reg: reg, sent: make(map[uint32]bool)}
-}
-
-// Encode writes v (a struct registered in the registry, or a pointer to
-// one), emitting the format descriptor first if this stream
-// has not seen it.
-func (e *Encoder) Encode(v any) error {
-	p := e.reg.PlanFor(reflect.TypeOf(v))
-	if p == nil {
-		return fmt.Errorf("%w: type %T", ErrUnknownFormat, v)
-	}
-	f := p.f
-	if !e.sent[f.ID] {
-		if err := e.writeFormat(f); err != nil {
-			return err
-		}
-		e.sent[f.ID] = true
-	}
-	var err error
-	if e.buf, err = p.AppendRecordFrame(e.buf[:0], v); err != nil {
-		return err
-	}
-	if _, err := e.w.Write(e.buf); err != nil {
-		return fmt.Errorf("pbio: encode %s: %w", f.Name, err)
-	}
-	return nil
-}
-
 // AppendDef appends the format's definition frame to buf. A stream must
-// carry the definition before the format's first record; Encoder does
-// this transparently, while out-of-stream frame builders (Plan.Append*)
-// leave it to the connection writer.
+// carry the definition before the format's first record; the frame
+// builders (Plan.Append*) leave that to whoever writes the stream.
 func (f *Format) AppendDef(buf []byte) []byte {
 	buf = append(buf, frameFormat)
 	buf = binary.LittleEndian.AppendUint32(buf, f.ID)
@@ -504,14 +406,6 @@ func (f *Format) AppendDef(buf []byte) []byte {
 		buf = append(buf, byte(fld.Kind))
 	}
 	return buf
-}
-
-func (e *Encoder) writeFormat(f *Format) error {
-	e.buf = f.AppendDef(e.buf[:0])
-	if _, err := e.w.Write(e.buf); err != nil {
-		return fmt.Errorf("pbio: write format %s: %w", f.Name, err)
-	}
-	return nil
 }
 
 func appendString(b []byte, s string) []byte {
@@ -586,8 +480,6 @@ func (d *Decoder) Decode() (*Record, error) {
 			if err := d.readFormat(); err != nil {
 				return nil, err
 			}
-		case frameRecord:
-			return d.readRecord()
 		case frameColumns:
 			return d.readColumns(false)
 		case frameColumnsZ:
@@ -655,97 +547,11 @@ func fieldsMatch(a, b []Field) bool {
 	return true
 }
 
-func (d *Decoder) readRecord() (*Record, error) {
-	id, err := d.readUint32()
-	if err != nil {
-		return nil, badEOF(err)
-	}
-	f := d.formats[id]
-	if f == nil {
-		return nil, fmt.Errorf("%w: record format id %d", ErrUnknownFormat, id)
-	}
-	return d.readRecordBody(f)
-}
-
-func (d *Decoder) readRecordBody(f *Format) (*Record, error) {
-	// The field count is wire-controlled; cap the map's pre-size so the
-	// hint cannot cost more than the bytes backing it.
-	rec := &Record{Format: f.Name, Fields: make(map[string]any, min(len(f.Fields), 64))}
-	var rv reflect.Value
-	if f.goType != nil {
-		rv = reflect.New(f.goType).Elem()
-	}
-	for i, fld := range f.Fields {
-		val, err := d.readValue(fld.Kind)
-		if err != nil {
-			return nil, badEOF(err)
-		}
-		rec.Fields[fld.Name] = val
-		if rv.IsValid() {
-			setField(rv.FieldByIndex(f.index[i]), val)
-		}
-	}
-	if rv.IsValid() {
-		rec.Value = rv.Addr().Interface()
-	}
-	return rec, nil
-}
-
 func setField(fv reflect.Value, val any) {
 	v := reflect.ValueOf(val)
 	if v.Type().ConvertibleTo(fv.Type()) {
 		fv.Set(v.Convert(fv.Type()))
 	}
-}
-
-func (d *Decoder) readValue(k Kind) (any, error) {
-	switch k {
-	case KindBool:
-		b, err := d.readByte()
-		return b != 0, err
-	case KindInt8:
-		b, err := d.readByte()
-		return int8(b), err
-	case KindInt16:
-		v, err := d.readUint16()
-		return int16(v), err
-	case KindInt32:
-		v, err := d.readUint32()
-		return int32(v), err
-	case KindInt64:
-		v, err := d.readUint64()
-		return int64(v), err
-	case KindDuration:
-		v, err := d.readUint64()
-		return time.Duration(v), err
-	case KindUint8:
-		b, err := d.readByte()
-		return b, err
-	case KindUint16:
-		return d.readUint16()
-	case KindUint32:
-		return d.readUint32()
-	case KindUint64:
-		return d.readUint64()
-	case KindFloat32:
-		v, err := d.readUint32()
-		return math.Float32frombits(v), err
-	case KindFloat64:
-		v, err := d.readUint64()
-		return math.Float64frombits(v), err
-	case KindString:
-		return d.readString()
-	case KindBytes:
-		n, err := d.readUint32()
-		if err != nil {
-			return nil, err
-		}
-		if n > maxFieldLen {
-			return nil, fmt.Errorf("%w: bytes field length %d exceeds limit", ErrBadFrame, n)
-		}
-		return d.readLengthPrefixed(n)
-	}
-	return nil, fmt.Errorf("%w: field kind %d", ErrBadFrame, k)
 }
 
 func (d *Decoder) readByte() (byte, error) {

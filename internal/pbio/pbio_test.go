@@ -26,7 +26,7 @@ type other struct {
 	Y string
 }
 
-func newPair(t *testing.T) (*Registry, *Encoder, *bytes.Buffer) {
+func newPair(t *testing.T) (*Registry, *bytes.Buffer) {
 	t.Helper()
 	reg := NewRegistry()
 	if _, err := reg.Register("sample", sample{}); err != nil {
@@ -35,8 +35,7 @@ func newPair(t *testing.T) (*Registry, *Encoder, *bytes.Buffer) {
 	if _, err := reg.Register("other", other{}); err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	return reg, NewEncoder(&buf, reg), &buf
+	return reg, new(bytes.Buffer)
 }
 
 // writeBatch appends vs to buf as one columns frame, built out of stream
@@ -63,11 +62,9 @@ func writeBatch[T any](t testing.TB, reg *Registry, buf *bytes.Buffer, vs []T, w
 }
 
 func TestRoundTripTyped(t *testing.T) {
-	reg, enc, buf := newPair(t)
+	reg, buf := newPair(t)
 	in := sample{A: -42, B: 7, C: "hello", D: 3.25, E: true, F: 1500 * time.Millisecond, G: []byte{1, 2, 3}}
-	if err := enc.Encode(in); err != nil {
-		t.Fatal(err)
-	}
+	writeBatch(t, reg, buf, []sample{in}, true)
 	dec := NewDecoder(buf, reg)
 	rec, err := dec.Decode()
 	if err != nil {
@@ -89,10 +86,8 @@ func TestRoundTripTyped(t *testing.T) {
 }
 
 func TestRoundTripGenericFields(t *testing.T) {
-	reg, enc, buf := newPair(t)
-	if err := enc.Encode(other{X: 9, Y: "z"}); err != nil {
-		t.Fatal(err)
-	}
+	reg, buf := newPair(t)
+	writeBatch(t, reg, buf, []other{{X: 9, Y: "z"}}, true)
 	// Decode with an empty registry: only generic fields available.
 	dec := NewDecoder(buf, NewRegistry())
 	rec, err := dec.Decode()
@@ -105,29 +100,37 @@ func TestRoundTripGenericFields(t *testing.T) {
 	if rec.Fields["X"] != int32(9) || rec.Fields["Y"] != "z" {
 		t.Fatalf("fields = %v", rec.Fields)
 	}
-	_ = reg
 }
 
+// TestFormatSentOncePerStream: a definition holds for the rest of the
+// stream, so a later frame of the same format carries none and still
+// decodes typed.
 func TestFormatSentOncePerStream(t *testing.T) {
-	_, enc, buf := newPair(t)
-	if err := enc.Encode(other{X: 1}); err != nil {
-		t.Fatal(err)
-	}
+	reg, buf := newPair(t)
+	writeBatch(t, reg, buf, []other{{X: 1}}, true)
 	one := buf.Len()
-	if err := enc.Encode(other{X: 2}); err != nil {
-		t.Fatal(err)
-	}
+	writeBatch(t, reg, buf, []other{{X: 2}}, false)
 	two := buf.Len() - one
 	if two >= one {
-		t.Fatalf("second record (%dB) not smaller than first with format header (%dB)", two, one)
+		t.Fatalf("second frame (%dB) not smaller than first with format header (%dB)", two, one)
+	}
+	dec := NewDecoder(buf, reg)
+	for want := int32(1); want <= 2; want++ {
+		rec, err := dec.Decode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := rec.Value.(*other).X; got != want {
+			t.Fatalf("X = %d, want %d", got, want)
+		}
 	}
 }
 
 func TestMixedFormatsOneStream(t *testing.T) {
-	reg, enc, buf := newPair(t)
-	_ = enc.Encode(sample{A: 1})
-	_ = enc.Encode(other{X: 2})
-	_ = enc.Encode(sample{A: 3})
+	reg, buf := newPair(t)
+	writeBatch(t, reg, buf, []sample{{A: 1}}, true)
+	writeBatch(t, reg, buf, []other{{X: 2}}, true)
+	writeBatch(t, reg, buf, []sample{{A: 3}}, false)
 	dec := NewDecoder(buf, reg)
 	var names []string
 	for {
@@ -146,25 +149,13 @@ func TestMixedFormatsOneStream(t *testing.T) {
 	}
 }
 
-func TestEncodePointer(t *testing.T) {
-	reg, enc, buf := newPair(t)
-	if err := enc.Encode(&other{X: 5, Y: "ptr"}); err != nil {
-		t.Fatal(err)
-	}
-	rec, err := NewDecoder(buf, reg).Decode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rec.Value.(*other).X != 5 {
-		t.Fatalf("value = %+v", rec.Value)
-	}
-}
-
+// TestEncodeUnregisteredType: rows of a type the registry does not know
+// have no plan to encode through.
 func TestEncodeUnregisteredType(t *testing.T) {
-	_, enc, _ := newPair(t)
+	reg, _ := newPair(t)
 	type unknown struct{ Z int }
-	if err := enc.Encode(unknown{}); !errors.Is(err, ErrUnknownFormat) {
-		t.Fatalf("err = %v, want ErrUnknownFormat", err)
+	if p, cols := StructColumns(reg, []unknown{{}}); p != nil || cols != nil {
+		t.Fatalf("StructColumns over an unregistered type = %v, %v; want no plan", p, cols)
 	}
 }
 
@@ -189,10 +180,8 @@ func TestRegisterErrors(t *testing.T) {
 }
 
 func TestTruncatedStream(t *testing.T) {
-	reg, enc, buf := newPair(t)
-	if err := enc.Encode(sample{C: "truncate me"}); err != nil {
-		t.Fatal(err)
-	}
+	reg, buf := newPair(t)
+	writeBatch(t, reg, buf, []sample{{C: "truncate me"}}, true)
 	raw := buf.Bytes()
 	for _, cut := range []int{1, 3, len(raw) / 2, len(raw) - 1} {
 		if cut <= 0 || cut >= len(raw) {
@@ -209,28 +198,29 @@ func TestTruncatedStream(t *testing.T) {
 	}
 }
 
-// TestBadFrameKind: an unknown kind byte is refused, and so is 0x03 — the
-// retired row-major batch frame — even when a well-formed payload of a
-// format the stream has defined follows it.
+// TestBadFrameKind: an unknown kind byte is refused, and so are the
+// retired row frames — 0x02, one record, and 0x03, a row-major batch —
+// even when a well-formed payload of a format the stream has defined
+// follows the kind byte.
 func TestBadFrameKind(t *testing.T) {
 	dec := NewDecoder(bytes.NewReader([]byte{0xFF}), nil)
 	if _, err := dec.Decode(); !errors.Is(err, ErrBadFrame) {
 		t.Fatalf("err = %v, want ErrBadFrame", err)
 	}
 
-	reg, enc, buf := newPair(t)
-	if err := enc.Encode(other{X: 1}); err != nil {
-		t.Fatal(err)
-	}
-	id := reg.Lookup("other").ID
-	buf.Write([]byte{0x03, byte(id), 0, 0, 0, 1, 0, 0, 0}) // kind, format id, one row
-	buf.Write([]byte{2, 0, 0, 0, 0, 0, 0, 0})              // X = 2, Y = ""
-	dec = NewDecoder(buf, reg)
-	if rec, err := dec.Decode(); err != nil || rec.Value.(*other).X != 1 {
-		t.Fatalf("record before the 0x03 frame: %+v, %v", rec, err)
-	}
-	if rec, err := dec.Decode(); !errors.Is(err, ErrBadFrame) {
-		t.Fatalf("0x03 frame decoded to %+v, err = %v; want ErrBadFrame", rec, err)
+	for kind, count := range map[byte][]byte{0x02: nil, 0x03: {1, 0, 0, 0}} {
+		reg, buf := newPair(t)
+		writeBatch(t, reg, buf, []other{{X: 1}}, true)
+		buf.Write([]byte{kind, byte(reg.Lookup("other").ID), 0, 0, 0}) // kind, format id
+		buf.Write(count)                                               // 0x03: one row
+		buf.Write([]byte{2, 0, 0, 0, 0, 0, 0, 0})                      // X = 2, Y = ""
+		dec = NewDecoder(buf, reg)
+		if rec, err := dec.Decode(); err != nil || rec.Value.(*other).X != 1 {
+			t.Fatalf("record before the 0x%02x frame: %+v, %v", kind, rec, err)
+		}
+		if rec, err := dec.Decode(); !errors.Is(err, ErrBadFrame) {
+			t.Fatalf("0x%02x frame decoded to %+v, err = %v; want ErrBadFrame", kind, rec, err)
+		}
 	}
 }
 
@@ -247,9 +237,7 @@ func TestFieldMismatchFallsBackToGeneric(t *testing.T) {
 	sreg := NewRegistry()
 	sreg.MustRegister("evt", other{})
 	var buf bytes.Buffer
-	if err := NewEncoder(&buf, sreg).Encode(other{X: 1, Y: "a"}); err != nil {
-		t.Fatal(err)
-	}
+	writeBatch(t, sreg, &buf, []other{{X: 1, Y: "a"}}, true)
 	rreg := NewRegistry()
 	rreg.MustRegister("evt", sample{})
 	rec, err := NewDecoder(&buf, rreg).Decode()
@@ -271,9 +259,7 @@ func TestRoundTripProperty(t *testing.T) {
 	prop := func(a int64, b uint32, c string, d float64, e bool, f int64, g []byte) bool {
 		in := sample{A: a, B: b, C: c, D: d, E: e, F: time.Duration(f), G: g}
 		var buf bytes.Buffer
-		if err := NewEncoder(&buf, reg).Encode(in); err != nil {
-			return false
-		}
+		writeBatch(t, reg, &buf, []sample{in}, true)
 		rec, err := NewDecoder(&buf, reg).Decode()
 		if err != nil {
 			return false
@@ -319,11 +305,8 @@ func TestDecoderRobustToCorruption(t *testing.T) {
 	reg := NewRegistry()
 	reg.MustRegister("sample", sample{})
 	var buf bytes.Buffer
-	enc := NewEncoder(&buf, reg)
 	for i := 0; i < 3; i++ {
-		if err := enc.Encode(sample{A: int64(i), C: "hello world"}); err != nil {
-			t.Fatal(err)
-		}
+		writeBatch(t, reg, &buf, []sample{{A: int64(i), C: "hello world"}}, i == 0)
 	}
 	valid := buf.Bytes()
 	for pos := 0; pos < len(valid); pos++ {
@@ -347,7 +330,7 @@ func TestDecoderRobustToCorruption(t *testing.T) {
 }
 
 func TestBatchRoundTrip(t *testing.T) {
-	reg, _, buf := newPair(t)
+	reg, buf := newPair(t)
 	in := []sample{
 		{A: 1, C: "one", F: time.Millisecond, G: []byte{}},
 		{A: 2, C: "two", E: true, G: []byte{4, 5}},
@@ -380,21 +363,17 @@ func TestBatchRoundTrip(t *testing.T) {
 // plan, so a slice of pointers to a registered type has no plan — it is
 // refused, not read as if the pointer words were the struct.
 func TestBatchOfPointers(t *testing.T) {
-	reg, _, _ := newPair(t)
+	reg, _ := newPair(t)
 	if p, cols := StructColumns(reg, []*other{{X: 1, Y: "a"}, {X: 2, Y: "b"}}); p != nil || cols != nil {
 		t.Fatalf("StructColumns over []*other = %v, %v; want no plan", p, cols)
 	}
 }
 
 func TestBatchMixedWithSingles(t *testing.T) {
-	reg, enc, buf := newPair(t)
-	if err := enc.Encode(sample{A: 1}); err != nil {
-		t.Fatal(err)
-	}
-	writeBatch(t, reg, buf, []sample{{A: 2}, {A: 3}}, false) // def sent by the Encode above
-	if err := enc.Encode(other{X: 4}); err != nil {
-		t.Fatal(err)
-	}
+	reg, buf := newPair(t)
+	writeBatch(t, reg, buf, []sample{{A: 1}}, true)
+	writeBatch(t, reg, buf, []sample{{A: 2}, {A: 3}}, false) // def sent with the single above
+	writeBatch(t, reg, buf, []other{{X: 4}}, true)
 	dec := NewDecoder(buf, reg)
 	wantA := []int64{1, 2, 3}
 	for _, want := range wantA {
@@ -416,7 +395,7 @@ func TestBatchMixedWithSingles(t *testing.T) {
 }
 
 func TestBatchTruncatedStream(t *testing.T) {
-	reg, _, buf := newPair(t)
+	reg, buf := newPair(t)
 	writeBatch(t, reg, buf, []sample{{A: 1}, {A: 2}}, true)
 	full := buf.Bytes()
 	// The whole columns frame is consumed before the first record is

@@ -34,7 +34,7 @@ type nestedRec struct {
 }
 
 // TestRegisterFlattensNested pins that a type nesting structs registers
-// as the flat wire layout of its leaves: record bytes identical to the
+// as the flat wire layout of its leaves: frame bytes identical to the
 // hand-flattened twin's, fields named by dotted path, and typed decoding
 // back into the nested shape.
 func TestRegisterFlattensNested(t *testing.T) {
@@ -55,22 +55,15 @@ func TestRegisterFlattensNested(t *testing.T) {
 
 	flat := flatRec{ID: 7, SrcN: 1, SrcP: 1000, DstN: 2, DstP: 80, Class: "port:80", Dur: time.Millisecond}
 	nested := nestedRec{ID: 7, Src: endpoint{1, 1000}, Dst: endpoint{2, 80}, Class: "port:80", Dur: time.Millisecond}
-	a, err := flatReg.PlanFor(reflect.TypeOf(flat)).AppendRecordFrame(nil, flat)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := nestedReg.PlanFor(reflect.TypeOf(nested)).AppendRecordFrame(nil, nested)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(a, b) {
-		t.Fatalf("nested encoding differs from flat:\n flat   %x\n nested %x", a, b)
+	var a, b bytes.Buffer
+	writeBatch(t, flatReg, &a, []flatRec{flat}, false)
+	writeBatch(t, nestedReg, &b, []nestedRec{nested}, false)
+	if !bytes.Equal(a.Bytes(), b.Bytes()) {
+		t.Fatalf("nested encoding differs from flat:\n flat   %x\n nested %x", a.Bytes(), b.Bytes())
 	}
 
 	var stream bytes.Buffer
-	if err := NewEncoder(&stream, nestedReg).Encode(&nested); err != nil {
-		t.Fatal(err)
-	}
+	writeBatch(t, nestedReg, &stream, []nestedRec{nested}, true)
 	rec, err := NewDecoder(&stream, nestedReg).Decode()
 	if err != nil {
 		t.Fatal(err)
@@ -110,11 +103,12 @@ func TestPlanFrameBuildersRoundTrip(t *testing.T) {
 		{ID: 1, Src: endpoint{1, 10}, Dst: endpoint{2, 80}, Class: "a", Dur: time.Second},
 		{ID: 2, Src: endpoint{3, 11}, Dst: endpoint{4, 81}, Class: "b", Dur: time.Minute},
 	}
-	// Stream = def frame + one record frame + one columns frame,
-	// assembled by hand the way the pubsub broker does.
+	// Stream = def frame + a one-row compressed columns frame + a plain
+	// columns frame, assembled by hand the way the pubsub broker does.
 	var stream []byte
 	stream = p.Format().AppendDef(stream)
-	stream, err := p.AppendRecordFrame(stream, &batch[0])
+	_, first := StructColumns(reg, batch[:1])
+	stream, _, err := p.AppendCompressedColumnsFrame(stream, first)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,11 +148,7 @@ func TestPlanFrameBuildersRoundTrip(t *testing.T) {
 	if err != nil || n != 0 || len(stream) != before {
 		t.Fatalf("empty batch: n=%d err=%v grew=%v", n, err, len(stream) != before)
 	}
-	// Wrong types are rejected: a record of another type, and rows of a
-	// type the registry has no plan for.
-	if _, err := p.AppendRecordFrame(nil, flatRec{}); err == nil {
-		t.Fatal("wrong record type accepted")
-	}
+	// Rows of a type the registry has no plan for are rejected.
 	if bp, cols := StructColumns(reg, []flatRec{{}}); bp != nil || cols != nil {
 		t.Fatal("rows of an unregistered type got a plan")
 	}

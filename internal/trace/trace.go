@@ -1,12 +1,13 @@
-// Package trace records kprof event streams to PBIO-encoded logs and
-// replays them offline. The paper's GPA works from per-node monitoring
-// logs; this package provides the same capability at event granularity,
-// so analyses can be developed and re-run against captured traces
-// ("auditing, workload prediction, and system modeling") without
-// re-running the system.
+// Package trace records kprof event streams to PBIO-encoded logs, the
+// events in batches of columns, and replays them offline. The paper's GPA
+// works from per-node monitoring logs; this package provides the same
+// capability at event granularity, so analyses can be developed and
+// re-run against captured traces ("auditing, workload prediction, and
+// system modeling") without re-running the system.
 package trace
 
 import (
+	"bufio"
 	"errors"
 	"fmt"
 	"io"
@@ -17,90 +18,60 @@ import (
 	"sysprof/internal/simnet"
 )
 
-// WireEvent is the flat (PBIO-encodable) form of kprof.Event.
-type WireEvent struct {
-	Type  uint8
-	CPU   uint8
-	Node  uint16
-	PID   int32
-	PID2  int32
-	GID   int32
-	Time  time.Duration
-	SrcN  uint16
-	SrcP  uint16
-	DstN  uint16
-	DstP  uint16
-	MsgID uint64
-	Seq   int32
-	Last  bool
-	Bytes int32
-	Aux   int64
-	Tag   uint64
-	Proc  string
-}
+// traceRows is how many events one columns frame of a trace carries.
+const traceRows = 1024
 
-// ToWire flattens an event.
-func ToWire(ev *kprof.Event) WireEvent {
-	return WireEvent{
-		Type: uint8(ev.Type), CPU: ev.CPU, Node: uint16(ev.Node),
-		PID: ev.PID, PID2: ev.PID2, GID: ev.GID, Time: ev.Time,
-		SrcN: uint16(ev.Flow.Src.Node), SrcP: ev.Flow.Src.Port,
-		DstN: uint16(ev.Flow.Dst.Node), DstP: ev.Flow.Dst.Port,
-		MsgID: ev.MsgID, Seq: ev.Seq, Last: ev.Last, Bytes: ev.Bytes,
-		Aux: ev.Aux, Tag: ev.Tag, Proc: ev.Proc,
-	}
-}
+// traceReg holds the trace format: kprof.Event itself, its nested flow
+// flattened by pbio.
+var (
+	traceReg    = pbio.NewRegistry()
+	traceFormat = traceReg.MustRegister("sysprof.trace.event", kprof.Event{})
+)
 
-// FromWire reconstructs an event.
-func FromWire(w *WireEvent) kprof.Event {
-	return kprof.Event{
-		Type: kprof.EventType(w.Type), CPU: w.CPU, Node: simnet.NodeID(w.Node),
-		PID: w.PID, PID2: w.PID2, GID: w.GID, Time: w.Time,
-		Flow: simnet.FlowKey{
-			Src: simnet.Addr{Node: simnet.NodeID(w.SrcN), Port: w.SrcP},
-			Dst: simnet.Addr{Node: simnet.NodeID(w.DstN), Port: w.DstP},
-		},
-		MsgID: w.MsgID, Seq: w.Seq, Last: w.Last, Bytes: w.Bytes,
-		Aux: w.Aux, Tag: w.Tag, Proc: w.Proc,
-	}
-}
-
-// registry returns a PBIO registry with the trace format.
-func registry() (*pbio.Registry, error) {
-	reg := pbio.NewRegistry()
-	if _, err := reg.Register("sysprof.trace.event", WireEvent{}); err != nil {
-		return nil, fmt.Errorf("trace: %w", err)
-	}
-	return reg, nil
-}
-
-// Writer records events to a stream.
+// Writer records events to a stream: the format definition once, then one
+// raw-coded compressed columns frame per traceRows events.
 type Writer struct {
-	enc    *pbio.Encoder
+	w      io.Writer
+	batch  []kprof.Event
+	buf    []byte
 	events uint64
 	err    error
 	subs   []*kprof.Subscription
 }
 
-// NewWriter returns a trace writer targeting w.
+// NewWriter returns a trace writer targeting w, having written the trace
+// format's definition to it.
 func NewWriter(w io.Writer) (*Writer, error) {
-	reg, err := registry()
-	if err != nil {
-		return nil, err
+	if _, err := w.Write(traceFormat.AppendDef(nil)); err != nil {
+		return nil, fmt.Errorf("trace: write format: %w", err)
 	}
-	return &Writer{enc: pbio.NewEncoder(w, reg)}, nil
+	return &Writer{w: w, batch: make([]kprof.Event, 0, traceRows)}, nil
 }
 
-// Write records one event.
+// Write records one event. It is written out with the rest of its batch,
+// or by Close.
 func (t *Writer) Write(ev *kprof.Event) {
 	if t.err != nil {
 		return
 	}
-	if err := t.enc.Encode(ToWire(ev)); err != nil {
-		t.err = err
-		return
-	}
+	t.batch = append(t.batch, *ev)
 	t.events++
+	if len(t.batch) == traceRows {
+		t.flush()
+	}
+}
+
+// flush writes the buffered events as one frame.
+func (t *Writer) flush() {
+	p, cols := pbio.StructColumns(traceReg, t.batch)
+	var err error
+	if t.buf, _, err = p.AppendCompressedColumnsFrame(t.buf[:0], cols); err == nil {
+		_, err = t.w.Write(t.buf)
+	}
+	if err != nil {
+		t.err = fmt.Errorf("trace: write: %w", err)
+	}
+	t.batch = t.batch[:0]
 }
 
 // Attach subscribes the writer to a hub for the given mask, recording
@@ -120,20 +91,29 @@ func (t *Writer) Detach() {
 	t.subs = nil
 }
 
-// Events returns how many events were recorded.
-func (t *Writer) Events() uint64 { return t.events }
+// Close writes the last partial batch and returns the first write error;
+// after an error the writer records nothing more. Close does not close
+// the underlying writer; call it after the last Write.
+func (t *Writer) Close() error {
+	if t.err == nil && len(t.batch) > 0 {
+		t.flush()
+	}
+	return t.err
+}
 
-// Err returns the first write error, if any.
-func (t *Writer) Err() error { return t.err }
+// Events returns how many events were recorded, counting those buffered
+// for the next frame.
+func (t *Writer) Events() uint64 { return t.events }
 
 // Replay decodes a trace, invoking fn per event in stream order. It
 // returns the number of events replayed. fn may return an error to abort.
 func Replay(r io.Reader, fn func(*kprof.Event) error) (int, error) {
-	reg, err := registry()
-	if err != nil {
-		return 0, err
+	if _, ok := r.(io.ByteReader); !ok {
+		// The decoder reads a field at a time; without a buffer each is a
+		// read(2) on a file.
+		r = bufio.NewReader(r)
 	}
-	dec := pbio.NewDecoder(r, reg)
+	dec := pbio.NewDecoder(r, traceReg)
 	n := 0
 	for {
 		rec, err := dec.Decode()
@@ -143,12 +123,11 @@ func Replay(r io.Reader, fn func(*kprof.Event) error) (int, error) {
 		if err != nil {
 			return n, fmt.Errorf("trace: replay: %w", err)
 		}
-		w, ok := rec.Value.(*WireEvent)
+		ev, ok := rec.Value.(*kprof.Event)
 		if !ok {
 			continue // unknown format in a mixed stream: skip
 		}
-		ev := FromWire(w)
-		if err := fn(&ev); err != nil {
+		if err := fn(ev); err != nil {
 			return n, err
 		}
 		n++

@@ -3,6 +3,8 @@ package trace
 import (
 	"bytes"
 	"errors"
+	"io"
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
@@ -14,24 +16,72 @@ import (
 	"sysprof/internal/simos"
 )
 
+// TestWireRoundTripProperty: every field of every event written through a
+// Writer comes back from Replay, in order, whether the trace ends on a
+// full batch or a partial one.
 func TestWireRoundTripProperty(t *testing.T) {
-	prop := func(typ uint8, pid int32, bytes int32, aux int64, tag uint64, proc string,
-		sn, sp, dn, dp uint16) bool {
-		ev := kprof.Event{
-			Type: kprof.EventType(typ%18 + 1), PID: pid, Bytes: bytes,
-			Aux: aux, Tag: tag, Proc: proc,
-			Flow: simnet.FlowKey{
-				Src: simnet.Addr{Node: simnet.NodeID(sn), Port: sp},
-				Dst: simnet.Addr{Node: simnet.NodeID(dn), Port: dp},
-			},
-			Time: 12345 * time.Microsecond, Node: 3, Last: true, Seq: 7,
+	prop := func(evs []kprof.Event, frames uint8) bool {
+		// Lead with up to two whole frames of zero events: the trace then
+		// spans several frames, ending on a partial one unless evs is empty.
+		evs = append(make([]kprof.Event, int(frames%3)*traceRows), evs...)
+		var buf bytes.Buffer
+		w, err := NewWriter(&buf)
+		if err != nil {
+			t.Fatal(err)
 		}
-		w := ToWire(&ev)
-		back := FromWire(&w)
-		return back == ev
+		for i := range evs {
+			w.Write(&evs[i])
+		}
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		var got []kprof.Event
+		if _, err := Replay(&buf, func(ev *kprof.Event) error {
+			got = append(got, *ev)
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		return slices.Equal(got, evs)
 	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
+	if err := quick.Check(prop, &quick.Config{MaxCount: 20}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// readCounter hides every method of a reader but Read, as a file does, and
+// counts the calls.
+type readCounter struct {
+	r     io.Reader
+	reads int
+}
+
+func (c *readCounter) Read(p []byte) (int, error) {
+	c.reads++
+	return c.r.Read(p)
+}
+
+// TestReplayBuffersFileReads: Replay over a reader without ReadByte reads
+// in blocks, not a field at a time.
+func TestReplayBuffersFileReads(t *testing.T) {
+	var buf bytes.Buffer
+	w, err := NewWriter(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const events = 1000
+	for i := 0; i < events; i++ {
+		w.Write(&kprof.Event{Type: kprof.EvNetRx, PID: int32(i), Proc: "httpd"})
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	r := &readCounter{r: &buf}
+	if n, err := Replay(r, func(*kprof.Event) error { return nil }); err != nil || n != events {
+		t.Fatalf("replayed %d, err %v", n, err)
+	}
+	if r.reads > events/10 {
+		t.Fatalf("%d reads for %d events, want well under one per event", r.reads, events)
 	}
 }
 
@@ -50,8 +100,8 @@ func TestRecordAndReplay(t *testing.T) {
 	}
 	w.Detach()
 	hub.Emit(&kprof.Event{Type: kprof.EvNetRx, PID: 99}) // not recorded
-	if w.Events() != 10 || w.Err() != nil {
-		t.Fatalf("events=%d err=%v", w.Events(), w.Err())
+	if err := w.Close(); w.Events() != 10 || err != nil {
+		t.Fatalf("events=%d err=%v", w.Events(), err)
 	}
 
 	var got []kprof.Event
@@ -78,6 +128,9 @@ func TestReplayAborts(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		hub.Emit(&kprof.Event{Type: kprof.EvNetRx})
 	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
 	boom := errors.New("boom")
 	n, err := Replay(&buf, func(*kprof.Event) error { return boom })
 	if !errors.Is(err, boom) || n != 0 {
@@ -92,6 +145,9 @@ func TestReplayTruncatedStream(t *testing.T) {
 	hub.SetPerEventCost(0)
 	w.Attach(hub, kprof.MaskAll())
 	hub.Emit(&kprof.Event{Type: kprof.EvNetRx})
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
 	raw := buf.Bytes()
 	if _, err := Replay(bytes.NewReader(raw[:len(raw)-3]), func(*kprof.Event) error { return nil }); err == nil {
 		t.Fatal("truncated trace replayed cleanly")
@@ -151,6 +207,7 @@ func TestOfflineAnalysisMatchesLive(t *testing.T) {
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
 	}
+	tw.Close()
 	liveLPA.FlushOpen()
 	live := liveLPA.Window().Snapshot()
 	if len(live) != 5 {
