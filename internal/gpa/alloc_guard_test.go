@@ -19,8 +19,9 @@ import (
 func TestIngestSteadyStateZeroAlloc(t *testing.T) {
 	const batchSize = 512
 	// Warm until every internal structure reaches its settled size: the
-	// pending map, the node windows, and the correlated-history ring
-	// (MaxCorrelated entries fill over the first several batches).
+	// pending map, the node windows, and the correlated history's backing
+	// array (it grows to its trim limit over the first several batches and
+	// is reused from then on).
 	const warmup = 32
 	g := benchGPA()
 	cols := benchColumns(batchSize)

@@ -65,9 +65,6 @@ type batchCorrelator struct {
 	candNode  []simnet.NodeID
 	candStart []time.Duration
 
-	// touched load windows, pruned once at end of run.
-	touched []*nodeWindow
-
 	nodeCache [nodeCacheSize]nodeCacheEntry
 }
 
@@ -263,11 +260,11 @@ func (g *GPA) correlateRunLocked(s *shard, cols *core.RecordColumns, lo, hi int)
 	// emits matches. Emitting here — not in phase B — keeps the global
 	// sequence counter in batch row order of the completing record, which
 	// is the order the sequential oracle assigns. Per-node map probes are
-	// memoized through the shard's node cache; load windows are pruned
-	// once per touched node at end of run (the cutoff is constant within
-	// a run, so the retained suffix is identical).
+	// memoized through the shard's node cache; the load window's oldest
+	// live bucket is read once per run (the clock does not move within
+	// one).
 	s.stats.Ingested += uint64(n)
-	c.touched = c.touched[:0]
+	oldest := g.oldestLoadBucket()
 	for rel := 0; rel < n; rel++ {
 		row := lo + rel
 		node := cols.Nodes[row]
@@ -284,11 +281,6 @@ func (g *GPA) correlateRunLocked(s *shard, cols *core.RecordColumns, lo, hi int)
 				s.byClass[node] = classes
 			}
 			*ce = nodeCacheEntry{node: node, nw: nw, classes: classes}
-		}
-		nw := ce.nw
-		if last := len(c.touched); last == 0 || c.touched[last-1] != nw {
-			//lint:ignore hotalloc touched-window scratch grows to the run's node count once; steady-state batches reuse it
-			c.touched = append(c.touched, nw)
 		}
 		class := cols.Classes[row]
 		agg := ce.agg
@@ -307,8 +299,7 @@ func (g *GPA) correlateRunLocked(s *shard, cols *core.RecordColumns, lo, hi int)
 		}
 		bufw := cols.BufferWaits[row]
 		ker := cols.ProtoTimes[row] + bufw + cols.SyscallTimes[row] + cols.TxTimes[row]
-		//lint:ignore hotalloc load-window append reuses steady-state capacity; growth only while a window warms up
-		nw.samples = append(nw.samples, loadSample{end: end, res: res, ker: ker, buf: bufw})
+		ce.nw.add(g.bucketOf(end), oldest, res, ker, bufw)
 		agg.Count++
 		agg.TotalResidence += res
 		agg.TotalUser += cols.UserTimes[row]
@@ -329,14 +320,7 @@ func (g *GPA) correlateRunLocked(s *shard, cols *core.RecordColumns, lo, hi int)
 		// overwritten (CopyRow and the residue copy write whole records),
 		// so extending over a stale trimmed entry is safe, and the pair
 		// never round-trips through 240-byte stack temporaries.
-		slot := len(s.correlated)
-		if slot == cap(s.correlated) {
-			//lint:ignore hotalloc correlated-history growth up to the retention cap; steady-state batches reuse it
-			s.correlated = append(s.correlated, seqE2E{})
-		} else {
-			s.correlated = s.correlated[:slot+1]
-		}
-		t := &s.correlated[slot]
+		t := g.nextCorrelatedLocked(s)
 		t.seq = g.seq.Add(1)
 		t.e2e.Flow = cols.Flows[row]
 		// The record observed at the flow's destination node is the
@@ -355,9 +339,6 @@ func (g *GPA) correlateRunLocked(s *shard, cols *core.RecordColumns, lo, hi int)
 		}
 		s.stats.Correlated++
 		g.trimCorrelatedLocked(s)
-	}
-	for _, nw := range c.touched {
-		g.pruneWindow(nw)
 	}
 
 	// Phase D: write each flow's surviving candidates back. Residue

@@ -117,7 +117,7 @@ func TestColumnarRowEquivalence(t *testing.T) {
 		traffic := equivalenceTraffic(rng, now, 6000)
 
 		oracle := build()
-		oracle.ingestRows(traffic)
+		oracle.ingestRows(traffic, nil)
 
 		batched := build()
 		cols := core.NewRecordColumns(128)

@@ -37,7 +37,10 @@ type fedHarness struct {
 	dials map[int]int
 
 	openConns atomic.Int32 // frontend ends dialed and not yet closed
+	clock     atomic.Int64 // every analyzer's now; zero unless a test moves it
 }
+
+func (h *fedHarness) now() time.Duration { return time.Duration(h.clock.Load()) }
 
 // harnessConn is the frontend's end of a pipe; closing it is counted.
 type harnessConn struct {
@@ -93,12 +96,12 @@ func (h *fedHarness) serve(g *GPA, conn net.Conn) {
 func newFedHarness(t testing.TB, n int, cfg Config) *fedHarness {
 	t.Helper()
 	h := &fedHarness{
-		mono: New(cfg, func() time.Duration { return 0 }),
 		dead: make(map[int]bool), pipes: make(map[int][]net.Conn), dials: make(map[int]int),
 	}
+	h.mono = New(cfg, h.now)
 	endpoints := make([]string, n)
 	for i := 0; i < n; i++ {
-		h.shards = append(h.shards, New(cfg, func() time.Duration { return 0 }))
+		h.shards = append(h.shards, New(cfg, h.now))
 		endpoints[i] = strconv.Itoa(i)
 	}
 	fe, err := NewFrontend(endpoints, WithDialFunc(func(addr string) (net.Conn, error) {

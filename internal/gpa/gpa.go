@@ -52,17 +52,82 @@ func (e *EndToEnd) NetworkDelay() time.Duration {
 	return d
 }
 
-// loadSample is the compact per-record slice of what load queries need:
-// the completion time for window pruning plus the three durations
-// ServerLoad averages. 32 bytes per record instead of a full Record copy
-// keeps the per-node windows cache-resident on the ingest hot path.
-type loadSample struct {
-	end, res, ker, buf time.Duration
+// loadBuckets is how many fixed-width time buckets a load window is cut
+// into. A window spans at most loadBuckets+1 of them (the cutoff rarely
+// falls on a bucket edge), so what a node's window costs is set by this
+// constant, not by how many records the node reports.
+const loadBuckets = 64
+
+// loadBucket sums the load of the records that completed in one
+// bucket-width slice of time: every record whose End / width is idx.
+type loadBucket struct {
+	idx           int64
+	n             int64
+	res, ker, buf time.Duration
 }
 
-// nodeWindow keeps a node's recent load samples for load queries.
+// nodeWindow is a node's recent load for load queries: its buckets in
+// ascending idx order, grown lazily (a node seen once holds one bucket)
+// and never more than loadBuckets+1 long.
 type nodeWindow struct {
-	samples []loadSample
+	buckets []loadBucket
+}
+
+// add folds one record's load into bucket idx. oldest is the first live
+// bucket — the one the load-window cutoff falls in. Opening a bucket
+// expires those before oldest or more than loadBuckets behind the newest,
+// and a record that would land in an expired bucket is dropped: no query
+// can count it. An out-of-order end finds its bucket by a short scan from
+// the back. The backing array doubles up to loadBuckets+1 and no further.
+//
+//sysprof:nonblocking
+func (nw *nodeWindow) add(idx, oldest int64, res, ker, buf time.Duration) {
+	b := nw.buckets
+	k := len(b)
+	if k > 0 && b[k-1].idx == idx && idx >= oldest {
+		b[k-1].fold(res, ker, buf)
+		return
+	}
+	if k > 0 {
+		oldest = max(oldest, max(b[k-1].idx, idx)-loadBuckets)
+	}
+	if idx < oldest {
+		return
+	}
+	expired := 0
+	for expired < k && b[expired].idx < oldest {
+		expired++
+	}
+	if expired > 0 {
+		k = copy(b, b[expired:])
+		b = b[:k]
+	}
+	at := k
+	for at > 0 && b[at-1].idx > idx {
+		at--
+	}
+	if at > 0 && b[at-1].idx == idx {
+		b[at-1].fold(res, ker, buf)
+		nw.buckets = b
+		return
+	}
+	if k == cap(b) {
+		grown := make([]loadBucket, k, min(max(2*k, 1), loadBuckets+1))
+		copy(grown, b)
+		b = grown
+	}
+	b = b[:k+1]
+	copy(b[at+1:], b[at:k])
+	b[at] = loadBucket{idx: idx}
+	b[at].fold(res, ker, buf)
+	nw.buckets = b
+}
+
+func (b *loadBucket) fold(res, ker, buf time.Duration) {
+	b.n++
+	b.res += res
+	b.ker += ker
+	b.buf += buf
 }
 
 // Config tunes the analyzer.
@@ -71,7 +136,11 @@ type Config struct {
 	// to be considered the same interaction. Must exceed the worst-case
 	// clock error plus one-way delay.
 	CorrelationWindow time.Duration
-	// LoadWindow is how much history ServerLoad considers.
+	// LoadWindow is how much history ServerLoad considers. Load is kept
+	// by completion time in buckets LoadWindow/64 wide (rounded up to a
+	// whole nanosecond), so the cutoff moves in bucket steps: ServerLoad
+	// counts from the start of the bucket the cutoff falls in, which
+	// admits at most one bucket width of extra history.
 	LoadWindow time.Duration
 	// MaxPending bounds uncorrelated records kept per flow.
 	MaxPending int
@@ -163,6 +232,8 @@ type GPA struct {
 	// Atomic so the federation retention knob can retune it at runtime
 	// while shards trim under their own locks.
 	perShardCap atomic.Int64
+	// bucketWidth is the load-window bucket width in nanoseconds.
+	bucketWidth int64
 	// seq orders correlations globally across shards.
 	seq atomic.Uint64
 	// dumps is kept out of the shards (not tied to any flow).
@@ -212,7 +283,8 @@ func New(cfg Config, now func() time.Duration) *GPA {
 	if cfg.StaleAfter < cfg.CorrelationWindow {
 		cfg.StaleAfter = cfg.CorrelationWindow
 	}
-	g := &GPA{cfg: cfg, shards: make([]shard, n), mask: uint64(n - 1), now: now}
+	g := &GPA{cfg: cfg, shards: make([]shard, n), mask: uint64(n - 1), now: now,
+		bucketWidth: (int64(cfg.LoadWindow) + loadBuckets - 1) / loadBuckets}
 	g.storeMaxCorrelated(cfg.MaxCorrelated)
 	for i := range g.shards {
 		s := &g.shards[i]
@@ -333,17 +405,53 @@ func absDur(d time.Duration) time.Duration {
 	return d
 }
 
+// trimLimit is the history length past which trimCorrelatedLocked cuts a
+// stripe back to its cap.
+func trimLimit(perShardCap int) int { return perShardCap + perShardCap/4 }
+
+// nextCorrelatedLocked extends the history by one slot and returns it;
+// the caller overwrites every field. A capped history's backing array
+// doubles up to trimLimit+1 — the longest it gets before the trim — and
+// never past it, so its size is set by MaxCorrelated and not by append's
+// growth policy. An unbounded one grows as append grows it.
+func (g *GPA) nextCorrelatedLocked(s *shard) *seqE2E {
+	n := len(s.correlated)
+	switch pc := int(g.perShardCap.Load()); {
+	case n < cap(s.correlated):
+		s.correlated = s.correlated[:n+1]
+	case pc <= 0:
+		s.correlated = append(s.correlated, seqE2E{})
+	default:
+		// max(..., n+1): the cap was lowered and this stripe has not
+		// trimmed since.
+		size := max(min(2*n, trimLimit(pc)+1), n+1)
+		grown := make([]seqE2E, n+1, size)
+		copy(grown, s.correlated)
+		s.correlated = grown
+	}
+	return &s.correlated[n]
+}
+
 // trimCorrelatedLocked enforces the count cap on one shard's correlated
 // history. Hysteresis (trim only past cap+25%, back down to the cap)
 // amortizes the O(n) memmove over many ingests instead of shifting one
-// slot per correlation at the cap.
+// slot per correlation at the cap. A backing array more than twice the
+// size the cap needs — left by a higher cap SetMaxCorrelated has since
+// lowered — is reallocated right-sized, as sweepStaleLocked does for
+// pending arrays, so the old high-water array is released.
 func (g *GPA) trimCorrelatedLocked(s *shard) {
-	cap := int(g.perShardCap.Load())
-	if cap <= 0 || len(s.correlated) <= cap+cap/4 {
+	pc := int(g.perShardCap.Load())
+	if pc <= 0 || len(s.correlated) <= trimLimit(pc) {
 		return
 	}
-	drop := len(s.correlated) - cap
+	drop := len(s.correlated) - pc
 	s.stats.CorrelatedEvicted += uint64(drop)
+	if need := trimLimit(pc) + 1; cap(s.correlated) > 2*need {
+		shrunk := make([]seqE2E, pc, need)
+		copy(shrunk, s.correlated[drop:])
+		s.correlated = shrunk
+		return
+	}
 	n := copy(s.correlated, s.correlated[drop:])
 	tail := s.correlated[n:]
 	for i := range tail {
@@ -382,16 +490,18 @@ func (g *GPA) trimCorrelatedByAgeLocked(s *shard) {
 	s.correlated = kept
 }
 
-func (g *GPA) pruneWindow(nw *nodeWindow) {
-	cutoff := g.now() - g.cfg.LoadWindow
-	i := 0
-	for i < len(nw.samples) && nw.samples[i].end < cutoff {
-		i++
+// bucketOf is the load bucket a time falls in (floor division, so a
+// cutoff before time zero lands in a negative bucket, not bucket 0).
+func (g *GPA) bucketOf(t time.Duration) int64 {
+	idx := int64(t) / g.bucketWidth
+	if t < 0 && int64(t)%g.bucketWidth != 0 {
+		idx--
 	}
-	if i > 0 {
-		nw.samples = append(nw.samples[:0], nw.samples[i:]...)
-	}
+	return idx
 }
+
+// oldestLoadBucket is the first bucket the load window still covers.
+func (g *GPA) oldestLoadBucket() int64 { return g.bucketOf(g.now() - g.cfg.LoadWindow) }
 
 // sweepStaleLocked drops pending records whose counterpart can no longer
 // arrive (older than StaleAfter). Without this, flows whose peer endpoint
@@ -616,24 +726,25 @@ type Load struct {
 }
 
 // ServerLoad reports a node's load over the sliding window, merged across
-// shards. Nodes with no recent records return a zero Load (treated as
-// idle).
+// shards: the records completed from the start of the bucket the window's
+// cutoff falls in. Nodes with no recent records return a zero Load
+// (treated as idle). It reads the windows and changes nothing.
 func (g *GPA) ServerLoad(node simnet.NodeID) Load {
 	l := Load{Node: node}
 	var res, ker, buf time.Duration
 	count := 0
+	oldest := g.oldestLoadBucket()
 	for i := range g.shards {
 		s := &g.shards[i]
 		s.mu.Lock()
 		if nw := s.byNode[node]; nw != nil {
-			g.pruneWindow(nw)
-			for j := range nw.samples {
-				sm := &nw.samples[j]
-				res += sm.res
-				ker += sm.ker
-				buf += sm.buf
+			for j := len(nw.buckets) - 1; j >= 0 && nw.buckets[j].idx >= oldest; j-- {
+				b := &nw.buckets[j]
+				res += b.res
+				ker += b.ker
+				buf += b.buf
+				count += int(b.n)
 			}
-			count += len(nw.samples)
 		}
 		s.mu.Unlock()
 	}

@@ -15,15 +15,19 @@ import (
 // helper (shards, pending map, trim, sweep) with the shipping code, so
 // the differential test in columns_test.go compares two correlation
 // algorithms and nothing else.
+//
+// It also keeps the per-sample load window the time buckets replaced
+// (sampleWindows): load_window_test.go holds ServerLoad to it.
 
 // ingestRows feeds records through the row oracle in order, one lock
-// round trip per record.
-func (g *GPA) ingestRows(recs []core.Record) {
+// round trip per record. A non-nil samples also keeps every record's
+// per-sample load, the reference the bucketed load window is held to.
+func (g *GPA) ingestRows(recs []core.Record, samples sampleWindows) {
 	for _, rec := range recs {
 		key := rec.Flow.Canonical()
 		s := g.shardFor(key)
 		s.mu.Lock()
-		g.ingestLocked(s, key, rec)
+		g.ingestLocked(s, key, rec, samples)
 		s.mu.Unlock()
 	}
 }
@@ -31,7 +35,7 @@ func (g *GPA) ingestRows(recs []core.Record) {
 // ingestLocked is the sequential per-record ingest step, verbatim from
 // the row path IngestColumns replaced; callers hold s.mu and pass the
 // record's canonical flow key.
-func (g *GPA) ingestLocked(s *shard, key simnet.FlowKey, rec core.Record) {
+func (g *GPA) ingestLocked(s *shard, key simnet.FlowKey, rec core.Record, samples sampleWindows) {
 	s.stats.Ingested++
 
 	// Per-node window and per-class aggregates.
@@ -40,10 +44,10 @@ func (g *GPA) ingestLocked(s *shard, key simnet.FlowKey, rec core.Record) {
 		nw = &nodeWindow{}
 		s.byNode[rec.Node] = nw
 	}
-	nw.samples = append(nw.samples, loadSample{
-		end: rec.End, res: rec.Residence(), ker: rec.KernelTime(), buf: rec.BufferWait,
-	})
-	g.pruneWindow(nw)
+	nw.add(g.bucketOf(rec.End), g.oldestLoadBucket(), rec.Residence(), rec.KernelTime(), rec.BufferWait)
+	if samples != nil {
+		samples.add(&rec)
+	}
 
 	classes := s.byClass[rec.Node]
 	if classes == nil {
@@ -93,7 +97,7 @@ func (g *GPA) ingestLocked(s *shard, key simnet.FlowKey, rec core.Record) {
 		} else {
 			e2e.Server, e2e.Client = p, rec
 		}
-		s.correlated = append(s.correlated, seqE2E{seq: g.seq.Add(1), e2e: e2e})
+		*g.nextCorrelatedLocked(s) = seqE2E{seq: g.seq.Add(1), e2e: e2e}
 		s.stats.Correlated++
 		g.trimCorrelatedLocked(s)
 		kept := append(peers[:i], peers[i+1:]...)
@@ -122,4 +126,41 @@ func (g *GPA) ingestLocked(s *shard, key simnet.FlowKey, rec core.Record) {
 		s.stats.Uncorrelated += uint64(drop) // each eviction counted once
 	}
 	s.pending[key] = append(peers, rec)
+}
+
+// loadSample is one record's share of a node's load: what the per-node
+// window held for every record before load was kept in time buckets.
+type loadSample struct {
+	end, res, ker, buf time.Duration
+}
+
+// sampleWindows is the per-sample load reference: every sample the row
+// oracle ingested, by node, never pruned.
+type sampleWindows map[simnet.NodeID][]loadSample
+
+func (w sampleWindows) add(rec *core.Record) {
+	w[rec.Node] = append(w[rec.Node], loadSample{
+		end: rec.End, res: rec.Residence(), ker: rec.KernelTime(), buf: rec.BufferWait,
+	})
+}
+
+// load is ServerLoad over the samples of node that completed at or after
+// cutoff, with ServerLoad's arithmetic.
+func (w sampleWindows) load(node simnet.NodeID, cutoff time.Duration) Load {
+	l := Load{Node: node}
+	var res, ker, buf time.Duration
+	for _, sm := range w[node] {
+		if sm.end < cutoff {
+			continue
+		}
+		l.Interactions++
+		res += sm.res
+		ker += sm.ker
+		buf += sm.buf
+	}
+	if l.Interactions > 0 {
+		n := time.Duration(l.Interactions)
+		l.MeanResidence, l.MeanKernel, l.MeanBufferWait = res/n, ker/n, buf/n
+	}
+	return l
 }
