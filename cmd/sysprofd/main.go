@@ -125,7 +125,7 @@ func run(opts options, sig <-chan os.Signal) error {
 	fs.Register("/sysprof/"+server.Name()+"/syscalls", func() string {
 		var out string
 		for _, st := range sysLPA.Stats() {
-			out += fmt.Sprintf("%-12s count=%-8d total=%-12v mean=%-10v p99<=%v\n",
+			out += fmt.Sprintf("%-12s count=%-8d total=%-12v mean=%-10v p99=%v\n",
 				st.Name, st.Count, st.Total, st.Mean, st.P99)
 		}
 		return out

@@ -1,13 +1,12 @@
 // Command sysproflint runs the SysProf static-analysis suite
-// (internal/lint) over the module: hot-path invariants — non-blocking
-// emit paths, zero-allocation annotations, lock hygiene, frame
-// reference balance, atomic access discipline — enforced before the
-// code runs, the way the eBPF verifier vets tracing programs before
-// they load.
+// (internal/lint) over the module: hot-path contracts — non-blocking
+// emit and publish paths, zero-allocation annotations, atomic access
+// discipline on shared fields — enforced before the code runs, the way
+// the eBPF verifier vets tracing programs before they load.
 //
 // Usage:
 //
-//	go run ./cmd/sysproflint [-analyzers nonblock,lockcheck] [packages...]
+//	go run ./cmd/sysproflint [-analyzers nonblock,hotalloc] [packages...]
 //
 // Packages default to ./... (the whole module). The exit status is 0 when
 // no diagnostics were produced, 1 when there were findings, and 2 on
@@ -64,8 +63,8 @@ func main() {
 
 	for _, d := range diags {
 		// One grep-able file:line:col line per finding; evidence chains
-		// (cross-package call paths, lock acquisition paths) follow as
-		// indented continuation lines.
+		// (cross-package call paths) follow as indented continuation
+		// lines.
 		fmt.Println(d.Detail())
 	}
 	if len(diags) > 0 {

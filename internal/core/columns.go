@@ -144,7 +144,6 @@ func growSlice[T any](s []T, n int) []T {
 func (c *RecordColumns) AppendRow(r Record) {
 	i := len(c.IDs)
 	if i == cap(c.IDs) {
-		//lint:ignore hotalloc capacity raise: doubles the columns when the preallocated buffer capacity is exceeded, never on the steady-state path
 		c.Grow(max(i, 64))
 	}
 	c.IDs = c.IDs[:i+1]

@@ -1,6 +1,9 @@
 package core
 
 import (
+	"math"
+	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
@@ -32,24 +35,44 @@ func TestHistogramBasics(t *testing.T) {
 	if h.Min() != 0 {
 		t.Fatalf("negative sample not clamped: min=%v", h.Min())
 	}
+	if n := testing.AllocsPerRun(100, func() { h.Record(time.Hour) }); n != 0 {
+		t.Fatalf("Record allocates %v times", n)
+	}
 }
 
+// TestHistogramQuantileBounds checks every quantile against the exact
+// nearest-rank quantile of the sorted samples: within 6.25 %, and never
+// outside [Min, Max].
 func TestHistogramQuantileBounds(t *testing.T) {
-	var h Histogram
-	for i := 0; i < 1000; i++ {
-		h.Record(time.Duration(i) * time.Microsecond)
+	rng := rand.New(rand.NewSource(1))
+	sets := map[string]func() time.Duration{
+		"uniform":  func() time.Duration { return time.Duration(rng.Intn(1000)) * time.Microsecond },
+		"exp":      func() time.Duration { return time.Duration(rng.ExpFloat64() * 1e6) },
+		"heavy":    func() time.Duration { return time.Duration(math.Pow(10, 3+6*rng.Float64())) },
+		"small":    func() time.Duration { return time.Duration(rng.Intn(40)) },
+		"constant": func() time.Duration { return 9602 * time.Microsecond },
 	}
-	p50 := h.Quantile(0.5)
-	p99 := h.Quantile(0.99)
-	if p50 > p99 {
-		t.Fatalf("p50 %v > p99 %v", p50, p99)
-	}
-	// The q-quantile upper bound must be >= the true quantile value.
-	if p50 < 500*time.Microsecond/2 {
-		t.Fatalf("p50 bound %v implausibly small", p50)
-	}
-	if h.Quantile(-1) == 0 || h.Quantile(2) < h.Quantile(1)/2 {
-		t.Fatal("quantile clamping broken")
+	for name, gen := range sets {
+		for _, n := range []int{1, 7, 100, 5000} {
+			var h Histogram
+			samples := make([]time.Duration, n)
+			for i := range samples {
+				samples[i] = gen()
+				h.Record(samples[i])
+			}
+			slices.Sort(samples)
+			for _, q := range []float64{-1, 0, 0.01, 0.25, 0.5, 0.9, 0.99, 0.999, 1, 2} {
+				rank := int(math.Ceil(min(max(q, 0), 1) * float64(n)))
+				exact := samples[max(rank, 1)-1]
+				got := h.Quantile(q)
+				if got < h.Min() || got > h.Max() {
+					t.Fatalf("%s n=%d: q%v = %v outside [%v, %v]", name, n, q, got, h.Min(), h.Max())
+				}
+				if diff := (got - exact).Abs(); diff > exact/16 {
+					t.Fatalf("%s n=%d: q%v = %v, exact %v (off by %v)", name, n, q, got, exact, diff)
+				}
+			}
+		}
 	}
 }
 
@@ -69,6 +92,14 @@ func TestHistogramMerge(t *testing.T) {
 	a.Merge(&empty) // no-op
 	if a.Count() != 3 {
 		t.Fatal("merge with empty changed count")
+	}
+	// Exact: the merge equals one histogram fed every sample.
+	var all Histogram
+	for _, d := range []time.Duration{time.Millisecond, 3 * time.Millisecond, time.Microsecond} {
+		all.Record(d)
+	}
+	if a != all {
+		t.Fatal("merged histogram differs from one fed every sample")
 	}
 }
 

@@ -95,7 +95,6 @@ func (t *hashedTable) Get(key simnet.FlowKey) *flowState {
 		}
 		i = (i + 1) & t.mask
 	}
-	//lint:ignore hotalloc one flowState per new flow, amortized across the flow's lifetime
 	fs := newFlowState(ck)
 	fs.hash = h
 	if (t.n+1)*100 > len(t.slots)*maxLoadPercent {

@@ -274,7 +274,7 @@ func FuzzDecodeCompressedColumns(f *testing.F) {
 	// A varint that never terminates: ten continuation bytes.
 	f.Add(append(bytes.Clone(small), 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF))
 
-	// Wiretaint-identified boundaries. The 0x05 frame's row count lives
+	// Length boundaries. The 0x05 frame's row count lives
 	// right after the def frame: [kind][format id u32][rows u32]. Patch
 	// hostile counts into the valid stream: MaxColumnReserve cap-1/cap/
 	// cap+1 (the decoder's preallocation clamp), and maxBatchLen at and

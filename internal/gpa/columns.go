@@ -71,7 +71,6 @@ type batchCorrelator struct {
 // growInt32 returns scratch of length n, reusing capacity.
 func growInt32(s []int32, n int) []int32 {
 	if cap(s) < n {
-		//lint:ignore hotalloc scratch grows to the largest run length once; steady-state batches reuse it
 		return make([]int32, n)
 	}
 	return s[:n]
@@ -164,7 +163,6 @@ func (g *GPA) correlateRunLocked(s *shard, cols *core.RecordColumns, lo, hi int)
 			if v == 0 {
 				gi = int32(len(c.groups))
 				c.slots[idx] = gi + 1
-				//lint:ignore hotalloc scratch grows to the largest flow count once; steady-state batches reuse it
 				c.groups = append(c.groups, flowGroup{key: key, head: int32(rel), tail: int32(rel)})
 				break
 			}
@@ -200,7 +198,6 @@ func (g *GPA) correlateRunLocked(s *shard, cols *core.RecordColumns, lo, hi int)
 		c.candNode = c.candNode[:0]
 		c.candStart = c.candStart[:0]
 		for ri := range orig {
-			//lint:ignore hotalloc candidate scratch grows to the deepest pending flow once; steady-state batches reuse it
 			c.candRef = append(c.candRef, int32(^ri))
 			c.candNode = append(c.candNode, orig[ri].Node)
 			c.candStart = append(c.candStart, orig[ri].Start)
@@ -251,7 +248,6 @@ func (g *GPA) correlateRunLocked(s *shard, cols *core.RecordColumns, lo, hi int)
 			}
 		}
 		grp.survLo = int32(len(c.surv))
-		//lint:ignore hotalloc survivor scratch grows to the run's residue high-water once; steady-state batches reuse it
 		c.surv = append(c.surv, c.candRef...)
 		grp.survHi = int32(len(c.surv))
 	}
@@ -352,7 +348,6 @@ func (g *GPA) correlateRunLocked(s *shard, cols *core.RecordColumns, lo, hi int)
 		out := orig[:0]
 		for _, ref := range c.surv[grp.survLo:grp.survHi] {
 			if ref >= 0 {
-				//lint:ignore hotalloc pending append reuses the flow's backing array; growth only past its high-water
 				out = append(out, core.Record{})
 				cols.CopyRow(&out[len(out)-1], lo+int(ref))
 			} else {

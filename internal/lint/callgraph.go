@@ -4,7 +4,6 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"strings"
 )
 
 // This file builds the module-wide static call graph that the analyzers
@@ -167,15 +166,6 @@ func (g *CallGraph) Node(f *types.Func) *FuncNode {
 // order.
 func (g *CallGraph) PkgFuncs(pkgPath string) []*FuncNode {
 	return g.byPkg[pkgPath]
-}
-
-// Packages returns the package paths present in the graph, unsorted.
-func (g *CallGraph) Packages() []string {
-	out := make([]string, 0, len(g.byPkg))
-	for p := range g.byPkg {
-		out = append(out, p)
-	}
-	return out
 }
 
 // buildCallGraph constructs the graph over the given loaded packages.
@@ -552,23 +542,4 @@ func chainFrameAt(fset *token.FileSet, caller *FuncNode, edge CallEdge) ChainFra
 		desc += " (through a function value)"
 	}
 	return ChainFrame{Pos: fset.Position(edge.Call.Pos()), Msg: desc}
-}
-
-// qualifiedTypeName renders a named type as "pkgpath.Name" for
-// cross-function lock identity.
-func qualifiedTypeName(n *types.Named) string {
-	obj := n.Obj()
-	if obj.Pkg() == nil {
-		return obj.Name()
-	}
-	return obj.Pkg().Path() + "." + obj.Name()
-}
-
-// shortPkgPath trims the module prefix from a package path for compact
-// messages ("internal/gpa" rather than "sysprof/internal/gpa").
-func shortPkgPath(path, modPath string) string {
-	if rest, ok := strings.CutPrefix(path, modPath+"/"); ok {
-		return rest
-	}
-	return path
 }

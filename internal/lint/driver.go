@@ -211,9 +211,8 @@ type suppression struct {
 
 // collectSuppressions scans a file's comments for //lint:ignore
 // directives. Malformed directives (no analyzer, or no reason) and
-// directives naming an analyzer that does not exist — a stale
-// suppression that silences nothing — are reported as diagnostics of the
-// pseudo-analyzer "lint".
+// directives naming an analyzer that does not exist are reported as
+// diagnostics of the pseudo-analyzer "lint"; Run reports the stale ones.
 func collectSuppressions(fset *token.FileSet, file *ast.File, report func(Diagnostic)) []suppression {
 	known := make(map[string]bool)
 	for _, a := range All() {
@@ -256,24 +255,36 @@ func collectSuppressions(fset *token.FileSet, file *ast.File, report func(Diagno
 	return out
 }
 
-// suppressionIndex answers "is this diagnostic suppressed" lookups. A
-// suppression covers its own line (trailing comment) and the line below
-// it (comment above the flagged statement).
+// suppressionIndex answers "is this diagnostic suppressed" lookups and
+// remembers which suppressions answered yes. A suppression covers its
+// own line (trailing comment) and the line below it (comment above the
+// flagged statement).
 type suppressionIndex struct {
-	byKey map[string]bool // "file:line:analyzer"
+	byKey map[string][]int // "file:line:analyzer" -> covering suppressions
+	used  []bool
 }
 
 func buildSuppressionIndex(sups []suppression) *suppressionIndex {
-	idx := &suppressionIndex{byKey: make(map[string]bool)}
-	for _, s := range sups {
-		idx.byKey[fmt.Sprintf("%s:%d:%s", s.file, s.line, s.analyzer)] = true
-		idx.byKey[fmt.Sprintf("%s:%d:%s", s.file, s.line+1, s.analyzer)] = true
+	idx := &suppressionIndex{byKey: make(map[string][]int), used: make([]bool, len(sups))}
+	for i, s := range sups {
+		for _, line := range []int{s.line, s.line + 1} {
+			key := fmt.Sprintf("%s:%d:%s", s.file, line, s.analyzer)
+			idx.byKey[key] = append(idx.byKey[key], i)
+		}
 	}
 	return idx
 }
 
+// covers reports whether a suppression covers pos for the analyzer and
+// marks each covering suppression used: the driver asks about every
+// finding, and nonblock about each blocking site and blocking call edge
+// it would otherwise propagate.
 func (idx *suppressionIndex) covers(analyzer string, pos token.Position) bool {
-	return idx.byKey[fmt.Sprintf("%s:%d:%s", pos.Filename, pos.Line, analyzer)]
+	hits := idx.byKey[fmt.Sprintf("%s:%d:%s", pos.Filename, pos.Line, analyzer)]
+	for _, i := range hits {
+		idx.used[i] = true
+	}
+	return len(hits) > 0
 }
 
 // Run lints the packages matched by patterns ("./..." for the whole
@@ -299,7 +310,6 @@ func (l *Loader) Run(patterns []string, analyzers []*Analyzer) ([]Diagnostic, er
 	}
 	var diags []Diagnostic
 	report := func(d Diagnostic) { diags = append(diags, d) }
-	nopReport := func(Diagnostic) {}
 
 	targetSet := make(map[string]bool, len(paths))
 	var targets []*loadedPackage
@@ -313,17 +323,22 @@ func (l *Loader) Run(patterns []string, analyzers []*Analyzer) ([]Diagnostic, er
 	}
 
 	// Suppressions come from every loaded module package, not just the
-	// targets: cross-package analyzers must honor a documented //lint:ignore
-	// at a callee site two packages away. Malformed/stale suppressions are
-	// only *reported* for target packages.
+	// targets: nonblock must honor a documented //lint:ignore at a callee
+	// site two packages away. Malformed and stale suppressions are only
+	// reported for target packages, whose suppressions come first.
 	var sups []suppression
+	for _, lp := range targets {
+		for _, f := range lp.files {
+			sups = append(sups, collectSuppressions(l.fset, f, report)...)
+		}
+	}
+	nTarget := len(sups)
 	for _, lp := range l.pkgs {
-		r := nopReport
 		if targetSet[lp.path] {
-			r = report
+			continue
 		}
 		for _, f := range lp.files {
-			sups = append(sups, collectSuppressions(l.fset, f, r)...)
+			sups = append(sups, collectSuppressions(l.fset, f, func(Diagnostic) {})...)
 		}
 	}
 	idx := buildSuppressionIndex(sups)
@@ -336,52 +351,18 @@ func (l *Loader) Run(patterns []string, analyzers []*Analyzer) ([]Diagnostic, er
 			report(Diagnostic{Analyzer: "typecheck", Message: terr.Error(), Pos: typeErrPos(terr)})
 		}
 		for _, a := range analyzers {
-			if a.Run == nil {
-				continue
-			}
-			pass := &Pass{
+			a.Run(&Pass{
 				Analyzer:   a,
 				Fset:       l.fset,
 				Files:      lp.files,
-				Pkg:        lp.pkg,
 				Info:       lp.info,
 				PkgPath:    lp.path,
 				Graph:      graph,
 				Shared:     shared,
 				report:     report,
 				suppressed: idx.covers,
-			}
-			a.Run(pass)
+			})
 		}
-	}
-
-	// Whole-module analyzers run once, over the graph. Their primary
-	// positions are filtered to target files so a subset lint does not
-	// surface findings rooted in unrequested dependencies.
-	targetFiles := make(map[string]bool)
-	for _, lp := range targets {
-		for _, f := range lp.files {
-			targetFiles[l.fset.Position(f.Pos()).Filename] = true
-		}
-	}
-	moduleReport := func(d Diagnostic) {
-		if targetFiles[d.Pos.Filename] {
-			report(d)
-		}
-	}
-	for _, a := range analyzers {
-		if a.RunModule == nil {
-			continue
-		}
-		a.RunModule(&ModulePass{
-			Analyzer:   a,
-			Fset:       l.fset,
-			Graph:      graph,
-			Targets:    targetSet,
-			ModPath:    l.modPath,
-			report:     moduleReport,
-			suppressed: idx.covers,
-		})
 	}
 
 	// Drop suppressed diagnostics ("lint" pseudo-diagnostics are never
@@ -393,15 +374,29 @@ func (l *Loader) Run(patterns []string, analyzers []*Analyzer) ([]Diagnostic, er
 		}
 		kept = append(kept, d)
 	}
+
+	// A target suppression of an analyzer that ran, yet covered none of
+	// its findings, silences nothing.
+	ran := make(map[string]bool, len(analyzers))
+	for _, a := range analyzers {
+		ran[a.Name] = true
+	}
+	for i, s := range sups[:nTarget] {
+		if ran[s.analyzer] && !idx.used[i] {
+			kept = append(kept, Diagnostic{
+				Pos:      s.pos,
+				Analyzer: "lint",
+				Message:  fmt.Sprintf("stale suppression: no %s finding on this line or the next", s.analyzer),
+			})
+		}
+	}
 	return sortAndDedupe(kept), nil
 }
 
 // sortAndDedupe puts diagnostics in the canonical output order — file,
-// line, column, analyzer, message — and collapses identical findings. A
-// whole-module analyzer can reach the same defect through several call-
-// graph paths (two annotated roots calling one blocking leaf); the
-// defect is one finding, not one per path, and the order must not depend
-// on package iteration or graph traversal order.
+// line, column, analyzer, message — and collapses identical findings:
+// one defect is one finding however many times it was reached, and the
+// order must not depend on package iteration or graph traversal order.
 func sortAndDedupe(diags []Diagnostic) []Diagnostic {
 	sort.Slice(diags, func(i, j int) bool {
 		a, b := diags[i], diags[j]

@@ -1,12 +1,11 @@
 // Package lint is sysproflint: a standard-library-only static-analysis
-// suite that enforces SysProf's hot-path invariants. The reproduction's
+// suite that enforces SysProf's hot-path contracts. The reproduction's
 // overhead story rests on properties that ordinary tests cannot see — the
-// kprof emit path must not allocate, publish enqueue must not block, every
-// lock acquired on an error path must be released, shared frames must keep
-// their reference counts balanced, and fields accessed through sync/atomic
-// must never also be touched plainly. Like the eBPF verifier proving
-// tracing programs safe before they load, sysproflint proves these
-// properties statically, before the code runs.
+// kprof emit and publish enqueue paths must not block, the emit fast path
+// must not allocate, and fields accessed through sync/atomic (the shared
+// frame's reference count) must never also be touched plainly. Like the
+// eBPF verifier proving tracing programs safe before they load,
+// sysproflint proves these properties statically, before the code runs.
 //
 // The driver (driver.go) parses and type-checks every package of the
 // module using only go/parser, go/ast, go/token and go/types — no
@@ -15,11 +14,11 @@
 // through the stdlib source importer. From the loaded packages it builds
 // one module-wide static call graph (callgraph.go): direct calls and
 // concrete-receiver method calls resolve to exactly one callee, calls
-// through module-defined interfaces resolve conservatively to every
-// module-local implementation, and function-value calls are recorded as
-// unresolved. The analyzers share that graph, so a property violated
-// three packages away from its annotation is reported with the full call
-// chain as evidence.
+// through module-defined interfaces resolve to the module-local
+// implementations actually converted to the interface (typeset.go), and
+// single-assignment function values resolve to their one value. A
+// property violated three packages away from its annotation is reported
+// with the full call chain as evidence.
 //
 // # Annotations
 //
@@ -47,7 +46,9 @@
 //
 //	//lint:ignore <analyzer> <reason>
 //
-// A suppression without a reason is itself a diagnostic.
+// A suppression without a reason, one naming no analyzer, and one that
+// silenced no finding of its analyzer in a run over its file are
+// themselves diagnostics.
 package lint
 
 import (
@@ -69,10 +70,7 @@ type (
 	ChainFrame = diag.ChainFrame
 )
 
-// Analyzer is one named check. Per-package analyzers set Run; whole-
-// module analyzers (lock ordering, which must see acquisitions across
-// every package at once) set RunModule instead and are invoked exactly
-// once per lint run.
+// Analyzer is one named check, run once per target package.
 type Analyzer struct {
 	// Name identifies the analyzer in diagnostics and suppressions.
 	Name string
@@ -80,9 +78,6 @@ type Analyzer struct {
 	Doc string
 	// Run inspects one package through the pass.
 	Run func(*Pass)
-	// RunModule inspects the whole module through the shared call
-	// graph.
-	RunModule func(*ModulePass)
 }
 
 // Pass hands an analyzer one type-checked package plus the module call
@@ -91,7 +86,6 @@ type Pass struct {
 	Analyzer *Analyzer
 	Fset     *token.FileSet
 	Files    []*ast.File
-	Pkg      *types.Package
 	Info     *types.Info
 	// PkgPath is the package's import path within the module.
 	PkgPath string
@@ -132,47 +126,8 @@ func (p *Pass) ReportChain(pos token.Pos, chain []ChainFrame, format string, arg
 	})
 }
 
-// ModulePass hands a whole-module analyzer the call graph plus the set
-// of target packages (diagnostics outside the targets are discarded by
-// the driver, so a subset lint of ./internal/gpa does not surface
-// findings positioned in its dependencies).
-type ModulePass struct {
-	Analyzer *Analyzer
-	Fset     *token.FileSet
-	Graph    *CallGraph
-	// Targets is the set of package paths being linted.
-	Targets map[string]bool
-	// ModPath is the module path, for trimming in messages.
-	ModPath string
-
-	report     func(d Diagnostic)
-	suppressed func(analyzer string, pos token.Position) bool
-}
-
-// ReportChain records a module-level diagnostic with its evidence chain.
-func (p *ModulePass) ReportChain(pos token.Pos, chain []ChainFrame, format string, args ...any) {
-	p.report(Diagnostic{
-		Pos:      p.Fset.Position(pos),
-		Analyzer: p.Analyzer.Name,
-		Message:  fmt.Sprintf(format, args...),
-		Chain:    chain,
-	})
-}
-
-// Suppressed reports whether a //lint:ignore comment covers pos for this
-// analyzer.
-func (p *ModulePass) Suppressed(pos token.Pos) bool {
-	return p.suppressed(p.Analyzer.Name, p.Fset.Position(pos))
-}
-
-// Suppressed reports whether a //lint:ignore comment covers pos for this
-// analyzer.
-func (p *Pass) Suppressed(pos token.Pos) bool {
-	return p.suppressed(p.Analyzer.Name, p.Fset.Position(pos))
-}
-
 // ExprString renders an expression compactly ("s.mu", "h.dispatch[t]")
-// for use in messages and lock/frame identity comparisons.
+// for use in messages.
 func (p *Pass) ExprString(e ast.Expr) string {
 	var sb strings.Builder
 	printer.Fprint(&sb, p.Fset, e)
@@ -184,16 +139,11 @@ func All() []*Analyzer {
 	return []*Analyzer{
 		NonBlock,
 		HotAlloc,
-		LockCheck,
-		LockOrder,
-		RefBalance,
 		AtomicMix,
-		GoroLeak,
-		WireTaint,
 	}
 }
 
-// ByName resolves a comma-separated analyzer list ("lockcheck,nonblock").
+// ByName resolves a comma-separated analyzer list ("hotalloc,nonblock").
 // An empty spec selects the whole suite.
 func ByName(spec string) ([]*Analyzer, error) {
 	if strings.TrimSpace(spec) == "" {

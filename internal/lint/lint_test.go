@@ -90,8 +90,8 @@ func TestByName(t *testing.T) {
 	if err != nil || len(all) != len(All()) {
 		t.Fatalf("ByName(\"\") = %d analyzers, err %v", len(all), err)
 	}
-	two, err := ByName("lockcheck, nonblock")
-	if err != nil || len(two) != 2 || two[0].Name != "lockcheck" || two[1].Name != "nonblock" {
+	two, err := ByName("hotalloc, nonblock")
+	if err != nil || len(two) != 2 || two[0].Name != "hotalloc" || two[1].Name != "nonblock" {
 		t.Fatalf("ByName subset = %v, err %v", two, err)
 	}
 	if _, err := ByName("nosuch"); err == nil {
@@ -101,12 +101,12 @@ func TestByName(t *testing.T) {
 
 // TestDiagnosticString pins the file:line:col rendering the CI job greps.
 func TestDiagnosticString(t *testing.T) {
-	d := Diagnostic{Analyzer: "lockcheck", Message: "boom"}
+	d := Diagnostic{Analyzer: "nonblock", Message: "boom"}
 	d.Pos.Filename = "x.go"
 	d.Pos.Line = 3
 	d.Pos.Column = 9
 	got := d.String()
-	want := "x.go:3:9: lockcheck: boom"
+	want := "x.go:3:9: nonblock: boom"
 	if got != want {
 		t.Fatalf("String() = %q, want %q", got, want)
 	}

@@ -310,6 +310,19 @@ func (ts *typeSetIndex) flowElems(info *types.Info, elem types.Type, lit *ast.Co
 	}
 }
 
+// derefNamed unwraps pointers down to a named type, or nil.
+func derefNamed(t types.Type) *types.Named {
+	for {
+		p, ok := t.(*types.Pointer)
+		if !ok {
+			break
+		}
+		t = p.Elem()
+	}
+	n, _ := t.(*types.Named)
+	return n
+}
+
 // typeUnder returns the expression's type (nil-safe).
 func typeUnder(info *types.Info, e ast.Expr) types.Type {
 	tv, ok := info.Types[e]

@@ -589,9 +589,7 @@ func (d *Decoder) readUint64() (uint64, error) {
 // run past 10 bytes or overflow 64 bits — a hostile stream must not be
 // able to keep the decoder spinning on continuation bits. The value is
 // attacker-controlled: every consumer must bound it before sizing an
-// allocation (wiretaint enforces this).
-//
-//sysprof:wiresource
+// allocation.
 func (d *Decoder) readUvarint() (uint64, error) {
 	var x uint64
 	var s uint

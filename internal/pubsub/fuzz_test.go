@@ -48,7 +48,7 @@ func FuzzReadHandshake(f *testing.F) {
 	f.Add([]byte{handshakeMagic, handshakeVersion, 0x04, 0, 0, 0})
 	f.Add([]byte{handshakeMagic, handshakeVersion, 0, 0x80, 0, 0})
 
-	// Wiretaint-identified boundaries. Channel count around
+	// Length boundaries. Channel count around
 	// maxHandshakeChannels (cap-1, cap, cap+1, uint16 max): exactly the
 	// cap must parse, one over must be rejected before the per-channel
 	// loop allocates anything.
