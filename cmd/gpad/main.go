@@ -64,7 +64,7 @@ func main() {
 	flag.DurationVar(&opts.dumpInterval, "dump-interval", 0, "with -dump: periodically dump-and-truncate the correlated history (0 = only on exit)")
 	shard := flag.String("shard", "", "subscribe as flow-hash shard i/N of a federated gpad tier (e.g. 0/4)")
 	frontend := flag.String("frontend", "", "run the federation merge frontend over these comma-separated shard query endpoints")
-	flag.BoolVar(&opts.wireCompress, "wire-compress", true, "request per-column compressed frames from the broker (negotiated; either side can veto)")
+	flag.BoolVar(&opts.wireCompress, "wire-compress", true, "request per-column compressed frames from the broker")
 	flag.Parse()
 	opts.addrs = lineproto.SplitList(*subscribe)
 	var err error
@@ -103,7 +103,7 @@ type options struct {
 	shardIndex int
 	shardCount int
 	// wireCompress asks the broker for per-column compressed (0x05)
-	// frames on the subscription links; the broker may still veto.
+	// frames on the subscription links.
 	wireCompress bool
 }
 

@@ -105,7 +105,7 @@ func TestLoopbackSmoke(t *testing.T) {
 	}
 	ask("help", "flushinterval <node> <duration>")
 	ask("status", "node webserver:")
-	ask("status", " flush=250ms pubsub=256/drop wirecompress=on")
+	ask("status", " flush=250ms pubsub=256/drop\n")
 	ask("flushinterval webserver 50ms", "ok")
 	ask("status", " flush=50ms ")
 	// Run until the hub has delivered events, to the trace among others.

@@ -51,12 +51,6 @@ type FanOut interface {
 	SetQueueDepth(n int) error
 	// SetOverflowPolicyName switches the overflow policy ("drop"/"block").
 	SetOverflowPolicyName(name string) error
-	// WireCompression reports whether compressed columnar wire frames
-	// are enabled for subscribers that negotiated them.
-	WireCompression() bool
-	// SetWireCompression toggles compressed columnar wire frames for
-	// negotiating subscribers (takes effect on the next publish).
-	SetWireCompression(on bool)
 }
 
 // Federation is the federated-GPA frontend surface the controller
@@ -293,11 +287,7 @@ func (c *Controller) Status() string {
 		}
 		if t.broker != nil {
 			depth, policy := t.broker.QueueConfig()
-			compress := "off"
-			if t.broker.WireCompression() {
-				compress = "on"
-			}
-			fmt.Fprintf(&sb, " pubsub=%d/%s wirecompress=%s", depth, policy, compress)
+			fmt.Fprintf(&sb, " pubsub=%d/%s", depth, policy)
 		}
 		if t.ntp != nil {
 			fmt.Fprintf(&sb, " ntp=%v", t.ntp.Interval())
@@ -376,8 +366,6 @@ var commands = &lineproto.Table[*Controller]{Pkg: "controller", Noun: "command",
 		Run: func(c *Controller, a []string) (string, error) {
 			return c.onBroker(a[0], func(b FanOut) error { return b.SetOverflowPolicyName(a[1]) })
 		}},
-	{Name: "wirecompress", Args: "<node> on|off", Run: (*Controller).wireCompress,
-		Help: "compressed columnar frames for subscribers that negotiated them"},
 	// The source travels as base64, which keeps multi-line E-Code whole
 	// on a line protocol (sysprofctl encodes a file). The node verifies
 	// it before it touches the event hub; a rejection is the verifier's
@@ -554,13 +542,6 @@ func (c *Controller) pubSubQueue(a []string) (string, error) {
 		return "", err
 	}
 	return c.onBroker(a[0], func(b FanOut) error { return b.SetQueueDepth(depth) })
-}
-
-func (c *Controller) wireCompress(a []string) (string, error) {
-	if a[1] != "on" && a[1] != "off" {
-		return "", fmt.Errorf("controller: bad wirecompress state %q (want on or off)", a[1])
-	}
-	return c.onBroker(a[0], func(b FanOut) error { b.SetWireCompression(a[1] == "on"); return nil })
 }
 
 func (c *Controller) cpaInstall(a []string) (string, error) {

@@ -271,23 +271,16 @@ func TestStatusContents(t *testing.T) {
 			t.Fatalf("status missing %q:\n%s", want, out)
 		}
 	}
-	if strings.Contains(out, "wirecompress=") {
-		t.Fatalf("status reports a compression knob with no broker attached:\n%s", out)
+	if strings.Contains(out, "pubsub=") {
+		t.Fatalf("status reports queue settings with no broker attached:\n%s", out)
 	}
 
-	// The broker's compression veto shows beside its queue settings, and
-	// follows the knob.
-	if err := c.AttachBroker("n1", &fakeFanOut{depth: 256, policy: "drop", compress: true}); err != nil {
+	// The broker's queue settings show once it is attached.
+	if err := c.AttachBroker("n1", &fakeFanOut{depth: 256, policy: "drop"}); err != nil {
 		t.Fatal(err)
 	}
-	if out := c.Status(); !strings.Contains(out, "pubsub=256/drop wirecompress=on") {
+	if out := c.Status(); !strings.Contains(out, " pubsub=256/drop\n") {
 		t.Fatalf("status = %q", out)
-	}
-	if _, err := c.Execute("wirecompress n1 off"); err != nil {
-		t.Fatal(err)
-	}
-	if out := c.Status(); !strings.Contains(out, "pubsub=256/drop wirecompress=off") {
-		t.Fatalf("status after wirecompress off = %q", out)
 	}
 }
 
@@ -335,13 +328,9 @@ func TestPIDFilterCommand(t *testing.T) {
 
 // fakeFanOut stands in for a pub-sub broker.
 type fakeFanOut struct {
-	depth    int
-	policy   string
-	compress bool
+	depth  int
+	policy string
 }
-
-func (f *fakeFanOut) WireCompression() bool      { return f.compress }
-func (f *fakeFanOut) SetWireCompression(on bool) { f.compress = on }
 
 func (f *fakeFanOut) QueueConfig() (int, string) { return f.depth, f.policy }
 func (f *fakeFanOut) SetQueueDepth(n int) error {
@@ -399,29 +388,8 @@ func TestPubSubKnobs(t *testing.T) {
 		t.Fatal("unknown policy accepted")
 	}
 
-	// Wire-compression knob: on/off round trip, bad states rejected.
-	fo.compress = true
-	if reply, err := c.Execute("wirecompress n1 off"); err != nil || reply != "ok" {
-		t.Fatalf("reply=%q err=%v", reply, err)
-	}
-	if fo.compress {
-		t.Fatal("wirecompress off did not clear the knob")
-	}
-	if reply, err := c.Execute("wirecompress n1 on"); err != nil || reply != "ok" {
-		t.Fatalf("reply=%q err=%v", reply, err)
-	}
-	if !fo.compress {
-		t.Fatal("wirecompress on did not set the knob")
-	}
-	if _, err := c.Execute("wirecompress n1 maybe"); err == nil {
-		t.Fatal("bad wirecompress state accepted")
-	}
-	if _, err := c.Execute("wirecompress n1"); err == nil {
-		t.Fatal("missing args accepted")
-	}
-
 	// Status shows the fan-out config once a broker is attached.
-	if !strings.Contains(c.Status(), "pubsub=1024/block wirecompress=on") {
+	if !strings.Contains(c.Status(), " pubsub=1024/block\n") {
 		t.Fatalf("status = %q", c.Status())
 	}
 }

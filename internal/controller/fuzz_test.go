@@ -27,7 +27,6 @@ func FuzzExecute(f *testing.F) {
 		"mask web interactions sched,net",
 		"pidfilter web interactions off",
 		"ntpinterval web now",
-		"wirecompress web on",
 		"cpa install web big net c3RhdGljIGludCBuID0gMDsgcmV0dXJuIG47", // static int n = 0; return n;
 		"federation set-endpoints 127.0.0.1:9001,127.0.0.1:9002",
 		// Range-check edges: overflow wraps, negatives, absurd sizes.

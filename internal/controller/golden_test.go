@@ -54,7 +54,6 @@ func goldenCommands() []string {
 		"ntpinterval", "ntpinterval n1 5s extra", "ntpinterval nope",
 		"pubsubqueue n1 1024", "pubsubqueue n1 0", "pubsubqueue n1 4294967297", "pubsubqueue n1", "pubsubqueue nope 8",
 		"pubsubpolicy n1 block", "pubsubpolicy n1 bogus", "pubsubpolicy n1", "pubsubpolicy nope drop",
-		"wirecompress n1 off", "wirecompress n1 on", "wirecompress n1 maybe", "wirecompress n1", "wirecompress nope on",
 		"cpa", "cpa bogus", "cpa list n1",
 		"cpa install n1 p1 net " + counter, "cpa install n1 p1 net " + counter,
 		"cpa install n1 p2 net not*base64", "cpa install n1 p2 nosuch " + counter, "cpa install n1 p2 net",
@@ -106,7 +105,7 @@ func TestRepliesGolden(t *testing.T) {
 	full := node()
 	for _, err := range []error{
 		full.AttachDaemon("n1", &fakeFlusher{iv: 250 * time.Millisecond}),
-		full.AttachBroker("n1", &fakeFanOut{depth: 256, policy: "drop", compress: true}),
+		full.AttachBroker("n1", &fakeFanOut{depth: 256, policy: "drop"}),
 		full.AttachNTP("n1", &fakeNTP{interval: 30 * time.Second}),
 		full.AttachFederation(&goldenFed{endpoints: []string{"a:1", "b:2"}}),
 	} {

@@ -162,9 +162,7 @@ func TestCompressedColumnsShrink(t *testing.T) {
 
 // TestCompressedNegotiation runs the wire-compression handshake end to
 // end: one subscriber requests compressed frames and one dials plain,
-// both must decode the same publish to identical batches; flipping the
-// broker's wire-compression knob off downgrades the requester to plain
-// columnar frames mid-stream without breaking its decoder.
+// both must decode the same publish to identical batches.
 func TestCompressedNegotiation(t *testing.T) {
 	reg := pbio.NewRegistry()
 	if err := RegisterFormats(reg); err != nil {
@@ -211,9 +209,6 @@ func TestCompressedNegotiation(t *testing.T) {
 	if !sawCompressed || !sawPlain {
 		t.Fatalf("negotiation flags not split: %+v", b.Subscribers())
 	}
-	if !b.WireCompression() {
-		t.Fatal("wire compression not on by default")
-	}
 
 	const rows = 64
 	cols := shardLinkBatch(rows)
@@ -237,18 +232,6 @@ func TestCompressedNegotiation(t *testing.T) {
 			}
 		}
 		return got
-	}
-	if err := b.PublishColumns(ChannelInteractions, cols); err != nil {
-		t.Fatal(err)
-	}
-	recvBatch(zsub)
-	recvBatch(plain)
-
-	// The operator veto: turning the knob off downgrades the compressed
-	// link to plain columnar frames; the subscriber keeps decoding.
-	b.SetWireCompression(false)
-	if b.WireCompression() {
-		t.Fatal("SetWireCompression(false) did not stick")
 	}
 	if err := b.PublishColumns(ChannelInteractions, cols); err != nil {
 		t.Fatal(err)

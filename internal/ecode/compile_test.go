@@ -26,15 +26,20 @@ func testVerifyEnv(name string) ecode.VerifyEnv { return core.CPAVerifyEnv(name,
 // diffRun executes src through both the interpreter and the compiled
 // closures in the same environment on the same host record and requires
 // identical outcomes: either both error, or both succeed with equal
-// values.
+// values. The verdict's cost must bound the interpreter's step count;
+// that is checked before the compiled run, which has no step limit.
 func diffRun(t *testing.T, src string, env ecode.VerifyEnv, host any) (ecode.Value, error) {
 	t.Helper()
 	prog := ecode.MustCompile(src)
-	iv, ierr := prog.NewInstance(ecode.WithEnv(env)).Run(host)
+	inst := prog.NewInstance(ecode.WithEnv(env))
+	iv, ierr := inst.Run(host)
 
 	c, verdict, err := prog.CompileVerified(env)
 	if err != nil {
 		t.Fatalf("CompileVerified rejected:\n%s\n%v", verdict.Render(), err)
+	}
+	if inst.Steps() > verdict.Cost {
+		t.Fatalf("interpreter ran %d steps, above the verdict's cost %d", inst.Steps(), verdict.Cost)
 	}
 	cv, cerr := c.NewInstance().Run(host)
 
@@ -87,6 +92,7 @@ func TestCompiledMatchesInterpreter(t *testing.T) {
 		{"if-else-chain", `int x = 7; if (x > 10) { return 1; } else if (x > 5) { return 2; } else { return 3; }`},
 		{"for-loop-sum", `int s = 0; for (int i = 0; i < 10; i++) { s += i; } return s;`},
 		{"while-loop", `int i = 0; int s = 0; while (i < 8) { s += 2; i++; } return s;`},
+		{"loop-inclusive-descending", `int n = 0; for (int i = 10; i >= -10; i -= 3) { n++; } return n;`},
 		{"nested-loops", `int s = 0; for (int i = 0; i < 4; i++) { for (int j = 0; j < 3; j++) { s += i * j; } } return s;`},
 		{"break", `int s = 0; for (int i = 0; i < 100; i++) { if (i == 5) { break; } s += 1; } return s;`},
 		{"continue", `int s = 0; for (int i = 0; i < 10; i++) { if (i % 2 == 0) { continue; } s += i; } return s;`},
@@ -146,7 +152,10 @@ return 0.0;
 // pin the value. A declaration's initialiser resolves before the
 // declared name is bound, and a loop body is a scope of its own,
 // fresh on every iteration (the first six diverged between the
-// engines, or from the verifier's typing, before that held).
+// engines, or from the verifier's typing, before that held). The last
+// three hold the cost pass to declarations: when loop bounds were keyed
+// by name, the first was costed at 34 steps and ran 3 010, and the
+// other two were rejected.
 var scopingCases = []struct {
 	name string
 	src  string
@@ -165,6 +174,10 @@ var scopingCases = []struct {
 	{"local-shadows-static", `static int n = 7; int r = 0; if (true) { int n = 200; r = n; } return r + n;`, int64(207)},
 	{"static-in-loop-body", `int s = 0; for (int i = 0; i < 3; i++) { static int k = 10; k++; s = k; } return s;`, int64(13)},
 	{"sibling-loops", `int s = 0; for (int i = 0; i < 3; i++) { int d = i; s += d; } for (int j = 0; j < 3; j++) { int d = 2; s += d; } return s;`, int64(9)},
+
+	{"loop-shadow-keeps-outer-bound", `int x = 1000; for (int i = 0; i < 1; i++) { int x = 1; } int s = 0; for (int j = 0; j < x; j++) { s += 1; } return s;`, int64(1000)},
+	{"branch-shadow-keeps-outer-bound", `int x = 1000; if (true) { int x = 1; } int s = 0; for (int j = 0; j < x; j++) { s += 1; } return s;`, int64(1000)},
+	{"body-redeclares-counter", `for (int i = 0; i < 10; i++) { int i = 0; } return 0;`, int64(0)},
 }
 
 // TestCompiledStaticsPersist mirrors TestStaticPersistsAcrossRuns: the

@@ -104,6 +104,10 @@ func (i *Instance) Static(name string) (Value, bool) {
 	return v, ok
 }
 
+// Steps reports how many steps the last Run counted, the figure a
+// verdict's cost must bound.
+func (i *Instance) Steps() int { return i.steps }
+
 func (st *execState) step(line int) error {
 	st.inst.steps++
 	if st.inst.steps > st.inst.stepLimit {

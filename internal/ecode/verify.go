@@ -13,9 +13,11 @@ package ecode
 //	             host record's field table (unknown fields, mixed-type
 //	             operands and mistyped builtin arguments are rejected)
 //	termination  every loop must have a statically derivable worst-case
-//	             iteration count (constant-bounded counter with a
-//	             constant step); anything unbounded is rejected instead
-//	             of trusting the interpreter's runtime step limit
+//	             iteration count: an int counter with a known start at
+//	             loop entry, one unconditional constant step, and a
+//	             limit that no iteration writes; anything else is
+//	             rejected instead of trusting the interpreter's runtime
+//	             step limit
 //	noalloc      string concatenation inside loops and unbounded growth
 //	             of persistent (static) strings are rejected
 //	noblock      every builtin is classified blocking/nonblocking in a
@@ -24,6 +26,12 @@ package ecode
 //	             proven loop bounds and the builtin cost table, reported
 //	             in the verdict, and checked against a ceiling
 //
+// Known values, counters and limits are keyed by declaration — the
+// resolution's symbols — never by spelling, so a shadowing declaration
+// cannot lend its value to the name it hides. The differential tests
+// check that the cost is at least the interpreter's step count on every
+// accepted program they run.
+//
 // Diagnostics are diag.Diagnostic values, so the verdict renders in
 // sysproflint's evidence-chain shape (file:line:col first line plus
 // indented supporting frames) and CLI/CI output stays uniform.
@@ -31,6 +39,7 @@ package ecode
 import (
 	"fmt"
 	gotoken "go/token"
+	"maps"
 	"sort"
 	"strings"
 
@@ -182,7 +191,8 @@ type Verdict struct {
 	OK bool
 	// Cost is the statically derived worst-case step count per event
 	// (statements + expression nodes + builtin table costs), an upper
-	// bound on the interpreter's own step counter.
+	// bound on the interpreter's own step counter; the differential
+	// tests fail any accepted program that runs more steps.
 	Cost int
 	// Diags are the findings, sorted by line, in sysproflint's
 	// evidence-chain shape.
@@ -237,7 +247,7 @@ func (p *Program) Verify(env VerifyEnv) *Verdict {
 	vf := &verifier{
 		env:     env,
 		statics: map[string]*symbol{},
-		consts:  map[string]constVal{},
+		consts:  map[*symbol]int64{},
 		res:     &resolution{types: map[expr]Type{}, syms: map[any]*symbol{}},
 	}
 	root := &vscope{vars: map[string]*symbol{}}
@@ -264,23 +274,17 @@ type vscope struct {
 	parent *vscope
 }
 
-// constVal is a statically known int value used for loop-bound
-// inference ("constant propagation lite": only straight-line constant
-// decls and assignments are tracked).
-type constVal struct {
-	known bool
-	v     int64
-}
-
 type verifier struct {
 	env VerifyEnv
 
 	sc      *vscope
 	statics map[string]*symbol
-	// consts maps variable names to statically known int values in the
-	// current straight-line context; any write the verifier cannot fold
-	// clears the entry.
-	consts map[string]constVal
+	// consts holds the statically known value of local int declarations
+	// in the current straight-line context, for loop-bound inference;
+	// any write the verifier cannot fold deletes the entry. Statics
+	// persist across events with values the verifier cannot know and
+	// never have one.
+	consts map[*symbol]int64
 	// loops is the stack of enclosing loop lines (for noalloc evidence).
 	loops []int
 
@@ -358,11 +362,12 @@ func (vf *verifier) checkStmt(s stmt) int {
 		if condT != TBool && condT != TInvalid {
 			vf.report(PassTypecheck, n.line, "if condition is %s, not bool", condT)
 		}
-		// Branch scopes mirror the interpreter's.
+		// Branch scopes mirror the interpreter's. A conditional write is
+		// not a statically known value, and the else branch runs only
+		// when the then branch did not.
 		thenCost := vf.checkScoped(n.then)
-		elseCost := vf.checkScoped(n.els)
-		// A conditional write is not a statically known value.
 		vf.clearAssigned(n.then)
+		elseCost := vf.checkScoped(n.els)
 		vf.clearAssigned(n.els)
 		branch := thenCost
 		if elseCost > branch {
@@ -413,20 +418,13 @@ func (vf *verifier) checkDecl(n *declStmt) int {
 			vf.statics[n.name] = sym
 		}
 		vf.res.syms[n] = sym
-		// Statics persist across events with values the verifier cannot
-		// know; never constant-fold them.
-		vf.consts[n.name] = constVal{}
 		return cost
 	}
 	sym := &symbol{name: n.name, t: t, where: varLocal}
 	vf.sc.vars[n.name], vf.res.syms[n] = sym, sym
-	if t == TInt {
-		if v, ok := vf.constIntOf(n.init); ok {
-			vf.consts[n.name] = constVal{known: true, v: v}
-			return cost
-		}
+	if v, ok := vf.constIntOf(n.init); ok && t == TInt {
+		vf.consts[sym] = v
 	}
-	vf.consts[n.name] = constVal{}
 	return cost
 }
 
@@ -478,7 +476,10 @@ func (vf *verifier) checkAssign(n *assignStmt) int {
 		}
 	}
 	vf.checkStringGrowth(n, vt, where)
-	vf.foldAssign(n, vt, where)
+	delete(vf.consts, sym)
+	if v, ok := vf.constIntOf(n.val); ok && n.op == "=" && where == varLocal {
+		vf.consts[sym] = v
+	}
 	return cost
 }
 
@@ -525,20 +526,6 @@ func (vf *verifier) containsStringConcat(e expr) bool {
 	return vf.containsStringConcat(b.l) || vf.containsStringConcat(b.r)
 }
 
-// foldAssign updates the constant environment after an assignment.
-func (vf *verifier) foldAssign(n *assignStmt, vt Type, where varWhere) {
-	if where != varLocal || vt != TInt {
-		return
-	}
-	if n.op == "=" {
-		if v, ok := vf.constIntOf(n.val); ok {
-			vf.consts[n.name] = constVal{known: true, v: v}
-			return
-		}
-	}
-	vf.consts[n.name] = constVal{}
-}
-
 type varWhere uint8
 
 const (
@@ -566,13 +553,8 @@ func (vf *verifier) constIntOf(e expr) (int64, bool) {
 	case *intLit:
 		return n.v, true
 	case *identExpr:
-		if c, ok := vf.consts[n.name]; ok && c.known {
-			// Only trust the entry if the name still resolves to a local
-			// int (a shadow may have changed its meaning).
-			if s := vf.resolveVar(n.name); s != nil && s.where == varLocal && s.t == TInt {
-				return c.v, true
-			}
-		}
+		v, ok := vf.consts[vf.res.syms[n]]
+		return v, ok
 	case *unaryExpr:
 		if n.op == "-" {
 			if v, ok := vf.constIntOf(n.x); ok {
@@ -604,26 +586,25 @@ func (vf *verifier) constIntOf(e expr) (int64, bool) {
 	return 0, false
 }
 
-// clearAssigned forgets constant knowledge for every variable a
-// statement list may write (used after conditional branches and loops).
+// clearAssigned forgets the known value of every variable a statement
+// list may write (after a conditional branch, and around a loop). A
+// declaration is a fresh symbol and clears nothing. A checked assignment
+// clears the symbol it resolved to; one in a loop body not yet checked
+// resolves in the scope at hand, which can only forget too much.
 func (vf *verifier) clearAssigned(stmts []stmt) {
 	for _, s := range stmts {
 		switch n := s.(type) {
 		case *assignStmt:
-			vf.consts[n.name] = constVal{}
-		case *declStmt:
-			vf.consts[n.name] = constVal{}
+			sym := vf.res.syms[n]
+			if sym == nil {
+				sym = vf.resolveVar(n.name)
+			}
+			delete(vf.consts, sym)
 		case *ifStmt:
 			vf.clearAssigned(n.then)
 			vf.clearAssigned(n.els)
 		case *forStmt:
-			if n.init != nil {
-				vf.clearAssigned([]stmt{n.init})
-			}
-			if n.post != nil {
-				vf.clearAssigned([]stmt{n.post})
-			}
-			vf.clearAssigned(n.body)
+			vf.clearAssigned(append([]stmt{n.init, n.post}, n.body...))
 		}
 	}
 }
@@ -642,11 +623,6 @@ func (vf *verifier) checkFor(n *forStmt) int {
 	if n.init != nil {
 		initCost = vf.checkStmt(n.init)
 	}
-
-	// Loop-bound inference runs against the constant environment as it
-	// stands at loop entry (after init).
-	iters, why, whyLine := vf.loopBound(n)
-
 	condCost := 0
 	if n.cond != nil {
 		ct, c := vf.checkExpr(n.cond)
@@ -656,21 +632,25 @@ func (vf *verifier) checkFor(n *forStmt) int {
 		condCost = c
 	}
 
+	// The counter starts from its value at loop entry. What the body and
+	// post write is unknown from the second iteration on: forget it
+	// before the body, so nested loop bounds cannot lean on it, and again
+	// after, because the loop may run zero times or break early. Only
+	// then is the limit read, since the condition is re-evaluated on
+	// every iteration.
+	entry := maps.Clone(vf.consts)
+	writes := append([]stmt{n.post}, n.body...)
+	vf.clearAssigned(writes)
 	vf.loops = append(vf.loops, n.line)
-	// Values written inside the loop are unknown from the second
-	// iteration on; forget them before checking the body so nested
-	// loop bounds cannot lean on them.
-	vf.clearAssigned(n.body)
-	if n.post != nil {
-		vf.clearAssigned([]stmt{n.post})
-	}
 	bodyCost := vf.checkScoped(n.body)
 	postCost := 0
 	if n.post != nil {
 		postCost = vf.checkStmt(n.post)
 	}
 	vf.loops = vf.loops[:len(vf.loops)-1]
+	vf.clearAssigned(writes)
 
+	iters, why, whyLine := vf.loopBound(n, entry)
 	if iters < 0 {
 		vf.reportChain(PassTermination, n.line,
 			[]diag.ChainFrame{
@@ -687,11 +667,13 @@ func (vf *verifier) checkFor(n *forStmt) int {
 }
 
 // loopBound infers the worst-case iteration count of a loop from the
-// pattern the verifier accepts: an int counter with a statically known
-// initial value, a comparison against a statically known limit, and
-// exactly one unconditional constant-step update per iteration. It
-// returns -1 and a reason when no bound can be proven.
-func (vf *verifier) loopBound(n *forStmt) (iters int64, why string, whyLine int) {
+// pattern the verifier accepts: an int counter whose value at loop entry
+// is statically known, a comparison against a statically known limit
+// that no iteration writes, and exactly one unconditional constant-step
+// update per iteration. entry holds the known values at loop entry; the
+// limit is read from the current ones, with the loop's writes already
+// forgotten. It returns -1 and a reason when no bound can be proven.
+func (vf *verifier) loopBound(n *forStmt, entry map[*symbol]int64) (iters int64, why string, whyLine int) {
 	if n.cond == nil {
 		return -1, "loop has no condition", n.line
 	}
@@ -699,31 +681,19 @@ func (vf *verifier) loopBound(n *forStmt) (iters int64, why string, whyLine int)
 	if !ok {
 		return -1, "loop condition is not a comparison the verifier can bound", n.line
 	}
-	var counter string
-	var counterLine int
-	var limit int64
-	var op string
-	switch {
-	case vf.isIntIdent(cmp.l) != "":
-		counter = vf.isIntIdent(cmp.l)
-		counterLine = cmp.l.(*identExpr).line
-		v, ok := vf.constIntOf(cmp.r)
-		if !ok {
-			return -1, fmt.Sprintf("loop limit %s is not a statically known int", exprDesc(cmp.r)), cmp.line
-		}
-		limit, op = v, cmp.op
-	case vf.isIntIdent(cmp.r) != "":
-		counter = vf.isIntIdent(cmp.r)
-		counterLine = cmp.r.(*identExpr).line
-		v, ok := vf.constIntOf(cmp.l)
-		if !ok {
-			return -1, fmt.Sprintf("loop limit %s is not a statically known int", exprDesc(cmp.l)), cmp.line
-		}
-		// Mirror the comparison so the counter is on the left.
-		limit = v
-		op = map[string]string{"<": ">", "<=": ">=", ">": "<", ">=": "<=", "==": "==", "!=": "!="}[cmp.op]
-	default:
+	// Mirror the comparison if need be so the counter is on the left.
+	side, limitExpr, op := cmp.l, cmp.r, cmp.op
+	if vf.isIntIdent(side) == nil {
+		side, limitExpr = cmp.r, cmp.l
+		op = map[string]string{"<": ">", "<=": ">=", ">": "<", ">=": "<="}[cmp.op]
+	}
+	counter := vf.isIntIdent(side)
+	if counter == nil {
 		return -1, "loop condition does not compare an int counter against a constant", cmp.line
+	}
+	limit, ok := vf.constIntOf(limitExpr)
+	if !ok {
+		return -1, fmt.Sprintf("loop limit %s is not a statically known int", exprDesc(limitExpr)), cmp.line
 	}
 	switch op {
 	case "<", "<=", ">", ">=":
@@ -731,103 +701,97 @@ func (vf *verifier) loopBound(n *forStmt) (iters int64, why string, whyLine int)
 		return -1, fmt.Sprintf("comparison %q does not bound the counter", cmp.op), cmp.line
 	}
 
-	start, ok := vf.consts[counter], vf.consts[counter].known
+	start, ok := entry[counter]
 	if !ok {
-		return -1, fmt.Sprintf("counter %q has no statically known initial value", counter), counterLine
+		return -1, fmt.Sprintf("counter %q has no statically known initial value", counter.name), side.(*identExpr).line
 	}
 
-	step, stepOK, extraWrite := loopStep(counter, n)
+	step, stepOK, extraWrite := vf.loopStep(counter, n)
 	if extraWrite {
-		return -1, fmt.Sprintf("counter %q is reassigned inside the loop body", counter), n.line
+		return -1, fmt.Sprintf("counter %q is reassigned inside the loop body", counter.name), n.line
 	}
 	if !stepOK {
-		return -1, fmt.Sprintf("no unconditional constant step for counter %q", counter), n.line
+		return -1, fmt.Sprintf("no unconditional constant step for counter %q", counter.name), n.line
 	}
 	if step == 0 {
-		return -1, fmt.Sprintf("counter %q steps by zero", counter), n.line
+		return -1, fmt.Sprintf("counter %q steps by zero", counter.name), n.line
 	}
 	if (op == "<" || op == "<=") && step < 0 {
-		return -1, fmt.Sprintf("counter %q steps away from its bound", counter), n.line
+		return -1, fmt.Sprintf("counter %q steps away from its bound", counter.name), n.line
 	}
 	if (op == ">" || op == ">=") && step > 0 {
-		return -1, fmt.Sprintf("counter %q steps away from its bound", counter), n.line
+		return -1, fmt.Sprintf("counter %q steps away from its bound", counter.name), n.line
+	}
+	// Within ±2^62 neither the span below nor the counter's last step
+	// past the limit can wrap around the int range.
+	for _, v := range [...]int64{start, limit, step} {
+		if v <= -1<<62 || v >= 1<<62 {
+			return -1, fmt.Sprintf("counter %q runs too close to the int range to rule out wrapping", counter.name), n.line
+		}
 	}
 
-	span := limit - start.v
+	span := limit - start
 	if op == ">" || op == ">=" {
 		span, step = -span, -step
 	}
-	switch op {
-	case "<", ">":
-		if span <= 0 {
-			return 0, "", 0
-		}
-		return (span + step - 1) / step, "", 0
-	default: // "<=", ">="
-		if span < 0 {
-			return 0, "", 0
-		}
-		return span/step + 1, "", 0
+	if op == "<=" || op == ">=" {
+		span++ // the limit itself is in range
 	}
+	if span <= 0 {
+		return 0, "", 0
+	}
+	return (span-1)/step + 1, "", 0
 }
 
 // loopStep finds the loop counter's per-iteration step: the post
-// statement or exactly one unconditional top-level body update with a
-// constant delta. extraWrite reports any other write to the counter.
-func loopStep(counter string, n *forStmt) (step int64, ok, extraWrite bool) {
-	countWrites := func(stmts []stmt, unconditional bool) {
-		var walk func(ss []stmt, uncond bool)
-		walk = func(ss []stmt, uncond bool) {
-			for _, s := range ss {
-				switch a := s.(type) {
-				case *assignStmt:
-					if a.name != counter {
-						continue
-					}
-					var d int64
-					lit, isLit := a.val.(*intLit)
-					switch {
-					case a.op == "+=" && isLit:
-						d = lit.v
-					case a.op == "-=" && isLit:
-						d = -lit.v
-					default:
-						extraWrite = true
-						continue
-					}
-					if !uncond || ok {
-						// A second update, or a conditional one, leaves
-						// the true per-iteration delta unknown.
-						extraWrite = true
-						continue
-					}
-					step, ok = d, true
-				case *declStmt:
-					if a.name == counter {
-						extraWrite = true
-					}
-				case *ifStmt:
-					walk(a.then, false)
-					walk(a.els, false)
-				case *forStmt:
-					if a.init != nil {
-						walk([]stmt{a.init}, false)
-					}
-					if a.post != nil {
-						walk([]stmt{a.post}, false)
-					}
-					walk(a.body, false)
+// statement, or else exactly one top-level body update that no continue
+// can skip, with a constant delta. extraWrite reports any other write to
+// the counter. It runs after the body is checked and matches assignments
+// by the symbol they resolved to, so a body declaration that reuses the
+// counter's name is a variable of its own.
+func (vf *verifier) loopStep(counter *symbol, n *forStmt) (step int64, ok, extraWrite bool) {
+	skippable := false // a continue of this loop may have been taken
+	var walk func(ss []stmt, uncond, nested bool)
+	walk = func(ss []stmt, uncond, nested bool) {
+		for _, s := range ss {
+			switch a := s.(type) {
+			case *assignStmt:
+				if vf.res.syms[a] != counter {
+					continue
 				}
+				var d int64
+				lit, isLit := a.val.(*intLit)
+				switch {
+				case a.op == "+=" && isLit:
+					d = lit.v
+				case a.op == "-=" && isLit:
+					d = -lit.v
+				default:
+					extraWrite = true
+					continue
+				}
+				if !uncond || skippable || ok {
+					// A second update, or a conditional one, leaves the
+					// true per-iteration delta unknown.
+					extraWrite = true
+					continue
+				}
+				step, ok = d, true
+			case *continueStmt:
+				skippable = skippable || !nested
+			case *ifStmt:
+				walk(a.then, false, nested)
+				walk(a.els, false, nested)
+			case *forStmt:
+				walk(append([]stmt{a.init, a.post}, a.body...), false, true)
 			}
 		}
-		walk(stmts, unconditional)
 	}
-
 	if n.post != nil {
-		countWrites([]stmt{n.post}, true)
-		countWrites(n.body, false)
+		walk([]stmt{n.post}, true, false)
+		walk(n.body, false, false)
 	} else {
-		countWrites(n.body, true)
+		walk(n.body, true, false)
 	}
 	if extraWrite {
 		return 0, false, true
@@ -835,17 +799,15 @@ func loopStep(counter string, n *forStmt) (step int64, ok, extraWrite bool) {
 	return step, ok, false
 }
 
-// isIntIdent returns the name when e is an identifier currently typed
-// int, else "".
-func (vf *verifier) isIntIdent(e expr) string {
-	id, ok := e.(*identExpr)
-	if !ok {
-		return ""
+// isIntIdent returns the symbol when e is an identifier resolved to an
+// int, else nil.
+func (vf *verifier) isIntIdent(e expr) *symbol {
+	if id, ok := e.(*identExpr); ok {
+		if s := vf.res.syms[id]; s != nil && s.t == TInt {
+			return s
+		}
 	}
-	if s := vf.resolveVar(id.name); s != nil && s.t == TInt {
-		return id.name
-	}
-	return ""
+	return nil
 }
 
 func exprDesc(e expr) string {

@@ -219,6 +219,14 @@ func TestVerifyLoopBounds(t *testing.T) {
 		{"step-away", `int n = 0; for (int i = 0; i < 10; i--) { n++; } return n;`, false},
 		{"static-counter-limit", `static int lim = 5; int n = 0; for (int i = 0; i < lim; i++) { n++; } return n;`, false},
 		{"zero-iterations", `int n = 0; for (int i = 5; i < 5; i++) { n++; } return n;`, true},
+		// A bound read from a value no longer known runs far more steps
+		// than it would be costed at; a skippable step or a wrapping
+		// counter never ends.
+		{"zero-trip-write-forgotten", `int x = 1000; for (int i = 0; i < 0; i++) { x = 1; } int s = 0; for (int j = 0; j < x; j++) { s += 1; } return s;`, false},
+		{"then-write-not-in-else", `int x = 1000; int s = 0; if (ev.bytes > 9000) { x = 1; } else { for (int j = 0; j < x; j++) { s += 1; } } return s;`, false},
+		{"continue-skips-step", `int i = 0; int s = 0; while (i < 10) { if (true) { continue; } i++; } return s;`, false},
+		{"span-wraps", `int s = 0; for (int i = -9000000000000000000; i < 9000000000000000000; i++) { s += 1; } return s;`, false},
+		{"counter-wraps", `int s = 0; for (int i = 0; i <= 9223372036854775807; i += 9223372036854775807) { s += 1; } return s;`, false},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

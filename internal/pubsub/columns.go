@@ -81,7 +81,7 @@ func (b *Broker) fanOutColumns(channelName string, batch core.Batch, remotes []*
 	if plan == nil {
 		return fmt.Errorf("pubsub: no encode plan for %T (register its row type)", batch)
 	}
-	compressed, plain := splitByCompression(remotes, b.wireCompress.Load())
+	compressed, plain := splitByCompression(remotes)
 	groups := [...]struct {
 		subset     []*remoteConn
 		compressed bool
@@ -107,18 +107,15 @@ func (b *Broker) fanOutColumns(channelName string, batch core.Batch, remotes []*
 }
 
 // splitByCompression cuts a fan-out set into the links that get
-// compressed frames and the links that get plain ones (compressOK carries
-// the broker knob). No partitioning happens here: insertRemote keeps
-// every remotes slice ordered compressed-first, and sub-slices and
-// order-preserving filters of one (shard groups, dropConn) inherit the
-// order, so the cut is a single index.
+// compressed frames and the links that get plain ones. No partitioning
+// happens here: insertRemote keeps every remotes slice ordered
+// compressed-first, and sub-slices and order-preserving filters of one
+// (shard groups, dropConn) inherit the order, so the cut is a single
+// index.
 //
 //sysprof:nonblocking
 //sysprof:noalloc
-func splitByCompression(remotes []*remoteConn, compressOK bool) (compressed, plain []*remoteConn) {
-	if !compressOK {
-		return nil, remotes
-	}
+func splitByCompression(remotes []*remoteConn) (compressed, plain []*remoteConn) {
 	nZ := 0
 	for nZ < len(remotes) && remotes[nZ].columnsZ {
 		nZ++

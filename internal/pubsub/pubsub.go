@@ -159,17 +159,11 @@ type Broker struct {
 	// Fan-out knobs. blockTimeout and evictAfter are fixed at
 	// construction; the rest are live, atomically readable mid-publish.
 	// queueDepth only applies to subscribers connecting after a change;
-	// overflow and wireCompress take effect immediately for all
-	// connections.
+	// overflow takes effect immediately for all connections.
 	blockTimeout time.Duration
 	evictAfter   int
 	queueDepth   atomic.Int64
 	overflow     atomic.Int32
-	// wireCompress gates per-column compressed (0x05) columnar frames:
-	// subscribers that requested compression receive them only while
-	// this is on. Default on — the subscriber's handshake flag is the
-	// opt-in; this knob is the operator's broker-side veto.
-	wireCompress atomic.Bool
 
 	published      atomic.Uint64
 	localDeliver   atomic.Uint64
@@ -199,7 +193,6 @@ func NewBroker(reg *pbio.Registry, opts ...Option) *Broker {
 	b.chans.Store(&empty)
 	b.queueDepth.Store(int64(cfg.QueueDepth))
 	b.overflow.Store(int32(cfg.Overflow))
-	b.wireCompress.Store(true)
 	return b
 }
 
@@ -481,17 +474,6 @@ func (b *Broker) SetOverflowPolicyName(name string) error {
 	return nil
 }
 
-// SetWireCompression toggles per-column compressed (0x05) columnar
-// frames for subscribers that requested them, effective on the next
-// publish. Turning it off downgrades those links to plain 0x04 frames —
-// every subscriber that can decode 0x05 can decode 0x04, so the switch
-// is always safe mid-stream.
-func (b *Broker) SetWireCompression(on bool) { b.wireCompress.Store(on) }
-
-// WireCompression reports whether the broker currently serves compressed
-// columnar frames to subscribers that asked for them.
-func (b *Broker) WireCompression() bool { return b.wireCompress.Load() }
-
 // Serve accepts remote subscribers on l until the broker is closed. It
 // blocks; run it in a goroutine and call Close to stop.
 func (b *Broker) Serve(l net.Listener) error {
@@ -657,18 +639,16 @@ type Subscriber struct {
 // Dial connects to a broker at addr and subscribes to the channels. reg
 // supplies local Go types for typed decoding (may be nil).
 func Dial(addr string, reg *pbio.Registry, channels ...string) (*Subscriber, error) {
-	return dial(addr, reg, core.ShardSelector{}, false, channels)
+	return Dialer{Registry: reg}.Dial(addr, channels...)
 }
 
 // DialSharded connects like Dial but subscribes as shard `shard` of `of`:
 // the broker delivers only the rows of each batch whose shard key maps to
 // this shard. This is how a federated gpad shard receives exactly its
-// slice of the interaction and aggregate streams.
+// slice of the interaction and aggregate streams. 0 of 0 is Dial's full
+// stream.
 func DialSharded(addr string, reg *pbio.Registry, shard, of int, channels ...string) (*Subscriber, error) {
-	if of < 1 || shard < 0 || shard >= of || of > maxShardCount {
-		return nil, fmt.Errorf("pubsub: bad shard %d/%d (want 0 <= shard < of <= %d)", shard, of, maxShardCount)
-	}
-	return dial(addr, reg, core.ShardSelector{Index: uint32(shard), Count: uint32(of)}, false, channels)
+	return Dialer{Registry: reg, Shard: shard, Of: of}.Dial(addr, channels...)
 }
 
 // Dialer is the full-option subscriber constructor: the Dial helpers
@@ -677,38 +657,33 @@ func DialSharded(addr string, reg *pbio.Registry, shard, of int, channels ...str
 type Dialer struct {
 	// Registry supplies local Go types for typed decoding (may be nil).
 	Registry *pbio.Registry
-	// Shard/Of subscribe as flow-hash shard Shard of Of (Of = 0 means
+	// Shard/Of subscribe as flow-hash shard Shard of Of (both 0 means
 	// unsharded, the full stream).
 	Shard, Of int
 	// Compress asks the broker for per-column compressed columnar
-	// frames. The broker only honors the request while its own
-	// wire-compression knob is on and serves plain columnar frames
-	// otherwise, so setting this never breaks a link.
+	// frames, which it serves on every link that asks.
 	Compress bool
 }
 
-// Dial connects to a broker at addr with the dialer's options.
+// Dial connects to a broker at addr with the dialer's options. A bad
+// shard selector fails before anything is dialed.
 func (d Dialer) Dial(addr string, channels ...string) (*Subscriber, error) {
 	sel := core.ShardSelector{}
-	if d.Of != 0 {
+	if d.Shard != 0 || d.Of != 0 {
 		if d.Of < 1 || d.Shard < 0 || d.Shard >= d.Of || d.Of > maxShardCount {
 			return nil, fmt.Errorf("pubsub: bad shard %d/%d (want 0 <= shard < of <= %d)", d.Shard, d.Of, maxShardCount)
 		}
 		sel = core.ShardSelector{Index: uint32(d.Shard), Count: uint32(d.Of)}
 	}
-	return dial(addr, d.Registry, sel, d.Compress, channels)
-}
-
-func dial(addr string, reg *pbio.Registry, sel core.ShardSelector, compress bool, channels []string) (*Subscriber, error) {
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("pubsub: dial %s: %w", addr, err)
 	}
-	if err := writeHandshakeOpts(conn, channels, sel, compress); err != nil {
+	if err := writeHandshakeOpts(conn, channels, sel, d.Compress); err != nil {
 		conn.Close()
 		return nil, err
 	}
-	return &Subscriber{conn: conn, dec: pbio.NewDecoder(conn, reg)}, nil
+	return &Subscriber{conn: conn, dec: pbio.NewDecoder(conn, d.Registry)}, nil
 }
 
 // Recv blocks for the next record, returning its channel and decoded
@@ -756,9 +731,8 @@ const (
 	// count, little-endian) follows the header, before the channel names.
 	handshakeFlagShard = 1 << 0
 	// handshakeFlagColumnsZ asks for per-column compressed (0x05)
-	// columnar frames — the WAN knob for federated shard links. The
-	// broker honors it only while its own wire-compression knob is on, so
-	// either side can veto compression without breaking the link.
+	// columnar frames — the WAN knob for federated shard links, and the
+	// one switch for compression: the broker honors it on every link.
 	handshakeFlagColumnsZ = 1 << 1
 
 	handshakeKnownFlags = handshakeFlagShard | handshakeFlagColumnsZ
