@@ -283,9 +283,10 @@ func run(opts options, sig <-chan os.Signal, out io.Writer) error {
 }
 
 // unknownFrames accounts for frames that decoded to neither of the two
-// shapes the dissemination channels carry — e.g. generic *pbio.Record
-// rows after a format mismatch with the publisher. They are counted, and
-// logged once per decoded type, instead of vanishing.
+// shapes the dissemination channels carry — e.g. a frame whose format
+// does not match the local one, which decodes to no value. They are
+// counted, one per frame, and logged once per decoded type, instead of
+// vanishing.
 type unknownFrames struct {
 	total atomic.Uint64
 	seen  sync.Map // decoded type -> struct{}: log each once
@@ -300,14 +301,16 @@ func (u *unknownFrames) note(rec *pbio.Record) {
 }
 
 // ingestFrame feeds one received frame to the analyzer: a columnar
-// interaction batch (one frame, all rows) or an aggregate delta.
-// Anything else is accounted in unknown.
+// interaction batch or a batch of aggregate deltas. Anything else is
+// accounted in unknown.
 func ingestFrame(g *gpa.GPA, rec *pbio.Record, unknown *unknownFrames) {
 	switch w := rec.Value.(type) {
 	case *core.RecordColumns:
 		g.IngestColumns(w)
-	case *dissem.WireAggregate:
-		g.IngestAggregate(w.Node, w.Aggregate)
+	case []dissem.WireAggregate:
+		for i := range w {
+			g.IngestAggregate(w[i].Node, w[i].Aggregate)
+		}
 	default:
 		unknown.note(rec)
 	}

@@ -23,9 +23,9 @@ import (
 
 // TestIngestFrameAccountsUnknown pins the receive loop's dispatch: the
 // two shapes the dissemination channels carry are ingested, and a frame
-// that decoded to anything else — here the generic row a publisher with
-// a mismatched interaction format produces — is counted and logged once
-// per type instead of vanishing.
+// that decoded to anything else — here the value-less record a publisher
+// with a mismatched interaction format produces — is counted, once per
+// frame whatever its rows, and logged once per type instead of vanishing.
 func TestIngestFrameAccountsUnknown(t *testing.T) {
 	var logged bytes.Buffer
 	defer log.SetOutput(log.Writer())
@@ -37,21 +37,41 @@ func TestIngestFrameAccountsUnknown(t *testing.T) {
 	cols := core.NewRecordColumns(1)
 	cols.Append(&core.Record{ID: 1, Node: 1, Class: "port:80"})
 	ingestFrame(g, &pbio.Record{Format: "sysprof.interaction", Value: cols}, &unknown)
-	ingestFrame(g, &pbio.Record{Format: "sysprof.aggregate",
-		Value: &dissem.WireAggregate{Node: 2, Aggregate: core.Aggregate{Class: "db", Count: 3}}}, &unknown)
-	if st := g.StatsSnapshot(); st.Ingested != 2 || unknown.total.Load() != 0 {
-		t.Fatalf("known frames: ingested %d, unknown %d; want 2, 0", st.Ingested, unknown.total.Load())
+	ingestFrame(g, &pbio.Record{Format: "sysprof.aggregate", Value: []dissem.WireAggregate{
+		{Node: 2, Aggregate: core.Aggregate{Class: "db", Count: 3}},
+		{Node: 3, Aggregate: core.Aggregate{Class: "db", Count: 1}},
+	}}, &unknown)
+	if st := g.StatsSnapshot(); st.Ingested != 3 || unknown.total.Load() != 0 {
+		t.Fatalf("known frames: ingested %d, unknown %d; want 3, 0", st.Ingested, unknown.total.Load())
 	}
 
-	generic := &pbio.Record{Format: "sysprof.interaction", Fields: map[string]any{"ID": uint64(9)}}
+	// Three frames of three rows each from a publisher whose interaction
+	// format has other fields.
+	type oldRecord struct{ ID uint64 }
+	sreg := pbio.NewRegistry()
+	sreg.MustRegister("sysprof.interaction", oldRecord{})
+	p, rows := pbio.StructColumns(sreg, []oldRecord{{1}, {2}, {3}})
+	frame, _, err := p.AppendColumnsFrame(nil, rows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rreg := pbio.NewRegistry()
+	if err := dissem.RegisterFormats(rreg); err != nil {
+		t.Fatal(err)
+	}
+	dec := pbio.NewDecoder(bytes.NewReader(append(p.Format().AppendDef(nil), bytes.Repeat(frame, 3)...)), rreg)
 	for i := 0; i < 3; i++ {
-		ingestFrame(g, generic, &unknown)
+		rec, err := dec.Decode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		ingestFrame(g, rec, &unknown)
 	}
 	ingestFrame(g, &pbio.Record{Format: "other", Value: &struct{ X int }{1}}, &unknown)
 	if got := unknown.total.Load(); got != 4 {
 		t.Fatalf("unknown frames counted %d, want 4", got)
 	}
-	if st := g.StatsSnapshot(); st.Ingested != 2 {
+	if st := g.StatsSnapshot(); st.Ingested != 3 {
 		t.Fatalf("unknown frames reached the analyzer: ingested %d", st.Ingested)
 	}
 	if n := strings.Count(logged.String(), "dropping frames decoded as"); n != 2 {

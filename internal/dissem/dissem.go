@@ -71,7 +71,8 @@ func (AggregateBatch) Release() {}
 // RegisterFormats registers the daemon's wire formats with a PBIO
 // registry (both broker and subscriber sides need this): the interaction
 // format with its column decoder, and the aggregate-delta rows, which
-// bind none — a subscriber gets them back as *WireAggregate, one a Recv.
+// bind none — a subscriber gets a flush's deltas back as one
+// []WireAggregate per Recv.
 func RegisterFormats(reg *pbio.Registry) error {
 	if err := core.RegisterRecordFormat(reg); err != nil {
 		return fmt.Errorf("dissem: %w", err)

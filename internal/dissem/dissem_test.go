@@ -265,12 +265,12 @@ func TestAggWireRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, ok := rec.Value.(*WireAggregate)
+	got, ok := rec.Value.([]WireAggregate)
 	if !ok || rec.Format != "sysprof.aggregate" {
 		t.Fatalf("decoded %T of format %q", rec.Value, rec.Format)
 	}
-	if *got != want {
-		t.Fatalf("round trip:\n got %+v\nwant %+v", *got, want)
+	if len(got) != 1 || got[0] != want {
+		t.Fatalf("round trip:\n got %+v\nwant %+v", got, want)
 	}
 }
 

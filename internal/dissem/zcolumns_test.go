@@ -82,8 +82,8 @@ func compressedStream(tb testing.TB, cols *core.RecordColumns) []byte {
 // TestCompressedColumnsRoundTrip pins the 0x05 wire format end to end:
 // a compressed columnar frame decoded through the bound column decoder
 // must reproduce the original batch byte for byte, and a subscriber
-// without a column decoder (the generic materialization path) must
-// still recover the identical rows.
+// without a column decoder (the record type's own plan) must still
+// recover the identical rows.
 func TestCompressedColumnsRoundTrip(t *testing.T) {
 	const rows = 257 // odd size: exercises run tails and dict runs
 	cols := shardLinkBatch(rows)
@@ -112,24 +112,23 @@ func TestCompressedColumnsRoundTrip(t *testing.T) {
 		}
 	}
 
-	// Generic path: the format registered, no column decoder — the
-	// ColumnReader's per-kind reads must materialize identical rows.
+	// Plan path: the format registered, no column decoder — the frame
+	// decodes into one []core.Record of identical rows.
 	plainReg := pbio.NewRegistry()
 	if _, err := plainReg.Register("sysprof.interaction", core.Record{}); err != nil {
 		t.Fatal(err)
 	}
-	dec := pbio.NewDecoder(bytes.NewReader(stream), plainReg)
-	for i := 0; i < rows; i++ {
-		rec, err := dec.Decode()
-		if err != nil {
-			t.Fatalf("row %d: %v", i, err)
-		}
-		got, ok := rec.Value.(*core.Record)
-		if !ok {
-			t.Fatalf("row %d: decoded %T, want *core.Record", i, rec.Value)
-		}
-		if *got != want[i] {
-			t.Fatalf("row %d mismatch:\n got %+v\nwant %+v", i, *got, want[i])
+	rec, err = pbio.NewDecoder(bytes.NewReader(stream), plainReg).Decode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs, ok := rec.Value.([]core.Record)
+	if !ok || len(recs) != rows {
+		t.Fatalf("decoded %T, want %d core.Records", rec.Value, rows)
+	}
+	for i := range want {
+		if recs[i] != want[i] {
+			t.Fatalf("row %d mismatch:\n got %+v\nwant %+v", i, recs[i], want[i])
 		}
 	}
 }

@@ -7,8 +7,9 @@ package gpa
 // dump is the same pages, unframed, one after another. Every frame is
 // compressed columnar (0x05) — the shard link's own encoding, whose
 // per-column delta/RLE/dictionary codes already buy what a general
-// compressor would — and the frontend decodes through pbio's bound column
-// decoders straight into the columns its merge walks.
+// compressor would — and the frontend decodes the halves through the
+// interaction format's bound column decoder straight into the columns its
+// merge walks, and the head into a []headRow.
 
 import (
 	"bufio"
@@ -48,6 +49,10 @@ var maxPageRows = 1 << 19
 // halves already carry both.
 type pageHead []uint64
 
+// headRow is the head frame's registered row: pbio decodes a head frame
+// into a []headRow through its plan.
+type headRow struct{ SeqFlow uint64 }
+
 const pageHeadFormat = "sysprof.pagehead"
 
 // The page stream's two formats and their encode plans, fixed at start-up.
@@ -57,9 +62,7 @@ var (
 )
 
 func init() {
-	type headRow struct{ SeqFlow uint64 }
 	pageReg.MustRegister(pageHeadFormat, headRow{})
-	pageReg.BindColumnDecoder(pageHeadFormat, decodePageHead)
 	if err := core.RegisterRecordFormat(pageReg); err != nil {
 		panic(err)
 	}
@@ -90,20 +93,6 @@ func (h pageHead) AppendCompressedColumn(buf []byte, _ int) []byte {
 		prev = v
 	}
 	return buf
-}
-
-// decodePageHead rebuilds a pageHead from a head frame, reserving no more
-// than pbio.MaxColumnReserve rows ahead of the bytes delivered.
-func decodePageHead(cr *pbio.ColumnReader, rows int) (any, error) {
-	h := make(pageHead, 0, min(rows, pbio.MaxColumnReserve))
-	for i := 0; i < rows; i++ {
-		v, err := cr.Uint64()
-		if err != nil {
-			return nil, err
-		}
-		h = append(h, v)
-	}
-	return h, nil
 }
 
 // runCoded is a half frame's batch. The interaction encoder picks each
@@ -292,7 +281,7 @@ func readPage(dec *pbio.Decoder) (*E2EColumns, error) {
 	if err != nil {
 		return nil, fmt.Errorf("gpa: page head: %w", err)
 	}
-	head, ok := rec.Value.(pageHead)
+	head, ok := rec.Value.([]headRow)
 	if !ok {
 		return nil, fmt.Errorf("gpa: page opens with a %q frame, want %q", rec.Format, pageHeadFormat)
 	}
@@ -323,13 +312,13 @@ func readPage(dec *pbio.Decoder) (*E2EColumns, error) {
 		}
 	}
 	// Every row has arrived, so n is backed by delivered bytes.
-	page.Seqs, page.Flows = head, make([]simnet.FlowKey, n)
+	page.Seqs, page.Flows = make([]uint64, n), make([]simnet.FlowKey, n)
 	if err := page.validate(); err != nil {
 		return nil, err
 	}
-	for i, tag := range head {
-		page.Seqs[i] = tag >> 1
-		if page.Flows[i] = page.Client.Flows[i]; tag&1 != 0 {
+	for i, h := range head {
+		page.Seqs[i] = h.SeqFlow >> 1
+		if page.Flows[i] = page.Client.Flows[i]; h.SeqFlow&1 != 0 {
 			page.Flows[i] = page.Server.Flows[i]
 		}
 	}

@@ -150,12 +150,14 @@ func buildFedStack(t *testing.T, nShards int) *fedStack {
 				switch w := rec.Value.(type) {
 				case *core.RecordColumns:
 					g.IngestColumns(w)
-				case *dissem.WireAggregate:
+				case []dissem.WireAggregate:
 					if ch != dissem.ChannelAggregates {
-						t.Errorf("aggregate delta arrived on channel %q", ch)
+						t.Errorf("aggregate deltas arrived on channel %q", ch)
 					}
-					g.IngestAggregate(w.Node, w.Aggregate)
-					deltas.Add(1)
+					for _, a := range w {
+						g.IngestAggregate(a.Node, a.Aggregate)
+					}
+					deltas.Add(uint64(len(w)))
 				default:
 					t.Errorf("channel %q delivered %T (format %q)", ch, rec.Value, rec.Format)
 				}

@@ -58,7 +58,7 @@ func goldenStreams(t *testing.T) map[string][][]byte {
 	record := records[0]
 	// The rows as the broker's generic adapter frames them: every column
 	// raw. "unbound" is the same layout under a format name the decoding
-	// side has never registered, so its rows come back as field maps.
+	// side has never registered, so its frame decodes to no value.
 	_, cols := StructColumns(reg, rows)
 	rawZ, _, err := p.AppendCompressedColumnsFrame(nil, cols)
 	if err != nil {
@@ -67,6 +67,17 @@ func goldenStreams(t *testing.T) map[string][][]byte {
 	reg.MustRegister("unbound", unboundRec{})
 	up, ucols := StructColumns(reg, []unboundRec{unboundRec(rows[0]), unboundRec(rows[1]), unboundRec(rows[2])})
 	unbound, _, err := up.AppendColumnsFrame(nil, ucols)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A field of every opcode, plain and compressed.
+	reg.MustRegister("every", everyOp{})
+	ep, ecols := StructColumns(reg, everyOpRows())
+	everyPlain, _, err := ep.AppendColumnsFrame(nil, ecols)
+	if err != nil {
+		t.Fatal(err)
+	}
+	everyPacked, _, err := ep.AppendCompressedColumnsFrame(nil, ecols)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,6 +140,7 @@ func goldenStreams(t *testing.T) map[string][][]byte {
 		"compressed columns": {def, packed},
 		"raw columns":        {def, rawZ},
 		"unbound columns":    {up.Format().AppendDef(nil), unbound},
+		"every opcode":       {ep.Format().AppendDef(nil), everyPlain, everyPacked},
 		"mixed":              {def, record, rawZ, plain, packed, record},
 	}
 }
@@ -186,10 +198,35 @@ func TestDecoderPathsAgree(t *testing.T) {
 		}
 	}
 
+	// decodeRows decodes a whole stream and lists the rows of its frames'
+	// batches in order.
+	decodeRows := func(stream []byte) (rows []any, recs []*Record) {
+		recs, _ = decodeAll(bytes.NewReader(stream), fuzzRegistry(t))
+		for _, rec := range recs {
+			if rec.Value == nil {
+				continue
+			}
+			batch := reflect.ValueOf(rec.Value)
+			for i := 0; i < batch.Len(); i++ {
+				rows = append(rows, batch.Index(i).Interface())
+			}
+		}
+		return rows, recs
+	}
 	golden := goldenStreams(t)
-	rowRecs, _ := decodeAll(bytes.NewReader(bytes.Join(golden["rows"], nil)), fuzzRegistry(t))
-	if len(rowRecs) != 3 {
-		t.Fatalf("the rows as one-row frames decoded to %d records, want 3", len(rowRecs))
+	rows, rowRecs := decodeRows(bytes.Join(golden["rows"], nil))
+	if len(rows) != 3 || len(rowRecs) != 3 {
+		t.Fatalf("the rows as one-row frames decoded to %d records of %d rows, want 3 of 3", len(rowRecs), len(rows))
+	}
+	var every []any
+	for _, r := range everyOpRows() {
+		every = append(every, r)
+	}
+	wantRows := map[string][]any{
+		"records":         {rows[0], rows[0]},
+		"mixed":           append(append(append(append([]any{rows[0]}, rows...), rows...), rows...), rows[0]),
+		"unbound columns": nil,
+		"every opcode":    append(append([]any(nil), every...), every...),
 	}
 	for name, frames := range golden {
 		boundary := map[int]bool{0: true}
@@ -203,16 +240,18 @@ func TestDecoderPathsAgree(t *testing.T) {
 				t.Fatalf("%s cut at %d/%d (frame boundary: %v): err = %v, want %v", name, n, len(stream), boundary[n], err, want)
 			}
 		})
-		// Every column frame of the bound format says what the rows say
-		// one one-row frame at a time.
-		recs, _ := decodeAll(bytes.NewReader(stream), fuzzRegistry(t))
-		if want := map[string]int{"records": 2, "mixed": 11, "unbound columns": 3}[name]; want != 0 && len(recs) != want {
-			t.Fatalf("%s: decoded %d records, want %d", name, len(recs), want)
-		} else if want == 0 && !reflect.DeepEqual(recs, rowRecs) {
-			t.Fatalf("%s: decoded %d records that differ from the one-row frames' %d", name, len(recs), len(rowRecs))
+		// Every frame is one record, and every batch frame of the bound
+		// format says, row for row, what the one-row frames say.
+		got, recs := decodeRows(stream)
+		if len(recs) != len(frames)-1 {
+			t.Fatalf("%s: %d frames after the definition decoded to %d records", name, len(frames)-1, len(recs))
 		}
-		if name == "unbound columns" && (recs[2].Value != nil || recs[2].Fields["ID"] != uint64(1<<40)) {
-			t.Fatalf("unbound columns: last row = %+v, want a field map only", recs[2])
+		want, ok := wantRows[name]
+		if !ok {
+			want = rows
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: decoded rows %+v, want %+v", name, got, want)
 		}
 	}
 
@@ -224,12 +263,13 @@ func TestDecoderPathsAgree(t *testing.T) {
 }
 
 // fuzzRegistry is the registry FuzzDecode decodes with, plus the golden
-// streams' format.
+// streams' formats.
 func fuzzRegistry(t *testing.T) *Registry {
 	reg := NewRegistry()
 	if _, err := reg.Register("fuzz.rec", fuzzRec{}); err != nil {
 		t.Fatal(err)
 	}
 	reg.MustRegister("rec", flatRec{})
+	reg.MustRegister("every", everyOp{})
 	return reg
 }

@@ -3,7 +3,6 @@ package pbio
 import (
 	"encoding/binary"
 	"fmt"
-	"math"
 	"reflect"
 	"time"
 	"unsafe"
@@ -95,8 +94,9 @@ type structColumns[T any] struct {
 // columns, so a row-shaped batch (a flush's handful of aggregate deltas)
 // travels in the same 0x04/0x05 frames as a native columnar one; a
 // compressed frame carries each column ColEncRaw. A receiver with no
-// ColumnDecoder bound for the format gets the rows back one typed record
-// per Decode. The plan is nil unless T itself is a registered struct type.
+// ColumnDecoder bound for the format gets the frame back as one []T
+// through its own plan. The plan is nil unless T itself is a registered
+// struct type.
 func StructColumns[T any](reg *Registry, rows []T) (*Plan, CompressedColumnAppender) {
 	p := reg.plans[reflect.TypeFor[T]()]
 	if p == nil {
@@ -141,16 +141,14 @@ func (p *Plan) columnsHeader(buf []byte, cols ColumnAppender, kind byte, what st
 // ColumnDecoder rebuilds a typed columnar batch from a columnar frame's
 // payload. It must read exactly rows values for each of the format's
 // fields, in field order, through the ColumnReader — the reader is a
-// window onto the stream, so over- or under-reading desynchronizes it
-// (the same trust the typed row decoder places in a bound Go type).
+// window onto the stream, so over- or under-reading desynchronizes it.
 // The returned value becomes the decoded Record's Value.
 type ColumnDecoder func(cr *ColumnReader, rows int) (any, error)
 
 // BindColumnDecoder registers a typed decoder for columnar frames of the
-// named format. The decoder only runs when the incoming format's fields
-// match the locally registered ones (the same guard typed row decoding
-// uses); mismatched streams fall back to the generic row-materializing
-// path.
+// named format, in place of the []T its plan would decode. The decoder
+// only runs when the incoming format's fields match the locally
+// registered ones; a mismatched frame decodes to no value.
 func (r *Registry) BindColumnDecoder(name string, cd ColumnDecoder) {
 	r.colDecoders[name] = cd
 }
@@ -375,71 +373,118 @@ func (cr *ColumnReader) String() (string, error) {
 	return cr.d.readString()
 }
 
-// value decodes one value of kind k through the column state machine for
-// the generic materialization path.
-func (cr *ColumnReader) value(k Kind) (any, error) {
-	switch k {
-	case KindBool:
-		b, err := cr.Byte()
-		return b != 0, err
-	case KindInt8:
-		b, err := cr.Byte()
-		return int8(b), err
-	case KindInt16:
-		v, err := cr.Uint16()
-		return int16(v), err
-	case KindInt32:
-		return cr.Int32()
-	case KindInt64:
-		return cr.Int64()
-	case KindDuration:
-		return cr.Duration()
-	case KindUint8:
-		return cr.Byte()
-	case KindUint16:
-		return cr.Uint16()
-	case KindUint32:
-		return cr.Uint32()
-	case KindUint64:
-		return cr.Uint64()
-	case KindFloat32:
-		v, err := cr.Uint32()
-		return math.Float32frombits(v), err
-	case KindFloat64:
-		v, err := cr.Uint64()
-		return math.Float64frombits(v), err
-	case KindString:
-		return cr.String()
-	case KindBytes:
-		if cr.rows > 0 {
-			if err := cr.startColumn(); err != nil {
-				return nil, err
-			}
-			if cr.enc != ColEncRaw {
-				return nil, fmt.Errorf("%w: bytes column encoding 0x%02x", ErrBadFrame, cr.enc)
-			}
-			cr.remaining--
-		}
-		n, err := cr.d.readUint32()
-		if err != nil {
+// bytes reads a length-prefixed byte slice, subject to the stream's field
+// length limit. A compressed frame carries such a column raw.
+func (cr *ColumnReader) bytes() ([]byte, error) {
+	if cr.rows > 0 {
+		if err := cr.startColumn(); err != nil {
 			return nil, err
 		}
-		if n > maxFieldLen {
-			return nil, fmt.Errorf("%w: bytes field length %d exceeds limit", ErrBadFrame, n)
+		if cr.enc != ColEncRaw {
+			return nil, fmt.Errorf("%w: bytes column encoding 0x%02x", ErrBadFrame, cr.enc)
 		}
-		return cr.d.readLengthPrefixed(n)
+		cr.remaining--
 	}
-	return nil, fmt.Errorf("%w: field kind %d", ErrBadFrame, k)
+	n, err := cr.d.readUint32()
+	if err != nil {
+		return nil, err
+	}
+	if n > maxFieldLen {
+		return nil, fmt.Errorf("%w: bytes field length %d exceeds limit", ErrBadFrame, n)
+	}
+	return cr.d.readLengthPrefixed(n)
+}
+
+// store reads one value through the column state machine and stores it
+// at fp by the plan opcode op: appendFields' inverse, one typed read and
+// one store per value.
+func (cr *ColumnReader) store(fp unsafe.Pointer, op uint8) error {
+	switch op {
+	case opBool, opI8, opU8:
+		v, err := cr.Byte()
+		if op == opBool && v != 0 {
+			v = 1 // a bool in memory is 0 or 1
+		}
+		*(*uint8)(fp) = v
+		return err
+	case opI16, opU16:
+		v, err := cr.Uint16()
+		*(*uint16)(fp) = v
+		return err
+	case opI32, opU32, opF32:
+		v, err := cr.Uint32()
+		*(*uint32)(fp) = v
+		return err
+	case opStr:
+		v, err := cr.String()
+		*(*string)(fp) = v
+		return err
+	case opBytes:
+		v, err := cr.bytes()
+		*(*[]byte)(fp) = v
+		return err
+	}
+	v, err := cr.Uint64()
+	switch op {
+	case opInt:
+		*(*int)(fp) = int(v)
+	case opUint:
+		*(*uint)(fp) = uint(v)
+	default: // opI64, opU64, opF64
+		*(*uint64)(fp) = v
+	}
+	return err
+}
+
+// skip reads one value of wire kind k and drops it: how a frame whose
+// format has no local type is consumed.
+func (cr *ColumnReader) skip(k Kind) (err error) {
+	switch k {
+	case KindBool, KindInt8, KindUint8:
+		_, err = cr.Byte()
+	case KindInt16, KindUint16:
+		_, err = cr.Uint16()
+	case KindInt32, KindUint32, KindFloat32:
+		_, err = cr.Uint32()
+	case KindInt64, KindUint64, KindFloat64, KindDuration:
+		_, err = cr.Uint64()
+	case KindString:
+		_, err = cr.String()
+	case KindBytes:
+		_, err = cr.bytes()
+	default:
+		err = fmt.Errorf("%w: field kind %d", ErrBadFrame, k)
+	}
+	return err
+}
+
+// readRows decodes a frame of n rows into one []T through T's plan. Rows
+// are made as the first column delivers them, at most MaxColumnReserve
+// ahead of the bytes, so memory stays bounded by what the stream carried.
+func (cr *ColumnReader) readRows(p *Plan, n int) (any, error) {
+	size, have := p.f.goType.Size(), min(n, MaxColumnReserve)
+	rows := reflect.MakeSlice(reflect.SliceOf(p.f.goType), have, have)
+	base := rows.UnsafePointer()
+	for _, pf := range p.fields {
+		for i := 0; i < n; i++ {
+			if i == have {
+				have = min(2*i, n)
+				grown := reflect.MakeSlice(rows.Type(), have, have)
+				reflect.Copy(grown, rows)
+				rows, base = grown, grown.UnsafePointer()
+			}
+			if err := cr.store(unsafe.Add(base, uintptr(i)*size+pf.off), pf.op); err != nil {
+				return nil, err
+			}
+		}
+	}
+	return rows.Interface(), nil
 }
 
 // readColumns consumes a columnar frame — plain (0x04) or, when
-// compressed is set, per-column compressed (0x05). When a ColumnDecoder
-// is bound for the format (and the format matched the local
-// registration), the whole frame decodes into one Record whose Value is
-// the typed columnar batch. Otherwise rows are materialized generically
-// — records are allocated as the first column streams in, so memory
-// stays bounded by bytes actually delivered — and returned one Decode at
-// a time.
+// compressed is set, per-column compressed (0x05) — into one Record: the
+// batch a bound ColumnDecoder builds, else the []T of the format's local
+// type, else (no local type matches) no value.
 func (d *Decoder) readColumns(compressed bool) (*Record, error) {
 	id, err := d.readUint32()
 	if err != nil {
@@ -460,43 +505,21 @@ func (d *Decoder) readColumns(compressed bool) (*Record, error) {
 	if compressed {
 		cr.rows = int(n)
 	}
-	if d.reg != nil && f.goType != nil {
-		if cd := d.reg.colDecoders[f.Name]; cd != nil {
-			v, err := cd(cr, int(n))
-			if err != nil {
-				return nil, badEOF(err)
-			}
-			return &Record{Format: f.Name, Value: v}, nil
-		}
-	}
-	recs := make([]*Record, 0, min(int(n), MaxColumnReserve))
-	var rvs []reflect.Value
-	for col, fld := range f.Fields {
-		for i := 0; i < int(n); i++ {
-			val, err := cr.value(fld.Kind)
-			if err != nil {
-				return nil, badEOF(err)
-			}
-			if col == 0 {
-				recs = append(recs, &Record{
-					Format: f.Name,
-					Fields: make(map[string]any, min(len(f.Fields), 64)),
-				})
-				if f.goType != nil {
-					rvs = append(rvs, reflect.New(f.goType).Elem())
-				}
-			}
-			recs[i].Fields[fld.Name] = val
-			if f.goType != nil {
-				setField(rvs[i].FieldByIndex(f.index[col]), val)
+	rec := &Record{Format: f.Name}
+	switch {
+	case f.goType == nil:
+		for _, fld := range f.Fields {
+			for i := uint32(0); i < n && err == nil; i++ {
+				err = cr.skip(fld.Kind)
 			}
 		}
+	case d.reg.colDecoders[f.Name] != nil:
+		rec.Value, err = d.reg.colDecoders[f.Name](cr, int(n))
+	default:
+		rec.Value, err = cr.readRows(d.reg.plans[f.goType], int(n))
 	}
-	for i, rec := range recs {
-		if f.goType != nil {
-			rec.Value = rvs[i].Addr().Interface()
-		}
+	if err != nil {
+		return nil, badEOF(err)
 	}
-	d.queue = append(d.queue, recs[1:]...)
-	return recs[0], nil
+	return rec, nil
 }

@@ -9,7 +9,7 @@ import (
 )
 
 // Register a record format, frame a batch of rows into a self-describing
-// stream, decode.
+// stream, and decode the frame back into one batch.
 func ExampleStructColumns() {
 	type Metric struct {
 		Name    string
@@ -28,13 +28,11 @@ func ExampleStructColumns() {
 		panic(err)
 	}
 
-	dec := pbio.NewDecoder(bytes.NewReader(wire), reg)
-	for {
-		rec, err := dec.Decode()
-		if err != nil {
-			break
-		}
-		m := rec.Value.(*Metric)
+	rec, err := pbio.NewDecoder(bytes.NewReader(wire), reg).Decode()
+	if err != nil {
+		panic(err)
+	}
+	for _, m := range rec.Value.([]Metric) {
 		fmt.Printf("%s=%d (%v)\n", m.Name, m.Value, m.Latency)
 	}
 	// Output:

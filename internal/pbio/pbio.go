@@ -18,8 +18,9 @@
 // field 0, then all rows' field 1, and so on — the structure-of-arrays
 // layout the hot path keeps in memory, so encoding is a straight copy per
 // column and decoding can rebuild columnar batches without materializing
-// rows. A single record is a one-row batch. (Kinds 0x02, a single row,
-// and 0x03, a row-major batch, are retired and refused.)
+// rows. A single record is a one-row batch, and every frame decodes to
+// one value. (Kinds 0x02, a single row, and 0x03, a row-major batch, are
+// retired and refused.)
 //
 // Strings and byte slices are length-prefixed; all other kinds are fixed
 // width. The encoding is compact and allocation-light — the property the
@@ -88,9 +89,6 @@ type Format struct {
 	Fields []Field
 	// goType, when known, lets the decoder materialize typed values.
 	goType reflect.Type
-	// index maps Fields positions to struct field index chains (longer
-	// than one hop where the Go type nests structs).
-	index [][]int
 }
 
 // Errors returned by the package.
@@ -138,7 +136,7 @@ func (r *Registry) Register(name string, sample any) (*Format, error) {
 	}
 	f := &Format{ID: r.nextID, Name: name, goType: t}
 	p := &Plan{f: f}
-	if err := p.flatten(t, "", nil, 0); err != nil {
+	if err := p.flatten(t, "", 0); err != nil {
 		return nil, fmt.Errorf("pbio: register %q: %w", name, err)
 	}
 	// Decoders reject zero-field formats (they would make columns frames
@@ -168,9 +166,9 @@ func (r *Registry) Lookup(name string) *Format { return r.byName[name] }
 // exported fields — flattened through nested structs in declaration
 // order — each resolved at registration to a byte offset plus a load
 // opcode, so the per-record encode loop is offset arithmetic and copies,
-// no reflection. A rich in-memory type (e.g. a record with a nested flow
-// key) thereby encodes straight into a flat wire layout with no
-// intermediate conversion struct.
+// no reflection, and decoding stores through the same table. A rich
+// in-memory type (e.g. a record with a nested flow key) thereby travels
+// in a flat wire layout with no intermediate conversion struct.
 type Plan struct {
 	f      *Format
 	fields []planField
@@ -244,26 +242,23 @@ func opOf(t reflect.Type) uint8 {
 
 // flatten walks t's exported fields depth-first, recursing into nested
 // structs (time.Duration is a leaf). Each leaf appends its wire
-// descriptor and index chain to the plan's format and its load step to
-// the plan; prefix, chain and base carry the enclosing struct's name
-// path, index path and byte offset.
-func (p *Plan) flatten(t reflect.Type, prefix string, chain []int, base uintptr) error {
+// descriptor to the plan's format and its load step to the plan; prefix
+// and base carry the enclosing struct's name path and byte offset.
+func (p *Plan) flatten(t reflect.Type, prefix string, base uintptr) error {
 	for i := 0; i < t.NumField(); i++ {
 		sf := t.Field(i)
 		if !sf.IsExported() {
 			continue
 		}
-		idx := append(append([]int(nil), chain...), i)
 		if k, ok := kindOf(sf.Type); ok {
 			p.f.Fields = append(p.f.Fields, Field{Name: prefix + sf.Name, Kind: k})
-			p.f.index = append(p.f.index, idx)
 			p.fields = append(p.fields, planField{off: base + sf.Offset, op: opOf(sf.Type)})
 			continue
 		}
 		if sf.Type.Kind() != reflect.Struct {
 			return fmt.Errorf("field %s has unsupported type %s", prefix+sf.Name, sf.Type)
 		}
-		if err := p.flatten(sf.Type, prefix+sf.Name+".", idx, base+sf.Offset); err != nil {
+		if err := p.flatten(sf.Type, prefix+sf.Name+".", base+sf.Offset); err != nil {
 			return err
 		}
 	}
@@ -413,12 +408,12 @@ func appendString(b []byte, s string) []byte {
 	return append(b, s...)
 }
 
-// Record is a decoded record: its format name and field values. When the
-// decoder's registry knows the format's Go type, Value holds a pointer to
-// a populated instance; Fields is always populated.
+// Record is one decoded frame: its format name and its rows. When the
+// decoder's registry knows the format's Go type T, Value holds the frame's
+// batch — the bound ColumnDecoder's result, or else a []T of every row;
+// for a format with no matching local type it is nil.
 type Record struct {
 	Format string
-	Fields map[string]any
 	Value  any
 }
 
@@ -431,10 +426,6 @@ type Decoder struct {
 	reg     *Registry
 	formats map[uint32]*Format
 	scratch [8]byte
-	// queue holds rows materialized from a columns frame of a format with
-	// no bound column decoder but not yet returned; Decode drains it before
-	// reading the stream again.
-	queue []*Record
 	// maxRows bounds the row count a columns frame may declare.
 	maxRows uint32
 }
@@ -455,21 +446,10 @@ func (d *Decoder) LimitRows(n int) {
 	d.maxRows = uint32(max(0, min(n, maxBatchLen)))
 }
 
-// Pending reports how many already-materialized rows (see queue) the
-// next Decode calls will return without touching the stream. Framing
-// layered above pbio (e.g. pubsub's channel headers, written once per
-// batch) uses this to know when not to expect its own header.
-func (d *Decoder) Pending() int { return len(d.queue) }
-
-// Decode reads the next record, transparently consuming format frames and
-// expanding generically decoded columns frames one row at a time. It
-// returns io.EOF at clean end of stream.
+// Decode reads the next columns frame as one record, transparently
+// consuming format frames before it. It returns io.EOF at clean end of
+// stream.
 func (d *Decoder) Decode() (*Record, error) {
-	if len(d.queue) > 0 {
-		rec := d.queue[0]
-		d.queue = d.queue[1:]
-		return rec, nil
-	}
 	for {
 		kind, err := d.readByte()
 		if err != nil {
@@ -528,7 +508,6 @@ func (d *Decoder) readFormat() error {
 	if d.reg != nil {
 		if local := d.reg.byName[name]; local != nil && fieldsMatch(local.Fields, f.Fields) {
 			f.goType = local.goType
-			f.index = local.index
 		}
 	}
 	d.formats[id] = f
@@ -545,13 +524,6 @@ func fieldsMatch(a, b []Field) bool {
 		}
 	}
 	return true
-}
-
-func setField(fv reflect.Value, val any) {
-	v := reflect.ValueOf(val)
-	if v.Type().ConvertibleTo(fv.Type()) {
-		fv.Set(v.Convert(fv.Type()))
-	}
 }
 
 func (d *Decoder) readByte() (byte, error) {

@@ -42,8 +42,8 @@ func newPair(t *testing.T) (*Registry, *bytes.Buffer) {
 // the way the pubsub connection writer does: the plan's frame builder over
 // the rows viewed as columns, preceded by the format definition when
 // withDef is set (the stream has not carried the format yet). None of the
-// test formats binds a ColumnDecoder, so the decoder hands the rows back
-// one typed record per Decode.
+// test formats binds a ColumnDecoder, so the decoder hands the frame back
+// as one []T per Decode.
 func writeBatch[T any](t testing.TB, reg *Registry, buf *bytes.Buffer, vs []T, withDef bool) {
 	t.Helper()
 	p, cols := StructColumns(reg, vs)
@@ -73,32 +73,80 @@ func TestRoundTripTyped(t *testing.T) {
 	if rec.Format != "sample" {
 		t.Fatalf("format = %q", rec.Format)
 	}
-	got, ok := rec.Value.(*sample)
+	got, ok := rec.Value.([]sample)
 	if !ok {
 		t.Fatalf("Value type = %T", rec.Value)
 	}
-	if !reflect.DeepEqual(*got, in) {
-		t.Fatalf("round trip: got %+v, want %+v", *got, in)
+	if !reflect.DeepEqual(got, []sample{in}) {
+		t.Fatalf("round trip: got %+v, want %+v", got, in)
 	}
 	if _, err := dec.Decode(); !errors.Is(err, io.EOF) {
 		t.Fatalf("want EOF, got %v", err)
 	}
 }
 
-func TestRoundTripGenericFields(t *testing.T) {
-	reg, buf := newPair(t)
-	writeBatch(t, reg, buf, []other{{X: 9, Y: "z"}}, true)
-	// Decode with an empty registry: only generic fields available.
-	dec := NewDecoder(buf, NewRegistry())
-	rec, err := dec.Decode()
+// everyOp has a field of every load opcode, one of them in a nested
+// struct.
+type everyOp struct {
+	B   bool
+	I8  int8
+	I16 int16
+	I32 int32
+	I64 int64
+	I   int
+	U8  uint8
+	U16 uint16
+	U32 uint32
+	U64 uint64
+	U   uint
+	F32 float32
+	F64 float64
+	S   string
+	Raw []byte
+	D   time.Duration
+	In  struct {
+		Tag  string
+		Port uint16
+	}
+}
+
+// everyOpRows are everyOp rows at the edges of every field's range.
+func everyOpRows() []everyOp {
+	rows := []everyOp{
+		{B: true, I8: -128, I16: -32768, I32: -1 << 31, I64: -1 << 63, I: -1, U8: 255, U16: 65535,
+			U32: 1<<32 - 1, U64: 1<<64 - 1, U: 1 << 40, F32: -1.5, F64: 1e300, S: "ünïcode", Raw: []byte{0, 1, 255}, D: -time.Second},
+		{I8: 127, I16: 32767, I32: 1<<31 - 1, I64: 1<<63 - 1, I: 1 << 50, F32: 3.25e-3, F64: -0.5, Raw: []byte{}, D: time.Hour},
+		{B: true, S: "x", Raw: []byte("payload")},
+	}
+	rows[0].In.Tag, rows[0].In.Port = "port:80", 80
+	rows[2].In.Port = 65535
+	return rows
+}
+
+// TestRoundTripEveryOpcode: a row struct with a field of every opcode
+// comes back from a plain and a compressed frame as the same []T.
+func TestRoundTripEveryOpcode(t *testing.T) {
+	reg := NewRegistry()
+	reg.MustRegister("every", everyOp{})
+	in := everyOpRows()
+	p, cols := StructColumns(reg, in)
+	plain, _, err := p.AppendColumnsFrame(p.Format().AppendDef(nil), cols)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rec.Value != nil {
-		t.Fatal("typed value without a matching registry entry")
+	packed, _, err := p.AppendCompressedColumnsFrame(nil, cols)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if rec.Fields["X"] != int32(9) || rec.Fields["Y"] != "z" {
-		t.Fatalf("fields = %v", rec.Fields)
+	dec := NewDecoder(bytes.NewReader(append(plain, packed...)), reg)
+	for _, kind := range []string{"0x04", "0x05"} {
+		rec, err := dec.Decode()
+		if err != nil {
+			t.Fatalf("%s: %v", kind, err)
+		}
+		if got, ok := rec.Value.([]everyOp); !ok || !reflect.DeepEqual(got, in) {
+			t.Fatalf("%s frame decoded to %+v, want %+v", kind, rec.Value, in)
+		}
 	}
 }
 
@@ -120,7 +168,7 @@ func TestFormatSentOncePerStream(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := rec.Value.(*other).X; got != want {
+		if got := rec.Value.([]other)[0].X; got != want {
 			t.Fatalf("X = %d, want %d", got, want)
 		}
 	}
@@ -215,7 +263,7 @@ func TestBadFrameKind(t *testing.T) {
 		buf.Write(count)                                               // 0x03: one row
 		buf.Write([]byte{2, 0, 0, 0, 0, 0, 0, 0})                      // X = 2, Y = ""
 		dec = NewDecoder(buf, reg)
-		if rec, err := dec.Decode(); err != nil || rec.Value.(*other).X != 1 {
+		if rec, err := dec.Decode(); err != nil || rec.Value.([]other)[0].X != 1 {
 			t.Fatalf("record before the 0x%02x frame: %+v, %v", kind, rec, err)
 		}
 		if rec, err := dec.Decode(); !errors.Is(err, ErrBadFrame) {
@@ -230,25 +278,33 @@ func TestKindString(t *testing.T) {
 	}
 }
 
-func TestFieldMismatchFallsBackToGeneric(t *testing.T) {
-	// Sender and receiver both call a format "evt" but with different
-	// layouts: the receiver must fall back to generic decoding rather
-	// than mis-filling its struct.
-	sreg := NewRegistry()
+// TestFieldMismatchDecodesNoValue: sender and receiver both call a format
+// "evt" but with different layouts. The receiver consumes the frame
+// without mis-filling its struct — the record names the format and
+// carries no value — and the next frame still decodes.
+func TestFieldMismatchDecodesNoValue(t *testing.T) {
+	sreg, rreg := NewRegistry(), NewRegistry()
 	sreg.MustRegister("evt", other{})
-	var buf bytes.Buffer
-	writeBatch(t, sreg, &buf, []other{{X: 1, Y: "a"}}, true)
-	rreg := NewRegistry()
+	sreg.MustRegister("next", flatRec{})
 	rreg.MustRegister("evt", sample{})
-	rec, err := NewDecoder(&buf, rreg).Decode()
+	rreg.MustRegister("next", flatRec{})
+	var buf bytes.Buffer
+	writeBatch(t, sreg, &buf, []other{{X: 1, Y: "a"}, {X: 2, Y: "b"}}, true)
+	writeBatch(t, sreg, &buf, []flatRec{{ID: 7, Class: "c"}}, true)
+	dec := NewDecoder(&buf, rreg)
+	rec, err := dec.Decode()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rec.Value != nil {
-		t.Fatal("mismatched layout decoded into typed value")
+	if rec.Format != "evt" || rec.Value != nil {
+		t.Fatalf("mismatched layout decoded to %+v, want format evt and no value", rec)
 	}
-	if rec.Fields["X"] != int32(1) {
-		t.Fatalf("fields = %v", rec.Fields)
+	rec, err = dec.Decode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, ok := rec.Value.([]flatRec); !ok || len(got) != 1 || got[0].ID != 7 || got[0].Class != "c" {
+		t.Fatalf("frame after the mismatch decoded to %+v", rec.Value)
 	}
 }
 
@@ -264,11 +320,11 @@ func TestRoundTripProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		got := rec.Value.(*sample)
+		got := rec.Value.([]sample)[0]
 		if len(in.G) == 0 && len(got.G) == 0 {
 			got.G, in.G = nil, nil
 		}
-		return reflect.DeepEqual(*got, in)
+		return reflect.DeepEqual(got, in)
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
@@ -338,21 +394,16 @@ func TestBatchRoundTrip(t *testing.T) {
 	}
 	writeBatch(t, reg, buf, in, true)
 	dec := NewDecoder(buf, reg)
-	for i := range in {
-		rec, err := dec.Decode()
-		if err != nil {
-			t.Fatalf("record %d: %v", i, err)
-		}
-		got, ok := rec.Value.(*sample)
-		if !ok {
-			t.Fatalf("record %d: Value type = %T", i, rec.Value)
-		}
-		if !reflect.DeepEqual(*got, in[i]) {
-			t.Fatalf("record %d: got %+v, want %+v", i, *got, in[i])
-		}
-		if want := len(in) - i - 1; dec.Pending() != want {
-			t.Fatalf("after record %d: Pending = %d, want %d", i, dec.Pending(), want)
-		}
+	rec, err := dec.Decode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, ok := rec.Value.([]sample)
+	if !ok {
+		t.Fatalf("Value type = %T", rec.Value)
+	}
+	if !reflect.DeepEqual(got, in) {
+		t.Fatalf("got %+v, want %+v", got, in)
 	}
 	if _, err := dec.Decode(); !errors.Is(err, io.EOF) {
 		t.Fatalf("want EOF, got %v", err)
@@ -375,22 +426,25 @@ func TestBatchMixedWithSingles(t *testing.T) {
 	writeBatch(t, reg, buf, []sample{{A: 2}, {A: 3}}, false) // def sent with the single above
 	writeBatch(t, reg, buf, []other{{X: 4}}, true)
 	dec := NewDecoder(buf, reg)
-	wantA := []int64{1, 2, 3}
-	for _, want := range wantA {
+	for _, want := range [][]int64{{1}, {2, 3}} {
 		rec, err := dec.Decode()
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := rec.Value.(*sample); got.A != want {
-			t.Fatalf("A = %d, want %d", got.A, want)
+		var got []int64
+		for _, s := range rec.Value.([]sample) {
+			got = append(got, s.A)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("A = %v, want %v", got, want)
 		}
 	}
 	rec, err := dec.Decode()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := rec.Value.(*other); got.X != 4 {
-		t.Fatalf("X = %d", got.X)
+	if got := rec.Value.([]other); len(got) != 1 || got[0].X != 4 {
+		t.Fatalf("other batch = %+v", got)
 	}
 }
 
@@ -398,9 +452,9 @@ func TestBatchTruncatedStream(t *testing.T) {
 	reg, buf := newPair(t)
 	writeBatch(t, reg, buf, []sample{{A: 1}, {A: 2}}, true)
 	full := buf.Bytes()
-	// The whole columns frame is consumed before the first record is
-	// returned, so any truncation inside the frame surfaces immediately —
-	// and as truncation, not as a clean EOF.
+	// The whole columns frame is consumed before its batch is returned, so
+	// any truncation inside the frame surfaces immediately — and as
+	// truncation, not as a clean EOF.
 	for _, cut := range []int{3, len(full) / 2} {
 		dec := NewDecoder(bytes.NewReader(full[:len(full)-cut]), reg)
 		if _, err := dec.Decode(); err == nil || errors.Is(err, io.EOF) {

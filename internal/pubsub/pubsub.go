@@ -3,8 +3,9 @@
 // publish-subscribe channels" in the paper). A Broker hosts named
 // channels; consumers subscribe locally (in-process callbacks, the
 // kernel-level fast path) or remotely over TCP, where records travel as
-// PBIO-encoded binary frames. Subscriptions may carry dynamic data
-// filters, so uninterested consumers do not pay network cost.
+// PBIO-encoded binary frames. An in-process subscription may carry a
+// dynamic data filter; a remote one names channels and optionally a
+// shard, and receives every row of those.
 //
 // There is one publish call, PublishColumns, and one thing it publishes,
 // a core.Batch: rows that encode themselves by column and know their own
@@ -90,8 +91,7 @@ type remoteConn struct {
 	// publish path reads it without synchronization.
 	sel core.ShardSelector
 	// columnsZ records that the subscriber asked for per-column
-	// compressed (0x05) columnar frames. Honored per publish only while
-	// the broker's wire-compression knob is on.
+	// compressed (0x05) columnar frames, which every publish honors.
 	columnsZ bool
 
 	sentFormats map[*pbio.Format]bool
@@ -626,14 +626,10 @@ func (b *Broker) Close() {
 }
 
 // Subscriber is the remote (TCP) side: it dials a broker, subscribes to
-// channels, and receives records.
+// channels, and receives batches.
 type Subscriber struct {
 	conn net.Conn
 	dec  *pbio.Decoder
-	// lastChannel is the channel of the batch currently being drained: the
-	// broker writes one channel header per batch, so rows after the first
-	// of a batch the decoder hands back row by row carry no header.
-	lastChannel string
 }
 
 // Dial connects to a broker at addr and subscribes to the channels. reg
@@ -686,20 +682,13 @@ func (d Dialer) Dial(addr string, channels ...string) (*Subscriber, error) {
 	return &Subscriber{conn: conn, dec: pbio.NewDecoder(conn, d.Registry)}, nil
 }
 
-// Recv blocks for the next record, returning its channel and decoded
-// record. A batch of a format with a bound column decoder (interactions)
-// arrives as one record whose Value is the whole batch; any other batch
-// (aggregate deltas, or a format that does not match the local one) is
-// returned one row at a time, transparently. io.EOF indicates the broker
-// closed the connection.
+// Recv blocks for the next published batch: one channel header, one
+// frame, one value. The record's Value is the whole batch — a
+// *core.RecordColumns for interactions, a []T for any other registered
+// row struct (aggregate deltas arrive as []dissem.WireAggregate) — or nil
+// when the frame's format does not match the local one. io.EOF indicates
+// the broker closed the connection.
 func (s *Subscriber) Recv() (string, *pbio.Record, error) {
-	if s.dec.Pending() > 0 {
-		rec, err := s.dec.Decode()
-		if err != nil {
-			return "", nil, err
-		}
-		return s.lastChannel, rec, nil
-	}
 	name, err := readString(s.conn)
 	if err != nil {
 		return "", nil, err
@@ -708,7 +697,6 @@ func (s *Subscriber) Recv() (string, *pbio.Record, error) {
 	if err != nil {
 		return "", nil, err
 	}
-	s.lastChannel = name
 	return name, rec, nil
 }
 

@@ -41,9 +41,11 @@ func drain(t *testing.T, s *Subscriber, want int) []uint64 {
 					vals <- id
 				}
 				n += v.Len()
-			case *metric:
-				vals <- uint64(v.Value)
-				n++
+			case []metric:
+				for _, m := range v {
+					vals <- uint64(m.Value)
+				}
+				n += len(v)
 			}
 		}
 	}()

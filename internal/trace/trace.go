@@ -123,14 +123,13 @@ func Replay(r io.Reader, fn func(*kprof.Event) error) (int, error) {
 		if err != nil {
 			return n, fmt.Errorf("trace: replay: %w", err)
 		}
-		ev, ok := rec.Value.(*kprof.Event)
-		if !ok {
-			continue // unknown format in a mixed stream: skip
+		evs, _ := rec.Value.([]kprof.Event) // another format in a mixed stream: skip
+		for i := range evs {
+			if err := fn(&evs[i]); err != nil {
+				return n, err
+			}
+			n++
 		}
-		if err := fn(ev); err != nil {
-			return n, err
-		}
-		n++
 	}
 }
 

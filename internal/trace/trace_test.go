@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"runtime"
 	"slices"
 	"testing"
 	"testing/quick"
@@ -240,4 +241,56 @@ func TestOfflineAnalysisMatchesLive(t *testing.T) {
 			t.Fatalf("interaction %d differs:\n live    %+v\n offline %+v", i, l, o)
 		}
 	}
+}
+
+// serverTrace is an n-event trace of events that each name their process,
+// as a server's net_user_read does.
+func serverTrace(tb testing.TB, n int) []byte {
+	tb.Helper()
+	var buf bytes.Buffer
+	w, err := NewWriter(&buf)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	for i := 0; i < n; i++ {
+		w.Write(&kprof.Event{Type: kprof.EvNetUserRead, Node: 2, PID: int32(i % 7), Time: time.Duration(i) * time.Microsecond,
+			MsgID: uint64(i), Bytes: 512, Aux: int64(i % 100), Proc: "httpd"})
+	}
+	if err := w.Close(); err != nil {
+		tb.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestReplayAllocs: a trace frame decodes into one []kprof.Event, so an
+// event costs about its process name's string and nothing per field.
+func TestReplayAllocs(t *testing.T) {
+	const events = 8192
+	raw := serverTrace(t, events)
+	allocs := testing.AllocsPerRun(5, func() {
+		if n, err := Replay(bytes.NewReader(raw), func(*kprof.Event) error { return nil }); err != nil || n != events {
+			t.Fatalf("replayed %d of %d, err %v", n, events, err)
+		}
+	})
+	if perEvent := allocs / events; perEvent > 3 {
+		t.Fatalf("replay costs %.2f allocations per event, want at most 3", perEvent)
+	}
+}
+
+// BenchmarkReplay replays an 8 192-event trace from memory.
+func BenchmarkReplay(b *testing.B) {
+	const events = 8192
+	raw := serverTrace(b, events)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := Replay(bytes.NewReader(raw), func(*kprof.Event) error { return nil }); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	runtime.ReadMemStats(&after)
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*events), "ns/event")
+	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/float64(b.N*events), "allocs/event")
 }
