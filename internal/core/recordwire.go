@@ -72,17 +72,18 @@ const RecordWireFields = len(recordWire)
 // history pages — registers through here, so a columnar batch has one
 // encoding on every link. The format is derived from Record itself, so
 // encoders write columnar batches straight into the wire buffer and
-// decoders rebuild them straight into *RecordColumns.
+// decoders rebuild them straight into *RecordColumns — a new one, or the
+// one handed to pbio.Decoder.DecodeInto.
 func RegisterRecordFormat(reg *pbio.Registry) error {
 	if _, err := reg.Register(recordFormat, Record{}); err != nil {
 		return fmt.Errorf("core: %w", err)
 	}
-	reg.BindColumnDecoder(recordFormat, func(cr *pbio.ColumnReader, rows int) (any, error) {
-		cols, err := ReadColumns(cr, rows)
-		if err != nil {
-			return nil, err
+	reg.BindColumnDecoder(recordFormat, func(cr *pbio.ColumnReader, rows int, into any) (any, error) {
+		c, _ := into.(*RecordColumns)
+		if c == nil {
+			c = new(RecordColumns)
 		}
-		return cols, nil
+		return c, c.ReadColumns(cr, rows)
 	})
 	return nil
 }
@@ -324,93 +325,57 @@ func (c *RecordColumns) AppendCompressedColumn(buf []byte, field int) []byte {
 
 // --- decoding ---
 
-// ReadColumns rebuilds a batch from a columnar interaction frame of
-// either kind: columns arrive in recordWire order, and the reader
-// undoes a 0x05 frame's per-column codes itself. Capacity is reserved up
-// to pbio.MaxColumnReserve rows; a hostile row count beyond that only
-// grows the batch as bytes actually arrive.
-func ReadColumns(cr *pbio.ColumnReader, rows int) (*RecordColumns, error) {
-	c := NewRecordColumns(min(rows, pbio.MaxColumnReserve))
+// ReadColumns appends the rows of a columnar interaction frame of either
+// kind to c: one bulk read per column, in recordWire order, straight
+// into the column's slice; the reader undoes a 0x05 frame's per-column
+// codes itself. Capacity is reserved up to pbio.MaxColumnReserve rows; a
+// hostile row count beyond that only grows the batch as bytes actually
+// arrive. A batch that frames keep appending to at least doubles when it
+// grows, so a long stream costs amortized-linear copying.
+func (c *RecordColumns) ReadColumns(cr *pbio.ColumnReader, rows int) error {
+	base := c.Len()
+	if need := min(rows, pbio.MaxColumnReserve); cap(c.IDs)-base < need {
+		c.Grow(max(need, base))
+	}
+	var err error
 	for _, w := range recordWire {
 		switch w.kind {
 		case colU64:
-			col := *c.u64s()[w.idx]
-			for i := 0; i < rows; i++ {
-				v, err := cr.Uint64()
-				if err != nil {
-					return nil, err
-				}
-				col = append(col, v)
-			}
-			*c.u64s()[w.idx] = col
+			p := c.u64s()[w.idx]
+			*p, err = pbio.AppendInts(cr, *p)
 		case colDur:
-			col := *c.durs()[w.idx]
-			for i := 0; i < rows; i++ {
-				v, err := cr.Duration()
-				if err != nil {
-					return nil, err
-				}
-				col = append(col, v)
-			}
-			*c.durs()[w.idx] = col
+			p := c.durs()[w.idx]
+			*p, err = pbio.AppendInts(cr, *p)
 		case colInt:
-			col := *c.ints()[w.idx]
-			for i := 0; i < rows; i++ {
-				v, err := cr.Int()
-				if err != nil {
-					return nil, err
-				}
-				col = append(col, v)
-			}
-			*c.ints()[w.idx] = col
+			p := c.ints()[w.idx]
+			*p, err = pbio.AppendInts(cr, *p)
 		case colStr:
-			col := *c.strs()[w.idx]
-			for i := 0; i < rows; i++ {
-				v, err := cr.String()
-				if err != nil {
-					return nil, err
-				}
-				col = append(col, v)
-			}
-			*c.strs()[w.idx] = col
+			p := c.strs()[w.idx]
+			*p, err = cr.AppendStrings(*p)
 		case colNode:
-			for i := 0; i < rows; i++ {
-				v, err := cr.Uint16()
-				if err != nil {
-					return nil, err
-				}
-				c.Nodes = append(c.Nodes, simnet.NodeID(v))
-			}
+			c.Nodes, err = pbio.AppendInts(cr, c.Nodes)
+		case colCPU:
+			c.CPUs, err = pbio.AppendInts(cr, c.CPUs)
+		case colPID:
+			c.ServerPIDs, err = pbio.AppendInts(cr, c.ServerPIDs)
 		case colFlow:
 			// The four pieces fill successive parts of the packed key;
 			// whichever arrives first makes the rows.
-			for i := 0; i < rows; i++ {
-				v, err := cr.Uint16()
-				if err != nil {
-					return nil, err
-				}
-				if i == len(c.Flows) {
-					c.Flows = append(c.Flows, simnet.FlowKey{})
-				}
-				setFlowPiece(&c.Flows[i], w.idx, v)
+			var piece []uint64
+			if piece, err = cr.Uint64s(); err != nil {
+				break
 			}
-		case colCPU:
-			for i := 0; i < rows; i++ {
-				v, err := cr.Byte()
-				if err != nil {
-					return nil, err
-				}
-				c.CPUs = append(c.CPUs, v)
+			if len(c.Flows) == base {
+				c.Flows = append(c.Flows, make([]simnet.FlowKey, len(piece))...)
 			}
-		case colPID:
-			for i := 0; i < rows; i++ {
-				v, err := cr.Int32()
-				if err != nil {
-					return nil, err
-				}
-				c.ServerPIDs = append(c.ServerPIDs, v)
+			flows := c.Flows[base:]
+			for i, v := range piece {
+				setFlowPiece(&flows[i], w.idx, uint16(v))
 			}
 		}
+		if err != nil {
+			return err
+		}
 	}
-	return c, nil
+	return nil
 }

@@ -35,16 +35,16 @@ func TestIngestSteadyStateZeroAlloc(t *testing.T) {
 
 var sinkString string
 
-// TestWriteRecentAllocatesOnlyItsStrings: a "recent" line costs the
-// allocations of the four String() calls it is made of (the flow and
-// three durations) and none for putting them together — no formatter
-// state, no boxed operands.
+// TestWriteRecentAllocatesOnlyItsStrings: a "recent" line costs at most
+// the allocations of its three durations' String() calls (none, when the
+// compiler keeps their results on the stack) — nothing for the flow,
+// which is appended from a stack buffer, and nothing for putting the
+// pieces together.
 func TestWriteRecentAllocatesOnlyItsStrings(t *testing.T) {
 	h := newFedHarness(t, 1, Config{})
 	h.workload(1, 1)
 	e := &h.shards[0].Correlated()[0]
-	strs := testing.AllocsPerRun(100, func() {
-		sinkString = e.Flow.String()
+	durations := testing.AllocsPerRun(100, func() {
 		sinkString = e.Client.Residence().String()
 		sinkString = e.Server.Residence().String()
 		sinkString = e.NetworkDelay().String()
@@ -52,8 +52,38 @@ func TestWriteRecentAllocatesOnlyItsStrings(t *testing.T) {
 	var sb strings.Builder
 	sb.Grow(101 * 128) // every run's line fits: the builder does not grow
 	line := testing.AllocsPerRun(100, func() { writeRecent(&sb, e) })
-	if line > strs {
-		t.Fatalf("writeRecent allocates %.0f times a line, its four String() calls %.0f", line, strs)
+	if line > durations {
+		t.Fatalf("writeRecent allocates %.0f times a line, its three durations' String() calls %.0f", line, durations)
+	}
+	if !strings.HasPrefix(sb.String(), e.Flow.String()+" client=") {
+		t.Fatalf("line %.80q does not open with the flow %s", sb.String(), e.Flow)
+	}
+}
+
+// TestPageDecodeAllocatesPerPage: decoding a shard's page into a
+// recycled one costs the same allocations at 64 rows as at 256 — per
+// page, not per row. The count is logged, so CI's log shows what a page
+// costs.
+func TestPageDecodeAllocatesPerPage(t *testing.T) {
+	allocs := func(pairs int) float64 {
+		g := benchGPA()
+		g.IngestColumns(benchColumns(2 * pairs))
+		reply, err := g.correlatedPage(0, pageFrameRows)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return testing.AllocsPerRun(50, func() {
+			page, err := decodeCorrelatedPage(reply)
+			if err != nil || page.Len() != pairs {
+				t.Fatalf("page of %d rows, err %v; want %d rows", page.Len(), err, pairs)
+			}
+			releasePage(page)
+		})
+	}
+	small, large := allocs(64), allocs(256)
+	t.Logf("page decode: %.0f allocs at 64 rows, %.0f at 256", small, large)
+	if small != large {
+		t.Fatalf("a 256-row page costs %.0f allocations to decode, a 64-row one %.0f", large, small)
 	}
 }
 

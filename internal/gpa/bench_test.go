@@ -127,8 +127,8 @@ func benchmarkIngestParallel(b *testing.B, shards int) {
 // BenchmarkCorrelatedPage is one federated page pull without the socket:
 // a shard renders its 256-interaction history as a "pcorrelated" reply
 // (gather from the stripes, order by completion, encode head and halves)
-// and the frontend decodes and validates it — the step that runs once per
-// shard per correlated query.
+// and the frontend decodes and validates it into a recycled page — the
+// step that runs once per shard per correlated query.
 func BenchmarkCorrelatedPage(b *testing.B) {
 	g := benchGPA()
 	g.IngestColumns(benchColumns(512)) // 256 correlating pairs
@@ -149,5 +149,6 @@ func BenchmarkCorrelatedPage(b *testing.B) {
 		if page.Len() != 256 {
 			b.Fatalf("page of %d rows, want 256", page.Len())
 		}
+		releasePage(page)
 	}
 }

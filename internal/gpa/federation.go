@@ -377,15 +377,7 @@ func (f *Frontend) ClassAggregates(node simnet.NodeID) (map[string]core.Aggregat
 // Correlated returns the merged end-to-end interactions in global
 // completion order.
 func (f *Frontend) Correlated() ([]EndToEnd, FederationStatus, error) {
-	recs, st, err := f.CorrelatedSeq()
-	if err != nil {
-		return nil, st, err
-	}
-	out := make([]EndToEnd, len(recs))
-	for i := range recs {
-		out[i] = recs[i].EndToEnd
-	}
-	return out, st, nil
+	return mergeTail(f, 0, func(dst *EndToEnd, _ uint64, p *E2EColumns, i int) { p.copyRow(dst, i) })
 }
 
 // Dump writes the merged correlated history, numbered as CorrelatedSeq
@@ -396,13 +388,8 @@ func (f *Frontend) Dump(w io.Writer) (FederationStatus, error) {
 	if err != nil {
 		return st, err
 	}
-	sc := pagePool.Get().(*pageScratch)
-	defer pagePool.Put(sc)
-	sc.page.reset()
-	for i := range recs {
-		sc.page.appendE2E(recs[i].Seq, &recs[i].EndToEnd)
-	}
-	sc.order = sc.page.completionOrder(sc.order[:0])
+	sc := &pageScratch{rows: recs}
+	sc.order = sc.completionOrder(nil)
 	return st, sc.writePages(w)
 }
 

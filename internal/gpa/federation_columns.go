@@ -21,8 +21,8 @@ import (
 
 // E2EColumns is a correlated-stream page in structure-of-arrays form:
 // parallel sequence and flow columns plus the client and server halves as
-// columnar record batches — what a shard renders a "pcorrelated" reply
-// from and what the frontend decodes one into.
+// columnar record batches — what the frontend decodes a "pcorrelated"
+// reply into and LoadDump a dump.
 type E2EColumns struct {
 	Seqs   []uint64
 	Flows  []simnet.FlowKey
@@ -40,12 +40,11 @@ func (p *E2EColumns) reset() {
 	p.Server.Reset()
 }
 
-// appendE2E adds one tagged interaction to the page.
-func (p *E2EColumns) appendE2E(seq uint64, e *EndToEnd) {
-	p.Seqs = append(p.Seqs, seq)
-	p.Flows = append(p.Flows, e.Flow)
-	p.Client.AppendRow(e.Client)
-	p.Server.AppendRow(e.Server)
+// copyRow writes row i into dst, overwriting every field.
+func (p *E2EColumns) copyRow(dst *EndToEnd, i int) {
+	dst.Flow = p.Flows[i]
+	p.Client.CopyRow(&dst.Client, i)
+	p.Server.CopyRow(&dst.Server, i)
 }
 
 // validate rejects pages whose columns disagree on row count — a
@@ -71,18 +70,29 @@ func (p *E2EColumns) done(i int) time.Duration {
 	return max(p.Client.Ends[i], p.Server.Ends[i])
 }
 
+// done is the merge key's primary component for a row-form interaction.
+func (e *EndToEnd) done() time.Duration { return max(e.Client.End, e.Server.End) }
+
 // completionOrder appends the page's row indices to order, sorted by
-// (completion, seq) — the merge key within one shard. Sequence numbers
-// are unique per shard, which makes the key a total order on the page.
+// (completion, seq) — the merge key within one shard.
 func (p *E2EColumns) completionOrder(order []int) []int {
-	for i := range p.Seqs {
+	return completionOrder(order, p.Len(), func(i int) (time.Duration, uint64) { return p.done(i), p.Seqs[i] })
+}
+
+// completionOrder appends 0..n-1 to order, sorted by the (completion,
+// seq) key of each. Sequence numbers are unique per shard, which makes
+// the key a total order on one shard's rows.
+func completionOrder(order []int, n int, key func(i int) (time.Duration, uint64)) []int {
+	for i := 0; i < n; i++ {
 		order = append(order, i)
 	}
 	slices.SortFunc(order, func(a, b int) int {
-		if c := cmp.Compare(p.done(a), p.done(b)); c != 0 {
+		da, sa := key(a)
+		db, sb := key(b)
+		if c := cmp.Compare(da, db); c != 0 {
 			return c
 		}
-		return cmp.Compare(p.Seqs[a], p.Seqs[b])
+		return cmp.Compare(sa, sb)
 	})
 	return order
 }
@@ -161,10 +171,21 @@ func (f *Frontend) CorrelatedSeq() ([]SeqEndToEnd, FederationStatus, error) {
 }
 
 // correlatedTail is CorrelatedSeq cut to the last n interactions (0 =
-// all), numbered from 1. The count is pushed down: each shard sends its
-// own last n under the merge key, whose union contains the global last n,
-// and the merge materializes only those.
+// all), numbered from 1.
 func (f *Frontend) correlatedTail(n int) ([]SeqEndToEnd, FederationStatus, error) {
+	return mergeTail(f, n, func(dst *SeqEndToEnd, seq uint64, p *E2EColumns, i int) {
+		dst.Seq = seq
+		p.copyRow(&dst.EndToEnd, i)
+	})
+}
+
+// mergeTail fans "pcorrelated [n]" out and merges the shards' pages into
+// the last n interactions (0 = all) in global completion order, writing
+// each straight into its slot of the returned slice through fill, with
+// its number in that order, from 1. The count is pushed down: each shard
+// sends its own last n under the merge key, whose union contains the
+// global last n, and the merge materializes only those.
+func mergeTail[T any](f *Frontend, n int, fill func(dst *T, seq uint64, p *E2EColumns, i int)) ([]T, FederationStatus, error) {
 	cmd := "pcorrelated"
 	if n > 0 {
 		cmd = fmt.Sprintf("pcorrelated %d", n)
@@ -174,6 +195,7 @@ func (f *Frontend) correlatedTail(n int) ([]SeqEndToEnd, FederationStatus, error
 		return nil, st, fmt.Errorf("%w: %s", errAllShardsDead, strings.Join(st.Errors, "; "))
 	}
 
+	// Each page goes back to the pool once the merge has walked it.
 	heads := make([]*mergeHead, 0, len(replies))
 	total := 0
 	for _, r := range replies {
@@ -182,9 +204,13 @@ func (f *Frontend) correlatedTail(n int) ([]SeqEndToEnd, FederationStatus, error
 		}
 		page, err := decodeCorrelatedPage(r.payload)
 		if err != nil {
+			for _, h := range heads {
+				releasePage(h.page)
+			}
 			return nil, st, fmt.Errorf("gpa: shard %d reply: %w", r.index, err)
 		}
 		if page.Len() == 0 {
+			releasePage(page)
 			continue
 		}
 		heads = append(heads, newMergeHead(r.index, page))
@@ -197,21 +223,15 @@ func (f *Frontend) correlatedTail(n int) ([]SeqEndToEnd, FederationStatus, error
 	if n > 0 && total > n {
 		skip = total - n
 	}
-	out := make([]SeqEndToEnd, 0, total-skip)
+	out := make([]T, total-skip)
 	for merged := 0; len(heads) > 0; merged++ {
 		h := heads[0]
-		if i := h.order[h.pos]; merged >= skip {
-			out = append(out, SeqEndToEnd{
-				Seq: uint64(len(out) + 1),
-				EndToEnd: EndToEnd{
-					Flow:   h.page.Flows[i],
-					Client: h.page.Client.Row(i),
-					Server: h.page.Server.Row(i),
-				},
-			})
+		if merged >= skip {
+			fill(&out[merged-skip], uint64(merged-skip+1), h.page, h.order[h.pos])
 		}
 		h.pos++
 		if h.pos == len(h.order) {
+			releasePage(h.page)
 			heads[0] = heads[len(heads)-1]
 			heads = heads[:len(heads)-1]
 		} else {

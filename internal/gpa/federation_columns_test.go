@@ -65,9 +65,6 @@ func (h *fedHarness) overlapWorkload(rng *rand.Rand, pairs int) {
 	}
 }
 
-// e2eDone is an interaction's completion time, the merge key.
-func e2eDone(e *EndToEnd) time.Duration { return max(e.Client.End, e.Server.End) }
-
 // requireOverlap fails unless the workload really has what the
 // differential cases claim to cover: a shard whose completion order
 // differs from its sequence order, and completion-time ties in the merge.
@@ -77,12 +74,12 @@ func requireOverlap(t *testing.T, h *fedHarness, merged []SeqEndToEnd) {
 	for _, g := range h.shards {
 		recs := g.CorrelatedSeq()
 		for i := 1; i < len(recs); i++ {
-			reordered = reordered || e2eDone(&recs[i].EndToEnd) < e2eDone(&recs[i-1].EndToEnd)
+			reordered = reordered || recs[i].done() < recs[i-1].done()
 		}
 	}
 	ties := 0
 	for i := 1; i < len(merged); i++ {
-		if e2eDone(&merged[i].EndToEnd) == e2eDone(&merged[i-1].EndToEnd) {
+		if merged[i].done() == merged[i-1].done() {
 			ties++
 		}
 	}

@@ -398,7 +398,7 @@ func TestCorrelatedSeqMergeOrder(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !sort.SliceIsSorted(recs, func(i, j int) bool {
-		return e2eDone(&recs[i].EndToEnd) < e2eDone(&recs[j].EndToEnd)
+		return recs[i].done() < recs[j].done()
 	}) {
 		t.Fatal("merged stream is not in completion order")
 	}

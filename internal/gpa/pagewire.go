@@ -9,7 +9,7 @@ package gpa
 // per-column delta/RLE/dictionary codes already buy what a general
 // compressor would — and the frontend decodes the halves through the
 // interaction format's bound column decoder straight into the columns its
-// merge walks, and the head into a []headRow.
+// merge walks — recycled between queries — and the head into a []headRow.
 
 import (
 	"bufio"
@@ -22,6 +22,7 @@ import (
 	"reflect"
 	"strings"
 	"sync"
+	"time"
 
 	"sysprof/internal/core"
 	"sysprof/internal/pbio"
@@ -117,8 +118,8 @@ func (c runCoded) AppendCompressedColumn(buf []byte, field int) []byte {
 // queries allocate only their reply and nothing page-sized stays on the
 // GPA between them.
 type pageScratch struct {
-	page  E2EColumns         // the history to render, in stripe order
-	order []int              // page's rows under the merge key
+	rows  []SeqEndToEnd      // the history to render, in stripe order
+	order []int              // rows under the merge key
 	head  pageHead           // the head frame's batch
 	chunk core.RecordColumns // one half frame's batch
 	wire  []byte
@@ -126,17 +127,17 @@ type pageScratch struct {
 
 var pagePool = sync.Pool{New: func() any { return new(pageScratch) }}
 
-// gather copies every stripe's history into the scratch page, detaching
-// it from the stripes when detach is set, and orders the rows under the
-// merge key.
+// gather copies every stripe's history into the scratch rows — the one
+// copy of a row rendering makes before it encodes it — detaching it from
+// the stripes when detach is set, and orders the rows under the merge
+// key.
 func (sc *pageScratch) gather(g *GPA, detach bool) {
-	p := &sc.page
-	p.reset()
+	sc.rows = sc.rows[:0]
 	for i := range g.shards {
 		s := &g.shards[i]
 		s.mu.Lock()
 		for j := range s.correlated {
-			p.appendE2E(s.correlated[j].seq, &s.correlated[j].e2e)
+			sc.rows = append(sc.rows, SeqEndToEnd{Seq: s.correlated[j].seq, EndToEnd: s.correlated[j].e2e})
 		}
 		if detach {
 			s.stats.CorrelatedEvicted += uint64(len(s.correlated))
@@ -144,32 +145,46 @@ func (sc *pageScratch) gather(g *GPA, detach bool) {
 		}
 		s.mu.Unlock()
 	}
-	sc.order = p.completionOrder(sc.order[:0])
+	sc.order = sc.completionOrder(sc.order[:0])
 }
 
-// render sets wire to one page holding the given rows of the scratch page,
-// in that order, with half frames cut every frameRows rows.
+// completionOrder appends the scratch rows' indices to order, sorted by
+// (completion, seq): the merge key within one shard.
+func (sc *pageScratch) completionOrder(order []int) []int {
+	return completionOrder(order, len(sc.rows), func(i int) (time.Duration, uint64) {
+		return sc.rows[i].done(), sc.rows[i].Seq
+	})
+}
+
+// halves are a page's two half frames, each a column of one endpoint's
+// records.
+var halves = [...]func(*EndToEnd) *core.Record{
+	func(e *EndToEnd) *core.Record { return &e.Client },
+	func(e *EndToEnd) *core.Record { return &e.Server },
+}
+
+// render sets wire to one page holding the given scratch rows, in that
+// order, with half frames cut every frameRows rows.
 func (sc *pageScratch) render(rows []int, frameRows int) error {
-	p := &sc.page
 	sc.head = sc.head[:0]
 	for _, i := range rows {
-		switch p.Flows[i] {
-		case p.Client.Flows[i]:
-			sc.head = append(sc.head, p.Seqs[i]<<1)
-		case p.Server.Flows[i]:
-			sc.head = append(sc.head, p.Seqs[i]<<1|1)
+		switch r := &sc.rows[i]; r.Flow {
+		case r.Client.Flow:
+			sc.head = append(sc.head, r.Seq<<1)
+		case r.Server.Flow:
+			sc.head = append(sc.head, r.Seq<<1|1)
 		default:
-			return fmt.Errorf("gpa: interaction %d's flow %v is neither endpoint's", p.Seqs[i], p.Flows[i])
+			return fmt.Errorf("gpa: interaction %d's flow %v is neither endpoint's", r.Seq, r.Flow)
 		}
 	}
 	buf := headPlan.Format().AppendDef(sc.wire[:0])
 	buf = halfPlan.Format().AppendDef(buf)
 	buf, _, err := headPlan.AppendCompressedColumnsFrame(buf, sc.head)
-	for _, half := range [...]*core.RecordColumns{&p.Client, &p.Server} {
+	for _, half := range halves {
 		for lo := 0; lo < len(rows) && err == nil; lo += frameRows {
 			sc.chunk.Reset()
 			for _, i := range rows[lo:min(lo+frameRows, len(rows))] {
-				sc.chunk.AppendRow(half.Row(i))
+				sc.chunk.Append(half(&sc.rows[i].EndToEnd))
 			}
 			buf, _, err = halfPlan.AppendCompressedColumnsFrame(buf, runCoded{&sc.chunk})
 		}
@@ -206,9 +221,9 @@ func (g *GPA) correlatedPage(n, frameRows int) (string, error) {
 	return base64.StdEncoding.EncodeToString(sc.wire), nil
 }
 
-// writePages writes every ordered row of the scratch page to w as a
-// stream of pages of at most maxPageRows rows each: the file form of a
-// history, which LoadDump reads back.
+// writePages writes every ordered row of the scratch to w as a stream of
+// pages of at most maxPageRows rows each: the file form of a history,
+// which LoadDump reads back.
 func (sc *pageScratch) writePages(w io.Writer) error {
 	for lo := 0; lo < len(sc.order); lo += maxPageRows {
 		if err := sc.render(sc.order[lo:min(lo+maxPageRows, len(sc.order))], pageFrameRows); err != nil {
@@ -221,106 +236,112 @@ func (sc *pageScratch) writePages(w io.Writer) error {
 	return nil
 }
 
-// decodeCorrelatedPage parses one shard's "pcorrelated" payload: one page
-// or, for an empty history, nothing.
+// decodedPages recycles the pages a frontend decodes shard replies into,
+// so the columns of a steady stream of queries are allocated once and not
+// per page. Nothing is kept between queries but what the pool holds.
+var decodedPages = sync.Pool{New: func() any { return new(E2EColumns) }}
+
+// releasePage returns a page decodeCorrelatedPage made to the pool; the
+// caller keeps no reference to it or its columns.
+func releasePage(p *E2EColumns) {
+	p.reset()
+	decodedPages.Put(p)
+}
+
+// decodeCorrelatedPage parses one shard's "pcorrelated" payload — one
+// page or, for an empty history, nothing — into a recycled page, which
+// the caller hands to releasePage when done with it.
 func decodeCorrelatedPage(payload string) (*E2EColumns, error) {
 	raw, err := base64.StdEncoding.DecodeString(strings.TrimSpace(payload))
 	if err != nil {
 		return nil, fmt.Errorf("gpa: page: bad base64 framing: %w", err)
 	}
+	page := decodedPages.Get().(*E2EColumns)
 	dec := pbio.NewDecoder(bytes.NewReader(raw), pageReg)
-	page, err := readPage(dec)
+	err = readPage(dec, page)
 	if errors.Is(err, io.EOF) {
-		return new(E2EColumns), nil
+		return page, nil
 	}
-	if err != nil {
-		return nil, err
+	if err == nil {
+		if _, err = dec.Decode(); errors.Is(err, io.EOF) {
+			return page, nil
+		}
+		err = fmt.Errorf("gpa: page carries data past its %d rows", page.Len())
 	}
-	if _, err := dec.Decode(); !errors.Is(err, io.EOF) {
-		return nil, fmt.Errorf("gpa: page carries data past its %d rows", page.Len())
-	}
-	return page, nil
+	releasePage(page)
+	return nil, err
 }
 
 // readPages reads a stream of pages to its end, as one page holding every
 // page's rows in stream order.
 func readPages(r io.Reader) (*E2EColumns, error) {
 	if _, ok := r.(io.ByteReader); !ok {
-		// The decoder reads a field at a time; without a buffer each is a
-		// read(2) on a file.
+		// A bare reader is read a field at a time; a buffer makes that a
+		// read(2) per few KB of the file instead.
 		r = bufio.NewReader(r)
 	}
 	dec := pbio.NewDecoder(r, pageReg)
 	all := new(E2EColumns)
 	for {
-		page, err := readPage(dec)
+		err := readPage(dec, all)
 		if errors.Is(err, io.EOF) {
 			return all, nil
 		}
 		if err != nil {
 			return nil, err
 		}
-		all.Seqs = append(all.Seqs, page.Seqs...)
-		all.Flows = append(all.Flows, page.Flows...)
-		all.Client.AppendColumns(&page.Client)
-		all.Server.AppendColumns(&page.Server)
 	}
 }
 
-// readPage reads the next page of a stream; io.EOF means the stream ended
-// cleanly before one began. The stream is untrusted: the head frame may
-// not declare more than maxPageRows rows, a half frame may not declare
-// more rows than the head still owes that half, and columns only grow as
-// frames deliver them.
-func readPage(dec *pbio.Decoder) (*E2EColumns, error) {
+// readPage appends the next page of a stream to page; io.EOF means the
+// stream ended cleanly before one began. The halves decode straight into
+// page's columns, which a page of one frame per half (up to
+// pageFrameRows rows, what a shard sends) sizes once, from the frame's
+// row count. The stream is untrusted: the head frame may not declare
+// more than maxPageRows rows, a half frame may not declare more rows
+// than the head still owes that half, and no more than a frame's rows
+// are reserved ahead of the frames that deliver them.
+func readPage(dec *pbio.Decoder, page *E2EColumns) error {
 	dec.LimitRows(maxPageRows)
 	rec, err := dec.Decode()
 	if errors.Is(err, io.EOF) {
-		return nil, io.EOF
+		return io.EOF
 	}
 	if err != nil {
-		return nil, fmt.Errorf("gpa: page head: %w", err)
+		return fmt.Errorf("gpa: page head: %w", err)
 	}
 	head, ok := rec.Value.([]headRow)
 	if !ok {
-		return nil, fmt.Errorf("gpa: page opens with a %q frame, want %q", rec.Format, pageHeadFormat)
+		return fmt.Errorf("gpa: page opens with a %q frame, want %q", rec.Format, pageHeadFormat)
 	}
-	page := new(E2EColumns)
-	n := len(head)
+	base, n := page.Len(), len(head)
 	for _, half := range [...]*core.RecordColumns{&page.Client, &page.Server} {
-		for half.Len() < n {
-			dec.LimitRows(n - half.Len())
-			rec, err := dec.Decode()
+		for got := 0; got < n; got = half.Len() - base {
+			dec.LimitRows(n - got)
+			rec, err := dec.DecodeInto(half)
 			if errors.Is(err, io.EOF) {
 				err = io.ErrUnexpectedEOF
 			}
 			if err != nil {
-				return nil, fmt.Errorf("gpa: page half after %d of %d rows: %w", half.Len(), n, err)
+				return fmt.Errorf("gpa: page half after %d of %d rows: %w", got, n, err)
 			}
-			cols, ok := rec.Value.(*core.RecordColumns)
-			switch {
-			case !ok:
-				return nil, fmt.Errorf("gpa: page half carries a %q frame, want %q", rec.Format, halfPlan.Format().Name)
-			case half.Len() == 0:
-				*half = *cols
-			default:
-				// Double, so a long history costs amortized-linear copying
-				// while capacity stays within 2x of the rows delivered.
-				half.Grow(max(half.Len(), cols.Len()))
-				half.AppendColumns(cols)
+			if rec.Value != half {
+				return fmt.Errorf("gpa: page half carries a %q frame, want %q", rec.Format, halfPlan.Format().Name)
 			}
 		}
 	}
 	// Every row has arrived, so n is backed by delivered bytes.
-	page.Seqs, page.Flows = make([]uint64, n), make([]simnet.FlowKey, n)
+	page.Seqs = append(page.Seqs, make([]uint64, n)...)
+	page.Flows = append(page.Flows, make([]simnet.FlowKey, n)...)
 	if err := page.validate(); err != nil {
-		return nil, err
+		return err
 	}
 	for i, h := range head {
-		page.Seqs[i] = h.SeqFlow >> 1
-		if page.Flows[i] = page.Client.Flows[i]; h.SeqFlow&1 != 0 {
-			page.Flows[i] = page.Server.Flows[i]
+		k := base + i
+		page.Seqs[k] = h.SeqFlow >> 1
+		if page.Flows[k] = page.Client.Flows[k]; h.SeqFlow&1 != 0 {
+			page.Flows[k] = page.Server.Flows[k]
 		}
 	}
-	return page, nil
+	return nil
 }

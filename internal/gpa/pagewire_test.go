@@ -4,8 +4,11 @@ import (
 	"bytes"
 	"encoding/base64"
 	"encoding/binary"
+	"fmt"
 	"math/rand"
 	"net"
+	"os"
+	"path/filepath"
 	"runtime"
 	"strings"
 	"sync"
@@ -48,10 +51,7 @@ func TestPageRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%+v: %v", tc, err)
 		}
-		var want E2EColumns
-		for _, rec := range g.CorrelatedSeq() {
-			want.appendE2E(rec.Seq, &rec.EndToEnd)
-		}
+		want := &pageScratch{rows: g.CorrelatedSeq()}
 		order := want.completionOrder(nil)
 		if tc.n > 0 && len(order) > tc.n {
 			order = order[len(order)-tc.n:]
@@ -60,8 +60,8 @@ func TestPageRoundTrip(t *testing.T) {
 			t.Fatalf("%+v: page has %d rows, want %d", tc, page.Len(), len(order))
 		}
 		for k, i := range order {
-			if page.Seqs[k] != want.Seqs[i] || page.Flows[k] != want.Flows[i] ||
-				page.Client.Row(k) != want.Client.Row(i) || page.Server.Row(k) != want.Server.Row(i) {
+			if page.Seqs[k] != want.rows[i].Seq || page.Flows[k] != want.rows[i].Flow ||
+				page.Client.Row(k) != want.rows[i].Client || page.Server.Row(k) != want.rows[i].Server {
 				t.Fatalf("%+v: page row %d differs from history row %d", tc, k, i)
 			}
 		}
@@ -323,4 +323,31 @@ func TestCorrelatedPageConcurrent(t *testing.T) {
 	readers.Wait()
 	close(stop)
 	writer.Wait()
+}
+
+// TestPageBytesGolden pins the bytes of a fixed history's "pcorrelated"
+// replies — the whole history in one frame per half and in 7-row frames,
+// and a tail — so a change to how a shard renders its page cannot change
+// what it sends. -update rewrites testdata/pcorrelated.golden.
+func TestPageBytesGolden(t *testing.T) {
+	var sb strings.Builder
+	for _, tc := range []struct{ n, frameRows int }{{0, pageFrameRows}, {0, 7}, {13, 5}} {
+		_, raw := realPage(t, 40, tc.n, tc.frameRows)
+		fmt.Fprintf(&sb, "pcorrelated %d, %d-row frames\n%s\n", tc.n, tc.frameRows, b64(raw))
+	}
+	got := sb.String()
+	path := filepath.Join("testdata", "pcorrelated.golden")
+	if *updateGolden {
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != string(want) {
+		t.Fatalf("page bytes differ from %s:\n got: %.400s\nwant: %.400s", path, got, want)
+	}
 }

@@ -23,11 +23,10 @@ func LoadDump(r io.Reader) ([]SeqEndToEnd, error) {
 	if err != nil {
 		return nil, fmt.Errorf("gpa: load dump: %w", err)
 	}
-	out := make([]SeqEndToEnd, 0, page.Len())
-	for _, i := range page.completionOrder(nil) {
-		out = append(out, SeqEndToEnd{Seq: page.Seqs[i], EndToEnd: EndToEnd{
-			Flow: page.Flows[i], Client: page.Client.Row(i), Server: page.Server.Row(i),
-		}})
+	out := make([]SeqEndToEnd, page.Len())
+	for k, i := range page.completionOrder(nil) {
+		out[k].Seq = page.Seqs[i]
+		page.copyRow(&out[k].EndToEnd, i)
 	}
 	return out, nil
 }

@@ -7,6 +7,7 @@ import (
 	"io"
 	"math"
 	"math/rand"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
@@ -99,7 +100,8 @@ func TestDumpLoadRoundTrip(t *testing.T) {
 		dec := pbio.NewDecoder(bytes.NewReader(buf.Bytes()), pageReg)
 		pages := 0
 		for ; ; pages++ {
-			page, err := readPage(dec)
+			page := new(E2EColumns)
+			err := readPage(dec, page)
 			if errors.Is(err, io.EOF) {
 				break
 			}
@@ -113,6 +115,31 @@ func TestDumpLoadRoundTrip(t *testing.T) {
 		}
 		sameHistory(t, load(t, &buf), want)
 	})
+}
+
+// TestLoadDumpGrowsAmortized: reading a dump of many small pages grows
+// the one history it builds by doubling, not by each page's rows, which
+// for 2 000 one-row pages (1.2 MB on disk) would copy ~680 MB of
+// columns.
+func TestLoadDumpGrowsAmortized(t *testing.T) {
+	defer func(rows int) { maxPageRows = rows }(maxPageRows)
+	maxPageRows = 1
+	h := newFedHarness(t, 1, Config{MaxCorrelated: 4000})
+	h.overlapWorkload(rand.New(rand.NewSource(5)), 2000)
+	var buf bytes.Buffer
+	if _, err := h.shards[0].Dump(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	recs, err := LoadDump(bytes.NewReader(buf.Bytes()))
+	runtime.ReadMemStats(&after)
+	if err != nil || len(recs) != 2000 {
+		t.Fatalf("loaded %d interactions, err %v; want 2000", len(recs), err)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 32<<20 {
+		t.Fatalf("loading a %d-byte dump of 2000 pages allocated %d MB", buf.Len(), grew>>20)
+	}
 }
 
 // TestLoadDumpErrors: an empty file is an empty history; anything that is

@@ -345,9 +345,12 @@ func tailCount(a []string) (int, error) {
 }
 
 // writeRecent renders one line of a "recent" reply: the allocations are
-// those of the String() calls, with none for a formatter to box them.
+// those of the three durations' String() calls; the flow is appended from
+// a stack buffer, and nothing is boxed for a formatter.
 func writeRecent(sb *strings.Builder, e *EndToEnd) {
-	for _, s := range [...]string{e.Flow.String(), " client=", e.Client.Residence().String(),
+	var flow [32]byte
+	sb.Write(e.Flow.Append(flow[:0]))
+	for _, s := range [...]string{" client=", e.Client.Residence().String(),
 		" server=", e.Server.Residence().String(), " network=", e.NetworkDelay().String(),
 		" class=", e.Server.Class, "\n"} {
 		sb.WriteString(s)

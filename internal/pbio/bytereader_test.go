@@ -15,10 +15,44 @@ import (
 )
 
 // readOnly hides every method of a reader but Read, as a bare connection
-// does: the decoder over it takes its bytes through io.ReadFull.
+// does: the decoder over it asks for exactly the bytes it needs.
 type readOnly struct{ r io.Reader }
 
 func (o readOnly) Read(p []byte) (int, error) { return o.r.Read(p) }
+
+// trickle is a buffered source (it offers ReadByte) whose Read returns 1,
+// 2, ... up to k bytes in turn, so the decoder's window refills land on
+// every byte boundary of a frame.
+type trickle struct {
+	r    *bytes.Reader
+	k, n int
+}
+
+func (t *trickle) Read(p []byte) (int, error) {
+	t.n = t.n%t.k + 1
+	return t.r.Read(p[:min(len(p), t.n)])
+}
+
+func (t *trickle) ReadByte() (byte, error) { return t.r.ReadByte() }
+
+// sources are the readers a decoder sees, by name: a page in memory, a
+// buffered source that trickles, and a bare connection.
+func sources(b []byte) map[string]io.Reader {
+	return map[string]io.Reader{
+		"in memory":    bytes.NewReader(b),
+		"trickling 1":  &trickle{r: bytes.NewReader(b), k: 1},
+		"trickling 3":  &trickle{r: bytes.NewReader(b), k: 3},
+		"trickling 10": &trickle{r: bytes.NewReader(b), k: 10},
+		"bare":         readOnly{bytes.NewReader(b)},
+	}
+}
+
+// sameErr reports whether two decode errors say the same: equal, or the
+// same message and both (or neither) a truncation.
+func sameErr(a, b error) bool {
+	return a == b || a != nil && b != nil && a.Error() == b.Error() &&
+		errors.Is(a, io.ErrUnexpectedEOF) == errors.Is(b, io.ErrUnexpectedEOF)
+}
 
 // decodeAll decodes until the stream errors and returns what it yielded.
 func decodeAll(r io.Reader, reg *Registry) ([]*Record, error) {
@@ -174,26 +208,27 @@ func corpusInputs(t *testing.T, dir string) [][]byte {
 	return out
 }
 
-// TestDecoderPathsAgree: a decoder over a reader that offers ReadByte (a
-// page in memory) and one over a reader that does not (a connection) are
-// the same decoder — at every truncation of every golden frame and every
-// committed fuzz input they yield identical records and identical errors:
-// io.EOF on a frame boundary of a well-formed stream, io.ErrUnexpectedEOF
-// inside a frame.
+// TestDecoderPathsAgree: a decoder over a buffered source (a page in
+// memory, or one that trickles a few bytes per read) and one over a
+// reader that offers only Read (a connection) are the same decoder — at
+// every truncation of every golden frame and every committed fuzz input
+// they yield identical records and identical errors: io.EOF on a frame
+// boundary of a well-formed stream, io.ErrUnexpectedEOF inside a frame.
 func TestDecoderPathsAgree(t *testing.T) {
 	both := func(name string, b []byte, check func(n int, recs []*Record, err error)) {
 		for n := 0; n <= len(b); n++ {
-			fast, fastErr := decodeAll(bytes.NewReader(b[:n]), fuzzRegistry(t))
-			slow, slowErr := decodeAll(readOnly{bytes.NewReader(b[:n])}, fuzzRegistry(t))
-			if !reflect.DeepEqual(fast, slow) {
-				t.Fatalf("%s cut at %d/%d: %d records with ReadByte, %d without, or they differ", name, n, len(b), len(fast), len(slow))
-			}
-			if fastErr != slowErr && (fastErr.Error() != slowErr.Error() ||
-				errors.Is(fastErr, io.ErrUnexpectedEOF) != errors.Is(slowErr, io.ErrUnexpectedEOF)) {
-				t.Fatalf("%s cut at %d/%d: err %v with ReadByte, %v without", name, n, len(b), fastErr, slowErr)
+			want, wantErr := decodeAll(bytes.NewReader(b[:n]), fuzzRegistry(t))
+			for src, r := range sources(b[:n]) {
+				got, err := decodeAll(r, fuzzRegistry(t))
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s cut at %d/%d: %d records %s, %d in memory, or they differ", name, n, len(b), len(got), src, len(want))
+				}
+				if !sameErr(err, wantErr) {
+					t.Fatalf("%s cut at %d/%d: err %v %s, %v in memory", name, n, len(b), err, src, wantErr)
+				}
 			}
 			if check != nil {
-				check(n, fast, fastErr)
+				check(n, want, wantErr)
 			}
 		}
 	}

@@ -4,7 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"reflect"
-	"time"
+	"slices"
 	"unsafe"
 )
 
@@ -139,11 +139,13 @@ func (p *Plan) columnsHeader(buf []byte, cols ColumnAppender, kind byte, what st
 }
 
 // ColumnDecoder rebuilds a typed columnar batch from a columnar frame's
-// payload. It must read exactly rows values for each of the format's
-// fields, in field order, through the ColumnReader — the reader is a
-// window onto the stream, so over- or under-reading desynchronizes it.
-// The returned value becomes the decoded Record's Value.
-type ColumnDecoder func(cr *ColumnReader, rows int) (any, error)
+// payload. It must read each of the format's columns once, in field
+// order, through the ColumnReader — the reader is a window onto the
+// stream, so skipping or repeating a column desynchronizes it. into is
+// what the caller of Decoder.DecodeInto handed in (nil from Decode): a
+// batch of the decoder's own type to append the frame's rows to, or nil
+// for a new one. The returned batch becomes the decoded Record's Value.
+type ColumnDecoder func(cr *ColumnReader, rows int, into any) (any, error)
 
 // BindColumnDecoder registers a typed decoder for columnar frames of the
 // named format, in place of the []T its plan would decode. The decoder
@@ -158,274 +160,347 @@ func (r *Registry) BindColumnDecoder(name string, cd ColumnDecoder) {
 // is untrusted until the stream actually delivers the bytes.
 const MaxColumnReserve = 4096
 
-// ColumnReader exposes typed, bounds-checked reads over a columnar
-// frame's payload for ColumnDecoder implementations.
-//
-// For plain 0x04 frames every read is a fixed-width passthrough. For
-// compressed 0x05 frames (rows > 0) the reader is a small state machine:
-// a column's worth of reads counts down remaining, and the read that
-// crosses a column boundary first consumes the next ColEnc* tag (plus a
-// dictionary, for ColEncDict) before producing its value. The decoding
-// is transparent to callers — a ColumnDecoder written against 0x04
-// frames works unchanged on 0x05.
+// ColumnReader reads a columnar frame's payload a column at a time for
+// ColumnDecoder implementations. Each read decodes one whole column —
+// every row's value of the next field — in one loop per encoding
+// straight into the caller's typed slice: fixed-width values out of the
+// decoder's window, and, in a compressed 0x05 frame, the column's ColEnc*
+// tag first and then its deltas, runs or dictionary. A ColumnDecoder is
+// therefore the same for both frame kinds. A read's error is returned as
+// the source gave it; the decoder reports a stream that ends inside the
+// frame as io.ErrUnexpectedEOF.
 type ColumnReader struct {
-	d *Decoder
+	d      *Decoder
+	fields []Field // the frame's format, one entry per column
+	col    int     // the next column
+	rows   int
+	z      bool // compressed (0x05): every column opens with a tag
 
-	// rows > 0 marks compressed (0x05) mode; everything below is the
-	// current column's decode state.
-	rows      int
-	remaining int
-	enc       byte
-	prev      uint64 // delta accumulator
-	runLen    uint32 // values left in the current RLE/dict run
-	runVal    uint64
-	runStr    string
-	dict      []string
+	u64  []uint64 // Uint64s' column, reused
+	dict []string // a dictionary-coded column's entries, reused
+	strs []string // readRows' and skip's string column, reused
 }
 
-// startColumn consumes the next column's encoding tag (and dictionary)
-// when the previous column is exhausted. No-op in plain mode.
-func (cr *ColumnReader) startColumn() error {
-	if cr.remaining > 0 {
-		return nil
+// Integer lists the in-memory types an integer column decodes into. A
+// value wider than its type is truncated, as a conversion truncates it.
+type Integer interface {
+	~uint8 | ~int8 | ~uint16 | ~int16 | ~uint32 | ~int32 | ~uint64 | ~int64 | ~int | ~uint
+}
+
+// width is the fixed wire width of a value of kind k; 0 for the
+// length-prefixed kinds and for a kind the package does not know.
+func width(k Kind) int {
+	switch k {
+	case KindBool, KindInt8, KindUint8:
+		return 1
+	case KindInt16, KindUint16:
+		return 2
+	case KindInt32, KindUint32, KindFloat32:
+		return 4
+	case KindInt64, KindUint64, KindFloat64, KindDuration:
+		return 8
+	}
+	return 0
+}
+
+// begin starts the frame's next column: it returns the column's wire
+// kind and its encoding, read from the column's tag in a compressed
+// frame and ColEncRaw in a plain one.
+func (cr *ColumnReader) begin() (Kind, byte, error) {
+	if cr.col == len(cr.fields) {
+		return 0, 0, fmt.Errorf("%w: column %d of a %d-field format", ErrBadFrame, cr.col+1, len(cr.fields))
+	}
+	k := cr.fields[cr.col].Kind
+	cr.col++
+	if !cr.z {
+		return k, ColEncRaw, nil
 	}
 	enc, err := cr.d.readByte()
 	if err != nil {
-		return badEOF(err)
+		return 0, 0, err
 	}
-	cr.enc = enc
-	cr.prev = 0
-	cr.runLen = 0
-	cr.dict = cr.dict[:0]
-	cr.remaining = cr.rows
+	if enc > ColEncDict {
+		return 0, 0, fmt.Errorf("%w: column encoding 0x%02x", ErrBadFrame, enc)
+	}
+	return k, enc, nil
+}
+
+// AppendInts decodes the frame's next column, a fixed-width field, onto
+// dst: one value per row, read as its wire width or through the
+// column's delta or run-length code. dst is grown by at most
+// MaxColumnReserve rows up front and past that as the stream delivers
+// values, never ahead of them by more than a run.
+func AppendInts[T Integer](cr *ColumnReader, dst []T) ([]T, error) {
+	k, enc, err := cr.begin()
+	if err != nil {
+		return dst, err
+	}
+	w := width(k)
+	if w == 0 {
+		return dst, fmt.Errorf("%w: %v column read as integers", ErrBadFrame, k)
+	}
+	d := cr.d
+	dst = slices.Grow(dst, min(cr.rows, MaxColumnReserve))
 	switch enc {
-	case ColEncRaw, ColEncDelta, ColEncRLE:
-	case ColEncDict:
-		cnt, err := cr.d.readUvarint()
-		if err != nil {
-			return badEOF(err)
-		}
-		if cnt > uint64(cr.rows) {
-			return fmt.Errorf("%w: column dictionary of %d entries for %d rows", ErrBadFrame, cnt, cr.rows)
-		}
-		for i := uint64(0); i < cnt; i++ {
-			s, err := cr.d.readString()
-			if err != nil {
-				return badEOF(err)
+	case ColEncRaw:
+		// Every value the window holds at once, then a refill: a bare
+		// reader's window holds exactly the one value it was asked for.
+		for n := cr.rows; n > 0; {
+			if err := d.fill(w); err != nil {
+				return dst, err
 			}
-			cr.dict = append(cr.dict, s)
+			b := d.win[d.pos:]
+			var m int
+			switch w {
+			case 1:
+				m = min(n, len(b))
+				for _, v := range b[:m] {
+					dst = append(dst, T(v))
+				}
+			case 2:
+				m = min(n, len(b)/2)
+				for i := 0; i < m; i++ {
+					dst = append(dst, T(binary.LittleEndian.Uint16(b[2*i:])))
+				}
+			case 4:
+				m = min(n, len(b)/4)
+				for i := 0; i < m; i++ {
+					dst = append(dst, T(binary.LittleEndian.Uint32(b[4*i:])))
+				}
+			default:
+				m = min(n, len(b)/8)
+				for i := 0; i < m; i++ {
+					dst = append(dst, T(binary.LittleEndian.Uint64(b[8*i:])))
+				}
+			}
+			d.pos += m * w
+			n -= m
+		}
+	case ColEncDelta:
+		var prev uint64
+		for n := cr.rows; n > 0; n-- {
+			// In place while the window holds a whole varint's worth;
+			// readUvarint past that, and for what it refuses.
+			if len(d.win)-d.pos >= binary.MaxVarintLen64 {
+				b := d.win[d.pos:]
+				for ; n > 0 && len(b) >= binary.MaxVarintLen64; n-- {
+					uv, k := binary.Uvarint(b)
+					if k <= 0 {
+						break
+					}
+					b = b[k:]
+					prev += uint64(int64(uv>>1) ^ -int64(uv&1))
+					dst = append(dst, T(prev))
+				}
+				d.pos = len(d.win) - len(b)
+				if n == 0 {
+					break
+				}
+			}
+			uv, err := d.readUvarint()
+			if err != nil {
+				return dst, err
+			}
+			prev += uint64(int64(uv>>1) ^ -int64(uv&1))
+			dst = append(dst, T(prev))
+		}
+	case ColEncRLE:
+		for n := cr.rows; n > 0; {
+			run, v, err := cr.run(n)
+			if err != nil {
+				return dst, err
+			}
+			for i := uint64(0); i < run; i++ {
+				dst = append(dst, T(v))
+			}
+			n -= int(run)
 		}
 	default:
-		return fmt.Errorf("%w: column encoding 0x%02x", ErrBadFrame, enc)
+		return dst, fmt.Errorf("%w: dictionary-encoded integer column", ErrBadFrame)
 	}
-	return nil
+	return dst, nil
 }
 
-// zint decodes one integer value from the current compressed column.
-// done=false means the column is raw (or the reader is in plain mode)
-// and the caller should fall through to its fixed-width read.
-func (cr *ColumnReader) zint() (v uint64, done bool, err error) {
-	if cr.rows == 0 {
-		return 0, false, nil
+// run reads one (run length, value) pair of a run-coded column with left
+// values still to come.
+func (cr *ColumnReader) run(left int) (uint64, uint64, error) {
+	run, err := cr.d.readUvarint()
+	if err != nil {
+		return 0, 0, err
 	}
-	if err := cr.startColumn(); err != nil {
-		return 0, false, err
+	if run == 0 || run > uint64(left) {
+		return 0, 0, fmt.Errorf("%w: run of %d values with %d column values remaining", ErrBadFrame, run, left)
 	}
-	switch cr.enc {
+	v, err := cr.d.readUvarint()
+	if err != nil {
+		return 0, 0, err
+	}
+	return run, v, nil
+}
+
+// Uint64s decodes the frame's next column, a fixed-width field, into a
+// slice the reader reuses: valid until the next Uint64s call.
+func (cr *ColumnReader) Uint64s() ([]uint64, error) {
+	var err error
+	cr.u64, err = AppendInts(cr, cr.u64[:0])
+	return cr.u64, err
+}
+
+// AppendStrings decodes the frame's next column, a string field, onto
+// dst: one allocation per raw value, and one per dictionary entry of a
+// dictionary-coded column, whose rows share their entries.
+func (cr *ColumnReader) AppendStrings(dst []string) ([]string, error) {
+	k, enc, err := cr.begin()
+	if err != nil {
+		return dst, err
+	}
+	if k != KindString {
+		return dst, fmt.Errorf("%w: %v column read as strings", ErrBadFrame, k)
+	}
+	d := cr.d
+	dst = slices.Grow(dst, min(cr.rows, MaxColumnReserve))
+	switch enc {
 	case ColEncRaw:
-		cr.remaining--
-		return 0, false, nil
-	case ColEncDelta:
-		uv, err := cr.d.readUvarint()
+		for n := cr.rows; n > 0; n-- {
+			s, err := d.readString()
+			if err != nil {
+				return dst, err
+			}
+			dst = append(dst, s)
+		}
+	case ColEncDict:
+		cnt, err := d.readUvarint()
 		if err != nil {
-			return 0, false, badEOF(err)
+			return dst, err
 		}
-		cr.prev += uint64(int64(uv>>1) ^ -int64(uv&1))
-		cr.remaining--
-		return cr.prev, true, nil
-	case ColEncRLE:
-		if cr.runLen == 0 {
-			rl, err := cr.d.readUvarint()
+		if cnt > uint64(cr.rows) {
+			return dst, fmt.Errorf("%w: column dictionary of %d entries for %d rows", ErrBadFrame, cnt, cr.rows)
+		}
+		dict := cr.dict[:0]
+		for ; cnt > 0; cnt-- {
+			s, err := d.readString()
 			if err != nil {
-				return 0, false, badEOF(err)
+				return dst, err
 			}
-			if rl == 0 || rl > uint64(cr.remaining) {
-				return 0, false, fmt.Errorf("%w: run of %d values with %d column values remaining",
-					ErrBadFrame, rl, cr.remaining)
-			}
-			rv, err := cr.d.readUvarint()
+			dict = append(dict, s)
+		}
+		cr.dict = dict
+		for n := cr.rows; n > 0; {
+			run, idx, err := cr.run(n)
 			if err != nil {
-				return 0, false, badEOF(err)
+				return dst, err
 			}
-			cr.runLen, cr.runVal = uint32(rl), rv
-		}
-		cr.runLen--
-		cr.remaining--
-		return cr.runVal, true, nil
-	default: // ColEncDict
-		return 0, false, fmt.Errorf("%w: dictionary-encoded integer column", ErrBadFrame)
-	}
-}
-
-// Byte reads one unsigned byte.
-func (cr *ColumnReader) Byte() (byte, error) {
-	if v, ok, err := cr.zint(); err != nil {
-		return 0, err
-	} else if ok {
-		return byte(v), nil
-	}
-	return cr.d.readByte()
-}
-
-// Uint16 reads a little-endian u16.
-func (cr *ColumnReader) Uint16() (uint16, error) {
-	if v, ok, err := cr.zint(); err != nil {
-		return 0, err
-	} else if ok {
-		return uint16(v), nil
-	}
-	return cr.d.readUint16()
-}
-
-// Uint32 reads a little-endian u32.
-func (cr *ColumnReader) Uint32() (uint32, error) {
-	if v, ok, err := cr.zint(); err != nil {
-		return 0, err
-	} else if ok {
-		return uint32(v), nil
-	}
-	return cr.d.readUint32()
-}
-
-// Uint64 reads a little-endian u64.
-func (cr *ColumnReader) Uint64() (uint64, error) {
-	if v, ok, err := cr.zint(); err != nil {
-		return 0, err
-	} else if ok {
-		return v, nil
-	}
-	return cr.d.readUint64()
-}
-
-// Int32 reads a little-endian i32.
-func (cr *ColumnReader) Int32() (int32, error) {
-	v, err := cr.Uint32()
-	return int32(v), err
-}
-
-// Int64 reads a little-endian i64.
-func (cr *ColumnReader) Int64() (int64, error) {
-	v, err := cr.Uint64()
-	return int64(v), err
-}
-
-// Int reads a wire i64 into a platform int.
-func (cr *ColumnReader) Int() (int, error) {
-	v, err := cr.Uint64()
-	return int(int64(v)), err
-}
-
-// Duration reads a wire i64 of nanoseconds.
-func (cr *ColumnReader) Duration() (time.Duration, error) {
-	v, err := cr.Uint64()
-	return time.Duration(v), err
-}
-
-// String reads a length-prefixed string, subject to the stream's field
-// length limit. Dictionary-encoded columns share one string allocation
-// per distinct value across the whole column.
-func (cr *ColumnReader) String() (string, error) {
-	if cr.rows > 0 {
-		if err := cr.startColumn(); err != nil {
-			return "", err
-		}
-		switch cr.enc {
-		case ColEncRaw:
-			cr.remaining--
-			return cr.d.readString()
-		case ColEncDict:
-			if cr.runLen == 0 {
-				rl, err := cr.d.readUvarint()
-				if err != nil {
-					return "", badEOF(err)
-				}
-				if rl == 0 || rl > uint64(cr.remaining) {
-					return "", fmt.Errorf("%w: run of %d strings with %d column values remaining",
-						ErrBadFrame, rl, cr.remaining)
-				}
-				idx, err := cr.d.readUvarint()
-				if err != nil {
-					return "", badEOF(err)
-				}
-				if idx >= uint64(len(cr.dict)) {
-					return "", fmt.Errorf("%w: dictionary index %d of %d entries",
-						ErrBadFrame, idx, len(cr.dict))
-				}
-				cr.runLen, cr.runStr = uint32(rl), cr.dict[idx]
+			if idx >= uint64(len(dict)) {
+				return dst, fmt.Errorf("%w: dictionary index %d of %d entries", ErrBadFrame, idx, len(dict))
 			}
-			cr.runLen--
-			cr.remaining--
-			return cr.runStr, nil
+			for i := uint64(0); i < run; i++ {
+				dst = append(dst, dict[idx])
+			}
+			n -= int(run)
+		}
+	default:
+		return dst, fmt.Errorf("%w: string column encoding 0x%02x", ErrBadFrame, enc)
+	}
+	return dst, nil
+}
+
+// appendBytes decodes the frame's next column, a bytes field, onto dst.
+// A compressed frame carries such a column raw.
+func (cr *ColumnReader) appendBytes(dst [][]byte) ([][]byte, error) {
+	k, enc, err := cr.begin()
+	if err != nil {
+		return dst, err
+	}
+	if k != KindBytes || enc != ColEncRaw {
+		return dst, fmt.Errorf("%w: %v column encoding 0x%02x read as bytes", ErrBadFrame, k, enc)
+	}
+	for n := cr.rows; n > 0; n-- {
+		size, err := cr.d.readUint32()
+		if err != nil {
+			return dst, err
+		}
+		if size > maxFieldLen {
+			return dst, fmt.Errorf("%w: bytes field length %d exceeds limit", ErrBadFrame, size)
+		}
+		b, err := cr.d.readLengthPrefixed(size)
+		if err != nil {
+			return dst, err
+		}
+		dst = append(dst, b)
+	}
+	return dst, nil
+}
+
+// skip decodes the frame's next column and drops it: how a frame whose
+// format has no local type is consumed.
+func (cr *ColumnReader) skip() (err error) {
+	switch k := cr.fields[cr.col].Kind; {
+	case k == KindString:
+		_, err = cr.AppendStrings(cr.strs[:0])
+	case k == KindBytes:
+		_, err = cr.appendBytes(nil)
+	case width(k) > 0:
+		_, err = cr.Uint64s()
+	default:
+		err = fmt.Errorf("%w: field kind %d", ErrBadFrame, k)
+	}
+	return err
+}
+
+// readRows decodes a frame of n rows into one []T through T's plan, a
+// column at a time: the first column makes the rows — as many as the
+// stream delivered — and each column is stored at its plan offset, the
+// inverse of appendFields.
+func (cr *ColumnReader) readRows(p *Plan, n int) (any, error) {
+	size := p.f.goType.Size()
+	var rows reflect.Value
+	var base unsafe.Pointer
+	for c, pf := range p.fields {
+		var ints []uint64
+		var blobs [][]byte
+		var err error
+		switch pf.op {
+		case opStr:
+			cr.strs, err = cr.AppendStrings(cr.strs[:0])
+		case opBytes:
+			blobs, err = cr.appendBytes(nil)
 		default:
-			return "", fmt.Errorf("%w: string column encoding 0x%02x", ErrBadFrame, cr.enc)
+			ints, err = cr.Uint64s()
 		}
-	}
-	return cr.d.readString()
-}
-
-// bytes reads a length-prefixed byte slice, subject to the stream's field
-// length limit. A compressed frame carries such a column raw.
-func (cr *ColumnReader) bytes() ([]byte, error) {
-	if cr.rows > 0 {
-		if err := cr.startColumn(); err != nil {
+		if err != nil {
 			return nil, err
 		}
-		if cr.enc != ColEncRaw {
-			return nil, fmt.Errorf("%w: bytes column encoding 0x%02x", ErrBadFrame, cr.enc)
+		if c == 0 {
+			rows = reflect.MakeSlice(reflect.SliceOf(p.f.goType), n, n)
+			base = rows.UnsafePointer()
 		}
-		cr.remaining--
+		for i := 0; i < n; i++ {
+			fp := unsafe.Add(base, uintptr(i)*size+pf.off)
+			switch pf.op {
+			case opStr:
+				*(*string)(fp) = cr.strs[i]
+			case opBytes:
+				*(*[]byte)(fp) = blobs[i]
+			default:
+				store(fp, pf.op, ints[i])
+			}
+		}
 	}
-	n, err := cr.d.readUint32()
-	if err != nil {
-		return nil, err
-	}
-	if n > maxFieldLen {
-		return nil, fmt.Errorf("%w: bytes field length %d exceeds limit", ErrBadFrame, n)
-	}
-	return cr.d.readLengthPrefixed(n)
+	return rows.Interface(), nil
 }
 
-// store reads one value through the column state machine and stores it
-// at fp by the plan opcode op: appendFields' inverse, one typed read and
-// one store per value.
-func (cr *ColumnReader) store(fp unsafe.Pointer, op uint8) error {
+// store writes the wire value v at fp as the plan opcode op has it in
+// memory.
+func store(fp unsafe.Pointer, op uint8, v uint64) {
 	switch op {
-	case opBool, opI8, opU8:
-		v, err := cr.Byte()
-		if op == opBool && v != 0 {
-			v = 1 // a bool in memory is 0 or 1
-		}
-		*(*uint8)(fp) = v
-		return err
+	case opBool:
+		*(*bool)(fp) = uint8(v) != 0 // a bool in memory is 0 or 1
+	case opI8, opU8:
+		*(*uint8)(fp) = uint8(v)
 	case opI16, opU16:
-		v, err := cr.Uint16()
-		*(*uint16)(fp) = v
-		return err
+		*(*uint16)(fp) = uint16(v)
 	case opI32, opU32, opF32:
-		v, err := cr.Uint32()
-		*(*uint32)(fp) = v
-		return err
-	case opStr:
-		v, err := cr.String()
-		*(*string)(fp) = v
-		return err
-	case opBytes:
-		v, err := cr.bytes()
-		*(*[]byte)(fp) = v
-		return err
-	}
-	v, err := cr.Uint64()
-	switch op {
+		*(*uint32)(fp) = uint32(v)
 	case opInt:
 		*(*int)(fp) = int(v)
 	case opUint:
@@ -433,59 +508,13 @@ func (cr *ColumnReader) store(fp unsafe.Pointer, op uint8) error {
 	default: // opI64, opU64, opF64
 		*(*uint64)(fp) = v
 	}
-	return err
-}
-
-// skip reads one value of wire kind k and drops it: how a frame whose
-// format has no local type is consumed.
-func (cr *ColumnReader) skip(k Kind) (err error) {
-	switch k {
-	case KindBool, KindInt8, KindUint8:
-		_, err = cr.Byte()
-	case KindInt16, KindUint16:
-		_, err = cr.Uint16()
-	case KindInt32, KindUint32, KindFloat32:
-		_, err = cr.Uint32()
-	case KindInt64, KindUint64, KindFloat64, KindDuration:
-		_, err = cr.Uint64()
-	case KindString:
-		_, err = cr.String()
-	case KindBytes:
-		_, err = cr.bytes()
-	default:
-		err = fmt.Errorf("%w: field kind %d", ErrBadFrame, k)
-	}
-	return err
-}
-
-// readRows decodes a frame of n rows into one []T through T's plan. Rows
-// are made as the first column delivers them, at most MaxColumnReserve
-// ahead of the bytes, so memory stays bounded by what the stream carried.
-func (cr *ColumnReader) readRows(p *Plan, n int) (any, error) {
-	size, have := p.f.goType.Size(), min(n, MaxColumnReserve)
-	rows := reflect.MakeSlice(reflect.SliceOf(p.f.goType), have, have)
-	base := rows.UnsafePointer()
-	for _, pf := range p.fields {
-		for i := 0; i < n; i++ {
-			if i == have {
-				have = min(2*i, n)
-				grown := reflect.MakeSlice(rows.Type(), have, have)
-				reflect.Copy(grown, rows)
-				rows, base = grown, grown.UnsafePointer()
-			}
-			if err := cr.store(unsafe.Add(base, uintptr(i)*size+pf.off), pf.op); err != nil {
-				return nil, err
-			}
-		}
-	}
-	return rows.Interface(), nil
 }
 
 // readColumns consumes a columnar frame — plain (0x04) or, when
 // compressed is set, per-column compressed (0x05) — into one Record: the
-// batch a bound ColumnDecoder builds, else the []T of the format's local
-// type, else (no local type matches) no value.
-func (d *Decoder) readColumns(compressed bool) (*Record, error) {
+// batch a bound ColumnDecoder builds (onto into, when given), else the
+// []T of the format's local type, else (no local type matches) no value.
+func (d *Decoder) readColumns(compressed bool, into any) (*Record, error) {
 	id, err := d.readUint32()
 	if err != nil {
 		return nil, badEOF(err)
@@ -501,20 +530,18 @@ func (d *Decoder) readColumns(compressed bool) (*Record, error) {
 	if n == 0 || n > d.maxRows {
 		return nil, fmt.Errorf("%w: columns count %d (limit %d)", ErrBadFrame, n, d.maxRows)
 	}
-	cr := &ColumnReader{d: d}
-	if compressed {
-		cr.rows = int(n)
-	}
+	cr := &d.cr
+	cr.fields, cr.col, cr.rows, cr.z = f.Fields, 0, int(n), compressed
 	rec := &Record{Format: f.Name}
 	switch {
 	case f.goType == nil:
-		for _, fld := range f.Fields {
-			for i := uint32(0); i < n && err == nil; i++ {
-				err = cr.skip(fld.Kind)
+		for range f.Fields {
+			if err = cr.skip(); err != nil {
+				break
 			}
 		}
 	case d.reg.colDecoders[f.Name] != nil:
-		rec.Value, err = d.reg.colDecoders[f.Name](cr, int(n))
+		rec.Value, err = d.reg.colDecoders[f.Name](cr, int(n), into)
 	default:
 		rec.Value, err = cr.readRows(d.reg.plans[f.goType], int(n))
 	}

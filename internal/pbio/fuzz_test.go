@@ -2,6 +2,8 @@ package pbio
 
 import (
 	"bytes"
+	"io"
+	"reflect"
 	"testing"
 )
 
@@ -35,11 +37,14 @@ func fuzzSeeds(tb testing.TB) [][]byte {
 	return [][]byte{single, batch.Bytes()}
 }
 
-// FuzzDecode feeds arbitrary bytes to the stream decoder. The decoder
-// must never panic, and every successful Decode consumes at least one
-// byte, so it reaches an error (or clean EOF) within len(data)+1 calls;
-// the hardening under test caps allocation from hostile length prefixes,
-// zero-field formats, and inflated batch counts.
+// FuzzDecode feeds arbitrary bytes to the stream decoder over every
+// source of TestDecoderPathsAgree. The decoder must never panic, every
+// successful Decode consumes at least one byte, so it reaches an error
+// (or clean EOF) within len(data)+1 calls, and every source yields the
+// same records and the same error as the bytes in memory do: the window
+// and the bare reader are one decoder. The hardening under test caps
+// allocation from hostile length prefixes, zero-field formats, and
+// inflated batch counts.
 func FuzzDecode(f *testing.F) {
 	for _, seed := range fuzzSeeds(f) {
 		f.Add(seed)
@@ -58,12 +63,25 @@ func FuzzDecode(f *testing.F) {
 		if _, err := reg.Register("fuzz.rec", fuzzRec{}); err != nil {
 			t.Fatal(err)
 		}
-		dec := NewDecoder(bytes.NewReader(data), reg)
-		for i := 0; i <= len(data); i++ {
-			if _, err := dec.Decode(); err != nil {
-				return
+		decode := func(r io.Reader) ([]*Record, error) {
+			dec := NewDecoder(r, reg)
+			var recs []*Record
+			for i := 0; i <= len(data); i++ {
+				rec, err := dec.Decode()
+				if err != nil {
+					return recs, err
+				}
+				recs = append(recs, rec)
+			}
+			t.Fatalf("%d Decode calls succeeded on %d bytes of input", len(data)+1, len(data))
+			return nil, nil
+		}
+		want, wantErr := decode(bytes.NewReader(data))
+		for src, r := range sources(data) {
+			got, err := decode(r)
+			if !reflect.DeepEqual(got, want) || !sameErr(err, wantErr) {
+				t.Fatalf("%s: %d records, err %v; in memory: %d records, err %v", src, len(got), err, len(want), wantErr)
 			}
 		}
-		t.Fatalf("%d Decode calls succeeded on %d bytes of input", len(data)+1, len(data))
 	})
 }

@@ -29,12 +29,14 @@
 package pbio
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 	"math"
 	"reflect"
+	"slices"
 	"time"
 	"unsafe"
 )
@@ -89,6 +91,9 @@ type Format struct {
 	Fields []Field
 	// goType, when known, lets the decoder materialize typed values.
 	goType reflect.Type
+	// def is a registered format's definition frame after its ID, which
+	// a decoder compares an incoming definition with.
+	def []byte
 }
 
 // Errors returned by the package.
@@ -144,6 +149,7 @@ func (r *Registry) Register(name string, sample any) (*Format, error) {
 	if len(f.Fields) == 0 {
 		return nil, fmt.Errorf("pbio: register %q: struct has no encodable exported fields", name)
 	}
+	f.def = f.AppendDef(nil)[5:]
 	r.nextID++
 	r.byName[name] = f
 	r.plans[t] = p
@@ -417,15 +423,34 @@ type Record struct {
 	Value  any
 }
 
+// Window capacities. A buffered source fills a window of
+// bufferedWindow bytes per read; a bare reader's window only ever holds
+// the one fixed-width value (at most 8 bytes) being read.
+const (
+	bufferedWindow = 8 << 10
+	bareWindow     = 8
+)
+
 // Decoder reads self-describing records.
+//
+// Every read goes through a byte window. When the source is buffered —
+// it offers io.ByteReader, as a bytes.Reader over a page in memory or the
+// bufio.Reader over a file does — the window is refilled a few KB at a
+// time, so the decoder may read the source past the frame it returns and
+// decodes columns straight out of memory. A bare reader (a connection) is
+// never read past the frame: the window asks it for exactly the bytes the
+// next value needs, so whoever shares the reader with the decoder stays
+// in step with it.
 type Decoder struct {
-	r io.Reader
-	// br is r when r reads single bytes itself (a page decoded from
-	// memory); nil for a bare connection, which is read through r alone.
-	br      io.ByteReader
+	r        io.Reader
+	buffered bool
+	// win[pos:] are the bytes read from r and not yet decoded.
+	win     []byte
+	pos     int
 	reg     *Registry
 	formats map[uint32]*Format
-	scratch [8]byte
+	// cr is the column reader every columns frame is decoded through.
+	cr ColumnReader
 	// maxRows bounds the row count a columns frame may declare.
 	maxRows uint32
 }
@@ -433,8 +458,10 @@ type Decoder struct {
 // NewDecoder returns a decoder reading from r. reg may be nil; when given,
 // formats whose names match registered ones decode into typed values.
 func NewDecoder(r io.Reader, reg *Registry) *Decoder {
-	br, _ := r.(io.ByteReader)
-	return &Decoder{r: r, br: br, reg: reg, formats: make(map[uint32]*Format), maxRows: maxBatchLen}
+	_, buffered := r.(io.ByteReader)
+	d := &Decoder{r: r, buffered: buffered, reg: reg, formats: make(map[uint32]*Format), maxRows: maxBatchLen}
+	d.cr.d = d
+	return d
 }
 
 // LimitRows lowers the row count the next columns frames may declare
@@ -449,7 +476,14 @@ func (d *Decoder) LimitRows(n int) {
 // Decode reads the next columns frame as one record, transparently
 // consuming format frames before it. It returns io.EOF at clean end of
 // stream.
-func (d *Decoder) Decode() (*Record, error) {
+func (d *Decoder) Decode() (*Record, error) { return d.DecodeInto(nil) }
+
+// DecodeInto is Decode with a destination for a frame whose format is
+// bound to a ColumnDecoder: the decoder is handed into (nil: make a new
+// batch) and appends the frame's rows to it, so a consumer that recycles
+// its batches decodes without allocating them. Any other frame decodes
+// as Decode decodes it.
+func (d *Decoder) DecodeInto(into any) (*Record, error) {
 	for {
 		kind, err := d.readByte()
 		if err != nil {
@@ -461,9 +495,9 @@ func (d *Decoder) Decode() (*Record, error) {
 				return nil, err
 			}
 		case frameColumns:
-			return d.readColumns(false)
+			return d.readColumns(false, into)
 		case frameColumnsZ:
-			return d.readColumns(true)
+			return d.readColumns(true, into)
 		default:
 			return nil, fmt.Errorf("%w: frame kind 0x%02x", ErrBadFrame, kind)
 		}
@@ -474,6 +508,10 @@ func (d *Decoder) readFormat() error {
 	id, err := d.readUint32()
 	if err != nil {
 		return badEOF(err)
+	}
+	if f := d.knownFormat(); f != nil {
+		d.formats[id] = f
+		return nil
 	}
 	name, err := d.readString()
 	if err != nil {
@@ -514,6 +552,29 @@ func (d *Decoder) readFormat() error {
 	return nil
 }
 
+// knownFormat consumes the rest of a definition frame when it is byte for
+// byte the definition of a format registered under the same name, and
+// returns that format; otherwise it consumes nothing and returns nil. A
+// stream that re-sends its definitions (every history page does) thereby
+// binds them without reading their field names again. It needs the whole
+// definition in the window, so it only looks at a buffered source.
+func (d *Decoder) knownFormat() *Format {
+	if d.reg == nil || !d.buffered || d.fill(4) != nil {
+		return nil
+	}
+	n := int(binary.LittleEndian.Uint32(d.win[d.pos:]))
+	if n > bufferedWindow-4 || d.fill(4+n) != nil {
+		return nil
+	}
+	local := d.reg.byName[string(d.win[d.pos+4:d.pos+4+n])]
+	if local == nil || len(local.def) > bufferedWindow || d.fill(len(local.def)) != nil ||
+		!bytes.Equal(d.win[d.pos:d.pos+len(local.def)], local.def) {
+		return nil
+	}
+	d.pos += len(local.def)
+	return local
+}
+
 func fieldsMatch(a, b []Field) bool {
 	if len(a) != len(b) {
 		return false
@@ -526,50 +587,98 @@ func fieldsMatch(a, b []Field) bool {
 	return true
 }
 
+// fill makes at least n bytes (n no more than the window holds) available
+// at win[pos:]. A buffered source is read for as much as the window
+// takes; a bare reader for exactly the bytes missing. As with
+// io.ReadFull, the error is io.EOF only if the window was empty and the
+// source ended at once.
+func (d *Decoder) fill(n int) error {
+	have := len(d.win) - d.pos
+	if have >= n {
+		return nil
+	}
+	limit, size := n, bareWindow
+	if d.buffered {
+		limit, size = bufferedWindow, bufferedWindow
+	}
+	if d.win == nil {
+		d.win = make([]byte, 0, size)
+	}
+	if have > 0 {
+		copy(d.win, d.win[d.pos:])
+	}
+	got, err := io.ReadAtLeast(d.r, d.win[have:limit], n-have)
+	d.win, d.pos = d.win[:have+got], 0
+	if err == io.EOF && have > 0 {
+		err = io.ErrUnexpectedEOF
+	}
+	return err
+}
+
 func (d *Decoder) readByte() (byte, error) {
-	if d.br != nil {
-		return d.br.ReadByte()
+	if d.pos == len(d.win) {
+		if err := d.fill(1); err != nil {
+			return 0, err
+		}
 	}
-	if _, err := io.ReadFull(d.r, d.scratch[:1]); err != nil {
-		return 0, err
-	}
-	return d.scratch[0], nil
+	d.pos++
+	return d.win[d.pos-1], nil
 }
 
 func (d *Decoder) readUint16() (uint16, error) {
-	if _, err := io.ReadFull(d.r, d.scratch[:2]); err != nil {
+	if err := d.fill(2); err != nil {
 		return 0, err
 	}
-	return binary.LittleEndian.Uint16(d.scratch[:2]), nil
+	d.pos += 2
+	return binary.LittleEndian.Uint16(d.win[d.pos-2:]), nil
 }
 
 func (d *Decoder) readUint32() (uint32, error) {
-	if _, err := io.ReadFull(d.r, d.scratch[:4]); err != nil {
+	if err := d.fill(4); err != nil {
 		return 0, err
 	}
-	return binary.LittleEndian.Uint32(d.scratch[:4]), nil
-}
-
-func (d *Decoder) readUint64() (uint64, error) {
-	if _, err := io.ReadFull(d.r, d.scratch[:8]); err != nil {
-		return 0, err
-	}
-	return binary.LittleEndian.Uint64(d.scratch[:8]), nil
+	d.pos += 4
+	return binary.LittleEndian.Uint32(d.win[d.pos-4:]), nil
 }
 
 // readUvarint reads an unsigned LEB128 varint, rejecting encodings that
 // run past 10 bytes or overflow 64 bits — a hostile stream must not be
 // able to keep the decoder spinning on continuation bits. The value is
 // attacker-controlled: every consumer must bound it before sizing an
-// allocation.
+// allocation. A one-byte varint in the window is read inline; a longer
+// one decodes in place when the window holds a whole varint's worth, and
+// otherwise (near the end of a window, and always for a bare reader) a
+// byte at a time.
 func (d *Decoder) readUvarint() (uint64, error) {
+	if d.pos < len(d.win) && d.win[d.pos] < 0x80 {
+		d.pos++
+		return uint64(d.win[d.pos-1]), nil
+	}
+	return d.readUvarintSlow()
+}
+
+func (d *Decoder) readUvarintSlow() (uint64, error) {
+	if b := d.win[d.pos:]; len(b) >= binary.MaxVarintLen64 {
+		x, n := binary.Uvarint(b)
+		switch {
+		case n == -binary.MaxVarintLen64:
+			return 0, fmt.Errorf("%w: varint overflows 64 bits", ErrBadFrame)
+		case n <= 0:
+			return 0, fmt.Errorf("%w: varint longer than %d bytes", ErrBadFrame, binary.MaxVarintLen64)
+		}
+		d.pos += n
+		return x, nil
+	}
 	var x uint64
 	var s uint
 	for i := 0; i < binary.MaxVarintLen64; i++ {
-		b, err := d.readByte()
-		if err != nil {
-			return 0, err
+		if d.pos == len(d.win) {
+			if err := d.fill(1); err != nil {
+				return 0, err
+			}
 		}
+		b := d.win[d.pos]
+		d.pos++
 		if b < 0x80 {
 			if i == binary.MaxVarintLen64-1 && b > 1 {
 				return 0, fmt.Errorf("%w: varint overflows 64 bits", ErrBadFrame)
@@ -582,6 +691,10 @@ func (d *Decoder) readUvarint() (uint64, error) {
 	return 0, fmt.Errorf("%w: varint longer than %d bytes", ErrBadFrame, binary.MaxVarintLen64)
 }
 
+// readString reads a length-prefixed string into one allocation: the
+// string itself, copied out of the window when the window holds it, else
+// made from the bytes readLengthPrefixed reads, which nothing else
+// refers to.
 func (d *Decoder) readString() (string, error) {
 	n, err := d.readUint32()
 	if err != nil {
@@ -590,38 +703,36 @@ func (d *Decoder) readString() (string, error) {
 	if n > maxFieldLen {
 		return "", fmt.Errorf("%w: string length %d exceeds limit", ErrBadFrame, n)
 	}
+	if int(n) <= len(d.win)-d.pos {
+		d.pos += int(n)
+		return string(d.win[d.pos-int(n) : d.pos]), nil
+	}
 	buf, err := d.readLengthPrefixed(n)
 	if err != nil {
 		return "", err
 	}
-	return string(buf), nil
+	return unsafe.String(unsafe.SliceData(buf), len(buf)), nil
 }
 
 // readLengthPrefixed reads n bytes announced by an untrusted length
-// prefix. Allocation is capped at lengthPrefixChunk up front and grows
-// only as the stream actually delivers data, so a tiny frame claiming a
-// near-maxFieldLen length cannot balloon memory before truncation is
-// detected.
+// prefix: what the window holds, then the rest straight from the source
+// in one read per lengthPrefixChunk. Allocation is capped at
+// lengthPrefixChunk up front and grows only as the stream actually
+// delivers data, so a tiny frame claiming a near-maxFieldLen length
+// cannot balloon memory before truncation is detected.
 func (d *Decoder) readLengthPrefixed(n uint32) ([]byte, error) {
-	if n <= lengthPrefixChunk {
-		buf := make([]byte, n)
-		if _, err := io.ReadFull(d.r, buf); err != nil {
+	out := make([]byte, 0, min(int(n), lengthPrefixChunk))
+	k := min(int(n), len(d.win)-d.pos)
+	out = append(out, d.win[d.pos:d.pos+k]...)
+	d.pos += k
+	for len(out) < int(n) {
+		step := min(int(n)-len(out), lengthPrefixChunk)
+		out = slices.Grow(out, step)
+		got, err := io.ReadFull(d.r, out[len(out):len(out)+step])
+		out = out[:len(out)+got]
+		if err != nil {
 			return nil, err
 		}
-		return buf, nil
-	}
-	out := make([]byte, 0, lengthPrefixChunk)
-	chunk := make([]byte, lengthPrefixChunk)
-	for remaining := int(n); remaining > 0; {
-		step := remaining
-		if step > len(chunk) {
-			step = len(chunk)
-		}
-		if _, err := io.ReadFull(d.r, chunk[:step]); err != nil {
-			return nil, err
-		}
-		out = append(out, chunk[:step]...)
-		remaining -= step
 	}
 	return out, nil
 }

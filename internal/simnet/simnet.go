@@ -29,7 +29,14 @@ type Addr struct {
 
 // String renders the address as "n<node>:<port>".
 func (a Addr) String() string {
-	return "n" + strconv.Itoa(int(a.Node)) + ":" + strconv.Itoa(int(a.Port))
+	var buf [16]byte
+	return string(a.Append(buf[:0]))
+}
+
+// Append appends the address as String renders it.
+func (a Addr) Append(b []byte) []byte {
+	b = strconv.AppendUint(append(b, 'n'), uint64(a.Node), 10)
+	return strconv.AppendUint(append(b, ':'), uint64(a.Port), 10)
 }
 
 // FlowKey identifies a bidirectional conversation by its two endpoints,
@@ -41,7 +48,14 @@ type FlowKey struct {
 }
 
 // String renders the flow as "src->dst".
-func (k FlowKey) String() string { return k.Src.String() + "->" + k.Dst.String() }
+func (k FlowKey) String() string {
+	var buf [32]byte
+	return string(k.Append(buf[:0]))
+}
+
+// Append appends the flow as String renders it, allocating nothing when b
+// has room.
+func (k FlowKey) Append(b []byte) []byte { return k.Dst.Append(append(k.Src.Append(b), "->"...)) }
 
 // Reverse returns the flow viewed from the opposite direction.
 func (k FlowKey) Reverse() FlowKey { return FlowKey{Src: k.Dst, Dst: k.Src} }
