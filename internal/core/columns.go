@@ -140,7 +140,6 @@ func growSlice[T any](s []T, n int) []T {
 // record travels by value so a caller's row never escapes.
 //
 //sysprof:nonblocking
-//sysprof:noalloc
 func (c *RecordColumns) AppendRow(r Record) {
 	i := len(c.IDs)
 	if i == cap(c.IDs) {
@@ -251,7 +250,6 @@ func (c *RecordColumns) CheckRows(n int) error {
 // copied, string columns share their backing bytes.
 //
 //sysprof:nonblocking
-//sysprof:noalloc
 func (c *RecordColumns) Row(i int) Record {
 	return Record{
 		ID: c.IDs[i], Node: c.Nodes[i], Flow: c.Flows[i],
@@ -274,7 +272,6 @@ func (c *RecordColumns) Row(i int) Record {
 // would copy through).
 //
 //sysprof:nonblocking
-//sysprof:noalloc
 func (c *RecordColumns) CopyRow(dst *Record, i int) {
 	dst.ID = c.IDs[i]
 	dst.Node = c.Nodes[i]

@@ -13,9 +13,9 @@ import (
 // TestIngestSteadyStateZeroAlloc guards the 0 allocs/op claim the hot
 // path benchmark makes: once a GPA has reached steady-state capacity,
 // ingesting further batches must not allocate. The race detector
-// instruments allocations, so the guard is built out under -race.
-// sysproflint's hotalloc analyzer enforces the same invariant statically
-// via the //sysprof:noalloc annotations.
+// instruments allocations, so the guard is built out under -race; this
+// test is the whole guard, and CI runs it, with the other allocation
+// guards, in a step without -race.
 func TestIngestSteadyStateZeroAlloc(t *testing.T) {
 	const batchSize = 512
 	// Warm until every internal structure reaches its settled size: the
@@ -33,7 +33,19 @@ func TestIngestSteadyStateZeroAlloc(t *testing.T) {
 	}
 }
 
-var sinkString string
+var (
+	sinkString string
+	sinkHash   uint64
+)
+
+// TestHashFlowAllocs: the flow shard key every ingested row is routed by
+// allocates nothing.
+func TestHashFlowAllocs(t *testing.T) {
+	flow := simnet.FlowKey{Src: simnet.Addr{Node: 2042, Port: 43210}, Dst: simnet.Addr{Node: 1017, Port: 8080}}
+	if allocs := testing.AllocsPerRun(100, func() { sinkHash = hashFlow(flow) }); allocs != 0 {
+		t.Fatalf("hashFlow allocates %.2f times a call, want 0", allocs)
+	}
+}
 
 // TestWriteRecentAllocatesOnlyItsStrings: a "recent" line costs at most
 // the allocations of its three durations' String() calls (none, when the

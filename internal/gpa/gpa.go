@@ -300,7 +300,6 @@ func New(cfg Config, now func() time.Duration) *GPA {
 // three agree on which shard owns a flow.
 //
 //sysprof:nonblocking
-//sysprof:noalloc
 func hashFlow(key simnet.FlowKey) uint64 {
 	return key.ShardHash()
 }

@@ -384,7 +384,6 @@ func (h *Hub) Now() time.Duration { return h.clock() }
 // call this first and skip event construction entirely when false.
 //
 //sysprof:nonblocking
-//sysprof:noalloc
 func (h *Hub) Enabled(t EventType) bool {
 	if !t.Valid() {
 		return false
@@ -430,7 +429,6 @@ func (h *Hub) rebuildLocked() {
 // stamped by the hub.
 //
 //sysprof:nonblocking
-//sysprof:noalloc
 func (h *Hub) Emit(ev *Event) time.Duration {
 	var lp *subList
 	if ev.Type.Valid() {

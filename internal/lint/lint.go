@@ -1,11 +1,12 @@
 // Package lint is sysproflint: a standard-library-only static-analysis
 // suite that enforces SysProf's hot-path contracts. The reproduction's
 // overhead story rests on properties that ordinary tests cannot see — the
-// kprof emit and publish enqueue paths must not block, the emit fast path
-// must not allocate, and fields accessed through sync/atomic (the shared
-// frame's reference count) must never also be touched plainly. Like the
-// eBPF verifier proving tracing programs safe before they load,
-// sysproflint proves these properties statically, before the code runs.
+// kprof emit and publish enqueue paths must not block, and fields accessed
+// through sync/atomic (the shared frame's reference count) must never also
+// be touched plainly. Like the eBPF verifier proving tracing programs safe
+// before they load, sysproflint proves these properties statically, before
+// the code runs. That the hot paths do not allocate is a property tests
+// can see: each package measures it with testing.AllocsPerRun guards.
 //
 // The driver (driver.go) parses and type-checks every package of the
 // module using only go/parser, go/ast, go/token and go/types — no
@@ -22,22 +23,14 @@
 //
 // # Annotations
 //
-// Two directive comments mark hot-path contracts on function declarations:
+// One directive comment marks a hot-path contract on function
+// declarations:
 //
 //	//sysprof:nonblocking   the function (and everything it calls,
 //	                        across every module package) must not block:
 //	                        no selectless channel sends, time.Sleep, net
 //	                        or *os.File I/O, fmt printing, log calls, or
 //	                        sync.Cond waits
-//	//sysprof:noalloc       the function must not heap-allocate: no
-//	                        fmt.Sprintf and friends, string
-//	                        concatenation and conversions, closures, or
-//	                        maps; make results, composite literals and
-//	                        address-taken values are accepted only while
-//	                        provably stack-local (they are flagged the
-//	                        moment they escape via a return, a stored
-//	                        pointer, an interface conversion, or a call
-//	                        to a callee the analyzer cannot see through)
 //
 // # Suppressions
 //
@@ -54,7 +47,6 @@ package lint
 import (
 	"fmt"
 	"go/ast"
-	"go/printer"
 	"go/token"
 	"go/types"
 	"sort"
@@ -126,24 +118,15 @@ func (p *Pass) ReportChain(pos token.Pos, chain []ChainFrame, format string, arg
 	})
 }
 
-// ExprString renders an expression compactly ("s.mu", "h.dispatch[t]")
-// for use in messages.
-func (p *Pass) ExprString(e ast.Expr) string {
-	var sb strings.Builder
-	printer.Fprint(&sb, p.Fset, e)
-	return sb.String()
-}
-
 // All returns the full sysproflint analyzer suite.
 func All() []*Analyzer {
 	return []*Analyzer{
 		NonBlock,
-		HotAlloc,
 		AtomicMix,
 	}
 }
 
-// ByName resolves a comma-separated analyzer list ("hotalloc,nonblock").
+// ByName resolves a comma-separated analyzer list ("nonblock,atomicmix").
 // An empty spec selects the whole suite.
 func ByName(spec string) ([]*Analyzer, error) {
 	if strings.TrimSpace(spec) == "" {
@@ -170,11 +153,8 @@ func ByName(spec string) ([]*Analyzer, error) {
 	return out, nil
 }
 
-// Annotation names recognized on function declarations.
-const (
-	AnnotNonBlocking = "sysprof:nonblocking"
-	AnnotNoAlloc     = "sysprof:noalloc"
-)
+// AnnotNonBlocking is the annotation recognized on function declarations.
+const AnnotNonBlocking = "sysprof:nonblocking"
 
 // hasAnnotation reports whether the function declaration's doc comment
 // carries the directive (written as //sysprof:..., no space, on its own

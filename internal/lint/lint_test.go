@@ -90,8 +90,8 @@ func TestByName(t *testing.T) {
 	if err != nil || len(all) != len(All()) {
 		t.Fatalf("ByName(\"\") = %d analyzers, err %v", len(all), err)
 	}
-	two, err := ByName("hotalloc, nonblock")
-	if err != nil || len(two) != 2 || two[0].Name != "hotalloc" || two[1].Name != "nonblock" {
+	two, err := ByName("atomicmix, nonblock")
+	if err != nil || len(two) != 2 || two[0].Name != "atomicmix" || two[1].Name != "nonblock" {
 		t.Fatalf("ByName subset = %v, err %v", two, err)
 	}
 	if _, err := ByName("nosuch"); err == nil {
@@ -123,7 +123,7 @@ func TestSuppressionIndex(t *testing.T) {
 		{10, "nonblock", true},
 		{11, "nonblock", true},
 		{12, "nonblock", false},
-		{10, "hotalloc", false},
+		{10, "atomicmix", false},
 	} {
 		pos := token.Position{Filename: "f.go", Line: tc.line, Column: 1}
 		if got := idx.covers(tc.analyzer, pos); got != tc.want {

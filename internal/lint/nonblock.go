@@ -34,7 +34,7 @@ type blockSite struct {
 
 // fmtPrinting is the set of fmt functions that write to a stream (and so
 // can block on it). Sprint-family formatting allocates but does not
-// block; hotalloc owns that concern.
+// block.
 var fmtPrinting = map[string]bool{
 	"Print": true, "Printf": true, "Println": true,
 	"Fprint": true, "Fprintf": true, "Fprintln": true,

@@ -9,28 +9,10 @@ import "fixturemod/util"
 // a module-local import stays clean.
 //
 //sysprof:nonblocking
-//sysprof:noalloc
 func Total(xs []int) int {
 	sum := 0
 	for _, x := range xs {
 		sum = util.Scale(x, 2) + sum
-	}
-	return sum
-}
-
-// Checksum folds values through a fixed-size scratch buffer. The make
-// stays stack-local, so the noalloc annotation holds — the escape
-// mutation test flips this by routing buf through util.Sum.
-//
-//sysprof:noalloc
-func Checksum(xs []int) int {
-	buf := make([]int, 8)
-	for i, x := range xs {
-		buf[i&7] += x
-	}
-	sum := 0
-	for _, v := range buf {
-		sum += v
 	}
 	return sum
 }

@@ -3,13 +3,3 @@ package util
 
 // Scale multiplies x by k.
 func Scale(x, k int) int { return x * k }
-
-// Sum adds up a slice (and, being an opaque callee, retains-for-all the
-// escape analysis knows).
-func Sum(xs []int) int {
-	s := 0
-	for _, x := range xs {
-		s += x
-	}
-	return s
-}

@@ -114,7 +114,6 @@ func (b *Broker) fanOutColumns(channelName string, batch core.Batch, remotes []*
 // index.
 //
 //sysprof:nonblocking
-//sysprof:noalloc
 func splitByCompression(remotes []*remoteConn) (compressed, plain []*remoteConn) {
 	nZ := 0
 	for nZ < len(remotes) && remotes[nZ].columnsZ {

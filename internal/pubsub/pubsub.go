@@ -268,7 +268,6 @@ func (b *Broker) lookupChannel(name string) *subscribers {
 // selector (the common unsharded deployment skips all routing work).
 //
 //sysprof:nonblocking
-//sysprof:noalloc
 func hasSharded(remotes []*remoteConn) bool {
 	for _, rc := range remotes {
 		if rc.sel.Count != 0 {

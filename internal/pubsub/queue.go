@@ -135,7 +135,6 @@ var framePool = sync.Pool{New: func() any { return new(frame) }}
 // the locked decrement entirely.
 //
 //sysprof:nonblocking
-//sysprof:noalloc
 func (f *frame) release() {
 	if atomic.LoadInt64(&f.refs) == 1 || atomic.AddInt64(&f.refs, -1) == 0 {
 		f.buf = f.buf[:0]
@@ -315,7 +314,6 @@ type DrainEstimate struct {
 // the deadline, and sheds otherwise or before any delivery.
 //
 //sysprof:nonblocking
-//sysprof:noalloc
 func (d *DrainEstimate) Resolve(policy OverflowPolicy, timeout time.Duration, channel string) OverflowPolicy {
 	if policy != Adaptive {
 		return policy

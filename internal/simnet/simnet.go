@@ -100,7 +100,6 @@ func (k FlowKey) Hash() uint64 {
 // land on different shards and never correlate.
 //
 //sysprof:nonblocking
-//sysprof:noalloc
 func (k FlowKey) ShardHash() uint64 {
 	c := k.Canonical()
 	x := uint64(c.Src.Node)<<48 | uint64(c.Src.Port)<<32 |
@@ -119,7 +118,6 @@ func (k FlowKey) ShardHash() uint64 {
 // and the dissemination shard router must agree on this mapping.
 //
 //sysprof:nonblocking
-//sysprof:noalloc
 func NodeShardHash(n NodeID) uint64 {
 	return FlowKey{Src: Addr{Node: n}}.ShardHash()
 }
