@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"sysprof/internal/kprof"
 	"sysprof/internal/simnet"
 )
 
@@ -76,5 +77,41 @@ func TestRowPathAllocs(t *testing.T) {
 	}
 	if roomy.Len() != 101 || drained != 101 {
 		t.Fatalf("roomy buffer holds %d records and the swapping one drained %d, want 101 each", roomy.Len(), drained)
+	}
+}
+
+// TestLPAHandleAllocs guards the analyzer fast path: a steady-state
+// interaction through every arm of LPA.handle, closed by the next
+// request, allocates nothing at either granularity, window eviction and
+// buffer swaps included. Only a hooked LPA (Config.OnComplete) allocates,
+// the record it hands the hook.
+func TestLPAHandleAllocs(t *testing.T) {
+	flow := simnet.FlowKey{Src: simnet.Addr{Node: 1017, Port: 43210}, Dst: simnet.Addr{Node: 2042, Port: 8080}}
+	for _, g := range []Granularity{PerInteraction, PerClass} {
+		lpa := NewLPA(kprof.NewHub(2042, func() time.Duration { return 0 }), Config{Granularity: g, WindowSize: 2, BufferCapacity: 4})
+		evs := interactionEvents(flow, 4321)
+		if allocs := testing.AllocsPerRun(100, func() {
+			for i := range evs {
+				lpa.handle(&evs[i])
+			}
+		}); allocs != 0 {
+			t.Errorf("granularity %d: %.2f allocs per interaction, want 0", g, allocs)
+		}
+		if st := lpa.Stats(); st.Events != 101*uint64(len(evs)) || st.Interactions != 100 || st.DroppedEpisodes != 0 {
+			t.Fatalf("granularity %d: stats %+v, want 100 interactions of %d events and no dropped episodes", g, st, len(evs))
+		}
+	}
+}
+
+// TestCPAHandleAllocs: a CPA run reads the event through typed getters —
+// no per-event binding map, no boxed field values — and handle discards
+// the result, which Exec leaves unboxed, so nothing is left to allocate.
+func TestCPAHandleAllocs(t *testing.T) {
+	cpa, ev := captureCPA(t)
+	if avg := testing.AllocsPerRun(1000, func() { cpa.handle(ev) }); avg != 0 {
+		t.Errorf("CPA.handle allocates %.2f/run, want 0", avg)
+	}
+	if runs, errs, err := cpa.Stats(); runs != 1001 || errs != 0 {
+		t.Errorf("runs=%d errs=%d err=%v, want 1001 runs and no errors", runs, errs, err)
 	}
 }

@@ -134,7 +134,7 @@ func (c *CPA) Static(name string) (ecode.Value, bool) { return c.inst.Static(nam
 
 func (c *CPA) handle(ev *kprof.Event) {
 	c.runs++
-	if _, err := c.inst.Run(ev); err != nil {
+	if err := c.inst.Exec(ev); err != nil {
 		c.errs++
 		c.lastErr = err
 	}

@@ -208,19 +208,6 @@ func captureCPA(tb testing.TB) (*CPA, *kprof.Event) {
 	return cpa, &kprof.Event{Type: kprof.EvNetUserRead, PID: 7, Proc: "srv", Flow: reqFlowWithPorts(99, 80), Aux: 1234}
 }
 
-// TestCPAHandleAllocs: a CPA run reads the event through typed getters —
-// no per-event binding map, no boxed field values — so all that is left
-// to allocate is the boxed return value.
-func TestCPAHandleAllocs(t *testing.T) {
-	cpa, ev := captureCPA(t)
-	if avg := testing.AllocsPerRun(1000, func() { cpa.handle(ev) }); avg > 1 {
-		t.Errorf("CPA.handle allocates %.2f/run, want <= 1", avg)
-	}
-	if runs, errs, err := cpa.Stats(); runs == 0 || errs != 0 {
-		t.Errorf("runs=%d errs=%d err=%v", runs, errs, err)
-	}
-}
-
 // BenchmarkCPAHandle is the per-event cost of an installed analyzer as a
 // daemon pays it: handle on a net_user_read event, minus the hub.
 func BenchmarkCPAHandle(b *testing.B) {

@@ -20,7 +20,8 @@ const (
 )
 
 // Classifier assigns a request class to a completed interaction. The
-// default classifies by server port.
+// default classifies by server port. A Classifier belongs to one LPA: the
+// built-in ones cache their names without a lock.
 type Classifier func(r *Record) string
 
 // Config configures an LPA.
@@ -59,9 +60,12 @@ type LPAStats struct {
 
 // episode tracks one process's handling burst: from reading a request to
 // its next send. Its user/kernel/blocked split is attributed to the
-// interaction whose message was read.
+// interaction whose message was read, if target still holds it: a flow's
+// state is recycled when its interaction closes, so an episode that
+// outlives its interaction attributes nothing.
 type episode struct {
 	target  *open
+	id      uint64 // target's record ID at the read
 	readAt  time.Duration
 	sysAt   time.Duration
 	inSys   bool
@@ -86,6 +90,7 @@ type LPA struct {
 	window   *Window
 	buffers  *BufferSet
 	episodes map[int32]*episode
+	spare    []*episode // finalized episodes, reused by the next read
 	aggs     map[string]*Aggregate
 
 	nextID uint64
@@ -99,10 +104,24 @@ func MaskDefault() kprof.Mask {
 }
 
 // PortClassifier returns a classifier that names classes after the server
-// port ("port:N").
+// port ("port:N"), building each port's name once.
 func PortClassifier() Classifier {
-	return func(r *Record) string {
-		return "port:" + itoa(int(r.Flow.Dst.Port))
+	name := interned[uint16]("port:")
+	return func(r *Record) string { return name(r.Flow.Dst.Port) }
+}
+
+// interned returns a function naming k as prefix followed by k in decimal,
+// building each name once. Its cache has no lock: the classifier built on
+// it serves one LPA.
+func interned[K ~uint16](prefix string) func(K) string {
+	names := make(map[K]string)
+	return func(k K) string {
+		s, ok := names[k]
+		if !ok {
+			s = prefix + itoa(int(k))
+			names[k] = s
+		}
+		return s
 	}
 }
 
@@ -208,7 +227,7 @@ func (a *LPA) ResetAggregates() { a.aggs = make(map[string]*Aggregate) }
 // FlushOpen force-closes all in-progress interactions (end of run).
 func (a *LPA) FlushOpen() {
 	a.table.Each(func(fs *flowState) {
-		if fs.cur != nil && fs.cur.phase == phaseResponse {
+		if fs.cur.phase == phaseResponse {
 			a.closeInteraction(fs)
 		}
 	})
@@ -226,7 +245,7 @@ func (a *LPA) ExpireIdleFlows(cutoff time.Duration) int {
 	var victims []simnet.FlowKey
 	limit := int64(cutoff)
 	a.table.Each(func(fs *flowState) {
-		if fs.cur != nil {
+		if fs.cur.phase != phaseIdle {
 			return
 		}
 		last := fs.lastRxAt
@@ -322,12 +341,12 @@ func (a *LPA) onWirePacket(ev *kprof.Event, rx bool) {
 	if isReq {
 		// A request-direction packet after a response closes the previous
 		// interaction and opens the next.
-		if fs.cur != nil && fs.cur.phase == phaseResponse {
+		if fs.cur.phase == phaseResponse {
 			a.closeInteraction(fs)
 		}
-		if fs.cur == nil {
+		if fs.cur.phase == phaseIdle {
 			a.nextID++
-			fs.cur = &open{
+			fs.cur = open{
 				rec: Record{
 					ID:    a.nextID,
 					Node:  a.node,
@@ -344,7 +363,7 @@ func (a *LPA) onWirePacket(ev *kprof.Event, rx bool) {
 	}
 
 	// Response-direction packet.
-	if fs.cur == nil {
+	if fs.cur.phase == phaseIdle {
 		// A response with no observed request (e.g. monitoring attached
 		// mid-conversation): ignore until the next request run.
 		return
@@ -358,7 +377,7 @@ func (a *LPA) onWirePacket(ev *kprof.Event, rx bool) {
 
 func (a *LPA) onDeliver(ev *kprof.Event) {
 	fs := a.table.Get(ev.Flow)
-	if fs.cur == nil {
+	if fs.cur.phase == phaseIdle {
 		return
 	}
 	// Inbound protocol processing: time since the flow's last NIC arrival.
@@ -369,16 +388,15 @@ func (a *LPA) onDeliver(ev *kprof.Event) {
 
 func (a *LPA) onUserRead(ev *kprof.Event) {
 	fs := a.table.Get(ev.Flow)
-	if fs.cur == nil {
+	o := &fs.cur
+	if o.phase == phaseIdle {
 		return
 	}
-	fs.cur.rec.BufferWait += time.Duration(ev.Aux)
+	o.rec.BufferWait += time.Duration(ev.Aux)
 	if ev.Flow == fs.reqDir {
 		// The reader is this interaction's server.
-		fs.cur.handling = true
-		fs.cur.handlePID = ev.PID
-		fs.cur.rec.ServerPID = ev.PID
-		fs.cur.rec.ServerProc = ev.Proc
+		o.rec.ServerPID = ev.PID
+		o.rec.ServerProc = ev.Proc
 	}
 	// Open a handling episode for the reading process, targeting this
 	// interaction. A still-open episode means interleaved reads the
@@ -387,7 +405,14 @@ func (a *LPA) onUserRead(ev *kprof.Event) {
 		a.stats.DroppedEpisodes++
 		a.finalizeEpisode(ev.PID, old, ev.Time)
 	}
-	a.episodes[ev.PID] = &episode{target: fs.cur, readAt: ev.Time}
+	var ep *episode
+	if n := len(a.spare); n > 0 {
+		ep, a.spare = a.spare[n-1], a.spare[:n-1]
+	} else {
+		ep = new(episode)
+	}
+	*ep = episode{target: o, id: o.rec.ID, readAt: ev.Time}
+	a.episodes[ev.PID] = ep
 }
 
 func (a *LPA) onSend(ev *kprof.Event) {
@@ -400,9 +425,14 @@ func (a *LPA) onSend(ev *kprof.Event) {
 	}
 }
 
-// finalizeEpisode attributes an episode's split to its interaction.
+// finalizeEpisode attributes an episode's split to its interaction, if
+// that is still open, and returns the episode to the spares.
 func (a *LPA) finalizeEpisode(pid int32, ep *episode, now time.Duration) {
 	delete(a.episodes, pid)
+	a.spare = append(a.spare, ep)
+	if ep.target.rec.ID != ep.id {
+		return
+	}
 	if ep.inSys {
 		ep.sysAcc += now - ep.sysAt
 	}
@@ -422,10 +452,10 @@ func (a *LPA) finalizeEpisode(pid int32, ep *episode, now time.Duration) {
 	rec.DiskOps += ep.diskOps
 }
 
-// closeInteraction completes fs.cur and emits its record.
+// closeInteraction completes fs.cur, emits its record and leaves the flow
+// idle.
 func (a *LPA) closeInteraction(fs *flowState) {
-	o := fs.cur
-	fs.cur = nil
+	o := &fs.cur
 	if o.lastTxAt >= 0 {
 		o.rec.End = time.Duration(o.lastTxAt)
 	} else {
@@ -440,7 +470,10 @@ func (a *LPA) closeInteraction(fs *flowState) {
 	a.stats.Interactions++
 
 	if a.cfg.OnComplete != nil {
-		a.cfg.OnComplete(&o.rec)
+		// The hook may keep its record, and o is the flow's next
+		// interaction.
+		rec := o.rec
+		a.cfg.OnComplete(&rec)
 	}
 	switch a.cfg.Granularity {
 	case PerClass:
@@ -453,4 +486,5 @@ func (a *LPA) closeInteraction(fs *flowState) {
 	default:
 		a.window.Add(o.rec)
 	}
+	*o = open{}
 }

@@ -418,3 +418,149 @@ func TestLPALinearTableMatchesHashed(t *testing.T) {
 		}
 	}
 }
+
+// TestLPARecycledStateMatchesFreshState pins the recycling of a flow's
+// interaction state and of handling episodes. PID 4321 reads interaction
+// 1 and never sends, so its episode outlives the interaction and keeps
+// accumulating a syscall, a block, a disk issue and a context switch
+// while interaction 2 runs in the state interaction 1 was built in. Its
+// second read, of interaction 2, drops that episode (DroppedEpisodes)
+// and opens one on interaction 2. The want records are what the LPA
+// produced when every interaction and episode had state of its own: the
+// outliving episode lands nowhere.
+func TestLPARecycledStateMatchesFreshState(t *testing.T) {
+	h := newLPAHarness(Config{})
+	us := func(d int) time.Duration { return time.Duration(d) * time.Microsecond }
+	flow := simnet.FlowKey{Src: simnet.Addr{Node: 1, Port: 43210}, Dst: simnet.Addr{Node: 2, Port: 8080}}
+	resp := flow.Reverse()
+	const pid = 4321
+	h.at(us(0), kprof.Event{Type: kprof.EvNetRx, Flow: flow, Bytes: 700, CPU: 1})
+	h.at(us(40), kprof.Event{Type: kprof.EvNetDeliver, Flow: flow, Bytes: 648})
+	h.at(us(100), kprof.Event{Type: kprof.EvNetUserRead, Flow: flow, PID: pid, Proc: "api", Bytes: 648, Aux: int64(us(60))})
+	h.at(us(150), kprof.Event{Type: kprof.EvSyscallEnter, PID: pid, Proc: "read"})
+	h.at(us(400), kprof.Event{Type: kprof.EvNetTx, Flow: resp, Bytes: 1500, Last: true, CPU: 1})
+	// Interaction 2 opens in interaction 1's recycled state.
+	h.at(us(1000), kprof.Event{Type: kprof.EvNetRx, Flow: flow, Bytes: 650, CPU: 1})
+	h.at(us(1030), kprof.Event{Type: kprof.EvNetDeliver, Flow: flow, Bytes: 598})
+	h.at(us(1100), kprof.Event{Type: kprof.EvSyscallExit, PID: pid, Proc: "read"})
+	h.at(us(1200), kprof.Event{Type: kprof.EvBlock, PID: pid})
+	h.at(us(1250), kprof.Event{Type: kprof.EvDiskIssue, PID: pid, Aux: 12345})
+	h.at(us(1500), kprof.Event{Type: kprof.EvWake, PID: pid})
+	h.at(us(1510), kprof.Event{Type: kprof.EvCtxSwitch, PID: 1234, PID2: pid})
+	h.at(us(1600), kprof.Event{Type: kprof.EvNetUserRead, Flow: flow, PID: pid, Proc: "api", Bytes: 598, Aux: int64(us(90))})
+	h.at(us(1700), kprof.Event{Type: kprof.EvSyscallEnter, PID: pid, Proc: "write"})
+	h.at(us(1800), kprof.Event{Type: kprof.EvSyscallExit, PID: pid, Proc: "write"})
+	h.at(us(2000), kprof.Event{Type: kprof.EvNetSend, Flow: resp, PID: pid, Bytes: 3000})
+	h.at(us(2100), kprof.Event{Type: kprof.EvNetTx, Flow: resp, Bytes: 3052, Last: true, CPU: 1})
+	h.at(us(3000), kprof.Event{Type: kprof.EvNetRx, Flow: flow, Bytes: 10, CPU: 1})
+
+	if st := h.lpa.Stats(); st.Interactions != 2 || st.DroppedEpisodes != 1 {
+		t.Fatalf("stats %+v, want 2 interactions and 1 dropped episode", st)
+	}
+	want := []Record{
+		{ID: 1, Node: 2, Flow: flow, Class: "port:8080", CPU: 1, Start: 0, End: us(400),
+			ReqPackets: 1, ReqBytes: 700, RespPackets: 1, RespBytes: 1500,
+			ProtoTime: us(40), BufferWait: us(60), ServerPID: pid, ServerProc: "api"},
+		{ID: 2, Node: 2, Flow: flow, Class: "port:8080", CPU: 1, Start: us(1000), End: us(2100),
+			ReqPackets: 1, ReqBytes: 650, RespPackets: 1, RespBytes: 3052,
+			ProtoTime: us(30), TxTime: us(100), BufferWait: us(90), SyscallTime: us(100), UserTime: us(300),
+			ServerPID: pid, ServerProc: "api"},
+	}
+	got := h.lpa.Window().Snapshot()
+	if len(got) != len(want) {
+		t.Fatalf("window holds %d records, want %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Errorf("record %d:\n got %+v\nwant %+v", i, got[i], want[i])
+		}
+	}
+}
+
+// TestDefaultClassifiersArePerLPA: the built-in classifiers cache their
+// names without a lock, so two LPAs on two goroutines must not share a
+// cache. Run under -race.
+func TestDefaultClassifiersArePerLPA(t *testing.T) {
+	done := make(chan []Record, 2)
+	for g := 0; g < 2; g++ {
+		go func(client simnet.NodeID) {
+			h := newLPAHarness(Config{})
+			byClient := NewLPA(h.hub, Config{Classify: ClientClassifier()})
+			flow := simnet.FlowKey{Src: simnet.Addr{Node: client, Port: 43210}, Dst: simnet.Addr{Node: 2, Port: 8080}}
+			for i := 0; i < 50; i++ {
+				h.at(time.Duration(2*i)*time.Microsecond, kprof.Event{Type: kprof.EvNetRx, Flow: flow, Bytes: 100})
+				h.at(time.Duration(2*i+1)*time.Microsecond, kprof.Event{Type: kprof.EvNetTx, Flow: flow.Reverse(), Bytes: 50, Last: true})
+			}
+			h.lpa.FlushOpen()
+			byClient.FlushOpen()
+			done <- append(h.lpa.Window().Snapshot(), byClient.Window().Snapshot()...)
+		}(simnet.NodeID(1017 + g))
+	}
+	for g := 0; g < 2; g++ {
+		recs := <-done
+		if len(recs) != 100 {
+			t.Fatalf("%d records, want 100", len(recs))
+		}
+		client := recs[0].Flow.Src.Node
+		for i, r := range recs {
+			want := "port:8080"
+			if i >= 50 {
+				want = "client:" + itoa(int(client))
+			}
+			if r.Class != want {
+				t.Fatalf("record %d class %q, want %q", i, r.Class, want)
+			}
+		}
+	}
+}
+
+// interactionEvents is one interaction through every arm of LPA.handle:
+// the request's rx, deliver and user read, the server's syscall with a
+// block, a disk issue, a wake and a context switch inside it, its send
+// and the response's tx. Replayed on the same flow, each request closes
+// the interaction before it.
+func interactionEvents(flow simnet.FlowKey, pid int32) []kprof.Event {
+	resp := flow.Reverse()
+	us := func(d int) time.Duration { return time.Duration(d) * time.Microsecond }
+	return []kprof.Event{
+		{Type: kprof.EvNetRx, Time: us(0), Flow: flow, Bytes: 1400, CPU: 1},
+		{Type: kprof.EvNetDeliver, Time: us(20), Flow: flow, Bytes: 1348},
+		{Type: kprof.EvNetUserRead, Time: us(50), Flow: flow, PID: pid, Proc: "httpd", Bytes: 1348, Aux: 30000},
+		{Type: kprof.EvSyscallEnter, Time: us(60), PID: pid, Proc: "read"},
+		{Type: kprof.EvBlock, Time: us(70), PID: pid},
+		{Type: kprof.EvDiskIssue, Time: us(71), PID: pid, Aux: 4096},
+		{Type: kprof.EvWake, Time: us(300), PID: pid},
+		{Type: kprof.EvCtxSwitch, Time: us(301), PID: 1234, PID2: pid},
+		{Type: kprof.EvSyscallExit, Time: us(320), PID: pid, Proc: "read"},
+		{Type: kprof.EvNetSend, Time: us(400), Flow: resp, PID: pid, Bytes: 8192},
+		{Type: kprof.EvNetTx, Time: us(420), Flow: resp, Bytes: 8244, Last: true, CPU: 1},
+	}
+}
+
+// BenchmarkLPAInteraction is what the analyzer fast path costs per
+// interaction in steady state: LPA.handle over 1024 flows visited
+// round-robin, so each request closes the flow's previous interaction
+// and the window evicts into the per-CPU buffers. One lap before the
+// timer starts creates every flow.
+func BenchmarkLPAInteraction(b *testing.B) {
+	lpa := NewLPA(kprof.NewHub(2042, func() time.Duration { return 0 }), Config{})
+	scripts := make([][]kprof.Event, 1024)
+	for i := range scripts {
+		flow := simnet.FlowKey{Src: simnet.Addr{Node: 1017, Port: uint16(10000 + i)}, Dst: simnet.Addr{Node: 2042, Port: 8080 + uint16(i%4)}}
+		scripts[i] = interactionEvents(flow, int32(4000+i%8))
+	}
+	play := func(i int) {
+		evs := scripts[i%len(scripts)]
+		for j := range evs {
+			lpa.handle(&evs[j])
+		}
+	}
+	for i := range scripts {
+		play(i)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		play(i)
+	}
+}

@@ -2,16 +2,19 @@ package core
 
 import (
 	"time"
+
+	"sysprof/internal/simnet"
 )
 
 // ClientClassifier groups interactions by the requesting client node —
 // the paper's third monitoring granularity, "characterizing the server
 // resources consumed by sets of clients or client behaviors". Combine
-// with Granularity PerClass for per-client aggregate accounting.
+// with Granularity PerClass for per-client aggregate accounting. Like
+// PortClassifier it builds each node's name once, and it belongs to one
+// LPA.
 func ClientClassifier() Classifier {
-	return func(r *Record) string {
-		return "client:" + itoa(int(r.Flow.Src.Node))
-	}
+	name := interned[simnet.NodeID]("client:")
+	return func(r *Record) string { return name(r.Flow.Src.Node) }
 }
 
 // SLA is a per-class service-level objective over interaction records.

@@ -8,7 +8,9 @@ type flowState struct {
 	hash uint64         // cached Hash(key): probing and rehash never re-hash
 	// reqDir is the request direction, fixed by the first packet seen.
 	reqDir simnet.FlowKey
-	cur    *open // in-progress interaction, nil when idle
+	// cur is the in-progress interaction, recycled from one interaction
+	// to the next; its phase is zero while the flow is idle.
+	cur open
 	// lastRxAt, lastSendAt, lastTxAt support proto/tx time computation.
 	// -1 means "never seen" (0 is a valid simulation timestamp).
 	lastRxAt   int64
@@ -22,17 +24,16 @@ func newFlowState(ck simnet.FlowKey) *flowState {
 
 // open is an interaction under construction.
 type open struct {
-	rec       Record
-	phase     phase
-	lastTxAt  int64 // last outbound wire event (becomes End)
-	handling  bool
-	handlePID int32
+	rec      Record
+	phase    phase
+	lastTxAt int64 // last outbound wire event (becomes End)
 }
 
 type phase uint8
 
 const (
-	phaseRequest phase = iota + 1
+	phaseIdle phase = iota
+	phaseRequest
 	phaseResponse
 )
 

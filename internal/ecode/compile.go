@@ -14,7 +14,10 @@ package ecode
 //   - The termination proof removes the interpreter's per-statement
 //     step counter entirely: a verified loop needs no runtime guard.
 //   - A call site captures its builtin's implementation at compile time
-//     and reuses a preallocated argument buffer.
+//     and reuses a preallocated argument buffer. A literal argument is
+//     boxed once, here.
+//   - A returned value is held in a typed slot and boxed only when Run's
+//     caller asks for it; Exec, which does not, boxes nothing.
 //
 // Only verified programs can be compiled (CompileVerified runs the
 // verifier first); the interpreter (interp_test.go) is the reference
@@ -99,17 +102,27 @@ func (c *Compiled) NewInstance() *CompiledInstance {
 // the first executed return statement, or nil if execution falls off
 // the end; there is no step limit because termination is proven.
 func (ci *CompiledInstance) Run(host any) (Value, error) {
+	if err := ci.Exec(host); err != nil {
+		return nil, err
+	}
+	if result := ci.m.ret; result != nil {
+		return result(&ci.m), nil
+	}
+	return nil, nil
+}
+
+// Exec is Run for a caller that discards the result: what the program
+// returns is left unboxed.
+func (ci *CompiledInstance) Exec(host any) error {
 	m := &ci.m
 	m.ret = nil
 	// Checked once here, so no field read has to.
 	if b := ci.c.bind; b != nil && !b.isHost(host) {
-		return nil, fmt.Errorf("ecode: %s: binding %q is %T, not a %s", ci.c.name, b.name, host, b.host)
+		return fmt.Errorf("ecode: %s: binding %q is %T, not a %s", ci.c.name, b.name, host, b.host)
 	}
 	m.host = host
-	if _, err := execSeq(m, ci.c.body); err != nil {
-		return nil, err
-	}
-	return m.ret, nil
+	_, err := execSeq(m, ci.c.body)
+	return err
 }
 
 // Static returns a persistent variable's value (absent until its
@@ -119,17 +132,7 @@ func (ci *CompiledInstance) Static(name string) (Value, bool) {
 	if !ok || !ci.m.sinit[ref.sinit] {
 		return nil, false
 	}
-	switch ref.t {
-	case TInt:
-		return ci.m.ints[ref.idx], true
-	case TFloat:
-		return ci.m.floats[ref.idx], true
-	case TBool:
-		return ci.m.bools[ref.idx], true
-	case TString:
-		return ci.m.strs[ref.idx], true
-	}
-	return nil, false
+	return ci.m.load(ref), true
 }
 
 // cmachine is one instance's mutable execution state: typed slot arrays
@@ -144,13 +147,30 @@ type cmachine struct {
 	sinit   []bool
 	argbufs [][]Value
 	host    any
-	ret     Value
+	// ret boxes the value the executed return statement left behind;
+	// nil when none ran or it returned nothing.
+	ret func(*cmachine) Value
+}
+
+// load boxes the value in slot ref.
+func (m *cmachine) load(ref slotRef) Value {
+	switch ref.t {
+	case TInt:
+		return m.ints[ref.idx]
+	case TFloat:
+		return m.floats[ref.idx]
+	case TBool:
+		return m.bools[ref.idx]
+	case TString:
+		return m.strs[ref.idx]
+	}
+	return nil
 }
 
 // Closure kinds. A cexpr is typed by the static type of the expression
 // it evaluates, so no intermediate value on the hot path is boxed;
 // cexpr[Value] is the boxing form, built only where a Value is
-// genuinely needed (return statements and builtin arguments).
+// genuinely needed: builtin arguments.
 type (
 	cstmt          func(*cmachine) (ctrl, error)
 	cexpr[T any]   func(*cmachine) (T, error)
@@ -181,10 +201,11 @@ type slotRef struct {
 }
 
 type compiler struct {
-	c     *Compiled
-	env   VerifyEnv
-	res   *resolution
-	slots map[*symbol]slotRef // one slot per local or static declaration
+	c       *Compiled
+	env     VerifyEnv
+	res     *resolution
+	slots   map[*symbol]slotRef  // one slot per local or static declaration
+	results [TRecord + 1]slotRef // per type, the slot every return of it writes
 }
 
 // slot returns the slot of the variable the verifier resolved node (an
@@ -194,22 +215,37 @@ func (cp *compiler) slot(node any) slotRef {
 	s := cp.res.syms[node]
 	ref, ok := cp.slots[s]
 	if !ok {
-		ref = slotRef{t: s.t, sinit: -1}
-		switch s.t {
-		case TInt:
-			ref.idx, cp.c.nInt = cp.c.nInt, cp.c.nInt+1
-		case TFloat:
-			ref.idx, cp.c.nFloat = cp.c.nFloat, cp.c.nFloat+1
-		case TBool:
-			ref.idx, cp.c.nBool = cp.c.nBool, cp.c.nBool+1
-		case TString:
-			ref.idx, cp.c.nStr = cp.c.nStr, cp.c.nStr+1
-		}
+		ref = cp.alloc(s.t)
 		if s.where == varStatic {
 			ref.sinit, cp.c.nSInit = cp.c.nSInit, cp.c.nSInit+1
 			cp.c.statics[s.name] = ref
 		}
 		cp.slots[s] = ref
+	}
+	return ref
+}
+
+// result returns the slot a return statement of type t leaves its value
+// in, allocating it the first time.
+func (cp *compiler) result(t Type) slotRef {
+	if cp.results[t].t == TInvalid {
+		cp.results[t] = cp.alloc(t)
+	}
+	return cp.results[t]
+}
+
+// alloc adds one slot of type t.
+func (cp *compiler) alloc(t Type) slotRef {
+	ref := slotRef{t: t, sinit: -1}
+	switch t {
+	case TInt:
+		ref.idx, cp.c.nInt = cp.c.nInt, cp.c.nInt+1
+	case TFloat:
+		ref.idx, cp.c.nFloat = cp.c.nFloat, cp.c.nFloat+1
+	case TBool:
+		ref.idx, cp.c.nBool = cp.c.nBool, cp.c.nBool+1
+	case TString:
+		ref.idx, cp.c.nStr = cp.c.nStr, cp.c.nStr+1
 	}
 	return ref
 }
@@ -339,16 +375,21 @@ func (cp *compiler) compileStmt(s stmt) (cstmt, error) {
 		if n.val == nil {
 			return func(m *cmachine) (ctrl, error) { return ctrlReturn, nil }, nil
 		}
-		v, err := cp.compileVal(n.val)
+		if v, ok := literal(n.val); ok {
+			result := func(*cmachine) Value { return v }
+			return func(m *cmachine) (ctrl, error) { m.ret = result; return ctrlReturn, nil }, nil
+		}
+		ref := cp.result(cp.res.types[n.val])
+		store, err := cp.compileStore(ref, "=", n.val, n.line)
 		if err != nil {
 			return nil, err
 		}
+		result := func(m *cmachine) Value { return m.load(ref) }
 		return func(m *cmachine) (ctrl, error) {
-			rv, err := v(m)
-			if err != nil {
+			if _, err := store(m); err != nil {
 				return ctrlNone, err
 			}
-			m.ret = rv
+			m.ret = result
 			return ctrlReturn, nil
 		}, nil
 
@@ -683,9 +724,12 @@ func (cp *compiler) compileBoolBinary(n *binaryExpr) (cexpr[bool], error) {
 }
 
 // compileVal lowers any expression to a boxing closure — used only
-// where a Value is genuinely needed: return statements and builtin
-// arguments.
+// where a Value is genuinely needed: builtin arguments. A literal is
+// boxed here, once.
 func (cp *compiler) compileVal(e expr) (cexpr[Value], error) {
+	if v, ok := literal(e); ok {
+		return constant(v), nil
+	}
 	switch cp.res.types[e] {
 	case TInt:
 		return box(cp.compileInt(e))
@@ -699,6 +743,21 @@ func (cp *compiler) compileVal(e expr) (cexpr[Value], error) {
 		return func(m *cmachine) (Value, error) { return m.host, nil }, nil
 	}
 	return nil, unlowerable("untyped expression %T", e)
+}
+
+// literal returns a literal node's value, boxed.
+func literal(e expr) (Value, bool) {
+	switch n := e.(type) {
+	case *intLit:
+		return n.v, true
+	case *floatLit:
+		return n.v, true
+	case *boolLit:
+		return n.v, true
+	case *stringLit:
+		return n.v, true
+	}
+	return nil, false
 }
 
 // The closure family every typed lowering shares, written once over the

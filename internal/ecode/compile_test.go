@@ -460,33 +460,3 @@ func TestCompiledRuntimeErrorLine(t *testing.T) {
 		t.Fatalf("err = %v, want RuntimeError at line 2", rerr)
 	}
 }
-
-// TestCompiledAllocFree: the steady-state hot path must not allocate
-// beyond boxing the returned value — reading typed fields off the real
-// event included.
-func TestCompiledAllocFree(t *testing.T) {
-	c, _, err := ecode.MustCompile(`
-static int n = 0;
-if (ev.type == "net_rx" && ev.bytes > 512) {
-	n++;
-}
-return n;
-`).CompileVerified(testVerifyEnv("alloc"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ci, ev := c.NewInstance(), testEvent()
-	if _, err := ci.Run(ev); err != nil { // warm static init
-		t.Fatal(err)
-	}
-	avg := testing.AllocsPerRun(200, func() {
-		if _, err := ci.Run(ev); err != nil {
-			t.Fatal(err)
-		}
-	})
-	// One boxing alloc for the int return value is acceptable; the
-	// interpreter's map-scope walk costs far more.
-	if avg > 1 {
-		t.Errorf("compiled hot path allocates %.1f/op, want <= 1", avg)
-	}
-}
