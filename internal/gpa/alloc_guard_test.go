@@ -74,8 +74,9 @@ func TestWriteRecentAllocatesOnlyItsStrings(t *testing.T) {
 
 // TestPageDecodeAllocatesPerPage: decoding a shard's page into a
 // recycled one costs the same allocations at 64 rows as at 256 — per
-// page, not per row. The count is logged, so CI's log shows what a page
-// costs.
+// page, not per row — and no more than it costs through the recycled
+// reply reader, which leaves its records and the head's rows. The count
+// is logged, so CI's log shows what a page costs.
 func TestPageDecodeAllocatesPerPage(t *testing.T) {
 	allocs := func(pairs int) float64 {
 		g := benchGPA()
@@ -96,6 +97,30 @@ func TestPageDecodeAllocatesPerPage(t *testing.T) {
 	t.Logf("page decode: %.0f allocs at 64 rows, %.0f at 256", small, large)
 	if small != large {
 		t.Fatalf("a 256-row page costs %.0f allocations to decode, a 64-row one %.0f", large, small)
+	}
+	if small > 9 {
+		t.Fatalf("a page costs %.0f allocations to decode, want at most 9", small)
+	}
+}
+
+// TestShardRepliesAllocs: a shard's reply costs one allocation to frame,
+// the reply string's, and a decoded "pstats" reply costs three, what it
+// decodes to: the record, the []StatsReply and the interface holding it.
+// The base64 framing and the decoder are recycled.
+func TestShardRepliesAllocs(t *testing.T) {
+	reply := execute(t, seededGPA(t), "pstats")
+	raw := make([]byte, len(reply)/4*3)
+	if framing := testing.AllocsPerRun(100, func() { sinkString = encodeReply(raw) }); framing != 1 {
+		t.Fatalf("framing a %d-byte reply allocates %.0f times, want 1", len(raw), framing)
+	}
+	decode := testing.AllocsPerRun(100, func() {
+		if rows, err := decodeRows[StatsReply](reply, 1, 1); err != nil || rows[0].Ingested != 3 {
+			t.Fatalf("pstats decoded to %+v, %v", rows, err)
+		}
+	})
+	t.Logf("pstats reply: %.0f allocs to decode", decode)
+	if decode != 3 {
+		t.Fatalf("a pstats reply costs %.0f allocations to decode, want 3", decode)
 	}
 }
 

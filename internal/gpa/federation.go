@@ -10,26 +10,27 @@ package gpa
 // reach the same process and correlation never crosses a process
 // boundary). The Frontend here is the merge component: it fans each
 // query out to the shard processes over their existing query/TCP
-// endpoints and merges the decoded replies (JSON documents; the correlated
-// stream as pbio columnar pages) — correlated streams in global
-// completion order, class aggregates by Aggregate.Merge, loads by
-// interaction-weighted means, counters by summation.
+// endpoints and merges the decoded replies — every one a pbio stream of
+// typed rows (pagewire.go), the correlated stream as columnar pages —
+// correlated streams in global completion order, class aggregates by
+// Aggregate.Merge, loads by interaction-weighted means, counters by
+// summation. Nothing on the shard link is JSON: the j* verbs are
+// renderings of merged rows for operators.
 //
 // Failure semantics: a dead shard degrades the answer, it does not
 // destroy it. Every merged result carries a FederationStatus naming the
-// shards that answered and the shards that did not; textual replies to a
-// partial query are suffixed with an explicit staleness marker instead of
-// returning an error.
+// shards that answered and the shards that did not — a shard whose reply
+// does not decode among them; textual replies to a partial query are
+// suffixed with an explicit staleness marker instead of returning an
+// error.
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"net"
 	"os"
 	"slices"
-	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -188,11 +189,12 @@ func (f *Frontend) putIdle(addr string, c *lineproto.Client) {
 	}
 }
 
-// shardReply is one shard's answer to a fanned-out command.
-type shardReply struct {
-	index   int
-	payload string
-	err     error
+// shardReply is one shard's answer to a fanned-out command, as the
+// fan-out's decode made it.
+type shardReply[V any] struct {
+	index int
+	value V
+	err   error
 }
 
 // queryShard runs one command against one shard endpoint and returns the
@@ -226,18 +228,27 @@ func (f *Frontend) queryShard(addr, cmd string) (string, error) {
 	}
 }
 
-// fanOut runs cmd against every shard concurrently and collects replies
-// in shard order.
-func (f *Frontend) fanOut(cmd string) ([]shardReply, FederationStatus) {
+// fanOut runs cmd against every shard concurrently, decodes each reply
+// in its shard's goroutine and collects them in shard order. A reply that
+// does not decode makes its shard dead, as a transport error does: the
+// answer degrades, it does not fail.
+func fanOut[V any](f *Frontend, cmd string, decode func(payload string) (V, error)) ([]shardReply[V], FederationStatus) {
 	endpoints := f.Endpoints()
-	replies := make([]shardReply, len(endpoints))
+	replies := make([]shardReply[V], len(endpoints))
 	var wg sync.WaitGroup
 	for i, addr := range endpoints {
 		wg.Add(1)
 		go func(i int, addr string) {
 			defer wg.Done()
+			r := &replies[i]
+			r.index = i
 			payload, err := f.queryShard(addr, cmd)
-			replies[i] = shardReply{index: i, payload: payload, err: err}
+			if err == nil {
+				if r.value, err = decode(payload); err != nil {
+					err = fmt.Errorf("gpa: shard %d reply: %w", i, err)
+				}
+			}
+			r.err = err
 		}(i, addr)
 	}
 	wg.Wait()
@@ -252,37 +263,44 @@ func (f *Frontend) fanOut(cmd string) ([]shardReply, FederationStatus) {
 	return replies, st
 }
 
+// asText is the decode of a reply that is read as the text it is.
+func asText(payload string) (string, error) { return payload, nil }
+
 // errAllShardsDead distinguishes "no data" from "no shards answered": a
 // fully dead federation is an error, a partially dead one is a partial
 // result.
 var errAllShardsDead = errors.New("gpa: no federation shard answered")
 
-func (st FederationStatus) allDead() bool { return len(st.Dead) == st.Shards }
+// allDead is the error of a fan-out no shard answered, naming why each
+// did not; nil while one did.
+func (st FederationStatus) allDead() error {
+	if len(st.Dead) < st.Shards {
+		return nil
+	}
+	return fmt.Errorf("%w: %s", errAllShardsDead, strings.Join(st.Errors, "; "))
+}
 
-// fanOutJSON fans cmd out and decodes each live shard's JSON payload into
-// a fresh T.
-func fanOutJSON[T any](f *Frontend, cmd string) ([]T, FederationStatus, error) {
-	replies, st := f.fanOut(cmd)
-	if st.allDead() {
-		return nil, st, fmt.Errorf("%w: %s", errAllShardsDead, strings.Join(st.Errors, "; "))
+// fanOutRows fans cmd, a p* verb, out and gathers every live shard's rows
+// of T, each reply held to between lo and hi rows.
+func fanOutRows[T any](f *Frontend, cmd string, lo, hi int) ([]T, FederationStatus, error) {
+	replies, st := fanOut(f, cmd, func(payload string) ([]T, error) { return decodeRows[T](payload, lo, hi) })
+	if err := st.allDead(); err != nil {
+		return nil, st, err
 	}
-	out := make([]T, 0, len(replies))
+	var rows []T
 	for _, r := range replies {
-		if r.err != nil {
-			continue
+		if rows == nil {
+			rows = r.value // nil when the shard is dead
+		} else {
+			rows = append(rows, r.value...)
 		}
-		var v T
-		if err := json.Unmarshal([]byte(r.payload), &v); err != nil {
-			return nil, st, fmt.Errorf("gpa: shard %d reply: %w", r.index, err)
-		}
-		out = append(out, v)
 	}
-	return out, st, nil
+	return rows, st, nil
 }
 
 // StatsSnapshot merges analyzer counters across shards (field-wise sums).
 func (f *Frontend) StatsSnapshot() (StatsReply, FederationStatus, error) {
-	parts, st, err := fanOutJSON[StatsReply](f, "jstats")
+	parts, st, err := fanOutRows[StatsReply](f, "pstats", 1, 1)
 	if err != nil {
 		return StatsReply{}, st, err
 	}
@@ -301,28 +319,22 @@ func (f *Frontend) StatsSnapshot() (StatsReply, FederationStatus, error) {
 
 // Nodes merges the reporting-node sets across shards (sorted union).
 func (f *Frontend) Nodes() ([]simnet.NodeID, FederationStatus, error) {
-	parts, st, err := fanOutJSON[[]simnet.NodeID](f, "jnodes")
+	parts, st, err := fanOutRows[nodeRow](f, "pnodes", 0, maxNodeRows)
 	if err != nil {
 		return nil, st, err
 	}
-	seen := make(map[simnet.NodeID]struct{})
-	for _, p := range parts {
-		for _, n := range p {
-			seen[n] = struct{}{}
-		}
+	out := make([]simnet.NodeID, len(parts))
+	for i, p := range parts {
+		out[i] = p.Node
 	}
-	out := make([]simnet.NodeID, 0, len(seen))
-	for n := range seen {
-		out = append(out, n)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out, st, nil
+	slices.Sort(out)
+	return slices.Compact(out), st, nil
 }
 
 // ServerLoad merges a node's load across shards: counts sum, means are
 // re-weighted by each shard's interaction count.
 func (f *Frontend) ServerLoad(node simnet.NodeID) (Load, FederationStatus, error) {
-	parts, st, err := fanOutJSON[Load](f, fmt.Sprintf("jload %d", node))
+	parts, st, err := fanOutRows[Load](f, fmt.Sprintf("pload %d", node), 1, 1)
 	if err != nil {
 		return Load{}, st, err
 	}
@@ -347,28 +359,25 @@ func (f *Frontend) ServerLoad(node simnet.NodeID) (Load, FederationStatus, error
 // ClassAggregatesAll merges every node's per-class aggregates across
 // shards via Aggregate.Merge.
 func (f *Frontend) ClassAggregatesAll() (map[simnet.NodeID]map[string]core.Aggregate, FederationStatus, error) {
-	parts, st, err := fanOutJSON[map[simnet.NodeID]map[string]core.Aggregate](f, "jclasses")
+	parts, st, err := fanOutRows[classRow](f, "pclasses", 0, maxPageRows)
 	if err != nil {
 		return nil, st, err
 	}
 	out := make(map[simnet.NodeID]map[string]core.Aggregate)
-	for _, p := range parts {
-		for node, classes := range p {
-			m := out[node]
-			if m == nil {
-				m = make(map[string]core.Aggregate)
-				out[node] = m
-			}
-			for class, agg := range classes {
-				mergeClass(m, class, &agg)
-			}
+	for i := range parts {
+		p := &parts[i]
+		m := out[p.Node]
+		if m == nil {
+			m = make(map[string]core.Aggregate)
+			out[p.Node] = m
 		}
+		mergeClass(m, p.Class, &p.Aggregate)
 	}
 	return out, st, nil
 }
 
 // ClassAggregates returns one node's per-class aggregates, merged across
-// shards; like every class query it costs one jclasses round trip.
+// shards; like every class query it costs one pclasses round trip.
 func (f *Frontend) ClassAggregates(node simnet.NodeID) (map[string]core.Aggregate, FederationStatus, error) {
 	all, st, err := f.ClassAggregatesAll()
 	return all[node], st, err
@@ -396,23 +405,23 @@ func (f *Frontend) Dump(w io.Writer) (FederationStatus, error) {
 // broadcast sends an admin verb and its arguments to every shard and
 // reports each live shard's one-line reply, then the partial marker.
 func (f *Frontend) broadcast(verb string, args []string) (string, error) {
-	replies, st := f.fanOut(strings.Join(append([]string{verb}, args...), " "))
-	if st.allDead() {
-		return "", fmt.Errorf("%w: %s", errAllShardsDead, strings.Join(st.Errors, "; "))
+	replies, st := fanOut(f, strings.Join(append([]string{verb}, args...), " "), asText)
+	if err := st.allDead(); err != nil {
+		return "", err
 	}
 	var sb strings.Builder
 	for _, r := range replies {
 		if r.err != nil {
 			continue
 		}
-		fmt.Fprintf(&sb, "shard %d: %s\n", r.index, strings.TrimRight(r.payload, "\n"))
+		fmt.Fprintf(&sb, "shard %d: %s\n", r.index, strings.TrimRight(r.value, "\n"))
 	}
 	return strings.TrimRight(sb.String(), "\n") + st.marker(), nil
 }
 
 // Status probes every shard with a cheap query and reports liveness.
 func (f *Frontend) Status() FederationStatus {
-	_, st := f.fanOut("stats")
+	_, st := fanOut(f, "stats", asText)
 	return st
 }
 

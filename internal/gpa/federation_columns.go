@@ -12,7 +12,6 @@ import (
 	"cmp"
 	"fmt"
 	"slices"
-	"strings"
 	"time"
 
 	"sysprof/internal/core"
@@ -163,9 +162,9 @@ func siftDown(hs []*mergeHead, i int) {
 //
 // The fan-out asks each shard for its columnar page, then streams the
 // pages through a k-way heap, materializing rows only as they are
-// emitted into the reply. A shard that fails the query — unreachable, or
-// answering with an error — is reported dead and the result degrades to
-// a partial one.
+// emitted into the reply. A shard that fails the query — unreachable,
+// answering with an error, or sending a page that does not decode — is
+// reported dead and the result degrades to a partial one.
 func (f *Frontend) CorrelatedSeq() ([]SeqEndToEnd, FederationStatus, error) {
 	return f.correlatedTail(0)
 }
@@ -190,31 +189,23 @@ func mergeTail[T any](f *Frontend, n int, fill func(dst *T, seq uint64, p *E2ECo
 	if n > 0 {
 		cmd = fmt.Sprintf("pcorrelated %d", n)
 	}
-	replies, st := f.fanOut(cmd)
-	if st.allDead() {
-		return nil, st, fmt.Errorf("%w: %s", errAllShardsDead, strings.Join(st.Errors, "; "))
+	replies, st := fanOut(f, cmd, decodeCorrelatedPage)
+	if err := st.allDead(); err != nil {
+		return nil, st, err
 	}
 
 	// Each page goes back to the pool once the merge has walked it.
 	heads := make([]*mergeHead, 0, len(replies))
 	total := 0
 	for _, r := range replies {
-		if r.err != nil {
-			continue
+		switch {
+		case r.err != nil:
+		case r.value.Len() == 0:
+			releasePage(r.value)
+		default:
+			heads = append(heads, newMergeHead(r.index, r.value))
+			total += r.value.Len()
 		}
-		page, err := decodeCorrelatedPage(r.payload)
-		if err != nil {
-			for _, h := range heads {
-				releasePage(h.page)
-			}
-			return nil, st, fmt.Errorf("gpa: shard %d reply: %w", r.index, err)
-		}
-		if page.Len() == 0 {
-			releasePage(page)
-			continue
-		}
-		heads = append(heads, newMergeHead(r.index, page))
-		total += page.Len()
 	}
 	for i := len(heads)/2 - 1; i >= 0; i-- {
 		siftDown(heads, i)

@@ -3,9 +3,11 @@ package gpa
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math/rand"
 	"net"
+	"slices"
 	"strconv"
 	"strings"
 	"sync/atomic"
@@ -313,5 +315,65 @@ func TestFederationShardWithoutPageQueryIsDead(t *testing.T) {
 	}
 	if w, g := mergedJSON(t, want), mergedJSON(t, got); !bytes.Equal(w, g) {
 		t.Fatalf("partial merge diverges from the row oracle:\n rows %s\n cols %s", w, g)
+	}
+}
+
+// TestUndecodableReplyIsDeadShard: a shard whose reply does not decode —
+// a corrupt pstats, a corrupt pcorrelated — is reported dead with the
+// decode error, as an unreachable one is, and the answer is the other
+// shard's, marked partial. Only when no shard's reply decodes is the
+// query an error.
+func TestUndecodableReplyIsDeadShard(t *testing.T) {
+	h := newFedHarness(t, 2, Config{})
+	h.workload(12, 4)
+	var corrupt [2]atomic.Bool
+	corrupt[1].Store(true)
+	fe, err := NewFrontend([]string{"0", "1"}, WithDialFunc(func(addr string) (net.Conn, error) {
+		idx, err := strconv.Atoi(addr)
+		if err != nil || idx < 0 || idx >= len(h.shards) {
+			return nil, fmt.Errorf("bad endpoint %q", addr)
+		}
+		c1, c2 := net.Pipe()
+		go func() {
+			defer c2.Close()
+			lineproto.ServeConn(c2, func(line string) (string, error) {
+				if corrupt[idx].Load() {
+					switch strings.Fields(line)[0] {
+					case "pstats":
+						return b64([]byte{0x7f}), nil // a frame kind pbio does not know
+					case "pcorrelated":
+						return "!!", nil // not base64
+					}
+				}
+				return h.shards[idx].Execute(line)
+			})
+		}()
+		return c1, nil
+	}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fe.Close()
+
+	got, err := fe.Execute("stats")
+	want := execute(t, h.shards[0], "stats") + "\n! partial: 1/2 shards answered; dead: 1 (gpa: shard 1 reply: gpa: rows: pbio: malformed frame: frame kind 0x7f)"
+	if err != nil || got != want {
+		t.Fatalf("stats with shard 1's reply corrupt = %q, %v; want %q", got, err, want)
+	}
+	recs, st, err := fe.CorrelatedSeq()
+	if err != nil || !st.Partial || !slices.Equal(st.Dead, []int{1}) ||
+		!strings.Contains(st.Errors[0], "shard 1 reply: gpa: page: bad base64 framing") {
+		t.Fatalf("correlated with shard 1's page corrupt: status %+v, err %v; want shard 1 dead with its decode error", st, err)
+	}
+	if n := len(h.shards[0].Correlated()); len(recs) != n || n == 0 {
+		t.Fatalf("partial history has %d interactions, want shard 0's %d", len(recs), n)
+	}
+
+	corrupt[0].Store(true)
+	if _, err := fe.Execute("stats"); !errors.Is(err, errAllShardsDead) || !strings.Contains(err.Error(), "shard 0 reply") {
+		t.Fatalf("stats with every reply corrupt: err = %v, want errAllShardsDead naming each decode error", err)
+	}
+	if _, _, err := fe.CorrelatedSeq(); !errors.Is(err, errAllShardsDead) {
+		t.Fatalf("correlated with every page corrupt: err = %v, want errAllShardsDead", err)
 	}
 }

@@ -94,11 +94,11 @@ func TestFrontendSilentShardCostsOneTimeout(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer fe.Close()
-	if _, st := fe.fanOut("stats"); st.Partial {
+	if _, st := fanOut(fe, "stats", asText); st.Partial {
 		t.Fatalf("first query: %+v", st)
 	}
 	start := time.Now()
-	replies, _ := fe.fanOut("stats")
+	replies, _ := fanOut(fe, "stats", asText)
 	took := time.Since(start)
 	if !errors.Is(replies[0].err, os.ErrDeadlineExceeded) {
 		t.Fatalf("silent shard: err = %v, want the deadline", replies[0].err)
@@ -173,12 +173,11 @@ func TestFrontendRetiresConnections(t *testing.T) {
 	}
 }
 
-// BenchmarkFrontendRecent is the federated read path over real sockets:
-// "recent 200" against two shards serving on loopback TCP, 256
-// interactions each. dials/op is 0 once the first query has run.
-func BenchmarkFrontendRecent(b *testing.B) {
+// benchFrontend serves two shards of 256 interactions each on loopback
+// TCP and returns a frontend over them, counting its dials.
+func benchFrontend(b *testing.B) (*Frontend, *atomic.Int64) {
 	var endpoints []string
-	var dials atomic.Int64
+	dials := new(atomic.Int64)
 	for i := 0; i < 2; i++ {
 		g := benchGPA()
 		g.IngestColumns(benchColumns(512))
@@ -186,7 +185,7 @@ func BenchmarkFrontendRecent(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		defer l.Close()
+		b.Cleanup(func() { l.Close() })
 		go g.Serve(l)
 		endpoints = append(endpoints, l.Addr().String())
 	}
@@ -197,13 +196,13 @@ func BenchmarkFrontendRecent(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	defer fe.Close()
-	query := func() {
-		out, err := fe.Execute("recent 200")
-		if n := strings.Count(out, "\n") + 1; err != nil || n != 200 {
-			b.Fatalf("recent 200: %d lines, %v", n, err)
-		}
-	}
+	b.Cleanup(fe.Close)
+	return fe, dials
+}
+
+// benchQueries runs query once, then b.N times, timed, and reports the
+// dials the timed runs made.
+func benchQueries(b *testing.B, dials *atomic.Int64, query func()) {
 	query()
 	dials.Store(0)
 	b.ReportAllocs()
@@ -212,4 +211,31 @@ func BenchmarkFrontendRecent(b *testing.B) {
 		query()
 	}
 	b.ReportMetric(float64(dials.Load())/float64(b.N), "dials/op")
+}
+
+// BenchmarkFrontendRecent is the federated read path over real sockets:
+// "recent 200" against two shards serving on loopback TCP, 256
+// interactions each. dials/op is 0 once the first query has run.
+func BenchmarkFrontendRecent(b *testing.B) {
+	fe, dials := benchFrontend(b)
+	benchQueries(b, dials, func() {
+		out, err := fe.Execute("recent 200")
+		if n := strings.Count(out, "\n") + 1; err != nil || n != 200 {
+			b.Fatalf("recent 200: %d lines, %v", n, err)
+		}
+	})
+}
+
+// BenchmarkFrontendRows is the merge of typed rows over the same two
+// shards: one op is "stats", "load 2" and "classes 2", each a fan-out of
+// a row reply, its decode and the merge.
+func BenchmarkFrontendRows(b *testing.B) {
+	fe, dials := benchFrontend(b)
+	benchQueries(b, dials, func() {
+		for _, q := range [...]string{"stats", "load 2", "classes 2"} {
+			if out, err := fe.Execute(q); err != nil || out == "" || strings.Contains(out, "! partial") {
+				b.Fatalf("%s: %q, %v", q, out, err)
+			}
+		}
+	})
 }

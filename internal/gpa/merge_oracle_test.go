@@ -2,9 +2,7 @@ package gpa
 
 import (
 	"encoding/json"
-	"fmt"
 	"sort"
-	"strings"
 	"time"
 )
 
@@ -18,9 +16,12 @@ import (
 // correlatedSeqRows is the materialize-then-sort merge of every shard's
 // whole "jcorrelated" stream, numbered from 1.
 func (f *Frontend) correlatedSeqRows() ([]SeqEndToEnd, FederationStatus, error) {
-	replies, st := f.fanOut("jcorrelated")
-	if st.allDead() {
-		return nil, st, fmt.Errorf("%w: %s", errAllShardsDead, strings.Join(st.Errors, "; "))
+	replies, st := fanOut(f, "jcorrelated", func(payload string) (recs []SeqEndToEnd, err error) {
+		err = json.Unmarshal([]byte(payload), &recs)
+		return recs, err
+	})
+	if err := st.allDead(); err != nil {
+		return nil, st, err
 	}
 	type tagged struct {
 		done  time.Duration
@@ -33,11 +34,7 @@ func (f *Frontend) correlatedSeqRows() ([]SeqEndToEnd, FederationStatus, error) 
 		if r.err != nil {
 			continue
 		}
-		var recs []SeqEndToEnd
-		if err := json.Unmarshal([]byte(r.payload), &recs); err != nil {
-			return nil, st, fmt.Errorf("gpa: shard %d reply: %w", r.index, err)
-		}
-		for _, rec := range recs {
+		for _, rec := range r.value {
 			done := rec.Client.End
 			if rec.Server.End > done {
 				done = rec.Server.End

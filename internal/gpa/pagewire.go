@@ -1,15 +1,24 @@
 package gpa
 
-// The correlated-history page on the wire and on disk. A shard answers
-// "pcorrelated [n]" with one self-describing pbio stream, base64-framed
-// for the line protocol: a head frame, then the client halves and the
-// server halves as interaction frames of at most pageFrameRows rows. A
-// dump is the same pages, unframed, one after another. Every frame is
-// compressed columnar (0x05) — the shard link's own encoding, whose
-// per-column delta/RLE/dictionary codes already buy what a general
-// compressor would — and the frontend decodes the halves through the
-// interaction format's bound column decoder straight into the columns its
-// merge walks — recycled between queries — and the head into a []headRow.
+// What a shard sends a frontend, on the wire and on disk. Every reply a
+// frontend merges is one self-describing pbio stream, base64-framed for
+// the line protocol, and every frame in it is compressed columnar (0x05)
+// — the shard link's own encoding, whose per-column delta/RLE/dictionary
+// codes already buy what a general compressor would.
+//
+// A shard answers "pcorrelated [n]" with its correlated-history page: a
+// head frame, then the client halves and the server halves as
+// interaction frames of at most pageFrameRows rows. A dump is the same
+// pages, unframed, one after another. The frontend decodes the halves
+// through the interaction format's bound column decoder straight into the
+// columns its merge walks — recycled between queries — and the head into
+// a []headRow.
+//
+// It answers "pstats", "pnodes", "pload <node>" and "pclasses" with rows:
+// a definition and one frame of a registered row struct, which the
+// frontend decodes into a []T through the plan that encoded it. An empty
+// reply is no rows. Both kinds of reply are read through one recycled
+// replyReader.
 
 import (
 	"bufio"
@@ -20,9 +29,11 @@ import (
 	"fmt"
 	"io"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"time"
+	"unsafe"
 
 	"sysprof/internal/core"
 	"sysprof/internal/pbio"
@@ -56,7 +67,21 @@ type headRow struct{ SeqFlow uint64 }
 
 const pageHeadFormat = "sysprof.pagehead"
 
-// The page stream's two formats and their encode plans, fixed at start-up.
+// nodeRow is a "pnodes" row: one reporting node.
+type nodeRow struct{ Node simnet.NodeID }
+
+// classRow is a "pclasses" row: one node's aggregate of one class, in
+// dissem.WireAggregate's shape.
+type classRow struct {
+	Node simnet.NodeID
+	core.Aggregate
+}
+
+// maxNodeRows bounds a "pnodes" reply: every node id once.
+const maxNodeRows = 1 << 16
+
+// The shard link's formats, fixed at start-up: the page stream's two, with
+// their encode plans, and the four row replies'.
 var (
 	pageReg            = pbio.NewRegistry()
 	headPlan, halfPlan *pbio.Plan
@@ -69,6 +94,10 @@ func init() {
 	}
 	headPlan = pageReg.PlanFor(reflect.TypeOf(headRow{}))
 	halfPlan = pageReg.PlanFor(reflect.TypeOf(core.Record{}))
+	pageReg.MustRegister("sysprof.stats", StatsReply{})
+	pageReg.MustRegister("sysprof.load", Load{})
+	pageReg.MustRegister("sysprof.node", nodeRow{})
+	pageReg.MustRegister("sysprof.classagg", classRow{})
 }
 
 // Rows, NumWireFields, AppendColumn and AppendCompressedColumn implement
@@ -218,7 +247,38 @@ func (g *GPA) correlatedPage(n, frameRows int) (string, error) {
 	if err := sc.render(order, frameRows); err != nil {
 		return "", err
 	}
-	return base64.StdEncoding.EncodeToString(sc.wire), nil
+	return encodeReply(sc.wire), nil
+}
+
+// rowsReply renders rows as a p* reply: T's definition and one frame of
+// every row, or an empty reply for none.
+func rowsReply[T any](rows []T) (string, error) {
+	if len(rows) == 0 {
+		return "", nil
+	}
+	if len(rows) > maxPageRows {
+		return "", fmt.Errorf("gpa: %d rows exceed the %d-row page", len(rows), maxPageRows)
+	}
+	sc := pagePool.Get().(*pageScratch)
+	defer pagePool.Put(sc)
+	p, cols := pbio.StructColumns(pageReg, rows)
+	buf, _, err := p.AppendCompressedColumnsFrame(p.Format().AppendDef(sc.wire[:0]), cols)
+	sc.wire = buf
+	if err != nil {
+		return "", fmt.Errorf("gpa: encode reply: %w", err)
+	}
+	return encodeReply(buf), nil
+}
+
+// encodeReply base64-frames raw for the line protocol in one allocation:
+// the reply string's own.
+func encodeReply(raw []byte) string {
+	if len(raw) == 0 {
+		return ""
+	}
+	out := make([]byte, base64.StdEncoding.EncodedLen(len(raw)))
+	base64.StdEncoding.Encode(out, raw)
+	return unsafe.String(&out[0], len(out))
 }
 
 // writePages writes every ordered row of the scratch to w as a stream of
@@ -248,28 +308,97 @@ func releasePage(p *E2EColumns) {
 	decodedPages.Put(p)
 }
 
+// replyReader reads one shard reply: its base64 framing decoded into a
+// buffer, and a pbio decoder over the bytes. Both are recycled, so reading
+// a reply allocates what it decodes and not the means to decode it.
+// Nothing decoded refers to the buffer or the decoder's window: strings
+// are copied out of them.
+type replyReader struct {
+	raw []byte
+	src bytes.Reader
+	dec *pbio.Decoder
+}
+
+var replyReaders = sync.Pool{New: func() any {
+	rr := new(replyReader)
+	rr.dec = pbio.NewDecoder(&rr.src, pageReg)
+	return rr
+}}
+
+// openReply returns a pooled reader whose decoder reads payload's bytes;
+// the caller hands it back with release.
+func openReply(payload string) (*replyReader, error) {
+	s := strings.TrimSpace(payload)
+	rr := replyReaders.Get().(*replyReader)
+	n := base64.StdEncoding.DecodedLen(len(s))
+	rr.raw = slices.Grow(rr.raw[:0], n)[:n]
+	n, err := base64.StdEncoding.Decode(rr.raw, []byte(s))
+	if err != nil {
+		rr.release()
+		return nil, fmt.Errorf("bad base64 framing: %w", err)
+	}
+	rr.src.Reset(rr.raw[:n])
+	rr.dec.Reset(&rr.src)
+	return rr, nil
+}
+
+func (rr *replyReader) release() { replyReaders.Put(rr) }
+
 // decodeCorrelatedPage parses one shard's "pcorrelated" payload — one
 // page or, for an empty history, nothing — into a recycled page, which
 // the caller hands to releasePage when done with it.
 func decodeCorrelatedPage(payload string) (*E2EColumns, error) {
-	raw, err := base64.StdEncoding.DecodeString(strings.TrimSpace(payload))
+	rr, err := openReply(payload)
 	if err != nil {
-		return nil, fmt.Errorf("gpa: page: bad base64 framing: %w", err)
+		return nil, fmt.Errorf("gpa: page: %w", err)
 	}
+	defer rr.release()
 	page := decodedPages.Get().(*E2EColumns)
-	dec := pbio.NewDecoder(bytes.NewReader(raw), pageReg)
-	err = readPage(dec, page)
+	err = readPage(rr.dec, page)
 	if errors.Is(err, io.EOF) {
 		return page, nil
 	}
 	if err == nil {
-		if _, err = dec.Decode(); errors.Is(err, io.EOF) {
+		if _, err = rr.dec.Decode(); errors.Is(err, io.EOF) {
 			return page, nil
 		}
 		err = fmt.Errorf("gpa: page carries data past its %d rows", page.Len())
 	}
 	releasePage(page)
 	return nil, err
+}
+
+// decodeRows parses one shard's p* payload into its rows: one frame of
+// T's format holding from lo to hi rows, or, when lo is 0, nothing. The
+// reply is untrusted: the row limit binds before the frame is decoded,
+// and a frame of another format, a second frame or trailing bytes is an
+// error.
+func decodeRows[T any](payload string, lo, hi int) ([]T, error) {
+	rr, err := openReply(payload)
+	if err != nil {
+		return nil, fmt.Errorf("gpa: rows: %w", err)
+	}
+	defer rr.release()
+	rr.dec.LimitRows(hi)
+	var rows []T
+	switch rec, err := rr.dec.Decode(); {
+	case errors.Is(err, io.EOF): // no rows
+	case err != nil:
+		return nil, fmt.Errorf("gpa: rows: %w", err)
+	default:
+		var ok bool
+		if rows, ok = rec.Value.([]T); !ok {
+			return nil, fmt.Errorf("gpa: rows: a %q frame, want %q", rec.Format,
+				pageReg.PlanFor(reflect.TypeFor[T]()).Format().Name)
+		}
+		if _, err := rr.dec.Decode(); !errors.Is(err, io.EOF) {
+			return nil, fmt.Errorf("gpa: rows: reply carries data past its %d rows", len(rows))
+		}
+	}
+	if len(rows) < lo {
+		return nil, fmt.Errorf("gpa: rows: %d rows, want at least %d", len(rows), lo)
+	}
+	return rows, nil
 }
 
 // readPages reads a stream of pages to its end, as one page holding every

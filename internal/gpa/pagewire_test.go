@@ -9,6 +9,7 @@ import (
 	"net"
 	"os"
 	"path/filepath"
+	"reflect"
 	"runtime"
 	"strings"
 	"sync"
@@ -350,4 +351,197 @@ func TestPageBytesGolden(t *testing.T) {
 	if got != string(want) {
 		t.Fatalf("page bytes differ from %s:\n got: %.400s\nwant: %.400s", path, got, want)
 	}
+}
+
+// namedGPA is an analyzer whose one correlated pair and class aggregates
+// carry the given class and server process names.
+func namedGPA(class, proc string) *GPA {
+	g, _ := newGPA(Config{})
+	c, s := clientRec(1, 0), serverRec(2, 0)
+	c.Class, s.Class, s.ServerProc = class, class, proc
+	g.Ingest(c)
+	g.Ingest(s)
+	g.IngestAggregate(3, core.Aggregate{Class: class + "/agg", Count: 2})
+	return g
+}
+
+// execute runs a query that must succeed.
+func execute(t testing.TB, g *GPA, line string) string {
+	t.Helper()
+	reply, err := g.Execute(line)
+	if err != nil {
+		t.Fatalf("%s: %v", line, err)
+	}
+	return reply
+}
+
+// TestReplyReaderDoesNotAlias: what a reply decodes to owns its strings.
+// A pclasses reply and a page decoded, and then replies of the same
+// shape but other names decoded through the same recycled readers, the
+// first replies' class names and the page's Class and ServerProc columns
+// are what they were.
+func TestReplyReaderDoesNotAlias(t *testing.T) {
+	first, second := namedGPA("port:80", "httpd"), namedGPA("port:81", "nginx")
+	classes, err := decodeRows[classRow](execute(t, first, "pclasses"), 0, maxPageRows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	page, err := decodeCorrelatedPage(execute(t, first, "pcorrelated"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer releasePage(page)
+	var names []string
+	for _, c := range classes {
+		names = append(names, c.Class)
+	}
+	if got := strings.Join(names, " "); got != "port:80 port:80 port:80/agg" {
+		t.Fatalf("pclasses decoded to %q", got)
+	}
+	for i := 0; i < 4; i++ {
+		if _, err := decodeRows[classRow](execute(t, second, "pclasses"), 0, maxPageRows); err != nil {
+			t.Fatal(err)
+		}
+		other, err := decodeCorrelatedPage(execute(t, second, "pcorrelated"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		releasePage(other)
+	}
+	for i, c := range classes {
+		if c.Class != names[i] {
+			t.Fatalf("class %d read %q before the next replies, %q after", i, names[i], c.Class)
+		}
+	}
+	if page.Len() != 1 || page.Client.Classes[0] != "port:80" || page.Server.Classes[0] != "port:80" ||
+		page.Server.ServerProcs[0] != "httpd" {
+		t.Fatalf("page after the next replies: client class %q, server class %q, server proc %q",
+			page.Client.Classes, page.Server.Classes, page.Server.ServerProcs)
+	}
+}
+
+// rowDecoder is the frontend's decode of one row reply under the bounds
+// it applies.
+type rowDecoder struct {
+	verb   string
+	lo, hi int
+	decode func(payload string, lo, hi int) (int, error)
+}
+
+// rows decodes payload and reports how many rows it accepted.
+func (d rowDecoder) rows(payload string) (int, error) { return d.decode(payload, d.lo, d.hi) }
+
+var rowDecoders = []rowDecoder{
+	{"pstats", 1, 1, rowCount(decodeRows[StatsReply])},
+	{"pload 2", 1, 1, rowCount(decodeRows[Load])},
+	{"pnodes", 0, maxNodeRows, rowCount(decodeRows[nodeRow])},
+	{"pclasses", 0, maxPageRows, rowCount(decodeRows[classRow])},
+}
+
+func rowCount[T any](decode func(string, int, int) ([]T, error)) func(string, int, int) (int, error) {
+	return func(payload string, lo, hi int) (int, error) {
+		rows, err := decode(payload, lo, hi)
+		return len(rows), err
+	}
+}
+
+// rowsStream is a row reply's bytes: T's definition, then one frame per
+// batch.
+func rowsStream[T any](t testing.TB, batches ...[]T) []byte {
+	t.Helper()
+	var buf []byte
+	for i, rows := range batches {
+		p, cols := pbio.StructColumns(pageReg, rows)
+		if i == 0 {
+			buf = p.Format().AppendDef(buf)
+		}
+		var err error
+		if buf, _, err = p.AppendCompressedColumnsFrame(buf, cols); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return buf
+}
+
+// TestHostileRows: a row reply decodes under its row limit — exactly one
+// row for pstats and pload, at most one a node id for pnodes, at most
+// maxPageRows for pclasses — and a reply of another format, of a second
+// frame or with trailing bytes is an error; none costs memory ahead of
+// the bytes delivered.
+func TestHostileRows(t *testing.T) {
+	g := seededGPA(t)
+	for _, d := range rowDecoders {
+		if n, err := d.rows(execute(t, g, d.verb)); err != nil || n < max(d.lo, 1) || n > d.hi {
+			t.Fatalf("%s: %d rows, err %v", d.verb, n, err)
+		}
+	}
+	stats := []StatsReply{{Pending: 1}}
+	one := rowsStream(t, stats)
+	def := func(rows any) []byte {
+		return pageReg.PlanFor(reflect.TypeOf(rows).Elem()).Format().AppendDef(nil)
+	}
+	nodeDef, classDef := def([]nodeRow(nil)), def([]classRow(nil))
+	cases := []struct {
+		name, payload string
+		decode        func(payload string) (int, error)
+	}{
+		{"pstats of two rows", b64(rowsStream(t, []StatsReply{{}, {}})), rowDecoders[0].rows},
+		{"pstats of none", "", rowDecoders[0].rows},
+		{"pload of none", b64(def([]Load(nil))), rowDecoders[1].rows},
+		{"pstats answered with a load", execute(t, g, "pload 2"), rowDecoders[0].rows},
+		{"pnodes answered with stats", execute(t, g, "pstats"), rowDecoders[2].rows},
+		{"pstats twice", b64(rowsStream(t, stats, stats)), rowDecoders[0].rows},
+		{"pnodes in two frames", b64(rowsStream(t, []nodeRow{{1}}, []nodeRow{{2}})), rowDecoders[2].rows},
+		{"trailing bytes", b64(append(rowsStream(t, stats), 0x7f)), rowDecoders[0].rows},
+		{"truncated mid-frame", b64(one[:len(one)-9]), rowDecoders[0].rows},
+		{"bad base64", "!!" + execute(t, g, "pstats"), rowDecoders[0].rows},
+		{"no definition", b64(one[len(def(stats)):]), rowDecoders[0].rows},
+		{"pnodes bomb past every node", b64(append(nodeDef, bombFrame(pageReg.Lookup("sysprof.node"), maxNodeRows+1)...)),
+			rowDecoders[2].rows},
+		{"pclasses bomb past the page", b64(append(classDef, bombFrame(pageReg.Lookup("sysprof.classagg"), maxPageRows+1)...)),
+			rowDecoders[3].rows},
+	}
+	for _, tc := range cases {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		n, err := tc.decode(tc.payload)
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Errorf("%s: decoded to %d rows, want an error", tc.name, n)
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+			t.Errorf("%s: decoding allocated %d bytes for a %d-byte reply", tc.name, grew, len(tc.payload))
+		}
+	}
+	// At its limit a reply is whole: every node id once.
+	all := b64(append(nodeDef, bombFrame(pageReg.Lookup("sysprof.node"), maxNodeRows)...))
+	if n, err := rowDecoders[2].rows(all); err != nil || n != maxNodeRows {
+		t.Fatalf("pnodes of every node id: %d rows, err %v", n, err)
+	}
+}
+
+// FuzzDecodeRows throws arbitrary pbio streams at the four row-reply
+// decodes, seeded from real replies. Invariants: none panics, and what
+// each accepts holds a row count inside its bounds.
+func FuzzDecodeRows(f *testing.F) {
+	g := namedGPA("port:80", "httpd")
+	for _, d := range rowDecoders {
+		raw, err := base64.StdEncoding.DecodeString(execute(f, g, d.verb))
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(raw)
+	}
+	f.Add(append(pageReg.Lookup("sysprof.node").AppendDef(nil), bombFrame(pageReg.Lookup("sysprof.node"), 64)...))
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		if len(raw) > 1<<16 {
+			t.Skip()
+		}
+		for _, d := range rowDecoders {
+			if n, err := d.rows(b64(raw)); err == nil && (n < d.lo || n > d.hi) {
+				t.Fatalf("%s accepted %d rows, outside %d..%d", d.verb, n, d.lo, d.hi)
+			}
+		}
+	})
 }

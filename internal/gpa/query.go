@@ -1,10 +1,12 @@
 package gpa
 
 import (
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -205,7 +207,8 @@ var queries = []lineproto.Command[source]{
 }
 
 // analyzerCommands is the query protocol of one analyzer: it applies the
-// admin verbs and serves its history page.
+// admin verbs and serves what a frontend merges — its history page and
+// its rows.
 var analyzerCommands = &lineproto.Table[*GPA]{Pkg: "gpa", Noun: "query", Rows: append(
 	lineproto.Lift(queries, func(g *GPA) (source, error) { return local{g}, nil }),
 	lineproto.Command[*GPA]{Name: "retention", Args: "<max-correlated>", Help: "cap correlated history at n (0 = unbounded)",
@@ -241,7 +244,55 @@ var analyzerCommands = &lineproto.Table[*GPA]{Pkg: "gpa", Noun: "query", Rows: a
 			}
 			return g.correlatedPage(n, pageFrameRows)
 		}},
+	rowsVerb("pstats", "", "the jstats counters as one base64-framed pbio row: what a frontend fetches",
+		noArgs(source.StatsSnapshot), func(s StatsReply) []StatsReply { return []StatsReply{s} }),
+	rowsVerb("pnodes", "", "reporting nodes as base64-framed pbio rows, one a node: what a frontend fetches",
+		noArgs(source.Nodes), func(nodes []simnet.NodeID) []nodeRow {
+			rows := make([]nodeRow, len(nodes))
+			for i, n := range nodes {
+				rows[i].Node = n
+			}
+			return rows
+		}),
+	rowsVerb("pload", "<node>", "a node's load as one base64-framed pbio row: what a frontend fetches",
+		byNode(source.ServerLoad), func(l Load) []Load { return []Load{l} }),
+	rowsVerb("pclasses", "", "the jclasses aggregates as base64-framed pbio rows, one a node and class: what a frontend fetches",
+		noArgs(source.ClassAggregatesAll), classRows),
 )}
+
+// rowsVerb makes a p* verb: what get reads, as rows of T in one
+// base64-framed pbio stream — T's definition and one 0x05 frame, or an
+// empty reply for no rows — which a frontend reads with decodeRows
+// (pagewire.go).
+func rowsVerb[V, T any](name, args, help string, get read[V], rows func(V) []T) lineproto.Command[*GPA] {
+	return lineproto.Command[*GPA]{Name: name, Args: args, Help: help,
+		Run: func(g *GPA, a []string) (string, error) {
+			v, _, err := get(local{g}, a)
+			if err != nil {
+				return "", err
+			}
+			return rowsReply(rows(v))
+		}}
+}
+
+// classRows flattens per-node class aggregates into "pclasses" rows,
+// ordered by node and then class so that a reply is the same bytes each
+// time it is asked.
+func classRows(all map[simnet.NodeID]map[string]core.Aggregate) []classRow {
+	var rows []classRow
+	for node, classes := range all {
+		for _, agg := range classes {
+			rows = append(rows, classRow{Node: node, Aggregate: agg})
+		}
+	}
+	slices.SortFunc(rows, func(a, b classRow) int {
+		if c := cmp.Compare(a.Node, b.Node); c != 0 {
+			return c
+		}
+		return strings.Compare(a.Class, b.Class)
+	})
+	return rows
+}
 
 // Execute runs one query command against this analyzer; "help" lists
 // the commands.

@@ -55,8 +55,10 @@ func sameErr(a, b error) bool {
 }
 
 // decodeAll decodes until the stream errors and returns what it yielded.
-func decodeAll(r io.Reader, reg *Registry) ([]*Record, error) {
-	dec := NewDecoder(r, reg)
+func decodeAll(r io.Reader, reg *Registry) ([]*Record, error) { return drain(NewDecoder(r, reg)) }
+
+// drain decodes until dec's stream errors and returns what it yielded.
+func drain(dec *Decoder) ([]*Record, error) {
 	var recs []*Record
 	for {
 		rec, err := dec.Decode()
@@ -307,4 +309,61 @@ func fuzzRegistry(t *testing.T) *Registry {
 	reg.MustRegister("rec", flatRec{})
 	reg.MustRegister("every", everyOp{})
 	return reg
+}
+
+// TestDecoderReset: a reset decoder is a fresh one over its new source.
+// It forgets the formats the previous stream defined, the bytes of it left
+// unread and the row limit set for it, and it moves between a buffered
+// and a bare source in either order.
+func TestDecoderReset(t *testing.T) {
+	golden := goldenStreams(t)
+	stream := bytes.Join(golden["columns"], nil) // a definition and a 3-row frame
+	frame := golden["columns"][1]
+
+	dec := NewDecoder(bytes.NewReader(stream), fuzzRegistry(t))
+	if _, err := dec.Decode(); err != nil {
+		t.Fatal(err)
+	}
+	dec.Reset(bytes.NewReader(frame))
+	if _, err := dec.Decode(); !errors.Is(err, ErrUnknownFormat) {
+		t.Fatalf("a frame of a format only the previous stream defined: err = %v, want ErrUnknownFormat", err)
+	}
+
+	dec.Reset(bytes.NewReader(stream))
+	dec.LimitRows(1)
+	if _, err := dec.Decode(); err == nil {
+		t.Fatal("a 3-row frame decoded under a 1-row limit")
+	}
+	dec.Reset(bytes.NewReader(stream))
+	if dec.maxRows != maxBatchLen {
+		t.Fatalf("row limit after Reset = %d, want the frame limit %d", dec.maxRows, maxBatchLen)
+	}
+	if _, err := dec.Decode(); err != nil {
+		t.Fatalf("a 3-row frame after Reset: %v", err)
+	}
+
+	// Every golden stream, read by a decoder that has just read another
+	// stream — whole, or cut mid-frame so that its window holds bytes it
+	// never decoded — over any kind of source, yields what a fresh decoder
+	// yields.
+	mixed := bytes.Join(golden["mixed"], nil)
+	for name, frames := range golden {
+		b := bytes.Join(frames, nil)
+		want, wantErr := decodeAll(bytes.NewReader(b), fuzzRegistry(t))
+		for _, before := range [][]byte{mixed, mixed[:len(mixed)/2]} {
+			for first, r := range sources(before) {
+				for second := range sources(b) {
+					dec := NewDecoder(r, fuzzRegistry(t))
+					drain(dec)
+					dec.Reset(sources(b)[second])
+					got, err := drain(dec)
+					if !reflect.DeepEqual(got, want) || !sameErr(err, wantErr) {
+						t.Fatalf("%s, %s after %d bytes %s: %d records, err %v; fresh: %d records, err %v",
+							name, second, len(before), first, len(got), err, len(want), wantErr)
+					}
+					r = sources(before)[first]
+				}
+			}
+		}
+	}
 }

@@ -2,7 +2,6 @@ package pbio
 
 import (
 	"bytes"
-	"io"
 	"reflect"
 	"testing"
 )
@@ -42,8 +41,10 @@ func fuzzSeeds(tb testing.TB) [][]byte {
 // successful Decode consumes at least one byte, so it reaches an error
 // (or clean EOF) within len(data)+1 calls, and every source yields the
 // same records and the same error as the bytes in memory do: the window
-// and the bare reader are one decoder. The hardening under test caps
-// allocation from hostile length prefixes, zero-field formats, and
+// and the bare reader are one decoder. So does a reused decoder, Reset
+// onto the input after it read a seed stream under a row limit: Reset
+// leaves nothing of the previous stream behind. The hardening under test
+// caps allocation from hostile length prefixes, zero-field formats, and
 // inflated batch counts.
 func FuzzDecode(f *testing.F) {
 	for _, seed := range fuzzSeeds(f) {
@@ -58,13 +59,14 @@ func FuzzDecode(f *testing.F) {
 	f.Add([]byte{frameFormat, 1, 0, 0, 0, 1, 0, 0, 0, 'x', 0xFF, 0xFF})
 	f.Add([]byte{0x03, 9, 0, 0, 0, 1, 0, 0, 0})
 
+	seeds := fuzzSeeds(f)
+
 	f.Fuzz(func(t *testing.T, data []byte) {
 		reg := NewRegistry()
 		if _, err := reg.Register("fuzz.rec", fuzzRec{}); err != nil {
 			t.Fatal(err)
 		}
-		decode := func(r io.Reader) ([]*Record, error) {
-			dec := NewDecoder(r, reg)
+		decode := func(dec *Decoder) ([]*Record, error) {
 			var recs []*Record
 			for i := 0; i <= len(data); i++ {
 				rec, err := dec.Decode()
@@ -76,11 +78,23 @@ func FuzzDecode(f *testing.F) {
 			t.Fatalf("%d Decode calls succeeded on %d bytes of input", len(data)+1, len(data))
 			return nil, nil
 		}
-		want, wantErr := decode(bytes.NewReader(data))
+		want, wantErr := decode(NewDecoder(bytes.NewReader(data), reg))
+		reused := NewDecoder(nil, reg)
 		for src, r := range sources(data) {
-			got, err := decode(r)
+			got, err := decode(NewDecoder(r, reg))
 			if !reflect.DeepEqual(got, want) || !sameErr(err, wantErr) {
 				t.Fatalf("%s: %d records, err %v; in memory: %d records, err %v", src, len(got), err, len(want), wantErr)
+			}
+			for i, seed := range seeds {
+				reused.Reset(bytes.NewReader(seed))
+				reused.LimitRows(1)
+				drain(reused)
+				reused.Reset(sources(data)[src])
+				got, err := decode(reused)
+				if !reflect.DeepEqual(got, want) || !sameErr(err, wantErr) {
+					t.Fatalf("%s, reset after seed %d: %d records, err %v; fresh: %d records, err %v",
+						src, i, len(got), err, len(want), wantErr)
+				}
 			}
 		}
 	})

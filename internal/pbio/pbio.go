@@ -458,10 +458,28 @@ type Decoder struct {
 // NewDecoder returns a decoder reading from r. reg may be nil; when given,
 // formats whose names match registered ones decode into typed values.
 func NewDecoder(r io.Reader, reg *Registry) *Decoder {
-	_, buffered := r.(io.ByteReader)
-	d := &Decoder{r: r, buffered: buffered, reg: reg, formats: make(map[uint32]*Format), maxRows: maxBatchLen}
+	d := &Decoder{reg: reg, formats: make(map[uint32]*Format)}
 	d.cr.d = d
+	d.Reset(r)
 	return d
+}
+
+// Reset makes the decoder a new one reading from r, over the same
+// registry: it forgets the previous stream's formats, its unread bytes,
+// its row limit and the strings its column reader kept, and keeps its
+// window and its format table's storage, so a consumer that decodes one
+// short stream after another (a reply each) allocates a decoder once.
+func (d *Decoder) Reset(r io.Reader) {
+	_, buffered := r.(io.ByteReader)
+	if buffered && cap(d.win) < bufferedWindow {
+		d.win = nil // a bare reader's window; fill makes a buffered one
+	}
+	d.r, d.buffered = r, buffered
+	d.win, d.pos = d.win[:0], 0
+	clear(d.formats)
+	clear(d.cr.dict[:cap(d.cr.dict)])
+	clear(d.cr.strs[:cap(d.cr.strs)])
+	d.maxRows = maxBatchLen
 }
 
 // LimitRows lowers the row count the next columns frames may declare
