@@ -316,10 +316,16 @@ func ingestFrame(g *gpa.GPA, rec *pbio.Record, unknown *unknownFrames) {
 	}
 }
 
+// printSummary prints the analyzer's status line and its per-node load.
+// correlated= counts every pair ever correlated; retained= is what the
+// in-memory history holds now, and so what a dump writes; evicted= is what
+// the retention policy (the history cap, the age bound, a truncating dump)
+// dropped: correlated = retained + evicted.
 func printSummary(out io.Writer, g *gpa.GPA, unknown *unknownFrames) {
 	st := g.StatsSnapshot()
-	fmt.Fprintf(out, "gpa: ingested=%d correlated=%d pending=%d unknown_frames=%d\n",
-		st.Ingested, st.Correlated, g.PendingCount(), unknown.total.Load())
+	fmt.Fprintf(out, "gpa: ingested=%d correlated=%d retained=%d evicted=%d pending=%d unknown_frames=%d\n",
+		st.Ingested, st.Correlated, st.Correlated-st.CorrelatedEvicted, st.CorrelatedEvicted,
+		g.PendingCount(), unknown.total.Load())
 	for _, node := range g.Nodes() {
 		l := g.ServerLoad(node)
 		fmt.Fprintf(out, "  node %d: %d interactions/window, mean residence %v, mean buffer wait %v\n",

@@ -117,8 +117,10 @@ func TestDumpCountIsRowsWritten(t *testing.T) {
 // TestShutdownDumpHoldsWhatTheSummaryCounts stops gpad while a loopback
 // broker is still publishing correlatable pairs at it: the final summary
 // and the dump are taken after the readers have returned, so the dump
-// has exactly the pairs the summary counted — not the ones a reader
-// still blocked in Recv slipped in between or after the two.
+// has exactly the pairs the summary says the history retains — not the
+// ones a reader still blocked in Recv slipped in between or after the
+// two — and every pair correlated is either retained or counted evicted
+// by the per-stripe history cap.
 func TestShutdownDumpHoldsWhatTheSummaryCounts(t *testing.T) {
 	defer log.SetOutput(log.Writer())
 	log.SetOutput(new(bytes.Buffer))
@@ -184,13 +186,18 @@ func TestShutdownDumpHoldsWhatTheSummaryCounts(t *testing.T) {
 	close(stop)
 	<-published
 
-	m := regexp.MustCompile(`correlated=(\d+)`).FindStringSubmatch(out.String())
+	m := regexp.MustCompile(`correlated=(\d+) retained=(\d+) evicted=(\d+)`).FindStringSubmatch(out.String())
 	if m == nil {
 		t.Fatalf("no summary printed:\n%s", out.String())
 	}
-	counted, _ := strconv.Atoi(m[1])
-	if rows := loadDump(t, dump); counted == 0 || rows != counted {
-		t.Fatalf("summary counts %d correlated pairs, the dump holds %d", counted, rows)
+	correlated, _ := strconv.Atoi(m[1])
+	retained, _ := strconv.Atoi(m[2])
+	evicted, _ := strconv.Atoi(m[3])
+	if correlated != retained+evicted {
+		t.Fatalf("summary counts %d correlated pairs, %d retained and %d evicted", correlated, retained, evicted)
+	}
+	if rows := loadDump(t, dump); retained == 0 || rows != retained {
+		t.Fatalf("summary counts %d retained pairs, the dump holds %d", retained, rows)
 	}
 }
 

@@ -341,11 +341,16 @@ func (g *GPA) correlateRunLocked(s *shard, cols *core.RecordColumns, lo, hi int)
 	// survivors precede run-row survivors (insertion order is preserved),
 	// so compacting left into the original backing array never overwrites
 	// a residue record before it is read; phase C has already copied any
-	// matched residue into the correlated history.
+	// matched residue into the correlated history. A flow with no array
+	// yet takes one the stale sweep recycled.
 	for gi := range c.groups {
 		grp := &c.groups[gi]
 		orig := grp.orig
 		out := orig[:0]
+		if n := len(s.free) - 1; orig == nil && grp.survHi > grp.survLo && n >= 0 {
+			out, s.free[n], s.free = s.free[n], nil, s.free[:n]
+			s.freeCap -= cap(out)
+		}
 		for _, ref := range c.surv[grp.survLo:grp.survHi] {
 			if ref >= 0 {
 				out = append(out, core.Record{})

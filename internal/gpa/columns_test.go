@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 	"time"
+	"unsafe"
 
 	"sysprof/internal/core"
 	"sysprof/internal/simnet"
@@ -227,5 +228,45 @@ func TestPendingCapacityShrinksAfterBurstDrains(t *testing.T) {
 	if cap(peers) > grown/4 {
 		t.Fatalf("pending cap after sweep = %d, want <= %d (burst high-water array still pinned)",
 			cap(peers), grown/4)
+	}
+}
+
+// TestSweptPendingArraysAreReused: the stale sweep deletes the pending
+// entries correlation has emptied, and keeps their small arrays — up to
+// the stripe's free-list budget — for the next new flows, whose first
+// unmatched records land in them instead of in fresh arrays.
+func TestSweptPendingArraysAreReused(t *testing.T) {
+	g, now := newGPA(Config{Shards: 1})
+	*now = time.Hour
+	s := &g.shards[0]
+	halves := func(port0, flows int, node simnet.NodeID) *core.RecordColumns {
+		cols := core.NewRecordColumns(flows)
+		for i := 0; i < flows; i++ {
+			f := simnet.FlowKey{Src: simnet.Addr{Node: 1, Port: uint16(port0 + i)}, Dst: simnet.Addr{Node: 2, Port: 80}}
+			cols.AppendRow(core.Record{ID: uint64(port0 + i), Node: node, Flow: f, Start: *now, End: *now + time.Millisecond})
+		}
+		return cols
+	}
+	const flows = 2 * freePendingCap // more emptied arrays than the list keeps
+	g.IngestColumns(halves(1000, flows, 1))
+	g.IngestColumns(halves(1000, flows, 2)) // every pending record matched
+	g.PruneStale()
+	if len(s.pending) != 0 || len(s.free) != freePendingCap || s.freeCap != freePendingCap {
+		t.Fatalf("after the sweep: %d pending flows, %d free arrays of %d records; want 0, %d of %d",
+			len(s.pending), len(s.free), s.freeCap, freePendingCap, freePendingCap)
+	}
+	recycled := make(map[*core.Record]bool)
+	for _, p := range s.free {
+		recycled[unsafe.SliceData(p)] = true
+	}
+
+	g.IngestColumns(halves(5000, freePendingCap, 1))
+	for key, p := range s.pending {
+		if len(p) != 1 || !recycled[unsafe.SliceData(p)] {
+			t.Fatalf("new flow %v holds %d records in an array the sweep did not recycle", key, len(p))
+		}
+	}
+	if len(s.pending) != freePendingCap || len(s.free) != 0 || s.freeCap != 0 {
+		t.Fatalf("%d new flows left %d free arrays of %d records", len(s.pending), len(s.free), s.freeCap)
 	}
 }

@@ -210,6 +210,12 @@ type shard struct {
 	// corr is the vectorized columnar correlation scratch (columns.go),
 	// reused across batches under mu.
 	corr batchCorrelator
+
+	// free holds empty, zeroed pending arrays the stale sweep took from
+	// flows correlation had emptied, for new flows' first unmatched
+	// records; freeCap is their total capacity in records.
+	free    [][]core.Record
+	freeCap int
 }
 
 // staleSweepEvery is how many ingests a shard absorbs between incremental
@@ -221,6 +227,14 @@ const staleSweepEvery = 1024
 // stale sweep never bothers right-sizing: reallocating tiny slices churns
 // more than the few KiB it frees.
 const minPendingCap = 64
+
+// The stale sweep keeps emptied pending arrays of at most
+// maxFreePendingCap records on the stripe's free list, up to
+// freePendingCap records in all (~15 KB of records per stripe).
+const (
+	maxFreePendingCap = 4
+	freePendingCap    = 64
+)
 
 // GPA is the global analyzer. It is safe for concurrent use (records can
 // arrive from multiple subscriber goroutines).
@@ -525,8 +539,13 @@ func (g *GPA) sweepStaleLocked(s *shard) int {
 	for key, peers := range s.pending {
 		if len(peers) == 0 {
 			// Emptied by correlation and not refilled since: the flow has
-			// gone quiet, release the entry the hot path kept around.
+			// gone quiet, release the entry the hot path kept around,
+			// and keep its array (phase D zeroed it) for a new flow.
 			delete(s.pending, key)
+			if c := cap(peers); c <= maxFreePendingCap && s.freeCap+c <= freePendingCap {
+				s.free = append(s.free, peers)
+				s.freeCap += c
+			}
 			continue
 		}
 		kept := peers[:0]

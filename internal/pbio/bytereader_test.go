@@ -12,6 +12,7 @@ import (
 	"strings"
 	"testing"
 	"time"
+	"unsafe"
 )
 
 // readOnly hides every method of a reader but Read, as a bare connection
@@ -292,6 +293,19 @@ func TestDecoderPathsAgree(t *testing.T) {
 		}
 	}
 
+	// A string whose bytes straddle an in-memory decoder's first window
+	// edge — short enough to be interned, and too long to be — decodes
+	// the same from every source.
+	for _, size := range []int{internMaxLen - 4, internMaxLen + 36} {
+		stream, rows := straddling(t, size)
+		for src, r := range sources(stream) {
+			recs, err := decodeAll(r, fuzzRegistry(t))
+			if err != io.EOF || len(recs) != 1 || !reflect.DeepEqual(recs[0].Value, rows) {
+				t.Fatalf("%d-byte string across the window edge %s: %d records, err %v", size, src, len(recs), err)
+			}
+		}
+	}
+
 	inputs := append(corpusInputs(t, "testdata"), corpusInputs(t, filepath.Join("..", "gpa", "testdata"))...)
 	inputs = append(inputs, fuzzSeeds(t)...)
 	for i, in := range inputs {
@@ -314,7 +328,10 @@ func fuzzRegistry(t *testing.T) *Registry {
 // TestDecoderReset: a reset decoder is a fresh one over its new source.
 // It forgets the formats the previous stream defined, the bytes of it left
 // unread and the row limit set for it, and it moves between a buffered
-// and a bare source in either order.
+// and a bare source in either order. It keeps its string intern table,
+// which is safe to carry from one stream to the next: the table holds
+// only values — a string is the same whichever stream carried it — and it
+// is bounded.
 func TestDecoderReset(t *testing.T) {
 	golden := goldenStreams(t)
 	stream := bytes.Join(golden["columns"], nil) // a definition and a 3-row frame
@@ -338,8 +355,17 @@ func TestDecoderReset(t *testing.T) {
 	if dec.maxRows != maxBatchLen {
 		t.Fatalf("row limit after Reset = %d, want the frame limit %d", dec.maxRows, maxBatchLen)
 	}
-	if _, err := dec.Decode(); err != nil {
+	rec, err := dec.Decode()
+	if err != nil {
 		t.Fatalf("a 3-row frame after Reset: %v", err)
+	}
+	class := rec.Value.([]flatRec)[0].Class
+	dec.Reset(readOnly{bytes.NewReader(stream)})
+	if rec, err = dec.Decode(); err != nil {
+		t.Fatal(err)
+	}
+	if again := rec.Value.([]flatRec)[0].Class; unsafe.StringData(again) != unsafe.StringData(class) {
+		t.Fatalf("class %q after Reset is a new string, want the interned one", again)
 	}
 
 	// Every golden stream, read by a decoder that has just read another

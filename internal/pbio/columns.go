@@ -347,8 +347,9 @@ func (cr *ColumnReader) Uint64s() ([]uint64, error) {
 }
 
 // AppendStrings decodes the frame's next column, a string field, onto
-// dst: one allocation per raw value, and one per dictionary entry of a
-// dictionary-coded column, whose rows share their entries.
+// dst. Raw values and a dictionary-coded column's entries (which its rows
+// share) decode interned: a short string the decoder has seen before
+// costs nothing, any other one allocation.
 func (cr *ColumnReader) AppendStrings(dst []string) ([]string, error) {
 	k, enc, err := cr.begin()
 	if err != nil {

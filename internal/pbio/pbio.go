@@ -431,6 +431,19 @@ const (
 	bareWindow     = 8
 )
 
+// String interning bounds. A decoded string of at most internMaxLen bytes
+// is looked up in the decoder's table before it is copied, and a miss is
+// added while the table holds fewer than internMaxEntries strings; any
+// other string is copied as it is read. A stream's strings are mostly a
+// few names repeated row after row (classes, process names, channels), so
+// a warm table decodes them without allocating, and a hostile stream of
+// distinct strings grows it by at most internMaxEntries*internMaxLen
+// bytes.
+const (
+	internMaxLen     = 64
+	internMaxEntries = 1024
+)
+
 // Decoder reads self-describing records.
 //
 // Every read goes through a byte window. When the source is buffered —
@@ -440,7 +453,10 @@ const (
 // decodes columns straight out of memory. A bare reader (a connection) is
 // never read past the frame: the window asks it for exactly the bytes the
 // next value needs, so whoever shares the reader with the decoder stays
-// in step with it.
+// in step with it, or reads its own framing through ReadString.
+//
+// Short strings decode interned (see internMaxLen): a string the decoder
+// has seen before, in this stream or an earlier one, costs no allocation.
 type Decoder struct {
 	r        io.Reader
 	buffered bool
@@ -453,6 +469,10 @@ type Decoder struct {
 	cr ColumnReader
 	// maxRows bounds the row count a columns frame may declare.
 	maxRows uint32
+	// names is the string intern table, made on its first entry.
+	names map[string]string
+	// short holds a short string's bytes when the window does not.
+	short [internMaxLen]byte
 }
 
 // NewDecoder returns a decoder reading from r. reg may be nil; when given,
@@ -468,7 +488,10 @@ func NewDecoder(r io.Reader, reg *Registry) *Decoder {
 // registry: it forgets the previous stream's formats, its unread bytes,
 // its row limit and the strings its column reader kept, and keeps its
 // window and its format table's storage, so a consumer that decodes one
-// short stream after another (a reply each) allocates a decoder once.
+// short stream after another (a reply each) allocates a decoder once. It
+// keeps the string intern table too: the table holds values, not stream
+// state — a string is the same string whichever stream carried it — and
+// it is bounded, so a pooled decoder reuses the names of earlier replies.
 func (d *Decoder) Reset(r io.Reader) {
 	_, buffered := r.(io.ByteReader)
 	if buffered && cap(d.win) < bufferedWindow {
@@ -709,27 +732,69 @@ func (d *Decoder) readUvarintSlow() (uint64, error) {
 	return 0, fmt.Errorf("%w: varint longer than %d bytes", ErrBadFrame, binary.MaxVarintLen64)
 }
 
-// readString reads a length-prefixed string into one allocation: the
-// string itself, copied out of the window when the window holds it, else
-// made from the bytes readLengthPrefixed reads, which nothing else
+// ReadString reads one length-prefixed string (a u32 length, then the
+// bytes) from the stream, refusing a length above limit before reading
+// any of it. It lets a protocol that frames pbio frames with strings of
+// its own — pubsub's channel header — read them through the decoder,
+// interned like every other string. The error is io.EOF only when the
+// stream ends before the length.
+func (d *Decoder) ReadString(limit int) (string, error) {
+	return d.readStringMax(uint32(max(0, min(limit, maxFieldLen))))
+}
+
+func (d *Decoder) readString() (string, error) { return d.readStringMax(maxFieldLen) }
+
+// readStringMax reads a length-prefixed string of at most limit bytes. A
+// short one is interned: its bytes, out of the window or, when the window
+// does not hold them, out of d.short — what the window holds, then
+// exactly the missing bytes from the source — are looked up before they
+// are copied. A longer one is one allocation: copied out of the window,
+// or made from the bytes readLengthPrefixed reads, which nothing else
 // refers to.
-func (d *Decoder) readString() (string, error) {
+func (d *Decoder) readStringMax(limit uint32) (string, error) {
 	n, err := d.readUint32()
 	if err != nil {
 		return "", err
 	}
-	if n > maxFieldLen {
-		return "", fmt.Errorf("%w: string length %d exceeds limit", ErrBadFrame, n)
+	if n > limit {
+		return "", fmt.Errorf("%w: string length %d exceeds limit %d", ErrBadFrame, n, limit)
 	}
 	if int(n) <= len(d.win)-d.pos {
 		d.pos += int(n)
-		return string(d.win[d.pos-int(n) : d.pos]), nil
+		b := d.win[d.pos-int(n) : d.pos]
+		if n <= internMaxLen {
+			return d.intern(b), nil
+		}
+		return string(b), nil
+	}
+	if n <= internMaxLen {
+		k := copy(d.short[:], d.win[d.pos:])
+		d.pos += k
+		if _, err := io.ReadFull(d.r, d.short[k:n]); err != nil {
+			return "", badEOF(err)
+		}
+		return d.intern(d.short[:n]), nil
 	}
 	buf, err := d.readLengthPrefixed(n)
 	if err != nil {
-		return "", err
+		return "", badEOF(err)
 	}
 	return unsafe.String(unsafe.SliceData(buf), len(buf)), nil
+}
+
+// intern returns b as a string, the table's copy when it has one.
+func (d *Decoder) intern(b []byte) string {
+	if s, ok := d.names[string(b)]; ok {
+		return s
+	}
+	s := string(b)
+	if len(d.names) < internMaxEntries {
+		if d.names == nil {
+			d.names = make(map[string]string)
+		}
+		d.names[s] = s
+	}
+	return s
 }
 
 // readLengthPrefixed reads n bytes announced by an untrusted length

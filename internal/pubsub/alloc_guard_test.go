@@ -68,3 +68,44 @@ func TestFanOutAllocs(t *testing.T) {
 		t.Fatalf("undelivered connection resolved to %v, want DropOldest", got)
 	}
 }
+
+// TestSubscriberRecvAllocs pins what one Recv of a plain interaction
+// frame costs over loopback once its strings are interned and the
+// Subscriber's batch has grown: the same for 64 rows as for 512, so
+// nothing is paid per row. The one allocation is the frame's
+// *pbio.Record.
+func TestSubscriberRecvAllocs(t *testing.T) {
+	const runs = 8
+	reg := newReg(t)
+	small, large := recvRows(0, 64), recvRows(0, 512)
+	batches := []*core.RecordColumns{small}
+	for i := 0; i <= runs; i++ {
+		batches = append(batches, small)
+	}
+	for i := 0; i <= runs; i++ {
+		batches = append(batches, large)
+	}
+	sub, err := Dial(scriptedBroker(t, wireStream(t, reg, "interactions", batches...)), reg, "interactions")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sub.Close()
+
+	if _, _, err := sub.Recv(); err != nil { // the definition, and the strings
+		t.Fatal(err)
+	}
+	for _, rows := range []int{64, 512} {
+		allocs := testing.AllocsPerRun(runs, func() {
+			_, rec, err := sub.Recv()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n := rec.Value.(*core.RecordColumns).Len(); n != rows {
+				t.Fatalf("received %d rows, want %d", n, rows)
+			}
+		})
+		if allocs != 1 {
+			t.Errorf("Recv of a %d-row frame: %.2f allocations, want 1", rows, allocs)
+		}
+	}
+}

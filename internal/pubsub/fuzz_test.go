@@ -3,9 +3,13 @@ package pubsub
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
+	"net"
+	"runtime"
 	"testing"
 
 	"sysprof/internal/core"
+	"sysprof/internal/pbio"
 )
 
 // FuzzReadHandshake feeds arbitrary bytes to the subscriber handshake
@@ -103,6 +107,70 @@ func FuzzReadHandshake(f *testing.F) {
 			if hs2.channels[i] != hs.channels[i] {
 				t.Fatalf("round trip changed channel %d: %q != %q", i, hs2.channels[i], hs.channels[i])
 			}
+		}
+	})
+}
+
+// FuzzSubscriberRecv feeds arbitrary bytes to a Subscriber's Recv from the
+// broker side of a net.Pipe: the channel header and the frame after it are
+// untrusted. Recv must never panic, every successful Recv consumes at
+// least one byte, and a header declaring more than maxStringLen bytes is
+// refused, before anything of that size is allocated.
+func FuzzSubscriberRecv(f *testing.F) {
+	reg := newReg(f)
+	stream := wireStream(f, reg, "interactions", recvRows(0, 3), recvRows(10, 2))
+	f.Add(stream)
+	f.Add(stream[:len(stream)/2])
+	metrics := appendString(nil, "m")
+	plan, cols := pbio.StructColumns(reg, []metric{{Name: "a", Value: 1}})
+	metrics, _, err := plan.AppendCompressedColumnsFrame(plan.Format().AppendDef(metrics), cols)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(metrics)
+	f.Add([]byte{})
+	for _, n := range []uint32{maxStringLen - 1, maxStringLen, maxStringLen + 1, 1<<32 - 1} {
+		f.Add(binary.LittleEndian.AppendUint32(nil, n))
+	}
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		broker, conn := net.Pipe()
+		sub := newSubscriber(conn, reg)
+		wrote := make(chan struct{})
+		go func() {
+			defer close(wrote)
+			broker.Write(data) // fails once the subscriber is closed
+			broker.Close()
+		}()
+		defer func() {
+			sub.Close()
+			<-wrote
+		}()
+
+		var before runtime.MemStats
+		oversize := len(data) >= 4 && binary.LittleEndian.Uint32(data) > maxStringLen
+		if oversize {
+			runtime.ReadMemStats(&before)
+		}
+		for i := 0; ; i++ {
+			if i > len(data) {
+				t.Fatalf("%d Recv calls succeeded on %d bytes of input", i, len(data))
+			}
+			_, _, err := sub.Recv()
+			if err == nil {
+				continue
+			}
+			if oversize && i == 0 {
+				var after runtime.MemStats
+				runtime.ReadMemStats(&after)
+				if !errors.Is(err, pbio.ErrBadFrame) {
+					t.Fatalf("a header of %d bytes: err = %v, want a refusal", binary.LittleEndian.Uint32(data), err)
+				}
+				if grew := after.TotalAlloc - before.TotalAlloc; grew >= maxStringLen {
+					t.Fatalf("refusing a header of %d bytes allocated %d bytes", binary.LittleEndian.Uint32(data), grew)
+				}
+			}
+			return
 		}
 	})
 }

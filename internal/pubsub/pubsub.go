@@ -629,6 +629,12 @@ func (b *Broker) Close() {
 type Subscriber struct {
 	conn net.Conn
 	dec  *pbio.Decoder
+	// batch is the interaction batch every Recv decodes into.
+	batch core.RecordColumns
+}
+
+func newSubscriber(conn net.Conn, reg *pbio.Registry) *Subscriber {
+	return &Subscriber{conn: conn, dec: pbio.NewDecoder(conn, reg)}
 }
 
 // Dial connects to a broker at addr and subscribes to the channels. reg
@@ -678,7 +684,7 @@ func (d Dialer) Dial(addr string, channels ...string) (*Subscriber, error) {
 		conn.Close()
 		return nil, err
 	}
-	return &Subscriber{conn: conn, dec: pbio.NewDecoder(conn, d.Registry)}, nil
+	return newSubscriber(conn, d.Registry), nil
 }
 
 // Recv blocks for the next published batch: one channel header, one
@@ -687,12 +693,18 @@ func (d Dialer) Dial(addr string, channels ...string) (*Subscriber, error) {
 // row struct (aggregate deltas arrive as []dissem.WireAggregate) — or nil
 // when the frame's format does not match the local one. io.EOF indicates
 // the broker closed the connection.
+//
+// An interaction batch is the Subscriber's own, reset and refilled by
+// every call: it is valid until the next Recv, so a consumer finishes
+// with one frame (the GPA's IngestColumns copies what it keeps) before it
+// asks for the next. The strings in it stay valid.
 func (s *Subscriber) Recv() (string, *pbio.Record, error) {
-	name, err := readString(s.conn)
+	name, err := s.dec.ReadString(maxStringLen)
 	if err != nil {
 		return "", nil, err
 	}
-	rec, err := s.dec.Decode()
+	s.batch.Reset()
+	rec, err := s.dec.DecodeInto(&s.batch)
 	if err != nil {
 		return "", nil, err
 	}
@@ -836,13 +848,19 @@ func appendString(buf []byte, s string) []byte {
 	return append(buf, s...)
 }
 
+// maxStringLen bounds a string on the wire: a handshake's channel name or
+// a frame's channel header.
+const maxStringLen = 1 << 20
+
+// readString reads one handshake string; a subscriber reads its frames'
+// channel headers through its decoder instead.
 func readString(r io.Reader) (string, error) {
 	var lenBuf [4]byte
 	if _, err := io.ReadFull(r, lenBuf[:]); err != nil {
 		return "", err
 	}
 	n := binary.LittleEndian.Uint32(lenBuf[:])
-	if n > 1<<20 {
+	if n > maxStringLen {
 		return "", fmt.Errorf("pubsub: string length %d exceeds limit", n)
 	}
 	// The length came off the wire: allocate in bounded chunks so a
