@@ -16,14 +16,11 @@ import (
 //
 //   - direct calls to declared functions and methods on concrete
 //     receiver types resolve to exactly one callee (EdgeStatic);
-//   - calls through interfaces *defined in the module* resolve
-//     RTA-style (EdgeInterface): a module implementation is a dispatch
-//     target only when a value of its concrete type demonstrably flows
-//     into an interface somewhere in the loaded packages (see
-//     typeset.go) — the witness conversion site is recorded on the edge
-//     and rendered into evidence chains. Types that merely *implement*
-//     the interface but are never converted to one cannot be behind the
-//     call, so they contribute no edges;
+//   - calls through interfaces *defined in the module* resolve by the
+//     class hierarchy (EdgeInterface): every module type whose method
+//     set implements the interface is a dispatch target, whether or not
+//     a value of it is ever converted to the interface — a superset of
+//     the real targets, so a finding can be spurious but never missed;
 //   - calls through interfaces defined outside the module (io.Writer,
 //     net.Conn) are left to the leaf classifiers: the interface method's
 //     own package ("net") already identifies blocking surfaces;
@@ -33,10 +30,8 @@ import (
 //     exactly once from a func literal or a reference to a declared
 //     function, and never reassigned or address-taken anywhere in the
 //     module (`f := handler; f()` follows into handler);
-//   - all other calls through function-typed variables and fields are
-//     recorded as unresolved edges (Callee == nil, EdgeUnresolved) so
-//     analyzers can see that a call happened even when its target is
-//     unknowable without dataflow.
+//   - all other calls through function-typed variables and fields add
+//     no edge: their target is unknowable without dataflow.
 //
 // Closure bodies are excluded from a function's edges, matching the
 // analyzers' shallow inspection: a closure runs later, elsewhere, and is
@@ -53,28 +48,31 @@ const (
 	// resolved conservatively to one of its module-local
 	// implementations.
 	EdgeInterface
-	// EdgeUnresolved is a call through a function value whose target
-	// the graph cannot determine.
-	EdgeUnresolved
 	// EdgeFuncValue is a call through a single-assignment function-typed
 	// variable, resolved to the one function (or func literal) ever
 	// stored in it.
 	EdgeFuncValue
 )
 
+// how is the edge's marker in findings and evidence chains.
+func (k EdgeKind) how() string {
+	switch k {
+	case EdgeInterface:
+		return " (interface dispatch)"
+	case EdgeFuncValue:
+		return " (through a function value)"
+	}
+	return ""
+}
+
 // CallEdge is one call site inside a function.
 type CallEdge struct {
-	// Callee is the resolved target node (nil for EdgeUnresolved).
+	// Callee is the resolved target node.
 	Callee *FuncNode
 	// Call is the call expression.
 	Call *ast.CallExpr
 	// Kind records how the edge was resolved.
 	Kind EdgeKind
-	// witnessType and witness record, for EdgeInterface, the concrete
-	// dispatch target type and the conversion site that made it a
-	// candidate (the RTA evidence).
-	witnessType string
-	witness     *convWitness
 }
 
 // FuncNode is one declared function or method in the module — or a
@@ -196,11 +194,8 @@ func buildCallGraph(pkgs []*loadedPackage) *CallGraph {
 		}
 	}
 
-	// Concrete named types per package, for interface-call resolution,
-	// narrowed by the instantiated-type set: only types witnessed
-	// flowing into an interface are dispatch candidates.
+	// Concrete named types per package, for interface-call resolution.
 	cha := newChaIndex(pkgs)
-	cha.typeSet = buildTypeSetIndex(pkgs)
 
 	// Pass 1.5: single-assignment function values, so pass 2 can follow
 	// `f := handler; f()` into handler. Literal targets become synthetic
@@ -237,9 +232,9 @@ func buildCallGraph(pkgs []*loadedPackage) *CallGraph {
 // exactly once — at their declaration, from a func literal or a
 // reference to a declared function — and never reassigned or
 // address-taken anywhere in the loaded module. Those calls resolve to a
-// single target, so the analyzers can follow them instead of giving up
-// with EdgeUnresolved. Returns the synthetic nodes created for func
-// literals (they need call edges of their own).
+// single target, so the analyzers can follow them instead of giving up.
+// Returns the synthetic nodes created for func literals (they need call
+// edges of their own).
 func (g *CallGraph) buildFuncValueIndex(pkgs []*loadedPackage) []*FuncNode {
 	g.fvTargets = make(map[*types.Var]*FuncNode)
 	var lits []*FuncNode
@@ -338,14 +333,10 @@ func (g *CallGraph) buildFuncValueIndex(pkgs []*loadedPackage) []*FuncNode {
 func (g *CallGraph) addEdges(caller *FuncNode, call *ast.CallExpr, cha *chaIndex) {
 	callee := calleeFunc(caller.Info, call)
 	if callee == nil {
-		// Conversion expressions (T(x)) also land here; only record a
-		// genuinely unresolved *call* when the operand is function-typed.
-		if isFuncValueCall(caller.Info, call) {
-			if tgt := g.funcValueTarget(caller.Info, call); tgt != nil {
-				caller.Edges = append(caller.Edges, CallEdge{Callee: tgt, Call: call, Kind: EdgeFuncValue})
-				return
-			}
-			caller.Edges = append(caller.Edges, CallEdge{Call: call, Kind: EdgeUnresolved})
+		// Conversions and builtins land here too; they never resolve
+		// through the function-value index.
+		if tgt := g.funcValueTarget(caller.Info, call); tgt != nil {
+			caller.Edges = append(caller.Edges, CallEdge{Callee: tgt, Call: call, Kind: EdgeFuncValue})
 		}
 		return
 	}
@@ -359,14 +350,8 @@ func (g *CallGraph) addEdges(caller *FuncNode, call *ast.CallExpr, cha *chaIndex
 		recv := sig.Recv().Type()
 		if iface, ok := recv.Underlying().(*types.Interface); ok && moduleInterface(recv, g) {
 			for _, impl := range cha.implementations(iface, callee.Name()) {
-				if node := g.nodes[impl.fn]; node != nil {
-					caller.Edges = append(caller.Edges, CallEdge{
-						Callee:      node,
-						Call:        call,
-						Kind:        EdgeInterface,
-						witnessType: impl.typeName,
-						witness:     impl.witness,
-					})
+				if node := g.nodes[impl]; node != nil {
+					caller.Edges = append(caller.Edges, CallEdge{Callee: node, Call: call, Kind: EdgeInterface})
 				}
 			}
 		}
@@ -397,35 +382,6 @@ func (g *CallGraph) funcValueTarget(info *types.Info, call *ast.CallExpr) *FuncN
 	return nil
 }
 
-// isFuncValueCall reports whether the call invokes a function-typed
-// value (variable, field, parameter) rather than a declared function,
-// builtin, or type conversion.
-func isFuncValueCall(info *types.Info, call *ast.CallExpr) bool {
-	tv, ok := info.Types[call.Fun]
-	if !ok || tv.IsType() {
-		return false
-	}
-	if _, ok := tv.Type.Underlying().(*types.Signature); !ok {
-		return false
-	}
-	switch fun := ast.Unparen(call.Fun).(type) {
-	case *ast.Ident:
-		switch info.Uses[fun].(type) {
-		case *types.Builtin, *types.TypeName, *types.Func:
-			return false
-		}
-		return true
-	case *ast.SelectorExpr:
-		if sel, ok := info.Selections[fun]; ok {
-			_, isField := sel.Obj().(*types.Var)
-			return isField
-		}
-		_, isFunc := info.Uses[fun.Sel].(*types.Func)
-		return !isFunc
-	}
-	return true
-}
-
 // moduleInterface reports whether the interface's defining package is in
 // the graph (i.e. a module package, not stdlib).
 func moduleInterface(t types.Type, g *CallGraph) bool {
@@ -442,27 +398,13 @@ func moduleInterface(t types.Type, g *CallGraph) bool {
 }
 
 // chaIndex answers "which module methods implement this interface
-// method" for interface call resolution. The candidate set starts from
-// the class hierarchy (every module type whose method set satisfies the
-// interface) and is intersected with the RTA type set: a type with no
-// interface-conversion witness anywhere in the loaded packages is
-// dropped — no value of it can be behind the interface.
+// method" for interface call resolution, by the class hierarchy alone:
+// every module type whose method set satisfies the interface.
 type chaIndex struct {
 	// concrete types declared in module packages.
 	named []*types.Named
-	// typeSet narrows candidates to types witnessed flowing into an
-	// interface (nil disables narrowing — pure CHA, used by tests).
-	typeSet *typeSetIndex
 	// memo caches per (interface, method) resolution.
-	memo map[chaKey][]ifaceImpl
-}
-
-// ifaceImpl is one narrowed dispatch target: the concrete method plus
-// the conversion witness that keeps its type in the candidate set.
-type ifaceImpl struct {
-	fn       *types.Func
-	typeName string // bare concrete type name, e.g. "Sink"
-	witness  *convWitness
+	memo map[chaKey][]*types.Func
 }
 
 type chaKey struct {
@@ -471,7 +413,7 @@ type chaKey struct {
 }
 
 func newChaIndex(pkgs []*loadedPackage) *chaIndex {
-	idx := &chaIndex{memo: make(map[chaKey][]ifaceImpl)}
+	idx := &chaIndex{memo: make(map[chaKey][]*types.Func)}
 	for _, lp := range pkgs {
 		if lp.pkg == nil {
 			continue
@@ -496,31 +438,22 @@ func newChaIndex(pkgs []*loadedPackage) *chaIndex {
 }
 
 // implementations returns the concrete module methods that a call to the
-// interface method might dispatch to: class-hierarchy candidates
-// intersected with the witnessed type set.
-func (idx *chaIndex) implementations(iface *types.Interface, method string) []ifaceImpl {
+// interface method might dispatch to.
+func (idx *chaIndex) implementations(iface *types.Interface, method string) []*types.Func {
 	key := chaKey{iface, method}
 	if impls, ok := idx.memo[key]; ok {
 		return impls
 	}
-	var impls []ifaceImpl
+	var impls []*types.Func
 	for _, named := range idx.named {
 		// Pointer receiver method sets are supersets; check *T.
 		pt := types.NewPointer(named)
 		if !types.Implements(pt, iface) && !types.Implements(named, iface) {
 			continue
 		}
-		var w *convWitness
-		if idx.typeSet != nil {
-			if w = idx.typeSet.witnessFor(named); w == nil {
-				// Implements the interface but no value of it ever
-				// flows into an interface: not a dispatch target.
-				continue
-			}
-		}
 		obj, _, _ := types.LookupFieldOrMethod(pt, true, nil, method)
 		if f, ok := obj.(*types.Func); ok {
-			impls = append(impls, ifaceImpl{fn: f, typeName: named.Obj().Name(), witness: w})
+			impls = append(impls, f)
 		}
 	}
 	idx.memo[key] = impls
@@ -530,16 +463,6 @@ func (idx *chaIndex) implementations(iface *types.Interface, method string) []if
 // chainFrameAt builds a ChainFrame for a call edge, rendered from the
 // caller's package perspective.
 func chainFrameAt(fset *token.FileSet, caller *FuncNode, edge CallEdge) ChainFrame {
-	desc := caller.DisplayName(caller.PkgPath) + " calls " + edge.Callee.DisplayName(caller.PkgPath)
-	switch edge.Kind {
-	case EdgeInterface:
-		if edge.witness != nil {
-			desc += " (interface dispatch; " + describeWitness(fset, edge.witnessType, edge.witness) + ")"
-		} else {
-			desc += " (interface dispatch)"
-		}
-	case EdgeFuncValue:
-		desc += " (through a function value)"
-	}
+	desc := caller.DisplayName(caller.PkgPath) + " calls " + edge.Callee.DisplayName(caller.PkgPath) + edge.Kind.how()
 	return ChainFrame{Pos: fset.Position(edge.Call.Pos()), Msg: desc}
 }

@@ -15,10 +15,9 @@ import (
 	"sync"
 )
 
-// Loader parses and type-checks module packages. It may be reused across
-// Run calls; the standard-library package cache is shared process-wide
-// (stdlib does not change between runs, and source-importing it is the
-// expensive part).
+// Loader parses and type-checks module packages. The standard-library
+// package cache is shared process-wide (stdlib does not change between
+// runs, and source-importing it is the expensive part).
 type Loader struct {
 	fset    *token.FileSet
 	modRoot string
@@ -26,12 +25,6 @@ type Loader struct {
 	std     types.ImporterFrom
 	pkgs    map[string]*loadedPackage // by import path
 	loading map[string]bool           // import-cycle guard
-
-	// graph is the cached module call graph, rebuilt only when the set
-	// of loaded packages grows (loading is monotonic, so a stale count
-	// is the complete invalidation signal).
-	graph     *CallGraph
-	graphPkgs int
 }
 
 // loadedPackage is one parsed, type-checked module package.
@@ -301,8 +294,8 @@ func Run(modRoot string, patterns []string, analyzers []*Analyzer) ([]Diagnostic
 	return loader.Run(patterns, analyzers)
 }
 
-// Run is Run with a reusable loader (package caches survive across
-// calls).
+// Run is Run with a caller-made loader. Each call builds the call graph
+// afresh over every package loaded so far.
 func (l *Loader) Run(patterns []string, analyzers []*Analyzer) ([]Diagnostic, error) {
 	paths, err := l.expandPatterns(patterns)
 	if err != nil {
@@ -343,7 +336,14 @@ func (l *Loader) Run(patterns []string, analyzers []*Analyzer) ([]Diagnostic, er
 	}
 	idx := buildSuppressionIndex(sups)
 
-	graph := l.callGraph()
+	// Path order, not map order: it fixes the order of dispatch targets,
+	// and so which chain a finding reports.
+	loaded := make([]*loadedPackage, 0, len(l.pkgs))
+	for _, lp := range l.pkgs {
+		loaded = append(loaded, lp)
+	}
+	sort.Slice(loaded, func(i, j int) bool { return loaded[i].path < loaded[j].path })
+	graph := buildCallGraph(loaded)
 	shared := make(map[string]any)
 
 	for _, lp := range targets {
@@ -425,22 +425,6 @@ func sortAndDedupe(diags []Diagnostic) []Diagnostic {
 		out = append(out, d)
 	}
 	return out
-}
-
-// callGraph returns the module call graph over every package loaded so
-// far, rebuilding only when new packages were loaded since the last
-// build.
-func (l *Loader) callGraph() *CallGraph {
-	if l.graph == nil || l.graphPkgs != len(l.pkgs) {
-		pkgs := make([]*loadedPackage, 0, len(l.pkgs))
-		for _, lp := range l.pkgs {
-			pkgs = append(pkgs, lp)
-		}
-		sort.Slice(pkgs, func(i, j int) bool { return pkgs[i].path < pkgs[j].path })
-		l.graph = buildCallGraph(pkgs)
-		l.graphPkgs = len(l.pkgs)
-	}
-	return l.graph
 }
 
 // typeErrPos extracts the position from a types.Error (best effort).

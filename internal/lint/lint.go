@@ -15,9 +15,9 @@
 // through the stdlib source importer. From the loaded packages it builds
 // one module-wide static call graph (callgraph.go): direct calls and
 // concrete-receiver method calls resolve to exactly one callee, calls
-// through module-defined interfaces resolve to the module-local
-// implementations actually converted to the interface (typeset.go), and
-// single-assignment function values resolve to their one value. A
+// through module-defined interfaces resolve to every module-local
+// implementation (class-hierarchy analysis), and single-assignment
+// function values resolve to their one value. A
 // property violated three packages away from its annotation is reported
 // with the full call chain as evidence.
 //

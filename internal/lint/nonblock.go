@@ -121,7 +121,7 @@ func (st *nbState) verdict(node *FuncNode) *nbVerdict {
 		}}
 	} else {
 		for _, edge := range node.Edges {
-			if edge.Callee == nil || edge.Callee == node {
+			if edge.Callee == node {
 				continue
 			}
 			cv := st.verdict(edge.Callee)
@@ -133,16 +133,8 @@ func (st *nbState) verdict(node *FuncNode) *nbVerdict {
 			if st.suppressed("nonblock", st.fset.Position(edge.Call.Pos())) {
 				continue
 			}
-			calleeName := edge.Callee.DisplayName(node.PkgPath)
-			how := ""
-			switch edge.Kind {
-			case EdgeInterface:
-				how = " (interface dispatch)"
-			case EdgeFuncValue:
-				how = " (through a function value)"
-			}
 			v.blocks = true
-			v.why = fmt.Sprintf("calls %s%s, which %s", calleeName, how, cv.why)
+			v.why = fmt.Sprintf("calls %s%s, which %s", edge.Callee.DisplayName(node.PkgPath), edge.Kind.how(), cv.why)
 			v.pos = edge.Call.Pos()
 			v.chain = append([]ChainFrame{chainFrameAt(st.fset, node, edge)}, cv.chain...)
 			break
