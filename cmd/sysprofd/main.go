@@ -22,6 +22,7 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"sort"
 	"sync"
 	"syscall"
 	"time"
@@ -131,8 +132,41 @@ func run(opts options, sig <-chan os.Signal) error {
 		return out
 	})
 
-	ctl := controller.New(func(ch string, v ecode.Value) {
-		log.Printf("cpa emit %s: %v", ch, v)
+	// What installed CPAs emit: per channel, a count and the last value.
+	// The sink runs on the event path, under world like every procfs
+	// read, so it only stores. A record payload is not kept: the event
+	// belongs to the code that raised it.
+	type emitted struct {
+		count uint64
+		last  ecode.Arg
+	}
+	emits := map[string]*emitted{}
+	fs.Register("/sysprof/"+server.Name()+"/emits", func() string {
+		channels := make([]string, 0, len(emits))
+		for ch := range emits {
+			channels = append(channels, ch)
+		}
+		sort.Strings(channels)
+		var out string
+		for _, ch := range channels {
+			e := emits[ch]
+			last := "record"
+			if e.last.T != ecode.TRecord {
+				last = fmt.Sprint(e.last.Value())
+			}
+			out += fmt.Sprintf("%-20s count=%-8d last=%s\n", ch, e.count, last)
+		}
+		return out
+	})
+	ctl := controller.New(func(ch string, v ecode.Arg) {
+		e := emits[ch]
+		if e == nil {
+			e = &emitted{}
+			emits[ch] = e
+		}
+		v.Rec = nil
+		e.count++
+		e.last = v
 	})
 	if err := ctl.RegisterNode(server.Name(), server.Hub()); err != nil {
 		return err

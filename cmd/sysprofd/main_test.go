@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"encoding/base64"
 	"io"
 	"log"
 	"net"
@@ -83,8 +84,9 @@ func start(t *testing.T, opts options) (procfsURL, ctlAddr string, stop func()) 
 }
 
 // TestLoopbackSmoke brings a node up on loopback and drives each surface
-// once: the management protocol (help, status, one knob round trip), a
-// procfs read, and a clean shutdown on a signal that leaves the event
+// once: the management protocol (help, status, one knob round trip, a
+// CPA install), procfs reads (the index, and the CPA's emits counted
+// per channel), and a clean shutdown on a signal that leaves the event
 // trace whole.
 func TestLoopbackSmoke(t *testing.T) {
 	tracePath := filepath.Join(t.TempDir(), "events.trace")
@@ -108,6 +110,8 @@ func TestLoopbackSmoke(t *testing.T) {
 	ask("status", " flush=250ms pubsub=256/drop\n")
 	ask("flushinterval webserver 50ms", "ok")
 	ask("status", " flush=50ms ")
+	probe := base64.StdEncoding.EncodeToString([]byte(`emit("smoke.bytes", ev.bytes + 1000); emit("smoke.ev", ev); return 0;`))
+	ask("cpa install webserver smoke net "+probe, "ok")
 	// Run until the hub has delivered events, to the trace among others.
 	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(5 * time.Millisecond) {
 		reply, err := ctl.Do("status", 5*time.Second)
@@ -122,14 +126,25 @@ func TestLoopbackSmoke(t *testing.T) {
 		}
 	}
 
-	resp, err := http.Get(procfsURL)
-	if err != nil {
-		t.Fatal(err)
+	get := func(url string) string {
+		t.Helper()
+		resp, err := http.Get(url)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("GET %s: status %d, err %v, body %q", url, resp.StatusCode, err, body)
+		}
+		return string(body)
 	}
-	body, err := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if err != nil || resp.StatusCode != http.StatusOK || !strings.Contains(string(body), "/sysprof/webserver/") {
-		t.Fatalf("GET %s: status %d, err %v, body %q", procfsURL, resp.StatusCode, err, body)
+	if body := get(procfsURL); !strings.Contains(body, "/sysprof/webserver/emits") {
+		t.Fatalf("procfs index lists no emits row:\n%s", body)
+	}
+	emits := regexp.MustCompile(`(?m)^smoke\.bytes +count=[1-9]\d* +last=\d{4,}\n^smoke\.ev +count=[1-9]\d* +last=record$`)
+	if body := get(procfsURL + "webserver/emits"); !emits.MatchString(body) {
+		t.Fatalf("emits row = %q, want both channels counted with their last values", body)
 	}
 
 	stop()

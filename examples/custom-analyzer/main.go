@@ -68,15 +68,13 @@ func run() error {
 
 	// Controller with an alert sink for CPA emissions.
 	var alerts []time.Duration
-	ctl := controller.New(func(ch string, v ecode.Value) {
-		if ch != "latency.alerts" {
+	ctl := controller.New(func(ch string, v ecode.Arg) {
+		if ch != "latency.alerts" || v.T != ecode.TInt {
 			return
 		}
-		if ns, ok := v.(int64); ok {
-			alerts = append(alerts, time.Duration(ns))
-			fmt.Printf("[%8v] ALERT: request sat %v in the socket buffer\n",
-				eng.Now().Round(time.Millisecond), time.Duration(ns).Round(time.Microsecond))
-		}
+		alerts = append(alerts, time.Duration(v.Int))
+		fmt.Printf("[%8v] ALERT: request sat %v in the socket buffer\n",
+			eng.Now().Round(time.Millisecond), time.Duration(v.Int).Round(time.Microsecond))
 	})
 	if err := ctl.RegisterNode("server", server.Hub()); err != nil {
 		return err

@@ -141,10 +141,10 @@ func TestSetEventMask(t *testing.T) {
 }
 
 func TestInstallRemoveCPA(t *testing.T) {
-	var emitted []ecode.Value
+	var emitted []ecode.Arg
 	hub := kprof.NewHub(1, func() time.Duration { return 0 })
 	hub.SetPerEventCost(0)
-	c := New(func(ch string, v ecode.Value) { emitted = append(emitted, v) })
+	c := New(func(ch string, v ecode.Arg) { emitted = append(emitted, v) })
 	if err := c.RegisterNode("n1", hub); err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +156,7 @@ func TestInstallRemoveCPA(t *testing.T) {
 		t.Fatal("duplicate cpa allowed")
 	}
 	hub.Emit(&kprof.Event{Type: kprof.EvNetRx, Bytes: 77})
-	if len(emitted) != 1 || emitted[0] != int64(77) {
+	if len(emitted) != 1 || emitted[0] != (ecode.Arg{T: ecode.TInt, Int: 77}) {
 		t.Fatalf("emitted = %v", emitted)
 	}
 	if err := c.RemoveCPA("n1", "probe"); err != nil {
@@ -180,7 +180,7 @@ func TestInstallCPAConcurrentSameName(t *testing.T) {
 	var emitted atomic.Int64
 	hub := kprof.NewHub(1, func() time.Duration { return 0 })
 	hub.SetPerEventCost(0)
-	c := New(func(string, ecode.Value) { emitted.Add(1) })
+	c := New(func(string, ecode.Arg) { emitted.Add(1) })
 	if err := c.RegisterNode("n1", hub); err != nil {
 		t.Fatal(err)
 	}

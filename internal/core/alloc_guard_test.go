@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"sysprof/internal/ecode"
 	"sysprof/internal/kprof"
 	"sysprof/internal/simnet"
 )
@@ -104,14 +105,32 @@ func TestLPAHandleAllocs(t *testing.T) {
 }
 
 // TestCPAHandleAllocs: a CPA run reads the event through typed getters —
-// no per-event binding map, no boxed field values — and handle discards
-// the result, which Exec leaves unboxed, so nothing is left to allocate.
+// no per-event binding map, no boxed field values — hands emit its
+// computed payload unboxed, and handle discards the result, which Exec
+// leaves unboxed, so nothing is left to allocate. Each run is nine
+// ordinary residences and one outlier past twice their mean, which
+// captureCPASource emits, far past the small integers Go boxes for free.
 func TestCPAHandleAllocs(t *testing.T) {
-	cpa, ev := captureCPA(t)
-	if avg := testing.AllocsPerRun(1000, func() { cpa.handle(ev) }); avg != 0 {
-		t.Errorf("CPA.handle allocates %.2f/run, want 0", avg)
+	var emits int
+	var last ecode.Arg
+	cpa, ev := captureCPA(t, func(ch string, v ecode.Arg) { emits, last = emits+1, v })
+	evs := make([]kprof.Event, 10)
+	for i := range evs {
+		evs[i] = *ev
+		evs[i].Aux = 1000 + int64(i)
 	}
-	if runs, errs, err := cpa.Stats(); runs != 1001 || errs != 0 {
-		t.Errorf("runs=%d errs=%d err=%v, want 1001 runs and no errors", runs, errs, err)
+	evs[9].Aux = 1_000_000
+	if avg := testing.AllocsPerRun(1000, func() {
+		for i := range evs {
+			cpa.handle(&evs[i])
+		}
+	}); avg != 0 {
+		t.Errorf("CPA.handle allocates %.2f per 10 events, want 0", avg)
+	}
+	if runs, errs, err := cpa.Stats(); runs != 10010 || errs != 0 {
+		t.Errorf("runs=%d errs=%d err=%v, want 10010 runs and no errors", runs, errs, err)
+	}
+	if emits != 1001 || last != (ecode.Arg{T: ecode.TInt, Int: 1_000_000}) {
+		t.Errorf("sink saw %d emits, the last %+v; want 1001, each the outlier", emits, last)
 	}
 }

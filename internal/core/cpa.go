@@ -20,8 +20,10 @@ import (
 // Installation is gated by the E-Code verifier: NewCPA re-verifies the
 // source regardless of what any frontend already checked, then compiles
 // the proven-safe program to specialized closures. The kernel fast path
-// therefore never runs an unbounded, blocking, or allocating analyzer —
-// and never pays for a step counter, because termination is proven.
+// therefore never runs an unbounded or blocking analyzer, and never
+// pays for a step counter, because termination is proven. Nor does a
+// run allocate, emit included, unless the program concatenates strings
+// itself: TestCPAHandleAllocs holds an emitting run to zero.
 type CPA struct {
 	name string
 	sub  *kprof.Subscription
@@ -67,19 +69,20 @@ func CPAVerifyEnv(name string, emit EmitFunc) ecode.VerifyEnv {
 		Binding: eventFields,
 		Builtins: map[string]ecode.Builtin{
 			"emit": {Params: []ecode.ParamKind{ecode.PString, ecode.PAny}, Result: ecode.RInt, Cost: 4,
-				// The verifier admits only emit(string, any).
-				Fn: func(args []ecode.Value) (ecode.Value, error) {
+				Fn: func(args []ecode.Arg) ecode.Arg {
 					if emit != nil {
-						emit(args[0].(string), args[1])
+						emit(args[0].Str, args[1])
 					}
-					return int64(0), nil
+					return ecode.Arg{T: ecode.TInt}
 				}},
 		},
 	}
 }
 
-// EmitFunc receives values published by a CPA's emit(channel, value).
-type EmitFunc func(channel string, value ecode.Value)
+// EmitFunc receives values published by a CPA's emit(channel, value),
+// unboxed, on the event path. A record payload's Rec is the
+// *kprof.Event being handled: keep what is needed of it, not the pointer.
+type EmitFunc func(channel string, value ecode.Arg)
 
 // NewCPA verifies src, compiles it to closures, and installs it on the
 // hub for the given event mask. Verification happens here — node-side —

@@ -44,13 +44,13 @@ func TestCPACountsEvents(t *testing.T) {
 func TestCPAEmit(t *testing.T) {
 	hub, _ := cpaHub()
 	var channels []string
-	var values []ecode.Value
+	var values []ecode.Arg
 	src := `
 		if (ev.bytes > 10) { emit("alerts", ev.bytes); }
 		return 0;
 	`
 	cpa, err := NewCPA(hub, "alerter", src, kprof.MaskOf(kprof.EvNetRx),
-		func(ch string, v ecode.Value) {
+		func(ch string, v ecode.Arg) {
 			channels = append(channels, ch)
 			values = append(values, v)
 		})
@@ -60,7 +60,7 @@ func TestCPAEmit(t *testing.T) {
 	defer cpa.Close()
 	hub.Emit(&kprof.Event{Type: kprof.EvNetRx, Bytes: 5})
 	hub.Emit(&kprof.Event{Type: kprof.EvNetRx, Bytes: 50})
-	if len(channels) != 1 || channels[0] != "alerts" || values[0] != int64(50) {
+	if len(channels) != 1 || channels[0] != "alerts" || values[0] != (ecode.Arg{T: ecode.TInt, Int: 50}) {
 		t.Fatalf("emits: %v %v", channels, values)
 	}
 }
@@ -196,11 +196,11 @@ if (n > 8 && ev.aux > mean * 2.0) {
 return n;
 `
 
-// captureCPA installs captureCPASource and hands back the event the
-// workload feeds it, for driving handle without the hub.
-func captureCPA(tb testing.TB) (*CPA, *kprof.Event) {
+// captureCPA installs captureCPASource, emitting to emit, and hands back
+// the event the workload feeds it, for driving handle without the hub.
+func captureCPA(tb testing.TB, emit EmitFunc) (*CPA, *kprof.Event) {
 	hub, _ := cpaHub()
-	cpa, err := NewCPA(hub, "latency-watch", captureCPASource, kprof.MaskOf(kprof.EvNetUserRead), nil)
+	cpa, err := NewCPA(hub, "latency-watch", captureCPASource, kprof.MaskOf(kprof.EvNetUserRead), emit)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -211,7 +211,7 @@ func captureCPA(tb testing.TB) (*CPA, *kprof.Event) {
 // BenchmarkCPAHandle is the per-event cost of an installed analyzer as a
 // daemon pays it: handle on a net_user_read event, minus the hub.
 func BenchmarkCPAHandle(b *testing.B) {
-	cpa, ev := captureCPA(b)
+	cpa, ev := captureCPA(b, nil)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		cpa.handle(ev)

@@ -169,8 +169,8 @@ func NewLPA(hub *kprof.Hub, cfg Config) *LPA {
 		a.table = NewHashedTable(8)
 	}
 	a.buffers = NewBufferSet(cfg.NumCPUs, cfg.BufferCapacity, cfg.OnFull)
-	a.window = NewWindow(cfg.WindowSize, func(rec Record) {
-		a.buffers.Push(int(rec.CPU), rec)
+	a.window = NewWindow(cfg.WindowSize, func(rec *Record) {
+		a.buffers.Push(int(rec.CPU), *rec)
 	})
 	a.sub = hub.Subscribe(MaskDefault(), a.handle)
 	return a
@@ -344,18 +344,12 @@ func (a *LPA) onWirePacket(ev *kprof.Event, rx bool) {
 		if fs.cur.phase == phaseResponse {
 			a.closeInteraction(fs)
 		}
-		if fs.cur.phase == phaseIdle {
+		if o := &fs.cur; o.phase == phaseIdle {
+			// An idle flow's interaction is zero (closeInteraction
+			// leaves it so): the next one opens in place.
 			a.nextID++
-			fs.cur = open{
-				rec: Record{
-					ID:    a.nextID,
-					Node:  a.node,
-					Flow:  fs.reqDir,
-					Start: ev.Time,
-				},
-				phase:    phaseRequest,
-				lastTxAt: -1,
-			}
+			o.rec.ID, o.rec.Node, o.rec.Flow, o.rec.Start = a.nextID, a.node, fs.reqDir, ev.Time
+			o.phase, o.lastTxAt = phaseRequest, -1
 		}
 		fs.cur.rec.ReqPackets++
 		fs.cur.rec.ReqBytes += int(ev.Bytes)
@@ -484,7 +478,7 @@ func (a *LPA) closeInteraction(fs *flowState) {
 		}
 		agg.Add(&o.rec)
 	default:
-		a.window.Add(o.rec)
+		a.window.Add(&o.rec)
 	}
 	*o = open{}
 }

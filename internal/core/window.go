@@ -12,28 +12,28 @@ type Window struct {
 	ring    []Record
 	head    int // next write position
 	n       int // live records
-	onEvict func(Record)
+	onEvict func(*Record)
 }
 
 // NewWindow returns a window of the given size; onEvict receives records
-// pushed out (to the dissemination buffers).
-func NewWindow(size int, onEvict func(Record)) *Window {
+// pushed out (to the dissemination buffers), in place: the record is
+// only valid during the call.
+func NewWindow(size int, onEvict func(*Record)) *Window {
 	if size < 1 {
 		size = 1
 	}
 	return &Window{size: size, ring: make([]Record, size), onEvict: onEvict}
 }
 
-// Add inserts a record, evicting the oldest when full.
-func (w *Window) Add(rec Record) {
+// Add inserts a copy of *rec, evicting the oldest when full.
+func (w *Window) Add(rec *Record) {
 	if w.n == w.size {
-		oldest := w.ring[w.head]
 		if w.onEvict != nil {
-			w.onEvict(oldest)
+			w.onEvict(&w.ring[w.head])
 		}
 		w.n--
 	}
-	w.ring[w.head] = rec
+	w.ring[w.head] = *rec
 	w.head = (w.head + 1) % w.size
 	w.n++
 }
@@ -63,7 +63,7 @@ func (w *Window) Resize(size int) {
 	for w.n > size {
 		i := w.start()
 		if w.onEvict != nil {
-			w.onEvict(w.ring[i])
+			w.onEvict(&w.ring[i])
 		}
 		w.ring[i] = Record{}
 		w.n--
@@ -88,7 +88,7 @@ func (w *Window) EvictOlderThan(cutoff time.Duration) {
 		r := &w.ring[idx]
 		if r.End < cutoff {
 			if w.onEvict != nil {
-				w.onEvict(*r)
+				w.onEvict(r)
 			}
 			continue
 		}
@@ -112,7 +112,7 @@ func (w *Window) EvictAll() {
 	for i := 0; i < w.n; i++ {
 		idx := (start + i) % w.size
 		if w.onEvict != nil {
-			w.onEvict(w.ring[idx])
+			w.onEvict(&w.ring[idx])
 		}
 		w.ring[idx] = Record{}
 	}

@@ -6,13 +6,13 @@ import (
 	"time"
 )
 
-func rec(id uint64, end time.Duration) Record {
-	return Record{ID: id, End: end}
+func rec(id uint64, end time.Duration) *Record {
+	return &Record{ID: id, End: end}
 }
 
 func TestWindowAddAndSnapshot(t *testing.T) {
 	var evicted []uint64
-	w := NewWindow(3, func(r Record) { evicted = append(evicted, r.ID) })
+	w := NewWindow(3, func(r *Record) { evicted = append(evicted, r.ID) })
 	for i := uint64(1); i <= 5; i++ {
 		w.Add(rec(i, time.Duration(i)))
 	}
@@ -33,7 +33,7 @@ func TestWindowAddAndSnapshot(t *testing.T) {
 
 func TestWindowResizeShrinkEvictsOldest(t *testing.T) {
 	var evicted []uint64
-	w := NewWindow(4, func(r Record) { evicted = append(evicted, r.ID) })
+	w := NewWindow(4, func(r *Record) { evicted = append(evicted, r.ID) })
 	for i := uint64(1); i <= 4; i++ {
 		w.Add(rec(i, 0))
 	}
@@ -64,7 +64,7 @@ func TestWindowResizeGrow(t *testing.T) {
 
 func TestWindowEvictOlderThan(t *testing.T) {
 	var evicted []uint64
-	w := NewWindow(10, func(r Record) { evicted = append(evicted, r.ID) })
+	w := NewWindow(10, func(r *Record) { evicted = append(evicted, r.ID) })
 	for i := uint64(1); i <= 5; i++ {
 		w.Add(rec(i, time.Duration(i)*time.Second))
 	}
@@ -79,7 +79,7 @@ func TestWindowEvictOlderThan(t *testing.T) {
 
 func TestWindowEvictAll(t *testing.T) {
 	n := 0
-	w := NewWindow(4, func(Record) { n++ })
+	w := NewWindow(4, func(*Record) { n++ })
 	for i := uint64(1); i <= 3; i++ {
 		w.Add(rec(i, 0))
 	}
@@ -104,7 +104,7 @@ func TestWindowMinSize(t *testing.T) {
 // end of the ring (head < start).
 func TestWindowEvictOlderThanWrapped(t *testing.T) {
 	var evicted []uint64
-	w := NewWindow(5, func(r Record) { evicted = append(evicted, r.ID) })
+	w := NewWindow(5, func(r *Record) { evicted = append(evicted, r.ID) })
 	// Fill past capacity so the live region wraps: after 8 adds to a
 	// 5-slot ring, records 4..8 live at indices 3,4,0,1,2.
 	for i := uint64(1); i <= 8; i++ {
@@ -128,10 +128,12 @@ func TestWindowEvictOlderThanWrapped(t *testing.T) {
 }
 
 func TestWindowEvictOlderThanZeroAlloc(t *testing.T) {
-	w := NewWindow(256, func(Record) {})
+	w := NewWindow(256, func(*Record) {})
 	allocs := testing.AllocsPerRun(100, func() {
+		var r Record
 		for i := uint64(1); i <= 200; i++ {
-			w.Add(Record{ID: i, End: time.Duration(i)})
+			r.ID, r.End = i, time.Duration(i)
+			w.Add(&r)
 		}
 		w.EvictOlderThan(time.Duration(201))
 	})
@@ -142,7 +144,7 @@ func TestWindowEvictOlderThanZeroAlloc(t *testing.T) {
 
 func TestWindowResizeSameSizeNoOp(t *testing.T) {
 	evictions := 0
-	w := NewWindow(4, func(Record) { evictions++ })
+	w := NewWindow(4, func(*Record) { evictions++ })
 	for i := uint64(1); i <= 4; i++ {
 		w.Add(rec(i, 0))
 	}
@@ -162,7 +164,7 @@ func TestWindowConservationProperty(t *testing.T) {
 	prop := func(ids []uint8, size uint8) bool {
 		s := int(size%16) + 1
 		var evicted []uint64
-		w := NewWindow(s, func(r Record) { evicted = append(evicted, r.ID) })
+		w := NewWindow(s, func(r *Record) { evicted = append(evicted, r.ID) })
 		for i, id := range ids {
 			_ = id
 			w.Add(rec(uint64(i+1), 0))

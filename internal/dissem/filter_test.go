@@ -78,19 +78,25 @@ func TestCompileFilterVerifierGate(t *testing.T) {
 }
 
 // TestCompiledFilterAllocs: a filter reads int and string fields through
-// typed getters and answers with a bool, so a record costs the publish
-// path no allocation.
+// typed getters, hands builtins their arguments unboxed and answers with
+// a bool, so a record costs the publish path no allocation.
 func TestCompiledFilterAllocs(t *testing.T) {
-	f, err := CompileFilter(`return rec.class == "port:80" && rec.server_proc != "" && rec.buffer_wait_ns > 50000;`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := sampleRecord(1)
-	if !f(&r) {
-		t.Fatal("matching record rejected")
-	}
-	if avg := testing.AllocsPerRun(1000, func() { f(&r) }); avg != 0 {
-		t.Errorf("compiled filter allocates %.2f/record, want 0", avg)
+	for _, src := range []string{
+		`return rec.class == "port:80" && rec.server_proc != "" && rec.buffer_wait_ns > 50000;`,
+		`return contains(rec.server_proc, "ttp") && contains(rec.class, "80");`,
+		`return max(rec.user_ns, rec.blocked_ns) > 1000 * len(rec.class) && abs(rec.req_bytes - rec.resp_bytes) > 300;`,
+	} {
+		f, err := CompileFilter(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := sampleRecord(1)
+		if !f(&r) {
+			t.Fatalf("%s: matching record rejected", src)
+		}
+		if avg := testing.AllocsPerRun(1000, func() { f(&r) }); avg != 0 {
+			t.Errorf("%s: compiled filter allocates %.2f/record, want 0", src, avg)
+		}
 	}
 }
 

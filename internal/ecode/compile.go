@@ -14,8 +14,10 @@ package ecode
 //   - The termination proof removes the interpreter's per-statement
 //     step counter entirely: a verified loop needs no runtime guard.
 //   - A call site captures its builtin's implementation at compile time
-//     and reuses a preallocated argument buffer. A literal argument is
-//     boxed once, here.
+//     and fills a preallocated buffer of Args (value.go): each argument
+//     and the result travel unboxed, with the static type beside the
+//     value, so a call allocates nothing. A literal argument is built
+//     once, here.
 //   - A returned value is held in a typed slot and boxed only when Run's
 //     caller asks for it; Exec, which does not, boxes nothing.
 //
@@ -88,10 +90,10 @@ func (c *Compiled) NewInstance() *CompiledInstance {
 		bools:   make([]bool, c.nBool),
 		strs:    make([]string, c.nStr),
 		sinit:   make([]bool, c.nSInit),
-		argbufs: make([][]Value, len(c.argBufSizes)),
+		argbufs: make([][]Arg, len(c.argBufSizes)),
 	}
 	for i, n := range c.argBufSizes {
-		ci.m.argbufs[i] = make([]Value, n)
+		ci.m.argbufs[i] = make([]Arg, n)
 	}
 	return ci
 }
@@ -145,7 +147,7 @@ type cmachine struct {
 	bools   []bool
 	strs    []string
 	sinit   []bool
-	argbufs [][]Value
+	argbufs [][]Arg
 	host    any
 	// ret boxes the value the executed return statement left behind;
 	// nil when none ran or it returned nothing.
@@ -169,8 +171,7 @@ func (m *cmachine) load(ref slotRef) Value {
 
 // Closure kinds. A cexpr is typed by the static type of the expression
 // it evaluates, so no intermediate value on the hot path is boxed;
-// cexpr[Value] is the boxing form, built only where a Value is
-// genuinely needed: builtin arguments.
+// cexpr[Arg] is a builtin's argument or result.
 type (
 	cstmt          func(*cmachine) (ctrl, error)
 	cexpr[T any]   func(*cmachine) (T, error)
@@ -375,7 +376,8 @@ func (cp *compiler) compileStmt(s stmt) (cstmt, error) {
 		if n.val == nil {
 			return func(m *cmachine) (ctrl, error) { return ctrlReturn, nil }, nil
 		}
-		if v, ok := literal(n.val); ok {
+		if a, ok := literal(n.val); ok {
+			v := a.Value()
 			result := func(*cmachine) Value { return v }
 			return func(m *cmachine) (ctrl, error) { m.ret = result; return ctrlReturn, nil }, nil
 		}
@@ -394,16 +396,7 @@ func (cp *compiler) compileStmt(s stmt) (cstmt, error) {
 		}, nil
 
 	case *exprStmt:
-		// A discarded call result is not type-asserted (the interpreter
-		// never looks at it either), so compile calls directly instead
-		// of through a typed path.
-		var f cexpr[Value]
-		var err error
-		if call, ok := n.e.(*callExpr); ok {
-			f, err = cp.compileCall(call)
-		} else {
-			f, err = cp.compileVal(n.e)
-		}
+		f, err := cp.compileArg(n.e)
 		if err != nil {
 			return nil, err
 		}
@@ -525,15 +518,15 @@ func update[T int64 | float64](p *T, k byte, v T, line int, divZero string) erro
 	return nil
 }
 
-func (cp *compiler) compileCall(n *callExpr) (cexpr[Value], error) {
+func (cp *compiler) compileCall(n *callExpr) (cexpr[Arg], error) {
 	b, _ := cp.env.builtin(n.name)
 	fn := b.Fn
 	if fn == nil {
 		return nil, fmt.Errorf("ecode: %s: builtin %q has no implementation", cp.c.name, n.name)
 	}
-	argFns := make([]cexpr[Value], len(n.args))
+	argFns := make([]cexpr[Arg], len(n.args))
 	for i, a := range n.args {
-		f, err := cp.compileVal(a)
+		f, err := cp.compileArg(a)
 		if err != nil {
 			return nil, err
 		}
@@ -541,21 +534,16 @@ func (cp *compiler) compileCall(n *callExpr) (cexpr[Value], error) {
 	}
 	bufIdx := len(cp.c.argBufSizes)
 	cp.c.argBufSizes = append(cp.c.argBufSizes, len(n.args))
-	name, line := n.name, n.line
-	return func(m *cmachine) (Value, error) {
+	return func(m *cmachine) (Arg, error) {
 		buf := m.argbufs[bufIdx]
 		for i, f := range argFns {
-			v, err := f(m)
+			a, err := f(m)
 			if err != nil {
-				return nil, err
+				return Arg{}, err
 			}
-			buf[i] = v
+			buf[i] = a
 		}
-		v, err := fn(buf)
-		if err != nil {
-			return nil, rtErr(line, "%s: %v", name, err)
-		}
-		return v, nil
+		return fn(buf), nil
 	}, nil
 }
 
@@ -723,41 +711,44 @@ func (cp *compiler) compileBoolBinary(n *binaryExpr) (cexpr[bool], error) {
 	return compare(cp.compileFloat, n)
 }
 
-// compileVal lowers any expression to a boxing closure — used only
-// where a Value is genuinely needed: builtin arguments. A literal is
-// boxed here, once.
-func (cp *compiler) compileVal(e expr) (cexpr[Value], error) {
-	if v, ok := literal(e); ok {
-		return constant(v), nil
+// compileArg lowers any expression to an Arg: a builtin's argument, or
+// an expression statement's discarded value. A literal is built here,
+// once, and a call's result passes through as it came.
+func (cp *compiler) compileArg(e expr) (cexpr[Arg], error) {
+	if a, ok := literal(e); ok {
+		return constant(a), nil
+	}
+	if call, ok := e.(*callExpr); ok {
+		return cp.compileCall(call)
 	}
 	switch cp.res.types[e] {
 	case TInt:
-		return box(cp.compileInt(e))
+		return toArg(cp.compileInt(e))
 	case TFloat:
-		return box(cp.compileFloat(e))
+		return toArg(cp.compileFloat(e))
 	case TBool:
-		return box(cp.compileBool(e))
+		return toArg(cp.compileBool(e))
 	case TString:
-		return box(cp.compileStr(e))
+		return toArg(cp.compileStr(e))
 	case TRecord: // only the bare host binding is record-typed
-		return func(m *cmachine) (Value, error) { return m.host, nil }, nil
+		return func(m *cmachine) (Arg, error) { return Arg{T: TRecord, Rec: m.host}, nil }, nil
 	}
 	return nil, unlowerable("untyped expression %T", e)
 }
 
-// literal returns a literal node's value, boxed.
-func literal(e expr) (Value, bool) {
+// literal returns a literal node's value.
+func literal(e expr) (Arg, bool) {
 	switch n := e.(type) {
 	case *intLit:
-		return n.v, true
+		return argOf(n.v), true
 	case *floatLit:
-		return n.v, true
+		return argOf(n.v), true
 	case *boolLit:
-		return n.v, true
+		return argOf(n.v), true
 	case *stringLit:
-		return n.v, true
+		return argOf(n.v), true
 	}
-	return nil, false
+	return Arg{}, false
 }
 
 // The closure family every typed lowering shares, written once over the
@@ -781,7 +772,7 @@ func operands[T any](lower lowerer[T], n *binaryExpr) (l, r cexpr[T], err error)
 // unbox lowers the two nodes whose value comes from the host. A record
 // field is read by its table row's typed getter: the row is picked
 // here, once, and the read itself is that one call. A builtin's result
-// arrives boxed and is asserted to the static type the verifier gave it.
+// is read from the field of the static type the verifier gave it.
 func unbox[T scalar](cp *compiler, e expr) (cexpr[T], error) {
 	want := cp.res.types[e]
 	switch n := e.(type) {
@@ -795,33 +786,53 @@ func unbox[T scalar](cp *compiler, e expr) (cexpr[T], error) {
 		if err != nil {
 			return nil, err
 		}
-		name, line := n.name, n.line
-		return func(m *cmachine) (zero T, _ error) {
-			v, err := f(m)
-			if err != nil {
-				return zero, err
-			}
-			x, ok := v.(T)
-			if !ok {
-				return zero, rtErr(line, "%s returned %T, want %s", name, v, want)
-			}
-			return x, nil
+		return func(m *cmachine) (T, error) {
+			a, err := f(m)
+			return argAs[T](&a), err
 		}, nil
 	}
 	return nil, unlowerable("%s expression %T", want, e)
 }
 
-func box[T scalar](f cexpr[T], err error) (cexpr[Value], error) {
+func toArg[T scalar](f cexpr[T], err error) (cexpr[Arg], error) {
 	if err != nil {
 		return nil, err
 	}
-	return func(m *cmachine) (Value, error) {
+	return func(m *cmachine) (Arg, error) {
 		v, err := f(m)
-		if err != nil {
-			return nil, err
-		}
-		return v, nil
+		return argOf(v), err
 	}, nil
+}
+
+// argOf and argAs move a value between its Go type and its Arg field.
+// The constraint admits exactly four types, so each instantiation takes
+// one case.
+func argOf[T scalar](v T) (a Arg) {
+	switch x := any(v).(type) {
+	case int64:
+		a = Arg{T: TInt, Int: x}
+	case float64:
+		a = Arg{T: TFloat, Float: x}
+	case bool:
+		a = Arg{T: TBool, Bool: x}
+	case string:
+		a = Arg{T: TString, Str: x}
+	}
+	return a
+}
+
+func argAs[T scalar](a *Arg) (v T) {
+	switch p := any(&v).(type) {
+	case *int64:
+		*p = a.Int
+	case *float64:
+		*p = a.Float
+	case *bool:
+		*p = a.Bool
+	case *string:
+		*p = a.Str
+	}
+	return v
 }
 
 func negate[T int64 | float64](f cexpr[T], err error) (cexpr[T], error) {

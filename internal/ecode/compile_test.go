@@ -8,6 +8,7 @@ package ecode_test
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"reflect"
 	"strings"
 	"sync"
@@ -23,18 +24,43 @@ import (
 // testVerifyEnv is the CPA environment with emit delivering nowhere.
 func testVerifyEnv(name string) ecode.VerifyEnv { return core.CPAVerifyEnv(name, nil) }
 
+// emitted is one emit call as the builtin received it, payload boxed.
+type emitted struct {
+	ch string
+	v  ecode.Value
+}
+
+// recording returns env with its emit builtin, if it has one, also
+// appending every call's channel and payload to *log.
+func recording(env ecode.VerifyEnv, log *[]emitted) ecode.VerifyEnv {
+	b, ok := env.Builtins["emit"]
+	if !ok {
+		return env
+	}
+	fn := b.Fn
+	b.Fn = func(args []ecode.Arg) ecode.Arg {
+		*log = append(*log, emitted{args[0].Str, args[1].Value()})
+		return fn(args)
+	}
+	env.Builtins = maps.Clone(env.Builtins)
+	env.Builtins["emit"] = b
+	return env
+}
+
 // diffRun executes src through both the interpreter and the compiled
 // closures in the same environment on the same host record and requires
-// identical outcomes: either both error, or both succeed with equal
-// values. The verdict's cost must bound the interpreter's step count;
-// that is checked before the compiled run, which has no step limit.
+// identical outcomes: the same emit calls in the same order, and either
+// both error, or both succeed with equal values. The verdict's cost
+// must bound the interpreter's step count; that is checked before the
+// compiled run, which has no step limit.
 func diffRun(t *testing.T, src string, env ecode.VerifyEnv, host any) (ecode.Value, error) {
 	t.Helper()
+	var iEmits, cEmits []emitted
 	prog := ecode.MustCompile(src)
-	inst := prog.NewInstance(ecode.WithEnv(env))
+	inst := prog.NewInstance(ecode.WithEnv(recording(env, &iEmits)))
 	iv, ierr := inst.Run(host)
 
-	c, verdict, err := prog.CompileVerified(env)
+	c, verdict, err := prog.CompileVerified(recording(env, &cEmits))
 	if err != nil {
 		t.Fatalf("CompileVerified rejected:\n%s\n%v", verdict.Render(), err)
 	}
@@ -43,6 +69,9 @@ func diffRun(t *testing.T, src string, env ecode.VerifyEnv, host any) (ecode.Val
 	}
 	cv, cerr := c.NewInstance().Run(host)
 
+	if !reflect.DeepEqual(iEmits, cEmits) {
+		t.Fatalf("emit divergence: interp %#v, compiled %#v", iEmits, cEmits)
+	}
 	if (ierr != nil) != (cerr != nil) {
 		t.Fatalf("error divergence: interp err=%v, compiled err=%v", ierr, cerr)
 	}
@@ -109,9 +138,20 @@ func TestCompiledMatchesInterpreter(t *testing.T) {
 		{"field-string", `if (ev.type == "net_rx" && contains(ev.proc, "ngi")) { return 1; } return 0;`},
 		{"field-bool", `if (ev.last) { return ev.seq; } return -1;`},
 		{"builtin-len", `return len("hello") + len(ev.proc);`},
+		{"builtin-len-computed", `string s = ev.proc + "-" + ev.type; return len(s) * 100;`},
 		{"builtin-abs", `return abs(-5) + abs(5);`},
+		{"builtin-abs-int", `return abs(ev.bytes * -3) + abs(-ev.aux);`},
+		{"builtin-abs-float", `return abs(-ev.bytes / 2.0) + abs(0.25 - ev.aux);`},
 		{"builtin-minmax", `return min(3, 1, 2) + max(3, 1, 2);`},
 		{"builtin-minmax-float", `if (min(1.5, 2.5) == 1.5) { return 1; } return 0;`},
+		{"builtin-minmax-int", `return min(ev.bytes, 9000, ev.aux * 100) * 1000 + max(ev.bytes) + max(ev.aux, ev.bytes - 1, 300);`},
+		{"builtin-minmax-float-computed", `return min(ev.bytes * 1.5, 4000.0) + max(-2.5, ev.aux / 4.0, 0.0 - ev.bytes);`},
+		{"builtin-minmax-wide-int", `return min(9007199254740993, 9007199254740992) - 9007199254740990;`},
+		{"builtin-nested", `return max(abs(ev.aux - ev.bytes), len(ev.proc), min(abs(-700), 800));`},
+		{"builtin-contains", `int n = 0; if (contains(ev.proc, "gin")) { n += 1; } if (contains(ev.proc + ev.type, "xnet")) { n += 10; } if (contains("", ev.proc)) { n += 100; } return n;`},
+		{"emit-every-kind", emitEveryKind},
+		{"emit-in-loop", `for (int i = 0; i < 4; i++) { emit("loop", ev.bytes * i); } return 0;`},
+		{"emit-then-fault", `int z = 0; emit("before", ev.aux + 1000); return ev.bytes / z;`},
 		{"fall-off-end", `int n = 1; n += 1;`},
 		{"bare-return", `if (1 < 2) { return; } return 1;`},
 		{"div-by-zero-int", `int z = 0; return 1 / z;`},
@@ -143,6 +183,55 @@ return 0.0;
 				t.Errorf("got %#v, %v; want %#v", got, err, tc.want)
 			}
 		})
+	}
+}
+
+// emitEveryKind hands emit every payload kind the verifier admits:
+// computed and literal scalars of each type, a builtin's result and the
+// record itself.
+const emitEveryKind = `
+emit("int", ev.bytes * 1000);
+emit("float", ev.bytes / 4.0);
+emit("bool", ev.last);
+emit("string", ev.proc);
+emit("record", ev);
+emit("literal", 4096);
+emit("literal-float", 2.5);
+emit("literal-bool", false);
+emit("literal-string", "x");
+emit("call", max(ev.bytes, 300));
+emit(ev.proc + ".computed-channel", len(ev.type));
+return emit("nested", emit("inner", 1)) + 7;
+`
+
+// TestCompiledEmitPayloads: what emitEveryKind emits reaches the CPA
+// host's EmitFunc unboxed, typed as the verifier typed it, the record as
+// the very event Run was handed.
+func TestCompiledEmitPayloads(t *testing.T) {
+	var got []emitted
+	var types []ecode.Type
+	env := core.CPAVerifyEnv("payloads", func(ch string, v ecode.Arg) {
+		got = append(got, emitted{ch, v.Value()})
+		types = append(types, v.T)
+	})
+	c, _, err := ecode.MustCompile(emitEveryKind).CompileVerified(env)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ev := testEvent()
+	if v, err := c.NewInstance().Run(ev); err != nil || v != int64(7) {
+		t.Fatalf("Run = %v, %v; want 7", v, err)
+	}
+	want := []emitted{
+		{"int", int64(1500000)}, {"float", 375.0}, {"bool", true}, {"string", "nginx"}, {"record", ev},
+		{"literal", int64(4096)}, {"literal-float", 2.5}, {"literal-bool", false}, {"literal-string", "x"},
+		{"call", int64(1500)}, {"nginx.computed-channel", int64(len("net_rx"))},
+		{"inner", int64(1)}, {"nested", int64(0)},
+	}
+	wantTypes := []ecode.Type{ecode.TInt, ecode.TFloat, ecode.TBool, ecode.TString, ecode.TRecord,
+		ecode.TInt, ecode.TFloat, ecode.TBool, ecode.TString, ecode.TInt, ecode.TInt, ecode.TInt, ecode.TInt}
+	if !reflect.DeepEqual(got, want) || !reflect.DeepEqual(types, wantTypes) {
+		t.Errorf("emitted %#v\ntypes %v\nwant %#v\ntypes %v", got, types, want, wantTypes)
 	}
 }
 
@@ -330,28 +419,32 @@ func TestCompiledInstancesIsolated(t *testing.T) {
 }
 
 // TestCompiledCustomBuiltin: a host builtin is one environment entry —
-// signature and implementation — and receives evaluated arguments.
+// signature and implementation — and receives evaluated arguments
+// unboxed, typed as the verifier typed them.
 func TestCompiledCustomBuiltin(t *testing.T) {
-	var got []ecode.Value
+	var got []ecode.Arg
 	env := testVerifyEnv("diff")
 	env.Builtins = map[string]ecode.Builtin{
-		"emit": {Params: []ecode.ParamKind{ecode.PString, ecode.PAny}, Result: ecode.RInt, Cost: 4,
-			Fn: func(args []ecode.Value) (ecode.Value, error) {
+		"note": {Params: []ecode.ParamKind{ecode.PAny, ecode.PNum}, Result: ecode.RInt, Cost: 4,
+			Fn: func(args []ecode.Arg) ecode.Arg {
 				got = append(got, args...)
-				return int64(len(args)), nil
+				return ecode.Arg{T: ecode.TInt, Int: int64(len(args))}
 			}},
 	}
-	v, err := diffRun(t, `emit("chan", ev.bytes); return emit("x", 1);`, env, testEvent())
+	v, err := diffRun(t, `note(ev.proc, ev.bytes * 2); return note(ev.last, 0.5);`, env, testEvent())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if v != int64(2) {
-		t.Errorf("emit returned %v, want 2", v)
+		t.Errorf("note returned %v, want 2", v)
 	}
 	// Both engines ran, so the builtin saw each call twice.
-	want := []ecode.Value{"chan", int64(1500), "x", int64(1), "chan", int64(1500), "x", int64(1)}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("emit args %#v, want %#v", got, want)
+	one := []ecode.Arg{
+		{T: ecode.TString, Str: "nginx"}, {T: ecode.TInt, Int: 3000},
+		{T: ecode.TBool, Bool: true}, {T: ecode.TFloat, Float: 0.5},
+	}
+	if want := append(one, one...); !reflect.DeepEqual(got, want) {
+		t.Errorf("note args %#v, want %#v", got, want)
 	}
 }
 

@@ -158,6 +158,11 @@ func TestBuiltins(t *testing.T) {
 		{`return abs(-2.5);`, 2.5},
 		{`return min(3, 1, 2);`, int64(1)},
 		{`return max(3, 1, 2);`, int64(3)},
+		{`return max(-1.5, -0.5);`, -0.5},
+		// Ints compare exactly, not through float64, which cannot tell
+		// these two apart.
+		{`return min(9007199254740993, 9007199254740992);`, int64(9007199254740992)},
+		{`return max(9007199254740992, 9007199254740993);`, int64(9007199254740993)},
 		{`return contains("hello world", "wor");`, true},
 	}
 	for _, tt := range tests {
@@ -172,10 +177,10 @@ func TestCustomBuiltin(t *testing.T) {
 	var gotChannel string
 	var gotVal Value
 	inst := prog.NewInstance(WithEnv(VerifyEnv{Builtins: map[string]Builtin{
-		"emit": {Fn: func(args []Value) (Value, error) {
-			gotChannel = args[0].(string)
-			gotVal = args[1]
-			return int64(0), nil
+		"emit": {Fn: func(args []Arg) Arg {
+			gotChannel = args[0].Str
+			gotVal = args[1].Value()
+			return Arg{T: TInt}
 		}},
 	}}))
 	if _, err := inst.Run(nil); err != nil {

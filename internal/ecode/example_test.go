@@ -56,9 +56,9 @@ func ExampleCompiled_NewInstance() {
 	compiled, _, err := ecode.MustCompile(`emit("alerts", 42); return 0;`).CompileVerified(ecode.VerifyEnv{
 		Builtins: map[string]ecode.Builtin{
 			"emit": {Params: []ecode.ParamKind{ecode.PString, ecode.PAny}, Result: ecode.RInt,
-				Fn: func(args []ecode.Value) (ecode.Value, error) {
-					fmt.Printf("emit(%v, %v)\n", args[0], args[1])
-					return int64(0), nil
+				Fn: func(args []ecode.Arg) ecode.Arg {
+					fmt.Printf("emit(%v, %v)\n", args[0].Str, args[1].Value())
+					return ecode.Arg{T: ecode.TInt}
 				}},
 		},
 	})

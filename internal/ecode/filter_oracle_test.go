@@ -45,6 +45,16 @@ func TestFilterCompiledMatchesInterpreter(t *testing.T) {
 		`return rec.residence_ns == rec.end_ns - rec.start_ns && rec.dst_port != 443;`,
 		`int heavy = 0; if (rec.req_bytes + rec.resp_bytes > 3000) { heavy = 1; } return heavy == 1 || contains(rec.server_proc, "sql");`,
 		`return 1 / rec.disk_ops > 0;`, // errors on the zero record: both engines must fail closed
+		// Every builtin, with every argument kind the verifier admits.
+		`return len(rec.class) + len(rec.server_proc + "/" + rec.class) > 12;`,
+		`return contains(rec.class, "80") && !contains(rec.server_proc, rec.class);`,
+		`return contains(rec.class + rec.server_proc, "0h") || contains("", rec.server_proc);`,
+		`return abs(rec.req_bytes - rec.resp_bytes) > 2000;`,
+		`return abs(rec.user_ns * -0.5) >= abs(-99999.5);`,
+		`return min(rec.user_ns, rec.blocked_ns, 60000) < 55000;`,
+		`return max(rec.req_bytes, rec.resp_bytes / 2) == 1450;`,
+		`return min(rec.user_ns / 1000.0, 150.5) > max(rec.blocked_ns * 0.001, 0.25, -1.0);`,
+		`return max(abs(rec.dst_port - 443), len(rec.class), min(rec.disk_ops, 7)) > 300;`,
 	} {
 		filter, err := dissem.CompileFilter(src)
 		if err != nil {

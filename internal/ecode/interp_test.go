@@ -374,19 +374,15 @@ func (st *execState) eval(e expr) (Value, error) {
 		if fn == nil {
 			return nil, rtErr(n.line, "unknown function %q", n.name)
 		}
-		args := make([]Value, len(n.args))
+		args := make([]Arg, len(n.args))
 		for i, a := range n.args {
 			v, err := st.eval(a)
 			if err != nil {
 				return nil, err
 			}
-			args[i] = v
+			args[i] = argOfValue(v)
 		}
-		v, err := fn(args)
-		if err != nil {
-			return nil, rtErr(n.line, "%s: %v", n.name, err)
-		}
-		return v, nil
+		return fn(args).Value(), nil
 
 	case *unaryExpr:
 		v, err := st.eval(n.x)
@@ -436,6 +432,33 @@ func (st *execState) eval(e expr) (Value, error) {
 		return evalBinary(n.op, l, r, n.line)
 	}
 	return nil, fmt.Errorf("ecode: unknown expression %T", e)
+}
+
+// argOfValue unboxes an evaluated argument into the Arg a builtin
+// takes: the interpreter's side of the calling convention, where the
+// compiled engine builds the Arg from the static type instead.
+func argOfValue(v Value) Arg {
+	switch x := v.(type) {
+	case int64:
+		return Arg{T: TInt, Int: x}
+	case float64:
+		return Arg{T: TFloat, Float: x}
+	case bool:
+		return Arg{T: TBool, Bool: x}
+	case string:
+		return Arg{T: TString, Str: x}
+	}
+	return Arg{T: TRecord, Rec: v}
+}
+
+func toFloat(v Value) (float64, bool) {
+	switch x := v.(type) {
+	case int64:
+		return float64(x), true
+	case float64:
+		return x, true
+	}
+	return 0, false
 }
 
 func evalBinary(op string, l, r Value, line int) (Value, error) {

@@ -6,10 +6,38 @@ import (
 	"strings"
 )
 
-// Value is an E-Code runtime value: int64, float64, bool, string, or
-// the bound host record itself (which only a PAny builtin parameter,
-// like emit's payload, accepts).
+// Value is an E-Code value boxed, as Run and Static return it: an
+// int64, float64, bool or string. Arg.Value also boxes emit's record
+// payload, as the host pointer Run was handed.
 type Value = any
+
+// Arg is a builtin's argument or result, unboxed: the static type the
+// verifier gave it and the one field that type fills; the others are
+// zero. A record (emit's PAny payload) is held as the host pointer Run
+// was handed, so no value crosses a builtin call boxed.
+type Arg struct {
+	T     Type
+	Int   int64
+	Float float64
+	Bool  bool
+	Str   string
+	Rec   any
+}
+
+// Value boxes a: a scalar as Run returns it, a record as Rec holds it.
+func (a Arg) Value() Value {
+	switch a.T {
+	case TInt:
+		return a.Int
+	case TFloat:
+		return a.Float
+	case TBool:
+		return a.Bool
+	case TString:
+		return a.Str
+	}
+	return a.Rec
+}
 
 // Binding is one host record as programs see it — the kernel event
 // bound as "ev", the interaction record bound as "rec": the name and an
@@ -117,48 +145,25 @@ type Program struct {
 // sleep, readproc, log — which exist for offline E-Code tooling and are
 // classified blocking, so the verifier rejects any analyzer that tries
 // to call them per event; no verified program reaches their (absent)
-// implementations.
+// implementations. No body checks its arguments: the verifier has.
 var standardBuiltins = map[string]Builtin{
-	"len": {Params: []ParamKind{PString}, Result: RInt, Cost: 1, Fn: func(args []Value) (Value, error) {
-		if len(args) != 1 {
-			return nil, fmt.Errorf("len wants 1 arg")
-		}
-		s, ok := args[0].(string)
-		if !ok {
-			return nil, fmt.Errorf("len wants a string")
-		}
-		return int64(len(s)), nil
+	"len": {Params: []ParamKind{PString}, Result: RInt, Cost: 1, Fn: func(args []Arg) Arg {
+		return Arg{T: TInt, Int: int64(len(args[0].Str))}
 	}},
-	"abs": {Params: []ParamKind{PNum}, Result: RArg0, Cost: 1, Fn: func(args []Value) (Value, error) {
-		if len(args) != 1 {
-			return nil, fmt.Errorf("abs wants 1 arg")
+	"abs": {Params: []ParamKind{PNum}, Result: RArg0, Cost: 1, Fn: func(args []Arg) Arg {
+		a := args[0] // an int's Float and a float's Int are zero
+		if a.Int < 0 {
+			a.Int = -a.Int
 		}
-		switch v := args[0].(type) {
-		case int64:
-			if v < 0 {
-				return -v, nil
-			}
-			return v, nil
-		case float64:
-			if v < 0 {
-				return -v, nil
-			}
-			return v, nil
+		if a.Float < 0 {
+			a.Float = -a.Float
 		}
-		return nil, fmt.Errorf("abs wants a number")
+		return a
 	}},
 	"min": {Params: []ParamKind{PNum}, Variadic: true, Result: RArg0, Cost: 2, Fn: minMax(true)},
 	"max": {Params: []ParamKind{PNum}, Variadic: true, Result: RArg0, Cost: 2, Fn: minMax(false)},
-	"contains": {Params: []ParamKind{PString, PString}, Result: RBool, Cost: 8, Fn: func(args []Value) (Value, error) {
-		if len(args) != 2 {
-			return nil, fmt.Errorf("contains wants 2 args")
-		}
-		s, ok1 := args[0].(string)
-		sub, ok2 := args[1].(string)
-		if !ok1 || !ok2 {
-			return nil, fmt.Errorf("contains wants strings")
-		}
-		return strings.Contains(s, sub), nil
+	"contains": {Params: []ParamKind{PString, PString}, Result: RBool, Cost: 8, Fn: func(args []Arg) Arg {
+		return Arg{T: TBool, Bool: strings.Contains(args[0].Str, args[1].Str)}
 	}},
 
 	"sleep":    {Params: []ParamKind{PNum}, Result: RInt, Blocking: true, Cost: 1},
@@ -166,42 +171,23 @@ var standardBuiltins = map[string]Builtin{
 	"log":      {Params: []ParamKind{PString}, Result: RInt, Blocking: true, Cost: 1},
 }
 
-func minMax(isMin bool) func([]Value) (Value, error) {
-	return func(args []Value) (Value, error) {
-		if len(args) < 1 {
-			return nil, fmt.Errorf("min/max want at least 1 arg")
-		}
+// minMax picks the least (isMin) or the greatest argument. The verifier
+// has given every argument the first one's type, so ints compare as
+// ints, exactly.
+func minMax(isMin bool) func([]Arg) Arg {
+	return func(args []Arg) Arg {
 		best := args[0]
 		for _, a := range args[1:] {
-			less, err := lessThan(a, best)
-			if err != nil {
-				return nil, err
+			less := a.Float < best.Float
+			if a.T == TInt {
+				less = a.Int < best.Int
 			}
 			if less == isMin {
 				best = a
 			}
 		}
-		return best, nil
+		return best
 	}
-}
-
-func lessThan(a, b Value) (bool, error) {
-	af, aIsF := toFloat(a)
-	bf, bIsF := toFloat(b)
-	if aIsF && bIsF {
-		return af < bf, nil
-	}
-	return false, fmt.Errorf("cannot compare %T and %T", a, b)
-}
-
-func toFloat(v Value) (float64, bool) {
-	switch x := v.(type) {
-	case int64:
-		return float64(x), true
-	case float64:
-		return x, true
-	}
-	return 0, false
 }
 
 // control-flow signals a statement hands back to its enclosing block.

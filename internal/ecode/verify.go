@@ -125,9 +125,12 @@ type Builtin struct {
 	Result   ResultKind
 	Blocking bool // true: never allowed on the event fast path
 	Cost     int  // worst-case steps charged per call (0 counts as 1)
-	// Fn runs a call. The verifier has typed the arguments; Fn may be
-	// nil only where Blocking already keeps every call out.
-	Fn func(args []Value) (Value, error)
+	// Fn runs a call. The verifier has checked the arity and typed
+	// every argument, so Fn reads each Arg's field without a check and
+	// returns an Arg of its Result type; it cannot fail, and it must not
+	// keep args, a buffer the call site reuses. Fn may be nil only where
+	// Blocking already keeps every call out.
+	Fn func(args []Arg) Arg
 }
 
 // DefaultMaxCost is the per-event worst-case step ceiling when
