@@ -129,11 +129,10 @@ func TestShutdownDumpHoldsWhatTheSummaryCounts(t *testing.T) {
 	if err := dissem.RegisterFormats(reg); err != nil {
 		t.Fatal(err)
 	}
-	b := pubsub.NewBroker(reg)
+	// A queue deeper than the publisher below fills before gpad stops:
+	// nothing is shed or refused, and there is always a frame in flight.
+	b := pubsub.NewBroker(reg, pubsub.WithQueueDepth(1<<16))
 	defer b.Close()
-	// The publisher waits for queue space, so it runs at the pace gpad
-	// reads and there is always a frame in flight.
-	b.SetOverflowPolicy(pubsub.BlockWithDeadline)
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -170,8 +169,8 @@ func TestShutdownDumpHoldsWhatTheSummaryCounts(t *testing.T) {
 			cols.Reset()
 			for i := 0; i < 8; i, id = i+1, id+2 {
 				start := time.Duration(id) * time.Microsecond
-				cols.AppendRow(core.Record{ID: id, Node: 1, Flow: flow, Start: start, End: start + 10*time.Microsecond})
-				cols.AppendRow(core.Record{ID: id + 1, Node: 2, Flow: flow, Start: start + time.Microsecond, End: start + 8*time.Microsecond})
+				cols.Append(&core.Record{ID: id, Node: 1, Flow: flow, Start: start, End: start + 10*time.Microsecond})
+				cols.Append(&core.Record{ID: id + 1, Node: 2, Flow: flow, Start: start + time.Microsecond, End: start + 8*time.Microsecond})
 			}
 			if err := b.PublishColumns(dissem.ChannelInteractions, cols); err != nil {
 				return

@@ -55,21 +55,14 @@ func main() {
 	flag.DurationVar(&opts.pace, "pace", 100*time.Millisecond, "virtual-time advance per wall tick")
 	flag.StringVar(&opts.tracePath, "trace", "", "record the kernel event stream (PBIO) to this file")
 	flag.StringVar(&opts.topology, "topology", "simple", "hosted cluster: simple (web server), nfs (storage proxy), rubis (auction site)")
-	psQueue := flag.Int("pubsub-queue", 256, "per-subscriber send-queue depth (frames)")
-	psOverflow := flag.String("pubsub-overflow", "drop", "send-queue overflow policy: drop (drop-oldest), block (block-with-deadline), or adaptive (per-subscriber, from observed drain rate)")
+	psQueue := flag.Int("pubsub-queue", 256, fmt.Sprintf("per-subscriber send-queue depth (frames); a full queue holds the publisher up to %v for a subscriber observed to drain a frame within that, and sheds its oldest frame for any other", pubsub.DefaultConfig().BlockTimeout))
 	psEvict := flag.Int("pubsub-evict", 64, "evict a subscriber after this many consecutive overflows (0 = never)")
 	fedEndpoints := flag.String("federation", "", "comma-separated gpad shard query endpoints; attaches a federation frontend to the controller (sysprofctl federation ...)")
 	flag.DurationVar(&opts.ntpInterval, "ntp-interval", 0, "automatic NTP clock-error re-measurement cadence for the monitored node (0 disables; retune live with sysprofctl ntpinterval)")
 	flag.Parse()
-	psPolicy, err := pubsub.ParseOverflowPolicy(*psOverflow)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "sysprofd:", err)
-		os.Exit(2)
-	}
 	opts.federation = lineproto.SplitList(*fedEndpoints)
 	opts.broker = []pubsub.Option{
 		pubsub.WithQueueDepth(*psQueue),
-		pubsub.WithOverflowPolicy(psPolicy),
 		pubsub.WithEvictAfterOverflows(*psEvict),
 	}
 	sig := make(chan os.Signal, 1)

@@ -107,7 +107,7 @@ func TestLoopbackSmoke(t *testing.T) {
 	}
 	ask("help", "flushinterval <node> <duration>")
 	ask("status", "node webserver:")
-	ask("status", " flush=250ms pubsub=256/drop\n")
+	ask("status", " flush=250ms pubsub=256\n")
 	ask("flushinterval webserver 50ms", "ok")
 	ask("status", " flush=50ms ")
 	probe := base64.StdEncoding.EncodeToString([]byte(`emit("smoke.bytes", ev.bytes + 1000); emit("smoke.ev", ev); return 0;`))

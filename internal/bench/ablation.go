@@ -174,7 +174,7 @@ func RunAblationBuffers(records, capacity int, fillGap, copyDelay time.Duration)
 		buf.SetSingleBuffered(single)
 		for i := 0; i < records; i++ {
 			rec := core.Record{ID: uint64(i)}
-			eng.Schedule(time.Duration(i)*fillGap, func() { buf.Push(rec) })
+			eng.Schedule(time.Duration(i)*fillGap, func() { buf.Push(&rec) })
 		}
 		if err := eng.Run(); err != nil {
 			return 0, 0, err

@@ -41,16 +41,14 @@ type Flusher interface {
 }
 
 // FanOut is the pub-sub broker surface the controller manages: the
-// per-subscriber send-queue depth and overflow policy for remote
-// fan-out. It is an interface (satisfied by *pubsub.Broker) so the
-// controller does not depend on the pubsub package.
+// per-subscriber send-queue depth for remote fan-out. It is an interface
+// (satisfied by *pubsub.Broker) so the controller does not depend on the
+// pubsub package.
 type FanOut interface {
-	// QueueConfig returns the current queue depth and overflow policy name.
-	QueueConfig() (depth int, policy string)
+	// QueueConfig returns the current queue depth.
+	QueueConfig() (depth int)
 	// SetQueueDepth changes the queue depth for future subscribers.
 	SetQueueDepth(n int) error
-	// SetOverflowPolicyName switches the overflow policy ("drop"/"block").
-	SetOverflowPolicyName(name string) error
 }
 
 // Federation is the federated-GPA frontend surface the controller
@@ -286,8 +284,7 @@ func (c *Controller) Status() string {
 			fmt.Fprintf(&sb, " flush=%v", t.daemon.FlushInterval())
 		}
 		if t.broker != nil {
-			depth, policy := t.broker.QueueConfig()
-			fmt.Fprintf(&sb, " pubsub=%d/%s", depth, policy)
+			fmt.Fprintf(&sb, " pubsub=%d", t.broker.QueueConfig())
 		}
 		if t.ntp != nil {
 			fmt.Fprintf(&sb, " ntp=%v", t.ntp.Interval())
@@ -362,10 +359,6 @@ var commands = &lineproto.Table[*Controller]{Pkg: "controller", Noun: "command",
 		Help: "clock re-measurement cadence: show it, set it, or measure now"},
 	{Name: "pubsubqueue", Args: "<node> <depth>", Run: (*Controller).pubSubQueue,
 		Help: "send-queue depth for subscribers that connect from now on"},
-	{Name: "pubsubpolicy", Args: "<node> drop|block|adaptive", Help: "what a full send queue does",
-		Run: func(c *Controller, a []string) (string, error) {
-			return c.onBroker(a[0], func(b FanOut) error { return b.SetOverflowPolicyName(a[1]) })
-		}},
 	// The source travels as base64, which keeps multi-line E-Code whole
 	// on a line protocol (sysprofctl encodes a file). The node verifies
 	// it before it touches the event hub; a rejection is the verifier's

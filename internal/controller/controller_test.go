@@ -276,10 +276,10 @@ func TestStatusContents(t *testing.T) {
 	}
 
 	// The broker's queue settings show once it is attached.
-	if err := c.AttachBroker("n1", &fakeFanOut{depth: 256, policy: "drop"}); err != nil {
+	if err := c.AttachBroker("n1", &fakeFanOut{depth: 256}); err != nil {
 		t.Fatal(err)
 	}
-	if out := c.Status(); !strings.Contains(out, " pubsub=256/drop\n") {
+	if out := c.Status(); !strings.Contains(out, " pubsub=256\n") {
 		t.Fatalf("status = %q", out)
 	}
 }
@@ -328,11 +328,10 @@ func TestPIDFilterCommand(t *testing.T) {
 
 // fakeFanOut stands in for a pub-sub broker.
 type fakeFanOut struct {
-	depth  int
-	policy string
+	depth int
 }
 
-func (f *fakeFanOut) QueueConfig() (int, string) { return f.depth, f.policy }
+func (f *fakeFanOut) QueueConfig() int { return f.depth }
 func (f *fakeFanOut) SetQueueDepth(n int) error {
 	if n < 1 {
 		return errors.New("depth must be positive")
@@ -340,18 +339,10 @@ func (f *fakeFanOut) SetQueueDepth(n int) error {
 	f.depth = n
 	return nil
 }
-func (f *fakeFanOut) SetOverflowPolicyName(name string) error {
-	switch name {
-	case "drop", "block":
-		f.policy = name
-		return nil
-	}
-	return errors.New("unknown policy")
-}
 
 func TestPubSubKnobs(t *testing.T) {
 	c, _, _ := setup(t)
-	fo := &fakeFanOut{depth: 256, policy: "drop"}
+	fo := &fakeFanOut{depth: 256}
 
 	// Before a broker is attached the knobs report unknown target.
 	if _, err := c.Execute("pubsubqueue n1 64"); !errors.Is(err, ErrUnknownTarget) {
@@ -369,27 +360,20 @@ func TestPubSubKnobs(t *testing.T) {
 	if fo.depth != 1024 {
 		t.Fatalf("depth = %d", fo.depth)
 	}
-	if reply, err := c.Execute("pubsubpolicy n1 drop"); err != nil || reply != "ok" {
-		t.Fatalf("reply=%q err=%v", reply, err)
-	}
-	if fo.policy != "drop" {
-		t.Fatalf("policy = %q", fo.policy)
-	}
-	if _, err := c.Execute("pubsubpolicy n1 block"); err != nil || fo.policy != "block" {
-		t.Fatalf("policy=%q err=%v", fo.policy, err)
-	}
 	if _, err := c.Execute("pubsubqueue n1 0"); err == nil {
 		t.Fatal("zero depth accepted")
 	}
 	if _, err := c.Execute("pubsubqueue n1"); err == nil {
 		t.Fatal("missing args accepted")
 	}
-	if _, err := c.Execute("pubsubpolicy n1 bogus"); err == nil {
-		t.Fatal("unknown policy accepted")
+	// The broker decides what a full queue does: the retired policy verb
+	// is an unknown command.
+	if _, err := c.Execute("pubsubpolicy n1 block"); err == nil {
+		t.Fatal("retired pubsubpolicy verb accepted")
 	}
 
 	// Status shows the fan-out config once a broker is attached.
-	if !strings.Contains(c.Status(), " pubsub=1024/block\n") {
+	if !strings.Contains(c.Status(), " pubsub=1024\n") {
 		t.Fatalf("status = %q", c.Status())
 	}
 }

@@ -105,7 +105,7 @@ func TestRepliesGolden(t *testing.T) {
 	full := node()
 	for _, err := range []error{
 		full.AttachDaemon("n1", &fakeFlusher{iv: 250 * time.Millisecond}),
-		full.AttachBroker("n1", &fakeFanOut{depth: 256, policy: "drop"}),
+		full.AttachBroker("n1", &fakeFanOut{depth: 256}),
 		full.AttachNTP("n1", &fakeNTP{interval: 30 * time.Second}),
 		full.AttachFederation(&goldenFed{endpoints: []string{"a:1", "b:2"}}),
 	} {

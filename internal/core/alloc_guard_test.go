@@ -19,7 +19,7 @@ var (
 // TestRowPathAllocs guards the LPA side of the "nearly free" claim: the
 // shard match, the record ↔ columns moves and every path through a
 // per-CPU buffer push allocate nothing once the columns have their
-// capacity. AppendRow's amortised Grow runs in AllocsPerRun's own warm-up
+// capacity. Append's amortised Grow runs in AllocsPerRun's own warm-up
 // call, outside the measured ones. Values are multi-digit on purpose: Go
 // boxes integers below 256 without allocating. The race detector
 // instruments allocations, so the guard is built out under -race; CI runs
@@ -40,12 +40,12 @@ func TestRowPathAllocs(t *testing.T) {
 
 	grown := &RecordColumns{} // no capacity: the warm-up call grows it
 	filled := NewRecordColumns(1)
-	filled.AppendRow(rec)
+	filled.Append(&rec)
 	var dst Record
 
 	stalled := NewDoubleBuffer(1, func(*RecordColumns, func()) {}) // never released
 	stalled.SetSingleBuffered(true)
-	stalled.Push(rec) // the only buffer is now out: every later push drops
+	stalled.Push(&rec) // the only buffer is now out: every later push drops
 	roomy := NewDoubleBuffer(4096, nil)
 	drained := 0
 	swapping := NewDoubleBuffer(1, func(batch *RecordColumns, release func()) {
@@ -59,12 +59,12 @@ func TestRowPathAllocs(t *testing.T) {
 	}{
 		{"match-unsharded", func() { sinkBool = ShardSelector{}.Match(key) }},
 		{"match-sharded", func() { sinkBool = sharded.Match(key) }},
-		{"append-row", func() { grown.Reset(); grown.AppendRow(rec) }},
+		{"append-row", func() { grown.Reset(); grown.Append(&rec) }},
 		{"row", func() { sinkRecord = filled.Row(0) }},
 		{"copy-row", func() { filled.CopyRow(&dst, 0) }},
-		{"push-single-buffer-drop", func() { stalled.Push(rec) }},
-		{"push-below-capacity", func() { roomy.Push(rec) }},
-		{"push-flush", func() { swapping.Push(rec) }},
+		{"push-single-buffer-drop", func() { stalled.Push(&rec) }},
+		{"push-below-capacity", func() { roomy.Push(&rec) }},
+		{"push-flush", func() { swapping.Push(&rec) }},
 	} {
 		if allocs := testing.AllocsPerRun(100, tc.run); allocs != 0 {
 			t.Errorf("%s: %.2f allocs per call, want 0", tc.name, allocs)

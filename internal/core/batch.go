@@ -40,9 +40,11 @@ func (s ShardSelector) String() string {
 // column (the same hash every flow router uses), only matching rows
 // copied. The broker and the scenario harness both route with it.
 func (s ShardSelector) Gather(dst, src *RecordColumns) {
+	var row Record
 	for i := range src.Flows {
 		if s.Match(src.Flows[i].ShardHash()) {
-			dst.AppendRow(src.Row(i))
+			src.CopyRow(&row, i)
+			dst.Append(&row)
 		}
 	}
 }
@@ -93,9 +95,9 @@ func (c *RecordColumns) Keep(keep func(row any) bool) Batch {
 	kept.Reset()
 	var row Record
 	for i := range c.IDs {
-		row = c.Row(i)
+		c.CopyRow(&row, i)
 		if keep(&row) {
-			kept.AppendRow(row)
+			kept.Append(&row)
 		}
 	}
 	return kept

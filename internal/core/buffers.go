@@ -60,12 +60,12 @@ func (b *DoubleBuffer) SetCapacity(capacity int) {
 // Push appends a record, swapping buffers when full.
 //
 //sysprof:nonblocking
-func (b *DoubleBuffer) Push(rec Record) {
+func (b *DoubleBuffer) Push(rec *Record) {
 	if b.single && b.busy {
 		b.drops++
 		return
 	}
-	b.active.AppendRow(rec)
+	b.active.Append(rec)
 	if b.active.Len() < b.capacity {
 		return
 	}
@@ -134,7 +134,7 @@ func NewBufferSet(numCPUs, capacity int, onFull func(cpu int, batch *RecordColum
 // Push routes a record to the buffer of the CPU it was captured on.
 //
 //sysprof:nonblocking
-func (s *BufferSet) Push(cpu int, rec Record) {
+func (s *BufferSet) Push(cpu int, rec *Record) {
 	if cpu < 0 || cpu >= len(s.per) {
 		cpu = 0
 	}

@@ -15,19 +15,19 @@ func TestDoubleBufferFillAndDrain(t *testing.T) {
 		release = rel
 	})
 	for i := uint64(1); i <= 3; i++ {
-		b.Push(Record{ID: i})
+		b.Push(&Record{ID: i})
 	}
 	if len(batches) != 1 || len(batches[0]) != 3 {
 		t.Fatalf("batches = %v, want one full batch", batches)
 	}
 	// The standby buffer keeps accepting while the batch is outstanding.
-	b.Push(Record{ID: 4})
+	b.Push(&Record{ID: 4})
 	if b.Len() != 1 {
 		t.Fatalf("active len = %d, want 1", b.Len())
 	}
 	release()
-	b.Push(Record{ID: 5})
-	b.Push(Record{ID: 6})
+	b.Push(&Record{ID: 5})
+	b.Push(&Record{ID: 6})
 	if len(batches) != 2 {
 		t.Fatalf("batches = %d, want second swap after release", len(batches))
 	}
@@ -41,7 +41,7 @@ func TestDoubleBufferOverrunDrops(t *testing.T) {
 		// Daemon never releases: simulates a slow consumer.
 	})
 	for i := uint64(1); i <= 6; i++ {
-		b.Push(Record{ID: i})
+		b.Push(&Record{ID: i})
 	}
 	drops, _ := b.Stats()
 	// First 2 fill and swap out; every later fill is lost because the
@@ -55,15 +55,15 @@ func TestSingleBufferAblationDropsDuringDrain(t *testing.T) {
 	var release func()
 	b := NewDoubleBuffer(2, func(batch *RecordColumns, rel func()) { release = rel })
 	b.SetSingleBuffered(true)
-	b.Push(Record{ID: 1})
-	b.Push(Record{ID: 2}) // fills, drain starts
-	b.Push(Record{ID: 3}) // dropped: no standby in single mode
-	b.Push(Record{ID: 4}) // dropped
+	b.Push(&Record{ID: 1})
+	b.Push(&Record{ID: 2}) // fills, drain starts
+	b.Push(&Record{ID: 3}) // dropped: no standby in single mode
+	b.Push(&Record{ID: 4}) // dropped
 	if drops, _ := b.Stats(); drops != 2 {
 		t.Fatalf("drops = %d, want 2 in single-buffer mode", drops)
 	}
 	release()
-	b.Push(Record{ID: 5})
+	b.Push(&Record{ID: 5})
 	if drops, _ := b.Stats(); drops != 2 {
 		t.Fatal("push after release should not drop")
 	}
@@ -79,7 +79,7 @@ func TestDoubleBufferExplicitFlush(t *testing.T) {
 	if got != 0 {
 		t.Fatal("empty flush invoked callback")
 	}
-	b.Push(Record{ID: 1})
+	b.Push(&Record{ID: 1})
 	b.Flush()
 	if got != 1 {
 		t.Fatalf("flush delivered %d, want 1", got)
@@ -89,7 +89,7 @@ func TestDoubleBufferExplicitFlush(t *testing.T) {
 func TestDoubleBufferNilCallback(t *testing.T) {
 	b := NewDoubleBuffer(1, nil)
 	for i := uint64(1); i <= 5; i++ {
-		b.Push(Record{ID: i})
+		b.Push(&Record{ID: i})
 	}
 	if drops, switches := b.Stats(); drops != 0 || switches != 5 {
 		t.Fatalf("nil-callback buffer: drops=%d switches=%d", drops, switches)
@@ -100,14 +100,14 @@ func TestDoubleBufferSetCapacity(t *testing.T) {
 	n := 0
 	b := NewDoubleBuffer(100, func(batch *RecordColumns, rel func()) { n++; rel() })
 	b.SetCapacity(2)
-	b.Push(Record{})
-	b.Push(Record{})
+	b.Push(&Record{})
+	b.Push(&Record{})
 	if n != 1 {
 		t.Fatalf("swaps = %d after capacity change, want 1", n)
 	}
 	b.SetCapacity(0) // invalid: ignored
-	b.Push(Record{})
-	b.Push(Record{})
+	b.Push(&Record{})
+	b.Push(&Record{})
 	if n != 2 {
 		t.Fatalf("swaps = %d, want 2", n)
 	}
@@ -119,10 +119,10 @@ func TestBufferSetRouting(t *testing.T) {
 		hits[cpu] += batch.Len()
 		rel()
 	})
-	s.Push(0, Record{})
-	s.Push(1, Record{})
-	s.Push(7, Record{})  // out of range -> CPU 0
-	s.Push(-1, Record{}) // out of range -> CPU 0
+	s.Push(0, &Record{})
+	s.Push(1, &Record{})
+	s.Push(7, &Record{})  // out of range -> CPU 0
+	s.Push(-1, &Record{}) // out of range -> CPU 0
 	if hits[0] != 3 || hits[1] != 1 {
 		t.Fatalf("hits = %v", hits)
 	}
@@ -141,7 +141,7 @@ func TestBufferSetFlushAllAndStats(t *testing.T) {
 		rel()
 	})
 	for cpu := 0; cpu < 3; cpu++ {
-		s.Push(cpu, Record{})
+		s.Push(cpu, &Record{})
 	}
 	s.FlushAll()
 	if total != 3 {
@@ -163,7 +163,7 @@ func TestDoubleBufferConservationProperty(t *testing.T) {
 		})
 		n := int(pushes % 2000)
 		for i := 0; i < n; i++ {
-			b.Push(Record{})
+			b.Push(&Record{})
 		}
 		drops, _ := b.Stats()
 		return delivered+int(drops)+b.Len() == n && drops == 0

@@ -49,7 +49,7 @@ type RecordColumns struct {
 // is done to every column — Reset, Grow, AppendColumns, CheckRows, and
 // through recordWire the two encoders and the decoder — loops over them
 // and the four singletons (Nodes, Flows, CPUs, ServerPIDs), so a new
-// column is named here once. The per-row moves (AppendRow, CopyRow, Row)
+// column is named here once. The per-row moves (Append, CopyRow, Row)
 // stay written out: they are the hot path.
 
 func (c *RecordColumns) u64s() [3]*[]uint64 {
@@ -131,16 +131,16 @@ func growSlice[T any](s []T, n int) []T {
 	return out
 }
 
-// AppendRow adds one record as a new row — the one record → columns
-// move; shard routing and filtering build sub-batches with
-// AppendRow(src.Row(j)). In steady state the columns are preallocated
-// (LPA buffers to their capacity, partition sub-batches pool-recycled at
-// batch capacity), so the row is written in place; only an explicit
-// capacity raise (doubling, off the steady-state path) allocates. The
-// record travels by value so a caller's row never escapes.
+// Append adds one record as a new row — the one record → columns move;
+// shard routing and filtering build sub-batches by appending a CopyRow of
+// the source row. In steady state the columns are preallocated (LPA
+// buffers to their capacity, partition sub-batches pool-recycled at batch
+// capacity), so the row is written in place; only an explicit capacity
+// raise (doubling, off the steady-state path) allocates. Append only reads
+// through r, so a caller's row never escapes.
 //
 //sysprof:nonblocking
-func (c *RecordColumns) AppendRow(r Record) {
+func (c *RecordColumns) Append(r *Record) {
 	i := len(c.IDs)
 	if i == cap(c.IDs) {
 		c.Grow(max(i, 64))
@@ -189,11 +189,8 @@ func (c *RecordColumns) AppendRow(r Record) {
 	c.DiskOps[i] = r.DiskOps
 }
 
-// Append is AppendRow for callers that hold a pointer.
-func (c *RecordColumns) Append(r *Record) { c.AppendRow(*r) }
-
 // AppendColumns appends every row of src. Growth routes through Grow,
-// so column capacities stay uniform (the invariant AppendRow's in-place
+// so column capacities stay uniform (the invariant Append's in-place
 // fast path relies on).
 func (c *RecordColumns) AppendColumns(src *RecordColumns) {
 	if n := src.Len(); cap(c.IDs)-len(c.IDs) < n {

@@ -170,7 +170,7 @@ func NewLPA(hub *kprof.Hub, cfg Config) *LPA {
 	}
 	a.buffers = NewBufferSet(cfg.NumCPUs, cfg.BufferCapacity, cfg.OnFull)
 	a.window = NewWindow(cfg.WindowSize, func(rec *Record) {
-		a.buffers.Push(int(rec.CPU), *rec)
+		a.buffers.Push(int(rec.CPU), rec)
 	})
 	a.sub = hub.Subscribe(MaskDefault(), a.handle)
 	return a

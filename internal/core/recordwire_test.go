@@ -145,7 +145,7 @@ func TestRecordWireMatchesRecord(t *testing.T) {
 
 // distinctRecord fills every leaf of a Record with a value no other leaf
 // of that row or of a neighbouring row holds, so a field dropped or
-// crossed by AppendRow, CopyRow, Row or either wire form shows.
+// crossed by Append, CopyRow, Row or either wire form shows.
 func distinctRecord(row int) Record {
 	var r Record
 	for i, l := range recordLeaves(reflect.TypeOf(r), "", nil) {
@@ -195,7 +195,7 @@ func TestRegisterRoundTrip(t *testing.T) {
 			want[i].Node, want[i].CPU, want[i].ServerPID = 9, 1, -4 // runs
 		}
 		if i%2 == 0 {
-			cols.AppendRow(want[i])
+			cols.Append(&want[i])
 		} else {
 			cols.Append(&want[i])
 		}
@@ -216,7 +216,7 @@ func TestRegisterRoundTrip(t *testing.T) {
 	// A string column past the dictionary cap falls back to raw.
 	wide := &RecordColumns{}
 	for i := 0; i < 2*zDictMax; i++ {
-		wide.AppendRow(Record{ID: uint64(i), Class: fmt.Sprint("class-", i%(zDictMax+8)), ServerProc: "httpd"})
+		wide.Append(&Record{ID: uint64(i), Class: fmt.Sprint("class-", i%(zDictMax+8)), ServerProc: "httpd"})
 	}
 	for field, w := range recordWire {
 		if w.kind != colStr {

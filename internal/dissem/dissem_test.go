@@ -104,8 +104,10 @@ func TestDaemonPublishesDrainedBatches(t *testing.T) {
 
 	d := New(eng, broker, nil, Config{CopyDelay: time.Millisecond})
 	buf := core.NewBufferSet(1, 2, d.OnFull)
-	buf.Push(0, sampleRecord(1))
-	buf.Push(0, sampleRecord(2))
+	for id := uint64(1); id <= 2; id++ {
+		rec := sampleRecord(id)
+		buf.Push(0, &rec)
+	}
 	if len(got) != 0 {
 		t.Fatal("records published before copy delay elapsed")
 	}
@@ -126,7 +128,8 @@ func TestDaemonReleaseAllowsReuse(t *testing.T) {
 	d := New(eng, nil, nil, Config{CopyDelay: time.Millisecond})
 	buf := core.NewBufferSet(1, 1, d.OnFull)
 	for i := uint64(1); i <= 3; i++ {
-		buf.Push(0, sampleRecord(i))
+		rec := sampleRecord(i)
+		buf.Push(0, &rec)
 		if err := eng.Run(); err != nil {
 			t.Fatal(err)
 		}
@@ -148,7 +151,8 @@ func TestDaemonSlowCopyDropsRecords(t *testing.T) {
 	d := New(eng, nil, nil, Config{CopyDelay: time.Second})
 	buf := core.NewBufferSet(1, 1, d.OnFull)
 	for i := uint64(1); i <= 4; i++ {
-		buf.Push(0, sampleRecord(i))
+		rec := sampleRecord(i)
+		buf.Push(0, &rec)
 	}
 	drops, _ := buf.Stats()
 	if drops == 0 {

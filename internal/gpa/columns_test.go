@@ -243,7 +243,7 @@ func TestSweptPendingArraysAreReused(t *testing.T) {
 		cols := core.NewRecordColumns(flows)
 		for i := 0; i < flows; i++ {
 			f := simnet.FlowKey{Src: simnet.Addr{Node: 1, Port: uint16(port0 + i)}, Dst: simnet.Addr{Node: 2, Port: 80}}
-			cols.AppendRow(core.Record{ID: uint64(port0 + i), Node: node, Flow: f, Start: *now, End: *now + time.Millisecond})
+			cols.Append(&core.Record{ID: uint64(port0 + i), Node: node, Flow: f, Start: *now, End: *now + time.Millisecond})
 		}
 		return cols
 	}

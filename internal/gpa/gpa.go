@@ -406,7 +406,7 @@ var oneRow = sync.Pool{New: func() any { return core.NewRecordColumns(1) }}
 func (g *GPA) Ingest(rec core.Record) {
 	cols := oneRow.Get().(*core.RecordColumns)
 	cols.Reset()
-	cols.AppendRow(rec)
+	cols.Append(&rec)
 	g.IngestColumns(cols)
 	oneRow.Put(cols)
 }

@@ -103,8 +103,10 @@ func pageFrames(t *testing.T, page *E2EColumns, frameRows int) (defs, head []byt
 	for side, half := range [...]*core.RecordColumns{&page.Client, &page.Server} {
 		for lo := 0; lo < page.Len(); lo += frameRows {
 			var chunk core.RecordColumns
+			var row core.Record
 			for i := lo; i < min(lo+frameRows, page.Len()); i++ {
-				chunk.AppendRow(half.Row(i))
+				half.CopyRow(&row, i)
+				chunk.Append(&row)
 			}
 			frame, _, err := halfPlan.AppendCompressedColumnsFrame(nil, runCoded{&chunk})
 			if err != nil {

@@ -48,7 +48,7 @@ func TestMalformedSuppression(t *testing.T) {
 }
 
 // maxRepoSuppressions pins the suppression inventory: one nonblock (the
-// bounded BlockWithDeadline wait) and two atomicmix (the frame refcount
+// bounded wait of a blocking offer) and two atomicmix (the frame refcount
 // preset before the frame is shared). New suppressions need a precision
 // argument, not just a reason string — prefer teaching the analyzer the
 // pattern.
@@ -507,8 +507,8 @@ func TestMutations(t *testing.T) {
 		// method (Queue[*frame].Offer) that must resolve to its declaration.
 		mroot := copyRepoSubset(t)
 		mutate(t, mroot, filepath.Join("internal", "pubsub", "queue.go"),
-			"func (q *Queue[F]) Offer(f F, recs uint64, policy OverflowPolicy) (a Admission[F]) {\n",
-			"func (q *Queue[F]) Offer(f F, recs uint64, policy OverflowPolicy) (a Admission[F]) {\n\ttime.Sleep(0)\n")
+			"func (q *Queue[F]) Offer(f F, recs uint64, block bool) (a Admission[F]) {\n",
+			"func (q *Queue[F]) Offer(f F, recs uint64, block bool) (a Admission[F]) {\n\ttime.Sleep(0)\n")
 		diags, err := Run(mroot, []string{"./internal/pubsub"}, All())
 		if err != nil {
 			t.Fatal(err)

@@ -11,15 +11,15 @@ import (
 )
 
 var (
-	sinkBool   bool
-	sinkPolicy OverflowPolicy
-	sinkZ      []*remoteConn
-	sinkPlain  []*remoteConn
+	sinkBool  bool
+	sinkZ     []*remoteConn
+	sinkPlain []*remoteConn
 )
 
 // TestFanOutAllocs guards the publish path's per-frame bookkeeping: the
-// frame release (last and shared reference), each arm of the Adaptive
-// policy resolution, and the fan-out set's compression cut and shard
+// frame release (last and shared reference), each arm of the full-queue
+// decision (no delivery yet, the per-channel floor, the connection-wide
+// fallback), and the fan-out set's compression cut and shard
 // check allocate nothing. The race detector instruments allocations, so
 // the guard is built out under -race; CI runs it in a separate step
 // without.
@@ -50,9 +50,9 @@ func TestFanOutAllocs(t *testing.T) {
 			atomic.StoreInt64(&shared.refs, 3)
 			shared.release()
 		}},
-		{"resolve-not-adaptive", func() { sinkPolicy = drained.Resolve(BlockWithDeadline, timeout, "interactions") }},
-		{"resolve-per-channel", func() { sinkPolicy = drained.Resolve(Adaptive, timeout, "interactions") }},
-		{"resolve-fallback", func() { sinkPolicy = fresh.Resolve(Adaptive, timeout, "interactions") }},
+		{"block-no-delivery", func() { sinkBool = fresh.ShouldBlock(timeout, "interactions") }},
+		{"block-per-channel", func() { sinkBool = drained.ShouldBlock(timeout, "interactions") }},
+		{"block-connection-fallback", func() { sinkBool = drained.ShouldBlock(timeout, "unseen") }},
 		{"split-by-compression", func() { sinkZ, sinkPlain = splitByCompression(remotes) }},
 		{"has-sharded", func() { sinkBool = hasSharded(remotes) }},
 		{"has-sharded-none", func() { sinkBool = hasSharded(unsharded) }},
@@ -61,11 +61,14 @@ func TestFanOutAllocs(t *testing.T) {
 			t.Errorf("%s: %.2f allocs per call, want 0", tc.name, allocs)
 		}
 	}
-	if got := drained.Resolve(Adaptive, timeout, "interactions"); got != BlockWithDeadline {
-		t.Fatalf("fast-draining channel resolved to %v, want BlockWithDeadline", got)
+	if !drained.ShouldBlock(timeout, "interactions") {
+		t.Fatal("fast-draining channel sheds, want block")
 	}
-	if got := fresh.Resolve(Adaptive, timeout, "interactions"); got != DropOldest {
-		t.Fatalf("undelivered connection resolved to %v, want DropOldest", got)
+	if !drained.ShouldBlock(timeout, "unseen") {
+		t.Fatal("unseen channel on a fast-draining connection sheds, want block")
+	}
+	if fresh.ShouldBlock(timeout, "interactions") {
+		t.Fatal("undelivered connection blocks, want shed")
 	}
 }
 

@@ -31,6 +31,63 @@ func stalledSub(t *testing.T, addr string, channels ...string) *Subscriber {
 func wedgedSub(t *testing.T, b *Broker, channels ...string) net.Conn {
 	t.Helper()
 	client, server := net.Pipe()
+	attachSub(t, b, server, client, channels)
+	return client
+}
+
+// gatedConn is the broker's end of a subscriber connection whose writes
+// complete at once, and are discarded, unless the test holds the gate:
+// then they wait until it is released or the connection closes. The test,
+// not the scheduler, decides when the writer delivers.
+type gatedConn struct {
+	net.Conn
+	mu           sync.Mutex
+	cond         sync.Cond
+	held, closed bool
+}
+
+func (c *gatedConn) hold(on bool) {
+	c.mu.Lock()
+	c.held = on
+	c.mu.Unlock()
+	c.cond.Broadcast()
+}
+
+func (c *gatedConn) Write(p []byte) (int, error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for c.held && !c.closed {
+		c.cond.Wait()
+	}
+	if c.closed {
+		return 0, net.ErrClosed
+	}
+	return len(p), nil
+}
+
+func (c *gatedConn) Close() error {
+	c.mu.Lock()
+	c.closed = true
+	c.mu.Unlock()
+	c.cond.Broadcast()
+	return c.Conn.Close()
+}
+
+// gatedSub subscribes over a gatedConn; closing the returned client end
+// unsubscribes.
+func gatedSub(t *testing.T, b *Broker, channels ...string) (*gatedConn, net.Conn) {
+	t.Helper()
+	client, server := net.Pipe()
+	g := &gatedConn{Conn: server}
+	g.cond.L = &g.mu
+	attachSub(t, b, g, client, channels)
+	return g, client
+}
+
+// attachSub serves server as one of b's connections and handshakes for
+// channels from client.
+func attachSub(t *testing.T, b *Broker, server, client net.Conn, channels []string) {
+	t.Helper()
 	b.wg.Add(1)
 	go func() {
 		defer b.wg.Done()
@@ -40,7 +97,16 @@ func wedgedSub(t *testing.T, b *Broker, channels ...string) net.Conn {
 		t.Fatal(err)
 	}
 	waitRegistered(t, b, 1)
-	return client
+}
+
+// waitFor polls cond until it holds, failing the test after two seconds.
+func waitFor(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	for deadline := time.Now().Add(2 * time.Second); !cond(); time.Sleep(100 * time.Microsecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+	}
 }
 
 func startBroker(t *testing.T, b *Broker) string {
@@ -64,18 +130,15 @@ func waitRegistered(t *testing.T, b *Broker, n int) {
 	}
 }
 
-// TestOverflowDropsCountedBrokerLive floods a stalled subscriber with a
-// tiny queue: drops must be counted, the broker must keep accepting
-// publishes without blocking, and the subscriber's queue stays bounded.
+// TestOverflowDropsCountedBrokerLive floods a subscriber that has never
+// delivered, and so is shed rather than waited for, with a tiny queue:
+// drops must be counted, the broker must keep accepting publishes without
+// blocking, and the subscriber's queue stays bounded.
 func TestOverflowDropsCountedBrokerLive(t *testing.T) {
 	reg := newReg(t)
 	b := NewBroker(reg, WithQueueDepth(4), WithEvictAfterOverflows(0))
 	defer b.Close()
-	addr := startBroker(t, b)
-
-	sub := stalledSub(t, addr, "m")
-	defer sub.Close()
-	waitRegistered(t, b, 1)
+	defer wedgedSub(t, b, "m").Close()
 
 	const publishes = 5000
 	start := time.Now()
@@ -188,35 +251,43 @@ func TestEvictionDiscardsAreCounted(t *testing.T) {
 	}
 }
 
-// TestBlockWithDeadlinePolicy verifies the blocking policy waits (and
-// accounts the wait) but drops the new frame once the deadline passes,
-// without wedging the publisher.
+// TestBlockWithDeadlinePolicy reaches the blocking arm the way a live
+// subscriber does: its writer drains under the deadline, then stalls. A
+// publish into the full queue waits (and accounts the wait) but refuses
+// the new frame once the deadline passes, without wedging the publisher.
 func TestBlockWithDeadlinePolicy(t *testing.T) {
 	reg := newReg(t)
 	b := NewBroker(reg,
 		WithQueueDepth(1),
-		WithOverflowPolicy(BlockWithDeadline),
 		WithBlockTimeout(5*time.Millisecond),
 		WithEvictAfterOverflows(0))
 	defer b.Close()
-	addr := startBroker(t, b)
+	g, client := gatedSub(t, b, "m")
+	defer client.Close()
 
-	sub := stalledSub(t, addr, "m")
-	defer sub.Close()
-	waitRegistered(t, b, 1)
-
-	deadline := time.Now().Add(5 * time.Second)
-	for b.Stats().RemoteDropped == 0 {
+	for i := uint64(1); i <= 2; i++ { // one at a time: a depth-1 queue sheds before the first delivery
 		if err := publishOne(b, "m", 0); err != nil {
 			t.Fatal(err)
 		}
-		if time.Now().After(deadline) {
-			t.Fatalf("blocking policy never timed out into a drop: %+v", b.Stats())
+		waitFor(t, "a delivery", func() bool { return b.Stats().RemoteDeliver == i })
+	}
+	g.hold(true) // the stall: the writer takes the next frame and its write waits
+	if err := publishOne(b, "m", 0); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "the writer to take the frame", func() bool { return b.Subscribers()[0].QueueLen == 0 })
+	for i := 0; i < 2; i++ {
+		if err := publishOne(b, "m", 0); err != nil {
+			t.Fatal(err)
 		}
 	}
 	subs := b.Subscribers()
 	if len(subs) != 1 || subs[0].BlockedNanos == 0 {
 		t.Fatalf("expected accounted blocking time, got %+v", subs)
+	}
+	if s := subs[0]; s.Refused != 1 || s.EvictedOldest != 0 || b.Stats().RemoteDropped != 1 {
+		t.Fatalf("want the deadline to refuse the one frame that met a full queue, shedding nothing: refused %d, shed %d, dropped %d",
+			s.Refused, s.EvictedOldest, b.Stats().RemoteDropped)
 	}
 }
 
@@ -331,8 +402,8 @@ func TestHandshakeRejected(t *testing.T) {
 func TestRuntimeKnobs(t *testing.T) {
 	b := NewBroker(newReg(t))
 	defer b.Close()
-	if d, p := b.QueueConfig(); d != 256 || p != "drop" {
-		t.Fatalf("defaults = %d/%s", d, p)
+	if d := b.QueueConfig(); d != 256 {
+		t.Fatalf("default depth = %d", d)
 	}
 	if err := b.SetQueueDepth(0); err == nil {
 		t.Fatal("depth 0 accepted")
@@ -340,19 +411,7 @@ func TestRuntimeKnobs(t *testing.T) {
 	if err := b.SetQueueDepth(16); err != nil {
 		t.Fatal(err)
 	}
-	if err := b.SetOverflowPolicyName("block"); err != nil {
-		t.Fatal(err)
-	}
-	if d, p := b.QueueConfig(); d != 16 || p != "block" {
-		t.Fatalf("after set = %d/%s", d, p)
-	}
-	if err := b.SetOverflowPolicyName("bogus"); err == nil {
-		t.Fatal("bogus policy accepted")
-	}
-	if _, err := ParseOverflowPolicy("drop-oldest"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ParseOverflowPolicy("block-with-deadline"); err != nil {
-		t.Fatal(err)
+	if d := b.QueueConfig(); d != 16 {
+		t.Fatalf("depth after set = %d", d)
 	}
 }

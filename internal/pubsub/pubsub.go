@@ -16,8 +16,10 @@
 // queue drained by a dedicated writer goroutine, so PublishColumns encodes
 // once, enqueues a shared frame per subscriber, and returns without ever
 // waiting on a socket. A slow or stalled subscriber overflows only its own
-// queue — shedding frames per the configured OverflowPolicy and eventually
-// being evicted — instead of backing up dissemination for the whole node.
+// queue — shedding its oldest frames, or holding the publisher for at most
+// the block timeout when its writer's observed drain time says a slot will
+// free up by then (DrainEstimate.ShouldBlock), and eventually being
+// evicted — instead of backing up dissemination for the whole node.
 package pubsub
 
 import (
@@ -98,7 +100,7 @@ type remoteConn struct {
 	defBuf      []byte
 
 	// drain is the writer goroutine's per-frame socket write time, noted by
-	// writeLoop and read by the Adaptive overflow policy on the publish path.
+	// writeLoop and read by the full-queue decision on the publish path.
 	drain DrainEstimate
 }
 
@@ -120,7 +122,7 @@ type BrokerStats struct {
 	RemoteDeliver  uint64 // records written to sockets
 	RemoteFailures uint64 // connections dropped on write error
 	RemoteEnqueued uint64 // records admitted to send queues
-	RemoteDropped  uint64 // records shed by the overflow policy, or discarded with a dropped connection
+	RemoteDropped  uint64 // records shed or refused on a full queue, or discarded with a dropped connection
 	SlowEvicted    uint64 // subscribers evicted for sustained overflow
 }
 
@@ -133,8 +135,8 @@ type SubscriberStats struct {
 	QueueLen       int
 	QueueCap       int
 	QueueCounts           // the send queue's traffic, by outcome (Popped includes the frame being written)
-	BlockedNanos   uint64 // publisher time spent waiting under BlockWithDeadline
-	DrainNanos     int64  // EWMA of per-frame socket write time (adaptive policy input)
+	BlockedNanos   uint64 // publisher time spent waiting on a full queue
+	DrainNanos     int64  // EWMA of per-frame socket write time (the full-queue decision's input)
 	OverflowStreak int64  // consecutive overflowing publishes (0 = keeping up)
 }
 
@@ -157,13 +159,11 @@ type Broker struct {
 	lastChan atomic.Pointer[chanCacheEntry]
 
 	// Fan-out knobs. blockTimeout and evictAfter are fixed at
-	// construction; the rest are live, atomically readable mid-publish.
-	// queueDepth only applies to subscribers connecting after a change;
-	// overflow takes effect immediately for all connections.
+	// construction; queueDepth is live, and only applies to subscribers
+	// connecting after a change.
 	blockTimeout time.Duration
 	evictAfter   int
 	queueDepth   atomic.Int64
-	overflow     atomic.Int32
 
 	published      atomic.Uint64
 	localDeliver   atomic.Uint64
@@ -192,7 +192,6 @@ func NewBroker(reg *pbio.Registry, opts ...Option) *Broker {
 	empty := make(map[string]*subscribers)
 	b.chans.Store(&empty)
 	b.queueDepth.Store(int64(cfg.QueueDepth))
-	b.overflow.Store(int32(cfg.Overflow))
 	return b
 }
 
@@ -312,10 +311,9 @@ func (b *Broker) fanOut(remotes []*remoteConn, f *frame) {
 	//lint:ignore atomicmix sole-owner preset: the queue mutex in enqueue publishes the store to writers before any concurrent release
 	f.refs = int64(len(remotes))
 	recs := uint64(f.recs)
-	policy, timeout := OverflowPolicy(b.overflow.Load()), b.blockTimeout
 	var enqueued, dropped uint64
 	for _, rc := range remotes {
-		a := rc.q.enqueue(f, rc.drain.Resolve(policy, timeout, f.channel), timeout)
+		a := rc.q.enqueue(f, rc.drain.ShouldBlock(b.blockTimeout, f.channel), b.blockTimeout)
 		switch a.Outcome {
 		case Admitted:
 			enqueued += recs
@@ -324,7 +322,7 @@ func (b *Broker) fanOut(remotes []*remoteConn, f *frame) {
 			dropped += uint64(a.Evicted.recs)
 			a.Evicted.release()
 		case Refused:
-			// BlockWithDeadline expired: this subscriber misses the new frame.
+			// The block deadline passed: this subscriber misses the new frame.
 			f.release()
 			dropped += recs
 		default: // QueueClosed
@@ -442,11 +440,9 @@ func (b *Broker) Subscribers() []SubscriberStats {
 	return out
 }
 
-// QueueConfig reports the current queue depth and overflow policy name —
-// the controller-facing view of the fan-out knobs.
-func (b *Broker) QueueConfig() (depth int, policy string) {
-	return int(b.queueDepth.Load()), OverflowPolicy(b.overflow.Load()).String()
-}
+// QueueConfig reports the current queue depth — the controller-facing
+// view of the fan-out knobs.
+func (b *Broker) QueueConfig() int { return int(b.queueDepth.Load()) }
 
 // SetQueueDepth changes the send queue capacity for subscribers that
 // connect from now on; existing connections keep their queues.
@@ -455,21 +451,6 @@ func (b *Broker) SetQueueDepth(n int) error {
 		return fmt.Errorf("pubsub: queue depth %d, want >= 1", n)
 	}
 	b.queueDepth.Store(int64(n))
-	return nil
-}
-
-// SetOverflowPolicy changes the full-queue policy for all connections,
-// effective on the next publish.
-func (b *Broker) SetOverflowPolicy(p OverflowPolicy) { b.overflow.Store(int32(p)) }
-
-// SetOverflowPolicyName is SetOverflowPolicy for string-typed callers
-// (the controller command path).
-func (b *Broker) SetOverflowPolicyName(name string) error {
-	p, err := ParseOverflowPolicy(name)
-	if err != nil {
-		return err
-	}
-	b.SetOverflowPolicy(p)
 	return nil
 }
 

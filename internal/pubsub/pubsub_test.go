@@ -18,7 +18,7 @@ import (
 func batchOf(ids ...uint64) *core.RecordColumns {
 	cols := &core.RecordColumns{}
 	for _, id := range ids {
-		cols.AppendRow(core.Record{ID: id, Class: "c", Flow: flowOf(id)})
+		cols.Append(&core.Record{ID: id, Class: "c", Flow: flowOf(id)})
 	}
 	return cols
 }

@@ -1,7 +1,6 @@
 package pubsub
 
 import (
-	"fmt"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -9,68 +8,14 @@ import (
 	"sysprof/internal/pbio"
 )
 
-// OverflowPolicy decides what happens when a remote subscriber's send
-// queue is full at enqueue time.
-type OverflowPolicy int32
-
-const (
-	// DropOldest evicts the oldest queued frame to admit the new one.
-	// Publishing never blocks; a slow subscriber sees the freshest data
-	// with gaps. This is the default: SysProf monitoring data ages fast,
-	// so stale frames are the right thing to shed.
-	DropOldest OverflowPolicy = iota
-	// BlockWithDeadline makes the publisher wait up to the configured
-	// block timeout for queue space; if the deadline passes the NEW frame
-	// is dropped for that subscriber. Use when losing the most recent
-	// records matters more than bounding publish latency.
-	BlockWithDeadline
-	// Adaptive picks between the two per subscriber from the observed
-	// drain rate: when the connection's writer has been draining a frame
-	// faster than the block timeout, a full queue will free a slot within
-	// the deadline, so a short blocking wait loses nothing; when the
-	// subscriber drains slower than the timeout (or has never delivered),
-	// blocking would burn publisher time for a frame that gets dropped
-	// anyway, so the policy falls back to shedding the oldest frame.
-	Adaptive
-)
-
-func (p OverflowPolicy) String() string {
-	switch p {
-	case DropOldest:
-		return "drop"
-	case BlockWithDeadline:
-		return "block"
-	case Adaptive:
-		return "adaptive"
-	default:
-		return fmt.Sprintf("overflow(%d)", int32(p))
-	}
-}
-
-// ParseOverflowPolicy maps a knob string ("drop"/"drop-oldest",
-// "block"/"block-with-deadline", "adaptive") to a policy.
-func ParseOverflowPolicy(s string) (OverflowPolicy, error) {
-	switch s {
-	case "drop", "drop-oldest":
-		return DropOldest, nil
-	case "block", "block-with-deadline":
-		return BlockWithDeadline, nil
-	case "adaptive":
-		return Adaptive, nil
-	default:
-		return DropOldest, fmt.Errorf("pubsub: unknown overflow policy %q (want drop, block, or adaptive)", s)
-	}
-}
-
 // Config holds the remote fan-out knobs. Zero values take the defaults.
 type Config struct {
 	// QueueDepth is the per-subscriber outgoing queue capacity, in
 	// frames (one published batch = at most one frame). Default 256.
 	QueueDepth int
-	// Overflow picks the full-queue policy. Default DropOldest.
-	Overflow OverflowPolicy
-	// BlockTimeout bounds how long BlockWithDeadline waits for queue
-	// space. Default 10ms.
+	// BlockTimeout bounds how long a publisher waits for space in a full
+	// queue (DrainEstimate.ShouldBlock decides whether it waits at all).
+	// Default 10ms.
 	BlockTimeout time.Duration
 	// EvictAfterOverflows disconnects a subscriber after this many
 	// consecutive publishes that overflowed its queue — a subscriber
@@ -83,7 +28,6 @@ type Config struct {
 func DefaultConfig() Config {
 	return Config{
 		QueueDepth:          256,
-		Overflow:            DropOldest,
 		BlockTimeout:        10 * time.Millisecond,
 		EvictAfterOverflows: 64,
 	}
@@ -95,10 +39,7 @@ type Option func(*Config)
 // WithQueueDepth sets the per-subscriber send queue capacity in frames.
 func WithQueueDepth(n int) Option { return func(c *Config) { c.QueueDepth = n } }
 
-// WithOverflowPolicy sets the full-queue policy.
-func WithOverflowPolicy(p OverflowPolicy) Option { return func(c *Config) { c.Overflow = p } }
-
-// WithBlockTimeout sets the BlockWithDeadline wait bound.
+// WithBlockTimeout sets the full-queue wait bound.
 func WithBlockTimeout(d time.Duration) Option { return func(c *Config) { c.BlockTimeout = d } }
 
 // WithEvictAfterOverflows sets the sustained-overflow eviction threshold
@@ -147,8 +88,8 @@ func (f *frame) release() {
 }
 
 // Queue is one subscriber's send queue as a pure state machine: a bounded
-// FIFO ring of frames, admission under an already-resolved overflow
-// policy, the consecutive-overflow streak with its eviction verdict, and
+// FIFO ring of frames, admission under an already-made block-or-shed
+// decision, the consecutive-overflow streak with its eviction verdict, and
 // every traffic counter. It takes no lock and reads no clock; whoever
 // drives it supplies both, and all the waiting — sendQueue for the
 // broker's writer goroutines, sim-engine events in the scenario harness,
@@ -191,7 +132,7 @@ const (
 	Admitted  Outcome = iota // queued in a free slot; the overflow streak is zeroed
 	Displaced                // queued in place of the oldest frame, which Admission.Evicted hands to the caller
 	Refused                  // dropped for this subscriber (what Refuse returns)
-	// WouldBlock: BlockWithDeadline met a full ring and nothing changed. The
+	// WouldBlock: a blocking offer met a full ring and nothing changed. The
 	// driver waits for a Pop and offers again, or gives up with Refuse.
 	WouldBlock
 	QueueClosed // the subscriber is gone; nothing is queued or counted
@@ -212,10 +153,9 @@ func NewQueue[F any](depth, evictAfter int) Queue[F] {
 	return Queue[F]{ring: make([]queued[F], max(depth, 1)), evictAfter: int64(evictAfter)}
 }
 
-// Offer admits f, carrying recs records, under a resolved policy: into a
-// free slot if there is one, else WouldBlock under BlockWithDeadline and
-// Displaced under anything else.
-func (q *Queue[F]) Offer(f F, recs uint64, policy OverflowPolicy) (a Admission[F]) {
+// Offer admits f, carrying recs records: into a free slot if there is one,
+// else WouldBlock when block is set and Displaced when it is not.
+func (q *Queue[F]) Offer(f F, recs uint64, block bool) (a Admission[F]) {
 	switch {
 	case q.closed:
 		return Admission[F]{Outcome: QueueClosed}
@@ -223,7 +163,7 @@ func (q *Queue[F]) Offer(f F, recs uint64, policy OverflowPolicy) (a Admission[F
 		q.ring[(q.head+q.n)%len(q.ring)] = queued[F]{f, recs}
 		q.n++
 		q.streak = 0
-	case policy == BlockWithDeadline:
+	case block:
 		return Admission[F]{Outcome: WouldBlock}
 	default:
 		// The new frame lands exactly where the evicted one sat ((head+1 +
@@ -299,40 +239,38 @@ func (q *Queue[F]) QueuedRecords() (recs uint64) {
 }
 
 // DrainEstimate is one connection's observed per-frame drain time, the
-// input of the Adaptive policy: an EWMA over every frame and one per
-// channel. Only the connection's writer calls Note; Resolve only loads.
+// input of the full-queue decision: an EWMA over every frame and one per
+// channel. Only the connection's writer calls Note; ShouldBlock only loads.
 type DrainEstimate struct {
 	nanos atomic.Int64
 	// byChannel is a copy-on-write map (a channel shows up once, on its
-	// first delivered frame). It floors the Adaptive decision per channel,
-	// so one fast channel on a shared connection cannot mask a slow one.
+	// first delivered frame). It floors the decision per channel, so one
+	// fast channel on a shared connection cannot mask a slow one.
 	byChannel atomic.Pointer[map[string]*atomic.Int64]
 }
 
-// Resolve turns the configured policy into the one Queue.Offer applies:
-// Adaptive blocks when the estimate says a queue slot will free up within
-// the deadline, and sheds otherwise or before any delivery.
+// ShouldBlock decides what a full queue does with a frame of channel. When
+// the writer has been draining a frame within the timeout, a slot will free
+// up before the deadline, so a short blocking wait loses nothing: true, and
+// the publisher waits. When it drains slower than the timeout, or has never
+// delivered, blocking would burn publisher time for a frame that gets
+// refused anyway: false, and the queue sheds its oldest frame, so a slow
+// subscriber sees the freshest data with gaps.
 //
 //sysprof:nonblocking
-func (d *DrainEstimate) Resolve(policy OverflowPolicy, timeout time.Duration, channel string) OverflowPolicy {
-	if policy != Adaptive {
-		return policy
-	}
+func (d *DrainEstimate) ShouldBlock(timeout time.Duration, channel string) bool {
 	est := d.nanos.Load()
 	if m := d.byChannel.Load(); m != nil && channel != "" {
 		if e := (*m)[channel]; e != nil {
 			est = max(est, e.Load())
 		}
 	}
-	if est > 0 && time.Duration(est) <= timeout {
-		return BlockWithDeadline
-	}
-	return DropOldest
+	return est > 0 && time.Duration(est) <= timeout
 }
 
 // Note folds one frame's drain time into the connection and per-channel
 // EWMAs (α = 1/8). Plain load-modify-store sequences are race-free under
-// the single-caller rule; the atomic stores publish to Resolve.
+// the single-caller rule; the atomic stores publish to ShouldBlock.
 func (d *DrainEstimate) Note(channel string, dur int64) {
 	prev := d.nanos.Load()
 	d.nanos.Store(prev - prev/8 + dur/8)
@@ -380,17 +318,17 @@ func newSendQueue(depth, evictAfter int) *sendQueue {
 	return q
 }
 
-// enqueue offers f to the machine under a resolved policy. The caller owns
-// the reference of a frame that was not admitted, and of a displaced one.
-// Under DropOldest it never waits; BlockWithDeadline bounds the wait by
-// the timeout, so the publish path cannot stall indefinitely.
+// enqueue offers f to the machine. The caller owns the reference of a
+// frame that was not admitted, and of a displaced one. A shedding offer
+// never waits; a blocking one waits at most the timeout, so the publish
+// path cannot stall indefinitely.
 //
 //sysprof:nonblocking
-func (q *sendQueue) enqueue(f *frame, policy OverflowPolicy, timeout time.Duration) Admission[*frame] {
+func (q *sendQueue) enqueue(f *frame, block bool, timeout time.Duration) Admission[*frame] {
 	recs := uint64(f.recs)
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	a := q.m.Offer(f, recs, policy)
+	a := q.m.Offer(f, recs, block)
 	if a.Outcome == WouldBlock {
 		start := time.Now()
 		timer := time.AfterFunc(timeout, func() {
@@ -399,9 +337,9 @@ func (q *sendQueue) enqueue(f *frame, policy OverflowPolicy, timeout time.Durati
 			q.mu.Unlock()
 		})
 		for a.Outcome == WouldBlock && time.Since(start) < timeout {
-			//lint:ignore nonblock BlockWithDeadline is an explicitly bounded wait: the AfterFunc broadcast wakes this within the timeout
+			//lint:ignore nonblock a blocking offer is an explicitly bounded wait: the AfterFunc broadcast wakes this within the timeout
 			q.notFull.Wait()
-			a = q.m.Offer(f, recs, policy)
+			a = q.m.Offer(f, recs, block)
 		}
 		timer.Stop()
 		q.blockedNanos += uint64(time.Since(start))

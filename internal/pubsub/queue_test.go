@@ -7,38 +7,44 @@ import (
 	"testing"
 )
 
-// queueConfigs is the grid both queue tests sweep. Adaptive stands for a
-// policy that flips between its two resolutions from one offer to the next.
-func queueConfigs(fn func(policy OverflowPolicy, depth, evictAfter int)) {
-	for _, policy := range []OverflowPolicy{DropOldest, BlockWithDeadline, Adaptive} {
+// queueConfigs is the grid both queue tests sweep. The mode is how each
+// offer's block-or-shed input is drawn: "shed" and "block" hold it fixed,
+// and "drawn" flips it from one offer to the next, as
+// DrainEstimate.ShouldBlock may.
+func queueConfigs(fn func(mode string, depth, evictAfter int)) {
+	for _, mode := range []string{"shed", "block", "drawn"} {
 		for _, depth := range []int{1, 2, 8} {
 			for _, evictAfter := range []int{0, 3} {
-				fn(policy, depth, evictAfter)
+				fn(mode, depth, evictAfter)
 			}
 		}
 	}
 }
 
-func resolved(policy OverflowPolicy, rng *rand.Rand) OverflowPolicy {
-	if policy == Adaptive {
-		return []OverflowPolicy{DropOldest, BlockWithDeadline}[rng.Intn(2)]
+// blocks draws one offer's block-or-shed input under mode.
+func blocks(mode string, rng *rand.Rand) bool {
+	switch mode {
+	case "shed":
+		return false
+	case "block":
+		return true
 	}
-	return policy
+	return rng.Intn(2) == 1
 }
 
 // TestQueueMachineProperties drives the bare state machine with seeded
 // random offer / refuse / pop / lose / close scripts against an independent
 // model (a slice of frame ids and sizes) and checks, after every step, the
-// conservation identities, FIFO order, the per-policy guarantees, and the
-// overflow streak with its eviction verdict.
+// conservation identities, FIFO order, what blocking and shedding offers
+// each guarantee, and the overflow streak with its eviction verdict.
 func TestQueueMachineProperties(t *testing.T) {
 	type modelFrame struct {
 		id   int
 		recs uint64
 	}
-	queueConfigs(func(policy OverflowPolicy, depth, evictAfter int) {
+	queueConfigs(func(mode string, depth, evictAfter int) {
 		for seed := int64(1); seed <= 20; seed++ {
-			name := fmt.Sprintf("%v/depth=%d/evict=%d/seed=%d", policy, depth, evictAfter, seed)
+			name := fmt.Sprintf("%s/depth=%d/evict=%d/seed=%d", mode, depth, evictAfter, seed)
 			rng := rand.New(rand.NewSource(seed))
 			q := NewQueue[int](depth, evictAfter)
 			var model, popped []modelFrame
@@ -50,11 +56,11 @@ func TestQueueMachineProperties(t *testing.T) {
 				case r < 11: // offer
 					f := modelFrame{nextID, uint64(1 + rng.Intn(4))}
 					nextID++
-					p := resolved(policy, rng)
-					a := q.Offer(f.id, f.recs, p)
+					block := blocks(mode, rng)
+					a := q.Offer(f.id, f.recs, block)
 					if a.Outcome == WouldBlock {
-						if p != BlockWithDeadline || len(model) != depth {
-							t.Fatalf("%s step %d: WouldBlock under %v with %d/%d queued", name, step, p, len(model), depth)
+						if !block || len(model) != depth {
+							t.Fatalf("%s step %d: WouldBlock with block=%v and %d/%d queued", name, step, block, len(model), depth)
 						}
 						if q.streak != streak {
 							t.Fatalf("%s step %d: a WouldBlock offer moved the streak", name, step)
@@ -78,16 +84,16 @@ func TestQueueMachineProperties(t *testing.T) {
 							t.Fatalf("%s step %d: a clean admit left the streak at %d", name, step, q.streak)
 						}
 					case Displaced:
-						if p == BlockWithDeadline {
-							t.Fatalf("%s step %d: BlockWithDeadline evicted the oldest frame", name, step)
+						if block {
+							t.Fatalf("%s step %d: a blocking offer evicted the oldest frame", name, step)
 						}
 						if len(model) != depth || a.Evicted != model[0].id {
 							t.Fatalf("%s step %d: displaced %d, model head %v of %d/%d", name, step, a.Evicted, model[0], len(model), depth)
 						}
 						model = append(model[1:], f)
 					case Refused:
-						if p != BlockWithDeadline {
-							t.Fatalf("%s step %d: %v refused a frame", name, step, p)
+						if !block {
+							t.Fatalf("%s step %d: a shedding offer was refused", name, step)
 						}
 					}
 					if a.Outcome == Displaced || a.Outcome == Refused {
@@ -148,11 +154,11 @@ func TestQueueMachineProperties(t *testing.T) {
 					t.Fatalf("%s step %d: admitted %d != popped %d + evicted-oldest %d + discarded %d + queued %d",
 						name, step, c.Admitted, c.Popped, c.EvictedOldest, c.Discarded, queued)
 				}
-				if policy == DropOldest && c.Refused != 0 {
-					t.Fatalf("%s step %d: DropOldest refused %d records", name, step, c.Refused)
+				if mode == "shed" && c.Refused != 0 {
+					t.Fatalf("%s step %d: shedding offers refused %d records", name, step, c.Refused)
 				}
-				if policy == BlockWithDeadline && c.EvictedOldest != 0 {
-					t.Fatalf("%s step %d: BlockWithDeadline evicted %d records", name, step, c.EvictedOldest)
+				if mode == "block" && c.EvictedOldest != 0 {
+					t.Fatalf("%s step %d: blocking offers evicted %d records", name, step, c.EvictedOldest)
 				}
 			}
 		}
@@ -170,7 +176,7 @@ const queueTraceHash = 0xef92416836240006
 // (a frame that would block is refused at once, a zero block timeout), a
 // non-blocking pop, and the rest of the machine's surface.
 type queueDriver interface {
-	offer(f *frame, policy OverflowPolicy) Admission[*frame]
+	offer(f *frame, block bool) Admission[*frame]
 	pop() (*frame, bool)
 	lose(recs uint64)
 	close()
@@ -179,8 +185,8 @@ type queueDriver interface {
 
 type bareQueue struct{ q Queue[*frame] }
 
-func (d *bareQueue) offer(f *frame, policy OverflowPolicy) Admission[*frame] {
-	a := d.q.Offer(f, uint64(f.recs), policy)
+func (d *bareQueue) offer(f *frame, block bool) Admission[*frame] {
+	a := d.q.Offer(f, uint64(f.recs), block)
 	if a.Outcome == WouldBlock {
 		a = d.q.Refuse(uint64(f.recs))
 	}
@@ -193,8 +199,8 @@ func (d *bareQueue) counts() (QueueCounts, int) { return d.q.Counts, d.q.Len() }
 
 type lockedQueue struct{ q *sendQueue }
 
-func (d *lockedQueue) offer(f *frame, policy OverflowPolicy) Admission[*frame] {
-	return d.q.enqueue(f, policy, 0)
+func (d *lockedQueue) offer(f *frame, block bool) Admission[*frame] {
+	return d.q.enqueue(f, block, 0)
 }
 func (d *lockedQueue) pop() (*frame, bool) {
 	if m, _ := d.q.snapshot(); m.Len() == 0 {
@@ -215,7 +221,7 @@ func (d *lockedQueue) counts() (QueueCounts, int) {
 // next drain step delivers it; an eviction verdict or the disconnect step
 // loses the frame in flight and closes the queue. It returns the counters
 // and queue length after every step.
-func runQueueScript(d queueDriver, policy OverflowPolicy, seed int64) []string {
+func runQueueScript(d queueDriver, mode string, seed int64) []string {
 	rng := rand.New(rand.NewSource(seed))
 	var inflight *frame
 	disconnect := func() {
@@ -230,7 +236,7 @@ func runQueueScript(d queueDriver, policy OverflowPolicy, seed int64) []string {
 		switch r := rng.Intn(40); {
 		case r < 26:
 			f := &frame{recs: 1 + rng.Intn(4)}
-			if a := d.offer(f, resolved(policy, rng)); a.Evict {
+			if a := d.offer(f, blocks(mode, rng)); a.Evict {
 				disconnect()
 			}
 		case r < 39 || step < 150:
@@ -253,14 +259,14 @@ func runQueueScript(d queueDriver, policy OverflowPolicy, seed int64) []string {
 // scenario harness's driver (see queueTraceHash).
 func TestSendQueueMatchesMachine(t *testing.T) {
 	h := fnv.New64a()
-	queueConfigs(func(policy OverflowPolicy, depth, evictAfter int) {
+	queueConfigs(func(mode string, depth, evictAfter int) {
 		for seed := int64(1); seed <= 5; seed++ {
-			want := runQueueScript(&bareQueue{NewQueue[*frame](depth, evictAfter)}, policy, seed)
-			got := runQueueScript(&lockedQueue{newSendQueue(depth, evictAfter)}, policy, seed)
+			want := runQueueScript(&bareQueue{NewQueue[*frame](depth, evictAfter)}, mode, seed)
+			got := runQueueScript(&lockedQueue{newSendQueue(depth, evictAfter)}, mode, seed)
 			for i := range want {
 				if got[i] != want[i] {
-					t.Fatalf("%v/depth=%d/evict=%d/seed=%d step %d:\n sendQueue %s\n machine   %s",
-						policy, depth, evictAfter, seed, i, got[i], want[i])
+					t.Fatalf("%s/depth=%d/evict=%d/seed=%d step %d:\n sendQueue %s\n machine   %s",
+						mode, depth, evictAfter, seed, i, got[i], want[i])
 				}
 				fmt.Fprintln(h, want[i])
 			}

@@ -17,7 +17,7 @@ func recvRows(base, n int) *core.RecordColumns {
 	cols := core.NewRecordColumns(n)
 	for i := 0; i < n; i++ {
 		id := uint64(base + i)
-		cols.AppendRow(core.Record{
+		cols.Append(&core.Record{
 			ID:   id,
 			Node: simnet.NodeID(1 + i%3),
 			Flow: simnet.FlowKey{

@@ -1,7 +1,6 @@
 package scenario
 
 import (
-	"fmt"
 	"time"
 
 	"sysprof/internal/core"
@@ -43,11 +42,6 @@ func Run(spec Spec) (*Report, error) {
 	if err := spec.Normalize(); err != nil {
 		return nil, err
 	}
-	policy, err := pubsub.ParseOverflowPolicy(spec.Monitor.Overflow)
-	if err != nil {
-		return nil, fmt.Errorf("scenario %s: %w", spec.Name, err)
-	}
-
 	reg := pbio.NewRegistry()
 	if err := dissem.RegisterFormats(reg); err != nil {
 		return nil, err
@@ -76,7 +70,7 @@ func Run(spec Spec) (*Report, error) {
 			LoadWindow:        time.Second,
 			Shards:            1,
 		}, eng.Now)
-		r.shards[i] = newShardSub(i, eng, g, &spec.Monitor, policy)
+		r.shards[i] = newShardSub(i, eng, g, &spec.Monitor)
 	}
 	broker.Subscribe(dissem.ChannelInteractions, func(rec any) {
 		if cols, ok := rec.(*core.RecordColumns); ok {
@@ -99,14 +93,15 @@ func Run(spec Spec) (*Report, error) {
 }
 
 // route fans one published batch out to the shard subscribers with the
-// broker's own partition sweep, shards in index order. Routed frames are
-// copies — the source batch is only valid during the subscriber callback.
+// broker's own partition sweep, shards in index order, and its full-queue
+// decision from each subscriber's drain estimate. Routed frames are copies
+// — the source batch is only valid during the subscriber callback.
 func (r *runner) route(cols *core.RecordColumns) {
 	f := &core.RecordColumns{}
 	for sh, s := range r.shards {
 		sel := core.ShardSelector{Index: uint32(sh), Count: uint32(len(r.shards))}
 		if sel.Gather(f, cols); f.Len() > 0 {
-			s.offer(f)
+			s.offer(f, s.est.ShouldBlock(s.m.BlockTimeout, dissem.ChannelInteractions))
 			f = &core.RecordColumns{}
 		}
 	}

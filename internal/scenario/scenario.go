@@ -112,10 +112,8 @@ type MonitorSpec struct {
 	// DrainPerFrame is how long a healthy subscriber takes to ingest one
 	// frame; slow-subscriber chaos multiplies it.
 	DrainPerFrame time.Duration
-	// Overflow is the full-queue policy: "drop", "block", or "adaptive"
-	// (pubsub.ParseOverflowPolicy spellings).
-	Overflow string
-	// BlockTimeout bounds the blocking wait for "block"/"adaptive".
+	// BlockTimeout bounds a publisher's wait on a full queue (the broker's
+	// pubsub.DrainEstimate decides whether it waits).
 	BlockTimeout time.Duration
 	// EvictAfter disconnects a subscriber after this many consecutive
 	// overflows (0 = never).
@@ -281,9 +279,6 @@ func (s *Spec) Normalize() error {
 	if m.DrainPerFrame <= 0 {
 		m.DrainPerFrame = 200 * time.Microsecond
 	}
-	if m.Overflow == "" {
-		m.Overflow = "drop"
-	}
 	if m.BlockTimeout <= 0 {
 		m.BlockTimeout = time.Millisecond
 	}
@@ -374,7 +369,7 @@ func Builtins() map[string]Spec {
 			Templates: smallTemplates,
 			Monitor: MonitorSpec{
 				Shards: 4, QueueDepth: 8, DrainPerFrame: 500 * time.Microsecond,
-				Overflow: "adaptive", EvictAfter: 32,
+				EvictAfter: 32,
 			},
 			Chaos: []ChaosEvent{
 				{At: 1500 * time.Millisecond, Kind: ChaosLoss, Count: 4, Rate: 0.4, Duration: time.Second},
@@ -389,13 +384,12 @@ func Builtins() map[string]Spec {
 		},
 		// overflow-small is the one builtin that fills a send queue, so the
 		// broker's overflow arms sit under the byte-diff guard too. Both
-		// shards run the adaptive policy on a one-frame queue. Shard 0's
-		// healthy drain beats the block timeout, so full-queue publishes
-		// block-admit (or are refused at the deadline); slowed past it, the
-		// policy sheds the oldest frame instead, and recovers. Shard 1 stalls
-		// from its first frame: with no delivery to estimate from the policy
-		// sheds on every publish and the streak runs into the eviction
-		// threshold.
+		// shards run on a one-frame queue. Shard 0's healthy drain beats the
+		// block timeout, so full-queue publishes block-admit (or are refused
+		// at the deadline); slowed past it, the queue sheds the oldest frame
+		// instead, and recovers. Shard 1 stalls from its first frame: with no
+		// delivery to estimate from it sheds on every publish and the streak
+		// runs into the eviction threshold.
 		"overflow-small": {
 			Name:     "overflow-small",
 			Seed:     3,
@@ -409,7 +403,7 @@ func Builtins() map[string]Spec {
 			},
 			Monitor: MonitorSpec{
 				Shards: 2, QueueDepth: 1, DrainPerFrame: 200 * time.Microsecond,
-				Overflow: "adaptive", BlockTimeout: time.Millisecond, EvictAfter: 8,
+				BlockTimeout: time.Millisecond, EvictAfter: 8,
 			},
 			Chaos: []ChaosEvent{
 				{At: 0, Kind: ChaosSlowSub, Shard: 1, Factor: 1000, Duration: time.Second},
@@ -436,7 +430,7 @@ func Builtins() map[string]Spec {
 			},
 			Monitor: MonitorSpec{
 				Shards: 8, QueueDepth: 64, DrainPerFrame: 100 * time.Microsecond,
-				Overflow: "adaptive", EvictAfter: 128,
+				EvictAfter: 128,
 			},
 			Chaos: []ChaosEvent{
 				{At: 2 * time.Second, Kind: ChaosNodeCrash, Count: 20},

@@ -11,7 +11,7 @@ import (
 )
 
 // shardSub drives one GPA shard's subscriber connection in virtual time.
-// The queue, overflow policies, eviction streak and adaptive drain estimate
+// The queue, its block-or-shed decision, eviction streak and drain estimate
 // are the broker's own (pubsub.Queue, pubsub.DrainEstimate); this type is
 // only their driver — what pubsub's sendQueue and writer goroutine are on a
 // real clock, whose OS scheduling would make byte-identical reports
@@ -19,11 +19,10 @@ import (
 // publisher that must wait for a slot is a parked frame with a deadline
 // event. Chaos sets slowFactor, flaps it (setDetached) or kills it.
 type shardSub struct {
-	idx    int
-	eng    *sim.Engine
-	g      *gpa.GPA
-	m      *MonitorSpec
-	policy pubsub.OverflowPolicy
+	idx int
+	eng *sim.Engine
+	g   *gpa.GPA
+	m   *MonitorSpec
 
 	// The current connection. A reattach starts a fresh queue and estimate,
 	// as a re-dialled broker connection would, under the running counters.
@@ -67,8 +66,8 @@ type parkedFrame struct {
 	deadline *sim.Event
 }
 
-func newShardSub(idx int, eng *sim.Engine, g *gpa.GPA, m *MonitorSpec, policy pubsub.OverflowPolicy) *shardSub {
-	s := &shardSub{idx: idx, eng: eng, g: g, m: m, policy: policy, slowFactor: 1}
+func newShardSub(idx int, eng *sim.Engine, g *gpa.GPA, m *MonitorSpec) *shardSub {
+	s := &shardSub{idx: idx, eng: eng, g: g, m: m, slowFactor: 1}
 	s.connect()
 	return s
 }
@@ -86,16 +85,17 @@ func (s *shardSub) effDrain() time.Duration {
 	return time.Duration(float64(s.m.DrainPerFrame) * s.slowFactor)
 }
 
-// offer hands the subscriber one routed frame (never an empty one). The
-// frame is owned by the subscriber from here on.
-func (s *shardSub) offer(f *core.RecordColumns) {
+// offer hands the subscriber one routed frame (never an empty one), with
+// the router's block-or-shed decision for a full queue. The frame is owned
+// by the subscriber from here on.
+func (s *shardSub) offer(f *core.RecordColumns, block bool) {
 	n := uint64(f.Len())
 	s.offered += n
 	if s.state != attached {
 		s.lost[s.state] += n
 		return
 	}
-	a := s.q.Offer(f, n, s.est.Resolve(s.policy, s.m.BlockTimeout, dissem.ChannelInteractions))
+	a := s.q.Offer(f, n, block)
 	if a.Outcome != pubsub.WouldBlock {
 		s.settle(a)
 		return
@@ -136,7 +136,7 @@ func (s *shardSub) kick() {
 		p.deadline.Cancel()
 		s.blockAdmits++
 		s.blockedFor += s.eng.Now() - p.since
-		s.q.Offer(p.f, uint64(p.f.Len()), pubsub.BlockWithDeadline)
+		s.q.Offer(p.f, uint64(p.f.Len()), true)
 	}
 	d := s.effDrain()
 	s.inflight = uint64(f.Len())

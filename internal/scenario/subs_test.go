@@ -9,7 +9,6 @@ import (
 
 	"sysprof/internal/core"
 	"sysprof/internal/gpa"
-	"sysprof/internal/pubsub"
 	"sysprof/internal/sim"
 )
 
@@ -19,21 +18,21 @@ import (
 const queueTraceHash = 0xef92416836240006
 
 // TestShardSubMatchesSendQueue plays pubsub's non-waiting driver script
-// (runQueueScript there: same seeds, same draws, a zero block timeout)
-// through shardSub on a sim engine. Every step must leave the counters and
+// (runQueueScript there: same seeds, same draws of the block-or-shed
+// input, a zero block timeout) through shardSub on a sim engine. Every step must leave the counters and
 // queue length the broker's own driver leaves — the harness adds virtual
 // time to the shipped queue, never outcomes of its own.
 func TestShardSubMatchesSendQueue(t *testing.T) {
 	const drain = time.Millisecond
 	h := fnv.New64a()
-	for _, policy := range []pubsub.OverflowPolicy{pubsub.DropOldest, pubsub.BlockWithDeadline, pubsub.Adaptive} {
+	for _, mode := range []string{"shed", "block", "drawn"} {
 		for _, depth := range []int{1, 2, 8} {
 			for _, evictAfter := range []int{0, 3} {
 				for seed := int64(1); seed <= 5; seed++ {
 					eng := sim.NewEngine()
 					g := gpa.New(gpa.Config{CorrelationWindow: time.Second, LoadWindow: time.Second, Shards: 1}, eng.Now)
 					m := &MonitorSpec{QueueDepth: depth, DrainPerFrame: drain, EvictAfter: evictAfter}
-					s := newShardSub(0, eng, g, m, policy)
+					s := newShardSub(0, eng, g, m)
 					rng := rand.New(rand.NewSource(seed))
 					for step := 0; step < 200; step++ {
 						switch r := rng.Intn(40); {
@@ -42,11 +41,11 @@ func TestShardSubMatchesSendQueue(t *testing.T) {
 							for n := 1 + rng.Intn(4); n > 0; n-- {
 								f.Append(&core.Record{})
 							}
-							s.policy = policy
-							if policy == pubsub.Adaptive {
-								s.policy = []pubsub.OverflowPolicy{pubsub.DropOldest, pubsub.BlockWithDeadline}[rng.Intn(2)]
+							block := mode == "block"
+							if mode == "drawn" {
+								block = rng.Intn(2) == 1
 							}
-							s.offer(f)
+							s.offer(f, block)
 						case r < 39 || step < 150:
 							// The frame in flight (popped at this instant or
 							// one drain ago) completes exactly now.
@@ -64,7 +63,7 @@ func TestShardSubMatchesSendQueue(t *testing.T) {
 					}
 					if s.offered != s.q.Counts.Popped-s.inflight+s.q.Counts.Refused+s.q.Counts.EvictedOldest+
 						s.lost[evicted]+s.lost[dead]+s.queuedRecords() {
-						t.Fatalf("%v/depth=%d/evict=%d/seed=%d: the shard's accounting does not close: %+v", policy, depth, evictAfter, seed, s)
+						t.Fatalf("%s/depth=%d/evict=%d/seed=%d: the shard's accounting does not close: %+v", mode, depth, evictAfter, seed, s)
 					}
 				}
 			}

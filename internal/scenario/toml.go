@@ -263,7 +263,6 @@ func ParseSpec(src string) (Spec, error) {
 		b.integer("shards", &m.Shards)
 		b.integer("queue_depth", &m.QueueDepth)
 		b.duration("drain_per_frame", &m.DrainPerFrame)
-		b.str("overflow", &m.Overflow)
 		b.duration("block_timeout", &m.BlockTimeout)
 		b.integer("evict_after", &m.EvictAfter)
 		b.duration("correlation_window", &m.CorrelationWindow)

@@ -24,7 +24,6 @@ peers_per_client = 3
 shards = 4
 queue_depth = 16
 drain_per_frame = "300us"
-overflow = "adaptive"
 block_timeout = "2ms"
 evict_after = 10
 correlation_window = "250ms"
@@ -83,7 +82,7 @@ func TestParseSpecFull(t *testing.T) {
 	}
 	m := spec.Monitor
 	if m.Shards != 4 || m.QueueDepth != 16 || m.DrainPerFrame != 300*time.Microsecond ||
-		m.Overflow != "adaptive" || m.BlockTimeout != 2*time.Millisecond ||
+		m.BlockTimeout != 2*time.Millisecond ||
 		m.EvictAfter != 10 || m.CorrelationWindow != 250*time.Millisecond ||
 		m.QueryInterval != 500*time.Millisecond || m.QueryTimeout != 50*time.Millisecond {
 		t.Fatalf("monitor wrong: %+v", m)
@@ -129,6 +128,9 @@ func TestParseSpecErrors(t *testing.T) {
 		want string
 	}{
 		{"unknown key", "name = \"x\"\nbogus = 1\n", "unknown key scenario.bogus"},
+		// The broker decides what a full queue does; the retired policy
+		// key is refused like any other.
+		{"retired overflow key", "name = \"x\"\n[monitor]\noverflow = \"adaptive\"\n", "unknown key monitor.overflow"},
 		{"unknown table", "name = \"x\"\n[nope]\na = 1\n", "unknown table [nope]"},
 		{"unknown array", "name = \"x\"\n[[nope]]\na = 1\n", "unknown table array [[nope]]"},
 		{"bad duration", "name = \"x\"\nduration = \"fast\"\n", "duration string"},
