@@ -19,8 +19,13 @@
 // Example:
 //
 //	sysprofctl granularity webserver interactions class
-//	sysprofctl federation retention 100000
 //	sysprofctl cpa install webserver latency-watch.ec latency-watch net
+//
+// Any server of the same line protocol answers it too; a federation of
+// gpad shards is administered through its merge frontend's query port:
+//
+//	sysprofctl -addr 127.0.0.1:9182 retention 100000   # gpad -frontend … -query 127.0.0.1:9182
+//	sysprofctl -addr 127.0.0.1:9182 federation
 package main
 
 import (

@@ -10,11 +10,19 @@
 //   - the controller's management protocol over TCP (-ctl), which
 //     cmd/sysprofctl drives.
 //
+// With -ntp-interval the node's clock-error bound is re-measured on a
+// cadence, and with -federation each bound is also sent to the listed
+// gpad shard query endpoints as "clockbound <node> <bound>". That is all
+// the node tells a federation: the federation itself (retention, clock
+// bounds by hand, shard liveness) is administered through the merge
+// frontend's port, sysprofctl -addr <gpad -frontend -query address>.
+//
 // Virtual time is paced against wall-clock time, so the daemon behaves
 // like a long-running monitored system.
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -35,7 +43,6 @@ import (
 	"sysprof/internal/core"
 	"sysprof/internal/dissem"
 	"sysprof/internal/ecode"
-	"sysprof/internal/gpa"
 	"sysprof/internal/lineproto"
 	"sysprof/internal/ntpclock"
 	"sysprof/internal/pbio"
@@ -57,10 +64,15 @@ func main() {
 	flag.StringVar(&opts.topology, "topology", "simple", "hosted cluster: simple (web server), nfs (storage proxy), rubis (auction site)")
 	psQueue := flag.Int("pubsub-queue", 256, fmt.Sprintf("per-subscriber send-queue depth (frames); a full queue holds the publisher up to %v for a subscriber observed to drain a frame within that, and sheds its oldest frame for any other", pubsub.DefaultConfig().BlockTimeout))
 	psEvict := flag.Int("pubsub-evict", 64, "evict a subscriber after this many consecutive overflows (0 = never)")
-	fedEndpoints := flag.String("federation", "", "comma-separated gpad shard query endpoints; attaches a federation frontend to the controller (sysprofctl federation ...)")
+	fedEndpoints := flag.String("federation", "", "comma-separated gpad shard query endpoints to send each measured clock-error bound to (needs -ntp-interval)")
 	flag.DurationVar(&opts.ntpInterval, "ntp-interval", 0, "automatic NTP clock-error re-measurement cadence for the monitored node (0 disables; retune live with sysprofctl ntpinterval)")
 	flag.Parse()
 	opts.federation = lineproto.SplitList(*fedEndpoints)
+	if len(opts.federation) > 0 && opts.ntpInterval <= 0 {
+		fmt.Fprintln(os.Stderr, "sysprofd: -federation only carries the clock-error bounds -ntp-interval measures; "+
+			"administer the federation through gpad -frontend -query (sysprofctl -addr <that address> help)")
+		os.Exit(2)
+	}
 	opts.broker = []pubsub.Option{
 		pubsub.WithQueueDepth(*psQueue),
 		pubsub.WithEvictAfterOverflows(*psEvict),
@@ -77,7 +89,7 @@ type options struct {
 	httpAddr, pubsubAddr, ctlAddr string
 	pace                          time.Duration
 	tracePath, topology           string
-	federation                    []string // gpad shard query endpoints; none: no frontend
+	federation                    []string // gpad shard query endpoints the clock-error bounds go to
 	ntpInterval                   time.Duration
 	broker                        []pubsub.Option
 }
@@ -85,10 +97,13 @@ type options struct {
 // run hosts the node until a value arrives on sig. The simulated world —
 // engine, kernel, analyzers, daemon — is single-threaded: the pacing
 // loop, every management command and every procfs read take world
-// before they touch it (a federation verb holds it for its round trip to
-// the shards, as the NTP monitor's broadcast always has).
+// before they touch it. Nothing under world waits on the network.
 func run(opts options, sig <-chan os.Signal) error {
 	var world sync.Mutex
+	ctx, cancel := context.WithCancel(context.Background())
+	var senders sync.WaitGroup
+	defer senders.Wait()
+	defer cancel()
 	eng := sim.NewEngine()
 	network := simnet.NewNetwork(eng)
 	server, err := buildTopology(eng, network, opts.topology)
@@ -173,40 +188,23 @@ func run(opts options, sig <-chan os.Signal) error {
 	if err := ctl.AttachBroker(server.Name(), broker); err != nil {
 		return err
 	}
-	var fed *gpa.Frontend
-	if len(opts.federation) > 0 {
-		fe, err := gpa.NewFrontend(opts.federation)
-		if err != nil {
-			return err
-		}
-		defer fe.Close()
-		if err := ctl.AttachFederation(fe); err != nil {
-			return err
-		}
-		fed = fe
-		log.Printf("federation frontend attached over %d shard endpoints", len(opts.federation))
-	}
-
 	if opts.ntpInterval > 0 {
 		// Model the monitored node's clock explicitly (a few ms fast, 50
 		// ppm drift) and re-measure its error bound on a cadence. Each
-		// measurement is logged and — when a federation frontend is
-		// attached — broadcast to the shards so correlation windows track
-		// the clock instead of relying on operator-pushed bounds.
+		// measurement is logged and posted to the -federation shards so
+		// correlation windows track the clock instead of relying on
+		// operator-pushed bounds.
 		refClock := ntpclock.New(eng, 0, 0)
 		nodeClock := ntpclock.New(eng, 2*time.Millisecond, 50e-6)
 		server.SetClock(nodeClock.Now)
 		syncer := ntpclock.NewSyncer(nodeClock, refClock, sim.NewRNG(11),
 			200*time.Microsecond, 50*time.Microsecond)
 		nodeName := server.Name()
+		post := sendBounds(ctx, &senders, opts.federation)
 		mon, err := ntpclock.NewMonitor(eng, syncer, opts.ntpInterval, 8,
 			func(offset, bound time.Duration) {
 				log.Printf("ntp %s: offset=%v bound=%v", nodeName, offset, bound)
-				if fed != nil {
-					if _, err := fed.Execute(fmt.Sprintf("clockbound %d %v", server.ID(), bound)); err != nil {
-						log.Printf("ntp clockbound broadcast: %v", err)
-					}
-				}
+				post(fmt.Sprintf("clockbound %d %v", server.ID(), bound))
 			})
 		if err != nil {
 			return err
@@ -307,6 +305,75 @@ func run(opts options, sig <-chan os.Signal) error {
 			world.Unlock()
 			return nil
 		}
+	}
+}
+
+// boundTimeout bounds one clockbound round trip to a shard.
+const boundTimeout = 5 * time.Second
+
+// sendBounds starts one sender per shard endpoint and returns post, which
+// hands every sender a clockbound line without waiting: each sender's
+// mailbox holds one line, the newest, so a shard that is slow or gone
+// costs its own sender the bounds it missed and nobody else anything.
+// post's caller is the NTP monitor, which runs under world, one call at a
+// time. The senders stop when ctx is done.
+func sendBounds(ctx context.Context, senders *sync.WaitGroup, endpoints []string) (post func(line string)) {
+	boxes := make([]chan string, len(endpoints))
+	for i, addr := range endpoints {
+		boxes[i] = make(chan string, 1)
+		senders.Add(1)
+		go func(box <-chan string) {
+			defer senders.Done()
+			sendTo(ctx, addr, box)
+		}(boxes[i])
+	}
+	return func(line string) {
+		for _, box := range boxes {
+			select {
+			case <-box: // superseded before it was sent
+			default:
+			}
+			box <- line
+		}
+	}
+}
+
+// sendTo is one endpoint's sender: it asks each line it is posted over a
+// kept connection, dialed again after a failure, and logs when the
+// endpoint starts failing. ctx being done closes the connection, which
+// ends a round trip in progress.
+func sendTo(ctx context.Context, addr string, box <-chan string) {
+	var c *lineproto.Client
+	var hangUp func()
+	defer func() {
+		if c != nil {
+			hangUp()
+		}
+	}()
+	for failing := false; ; {
+		var line string
+		select {
+		case <-ctx.Done():
+			return
+		case line = <-box:
+		}
+		var err error
+		if c == nil {
+			var conn net.Conn
+			if conn, err = (&net.Dialer{Timeout: boundTimeout}).DialContext(ctx, "tcp", addr); err == nil {
+				unwatch := context.AfterFunc(ctx, func() { conn.Close() })
+				c, hangUp = lineproto.NewClient(conn), func() { unwatch(); conn.Close(); c = nil }
+			}
+		}
+		if err == nil {
+			if _, err = c.Do(line, boundTimeout); err != nil {
+				hangUp()
+			}
+		}
+		if err != nil && !failing && ctx.Err() == nil {
+			log.Printf("clockbound to %s: %v", addr, err)
+		}
+		failing = err != nil
 	}
 }
 

@@ -2,12 +2,15 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"encoding/base64"
+	"errors"
 	"io"
 	"log"
 	"net"
 	"net/http"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"regexp"
 	"strings"
@@ -176,5 +179,80 @@ func TestNTPClockBoundReachesShards(t *testing.T) {
 		if time.Now().After(deadline) {
 			t.Fatal("no clock-error bound reached the shard")
 		}
+	}
+}
+
+// TestHungShardDoesNotStallControl: a -federation endpoint that accepts
+// and never answers holds up neither the management protocol — every
+// measured bound is posted from under the lock management commands take
+// — nor the bounds' way to a live shard.
+func TestHungShardDoesNotStallControl(t *testing.T) {
+	hung, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer hung.Close()
+	go func() {
+		for {
+			c, err := hung.Accept()
+			if err != nil {
+				return
+			}
+			defer c.Close() // read nothing, answer nothing, until the test ends
+		}
+	}()
+	g := gpa.New(gpa.Config{}, func() time.Duration { return 0 })
+	live, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer live.Close()
+	go g.Serve(live)
+
+	_, ctlAddr, stop := start(t, options{
+		federation:  []string{hung.Addr().String(), live.Addr().String()},
+		ntpInterval: 20 * time.Millisecond,
+	})
+	defer stop()
+	conn, err := net.Dial("tcp", ctlAddr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctl := lineproto.NewClient(conn)
+	defer ctl.Close()
+	for i := 0; i < 4; i++ {
+		if i > 0 {
+			time.Sleep(time.Second)
+		}
+		began := time.Now()
+		reply, err := ctl.Do("status", 5*time.Second)
+		if took := time.Since(began); err != nil || took > 250*time.Millisecond {
+			t.Fatalf("status %d took %v (reply %q, err %v); want under 250ms", i, took, reply, err)
+		}
+	}
+	const webserver = 1 // the simple topology's first node
+	if g.ClockErrorBound(webserver) == 0 {
+		t.Fatal("no clock-error bound reached the live shard")
+	}
+}
+
+// TestFederationNeedsNTPInterval: -federation carries nothing but the
+// monitor's bounds, so without -ntp-interval sysprofd refuses it with
+// exit code 2 and names where the federation is administered.
+func TestFederationNeedsNTPInterval(t *testing.T) {
+	if os.Getenv("SYSPROFD_TEST_MAIN") == "1" {
+		os.Args = []string{"sysprofd", "-federation", "127.0.0.1:1",
+			"-http", "127.0.0.1:0", "-pubsub", "127.0.0.1:0", "-ctl", "127.0.0.1:0"}
+		main()
+		return
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	cmd := exec.CommandContext(ctx, os.Args[0], "-test.run=^TestFederationNeedsNTPInterval$")
+	cmd.Env = append(os.Environ(), "SYSPROFD_TEST_MAIN=1")
+	out, err := cmd.CombinedOutput()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 2 || !strings.Contains(string(out), "gpad -frontend -query") {
+		t.Fatalf("sysprofd -federation without -ntp-interval: %v, output:\n%s\nwant exit code 2 naming gpad -frontend -query", err, out)
 	}
 }

@@ -13,6 +13,9 @@ import (
 // internal/lint and, through it, the Go type checker (go/types,
 // go/parser, go/importer, go/build, go/doc — some 0.8 MB per binary).
 // go/token, which diag's positions use, is the one go/ package allowed.
+// The node's own binaries do not link the GPA either: sysprofd sends its
+// clock-error bounds to the shards over the line protocol, and the
+// federation is administered through gpad -frontend's port.
 func TestDaemonsDoNotLinkTheAnalyzers(t *testing.T) {
 	out, err := exec.Command("go", "list", "-deps", "./cmd/sysprofd", "./cmd/gpad", "./cmd/sysprofctl").Output()
 	if err != nil {
@@ -25,6 +28,15 @@ func TestDaemonsDoNotLinkTheAnalyzers(t *testing.T) {
 	for _, pkg := range deps {
 		if pkg == "sysprof/internal/lint" || strings.HasPrefix(pkg, "go/") && pkg != "go/token" {
 			t.Errorf("a daemon imports %s", pkg)
+		}
+	}
+	out, err = exec.Command("go", "list", "-deps", "./cmd/sysprofd", "./cmd/sysprofctl").Output()
+	if err != nil {
+		t.Fatalf("go list -deps: %v", err)
+	}
+	for _, pkg := range strings.Fields(string(out)) {
+		if pkg == "sysprof/internal/gpa" {
+			t.Errorf("sysprofd or sysprofctl imports %s", pkg)
 		}
 	}
 }

@@ -51,21 +51,6 @@ type FanOut interface {
 	SetQueueDepth(n int) error
 }
 
-// Federation is the federated-GPA frontend surface the controller
-// manages: the shard endpoint list and the frontend's own query/admin
-// command set (retention, clock bounds, liveness). It is an interface
-// (satisfied by *gpa.Frontend) so the controller does not depend on the
-// gpa package.
-type Federation interface {
-	// Endpoints returns the shard query endpoints (index i = shard i/N).
-	Endpoints() []string
-	// SetEndpoints replaces the shard endpoint list.
-	SetEndpoints(endpoints []string) error
-	// Execute runs one frontend command ("federation", "retention <n>",
-	// "clockbound <node> <duration>", ...).
-	Execute(line string) (string, error)
-}
-
 // NTPMonitor is the clock-monitor surface the controller manages: the
 // automatic error-bound re-measurement cadence plus a forced measure.
 // It is an interface (satisfied by *ntpclock.Monitor) so the controller
@@ -95,9 +80,6 @@ type Controller struct {
 	mu      sync.Mutex
 	targets map[string]*target
 	emit    core.EmitFunc // where installed CPAs publish
-	// federation is the optional federated-GPA frontend (system-wide, not
-	// per node).
-	federation Federation
 }
 
 // New returns an empty controller. emit receives values published by
@@ -154,31 +136,6 @@ func (c *Controller) AttachBroker(node string, b FanOut) error {
 // cadence can be retuned (and a measurement forced) at runtime.
 func (c *Controller) AttachNTP(node string, m NTPMonitor) error {
 	return c.node(node, func(t *target) error { t.ntp = m; return nil })
-}
-
-// AttachFederation registers the federated-GPA frontend so its shard
-// topology and retention can be driven through the management protocol.
-func (c *Controller) AttachFederation(f Federation) error {
-	if f == nil {
-		return errors.New("controller: nil federation")
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.federation != nil {
-		return errors.New("controller: federation already attached")
-	}
-	c.federation = f
-	return nil
-}
-
-func (c *Controller) fed() (Federation, error) {
-	c.mu.Lock()
-	f := c.federation
-	c.mu.Unlock()
-	if f == nil {
-		return nil, fmt.Errorf("%w: no federation attached", ErrUnknownTarget)
-	}
-	return f, nil
 }
 
 // attached resolves what get finds on a node; finding nothing is an
@@ -340,7 +297,7 @@ func maskFromSpec(spec string) (kprof.Mask, error) {
 // Out-of-range input is rejected with an error rather than truncated
 // into a different — valid-looking — value, and before the node it names
 // is looked up.
-var commands = &lineproto.Table[*Controller]{Pkg: "controller", Noun: "command", Rows: append([]lineproto.Command[*Controller]{
+var commands = &lineproto.Table[*Controller]{Pkg: "controller", Noun: "command", Rows: []lineproto.Command[*Controller]{
 	{Name: "status", Help: "every node's counters and knobs, its analyzers beneath it",
 		Run: func(c *Controller, _ []string) (string, error) { return c.Status(), nil }},
 	{Name: "granularity", Args: "<node> <lpa> interaction|class", Run: (*Controller).granularity,
@@ -369,48 +326,12 @@ var commands = &lineproto.Table[*Controller]{Pkg: "controller", Noun: "command",
 		Run: func(c *Controller, a []string) (string, error) { return ok(c.RemoveCPA(a[0], a[1])) }},
 	{Name: "cpa list", Args: "<node>", Help: "installed analyzers: verifier cost, runs, errors",
 		Run: func(c *Controller, a []string) (string, error) { return c.ListCPAs(a[0]) }},
-}, lineproto.Lift(federationCommands, (*Controller).fed)...)}
-
-// federationCommands drive the federated-GPA frontend (AttachFederation).
-var federationCommands = []lineproto.Command[Federation]{
-	{Name: "federation status", Help: "shard liveness and endpoints (JSON)",
-		Run: func(f Federation, _ []string) (string, error) { return f.Execute("federation") }},
-	{Name: "federation endpoints", Help: "the shard endpoint list",
-		Run: func(f Federation, _ []string) (string, error) { return strings.Join(f.Endpoints(), ","), nil }},
-	{Name: "federation set-endpoints", Args: "<addr,addr,...>", Help: "replace the shard endpoint list (entry i serves shard i)",
-		Run: func(f Federation, a []string) (string, error) {
-			eps := lineproto.SplitList(a[0])
-			if err := f.SetEndpoints(eps); err != nil {
-				return "", err
-			}
-			return fmt.Sprintf("ok shards=%d", len(eps)), nil
-		}},
-	{Name: "federation retention", Args: "<max-correlated>", Help: "cap every shard's correlated history (0 = unbounded)",
-		Run: func(f Federation, a []string) (string, error) {
-			// Validated here as well as in the shards: reject before
-			// broadcasting rather than failing N times remotely.
-			n, err := strconv.ParseInt(a[0], 10, 32)
-			if err != nil || n < 0 {
-				return "", fmt.Errorf("controller: bad retention %q (want integer >= 0)", a[0])
-			}
-			return f.Execute("retention " + strconv.FormatInt(n, 10))
-		}},
-	{Name: "federation clockbound", Args: "<node> <duration>", Help: "broadcast a node's clock-error bound to the shards",
-		Run: func(f Federation, a []string) (string, error) { return f.Execute("clockbound " + a[0] + " " + a[1]) }},
-}
+}}
 
 // Execute runs one text command and returns its reply; "help" lists the
 // commands.
 func (c *Controller) Execute(line string) (string, error) {
-	fields := strings.Fields(line)
-	// A controller without a federation says so before it reads the rest
-	// of a federation command.
-	if len(fields) > 0 && fields[0] == "federation" {
-		if _, err := c.fed(); err != nil {
-			return "", err
-		}
-	}
-	return commands.Run(c, fields)
+	return commands.Run(c, strings.Fields(line))
 }
 
 // ok is the reply of a knob that took.

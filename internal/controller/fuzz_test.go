@@ -7,9 +7,9 @@ import (
 )
 
 // FuzzExecute feeds arbitrary command lines to the management-protocol
-// parser. The controller is empty (no registered nodes, no federation),
-// so any command that parses still fails target lookup before touching
-// live components — which means the fuzzer exercises every tokenizing and
+// parser. The controller is empty (no registered nodes), so any
+// command that parses still fails target lookup before touching live
+// components — which means the fuzzer exercises every tokenizing and
 // range-checking path with no side effects to corrupt.
 //
 // Invariants: the parser never panics, and on an empty controller the
@@ -28,11 +28,17 @@ func FuzzExecute(f *testing.F) {
 		"pidfilter web interactions off",
 		"ntpinterval web now",
 		"cpa install web big net c3RhdGljIGludCBuID0gMDsgcmV0dXJuIG47", // static int n = 0; return n;
-		"federation set-endpoints 127.0.0.1:9001,127.0.0.1:9002",
+		// Malformed arguments of the right count.
+		"cpa install web x net not*base64",
+		"granularity web interactions Class",
+		"mask web interactions net,,bogus",
 		// Range-check edges: overflow wraps, negatives, absurd sizes.
 		"pidfilter web interactions 4294967296",
 		"pidfilter web interactions -1",
 		"window web interactions 999999999999",
+		"window web interactions 4194304", // maxSize: valid, then lookup fails
+		"bufcap web interactions 4194305", // one past maxSize
+		"ntpinterval web 0s",
 		"pubsubqueue web 0",
 		"flushinterval web -5s",
 		"federation retention -1",

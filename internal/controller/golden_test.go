@@ -2,7 +2,6 @@ package controller
 
 import (
 	"encoding/base64"
-	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -16,20 +15,6 @@ import (
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite testdata/replies.golden from the replies this build gives")
-
-// goldenFed is a federation frontend that answers like gpa.Frontend where
-// the controller can tell: an empty endpoint list is refused.
-type goldenFed struct{ endpoints []string }
-
-func (f *goldenFed) Endpoints() []string { return f.endpoints }
-func (f *goldenFed) SetEndpoints(eps []string) error {
-	if len(eps) == 0 {
-		return errors.New("gpa: federation needs at least one shard endpoint")
-	}
-	f.endpoints = eps
-	return nil
-}
-func (f *goldenFed) Execute(line string) (string, error) { return "frontend got " + line, nil }
 
 // goldenCommands is every verb of the management protocol with good and
 // bad arguments: wrong arity, unknown nodes and analyzers, out-of-range
@@ -60,12 +45,7 @@ func goldenCommands() []string {
 		"cpa install nope p2 net " + counter, "cpa install n1 hostile all " + b64("while (true) { }"),
 		"cpa list n1", "cpa list", "cpa list nope", "status",
 		"cpa remove n1 p1", "cpa remove n1 p1", "cpa remove n1", "cpa remove nope p1", "cpa list n1",
-		"federation", "federation bogus", "federation status", "federation status extra",
-		"federation endpoints", "federation set-endpoints c:3,, d:4", "federation set-endpoints c:3,,d:4,",
-		"federation endpoints", "federation set-endpoints ,", "federation set-endpoints",
-		"federation retention 5000", "federation retention 0", "federation retention -1",
-		"federation retention 999999999999", "federation retention",
-		"federation clockbound 2 600ms", "federation clockbound 2",
+		"federation status", "federation retention 5000", "federation clockbound 2 600ms",
 		"install-cpa n1 p1 net -- return 0;", "nosuchcommand", "STATUS", "", "   ",
 		"status",
 	}
@@ -86,7 +66,7 @@ func goldenSection(sb *strings.Builder, title string, c *Controller, commands []
 
 // TestRepliesGolden pins every reply of the management protocol byte
 // for byte on three controllers: an empty one, one with a node and an
-// analyzer but no daemon, broker, clock monitor or federation, and one
+// analyzer but no daemon, broker or clock monitor, and one
 // with everything attached. testdata/replies.golden was captured from
 // the switch statement Execute used to be; -update rewrites it.
 func TestRepliesGolden(t *testing.T) {
@@ -107,7 +87,6 @@ func TestRepliesGolden(t *testing.T) {
 		full.AttachDaemon("n1", &fakeFlusher{iv: 250 * time.Millisecond}),
 		full.AttachBroker("n1", &fakeFanOut{depth: 256}),
 		full.AttachNTP("n1", &fakeNTP{interval: 30 * time.Second}),
-		full.AttachFederation(&goldenFed{endpoints: []string{"a:1", "b:2"}}),
 	} {
 		if err != nil {
 			t.Fatal(err)
@@ -117,7 +96,7 @@ func TestRepliesGolden(t *testing.T) {
 	var sb strings.Builder
 	goldenSection(&sb, "empty controller", New(nil), goldenCommands())
 	goldenSection(&sb, "node n1 with lpa main, nothing else attached", node(), goldenCommands())
-	goldenSection(&sb, "daemon, broker, ntp and federation attached", full, goldenCommands())
+	goldenSection(&sb, "daemon, broker and ntp attached", full, goldenCommands())
 	goldenSection(&sb, "help", New(nil), []string{"help"})
 	got := sb.String()
 

@@ -1,9 +1,6 @@
 package controller
 
-import (
-	"strings"
-	"testing"
-)
+import "testing"
 
 // TestExecuteRejectsOutOfRangeArguments: numeric arguments that would
 // truncate or wrap must be rejected at the parser, not silently applied
@@ -23,77 +20,10 @@ func TestExecuteRejectsOutOfRangeArguments(t *testing.T) {
 		"pubsubqueue web 4294967297",   //
 		"flushinterval web -5s",        // negative duration
 		"flushinterval web 0s",         // zero duration
-		"federation retention -1",      // negative retention
-		"federation retention 999999999999",
 	}
 	for _, cmd := range bad {
 		if _, err := c.Execute(cmd); err == nil {
 			t.Errorf("Execute(%q) accepted out-of-range input", cmd)
 		}
-	}
-}
-
-// fedStub records what the controller forwards to the federation.
-type fedStub struct {
-	endpoints []string
-	executed  []string
-}
-
-func (f *fedStub) Endpoints() []string { return f.endpoints }
-func (f *fedStub) SetEndpoints(eps []string) error {
-	f.endpoints = eps
-	return nil
-}
-func (f *fedStub) Execute(line string) (string, error) {
-	f.executed = append(f.executed, line)
-	return "stub-ok", nil
-}
-
-// TestFederationCommands checks the controller's federation command
-// surface: attachment is required, endpoints round-trip, and admin
-// commands are validated locally before being forwarded.
-func TestFederationCommands(t *testing.T) {
-	c := New(nil)
-	if _, err := c.Execute("federation status"); err == nil {
-		t.Fatal("federation command succeeded with no federation attached")
-	}
-	stub := &fedStub{endpoints: []string{"a:1", "b:2"}}
-	if err := c.AttachFederation(stub); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.AttachFederation(stub); err == nil {
-		t.Fatal("double attach accepted")
-	}
-
-	out, err := c.Execute("federation endpoints")
-	if err != nil || out != "a:1,b:2" {
-		t.Fatalf("endpoints = %q, %v", out, err)
-	}
-	if _, err := c.Execute("federation set-endpoints c:3,d:4"); err != nil {
-		t.Fatal(err)
-	}
-	if strings.Join(stub.endpoints, ",") != "c:3,d:4" {
-		t.Fatalf("endpoints after set = %v", stub.endpoints)
-	}
-	if _, err := c.Execute("federation retention 5000"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.Execute("federation clockbound 2 600ms"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.Execute("federation status"); err != nil {
-		t.Fatal(err)
-	}
-	want := []string{"retention 5000", "clockbound 2 600ms", "federation"}
-	if len(stub.executed) != len(want) {
-		t.Fatalf("forwarded %v, want %v", stub.executed, want)
-	}
-	for i := range want {
-		if stub.executed[i] != want[i] {
-			t.Fatalf("forwarded[%d] = %q, want %q", i, stub.executed[i], want[i])
-		}
-	}
-	if _, err := c.Execute("federation bogus"); err == nil {
-		t.Fatal("unknown federation subcommand accepted")
 	}
 }

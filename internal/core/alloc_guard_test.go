@@ -16,9 +16,12 @@ var (
 	sinkRecord Record
 )
 
+// keepServer is a Keep predicate that reads the row it is handed.
+func keepServer(row any) bool { return row.(*Record).Node == 1017 }
+
 // TestRowPathAllocs guards the LPA side of the "nearly free" claim: the
-// shard match, the record ↔ columns moves and every path through a
-// per-CPU buffer push allocate nothing once the columns have their
+// shard match, the record ↔ columns moves, a filtered copy of a batch
+// and every path through a per-CPU buffer push allocate nothing once the columns have their
 // capacity. Append's amortised Grow runs in AllocsPerRun's own warm-up
 // call, outside the measured ones. Values are multi-digit on purpose: Go
 // boxes integers below 256 without allocating. The race detector
@@ -62,6 +65,7 @@ func TestRowPathAllocs(t *testing.T) {
 		{"append-row", func() { grown.Reset(); grown.Append(&rec) }},
 		{"row", func() { sinkRecord = filled.Row(0) }},
 		{"copy-row", func() { filled.CopyRow(&dst, 0) }},
+		{"keep", func() { filled.Keep(keepServer).Release() }},
 		{"push-single-buffer-drop", func() { stalled.Push(&rec) }},
 		{"push-below-capacity", func() { roomy.Push(&rec) }},
 		{"push-flush", func() { swapping.Push(&rec) }},

@@ -71,9 +71,13 @@ type Batch interface {
 
 var recordType = reflect.TypeOf(Record{})
 
-// colsPool recycles the scratch batches Shard and Keep build, so the
-// steady-state publish path allocates nothing.
-var colsPool = sync.Pool{New: func() any { return &RecordColumns{} }}
+// colsPool recycles the scratch batches Shard and Keep build, and rowPool
+// the row Keep hands its predicate, so the steady-state publish path
+// allocates nothing.
+var (
+	colsPool = sync.Pool{New: func() any { return &RecordColumns{} }}
+	rowPool  = sync.Pool{New: func() any { return new(Record) }}
+)
 
 // Columns implements Batch.
 func (c *RecordColumns) Columns(reg *pbio.Registry) (*pbio.Plan, pbio.CompressedColumnAppender) {
@@ -93,13 +97,14 @@ func (c *RecordColumns) Shard(sel ShardSelector) Batch {
 func (c *RecordColumns) Keep(keep func(row any) bool) Batch {
 	kept := colsPool.Get().(*RecordColumns)
 	kept.Reset()
-	var row Record
+	row := rowPool.Get().(*Record)
 	for i := range c.IDs {
-		c.CopyRow(&row, i)
-		if keep(&row) {
-			kept.Append(&row)
+		c.CopyRow(row, i)
+		if keep(row) {
+			kept.Append(row)
 		}
 	}
+	rowPool.Put(row)
 	return kept
 }
 

@@ -73,12 +73,12 @@ func (st FederationStatus) marker() string {
 // Frontend merges query results from a set of shard analyzer processes.
 // It is safe for concurrent use.
 type Frontend struct {
-	dial    DialFunc
-	timeout time.Duration
+	dial      DialFunc
+	timeout   time.Duration
+	endpoints []string // fixed at construction: entry i serves shard i
 
-	mu        sync.Mutex
-	endpoints []string
-	idle      map[string][]*lineproto.Client // kept connections by endpoint, last used last
+	mu   sync.Mutex
+	idle map[string][]*lineproto.Client // kept connections by endpoint, last used last
 }
 
 // maxIdlePerShard bounds the connections kept to one shard between
@@ -123,45 +123,16 @@ func NewFrontend(endpoints []string, opts ...FrontendOption) (*Frontend, error) 
 	return f, nil
 }
 
-// Endpoints returns the current shard endpoint list.
-func (f *Frontend) Endpoints() []string {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return append([]string(nil), f.endpoints...)
-}
-
-// SetEndpoints replaces the shard endpoint list (the controller's
-// federation reconfiguration knob) and closes the idle connections to the
-// endpoints it drops. The shard count may change only if the record
-// routing layer is re-pointed accordingly; the frontend just queries
-// whatever it is given.
-func (f *Frontend) SetEndpoints(endpoints []string) error {
-	if len(endpoints) == 0 {
-		return errors.New("gpa: federation needs at least one shard endpoint")
-	}
-	f.mu.Lock()
-	f.endpoints = append([]string(nil), endpoints...)
-	f.mu.Unlock()
-	f.closeIdle(endpoints)
-	return nil
-}
-
 // Close closes the idle shard connections; a later query dials afresh.
-func (f *Frontend) Close() { f.closeIdle(nil) }
-
-// closeIdle closes the idle connections to every endpoint not in keep.
-func (f *Frontend) closeIdle(keep []string) {
-	var drop []*lineproto.Client
+func (f *Frontend) Close() {
 	f.mu.Lock()
-	for addr, conns := range f.idle {
-		if !slices.Contains(keep, addr) {
-			drop = append(drop, conns...)
-			delete(f.idle, addr)
-		}
-	}
+	idle := f.idle
+	f.idle = make(map[string][]*lineproto.Client)
 	f.mu.Unlock()
-	for _, c := range drop {
-		c.Close()
+	for _, conns := range idle {
+		for _, c := range conns {
+			c.Close()
+		}
 	}
 }
 
@@ -176,10 +147,10 @@ func (f *Frontend) takeIdle(addr string) (c *lineproto.Client) {
 }
 
 // putIdle keeps c for addr's next query, or closes it when addr has its
-// fill of idle connections or is no longer an endpoint.
+// fill of idle connections.
 func (f *Frontend) putIdle(addr string, c *lineproto.Client) {
 	f.mu.Lock()
-	keep := len(f.idle[addr]) < maxIdlePerShard && slices.Contains(f.endpoints, addr)
+	keep := len(f.idle[addr]) < maxIdlePerShard
 	if keep {
 		f.idle[addr] = append(f.idle[addr], c)
 	}
@@ -233,10 +204,9 @@ func (f *Frontend) queryShard(addr, cmd string) (string, error) {
 // does not decode makes its shard dead, as a transport error does: the
 // answer degrades, it does not fail.
 func fanOut[V any](f *Frontend, cmd string, decode func(payload string) (V, error)) ([]shardReply[V], FederationStatus) {
-	endpoints := f.Endpoints()
-	replies := make([]shardReply[V], len(endpoints))
+	replies := make([]shardReply[V], len(f.endpoints))
 	var wg sync.WaitGroup
-	for i, addr := range endpoints {
+	for i, addr := range f.endpoints {
 		wg.Add(1)
 		go func(i int, addr string) {
 			defer wg.Done()
@@ -252,7 +222,7 @@ func fanOut[V any](f *Frontend, cmd string, decode func(payload string) (V, erro
 		}(i, addr)
 	}
 	wg.Wait()
-	st := FederationStatus{Shards: len(endpoints)}
+	st := FederationStatus{Shards: len(f.endpoints)}
 	for _, r := range replies {
 		if r.err != nil {
 			st.Dead = append(st.Dead, r.index)
@@ -439,7 +409,7 @@ var frontendCommands = &lineproto.Table[*Frontend]{Pkg: "gpa", Noun: "query", Un
 			return jsonReply(struct {
 				FederationStatus
 				Endpoints []string `json:"endpoints"`
-			}{f.Status(), f.Endpoints()})
+			}{f.Status(), f.endpoints})
 		}},
 )}
 

@@ -154,18 +154,13 @@ func TestFederationPageMergeEquivalence(t *testing.T) {
 	}
 }
 
-// addEmptyShard appends a shard that owns no flow and rebuilds the
+// addEmptyShard appends a shard that owns no flow and builds a new
 // frontend over the longer endpoint list.
 func (h *fedHarness) addEmptyShard(t *testing.T) {
 	t.Helper()
 	h.shards = append(h.shards, New(Config{}, func() time.Duration { return 0 }))
-	endpoints := make([]string, len(h.shards))
-	for i := range endpoints {
-		endpoints[i] = strconv.Itoa(i)
-	}
-	if err := h.fe.SetEndpoints(endpoints); err != nil {
-		t.Fatal(err)
-	}
+	h.fe.Close()
+	h.fe = h.frontend(t)
 }
 
 // TestTailPushdownProperty is the push-down's correctness property: for

@@ -141,9 +141,8 @@ func TestFrontendConcurrentExecute(t *testing.T) {
 	}
 }
 
-// TestFrontendRetiresConnections: SetEndpoints closes the idle
-// connections of the endpoints it drops and no others; Close closes the
-// rest, twice is once, and the frontend after it dials afresh.
+// TestFrontendRetiresConnections: Close closes the idle connections,
+// twice is once, and the frontend after it dials afresh.
 func TestFrontendRetiresConnections(t *testing.T) {
 	h := newFedHarness(t, 2, Config{})
 	h.workload(8, 2)
@@ -151,15 +150,9 @@ func TestFrontendRetiresConnections(t *testing.T) {
 	if open := h.open(); open != 2 {
 		t.Fatalf("%d connections open after one query over 2 shards", open)
 	}
-	if err := h.fe.SetEndpoints([]string{"0"}); err != nil {
-		t.Fatal(err)
-	}
-	if open := h.open(); open != 1 {
-		t.Fatalf("%d connections open after dropping shard 1, want shard 0's", open)
-	}
 	fullStats(t, h.fe)
 	if d0, d1 := h.dialed(0), h.dialed(1); d0 != 1 || d1 != 1 {
-		t.Fatalf("dials = %d, %d; want the kept connection to shard 0 reused and shard 1 left alone", d0, d1)
+		t.Fatalf("dials = %d, %d; want the kept connection to each shard reused", d0, d1)
 	}
 
 	h.fe.Close()
@@ -168,8 +161,8 @@ func TestFrontendRetiresConnections(t *testing.T) {
 		t.Fatalf("%d connections open after Close", open)
 	}
 	fullStats(t, h.fe)
-	if d0 := h.dialed(0); d0 != 2 {
-		t.Fatalf("shard 0 dialed %d times, want a fresh dial after Close", d0)
+	if d0, d1 := h.dialed(0), h.dialed(1); d0 != 2 || d1 != 2 {
+		t.Fatalf("dials = %d, %d; want a fresh dial to each shard after Close", d0, d1)
 	}
 }
 

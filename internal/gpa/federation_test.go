@@ -99,37 +99,49 @@ func newFedHarness(t testing.TB, n int, cfg Config) *fedHarness {
 		dead: make(map[int]bool), pipes: make(map[int][]net.Conn), dials: make(map[int]int),
 	}
 	h.mono = New(cfg, h.now)
-	endpoints := make([]string, n)
 	for i := 0; i < n; i++ {
 		h.shards = append(h.shards, New(cfg, h.now))
+	}
+	h.fe = h.frontend(t)
+	return h
+}
+
+// frontend builds a frontend over every shard of the harness, endpoint
+// "i" dialing shard i through a pipe.
+func (h *fedHarness) frontend(t testing.TB) *Frontend {
+	t.Helper()
+	endpoints := make([]string, len(h.shards))
+	for i := range endpoints {
 		endpoints[i] = strconv.Itoa(i)
 	}
-	fe, err := NewFrontend(endpoints, WithDialFunc(func(addr string) (net.Conn, error) {
-		idx, err := strconv.Atoi(addr)
-		if err != nil || idx < 0 || idx >= len(h.shards) {
-			return nil, fmt.Errorf("bad endpoint %q", addr)
-		}
-		h.mu.Lock()
-		defer h.mu.Unlock()
-		if h.dead[idx] {
-			return nil, errors.New("connection refused")
-		}
-		c1, c2 := net.Pipe()
-		h.pipes[idx] = append(h.pipes[idx], c2)
-		h.dials[idx]++
-		h.openConns.Add(1)
-		go func() {
-			defer c2.Close()
-			h.serve(h.shards[idx], c2)
-		}()
-		return &harnessConn{Conn: c1, h: h}, nil
-	}))
+	fe, err := NewFrontend(endpoints, WithDialFunc(h.dial))
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(fe.Close)
-	h.fe = fe
-	return h
+	return fe
+}
+
+// dial opens a pipe to the shard endpoint addr names, unless it is dead.
+func (h *fedHarness) dial(addr string) (net.Conn, error) {
+	idx, err := strconv.Atoi(addr)
+	if err != nil || idx < 0 || idx >= len(h.shards) {
+		return nil, fmt.Errorf("bad endpoint %q", addr)
+	}
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	if h.dead[idx] {
+		return nil, errors.New("connection refused")
+	}
+	c1, c2 := net.Pipe()
+	h.pipes[idx] = append(h.pipes[idx], c2)
+	h.dials[idx]++
+	h.openConns.Add(1)
+	go func() {
+		defer c2.Close()
+		h.serve(h.shards[idx], c2)
+	}()
+	return &harnessConn{Conn: c1, h: h}, nil
 }
 
 // ingest routes rec to its owning shard — the same flow-hash modulo the
@@ -354,17 +366,6 @@ func TestFederationRetentionBroadcast(t *testing.T) {
 	}
 	if _, err := h.fe.Execute("retention -1"); err == nil {
 		t.Fatal("negative retention accepted")
-	}
-
-	// Invalid endpoint updates are rejected; valid ones apply.
-	if err := h.fe.SetEndpoints(nil); err == nil {
-		t.Fatal("empty endpoint list accepted")
-	}
-	if err := h.fe.SetEndpoints([]string{"0"}); err != nil {
-		t.Fatal(err)
-	}
-	if got := h.fe.Endpoints(); len(got) != 1 || got[0] != "0" {
-		t.Fatalf("Endpoints = %v", got)
 	}
 }
 
